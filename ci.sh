@@ -80,6 +80,21 @@ done
 rm -f /tmp/flexi_vuln_a.txt /tmp/flexi_vuln_b.txt
 cargo test --release --offline -p flexcheck -q vuln_smoke_campaign
 
+echo "== hang fast-forward gate =="
+# the engine computes the tail of a hung run instead of simulating it;
+# that must stay bit-for-bit equal to stepping every cycle. The oracle
+# tests hold both drain loops to the plain step loop, the stuck-at grid
+# digest was pinned before the fast-forward existed, and so was this
+# mission report's SHA-256 (mission and resilient voting drain through
+# Engine::resume too)
+cargo test --release --offline -p flexicore -q --test hang_forward
+cargo test --release --offline -p flexinject -q --test campaign_digests
+cargo test --release --offline -p flexcheck -q generated_programs_fast_forward_exactly
+mission_sha=$(./target/release/flexi mission --trials 24 --ticks 6 --seed 17 |
+    sha256sum | cut -d ' ' -f 1)
+test "$mission_sha" = \
+    924e4eced8341bcf6dda4403644b7f82edb976a9be44bc87b7b2d59a42a05b01
+
 echo "== serve smoke =="
 # crash-safety gate for the toolchain daemon: batch twice (the second
 # run must be all cache hits with the same reply digest), kill -9 the

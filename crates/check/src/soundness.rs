@@ -835,6 +835,115 @@ mod tests {
         );
     }
 
+    /// The engine's hang fast-forward against the plain step loop, on
+    /// every generator flavor (raw, legal, quiet and paged images) under
+    /// clean, stuck-at and transient fault planes: both drains —
+    /// `run_with` and the packed tier — must end exactly where the loop
+    /// that never fast-forwards ends, output cycle stamps included.
+    #[test]
+    fn generated_programs_fast_forward_exactly() {
+        use flexicore::exec::{run_packed_lanes, LaneStatus};
+        use flexicore::sim::{ArchFault, FaultKind, FaultPlane, StateElement};
+
+        let per_dialect = if cfg!(debug_assertions) { 24 } else { 96 };
+        let mut hangs = 0;
+        let dialects = [
+            Dialect::Fc4,
+            Dialect::Fc8,
+            Dialect::ExtendedAcc,
+            Dialect::LoadStore,
+        ];
+        for (d_idx, dialect) in dialects.into_iter().enumerate() {
+            for i in 0..per_dialect {
+                let mut rng = StdRng::seed_from_u64(0x4A46_0000 + (d_idx * 1_000 + i) as u64);
+                let target = random_target(dialect, &mut rng);
+                let program = generate_program(&target, i, &mut rng);
+                let budget = [0, 1, 700, 5_000, 20_000][i % 5];
+                let inputs: Vec<u8> = (0..rng.gen_range(0..4usize)).map(|_| rng.gen()).collect();
+                let mut planes = vec![FaultPlane::new()];
+                for _ in 0..3 {
+                    let element = match rng.gen_range(0..8) {
+                        0 => StateElement::Pc,
+                        1 => StateElement::Acc,
+                        2 => StateElement::FetchBus,
+                        3 => StateElement::InputPort,
+                        4 => StateElement::OutputPort,
+                        5 => StateElement::PageReg,
+                        6 => StateElement::PagePending,
+                        _ => StateElement::Mem(rng.gen_range(0..8u8)),
+                    };
+                    let kind = match rng.gen_range(0..3) {
+                        0 => FaultKind::StuckAt0,
+                        1 => FaultKind::StuckAt1,
+                        _ => FaultKind::FlipAtCycle(rng.gen_range(0..3_000u64)),
+                    };
+                    planes.push(FaultPlane::with_faults(vec![ArchFault {
+                        element,
+                        bit: rng.gen_range(0..4u8),
+                        kind,
+                    }]));
+                }
+                let core =
+                    || AnyCore::for_dialect(target.dialect, target.features, program.clone());
+                let mut lanes = Vec::new();
+                let mut wants = Vec::new();
+                for plane in &planes {
+                    // the oracle: the loop that never fast-forwards
+                    let mut plain = core();
+                    let mut input = ScriptedInput::new(inputs.clone());
+                    let mut output = RecordingOutput::new();
+                    let mut hook = plane.clone();
+                    plain.power_on_faults(&mut hook);
+                    let mut want = Ok(());
+                    while !plain.is_halted() && plain.budget_spent() < budget {
+                        if let Err(e) = plain.step_with(&mut input, &mut output, &mut hook) {
+                            want = Err(e);
+                            break;
+                        }
+                    }
+                    let want = want.map(|()| plain.run_result());
+                    hangs += usize::from(matches!(want, Ok(r) if !r.halted() && budget > 2_048));
+
+                    let mut fast = core();
+                    let mut fast_out = RecordingOutput::new();
+                    let got = fast.run_with(
+                        &mut ScriptedInput::new(inputs.clone()),
+                        &mut fast_out,
+                        budget,
+                        &mut plane.clone(),
+                    );
+                    let ctx = format!("{dialect:?} #{i} {plane:?} budget {budget}");
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(fast_out.writes(), output.writes(), "{ctx}");
+                    assert_eq!(fast.snapshot(), plain.snapshot(), "{ctx}");
+
+                    lanes.push((
+                        core(),
+                        ScriptedInput::new(inputs.clone()),
+                        RecordingOutput::new(),
+                        plane.clone(),
+                    ));
+                    let status = match want {
+                        Ok(r) if r.halted() => LaneStatus::Done(r),
+                        Ok(r) => LaneStatus::Hung(r),
+                        Err(e) => LaneStatus::Faulted(e),
+                    };
+                    wants.push((status, output, ctx));
+                }
+                for ((status, output), (want, want_out, ctx)) in
+                    run_packed_lanes(lanes, budget).into_iter().zip(wants)
+                {
+                    assert_eq!(status, want, "packed {ctx}");
+                    assert_eq!(output.writes(), want_out.writes(), "packed {ctx}");
+                }
+            }
+        }
+        assert!(
+            hangs > 0,
+            "some generated programs must hang past a checkpoint"
+        );
+    }
+
     #[test]
     fn paged_generators_reach_page_one() {
         let mut rng = StdRng::seed_from_u64(7);

@@ -58,8 +58,11 @@ impl From<flexasm::AsmError> for CliError {
 #[derive(Debug, Default)]
 pub struct Args {
     positionals: Vec<String>,
+    /// How many leading positionals the command has read.
+    positionals_read: usize,
     flags: BTreeMap<String, Option<String>>,
     consumed: std::collections::BTreeSet<String>,
+    help: bool,
 }
 
 /// Flags that take no value.
@@ -75,7 +78,9 @@ impl Args {
         let mut args = Args::default();
         let mut it = raw.iter().peekable();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
+            if a == "--help" || a == "-h" {
+                args.help = true;
+            } else if let Some(name) = a.strip_prefix("--") {
                 if BOOLEAN_FLAGS.contains(&name) {
                     args.flags.insert(name.to_string(), None);
                 } else {
@@ -91,12 +96,20 @@ impl Args {
         Ok(args)
     }
 
+    /// Whether `--help` or `-h` appeared where a flag or positional
+    /// could stand (not as another flag's value).
+    #[must_use]
+    pub fn wants_help(&self) -> bool {
+        self.help
+    }
+
     /// The `n`-th positional argument.
     ///
     /// # Errors
     ///
     /// [`CliError::Usage`] naming `what` when missing.
-    pub fn positional(&self, n: usize, what: &str) -> Result<&str, CliError> {
+    pub fn positional(&mut self, n: usize, what: &str) -> Result<&str, CliError> {
+        self.positionals_read = self.positionals_read.max(n + 1);
         self.positionals
             .get(n)
             .map(String::as_str)
@@ -187,16 +200,20 @@ impl Args {
         }
     }
 
-    /// Reject unrecognised flags (call after a command consumed its own).
+    /// Reject unrecognised flags and positionals the command never read
+    /// (call after a command consumed its own).
     ///
     /// # Errors
     ///
-    /// [`CliError::Usage`] naming the stray flag.
+    /// [`CliError::Usage`] naming the stray flag or argument.
     pub fn finish(&self) -> Result<(), CliError> {
         for name in self.flags.keys() {
             if !self.consumed.contains(name) {
                 return Err(CliError::Usage(format!("unknown flag --{name}")));
             }
+        }
+        if let Some(stray) = self.positionals.get(self.positionals_read) {
+            return Err(CliError::Usage(format!("unexpected argument `{stray}`")));
         }
         Ok(())
     }
@@ -255,6 +272,31 @@ mod tests {
         let mut a = parse(&["--bogus", "1"]);
         let _ = a.flag("target");
         assert!(matches!(a.finish(), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn unread_positionals_are_rejected_at_finish() {
+        let a = parse(&["stray"]);
+        let err = a.finish().unwrap_err();
+        assert!(matches!(&err, CliError::Usage(m) if m.contains("`stray`")));
+        assert_eq!(err.exit_code(), 2);
+
+        let mut b = parse(&["prog.s", "extra"]);
+        assert_eq!(b.positional(0, "source").unwrap(), "prog.s");
+        assert!(b.finish().is_err(), "the second positional was never read");
+        assert_eq!(b.positional(1, "second").unwrap(), "extra");
+        assert!(b.finish().is_ok());
+    }
+
+    #[test]
+    fn help_is_recognised_outside_flag_values() {
+        assert!(parse(&["-h"]).wants_help());
+        assert!(parse(&["--faults", "3", "--help"]).wants_help());
+        assert!(
+            !parse(&["--input", "-h"]).wants_help(),
+            "a value, not a request"
+        );
+        assert!(!parse(&["--faults", "3"]).wants_help());
     }
 
     #[test]

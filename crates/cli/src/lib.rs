@@ -73,6 +73,9 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
         return Ok(commands::usage());
     };
     let mut args = Args::parse(rest)?;
+    if args.wants_help() {
+        return Ok(commands::usage());
+    }
     let out = match command.as_str() {
         "asm" => commands::asm(&mut args)?,
         "check" => commands::check(&mut args)?,
@@ -100,4 +103,35 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
     };
     args.finish()?;
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(items: &[&str]) -> Vec<String> {
+        items.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn help_after_a_subcommand_prints_usage() {
+        for help in ["-h", "--help"] {
+            for command in ["inject", "run", "mission", "client"] {
+                let out = dispatch(&argv(&[command, help])).expect("help is not an error");
+                assert_eq!(out, commands::usage(), "{command} {help}");
+            }
+        }
+    }
+
+    #[test]
+    fn stray_positionals_are_usage_errors() {
+        let err = dispatch(&argv(&["inject", "extra", "--faults", "1"])).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("`extra`")),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), 2);
+        let err = dispatch(&argv(&["kernels", "extra"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+    }
 }

@@ -22,6 +22,17 @@
 //!   cores (one per simulated die) round-robin in a cache-friendly
 //!   loop; wafer screens and fault campaigns run whole batches through
 //!   it.
+//!
+//! Both drain loops — [`Engine::resume`] and
+//! [`PackedDriver::run_to_completion`] — share one exact hang
+//! fast-forward. When the fault hook is steady
+//! ([`FaultHook::is_steady`]) and the input port stationary
+//! ([`InputPort::position`]), a run whose architectural state repeats
+//! is periodic from there to the watchdog, so the rest of it is
+//! computed rather than simulated: accounting advances by whole
+//! periods and each period's output writes are replayed with shifted
+//! cycle stamps. The results equal the plain run-to-watchdog bit for
+//! bit (DESIGN.md §16).
 
 use crate::error::SimError;
 use crate::io::{InputPort, OutputPort};
@@ -33,6 +44,7 @@ use crate::trace::StepEvent;
 
 mod any;
 mod driver;
+mod hang;
 mod packed;
 
 pub use any::AnyCore;
@@ -312,6 +324,11 @@ pub trait Core {
     /// mirroring [`Core::save_arch`].
     fn load_arch(&mut self, snap: &Snapshot);
 
+    /// `true` when the dialect-private architectural state equals what
+    /// [`Core::save_arch`] wrote into `snap`, compared in place without
+    /// building a snapshot. The hang fast-forward's repeat test.
+    fn same_regs(&self, snap: &Snapshot) -> bool;
+
     /// Checkpoint the full architectural state (shared execution state,
     /// MMU, and dialect registers). The program image is *not* captured
     /// — it is immutable, and snapshots stay a few dozen bytes.
@@ -414,6 +431,11 @@ impl<C: Core> Core for &mut C {
     #[inline]
     fn load_arch(&mut self, snap: &Snapshot) {
         (**self).load_arch(snap);
+    }
+
+    #[inline]
+    fn same_regs(&self, snap: &Snapshot) -> bool {
+        (**self).same_regs(snap)
     }
 }
 
@@ -538,11 +560,13 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
             next_pc = target;
         }
         state.pc = next_pc;
-        state.cycle += C::insn_cycles(len);
-        state.instructions += 1;
-        state.fetched_bytes += u64::from(len);
+        // saturating: a fast-forwarded unbounded watchdog can carry the
+        // counters to their ceiling
+        state.cycle = state.cycle.saturating_add(C::insn_cycles(len));
+        state.instructions = state.instructions.saturating_add(1);
+        state.fetched_bytes = state.fetched_bytes.saturating_add(u64::from(len));
         if taken {
-            state.taken_branches += 1;
+            state.taken_branches = state.taken_branches.saturating_add(1);
         }
         if F::ACTIVE {
             let cycle = self.core.state().cycle;
@@ -589,6 +613,10 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
     /// they apply power-on faults when a lane is admitted, so resuming
     /// must not apply them a second time.
     ///
+    /// A run that settles into a loop it can never leave is
+    /// fast-forwarded to the watchdog rather than simulated to it, with
+    /// identical results (see DESIGN.md §16).
+    ///
     /// # Errors
     ///
     /// Propagates any error from [`Engine::step`].
@@ -602,9 +630,19 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
         I: InputPort,
         O: OutputPort,
     {
-        while !self.core.state().halted && C::budget_spent(self.core.state()) < budget {
-            self.step(input, output)?;
-        }
+        hang::drain(
+            &mut self.core,
+            input,
+            output,
+            &mut self.faults,
+            budget,
+            #[inline(always)]
+            |core, input, output, faults| {
+                Engine::with_faults(core, faults)
+                    .step(input, output)
+                    .map(drop)
+            },
+        )?;
         Ok(self.core.state().run_result())
     }
 }

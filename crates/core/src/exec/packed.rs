@@ -215,7 +215,14 @@ where
                 return false;
             }
             let diverges = F::ACTIVE && lane.faults.corrupts_fetch();
-            match step_packed(lane, cache, diverges) {
+            let PackedLane {
+                core,
+                input,
+                output,
+                faults,
+                ..
+            } = lane;
+            match step_packed(core, input, output, faults, cache, diverges) {
                 Ok(()) => {
                     stepped += 1;
                     true
@@ -236,23 +243,37 @@ where
     /// every step) rather than swept one instruction at a time. The
     /// shared decode cache persists across lanes either way, and the
     /// results are bit-for-bit identical to the
-    /// [`step_all`](PackedDriver::step_all) sweep.
+    /// [`step_all`](PackedDriver::step_all) sweep. The drain is the
+    /// engine's own, so a lane stuck in a loop it can never leave is
+    /// fast-forwarded to its watchdog exactly as
+    /// [`Engine::resume`](super::Engine::resume) does.
     pub fn run_to_completion(&mut self) {
         let lanes = &mut self.lanes;
         let cache = &mut self.decode_cache;
         for idx in self.active.drain(..) {
-            let lane = &mut lanes[idx];
-            let diverges = F::ACTIVE && lane.faults.corrupts_fetch();
-            lane.status = loop {
-                if lane.core.state().is_halted() {
-                    break LaneStatus::Done(lane.core.state().run_result());
-                }
-                if C::budget_spent(lane.core.state()) >= lane.fuel {
-                    break LaneStatus::Hung(lane.core.state().run_result());
-                }
-                if let Err(e) = step_packed(lane, cache, diverges) {
-                    break LaneStatus::Faulted(e);
-                }
+            let PackedLane {
+                core,
+                input,
+                output,
+                faults,
+                fuel,
+                status,
+            } = &mut lanes[idx];
+            let diverges = F::ACTIVE && faults.corrupts_fetch();
+            let cache: &mut [DecodeSlot<C>] = cache;
+            let drained = super::hang::drain(
+                core,
+                input,
+                output,
+                faults,
+                *fuel,
+                #[inline(always)]
+                move |c, i, o, f| step_packed(c, i, o, f, cache, diverges),
+            );
+            *status = match drained {
+                Err(e) => LaneStatus::Faulted(e),
+                Ok(()) if core.state().is_halted() => LaneStatus::Done(core.state().run_result()),
+                Ok(()) => LaneStatus::Hung(core.state().run_result()),
             };
         }
     }
@@ -278,8 +299,12 @@ where
 /// check, commit accounting, state-fault visit — replicates the scalar
 /// engine statement for statement; the lockstep tests hold the two
 /// paths equal.
+#[inline]
 fn step_packed<C, I, O, F>(
-    lane: &mut PackedLane<C, I, O, F>,
+    core: &mut C,
+    input: &mut I,
+    output: &mut O,
+    faults: &mut F,
     cache: &mut [DecodeSlot<C>],
     diverges: bool,
 ) -> Result<(), SimError>
@@ -290,7 +315,6 @@ where
     O: OutputPort,
     F: FaultHook,
 {
-    let core = &mut lane.core;
     let state = core.state_mut();
     state.mmu.tick();
     let page = state.mmu.page();
@@ -322,7 +346,7 @@ where
         let mut fetch_buf = [0u8; 2];
         let n = window.len().min(C::FETCH_WINDOW);
         for (i, b) in window[..n].iter().enumerate() {
-            fetch_buf[i] = lane.faults.on_fetch(start_cycle + i as u64, *b);
+            fetch_buf[i] = faults.on_fetch(start_cycle + i as u64, *b);
         }
         core.decode(&fetch_buf[..n], address)?
     } else {
@@ -333,7 +357,7 @@ where
         slot.as_ref().expect("just filled").clone()?
     };
 
-    let flow = core.execute(insn, &mut lane.input, &mut lane.output, &mut lane.faults);
+    let flow = core.execute(insn, input, output, faults);
 
     let state = core.state_mut();
     let mut taken = false;
@@ -347,15 +371,17 @@ where
         next_pc = target;
     }
     state.pc = next_pc;
-    state.cycle += C::insn_cycles(len);
-    state.instructions += 1;
-    state.fetched_bytes += u64::from(len);
+    // saturating: a fast-forwarded unbounded watchdog can carry the
+    // counters to their ceiling
+    state.cycle = state.cycle.saturating_add(C::insn_cycles(len));
+    state.instructions = state.instructions.saturating_add(1);
+    state.fetched_bytes = state.fetched_bytes.saturating_add(u64::from(len));
     if taken {
-        state.taken_branches += 1;
+        state.taken_branches = state.taken_branches.saturating_add(1);
     }
     if F::ACTIVE {
         let cycle = core.state().cycle;
-        lane.faults.on_state(cycle, &mut core.arch_state());
+        faults.on_state(cycle, &mut core.arch_state());
     }
     Ok(())
 }

@@ -14,23 +14,50 @@
 pub trait InputPort {
     /// Sample the bus. The core masks the returned value to its width.
     fn read(&mut self, cycle: u64) -> u8;
+
+    /// Where the port stands in its input stream, for ports that can
+    /// promise their future reads depend on this value alone — never on
+    /// the cycle stamp, and never on anything else that changes. Two
+    /// equal positions of one port therefore promise identical futures.
+    ///
+    /// The engine's hang fast-forward arms only on ports answering
+    /// `Some`. The default `None` ("time-varying, or unknown") keeps it
+    /// off, which is always sound.
+    fn position(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// A device observing the core's output bus.
 pub trait OutputPort {
     /// Observe a value driven on the bus at the given cycle.
     fn write(&mut self, cycle: u64, value: u8);
+
+    /// A hint that about `writes` more writes are coming: the engine's
+    /// hang fast-forward calls it before replaying a loop's writes, so a
+    /// recording port can size its buffer once. The default ignores it.
+    fn reserve(&mut self, writes: usize) {
+        let _ = writes;
+    }
 }
 
 impl<T: InputPort + ?Sized> InputPort for &mut T {
     fn read(&mut self, cycle: u64) -> u8 {
         (**self).read(cycle)
     }
+
+    fn position(&self) -> Option<u64> {
+        (**self).position()
+    }
 }
 
 impl<T: OutputPort + ?Sized> OutputPort for &mut T {
     fn write(&mut self, cycle: u64, value: u8) {
         (**self).write(cycle, value);
+    }
+
+    fn reserve(&mut self, writes: usize) {
+        (**self).reserve(writes);
     }
 }
 
@@ -51,6 +78,10 @@ impl ConstInput {
 impl InputPort for ConstInput {
     fn read(&mut self, _cycle: u64) -> u8 {
         self.value
+    }
+
+    fn position(&self) -> Option<u64> {
+        Some(0)
     }
 }
 
@@ -91,6 +122,12 @@ impl InputPort for ScriptedInput {
             self.next += 1;
         }
         v
+    }
+
+    /// The read cursor: it stops at the end of the script, where every
+    /// later read repeats the final value.
+    fn position(&self) -> Option<u64> {
+        Some(self.next as u64)
     }
 }
 
@@ -182,6 +219,12 @@ impl OutputPort for RecordingOutput {
     fn write(&mut self, cycle: u64, value: u8) {
         self.writes.push((cycle, value));
     }
+
+    /// Reserves exactly, so a fast-forwarded hang's recording carries
+    /// no doubling slack; a hint too large to honour is ignored.
+    fn reserve(&mut self, writes: usize) {
+        let _ = self.writes.try_reserve_exact(writes);
+    }
 }
 
 /// An output bus that discards everything.
@@ -222,6 +265,21 @@ mod tests {
     }
 
     #[test]
+    fn scripted_position_is_the_cursor_and_stops_at_the_end() {
+        let mut p = ScriptedInput::new(vec![1, 2]);
+        assert_eq!(p.position(), Some(0));
+        p.read(0);
+        assert_eq!(p.position(), Some(1));
+        p.read(0);
+        p.read(0);
+        assert_eq!(p.position(), Some(2), "exhausted script stays put");
+        assert_eq!(ConstInput::new(3).position(), Some(0));
+        assert_eq!(StreamInput::new(vec![1], 1).position(), None);
+        let by_ref: &mut ScriptedInput = &mut p;
+        assert_eq!(by_ref.position(), Some(2), "&mut forwards");
+    }
+
+    #[test]
     fn empty_script_reads_zero() {
         let mut p = ScriptedInput::new(vec![]);
         assert_eq!(p.read(0), 0);
@@ -243,6 +301,18 @@ mod tests {
         assert_eq!(o.last(), Some(0xB));
         assert_eq!(o.writes(), &[(5, 0xA), (9, 0xB)]);
         assert_eq!(o.len(), 2);
+    }
+
+    #[test]
+    fn recording_reserve_is_forwarded_and_never_panics() {
+        fn hint<O: OutputPort>(mut port: O) {
+            port.reserve(1_000);
+        }
+        let mut o = RecordingOutput::new();
+        hint(&mut o);
+        assert!(o.writes.capacity() >= 1_000, "&mut forwards");
+        o.reserve(usize::MAX); // too large to honour: ignored
+        assert!(o.is_empty());
     }
 
     #[test]

@@ -278,6 +278,21 @@ pub trait FaultHook {
         Self::ACTIVE
     }
 
+    /// Whether the hook is time-invariant from here on: every future
+    /// visit's effect depends only on the value it is handed, never on
+    /// the cycle stamp or on how many visits came before, and no visit
+    /// changes the hook. A deterministic core under a steady hook and a
+    /// stationary input is eventually periodic, which is what the
+    /// engine's hang fast-forward relies on.
+    ///
+    /// The default `false` ("never arm the fast-forward") is always
+    /// sound. [`NoFaults`] answers `true`; [`FaultPlane`] answers `true`
+    /// once every fault is a stuck-at or an already-fired flip.
+    #[inline]
+    fn is_steady(&self) -> bool {
+        false
+    }
+
     /// Corrupt one byte crossing the instruction fetch bus.
     #[inline]
     fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
@@ -317,6 +332,11 @@ impl<F: FaultHook> FaultHook for &mut F {
     }
 
     #[inline]
+    fn is_steady(&self) -> bool {
+        (**self).is_steady()
+    }
+
+    #[inline]
     fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
         (**self).on_fetch(cycle, byte)
     }
@@ -344,6 +364,11 @@ pub struct NoFaults;
 
 impl FaultHook for NoFaults {
     const ACTIVE: bool = false;
+
+    #[inline]
+    fn is_steady(&self) -> bool {
+        true
+    }
 }
 
 /// A concrete set of [`ArchFault`]s implementing [`FaultHook`].
@@ -427,6 +452,13 @@ impl FaultHook for FaultPlane {
         self.faults
             .iter()
             .any(|f| f.element == StateElement::FetchBus)
+    }
+
+    fn is_steady(&self) -> bool {
+        self.faults
+            .iter()
+            .zip(&self.fired)
+            .all(|(f, &fired)| fired || !matches!(f.kind, FaultKind::FlipAtCycle(_)))
     }
 
     #[inline]
@@ -520,6 +552,33 @@ mod tests {
         acc = 0x2;
         p.on_state(1, &mut state_of(&mut pc, &mut acc, &mut mem, &mut page));
         assert_eq!(acc, 0xA);
+    }
+
+    #[test]
+    fn plane_is_steady_once_every_flip_has_fired() {
+        let stuck = ArchFault {
+            element: StateElement::Acc,
+            bit: 0,
+            kind: FaultKind::StuckAt1,
+        };
+        assert!(NoFaults.is_steady());
+        assert!(FaultPlane::new().is_steady());
+        assert!(FaultPlane::with_faults(vec![stuck]).is_steady());
+        let mut p = FaultPlane::with_faults(vec![
+            stuck,
+            ArchFault {
+                element: StateElement::FetchBus,
+                bit: 0,
+                kind: FaultKind::FlipAtCycle(5),
+            },
+        ]);
+        assert!(!p.is_steady(), "a pending flip still depends on the cycle");
+        p.on_fetch(6, 0);
+        assert!(p.is_steady(), "a fired flip is inert");
+        let by_ref = &mut p;
+        assert!(by_ref.is_steady(), "&mut forwards");
+        p.reset();
+        assert!(!p.is_steady());
     }
 
     #[test]

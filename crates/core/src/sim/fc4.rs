@@ -303,6 +303,10 @@ impl Core for Fc4Core {
         self.acc = snap.acc;
         self.mem.copy_from_slice(&snap.mem);
     }
+
+    fn same_regs(&self, snap: &Snapshot) -> bool {
+        self.acc == snap.acc && self.mem[..] == snap.mem[..]
+    }
 }
 
 #[cfg(test)]

@@ -311,6 +311,10 @@ impl Core for Fc8Core {
         self.acc = snap.acc;
         self.mem.copy_from_slice(&snap.mem);
     }
+
+    fn same_regs(&self, snap: &Snapshot) -> bool {
+        self.acc == snap.acc && self.mem[..] == snap.mem[..]
+    }
 }
 
 #[cfg(test)]

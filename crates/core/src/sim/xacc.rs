@@ -456,6 +456,13 @@ impl Core for XaccCore {
         self.carry = snap.flags & 1 != 0;
         self.mem.copy_from_slice(&snap.mem);
     }
+
+    fn same_regs(&self, snap: &Snapshot) -> bool {
+        self.acc == snap.acc
+            && self.ra == snap.ra
+            && u8::from(self.carry) == snap.flags
+            && self.mem[..] == snap.mem[..]
+    }
 }
 
 #[cfg(test)]

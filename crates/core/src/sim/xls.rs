@@ -44,6 +44,11 @@ pub struct Flags {
 }
 
 impl Flags {
+    /// N/Z/P/C packed into bits 0–3, the [`Snapshot::flags`] layout.
+    fn bits(self) -> u8 {
+        u8::from(self.n) | u8::from(self.z) << 1 | u8::from(self.p) << 2 | u8::from(self.c) << 3
+    }
+
     fn set_nzp(&mut self, value: u8) {
         let v = value & WIDTH_MASK;
         self.n = v & 0x8 != 0;
@@ -417,10 +422,7 @@ impl Core for XlsCore {
 
     fn save_arch(&self, snap: &mut Snapshot) {
         snap.ra = self.ra;
-        snap.flags = u8::from(self.flags.n)
-            | u8::from(self.flags.z) << 1
-            | u8::from(self.flags.p) << 2
-            | u8::from(self.flags.c) << 3;
+        snap.flags = self.flags.bits();
         snap.mem = self.regs.to_vec();
     }
 
@@ -433,6 +435,10 @@ impl Core for XlsCore {
             c: snap.flags & 8 != 0,
         };
         self.regs.copy_from_slice(&snap.mem);
+    }
+
+    fn same_regs(&self, snap: &Snapshot) -> bool {
+        self.ra == snap.ra && self.flags.bits() == snap.flags && self.regs[..] == snap.mem[..]
     }
 }
 

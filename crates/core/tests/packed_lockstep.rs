@@ -54,6 +54,12 @@ fn arch_faults() -> impl Strategy<Value = ArchFault> {
     })
 }
 
+/// Watchdog budgets short of the first hang fast-forward checkpoint
+/// (1 024 units) and well past it, so hung lanes take the jump.
+fn budgets() -> impl Strategy<Value = u64> {
+    prop_oneof![1u64..400, 2_000u64..20_000]
+}
+
 /// One lane's worth of campaign material.
 #[derive(Debug, Clone)]
 struct LanePlan {
@@ -106,7 +112,7 @@ proptest! {
     fn packed_batches_replay_the_scalar_engine(
         program_bytes in proptest::collection::vec(any::<u8>(), 1..40),
         plans in proptest::collection::vec(lane_plans(), 1..24),
-        budget in 1u64..400,
+        budget in budgets(),
     ) {
         let program = Program::from_bytes(program_bytes);
         let batch: Vec<_> = plans
@@ -140,7 +146,7 @@ proptest! {
         dialect in dialects(),
         bus_bit in 0u8..8,
         lanes in 2usize..16,
-        budget in 10u64..200,
+        budget in budgets(),
     ) {
         let program = Program::from_bytes(program_bytes);
         let plans: Vec<FaultPlane> = (0..lanes)
