@@ -27,31 +27,31 @@ echo "== attacker soak smoke =="
 # forgery or bricked die, failing the build
 ./target/release/flexi attack --trials 1000 --seed 1
 
-echo "== sharded campaign smoke =="
-# determinism gate for the --threads/--shards knobs: a threaded, sharded
-# campaign must print the exact bytes the serial run prints
+echo "== threaded campaign smoke =="
+# determinism gate for the --threads knob: a threaded campaign must
+# print the exact bytes the serial run prints
 ./target/release/flexi inject --faults 64 --seed 11 > /tmp/flexi_serial.txt
-./target/release/flexi inject --faults 64 --seed 11 --threads 8 --shards 16 \
-    > /tmp/flexi_sharded.txt
-cmp /tmp/flexi_serial.txt /tmp/flexi_sharded.txt
+./target/release/flexi inject --faults 64 --seed 11 --threads 8 \
+    > /tmp/flexi_threaded.txt
+cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
 ./target/release/flexi link --rates 0,5e-4 --seed 11 > /tmp/flexi_serial.txt
-./target/release/flexi link --rates 0,5e-4 --seed 11 --threads 8 --shards 8 \
-    > /tmp/flexi_sharded.txt
-cmp /tmp/flexi_serial.txt /tmp/flexi_sharded.txt
-rm -f /tmp/flexi_serial.txt /tmp/flexi_sharded.txt
+./target/release/flexi link --rates 0,5e-4 --seed 11 --threads 8 \
+    > /tmp/flexi_threaded.txt
+cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
+rm -f /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
 
 echo "== mission soak smoke =="
 # lifetime soak gate: the closed-loop health manager vs the static
 # always-TMR baseline under the same seeded stress histories; `flexi
 # mission` exits nonzero on any accepted forged re-flash, and the report
 # must replay bit-for-bit whatever the worker topology — including a
-# FLEXSHARD_FORCE_THREADS override fighting the --shards split
+# FLEXSHARD_FORCE_THREADS override of the requested thread count
 ./target/release/flexi mission --trials 24 --ticks 6 --seed 17 \
-    --shards 1 > /tmp/flexi_serial.txt
+    > /tmp/flexi_serial.txt
 FLEXSHARD_FORCE_THREADS=3 ./target/release/flexi mission --trials 24 \
-    --ticks 6 --seed 17 --shards 64 > /tmp/flexi_sharded.txt
-cmp /tmp/flexi_serial.txt /tmp/flexi_sharded.txt
-rm -f /tmp/flexi_serial.txt /tmp/flexi_sharded.txt
+    --ticks 6 --seed 17 > /tmp/flexi_threaded.txt
+cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
+rm -f /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
 
 echo "== flexcheck gate =="
 # static analysis over the kernel suite (all dialects must lint clean at
@@ -81,14 +81,16 @@ rm -f /tmp/flexi_vuln_a.txt /tmp/flexi_vuln_b.txt
 cargo test --release --offline -p flexcheck -q vuln_smoke_campaign
 
 echo "== hang fast-forward gate =="
-# the engine computes the tail of a hung run instead of simulating it;
-# that must stay bit-for-bit equal to stepping every cycle. The oracle
-# tests hold both drain loops to the plain step loop, the stuck-at grid
-# digest was pinned before the fast-forward existed, and so was this
-# mission report's SHA-256 (mission and resilient voting drain through
-# Engine::resume too)
+# the engine computes the tail of a hung run instead of simulating it,
+# and skips the fetch-bus visit of hooks that leave the bus alone; both
+# must stay bit-for-bit equal to stepping every cycle. The oracle tests
+# hold the one drain loop to the plain step loop, the stuck-at grid and
+# field-screen digests were pinned before the batch drivers were
+# removed, and so was this mission report's SHA-256 (mission and
+# resilient voting drain through Engine::resume too)
 cargo test --release --offline -p flexicore -q --test hang_forward
 cargo test --release --offline -p flexinject -q --test campaign_digests
+cargo test --release --offline -p flexfab -q --test field_digest
 cargo test --release --offline -p flexcheck -q generated_programs_fast_forward_exactly
 mission_sha=$(./target/release/flexi mission --trials 24 --ticks 6 --seed 17 |
     sha256sum | cut -d ' ' -f 1)
@@ -146,6 +148,12 @@ rm -rf "$serve_cache" "$serve_log" "$serve_fifo"
 
 echo "== cargo test =="
 cargo test --offline --workspace -q
+
+echo "== perfbench test =="
+# the perf ledger is its own package outside the root workspace: it
+# compiles against the campaign and harness APIs, so a break there only
+# shows when it is built and tested on its own
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test --release (forced thread pools) =="
 # FLEXSHARD_FORCE_THREADS overrides every campaign's requested worker

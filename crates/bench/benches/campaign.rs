@@ -1,14 +1,11 @@
-//! What do the bit-sliced and sharded campaign tiers buy?
+//! What does the threaded campaign runner cost or buy?
 //!
-//! Three ways to run the same 256-trial fault-injection campaign:
+//! Two ways to run the same 256-trial fault-injection campaign:
 //!
-//! * **scalar-serial** — one `run_with` per trial, the shape every
-//!   campaign had before the packed tier existed;
-//! * **packed-batch** — the 64-lane [`run_batch`] path (shared decode
-//!   cache, lane-masked retirement), still one thread;
-//! * **sharded** — the full `run_campaign` with `--threads`/`--shards`
-//!   engaged, which layers the work-stealing pool on top of the packed
-//!   batches.
+//! * **scalar-serial** — one `run_with` per trial on pre-drawn trials,
+//!   the bare simulation cost;
+//! * **threaded** — the full `run_campaign` with `--threads` engaged,
+//!   which adds the draw, classification and the work-stealing pool.
 //!
 //! A second group times the Table 5 wafer screen (63 dies per
 //! bit-sliced gate-level pass, lane 0 golden) serial vs threaded.
@@ -40,7 +37,7 @@ fn pool_threads() -> usize {
 }
 
 /// Pre-draw the campaign's (fault, input) pairs exactly as
-/// `run_campaign` does, so all three cases execute identical trials.
+/// `run_campaign` does, so both cases execute identical trials.
 fn drawn_batch(target: Target, kernel: Kernel) -> Vec<BatchCase<FaultPlane>> {
     let site_list = sites::enumerate(target.dialect);
     let mut sampler = Sampler::new(kernel, SEED ^ 0x001A_7E57);
@@ -77,14 +74,10 @@ fn inject_campaign(c: &mut Criterion) {
                 .count()
         });
     });
-    group.bench_function("packed-batch", |b| {
-        b.iter(|| prepared.run_batch(batch.clone(), BUDGET).len());
-    });
     let mut config = CampaignConfig::new(target, kernel, TRIALS, SEED);
     config.budget = BUDGET;
     config.threads = threads;
-    config.shards = threads * 4;
-    group.bench_function(&format!("sharded-{threads}t"), |b| {
+    group.bench_function(&format!("threaded-{threads}t"), |b| {
         b.iter(|| run_campaign(config).expect("campaign runs").trials.len());
     });
     group.finish();

@@ -6,20 +6,14 @@
 //! [`Fc4Core`] against `DirectFc4` — a faithful transcription of the
 //! pre-refactor fc4 step loop — on the same XorShift8 image, so a
 //! regression in the shared abstraction shows up as a gap between the
-//! two (the acceptance bar is ≤5%, recorded in EXPERIMENTS.md). A third
-//! case measures the batched [`MultiCoreDriver`] against serial runs of
-//! the same lanes.
+//! two (the acceptance bar is ≤5%, recorded in EXPERIMENTS.md).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 use flexasm::Target;
-use flexicore::exec::{AnyCore, MultiCoreDriver};
 use flexicore::io::{ConstInput, InputPort, NullOutput, OutputPort};
 use flexicore::isa::fc4::{Instruction, IPORT_ADDR, MEM_WORDS, OPORT_ADDR};
-use flexicore::isa::features::FeatureSet;
-use flexicore::isa::Dialect;
 use flexicore::mmu::Mmu;
 use flexicore::program::Program;
-use flexicore::sim::fault::NoFaults;
 use flexicore::sim::fc4::Fc4Core;
 use flexicore::sim::{RunResult, StopReason};
 use flexicore::trace::StepEvent;
@@ -194,50 +188,5 @@ fn bench_engine_vs_direct(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batched_driver(c: &mut Criterion) {
-    const LANES: u64 = 32;
-    let program = xorshift_image();
-    let mut group = c.benchmark_group("multi_core_driver");
-    group.throughput(Throughput::Elements(LANES));
-    group.bench_function("serial_32_lanes", |b| {
-        b.iter(|| {
-            let mut total = 0u64;
-            for seed in 0..LANES {
-                let mut core =
-                    AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, program.clone());
-                let r = core
-                    .run(
-                        &mut ConstInput::new((seed as u8) & 0xF),
-                        &mut NullOutput::new(),
-                        BUDGET,
-                    )
-                    .unwrap();
-                total += r.instructions;
-            }
-            total
-        });
-    });
-    group.bench_function("batched_32_lanes", |b| {
-        b.iter(|| {
-            let mut driver = MultiCoreDriver::new(BUDGET);
-            for seed in 0..LANES {
-                driver.push(
-                    AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, program.clone()),
-                    ConstInput::new((seed as u8) & 0xF),
-                    NullOutput::new(),
-                    NoFaults,
-                );
-            }
-            driver.run_to_completion();
-            driver
-                .lanes()
-                .iter()
-                .map(|lane| lane.core.instructions())
-                .sum::<u64>()
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_engine_vs_direct, bench_batched_driver);
+criterion_group!(benches, bench_engine_vs_direct);
 criterion_main!(benches);

@@ -8,8 +8,8 @@
 //!   migration, no re-flash, no ladder moves;
 //! * **adaptive** — the full [`MissionManager`] loop on one thread,
 //!   which prices the reaction machinery itself;
-//! * **adaptive-sharded** — the same campaign through the
-//!   `--threads`/`--shards` pool, which prices the coordination layer.
+//! * **adaptive-threaded** — the same campaign through the `--threads`
+//!   pool, which prices the coordination layer.
 //!
 //! Throughput is trials/sec via [`Throughput::Elements`]; headline
 //! numbers live in EXPERIMENTS.md.
@@ -23,7 +23,7 @@ const TRIALS: usize = 32;
 const TICKS: u32 = 8;
 const SEED: u64 = 0x0015_510A;
 
-/// Worker count for the sharded case: the machine's parallelism, but
+/// Worker count for the threaded case: the machine's parallelism, but
 /// at least 2 so the pool is always exercised for real.
 fn pool_threads() -> usize {
     std::thread::available_parallelism()
@@ -57,14 +57,10 @@ fn mission_soak(c: &mut Criterion) {
                 .len()
         });
     });
-    let sharded = MissionConfig {
-        threads,
-        shards: threads * 4,
-        ..base
-    };
-    group.bench_function(&format!("adaptive-sharded-{threads}t"), |b| {
+    let threaded = MissionConfig { threads, ..base };
+    group.bench_function(&format!("adaptive-threaded-{threads}t"), |b| {
         b.iter(|| {
-            run_mission_campaign(&sharded)
+            run_mission_campaign(&threaded)
                 .expect("campaign runs")
                 .trials
                 .len()

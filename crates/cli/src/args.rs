@@ -65,6 +65,11 @@ pub struct Args {
     help: bool,
 }
 
+/// The ceiling on every count flag (see [`Args::count`]): 2^20. Above
+/// it a campaign would only exhaust memory or time, so the flag is a
+/// usage error instead.
+pub const MAX_COUNT: u64 = 1 << 20;
+
 /// Flags that take no value.
 const BOOLEAN_FLAGS: &[&str] = &["listing", "trace", "signed", "salvage", "vuln", "kernels"];
 
@@ -142,14 +147,39 @@ impl Args {
         }
     }
 
-    /// A parsed numeric flag that must be at least 1 (`--threads`,
-    /// `--shards`), with a default.
+    /// A count flag (`--faults`, `--trials`, `--ticks`, `--spares`,
+    /// `--reps`, `--upsets`, `--retries`, `--window`, `--threads`,
+    /// `--campaign`), with a default. Counts size allocations and loops
+    /// before anything runs, so every one is capped at [`MAX_COUNT`].
     ///
     /// # Errors
     ///
-    /// [`CliError::Usage`] when the value does not parse or is zero.
+    /// [`CliError::Usage`] when the value does not parse or exceeds
+    /// [`MAX_COUNT`].
+    pub fn count<T: TryFrom<u64>>(&mut self, name: &str, default: T) -> Result<T, CliError> {
+        let Some(v) = self.flag(name) else {
+            return Ok(default);
+        };
+        let n: u64 = v
+            .parse()
+            .map_err(|_| CliError::Usage(format!("bad value for --{name}: `{v}`")))?;
+        if n > MAX_COUNT {
+            return Err(CliError::Usage(format!(
+                "--{name} must be at most {MAX_COUNT}, got {n}"
+            )));
+        }
+        T::try_from(n).map_err(|_| CliError::Usage(format!("bad value for --{name}: `{v}`")))
+    }
+
+    /// A [`count`](Args::count) that must be at least 1 (`--threads`,
+    /// `--window`).
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] when the value does not parse, is zero or
+    /// exceeds [`MAX_COUNT`].
     pub fn positive(&mut self, name: &str, default: usize) -> Result<usize, CliError> {
-        let v: usize = self.num(name, default)?;
+        let v: usize = self.count(name, default)?;
         if v == 0 {
             return Err(CliError::Usage(format!("--{name} must be at least 1")));
         }
@@ -331,7 +361,21 @@ mod tests {
         let mut b = parse(&["--threads", "8"]);
         assert_eq!(b.positive("threads", 1).unwrap(), 8);
         let mut c = parse(&[]);
-        assert_eq!(c.positive("shards", 4).unwrap(), 4);
+        assert_eq!(c.positive("window", 4).unwrap(), 4);
+    }
+
+    #[test]
+    fn count_caps_at_the_ceiling() {
+        let ceiling = MAX_COUNT.to_string();
+        let mut a = parse(&["--trials", &ceiling, "--ticks", "0"]);
+        assert_eq!(a.count("trials", 1usize).unwrap() as u64, MAX_COUNT);
+        assert_eq!(a.count("ticks", 12u32).unwrap(), 0);
+        for hostile in [&(MAX_COUNT + 1).to_string(), "18446744073709551616", "-1"] {
+            let err = parse(&["--trials", hostile])
+                .count("trials", 1usize)
+                .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{hostile}");
+        }
     }
 
     #[test]

@@ -44,19 +44,19 @@ commands:
   wafer   [--design fc4|fc8|fc4plus] [--voltage V] [--seed N] [--cycles N]
           [--map errors|current|csv] [--threads N]
   inject  [--dialect fc4|fc8|xacc|xls] [--kernel K] [--faults N] [--seed N]
-          [--budget N] [--mode stuck|transient|mixed] [--threads N] [--shards N]
+          [--budget N] [--mode stuck|transient|mixed] [--threads N]
   resilient [--dialect fc4|fc8|xacc|xls] [--kernel K] [--faults N] [--seed N]
           [--budget N] [--mode stuck|transient|mixed]
           [--quorum tmr|dmr|simplex] [--window N] [--interval N]
-          [--retries N] [--spares N] [--threads N] [--shards N]
+          [--retries N] [--spares N] [--threads N]
   link    [--dialect fc4|fc8|xacc|xls] [--kernel K] [--rates R1,R2,..]
           [--ber R1,R2,..] [--seed N] [--upsets N] [--interval N] [--scrub N]
-          [--retries N] [--budget N] [--signed] [--threads N] [--shards N]
+          [--retries N] [--budget N] [--signed] [--threads N]
   attack  [--dialect fc4|fc8|xacc|xls] [--rates R1,R2,..] [--reps N]
-          [--trials N] [--seed N] [--retries N] [--threads N] [--shards N]
+          [--trials N] [--seed N] [--retries N] [--threads N]
   mission [--dialect fc4|fc8|xacc|xls] [--kernel K] [--trials N] [--ticks N]
           [--seed N] [--spares N] [--budget N] [--deny info|warning|error]
-          [--threads N] [--shards N]
+          [--threads N]
   dse
   serve   [--port N] [--host H] [--cache DIR] [--workers N] [--queue N]
           [--conns N] [--deadline-ms N]
@@ -68,8 +68,10 @@ commands:
 
 targets: fc4 (default), fc8, xacc, xls
 features (xacc/xls): adc, shift, flags, mul, xch, call, 2xreg — or `revised`
-campaign scaling: --threads N workers, --shards N work units; any combination
-replays the single-threaded report bit-for-bit
+campaign scaling: --threads N workers; any count replays the single-threaded
+report bit-for-bit
+counts (--faults, --trials, --ticks, --spares, --reps, --upsets, --retries,
+--window, --threads, --campaign) are capped at 1048576
 "
     .to_string()
 }
@@ -124,10 +126,8 @@ pub fn check(args: &mut Args) -> Result<String, CliError> {
         })?,
     };
 
-    if let Some(n) = args.flag("campaign") {
-        let programs: usize = n
-            .parse()
-            .map_err(|_| CliError::Usage(format!("bad campaign size `{n}`")))?;
+    if args.has("campaign") {
+        let programs = args.count("campaign", 0usize)?;
         let seed = args.num("seed", 0xF1EC5u64)?;
         let config = flexcheck::soundness::CampaignConfig {
             seed,
@@ -488,7 +488,7 @@ pub fn inject(args: &mut Args) -> Result<String, CliError> {
             target.dialect,
         )));
     }
-    let trials = args.num("faults", 32usize)?;
+    let trials = args.count("faults", 32usize)?;
     let seed = args.num("seed", 0xF417u64)?;
     let budget = args.num("budget", flexkernels::harness::CYCLE_BUDGET)?;
     let mode = args.flag("mode").unwrap_or_else(|| "stuck".to_string());
@@ -500,7 +500,6 @@ pub fn inject(args: &mut Args) -> Result<String, CliError> {
     config.budget = budget;
     config.model = model;
     config.threads = args.positive("threads", 1)?;
-    config.shards = args.positive("shards", 1)?;
     let result = flexinject::run_campaign(config).map_err(|e| CliError::Run(e.to_string()))?;
     Ok(flexinject::report::render_campaign(&result))
 }
@@ -552,18 +551,17 @@ pub fn resilient(args: &mut Args) -> Result<String, CliError> {
     let mut config = RecoveryCampaignConfig::new(
         target,
         kernel,
-        args.num("faults", 32usize)?,
+        args.count("faults", 32usize)?,
         args.num("seed", 0xF417u64)?,
     );
     config.budget = args.num("budget", flexkernels::harness::CYCLE_BUDGET)?;
     config.model = model;
     config.mode = quorum;
-    config.window = args.num("window", config.window)?;
+    config.window = args.positive("window", config.window)?;
     config.interval = args.num("interval", config.interval)?;
-    config.max_retries = args.num("retries", config.max_retries)?;
-    config.spares = args.num("spares", config.spares)?;
+    config.max_retries = args.count("retries", config.max_retries)?;
+    config.spares = args.count("spares", config.spares)?;
     config.threads = args.positive("threads", 1)?;
-    config.shards = args.positive("shards", 1)?;
 
     let campaign =
         flexresilient::run_recovery_campaign(config).map_err(|e| CliError::Run(e.to_string()))?;
@@ -614,13 +612,12 @@ pub fn link(args: &mut Args) -> Result<String, CliError> {
         }
         config.kernels = vec![kernel];
     }
-    config.upsets_per_trial = args.num("upsets", config.upsets_per_trial)?;
+    config.upsets_per_trial = args.count("upsets", config.upsets_per_trial)?;
     config.exec.interval = args.num("interval", config.exec.interval)?;
     config.exec.scrub_interval = args.num("scrub", config.exec.scrub_interval)?;
     config.exec.budget = args.num("budget", config.exec.budget)?;
-    config.link.max_retries = args.num("retries", config.link.max_retries)?;
+    config.link.max_retries = args.count("retries", config.link.max_retries)?;
     config.threads = args.positive("threads", 1)?;
-    config.shards = args.positive("shards", 1)?;
 
     if signed {
         return link_signed(&config);
@@ -730,12 +727,11 @@ pub fn attack(args: &mut Args) -> Result<String, CliError> {
         })?;
         config.targets = vec![target];
     }
-    config.link.max_retries = args.num("retries", config.link.max_retries)?;
-    config.reps = args.num("reps", config.reps)?;
+    config.link.max_retries = args.count("retries", config.link.max_retries)?;
+    config.reps = args.count("reps", config.reps)?;
     config.threads = args.positive("threads", 1)?;
-    config.shards = args.positive("shards", 1)?;
     // `--trials N` asks for at least N trials: scale the repetitions
-    let trials = args.num("trials", 0usize)?;
+    let trials = args.count("trials", 0usize)?;
     if trials > 0 {
         let per_rep = config.trial_count() / config.reps.max(1);
         if per_rep == 0 {
@@ -764,8 +760,8 @@ pub fn attack(args: &mut Args) -> Result<String, CliError> {
 ///
 /// # Errors
 ///
-/// Usage errors for unknown dialects/kernels/severities and zero
-/// `--threads`/`--shards`; [`CliError::Run`] if any forged re-flash is
+/// Usage errors for unknown dialects/kernels/severities and out-of-range
+/// counts; [`CliError::Run`] if any forged re-flash is
 /// accepted (a security breach, never expected).
 pub fn mission(args: &mut Args) -> Result<String, CliError> {
     use flexmission::{run_mission_campaign, MissionConfig, MissionTally};
@@ -792,14 +788,13 @@ pub fn mission(args: &mut Args) -> Result<String, CliError> {
             kernel
         }
     };
-    let trials = args.num("trials", 64usize)?;
-    let ticks = args.num("ticks", 12u32)?;
+    let trials = args.count("trials", 64usize)?;
+    let ticks = args.count("ticks", 12u32)?;
     let seed = args.num("seed", 0x0015_510Au64)?;
     let mut config = MissionConfig::new(target, kernel, trials, ticks, seed);
-    config.spares = args.num("spares", config.spares)?;
+    config.spares = args.count("spares", config.spares)?;
     config.budget = args.num("budget", config.budget)?;
     config.threads = args.positive("threads", 1)?;
-    config.shards = args.positive("shards", 1)?;
     if let Some(name) = args.flag("deny") {
         config.deny = Some(flexcheck::Severity::parse(&name).ok_or_else(|| {
             CliError::Usage(format!("unknown severity `{name}` (info, warning, error)"))
@@ -1330,35 +1325,38 @@ mod tests {
     }
 
     #[test]
-    fn inject_threads_and_shards_replay_the_serial_report() {
-        let base = &[
-            "inject",
-            "--dialect",
-            "fc4",
-            "--kernel",
-            "parity",
-            "--faults",
-            "16",
-            "--seed",
-            "41",
-        ];
-        let serial = call(base).unwrap();
-        let mut threaded = base.to_vec();
-        threaded.extend(["--threads", "8", "--shards", "16"]);
-        assert_eq!(serial, call(&threaded).unwrap());
+    fn inject_threads_replay_the_serial_report() {
+        // ragged fault counts: fewer trials than threads, and counts no
+        // thread count divides
+        for faults in ["1", "7", "16"] {
+            let base = [
+                "inject",
+                "--dialect",
+                "fc4",
+                "--kernel",
+                "parity",
+                "--faults",
+                faults,
+                "--seed",
+                "41",
+            ];
+            let serial = call(&base).unwrap();
+            for threads in ["3", "8"] {
+                let mut threaded = base.to_vec();
+                threaded.extend(["--threads", threads]);
+                assert_eq!(serial, call(&threaded).unwrap(), "{faults} faults");
+            }
+        }
     }
 
     #[test]
     fn zero_threads_or_shards_is_a_usage_error_with_exit_code_2() {
         for (cmd, flag) in [
             ("inject", "--threads"),
-            ("inject", "--shards"),
             ("resilient", "--threads"),
-            ("resilient", "--shards"),
+            ("resilient", "--window"),
             ("link", "--threads"),
-            ("link", "--shards"),
             ("attack", "--threads"),
-            ("attack", "--shards"),
             ("wafer", "--threads"),
         ] {
             let err = call(&[cmd, flag, "0"]).unwrap_err();
@@ -1368,6 +1366,97 @@ mod tests {
             );
             assert_eq!(err.exit_code(), 2, "{cmd} {flag}");
             assert!(err.to_string().contains("at least 1"), "{err}");
+        }
+        // --shards is gone: naming it is an unknown-flag usage error
+        for cmd in ["inject", "resilient", "link", "attack"] {
+            let err = call(&[cmd, "--shards", "0"]).unwrap_err();
+            assert!(
+                matches!(err, crate::CliError::Usage(_)),
+                "`{cmd} --shards 0` must be a usage error, got {err}"
+            );
+            assert_eq!(err.exit_code(), 2, "{cmd} --shards");
+            assert!(err.to_string().contains("unknown flag --shards"), "{err}");
+        }
+    }
+
+    #[test]
+    fn mission_zero_threads_or_shards_is_a_usage_error_with_exit_code_2() {
+        for flag in ["--threads", "--shards"] {
+            let err = call(&["mission", flag, "0"]).unwrap_err();
+            assert!(
+                matches!(err, crate::CliError::Usage(_)),
+                "`{flag} 0` must be a usage error, got {err}"
+            );
+            assert_eq!(err.exit_code(), 2, "{err}");
+        }
+        let err = call(&["mission", "--threads", "0"]).unwrap_err();
+        assert!(err.to_string().contains("at least 1"), "{err}");
+        let err = call(&["mission", "--shards", "0"]).unwrap_err();
+        assert!(err.to_string().contains("unknown flag --shards"), "{err}");
+    }
+
+    /// Every count flag at 0, 1, one past the ceiling and `u64::MAX`:
+    /// nothing panics, the in-range values run or fail cleanly, and the
+    /// out-of-range ones are usage errors.
+    #[test]
+    fn count_flags_never_panic_at_hostile_values() {
+        let ceiling = crate::args::MAX_COUNT;
+        let over = (ceiling + 1).to_string();
+        let max = u64::MAX.to_string();
+        let table: [(&[&str], &[&str]); 6] = [
+            (
+                &[
+                    "inject",
+                    "--dialect",
+                    "fc4",
+                    "--kernel",
+                    "parity",
+                    "--faults",
+                    "2",
+                ],
+                &["--faults", "--threads"],
+            ),
+            (
+                &[
+                    "resilient",
+                    "--kernel",
+                    "parity",
+                    "--faults",
+                    "2",
+                    "--budget",
+                    "20000",
+                ],
+                &["--faults", "--window", "--retries", "--spares", "--threads"],
+            ),
+            (
+                &["link", "--kernel", "parity", "--rates", "0"],
+                &["--upsets", "--retries", "--threads"],
+            ),
+            (
+                &["attack", "--dialect", "fc4", "--rates", "0"],
+                &["--trials", "--reps", "--retries", "--threads"],
+            ),
+            (
+                &["mission", "--trials", "1", "--ticks", "1"],
+                &["--trials", "--ticks", "--spares", "--threads"],
+            ),
+            (&["check"], &["--campaign"]),
+        ];
+        for (base, flags) in table {
+            for &flag in flags {
+                for value in ["0", "1", over.as_str(), max.as_str()] {
+                    let mut argv = base.to_vec();
+                    argv.extend([flag, value]);
+                    let code = match call(&argv) {
+                        Ok(_) => 0,
+                        Err(e) => e.exit_code(),
+                    };
+                    assert!(matches!(code, 0..=2), "{argv:?} exited {code}");
+                    if value == over || value == max {
+                        assert_eq!(code, 2, "{argv:?} must be refused");
+                    }
+                }
+            }
         }
     }
 
@@ -1508,43 +1597,27 @@ mod tests {
     }
 
     #[test]
-    fn mission_soaks_and_replays_across_threads_and_shards() {
-        let base = &[
-            "mission", "--kernel", "parity", "--trials", "6", "--ticks", "4", "--seed", "41",
-        ];
-        let a = call(base).unwrap();
-        let sharded = call(&[
-            "mission",
-            "--kernel",
-            "parity",
-            "--trials",
-            "6",
-            "--ticks",
-            "4",
-            "--seed",
-            "41",
-            "--threads",
-            "4",
-            "--shards",
-            "5",
-        ])
-        .unwrap();
-        assert_eq!(a, sharded, "threads/shards must not change the report");
-        assert!(a.contains("adaptive"), "{a}");
-        assert!(a.contains("static TMR"), "{a}");
-        assert!(a.contains("comparison"), "{a}");
-        assert!(a.contains("forgeries      0 accepted"), "{a}");
-    }
-
-    #[test]
-    fn mission_zero_threads_or_shards_is_a_usage_error_with_exit_code_2() {
-        for flag in ["--threads", "--shards"] {
-            let err = call(&["mission", flag, "0"]).unwrap_err();
-            assert!(
-                matches!(err, crate::CliError::Usage(_)),
-                "`{flag} 0` must be a usage error, got {err}"
-            );
-            assert_eq!(err.exit_code(), 2, "{err}");
+    fn mission_soaks_and_replays_across_threads() {
+        // ragged trial counts: fewer trials than threads, and a count no
+        // thread count divides
+        for trials in ["1", "7"] {
+            let base = [
+                "mission", "--kernel", "parity", "--trials", trials, "--ticks", "4", "--seed", "41",
+            ];
+            let a = call(&base).unwrap();
+            for threads in ["3", "8"] {
+                let mut threaded = base.to_vec();
+                threaded.extend(["--threads", threads]);
+                assert_eq!(
+                    a,
+                    call(&threaded).unwrap(),
+                    "{trials} trials / {threads} threads"
+                );
+            }
+            assert!(a.contains("adaptive"), "{a}");
+            assert!(a.contains("static TMR"), "{a}");
+            assert!(a.contains("comparison"), "{a}");
+            assert!(a.contains("forgeries      0 accepted"), "{a}");
         }
     }
 

@@ -20,20 +20,20 @@
 //!               [--cycles N] [--map errors|current|csv] [--threads N]
 //! flexi inject  [--dialect fc4|fc8|xacc|xls] [--kernel K] [--faults N]
 //!               [--seed N] [--budget N] [--mode stuck|transient|mixed]
-//!               [--threads N] [--shards N]
+//!               [--threads N]
 //! flexi resilient [--dialect fc4|fc8|xacc|xls] [--kernel K] [--faults N]
 //!               [--seed N] [--budget N] [--mode stuck|transient|mixed]
 //!               [--quorum tmr|dmr|simplex] [--window N] [--interval N]
-//!               [--retries N] [--spares N] [--threads N] [--shards N]
+//!               [--retries N] [--spares N] [--threads N]
 //! flexi link    [--dialect fc4|fc8|xacc|xls] [--kernel K] [--rates R1,R2,..]
 //!               [--ber R1,R2,..] [--seed N] [--upsets N] [--interval N]
 //!               [--scrub N] [--retries N] [--budget N] [--signed]
-//!               [--threads N] [--shards N]
+//!               [--threads N]
 //! flexi attack  [--dialect fc4|fc8|xacc|xls] [--rates R1,R2,..] [--reps N]
-//!               [--trials N] [--seed N] [--retries N] [--threads N] [--shards N]
+//!               [--trials N] [--seed N] [--retries N] [--threads N]
 //! flexi mission [--dialect fc4|fc8|xacc|xls] [--kernel K] [--trials N]
 //!               [--ticks N] [--seed N] [--spares N] [--budget N]
-//!               [--deny info|warning|error] [--threads N] [--shards N]
+//!               [--deny info|warning|error] [--threads N]
 //! flexi dse
 //! flexi serve   [--port N] [--host H] [--cache DIR] [--workers N]
 //!               [--queue N] [--conns N] [--deadline-ms N]
@@ -48,10 +48,10 @@
 //! the DSE dialects (`adc,shift,flags,mul,xch,call,2xreg` or `revised`).
 //!
 //! The campaign commands (`wafer`, `inject`, `resilient`, `link`, `attack`,
-//! `mission`)
-//! accept `--threads N` worker threads and, where trials shard, `--shards N`
-//! work units; every combination replays the single-threaded report
-//! bit-for-bit (the seed, not the schedule, owns every draw).
+//! `mission`) accept `--threads N` worker threads; every thread count
+//! replays the single-threaded report bit-for-bit (the seed, not the
+//! schedule, owns every draw). Count flags (`--faults`, `--trials`,
+//! `--ticks`, `--spares`, …) above [`args::MAX_COUNT`] are usage errors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

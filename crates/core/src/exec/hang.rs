@@ -1,4 +1,4 @@
-//! Exact hang fast-forward: the one drain loop both execution tiers use.
+//! Exact hang fast-forward inside the one drain loop, [`Engine::resume`].
 //!
 //! A core is a deterministic machine. Under a steady fault hook
 //! ([`FaultHook::is_steady`]) and a stationary input port
@@ -8,20 +8,20 @@
 //! finds the repeat and computes the rest of the run instead of
 //! simulating it.
 //!
-//! * **Detection** (Brent): the run drains through its caller's own
-//!   step function to power-of-two checkpoints of the watchdog budget
-//!   spent. At each checkpoint, if the hook is steady and the port
-//!   stationary, the state is anchored; until the next checkpoint every
-//!   step compares the PC with the anchor's and, on a match, the full
-//!   architectural state ([`Snapshot::same_arch`]-equivalent, in place)
-//!   plus the port position. Before the first checkpoint the loop does
-//!   no extra work per step.
-//! * **The jump**: one more period runs through [`Engine::step`] with
-//!   the output port tee'd to capture its writes. Then `k` whole periods
-//!   are skipped: the run accounting advances by `k` times one period's
-//!   deltas, and the captured writes are replayed `k` times through the
-//!   ordinary [`OutputPort::write`], each stamped one period's cycles
-//!   later than the last. The final partial period steps normally.
+//! * **Detection** (Brent): the run steps to power-of-two checkpoints of
+//!   the watchdog budget spent. At each checkpoint, if the hook is
+//!   steady and the port stationary, the state is anchored; until the
+//!   next checkpoint every step compares the PC with the anchor's and,
+//!   on a match, the full architectural state
+//!   ([`Snapshot::same_arch`]-equivalent, in place) plus the port
+//!   position. Before the first checkpoint the loop does no extra work
+//!   per step.
+//! * **The jump**: one more period steps with the output port tee'd to
+//!   capture its writes. Then `k` whole periods are skipped: the run
+//!   accounting advances by `k` times one period's deltas, and the
+//!   captured writes are replayed `k` times through the ordinary
+//!   [`OutputPort::write`], each stamped one period's cycles later than
+//!   the last. The final partial period steps normally.
 //!
 //! The resulting [`RunResult`](crate::sim::RunResult), output stream and
 //! core state equal the plain run-to-watchdog bit for bit (the
@@ -39,55 +39,54 @@ use super::{Core, Engine, Snapshot};
 /// hundred units.
 const FIRST_CHECKPOINT: u64 = 1 << 10;
 
-/// Drive `core` until the halt idiom or until `budget` is spent, with
-/// `step` executing one instruction. Exactly equivalent to
-/// `while !halted && spent < budget { step()? }`.
+/// Drive `engine` until the halt idiom or until `budget` is spent, each
+/// step visiting the fetch bus only when `fetch_faults` is set. Exactly
+/// equivalent to `while !halted && spent < budget { step()? }`.
 ///
-/// Inlined into each caller, with `step` inlined into its plain loop,
-/// so the hot loop compiles like the hand-written one it replaced (out
-/// of line, it cost `inject-sweep` about 7 % of its trials per second).
+/// Inlined into [`Engine::resume`], with the step inlined into its
+/// plain loop, so the hot loop compiles like the hand-written one it
+/// replaced (out of line, it cost `inject-sweep` about 7 % of its trials
+/// per second).
 ///
 /// # Errors
 ///
-/// The first error `step` returns.
+/// The first error a step returns.
 #[inline(always)]
-pub(crate) fn drain<C, I, O, F, S>(
-    core: &mut C,
+pub(crate) fn drain<C, I, O, F>(
+    engine: &mut Engine<C, F>,
     input: &mut I,
     output: &mut O,
-    faults: &mut F,
     budget: u64,
-    mut step: S,
+    fetch_faults: bool,
 ) -> Result<(), SimError>
 where
     C: Core,
     I: InputPort,
     O: OutputPort,
     F: FaultHook,
-    S: FnMut(&mut C, &mut I, &mut O, &mut F) -> Result<(), SimError>,
 {
-    let mut checkpoint = spent(core)
+    let mut checkpoint = spent(&engine.core)
         .checked_add(1)
         .and_then(u64::checked_next_power_of_two)
         .unwrap_or(u64::MAX)
         .max(FIRST_CHECKPOINT);
     loop {
-        while runs(core, checkpoint.min(budget)) {
-            step(core, input, output, faults)?;
+        while runs(&engine.core, checkpoint.min(budget)) {
+            engine.step_latched(input, output, fetch_faults)?;
         }
-        if !runs(core, budget) {
+        if !runs(&engine.core, budget) {
             return Ok(());
         }
         checkpoint = checkpoint.saturating_mul(2);
-        if let (true, Some(position)) = (faults.is_steady(), input.position()) {
+        if let (true, Some(position)) = (engine.faults.is_steady(), input.position()) {
             let anchor = Anchor {
-                snap: core.snapshot(),
+                snap: engine.core.snapshot(),
                 position,
-                spent: spent(core),
+                spent: spent(&engine.core),
             };
             let bound = checkpoint.min(budget);
-            if let Some(steps) = search(core, input, output, faults, bound, &anchor, &mut step)? {
-                forward(core, input, output, faults, budget, &anchor, steps)?;
+            if let Some(steps) = search(engine, input, output, bound, &anchor, fetch_faults)? {
+                forward(engine, input, output, budget, &anchor, steps, fetch_faults)?;
                 // after a jump only the plain tail is left
                 checkpoint = u64::MAX;
             }
@@ -98,29 +97,27 @@ where
 /// Step until `bound`, comparing each step's state with `anchor`:
 /// the number of steps to the first repeat, if one comes. Kept out of
 /// line, like [`forward`], so that the plain loop is the only inlined
-/// copy of the step in [`drain`]'s callers.
+/// copy of the step in [`drain`]'s caller.
 #[inline(never)]
-fn search<C, I, O, F, S>(
-    core: &mut C,
+fn search<C, I, O, F>(
+    engine: &mut Engine<C, F>,
     input: &mut I,
     output: &mut O,
-    faults: &mut F,
     bound: u64,
     anchor: &Anchor,
-    step: &mut S,
+    fetch_faults: bool,
 ) -> Result<Option<u64>, SimError>
 where
     C: Core,
     I: InputPort,
     O: OutputPort,
     F: FaultHook,
-    S: FnMut(&mut C, &mut I, &mut O, &mut F) -> Result<(), SimError>,
 {
     let mut steps = 0u64;
-    while runs(core, bound) {
-        step(core, input, output, faults)?;
+    while runs(&engine.core, bound) {
+        engine.step_latched(input, output, fetch_faults)?;
         steps += 1;
-        if anchor.matches(core, input) {
+        if anchor.matches(&engine.core, input) {
             return Ok(Some(steps));
         }
     }
@@ -177,13 +174,13 @@ impl<O: OutputPort> OutputPort for Tee<'_, O> {
 /// periods is left to the caller's plain loop.
 #[inline(never)]
 fn forward<C, I, O, F>(
-    core: &mut C,
+    engine: &mut Engine<C, F>,
     input: &mut I,
     output: &mut O,
-    faults: &mut F,
     budget: u64,
     anchor: &Anchor,
     steps: u64,
+    fetch_faults: bool,
 ) -> Result<(), SimError>
 where
     C: Core,
@@ -191,21 +188,19 @@ where
     O: OutputPort,
     F: FaultHook,
 {
-    let period = spent(core) - anchor.spent;
-    if budget.saturating_sub(spent(core)) / period < 2 {
+    let period = spent(&engine.core) - anchor.spent;
+    if budget.saturating_sub(spent(&engine.core)) / period < 2 {
         return Ok(());
     }
-    let before = core.state().run_result();
+    let before = engine.core.state().run_result();
     let mut tee = Tee {
         inner: output,
         writes: Vec::new(),
     };
-    {
-        let mut engine = Engine::with_faults(&mut *core, &mut *faults);
-        for _ in 0..steps {
-            engine.step(input, &mut tee)?;
-        }
+    for _ in 0..steps {
+        engine.step_latched(input, &mut tee, fetch_faults)?;
     }
+    let core = &mut engine.core;
     debug_assert!(anchor.matches(core, input), "a period repeats exactly");
     let after = core.state().run_result();
     let writes = tee.writes;

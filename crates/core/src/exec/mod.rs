@@ -7,7 +7,7 @@
 //! implementing [`Core`] — decode and execute semantics plus a handful
 //! of per-dialect accounting knobs — and [`Engine`] drives it.
 //!
-//! The layer has three public pieces:
+//! The layer has two public pieces:
 //!
 //! * [`Core`] + [`Engine`] — the compile-time-generic path. Each
 //!   simulator (`Fc4Core`, `Fc8Core`, `XaccCore`, `XlsCore`) implements
@@ -16,23 +16,29 @@
 //!   hand-rolled loops compiled to.
 //! * [`AnyCore`] — runtime dialect dispatch. Consumers that used to
 //!   `match` on [`Dialect`](crate::isa::Dialect) at every call site
-//!   (kernel harness, CLI, fault campaigns) construct one `AnyCore` and
-//!   use it uniformly.
-//! * [`MultiCoreDriver`] — a batched driver stepping N independent
-//!   cores (one per simulated die) round-robin in a cache-friendly
-//!   loop; wafer screens and fault campaigns run whole batches through
-//!   it.
+//!   (kernel harness, CLI, fault campaigns, wafer screens, voting
+//!   executors) construct one `AnyCore` and use it uniformly.
 //!
-//! Both drain loops — [`Engine::resume`] and
-//! [`PackedDriver::run_to_completion`] — share one exact hang
-//! fast-forward. When the fault hook is steady
-//! ([`FaultHook::is_steady`]) and the input port stationary
-//! ([`InputPort::position`]), a run whose architectural state repeats
-//! is periodic from there to the watchdog, so the rest of it is
-//! computed rather than simulated: accounting advances by whole
-//! periods and each period's output writes are replayed with shifted
-//! cycle stamps. The results equal the plain run-to-watchdog bit for
-//! bit (DESIGN.md §16).
+//! Every run drains through one loop, [`Engine::resume`]. Batch work —
+//! fault campaigns, salvage, field screens, N-modular voting — is a map
+//! of independent runs over `AnyCore::run_with`, spread across threads
+//! by the campaign crates; there is no batched driver. Two things keep
+//! that one loop fast:
+//!
+//! * **The fetch latch.** `resume` asks the hook once whether it
+//!   [`corrupts_fetch`](FaultHook::corrupts_fetch). A hook answering
+//!   `false` promises an identity [`FaultHook::on_fetch`] without side
+//!   effects, so the loop skips the per-byte call for the whole run.
+//!   The public [`Engine::step`] still visits `on_fetch` whenever the
+//!   hook is active, which keeps plain step loops an independent oracle.
+//! * **The exact hang fast-forward.** When the fault hook is steady
+//!   ([`FaultHook::is_steady`]) and the input port stationary
+//!   ([`InputPort::position`]), a run whose architectural state repeats
+//!   is periodic from there to the watchdog, so the rest of it is
+//!   computed rather than simulated: accounting advances by whole
+//!   periods and each period's output writes are replayed with shifted
+//!   cycle stamps. The results equal the plain run-to-watchdog bit for
+//!   bit (DESIGN.md §16).
 
 use crate::error::SimError;
 use crate::io::{InputPort, OutputPort};
@@ -43,13 +49,9 @@ use crate::sim::{RunResult, StopReason};
 use crate::trace::StepEvent;
 
 mod any;
-mod driver;
 mod hang;
-mod packed;
 
 pub use any::AnyCore;
-pub use driver::{Lane, LaneStatus, MultiCoreDriver};
-pub use packed::{run_packed_lanes, PackedDriver, PackedLane};
 
 /// In-page program-counter mask shared by every dialect (the PC is 7
 /// bits on all FlexiCores).
@@ -147,6 +149,31 @@ impl ExecState {
             } else {
                 StopReason::CycleLimit
             },
+        }
+    }
+}
+
+/// How one run left the engine: the three ways a drain to the halt
+/// idiom or the watchdog can end, for consumers that keep the ending of
+/// many independent runs (voting lanes, mission dies).
+#[derive(Debug, Clone, PartialEq)]
+pub enum LaneStatus {
+    /// Reached the halt idiom; accounting snapshot attached.
+    Done(RunResult),
+    /// Exhausted its watchdog budget without halting.
+    Hung(RunResult),
+    /// The simulator faulted (illegal instruction, bad fetch, …).
+    Faulted(SimError),
+}
+
+impl LaneStatus {
+    /// Classify what a `run`/`run_with` call returned.
+    #[must_use]
+    pub fn of(run: Result<RunResult, SimError>) -> Self {
+        match run {
+            Ok(r) if r.halted() => LaneStatus::Done(r),
+            Ok(r) => LaneStatus::Hung(r),
+            Err(e) => LaneStatus::Faulted(e),
         }
     }
 }
@@ -503,6 +530,25 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
         I: InputPort,
         O: OutputPort,
     {
+        self.step_latched(input, output, F::ACTIVE)
+    }
+
+    /// [`step`](Engine::step) with the fetch-bus visit decided by the
+    /// caller: `fetch_faults = false` skips [`FaultHook::on_fetch`],
+    /// which is exact for a hook that answered `false` to
+    /// [`corrupts_fetch`](FaultHook::corrupts_fetch) (its `on_fetch` is
+    /// the identity, free of side effects).
+    #[inline(always)]
+    pub(crate) fn step_latched<I, O>(
+        &mut self,
+        input: &mut I,
+        output: &mut O,
+        fetch_faults: bool,
+    ) -> Result<StepEvent, SimError>
+    where
+        I: InputPort,
+        O: OutputPort,
+    {
         let state = self.core.state_mut();
         state.mmu.tick();
         let page = state.mmu.page();
@@ -535,7 +581,7 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
             });
         }
         let mut fetch_buf = [0u8; 2];
-        let window: &[u8] = if F::ACTIVE {
+        let window: &[u8] = if fetch_faults {
             let n = window.len().min(C::FETCH_WINDOW);
             for (i, b) in window[..n].iter().enumerate() {
                 fetch_buf[i] = self.faults.on_fetch(start_cycle + i as u64, *b);
@@ -609,13 +655,14 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
 
     /// The run loop without the power-on state-fault visit: drive an
     /// already-powered-on core until the halt idiom or until `budget`
-    /// expires. This is the drain primitive the batched drivers use —
-    /// they apply power-on faults when a lane is admitted, so resuming
-    /// must not apply them a second time.
+    /// expires. Every run in the stack drains here — `run` after its
+    /// power-on visit, and deadline-sliced callers once per slice.
     ///
-    /// A run that settles into a loop it can never leave is
-    /// fast-forwarded to the watchdog rather than simulated to it, with
-    /// identical results (see DESIGN.md §16).
+    /// The hook's [`corrupts_fetch`](FaultHook::corrupts_fetch) answer
+    /// is latched once per call: a hook that leaves the fetch bus alone
+    /// is not visited per fetched byte. A run that settles into a loop
+    /// it can never leave is fast-forwarded to the watchdog rather than
+    /// simulated to it, with identical results (see DESIGN.md §16).
     ///
     /// # Errors
     ///
@@ -630,19 +677,144 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
         I: InputPort,
         O: OutputPort,
     {
-        hang::drain(
-            &mut self.core,
-            input,
-            output,
-            &mut self.faults,
-            budget,
-            #[inline(always)]
-            |core, input, output, faults| {
-                Engine::with_faults(core, faults)
-                    .step(input, output)
-                    .map(drop)
-            },
-        )?;
+        let fetch_faults = F::ACTIVE && self.faults.corrupts_fetch();
+        hang::drain(self, input, output, budget, fetch_faults)?;
         Ok(self.core.state().run_result())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::io::{ConstInput, RecordingOutput, ScriptedInput};
+    use crate::isa::fc4::Instruction as I4;
+    use crate::isa::features::FeatureSet;
+    use crate::isa::Dialect;
+    use crate::sim::fault::{ArchFault, FaultKind, FaultPlane, StateElement};
+
+    fn fc4_core(insns: &[I4]) -> AnyCore {
+        let program = Program::from_bytes(insns.iter().map(|i| i.encode()).collect());
+        AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, program)
+    }
+
+    #[test]
+    fn budget_exhaustion_hangs_a_run() {
+        // spin between two addresses: never the halt idiom
+        let mut core = fc4_core(&[I4::NandImm { imm: 0 }, I4::Branch { target: 0 }]);
+        let run = core.run(&mut ConstInput::new(0), &mut RecordingOutput::new(), 50);
+        match LaneStatus::of(run) {
+            LaneStatus::Hung(r) => {
+                assert!(!r.halted());
+                assert_eq!(r.cycles, 50);
+            }
+            other => panic!("expected Hung, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn falling_off_the_image_faults_a_run() {
+        let mut core = fc4_core(&[I4::AddImm { imm: 1 }]);
+        let run = core.run_with(
+            &mut ConstInput::new(0),
+            &mut RecordingOutput::new(),
+            1_000,
+            &mut FaultPlane::new(),
+        );
+        assert!(matches!(
+            LaneStatus::of(run),
+            LaneStatus::Faulted(SimError::FetchOutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn power_on_faults_apply_before_first_fetch() {
+        // PC stuck-at bit 1 on power-on redirects execution to the halt
+        // tail at address 2, skipping the store entirely; run_with and a
+        // power-on visit followed by resume_with agree
+        let insns = [
+            I4::AddImm { imm: 5 },
+            I4::Store { addr: 1 },
+            I4::NandImm { imm: 0 },
+            I4::Branch { target: 3 },
+        ];
+        let plane = FaultPlane::with_faults(vec![ArchFault {
+            element: StateElement::Pc,
+            bit: 1,
+            kind: FaultKind::StuckAt1,
+        }]);
+        let mut core = fc4_core(&insns);
+        let mut output = RecordingOutput::new();
+        let run = core.run_with(
+            &mut ConstInput::new(0),
+            &mut output,
+            1_000,
+            &mut plane.clone(),
+        );
+        assert!(matches!(LaneStatus::of(run.clone()), LaneStatus::Done(_)));
+        assert!(output.values().is_empty(), "the store was skipped");
+
+        let mut resumed = fc4_core(&insns);
+        let mut hook = plane;
+        let mut resumed_output = RecordingOutput::new();
+        resumed.power_on_faults(&mut hook);
+        let again = resumed.resume_with(
+            &mut ConstInput::new(0),
+            &mut resumed_output,
+            1_000,
+            &mut hook,
+        );
+        assert_eq!(again, run);
+        assert_eq!(resumed_output.values(), output.values());
+    }
+
+    /// Counts fetch-bus visits while promising they are identities.
+    struct FetchProbe {
+        visits: u64,
+    }
+
+    impl FaultHook for FetchProbe {
+        fn corrupts_fetch(&self) -> bool {
+            false
+        }
+
+        fn on_fetch(&mut self, _cycle: u64, byte: u8) -> u8 {
+            self.visits += 1;
+            byte
+        }
+    }
+
+    #[test]
+    fn fetch_latch_skips_only_the_drain_loop() {
+        let echo = [
+            I4::Load { addr: 0 },
+            I4::AddImm { imm: 1 },
+            I4::Store { addr: 1 },
+            I4::NandImm { imm: 0 },
+            I4::Branch { target: 4 },
+        ];
+        let mut probe = FetchProbe { visits: 0 };
+        let mut core = fc4_core(&echo);
+        let mut output = RecordingOutput::new();
+        let run = core
+            .run_with(
+                &mut ScriptedInput::new(vec![2]),
+                &mut output,
+                1_000,
+                &mut probe,
+            )
+            .unwrap();
+        assert!(run.halted());
+        assert_eq!(output.values(), vec![3]);
+        assert_eq!(probe.visits, 0, "resume latches corrupts_fetch = false");
+
+        let mut stepped = fc4_core(&echo);
+        stepped
+            .step_with(
+                &mut ScriptedInput::new(vec![2]),
+                &mut RecordingOutput::new(),
+                &mut probe,
+            )
+            .unwrap();
+        assert_eq!(probe.visits, 1, "a single step still visits the fetch bus");
     }
 }

@@ -266,10 +266,10 @@ pub trait FaultHook {
 
     /// Whether this hook may alter bytes on the fetch bus.
     ///
-    /// Packed drivers use this to decide if a lane can share the common
-    /// decode cache: a hook answering `false` promises
+    /// [`Engine::resume`](crate::exec::Engine::resume) latches this once
+    /// per run: a hook answering `false` promises
     /// [`on_fetch`](FaultHook::on_fetch) is the identity (and free of
-    /// side effects), so the lane's decodes equal the clean program's.
+    /// side effects), so the run skips the per-byte fetch-bus visit.
     /// The default conservatively mirrors [`ACTIVE`](FaultHook::ACTIVE);
     /// [`FaultPlane`] refines it by checking for actual
     /// [`StateElement::FetchBus`] faults.

@@ -4,17 +4,17 @@
 //! field screen asks the complementary question after dies leave the
 //! probe station: *does this die still run the program it will actually
 //! be reprogrammed with?* Each candidate die executes the screen program
-//! on the architectural simulator under its own defect fault set, all
-//! dies batched through one [`MultiCoreDriver`] alongside a golden
-//! fault-free lane, and passes when its output stream is bit-for-bit
-//! the golden stream.
+//! on the architectural simulator under its own defect fault set, one
+//! independent [`AnyCore::run_with`] per die after a golden fault-free
+//! run, and passes when its output stream is bit-for-bit the golden
+//! stream.
 //!
 //! The mapping from a die's defect draw to architectural faults is a
 //! policy decision that lives with the fault-injection tooling, so
 //! [`WaferExperiment::field_screen`] takes it as a closure instead of
 //! depending on it.
 
-use flexicore::exec::{AnyCore, LaneStatus, MultiCoreDriver};
+use flexicore::exec::{AnyCore, LaneStatus};
 use flexicore::io::{RecordingOutput, ScriptedInput};
 use flexicore::isa::features::FeatureSet;
 use flexicore::isa::Dialect;
@@ -85,52 +85,45 @@ impl FieldScreen {
         self.dialect
     }
 
-    fn core(&self) -> AnyCore {
-        AnyCore::for_dialect(self.dialect, self.features, self.program.clone())
+    /// Run the screen program once under `faults`: how the run ended
+    /// and what it wrote.
+    fn run(&self, faults: &mut FaultPlane) -> (LaneStatus, Vec<u8>) {
+        let mut core = AnyCore::for_dialect(self.dialect, self.features, self.program.clone());
+        let mut output = RecordingOutput::new();
+        let run = core.run_with(
+            &mut ScriptedInput::new(self.inputs.clone()),
+            &mut output,
+            self.budget,
+            faults,
+        );
+        (LaneStatus::of(run), output.values())
     }
 
-    /// Screen one fault set per die: lane 0 is the golden fault-free
-    /// reference, every candidate die runs under its own faults, and the
-    /// verdicts come back in `fault_sets` order.
+    /// Screen one fault set per die against a golden fault-free run;
+    /// the verdicts come back in `fault_sets` order.
     ///
     /// # Panics
     ///
-    /// Panics if the golden lane itself crashes or hangs — the screen
+    /// Panics if the golden run itself crashes or hangs — the screen
     /// program must run clean on a defect-free core.
     #[must_use]
     pub fn screen(&self, fault_sets: &[Vec<ArchFault>]) -> Vec<ScreenVerdict> {
-        let mut driver = MultiCoreDriver::new(self.budget);
-        driver.push(
-            self.core(),
-            ScriptedInput::new(self.inputs.clone()),
-            RecordingOutput::new(),
-            FaultPlane::new(),
-        );
-        for faults in fault_sets {
-            driver.push(
-                self.core(),
-                ScriptedInput::new(self.inputs.clone()),
-                RecordingOutput::new(),
-                FaultPlane::with_faults(faults.clone()),
-            );
-        }
-        driver.run_to_completion();
-        let lanes = driver.into_lanes();
-        let (golden, dies) = lanes.split_first().expect("golden lane was pushed");
-        let golden_outputs = match &golden.status {
-            LaneStatus::Done(r) if r.halted() => golden.output.values(),
-            other => panic!("golden screen run must halt cleanly, got {other:?}"),
+        let golden_outputs = match self.run(&mut FaultPlane::new()) {
+            (LaneStatus::Done(_), outputs) => outputs,
+            (other, _) => panic!("golden screen run must halt cleanly, got {other:?}"),
         };
-        dies.iter()
-            .map(|lane| match &lane.status {
-                LaneStatus::Hung(_) => ScreenVerdict::Hung,
-                LaneStatus::Done(_) if lane.output.values() == golden_outputs => {
-                    ScreenVerdict::Pass
-                }
-                LaneStatus::Done(_) => ScreenVerdict::WrongOutput,
-                LaneStatus::Faulted(_) => ScreenVerdict::Faulted,
-                LaneStatus::Running => unreachable!("run_to_completion retires every lane"),
-            })
+        fault_sets
+            .iter()
+            .map(
+                |faults| match self.run(&mut FaultPlane::with_faults(faults.clone())) {
+                    (LaneStatus::Hung(_), _) => ScreenVerdict::Hung,
+                    (LaneStatus::Done(_), outputs) if outputs == golden_outputs => {
+                        ScreenVerdict::Pass
+                    }
+                    (LaneStatus::Done(_), _) => ScreenVerdict::WrongOutput,
+                    (LaneStatus::Faulted(_), _) => ScreenVerdict::Faulted,
+                },
+            )
             .collect()
     }
 }

@@ -18,7 +18,7 @@
 use crate::sites::{self, FaultSite};
 use flexasm::Target;
 use flexicore::sim::{ArchFault, FaultKind, FaultPlane};
-use flexkernels::harness::{BatchCase, PreparedKernel, RunError, CYCLE_BUDGET};
+use flexkernels::harness::{PreparedKernel, RunError, CYCLE_BUDGET};
 use flexkernels::{inputs::Sampler, Kernel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,17 +105,14 @@ pub struct CampaignConfig {
     pub budget: u64,
     /// Fault population.
     pub model: FaultModel,
-    /// How many contiguous shards the trial list is split into for
-    /// execution. The shard count never changes the report — shards only
-    /// decide which trials share a worker — so it is free to tune.
-    pub shards: usize,
-    /// Worker threads executing shards (`1` = run inline, serially).
+    /// Worker threads executing trials (`1` = run inline, serially).
+    /// The thread count never changes the report.
     pub threads: usize,
 }
 
 impl CampaignConfig {
     /// A campaign with the default watchdog and stuck-at model, run
-    /// serially (one shard, one thread).
+    /// serially (one thread).
     #[must_use]
     pub fn new(target: Target, kernel: Kernel, trials: usize, seed: u64) -> Self {
         CampaignConfig {
@@ -125,7 +122,6 @@ impl CampaignConfig {
             seed,
             budget: CYCLE_BUDGET,
             model: FaultModel::StuckAt,
-            shards: 1,
             threads: 1,
         }
     }
@@ -200,32 +196,26 @@ pub fn run_campaign_pruned(
 
     // Pre-draw every (fault, input) pair in trial order — the RNG and
     // sampler streams interleave exactly as the old serial loop did —
-    // then execute the pre-drawn trials sharded across worker threads.
-    // Each shard runs its contiguous range of trials as one packed batch
-    // and the results merge back in shard (= trial) order, so neither
-    // the thread count nor the shard count can change a single bit of
-    // the report. Pruning happens *after* the draws: a pruned trial
-    // still consumes its RNG and sampler draws, it just never reaches
-    // the simulator, so pruned and unpruned reports stay comparable.
+    // then run the pre-drawn trials across worker threads. Each trial is
+    // one independent `run_with`, and the outcomes merge back in trial
+    // order, so the thread count cannot change a single bit of the
+    // report. Pruning happens *after* the draws: a pruned trial still
+    // consumes its RNG and sampler draws, it just never reaches the
+    // simulator, so pruned and unpruned reports stay comparable.
     let mut faults = Vec::with_capacity(config.trials);
-    let mut executed_at = Vec::with_capacity(config.trials);
-    let mut batch = Vec::with_capacity(config.trials);
+    let mut executed = Vec::with_capacity(config.trials);
     for i in 0..config.trials {
         let fault = draw_fault(&mut rng, &site_list, config.model, clean_cycles);
         let inputs = sampler.draw();
         faults.push(fault);
-        if prune.is_some_and(|report| report.is_masked_fault(&fault)) {
-            continue;
+        if !prune.is_some_and(|report| report.is_masked_fault(&fault)) {
+            executed.push((i, inputs));
         }
-        executed_at.push(i);
-        batch.push(BatchCase {
-            inputs,
-            faults: FaultPlane::with_faults(vec![fault]),
-        });
     }
-    let executed = batch.len();
-    let runs = flexshard::map_sharded(batch.len(), config.shards, config.threads, |_, range| {
-        prepared.run_batch(batch[range].to_vec(), config.budget)
+    let outcomes = flexshard::map_indexed(executed.len(), config.threads, |j| {
+        let (i, inputs) = &executed[j];
+        let mut plane = FaultPlane::with_faults(vec![faults[*i]]);
+        classify(prepared.run_with(inputs, config.budget, &mut plane))
     });
     let mut trials: Vec<Trial> = faults
         .into_iter()
@@ -234,14 +224,14 @@ pub fn run_campaign_pruned(
             outcome: Outcome::Masked,
         })
         .collect();
-    for (&i, run) in executed_at.iter().zip(runs) {
-        trials[i].outcome = classify(run);
+    for (&(i, _), outcome) in executed.iter().zip(outcomes) {
+        trials[i].outcome = outcome;
     }
     Ok(CampaignResult {
         config,
         trials,
         clean_cycles,
-        executed,
+        executed: executed.len(),
     })
 }
 
@@ -304,25 +294,28 @@ mod tests {
     }
 
     #[test]
-    fn thread_and_shard_counts_never_change_the_report() {
-        let base = CampaignConfig {
+    fn thread_counts_never_change_the_report() {
+        let config = |trials| CampaignConfig {
             budget: 20_000,
             model: FaultModel::Mixed,
-            ..CampaignConfig::new(Target::fc8(), Kernel::ParityCheck, 48, 13)
+            ..CampaignConfig::new(Target::fc8(), Kernel::ParityCheck, trials, 13)
         };
-        let serial = run_campaign(base).unwrap();
-        for (shards, threads) in [(1, 8), (64, 1), (64, 8), (48, 3)] {
-            let parallel = run_campaign(CampaignConfig {
-                shards,
-                threads,
-                ..base
-            })
-            .unwrap();
-            assert_eq!(
-                serial.trials, parallel.trials,
-                "{shards} shards / {threads} threads"
-            );
-            assert_eq!(serial.clean_cycles, parallel.clean_cycles);
+        // ragged trial counts: fewer trials than threads, and counts no
+        // thread count divides
+        for trials in [1, 7, 48, 61] {
+            let serial = run_campaign(config(trials)).unwrap();
+            for threads in [1, 3, 8] {
+                let parallel = run_campaign(CampaignConfig {
+                    threads,
+                    ..config(trials)
+                })
+                .unwrap();
+                assert_eq!(
+                    serial.trials, parallel.trials,
+                    "{trials} trials / {threads} threads"
+                );
+                assert_eq!(serial.clean_cycles, parallel.clean_cycles);
+            }
         }
     }
 

@@ -20,7 +20,7 @@ use flexfab::tester::DieOutcome;
 use flexfab::variation::DieVariation;
 use flexfab::wafer_run::{CoreDesign, WaferRun};
 use flexicore::sim::{FaultPlane, NoFaults};
-use flexkernels::harness::{BatchCase, PreparedKernel, RunError, CYCLE_BUDGET};
+use flexkernels::harness::{PreparedKernel, RunError, CYCLE_BUDGET};
 use flexkernels::{inputs::Sampler, Kernel};
 
 /// The assembly target whose simulator models a fabricated design.
@@ -170,21 +170,14 @@ pub fn die_is_salvageable_pruned(
                 continue;
             }
         }
-        // All of a kernel's cases run as one multi-core batch, one lane
-        // per case; each lane gets a freshly armed copy of the die's
-        // fault plane (equivalent to the old serial reset() per run).
+        // Each case runs under a freshly armed copy of the die's fault
+        // plane; the first case that is not masked condemns the die.
         let mut sampler = Sampler::new(kernel.kernel(), config.seed);
-        let batch = (0..config.cases_per_kernel)
-            .map(|_| BatchCase {
-                inputs: sampler.draw(),
-                faults: plane.clone(),
-            })
-            .collect();
-        if kernel
-            .run_batch(batch, config.budget)
-            .into_iter()
-            .any(|run| classify(run) != Outcome::Masked)
-        {
+        let fails = (0..config.cases_per_kernel).any(|_| {
+            let run = kernel.run_with(&sampler.draw(), config.budget, &mut plane.clone());
+            classify(run) != Outcome::Masked
+        });
+        if fails {
             return false;
         }
     }

@@ -10,7 +10,7 @@
 //! mission up front, from one seed, in one fixed draw order — so any
 //! consumer (the `flexmission` lifetime campaigns, a soak test, a CLI
 //! replay) observes the identical stress history bit-for-bit, no matter
-//! how its trials are threaded or sharded.
+//! how its trials are threaded.
 //!
 //! The three processes:
 //!

@@ -60,31 +60,28 @@ fn pruned_campaigns_are_byte_identical_on_all_dialects() {
 }
 
 #[test]
-fn pruning_is_stable_across_threads_and_shards() {
+fn pruning_is_stable_across_threads() {
     let target = Target::fc8();
     let kernel = Kernel::ParityCheck;
     let report = report_for(kernel, target);
-    let base = CampaignConfig {
-        budget: 20_000,
-        model: FaultModel::Mixed,
-        ..CampaignConfig::new(target, kernel, 64, 0x5EED)
-    };
-    let serial = run_campaign_pruned(base, Some(&report)).expect("serial pruned");
-    for (shards, threads) in [(1, 8), (64, 1), (64, 8)] {
-        let parallel = run_campaign_pruned(
-            CampaignConfig {
-                shards,
-                threads,
-                ..base
-            },
-            Some(&report),
-        )
-        .expect("parallel pruned");
-        assert_eq!(
-            serial.trials, parallel.trials,
-            "{shards} shards / {threads} threads"
-        );
-        assert_eq!(serial.executed, parallel.executed);
+    // ragged trial counts: fewer trials than threads, and counts no
+    // thread count divides
+    for trials in [1, 5, 64, 77] {
+        let base = CampaignConfig {
+            budget: 20_000,
+            model: FaultModel::Mixed,
+            ..CampaignConfig::new(target, kernel, trials, 0x5EED)
+        };
+        let serial = run_campaign_pruned(base, Some(&report)).expect("serial pruned");
+        for threads in [1, 3, 8] {
+            let parallel = run_campaign_pruned(CampaignConfig { threads, ..base }, Some(&report))
+                .expect("parallel pruned");
+            assert_eq!(
+                serial.trials, parallel.trials,
+                "{trials} trials / {threads} threads"
+            );
+            assert_eq!(serial.executed, parallel.executed);
+        }
     }
 }
 

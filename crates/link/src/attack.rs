@@ -167,11 +167,9 @@ pub struct AttackSoakConfig {
     pub link: LinkConfig,
     /// `flexcheck` admission severity gating activation, if any.
     pub admission: Option<flexcheck::Severity>,
-    /// Contiguous shards the trial list is split into for execution.
+    /// Worker threads executing trials (`1` = run inline, serially).
     /// Never changes the report — every trial's stream derives from its
     /// own sweep coordinates.
-    pub shards: usize,
-    /// Worker threads executing shards (`1` = run inline, serially).
     pub threads: usize,
 }
 
@@ -192,7 +190,6 @@ impl AttackSoakConfig {
             seed,
             link: LinkConfig::default(),
             admission: Some(flexcheck::Severity::Error),
-            shards: 1,
             threads: 1,
         }
     }
@@ -280,8 +277,8 @@ pub fn run_attack_soak(config: AttackSoakConfig) -> Result<AttackCampaign, RunEr
     let mut groups: Vec<(Target, Kernel, Vec<u8>)> = Vec::new();
     // Every trial's stream derives from its own sweep coordinates, so
     // trials are independent work units: the plan is laid out serially
-    // in sweep order, then executed sharded and merged back bit-for-bit
-    // identical to a serial pass.
+    // in sweep order, then executed across threads and merged back
+    // bit-for-bit identical to a serial pass.
     let mut plan: Vec<(usize, f64, Attack, usize, u64)> = Vec::with_capacity(config.trial_count());
     for (d, &target) in config.targets.iter().enumerate() {
         for (k, &kernel) in Kernel::ALL
@@ -311,14 +308,10 @@ pub fn run_attack_soak(config: AttackSoakConfig) -> Result<AttackCampaign, RunEr
             }
         }
     }
-    let trials = flexshard::map_sharded(plan.len(), config.shards, config.threads, |_, range| {
-        plan[range]
-            .iter()
-            .map(|&(group, ber, attack, rep, trial_seed)| {
-                let (target, kernel, ref image) = groups[group];
-                run_trial(&config, target, kernel, image, ber, attack, rep, trial_seed)
-            })
-            .collect()
+    let trials = flexshard::map_indexed(plan.len(), config.threads, |i| {
+        let (group, ber, attack, rep, trial_seed) = plan[i];
+        let (target, kernel, ref image) = groups[group];
+        run_trial(&config, target, kernel, image, ber, attack, rep, trial_seed)
     });
     Ok(AttackCampaign { config, trials })
 }
@@ -538,20 +531,29 @@ mod tests {
     }
 
     #[test]
-    fn thread_and_shard_counts_never_change_the_report() {
-        let base = small_config(AttackMix::full(), 2);
-        let serial = run_attack_soak(base.clone()).unwrap();
-        for (shards, threads) in [(1, 8), (64, 1), (64, 8)] {
-            let parallel = run_attack_soak(AttackSoakConfig {
-                shards,
-                threads,
-                ..base.clone()
-            })
-            .unwrap();
-            assert_eq!(
-                serial.trials, parallel.trials,
-                "{shards} shards / {threads} threads"
-            );
+    fn thread_counts_never_change_the_report() {
+        // ragged trial counts: one legit cell, then full mixes no
+        // thread count divides
+        for (mix, reps) in [
+            (AttackMix::legit(), 1),
+            (AttackMix::full(), 1),
+            (AttackMix::full(), 2),
+        ] {
+            let base = small_config(mix, reps);
+            let serial = run_attack_soak(base.clone()).unwrap();
+            for threads in [1, 3, 8] {
+                let parallel = run_attack_soak(AttackSoakConfig {
+                    threads,
+                    ..base.clone()
+                })
+                .unwrap();
+                assert_eq!(
+                    serial.trials,
+                    parallel.trials,
+                    "{} trials / {threads} threads",
+                    serial.trials.len()
+                );
+            }
         }
     }
 }

@@ -47,11 +47,9 @@ pub struct SoakConfig {
     pub exec: LinkExecConfig,
     /// Retry policy of the transfer protocol.
     pub link: LinkConfig,
-    /// Contiguous shards the (kernel, rate) cell list is split into for
-    /// execution. Never changes the report — each cell's stream derives
+    /// Worker threads executing (kernel, rate) cells (`1` = run inline,
+    /// serially). Never changes the report — each cell's stream derives
     /// from its own `(kernel, rate)` coordinates.
-    pub shards: usize,
-    /// Worker threads executing shards (`1` = run inline, serially).
     pub threads: usize,
 }
 
@@ -71,7 +69,6 @@ impl SoakConfig {
             seed,
             exec: LinkExecConfig::default(),
             link: LinkConfig::default(),
-            shards: 1,
             threads: 1,
         }
     }
@@ -178,7 +175,7 @@ pub fn run_soak(config: SoakConfig) -> Result<SoakCampaign, RunError> {
         .collect::<Result<_, RunError>>()?;
 
     // Every (kernel, rate) cell derives a private RNG stream from its
-    // own coordinates, so cells are independent work units: sharded
+    // own coordinates, so cells are independent work units: threaded
     // execution merges back in sweep order (kernels outer, rates inner)
     // bit-for-bit identical to a serial pass.
     let mut cells = Vec::with_capacity(executors.len() * config.error_rates.len());
@@ -187,11 +184,9 @@ pub fn run_soak(config: SoakConfig) -> Result<SoakCampaign, RunError> {
             cells.push((k, r));
         }
     }
-    let trials = flexshard::map_sharded(cells.len(), config.shards, config.threads, |_, range| {
-        cells[range]
-            .iter()
-            .map(|&(k, r)| run_cell(&config, &executors[k].1, executors[k].0, k, r))
-            .collect()
+    let trials = flexshard::map_indexed(cells.len(), config.threads, |i| {
+        let (k, r) = cells[i];
+        run_cell(&config, &executors[k].1, executors[k].0, k, r)
     });
     Ok(SoakCampaign { config, trials })
 }
@@ -265,23 +260,32 @@ mod tests {
     }
 
     #[test]
-    fn thread_and_shard_counts_never_change_the_report() {
-        let base = SoakConfig {
-            kernels: vec![Kernel::ParityCheck, Kernel::XorShift8, Kernel::IntAvg],
-            ..SoakConfig::new(Target::fc4(), vec![0.0, 1e-4, 2e-4], 29)
-        };
-        let serial = run_soak(base.clone()).unwrap();
-        for (shards, threads) in [(1, 8), (64, 1), (64, 8)] {
-            let parallel = run_soak(SoakConfig {
-                shards,
-                threads,
-                ..base.clone()
-            })
-            .unwrap();
-            assert_eq!(
-                serial.trials, parallel.trials,
-                "{shards} shards / {threads} threads"
-            );
+    fn thread_counts_never_change_the_report() {
+        // ragged cell counts: 1, 5 and 9 (kernel, rate) cells
+        let kernels = [Kernel::ParityCheck, Kernel::XorShift8, Kernel::IntAvg];
+        for (k, rates) in [
+            (1, vec![0.0]),
+            (1, vec![0.0, 1e-4, 2e-4, 3e-4, 4e-4]),
+            (3, vec![0.0, 1e-4, 2e-4]),
+        ] {
+            let base = SoakConfig {
+                kernels: kernels[..k].to_vec(),
+                ..SoakConfig::new(Target::fc4(), rates, 29)
+            };
+            let serial = run_soak(base.clone()).unwrap();
+            for threads in [1, 3, 8] {
+                let parallel = run_soak(SoakConfig {
+                    threads,
+                    ..base.clone()
+                })
+                .unwrap();
+                assert_eq!(
+                    serial.trials,
+                    parallel.trials,
+                    "{} cells / {threads} threads",
+                    serial.trials.len()
+                );
+            }
         }
     }
 }

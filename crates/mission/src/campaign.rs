@@ -26,8 +26,8 @@
 //! samples, re-screen stimulus, link jitter — from
 //! `flexshard::shard_seed(campaign_seed, i)`, so a trial is a pure
 //! function of `(config, i)`. Campaigns run through
-//! [`flexshard::map_sharded`] and replay bit-for-bit for every
-//! `(threads, shards)` combination; the regression tests assert it.
+//! [`flexshard::map_indexed`] and replay bit-for-bit for every thread
+//! count; the regression tests assert it.
 
 use crate::health::{HealthMonitor, HealthState, LaneTelemetry};
 use crate::manager::{ManagerConfig, MissionManager};
@@ -91,8 +91,6 @@ pub struct MissionConfig {
     pub brownout_per_mille: u32,
     /// Per-tick program-store upset probability, per-mille.
     pub store_upset_per_mille: u32,
-    /// Shards the trial space is partitioned into.
-    pub shards: usize,
     /// Worker threads (subject to `FLEXSHARD_FORCE_THREADS`).
     pub threads: usize,
 }
@@ -117,12 +115,11 @@ impl MissionConfig {
             bend_per_mille: defaults.bend_per_mille,
             brownout_per_mille: defaults.brownout_per_mille,
             store_upset_per_mille: defaults.store_upset_per_mille,
-            shards: 1,
             threads: 1,
         }
     }
 
-    fn stress_config(&self, trial_seed: u64) -> StressConfig {
+    fn stress_config(&self, dies: usize, trial_seed: u64) -> StressConfig {
         StressConfig {
             marginal_per_die: self.marginal_per_die,
             bend_per_mille: self.bend_per_mille,
@@ -131,7 +128,7 @@ impl MissionConfig {
             ..StressConfig::new(
                 self.target.dialect,
                 self.ticks,
-                ACTIVE_LANES + self.spares,
+                dies,
                 shard_seed(trial_seed, STREAM_STRESS),
             )
         }
@@ -200,6 +197,8 @@ pub enum MissionError {
     /// The fleet image cannot provision under the configured admission
     /// gate — every trial would reject its own firmware.
     Provision(RejectReason),
+    /// The active lanes plus this many spares overflow the die count.
+    Spares(usize),
 }
 
 impl core::fmt::Display for MissionError {
@@ -207,6 +206,7 @@ impl core::fmt::Display for MissionError {
         match self {
             MissionError::Kernel(e) => write!(f, "kernel unusable: {e:?}"),
             MissionError::Provision(r) => write!(f, "fleet image inadmissible: {r:?}"),
+            MissionError::Spares(n) => write!(f, "{n} spares overflow the platform's die count"),
         }
     }
 }
@@ -219,14 +219,18 @@ impl From<RunError> for MissionError {
     }
 }
 
-/// Run a whole mission campaign, sharded and replayable.
+/// Run a whole mission campaign, threaded and replayable.
 ///
 /// # Errors
 ///
-/// [`MissionError`] if the kernel does not assemble for the target or
-/// the signed fleet image fails the golden-path provisioning check
-/// (e.g. the `deny` gate rejects the kernel's own image).
+/// [`MissionError`] if the kernel does not assemble for the target, the
+/// spare count overflows the die count, or the signed fleet image fails
+/// the golden-path provisioning check (e.g. the `deny` gate rejects the
+/// kernel's own image).
 pub fn run_mission_campaign(config: &MissionConfig) -> Result<MissionCampaign, MissionError> {
+    let dies = ACTIVE_LANES
+        .checked_add(config.spares)
+        .ok_or(MissionError::Spares(config.spares))?;
     let prepared = PreparedKernel::new(config.kernel, config.target)?;
     let image = prepared.program().as_bytes().to_vec();
     let vuln = flexcheck::vuln::analyze(&config.target, prepared.program());
@@ -237,12 +241,9 @@ pub fn run_mission_campaign(config: &MissionConfig) -> Result<MissionCampaign, M
         .provision(&sign_update(config.target.dialect, &image, 1, DEVICE_KEY))
         .map_err(MissionError::Provision)?;
 
-    let trials =
-        flexshard::map_sharded(config.trials, config.shards, config.threads, |_, range| {
-            range
-                .map(|index| run_trial(config, &prepared, &vuln, &image, index))
-                .collect()
-        });
+    let trials = flexshard::map_indexed(config.trials, config.threads, |index| {
+        run_trial(config, &prepared, &vuln, &image, dies, index)
+    });
     Ok(MissionCampaign {
         adaptive: config.adaptive,
         trials,
@@ -431,17 +432,17 @@ fn run_trial(
     prepared: &PreparedKernel,
     vuln: &flexcheck::vuln::VulnReport,
     image: &[u8],
+    total_dies: usize,
     index: usize,
 ) -> MissionTrial {
     let trial_seed = shard_seed(config.seed, index as u64);
     let dialect = config.target.dialect;
-    let total_dies = ACTIVE_LANES + config.spares;
-    let stress = StressSchedule::generate(&config.stress_config(trial_seed));
+    let stress = StressSchedule::generate(&config.stress_config(total_dies, trial_seed));
 
     let mut device = fresh_device(config, image, trial_seed);
     device
         .provision(&sign_update(dialect, image, 1, DEVICE_KEY))
-        .expect("golden-path provisioning was checked before sharding");
+        .expect("golden-path provisioning was checked up front");
     // the fleet's monotonic version counter: the device-side anchor can
     // be lost to store decay, so the manager is the source of truth
     let mut version: u64 = 1;
@@ -695,17 +696,31 @@ mod tests {
     }
 
     #[test]
-    fn campaigns_are_thread_and_shard_invariant() {
-        let serial = run_mission_campaign(&base(true)).unwrap();
-        for (threads, shards) in [(8, 1), (1, 64), (3, 7), (8, 64)] {
-            let sharded = run_mission_campaign(&MissionConfig {
+    fn campaigns_are_thread_invariant() {
+        // ragged trial counts: fewer trials than threads, and counts no
+        // thread count divides
+        for trials in [1, 7, 12] {
+            let config = |threads| MissionConfig {
+                trials,
                 threads,
-                shards,
                 ..base(true)
-            })
-            .unwrap();
-            assert_eq!(serial, sharded, "threads {threads}, shards {shards}");
+            };
+            let serial = run_mission_campaign(&config(1)).unwrap();
+            for threads in [3, 8] {
+                let threaded = run_mission_campaign(&config(threads)).unwrap();
+                assert_eq!(serial, threaded, "{trials} trials / {threads} threads");
+            }
         }
+    }
+
+    #[test]
+    fn overflowing_spares_are_an_error_not_a_panic() {
+        let err = run_mission_campaign(&MissionConfig {
+            spares: usize::MAX,
+            ..base(true)
+        })
+        .unwrap_err();
+        assert!(matches!(err, MissionError::Spares(usize::MAX)), "{err}");
     }
 
     #[test]
@@ -772,7 +787,6 @@ mod tests {
             trials: 500,
             ticks: 6,
             threads: 8,
-            shards: 16,
             ..base(adaptive)
         };
         let adaptive = run_mission_campaign(&config(true)).unwrap();

@@ -27,8 +27,8 @@
 //!   through the authenticated `flexlink` update path (forgeries must
 //!   still bounce), suspect dies are re-screened with
 //!   [`flexfab::tester`]-budgeted self-test vectors and migrated off
-//!   when they fail. Campaigns shard over `flexshard` and replay
-//!   bit-for-bit across any thread or shard count.
+//!   when they fail. Campaigns run over `flexshard` and replay
+//!   bit-for-bit across any thread count.
 //! * [`report`] renders lifetime tallies and the adaptive-vs-static
 //!   comparison the CLI and benches print.
 

@@ -99,16 +99,14 @@ pub struct RecoveryCampaignConfig {
     /// Spare (fault-free) dies available for lane reassignment
     /// (DMR / simplex).
     pub spares: usize,
-    /// Contiguous shards the trial list is split into for execution.
-    /// Never changes the report — shards only decide worker sharing.
-    pub shards: usize,
-    /// Worker threads executing shards (`1` = run inline, serially).
+    /// Worker threads executing trials (`1` = run inline, serially).
+    /// Never changes the report.
     pub threads: usize,
 }
 
 impl RecoveryCampaignConfig {
     /// A TMR stuck-at campaign with default cadence parameters, run
-    /// serially (one shard, one thread).
+    /// serially (one thread).
     #[must_use]
     pub fn new(target: Target, kernel: Kernel, trials: usize, seed: u64) -> Self {
         RecoveryCampaignConfig {
@@ -123,7 +121,6 @@ impl RecoveryCampaignConfig {
             interval: 64,
             max_retries: 8,
             spares: 2,
-            shards: 1,
             threads: 1,
         }
     }
@@ -182,8 +179,8 @@ pub fn run_recovery_campaign(config: RecoveryCampaignConfig) -> Result<RecoveryC
     // all come off the single seeded stream in trial order, exactly as
     // the old serial loop interleaved them. The executors themselves use
     // no RNG, so each pre-drawn trial is a pure function of its plan and
-    // the sharded execution below merges back bit-for-bit identical to
-    // a serial pass, whatever the thread or shard count.
+    // the threaded execution below merges back bit-for-bit identical to
+    // a serial pass, whatever the thread count.
     let lanes = config.mode.lanes();
     let plans: Vec<(ArchFault, usize, Vec<u8>, Vec<u8>)> = (0..config.trials)
         .map(|_| {
@@ -199,13 +196,9 @@ pub fn run_recovery_campaign(config: RecoveryCampaignConfig) -> Result<RecoveryC
         })
         .collect();
 
-    let trials = flexshard::map_sharded(plans.len(), config.shards, config.threads, |_, range| {
-        plans[range]
-            .iter()
-            .map(|(fault, lane, inputs, expected)| {
-                run_trial(&prepared, &config, lanes, *fault, *lane, inputs, expected)
-            })
-            .collect()
+    let trials = flexshard::map_indexed(plans.len(), config.threads, |i| {
+        let (fault, lane, inputs, expected) = &plans[i];
+        run_trial(&prepared, &config, lanes, *fault, *lane, inputs, expected)
     });
     Ok(RecoveryCampaign {
         config,
@@ -342,21 +335,24 @@ mod tests {
     }
 
     #[test]
-    fn thread_and_shard_counts_never_change_the_report() {
+    fn thread_counts_never_change_the_report() {
         for mode in [QuorumMode::Tmr, QuorumMode::DmrReexec, QuorumMode::Simplex] {
-            let base = quick(mode, FaultModel::Mixed, 17);
-            let serial = run_recovery_campaign(base).unwrap();
-            for (shards, threads) in [(1, 8), (64, 1), (64, 8)] {
-                let parallel = run_recovery_campaign(RecoveryCampaignConfig {
-                    shards,
-                    threads,
-                    ..base
-                })
-                .unwrap();
-                assert_eq!(
-                    serial.trials, parallel.trials,
-                    "{mode}: {shards} shards / {threads} threads"
-                );
+            // ragged trial counts: fewer trials than threads, and counts
+            // no thread count divides
+            for trials in [1, 7, 13] {
+                let base = RecoveryCampaignConfig {
+                    trials,
+                    ..quick(mode, FaultModel::Mixed, 17)
+                };
+                let serial = run_recovery_campaign(base).unwrap();
+                for threads in [1, 3, 8] {
+                    let parallel =
+                        run_recovery_campaign(RecoveryCampaignConfig { threads, ..base }).unwrap();
+                    assert_eq!(
+                        serial.trials, parallel.trials,
+                        "{mode}: {trials} trials / {threads} threads"
+                    );
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! # flexshard
 //!
-//! Deterministic sharded execution for campaign-style workloads.
+//! Deterministic threaded execution for campaign-style workloads.
 //!
 //! Every campaign in the workspace — fault injection, recovery soaks,
 //! link soaks, wafer screens — is a map over independent work units
@@ -18,10 +18,9 @@
 //!   a shared counter), so wall-clock balances across uneven units
 //!   while determinism rides entirely on the order-preserving merge.
 //!
-//! Under this contract `threads = 1` and `threads = N` — and any shard
-//! partitioning of the unit space — replay bit-for-bit identical
-//! campaigns. The regression tests of every migrated campaign crate
-//! assert exactly that.
+//! Under this contract `threads = 1` and `threads = N` replay
+//! bit-for-bit identical campaigns. The regression tests of every
+//! campaign crate assert exactly that.
 //!
 //! The [`FORCE_THREADS_ENV`] environment variable overrides every
 //! requested thread count; CI sets it to run the whole test suite
@@ -30,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -55,10 +53,10 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Derive the private seed of shard `index` from a campaign seed using
-/// a splitmix64 finalizer — the same mixer the vendored `rand` uses, so
-/// shard streams are as decorrelated as fresh `StdRng` streams. Two
-/// different `(seed, index)` pairs collide only if splitmix64 does.
+/// Derive the private seed of work unit `index` from a campaign seed
+/// using a splitmix64 finalizer — the same mixer the vendored `rand`
+/// uses, so unit streams are as decorrelated as fresh `StdRng` streams.
+/// Two different `(seed, index)` pairs collide only if splitmix64 does.
 #[must_use]
 pub fn shard_seed(campaign_seed: u64, index: u64) -> u64 {
     let mut z = campaign_seed
@@ -67,29 +65,6 @@ pub fn shard_seed(campaign_seed: u64, index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Split `0..total` into at most `shards` contiguous, near-equal
-/// ranges, in order. Earlier shards take the remainder, so sizes differ
-/// by at most one and concatenating the ranges reproduces `0..total`
-/// exactly. Empty ranges are never returned; `total = 0` yields no
-/// shards.
-#[must_use]
-pub fn partition(total: usize, shards: usize) -> Vec<Range<usize>> {
-    let shards = shards.max(1).min(total);
-    let mut ranges = Vec::with_capacity(shards);
-    if total == 0 {
-        return ranges;
-    }
-    let base = total / shards;
-    let extra = total % shards;
-    let mut start = 0;
-    for s in 0..shards {
-        let len = base + usize::from(s < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
 }
 
 /// Map `f` over `0..count` on up to `threads` worker threads and return
@@ -114,22 +89,32 @@ where
     // by index, so scheduling order cannot leak into the output.
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(count));
+    let worker = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
+            }
+            local.push((i, f(i)));
+        }
+        collected
+            .lock()
+            .expect("a worker panicked while holding the merge lock")
+            .append(&mut local);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    local.push((i, f(i)));
-                }
-                collected
-                    .lock()
-                    .expect("a worker panicked while holding the merge lock")
-                    .append(&mut local);
-            });
+        // a host that grants fewer threads than asked runs the units on
+        // the ones it granted, or inline if none
+        let spawned = (0..threads)
+            .take_while(|_| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, worker)
+                    .is_ok()
+            })
+            .count();
+        if spawned == 0 {
+            worker();
         }
     });
     let mut pairs = collected
@@ -140,47 +125,9 @@ where
     pairs.into_iter().map(|(_, v)| v).collect()
 }
 
-/// [`map_indexed`] over the shard ranges of `0..total`: `f` receives
-/// each shard's index and range and returns that shard's results, which
-/// are concatenated in shard order. The shard *count* therefore cannot
-/// affect the merged output (only which units share a worker), which is
-/// what makes a `--shards` knob free to tune.
-pub fn map_sharded<T, F>(total: usize, shards: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> Vec<T> + Sync,
-{
-    let ranges = partition(total, shards);
-    map_indexed(ranges.len(), threads, |s| f(s, ranges[s].clone()))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_covers_the_range_exactly() {
-        for total in [0usize, 1, 7, 64, 123, 1000] {
-            for shards in [1usize, 2, 8, 64, 2000] {
-                let ranges = partition(total, shards);
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "contiguous");
-                    assert!(!r.is_empty(), "no empty shards");
-                    next = r.end;
-                }
-                assert_eq!(next, total, "covers 0..{total} with {shards} shards");
-                if total > 0 {
-                    let sizes: Vec<usize> = ranges.iter().map(Range::len).collect();
-                    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                    assert!(max - min <= 1, "balanced: {sizes:?}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn shard_seeds_are_decorrelated() {
@@ -201,19 +148,6 @@ mod tests {
         }
         assert_eq!(map_indexed(0, 8, |i| i), Vec::<usize>::new());
         assert_eq!(map_indexed(1, 8, |i| i + 41), vec![41]);
-    }
-
-    #[test]
-    fn map_sharded_is_shard_count_invariant() {
-        let f = |_s: usize, r: Range<usize>| r.map(|i| i.wrapping_mul(2654435761)).collect();
-        let one = map_sharded(500, 1, 1, f);
-        for (shards, threads) in [(1, 8), (64, 1), (64, 8), (500, 3), (7, 2)] {
-            assert_eq!(
-                map_sharded(500, shards, threads, f),
-                one,
-                "{shards}/{threads}"
-            );
-        }
     }
 
     #[test]
