@@ -87,10 +87,16 @@ echo "== hang fast-forward gate =="
 # hold the one drain loop to the plain step loop, the stuck-at grid and
 # field-screen digests were pinned before the batch drivers were
 # removed, and so was this mission report's SHA-256 (mission and
-# resilient voting drain through Engine::resume too)
+# resilient voting drain through Engine::resume too). Checkpointed
+# segments drain through it as well: their oracle holds the segment
+# runner to the plain step loop, and the recovery and link-soak pins
+# were captured while both executors still stepped
 cargo test --release --offline -p flexicore -q --test hang_forward
+cargo test --release --offline -p flexresilient -q --test segment_oracle
 cargo test --release --offline -p flexinject -q --test campaign_digests
 cargo test --release --offline -p flexfab -q --test field_digest
+cargo test --release --offline -p flexresilient -q --test recovery_digests
+cargo test --release --offline -p flexlink -q --test soak_digests
 cargo test --release --offline -p flexcheck -q generated_programs_fast_forward_exactly
 mission_sha=$(./target/release/flexi mission --trials 24 --ticks 6 --seed 17 |
     sha256sum | cut -d ' ' -f 1)

@@ -558,7 +558,7 @@ pub fn resilient(args: &mut Args) -> Result<String, CliError> {
     config.model = model;
     config.mode = quorum;
     config.window = args.positive("window", config.window)?;
-    config.interval = args.num("interval", config.interval)?;
+    config.interval = interval(args, config.interval)?;
     config.max_retries = args.count("retries", config.max_retries)?;
     config.spares = args.count("spares", config.spares)?;
     config.threads = args.positive("threads", 1)?;
@@ -613,7 +613,7 @@ pub fn link(args: &mut Args) -> Result<String, CliError> {
         config.kernels = vec![kernel];
     }
     config.upsets_per_trial = args.count("upsets", config.upsets_per_trial)?;
-    config.exec.interval = args.num("interval", config.exec.interval)?;
+    config.exec.interval = interval(args, config.exec.interval)?;
     config.exec.scrub_interval = args.num("scrub", config.exec.scrub_interval)?;
     config.exec.budget = args.num("budget", config.exec.budget)?;
     config.link.max_retries = args.count("retries", config.link.max_retries)?;
@@ -624,6 +624,16 @@ pub fn link(args: &mut Args) -> Result<String, CliError> {
     }
     let campaign = run_soak(config).map_err(|e| CliError::Run(e.to_string()))?;
     Ok(flexlink::report::render(&campaign))
+}
+
+/// `--interval`: retired instructions per checkpointed segment. Any
+/// `u64` but 0 — an empty segment commits nothing and never ends.
+fn interval(args: &mut Args, default: u64) -> Result<u64, CliError> {
+    let interval = args.num("interval", default)?;
+    if interval == 0 {
+        return Err(CliError::Usage("--interval must be at least 1".into()));
+    }
+    Ok(interval)
 }
 
 /// `flexi link --signed` — drive one authenticated A/B update per
@@ -1081,8 +1091,10 @@ fn execute<I: InputPort, O: OutputPort>(
     let mut core = AnyCore::for_dialect(target.dialect, target.features, program);
     let mut text = String::new();
     if trace {
-        // trace by stepping; the subsequent run() finishes the budget
-        while !core.is_halted() && core.instructions() < max_cycles {
+        // trace by stepping against the same watchdog run() keeps
+        // (cycles on FC4/FC8, instructions on the extended dialects);
+        // the run() below only collects the result
+        while !core.is_halted() && core.budget_spent() < max_cycles {
             let ev = core.step(input, output)?;
             let _ = writeln!(
                 text,
@@ -1153,6 +1165,53 @@ mod tests {
         let out = call(&["run", &src, "--input", "1", "--trace"]).unwrap();
         assert!(out.contains("cycle"), "{out}");
         assert!(out.contains("(taken)"), "{out}");
+    }
+
+    /// The summary line a `flexi run` prints, with or without `--trace`.
+    fn run_summary(src: &str, target: &str, trace: bool) -> String {
+        let mut argv = vec![
+            "run",
+            src,
+            "--target",
+            target,
+            "--features",
+            "revised",
+            "--input",
+            "1,2,3",
+            "--max-cycles",
+            "10",
+        ];
+        if trace {
+            argv.push("--trace");
+        }
+        let out = call(&argv).unwrap();
+        let summary = out.lines().rev().take(2).collect::<Vec<_>>();
+        summary.join("\n")
+    }
+
+    #[test]
+    fn trace_never_changes_the_run_summary() {
+        let acc_loop = "top: load r0\naddi 1\nstore r1\njmp top\n";
+        let cases = [
+            ("fc4", acc_loop),
+            ("fc4", ADD3),
+            // two-cycle LOAD BYTEs: the watchdog counts cycles, not
+            // instructions
+            ("fc8", "top: ldb 5\njmp top\n"),
+            ("fc8", acc_loop),
+            ("xacc", acc_loop),
+            ("xls", "top: mov r2, r0\naddi r2, 1\nmov r1, r2\njmp top\n"),
+        ];
+        for (i, (target, source)) in cases.into_iter().enumerate() {
+            let src = write_temp(&format!("trace_summary_{i}"), source);
+            let plain = run_summary(&src, target, false);
+            assert_eq!(plain, run_summary(&src, target, true), "{target}: {source}");
+        }
+        let src = write_temp("trace_summary_ldb", "top: ldb 5\njmp top\n");
+        assert!(
+            run_summary(&src, "fc8", false).contains("7 instructions, 10 cycles"),
+            "the budget is cycles on fc8"
+        );
     }
 
     #[test]
@@ -1355,7 +1414,9 @@ mod tests {
             ("inject", "--threads"),
             ("resilient", "--threads"),
             ("resilient", "--window"),
+            ("resilient", "--interval"),
             ("link", "--threads"),
+            ("link", "--interval"),
             ("attack", "--threads"),
             ("wafer", "--threads"),
         ] {
@@ -1456,6 +1517,28 @@ mod tests {
                         assert_eq!(code, 2, "{argv:?} must be refused");
                     }
                 }
+            }
+        }
+    }
+
+    /// A zero checkpoint interval is refused; every other `u64`,
+    /// `u64::MAX` included, runs to completion.
+    #[test]
+    fn interval_zero_is_refused_and_u64_max_runs() {
+        let max = u64::MAX.to_string();
+        let commands: [&[&str]; 2] = [
+            &["link", "--rates", "0", "--kernel", "parity"],
+            &["resilient", "--quorum", "dmr", "--faults", "1"],
+        ];
+        for base in commands {
+            for (value, code) in [("0", 2), ("1", 0), (max.as_str(), 0)] {
+                let mut argv = base.to_vec();
+                argv.extend(["--interval", value]);
+                let got = match call(&argv) {
+                    Ok(_) => 0,
+                    Err(e) => e.exit_code(),
+                };
+                assert_eq!(got, code, "{argv:?}");
             }
         }
     }

@@ -12,9 +12,8 @@
 //!   the watchdog budget spent. At each checkpoint, if the hook is
 //!   steady and the port stationary, the state is anchored; until the
 //!   next checkpoint every step compares the PC with the anchor's and,
-//!   on a match, the full architectural state
-//!   ([`Snapshot::same_arch`]-equivalent, in place) plus the port
-//!   position. Before the first checkpoint the loop does no extra work
+//!   on a match, the full architectural state (MMU, halt flag and
+//!   dialect registers, compared in place) plus the port position. Before the first checkpoint the loop does no extra work
 //!   per step.
 //! * **The jump**: one more period steps with the output port tee'd to
 //!   capture its writes. Then `k` whole periods are skipped: the run

@@ -232,23 +232,6 @@ impl Snapshot {
             mem: Vec::new(),
         }
     }
-
-    /// `true` when two snapshots agree on everything a program can
-    /// observe — PC, MMU, halt flag, and the dialect registers — while
-    /// ignoring the run accounting (cycles, retired instructions, …).
-    /// Redundant lanes that diverged and reconverged may legitimately
-    /// differ in accounting; a voter comparing architectural agreement
-    /// must not flag that as divergence.
-    #[must_use]
-    pub fn same_arch(&self, other: &Snapshot) -> bool {
-        self.mmu == other.mmu
-            && self.pc == other.pc
-            && self.halted == other.halted
-            && self.acc == other.acc
-            && self.ra == other.ra
-            && self.flags == other.flags
-            && self.mem == other.mem
-    }
 }
 
 /// What an executed instruction did to control flow. The engine owns

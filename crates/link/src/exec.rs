@@ -2,13 +2,13 @@
 //! scrubbing and page repair woven in.
 //!
 //! The [`LinkedExecutor`] programs an [`EccStore`] through the noisy
-//! channel, then runs the image in checkpointed segments the way
-//! `flexresilient`'s simplex executor does — with the link layer in the
-//! loop:
+//! channel, then runs the image in checkpointed segments on
+//! `flexresilient`'s segment runner ([`Lane::run_segment`] from a
+//! [`Checkpoint`]) — with the link layer in the loop:
 //!
-//! * at every segment boundary the store is re-materialized through the
-//!   ECC read path, so a single-bit store upset is corrected before the
-//!   core can fetch it;
+//! * before every segment attempt the store is re-materialized through
+//!   the ECC read path, so a single-bit store upset is corrected before
+//!   the core can fetch it;
 //! * on a periodic cadence the store is **scrubbed**: corrected words
 //!   are rewritten in place, and a page with an uncorrectable word is
 //!   **reprogrammed** over the channel from the golden image;
@@ -23,12 +23,12 @@
 
 use crate::channel::{ChannelConfig, NoisyChannel};
 use crate::protocol::{self, FrameClass, LinkConfig, TransferReport};
-use crate::store::{EccStore, PAGE_BYTES};
+use crate::store::EccStore;
 use flexasm::Target;
-use flexicore::exec::{AnyCore, Snapshot};
-use flexicore::io::{RecordingOutput, ScriptedInput};
+use flexicore::exec::AnyCore;
 use flexicore::program::Program;
 use flexicore::sim::FaultPlane;
+use flexresilient::recovery::{Checkpoint, Lane, RetryCause};
 use flexresilient::vote::StateDigest;
 
 /// Segmenting and scrubbing policy of a [`LinkedExecutor`].
@@ -68,16 +68,6 @@ pub struct StoreUpset {
     pub bit: u8,
 }
 
-/// Why a segment re-executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LinkRetryCause {
-    /// The lane raised a simulator error (including the corrupt-page
-    /// MMU guard).
-    Crash,
-    /// The lane burned the watchdog budget.
-    Hang,
-}
-
 /// One entry of the deterministic link-execution trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkEvent {
@@ -106,8 +96,9 @@ pub enum LinkEvent {
         segment: usize,
         /// Attempt number within the segment (1-based).
         attempt: u32,
-        /// What went wrong.
-        cause: LinkRetryCause,
+        /// What went wrong: a crash (including the corrupt-page MMU
+        /// guard) or a hang.
+        cause: RetryCause,
     },
     /// Channel repair of a decayed page failed, and the executor fell
     /// back to the last authenticated image (the A partition's copy),
@@ -164,21 +155,6 @@ pub struct LinkRun {
     pub trace: Vec<LinkEvent>,
     /// The committed end state.
     pub end: StateDigest,
-}
-
-/// The committed state every retry re-synchronizes to.
-struct Checkpoint {
-    snap: Snapshot,
-    input: ScriptedInput,
-    committed: Vec<u8>,
-}
-
-/// How one segment attempt finished.
-enum SegmentEnd {
-    Reached,
-    Halted,
-    Crashed,
-    Hung,
 }
 
 /// Runs a golden image through the reprogramming link and executes it
@@ -331,35 +307,32 @@ impl LinkedExecutor {
         mut channel: NoisyChannel,
         inputs: &[u8],
         upsets: &[StoreUpset],
-        mut plane: FaultPlane,
+        plane: FaultPlane,
     ) -> LinkRun {
         // a rollback on the very first materialize is benign: nothing
         // has executed yet, and the power-on below already starts from
         // the restored image
         let (image, _fell_back) = self.materialize(&mut run, &mut store, &mut channel, 0);
-        let mut core = self.fresh_core(image);
-        let mut checkpoint = Checkpoint {
-            snap: core.snapshot(),
-            input: ScriptedInput::new(inputs.to_vec()),
-            committed: Vec::new(),
-        };
-        core.power_on_faults(&mut plane);
-        let mut input = checkpoint.input.clone();
-        let mut output = RecordingOutput::new();
+        let (mut checkpoint, mut lane) = self.power_on(image, inputs, plane);
 
         let mut segment = 0usize;
-        'run: while !checkpoint.snap.halted {
-            // the link layer's segment-boundary work: land scheduled
-            // upsets, scrub on cadence, repair and re-fetch
-            for upset in upsets.iter().filter(|u| u.segment == segment) {
-                if upset.word < store.len() {
-                    store.flip_bit(upset.word, upset.bit);
+        let mut attempt = 0u32;
+        while !checkpoint.snapshot().halted {
+            // the link layer's work before every attempt: land the
+            // segment's scheduled upsets, scrub on cadence — and before
+            // every retry, since a crash may mean the store decayed
+            // under us — then repair and re-fetch
+            if attempt == 0 {
+                for upset in upsets.iter().filter(|u| u.segment == segment) {
+                    if upset.word < store.len() {
+                        store.flip_bit(upset.word, upset.bit);
+                    }
                 }
             }
-            if self.exec.scrub_interval != 0
+            let cadence = self.exec.scrub_interval != 0
                 && segment != 0
-                && segment.is_multiple_of(self.exec.scrub_interval)
-            {
+                && segment.is_multiple_of(self.exec.scrub_interval);
+            if attempt > 0 || cadence {
                 let report = store.scrub();
                 run.scrub.sweeps += 1;
                 run.scrub.corrected += report.corrected;
@@ -374,107 +347,59 @@ impl LinkedExecutor {
             if fell_back {
                 if run.image_rollbacks > self.exec.max_retries {
                     run.gave_up = true;
-                    break 'run;
+                    break;
                 }
                 // the restored image is a different program: committed
                 // work no longer applies, so restart from power-on
-                core = self.fresh_core(image);
-                checkpoint = Checkpoint {
-                    snap: core.snapshot(),
-                    input: ScriptedInput::new(inputs.to_vec()),
-                    committed: Vec::new(),
-                };
-                core.power_on_faults(&mut plane);
-                input = checkpoint.input.clone();
-                output = RecordingOutput::new();
+                (checkpoint, lane) = self.power_on(image, inputs, std::mem::take(&mut lane.plane));
                 segment += 1;
-                continue 'run;
+                attempt = 0;
+                continue;
             }
-            if image.as_bytes() != core.program().as_bytes() {
-                // the store was repaired: roll back onto the repaired
-                // image so the segment re-fetches re-programmed code
-                core = self.fresh_core(image);
-                core.restore(&checkpoint.snap);
+            let repaired = image.as_bytes() != lane.core.program().as_bytes();
+            if repaired {
+                // roll back onto the repaired image so the segment
+                // re-fetches re-programmed code
+                lane.core = self.fresh_core(image);
             }
-
-            let mut attempt = 0u32;
-            loop {
-                let target = checkpoint.snap.instructions + self.exec.interval;
-                match run_segment(
-                    &mut core,
-                    &mut input,
-                    &mut output,
-                    &mut plane,
-                    target,
-                    self.exec.budget,
-                ) {
-                    SegmentEnd::Reached | SegmentEnd::Halted => break,
-                    end @ (SegmentEnd::Crashed | SegmentEnd::Hung) => {
-                        let cause = match end {
-                            SegmentEnd::Crashed => LinkRetryCause::Crash,
-                            _ => LinkRetryCause::Hang,
-                        };
-                        attempt += 1;
-                        run.rollbacks += 1;
-                        run.trace.push(LinkEvent::Retry {
-                            segment,
-                            attempt,
-                            cause,
-                        });
-                        if attempt > self.exec.max_retries {
-                            run.gave_up = true;
-                            break 'run;
-                        }
-                        // a crash may mean the store decayed under us:
-                        // scrub, repair, and retry from the checkpoint
-                        // on the repaired image
-                        let report = store.scrub();
-                        run.scrub.sweeps += 1;
-                        run.scrub.corrected += report.corrected;
-                        run.scrub.uncorrectable += report.uncorrectable;
-                        run.trace.push(LinkEvent::Scrub {
-                            segment,
-                            corrected: report.corrected,
-                            uncorrectable: report.uncorrectable,
-                        });
-                        let (image, fell_back) =
-                            self.materialize(&mut run, &mut store, &mut channel, segment);
-                        if fell_back {
-                            if run.image_rollbacks > self.exec.max_retries {
-                                run.gave_up = true;
-                                break 'run;
-                            }
-                            core = self.fresh_core(image);
-                            checkpoint = Checkpoint {
-                                snap: core.snapshot(),
-                                input: ScriptedInput::new(inputs.to_vec()),
-                                committed: Vec::new(),
-                            };
-                            core.power_on_faults(&mut plane);
-                            input = checkpoint.input.clone();
-                            output = RecordingOutput::new();
-                            segment += 1;
-                            continue 'run;
-                        }
-                        core = self.fresh_core(image);
-                        core.restore(&checkpoint.snap);
-                        input = checkpoint.input.clone();
-                        output = RecordingOutput::new();
-                    }
-                }
+            if repaired || attempt > 0 {
+                checkpoint.rewind(&mut lane);
             }
 
-            checkpoint.committed.extend(output.values());
-            checkpoint.snap = core.snapshot();
-            checkpoint.input = input.clone();
-            output = RecordingOutput::new();
-            segment += 1;
+            let end = lane.run_segment(&checkpoint, self.exec.interval, self.exec.budget);
+            let Some(cause) = end.retry_cause() else {
+                checkpoint.commit(&mut lane);
+                segment += 1;
+                attempt = 0;
+                continue;
+            };
+            attempt += 1;
+            run.rollbacks += 1;
+            run.trace.push(LinkEvent::Retry {
+                segment,
+                attempt,
+                cause,
+            });
+            if attempt > self.exec.max_retries {
+                run.gave_up = true;
+                break;
+            }
         }
 
-        run.outputs = checkpoint.committed;
-        run.halted = checkpoint.snap.halted;
-        run.end = StateDigest::of(&checkpoint.snap);
+        run.halted = checkpoint.snapshot().halted;
+        run.end = StateDigest::of(checkpoint.snapshot());
+        run.outputs = checkpoint.into_committed();
         run
+    }
+
+    /// Power `image` on: a fresh core, its power-on checkpoint, and a
+    /// lane on it carrying `plane`, whose power-on faults have landed.
+    fn power_on(&self, image: Program, inputs: &[u8], plane: FaultPlane) -> (Checkpoint, Lane) {
+        let core = self.fresh_core(image);
+        let checkpoint = Checkpoint::power_on(&core, inputs);
+        let mut lane = checkpoint.lane(core, plane);
+        lane.core.power_on_faults(&mut lane.plane);
+        (checkpoint, lane)
     }
 
     fn fresh_core(&self, program: Program) -> AnyCore {
@@ -521,13 +446,8 @@ impl LinkedExecutor {
                 if let Some(prior) = &self.prior {
                     // the channel could not bring the store back: fall
                     // back to the locally held authenticated image
-                    let bytes = prior.as_bytes();
-                    *store = EccStore::erased(bytes.len());
-                    for page in 0..bytes.len().div_ceil(PAGE_BYTES) {
-                        let lo = page * PAGE_BYTES;
-                        let hi = (lo + PAGE_BYTES).min(bytes.len());
-                        store.write_page(page, &bytes[lo..hi]);
-                    }
+                    *store = EccStore::erased(prior.len());
+                    store.write_image(prior.as_bytes());
                     run.image_rollbacks += 1;
                     run.trace.push(LinkEvent::ImageRollback { segment });
                     return (prior.clone(), true);
@@ -535,32 +455,6 @@ impl LinkedExecutor {
             }
         }
         (m.program, false)
-    }
-}
-
-/// Step one lane until it retires `target` total instructions, halts,
-/// crashes or burns the watchdog budget.
-fn run_segment(
-    core: &mut AnyCore,
-    input: &mut ScriptedInput,
-    output: &mut RecordingOutput,
-    plane: &mut FaultPlane,
-    target: u64,
-    budget: u64,
-) -> SegmentEnd {
-    loop {
-        if core.is_halted() {
-            return SegmentEnd::Halted;
-        }
-        if core.instructions() >= target {
-            return SegmentEnd::Reached;
-        }
-        if core.budget_spent() >= budget {
-            return SegmentEnd::Hung;
-        }
-        if core.step_with(input, output, plane).is_err() {
-            return SegmentEnd::Crashed;
-        }
     }
 }
 
@@ -745,13 +639,8 @@ mod tests {
     }
 
     fn store_with(program: &Program) -> EccStore {
-        let bytes = program.as_bytes();
-        let mut store = EccStore::erased(bytes.len());
-        for page in 0..bytes.len().div_ceil(PAGE_BYTES) {
-            let lo = page * PAGE_BYTES;
-            let hi = (lo + PAGE_BYTES).min(bytes.len());
-            store.write_page(page, &bytes[lo..hi]);
-        }
+        let mut store = EccStore::erased(program.len());
+        store.write_image(program.as_bytes());
         store
     }
 

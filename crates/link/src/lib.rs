@@ -69,6 +69,6 @@ pub use channel::{ChannelConfig, NoisyChannel};
 pub use exec::{LinkExecConfig, LinkRun, LinkedExecutor, StoreUpset};
 pub use partition::{Boot, DualStore, Slot};
 pub use protocol::{FrameClass, LinkConfig, TransferReport};
-pub use soak::{run_soak, SoakCampaign, SoakConfig, SoakOutcome};
+pub use soak::{run_soak, SoakCampaign, SoakConfig};
 pub use store::{EccStore, PAGE_BYTES};
 pub use update::{Device, RejectReason, UpdateReport, UpdateStatus};

@@ -343,10 +343,7 @@ mod tests {
     fn flash(store: &mut DualStore, slot: Slot, img: &[u8], version: u64) {
         let update = sign_update(Dialect::Fc4, img, version, KEY);
         let wire = update.wire_bytes();
-        let staging = store.stage_begin(slot, wire.len());
-        for (page, chunk) in wire.chunks(PAGE_BYTES).enumerate() {
-            staging.write_page(page, chunk);
-        }
+        store.stage_begin(slot, wire.len()).write_image(&wire);
     }
 
     fn provisioned(img: &[u8], version: u64) -> DualStore {
@@ -462,10 +459,7 @@ mod tests {
             .as_bytes()
             .to_vec();
         raw[PAGE_BYTES + 10] ^= 0x01;
-        let slot_store = store.stage_begin(Slot::A, raw.len());
-        for (page, chunk) in raw.chunks(PAGE_BYTES).enumerate() {
-            slot_store.write_page(page, chunk);
-        }
+        store.stage_begin(Slot::A, raw.len()).write_image(&raw);
         assert_eq!(store.boot(KEY), Err(Bricked));
     }
 

@@ -2,7 +2,8 @@
 //! `flexi attack` CLIs.
 
 use crate::attack::{AttackCampaign, AttackOutcome};
-use crate::soak::{SoakCampaign, SoakOutcome};
+use crate::soak::SoakCampaign;
+use flexresilient::ResilientOutcome;
 
 /// Render a campaign as an aligned text table: one row per trial, then
 /// the outcome tally and link-layer totals.
@@ -46,9 +47,9 @@ pub fn render(campaign: &SoakCampaign) -> String {
     }
     out.push('\n');
     for outcome in [
-        SoakOutcome::Masked,
-        SoakOutcome::Recovered,
-        SoakOutcome::Unrecoverable,
+        ResilientOutcome::Masked,
+        ResilientOutcome::Recovered,
+        ResilientOutcome::Unrecoverable,
     ] {
         out.push_str(&format!(
             "{:<14} {:>5}\n",

@@ -4,8 +4,8 @@
 //! One trial programs a kernel image through a
 //! [`NoisyChannel`](crate::channel::NoisyChannel) at a
 //! given bit-error rate, lands a seeded schedule of store upsets while
-//! it executes, and oracle-checks the committed outputs. The trio of
-//! outcomes mirrors `flexresilient`'s campaigns:
+//! it executes, and oracle-checks the committed outputs into
+//! `flexresilient`'s three [`ResilientOutcome`]s:
 //!
 //! * **Masked** — oracle-exact with no rollback and no page repair
 //!   (transfer retries and scrub corrections are the link working
@@ -27,6 +27,7 @@ use flexasm::Target;
 use flexicore::sim::FaultPlane;
 use flexkernels::harness::PreparedKernel;
 use flexkernels::{inputs::Sampler, oracle, Kernel, RunError};
+use flexresilient::ResilientOutcome;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,27 +75,6 @@ impl SoakConfig {
     }
 }
 
-/// The three-way soak classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SoakOutcome {
-    /// Oracle-exact without any rollback or page repair.
-    Masked,
-    /// Oracle-exact via rollback and/or page reprogramming.
-    Recovered,
-    /// Wrong, missing or abandoned output.
-    Unrecoverable,
-}
-
-impl core::fmt::Display for SoakOutcome {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(match self {
-            SoakOutcome::Masked => "masked",
-            SoakOutcome::Recovered => "recovered",
-            SoakOutcome::Unrecoverable => "unrecoverable",
-        })
-    }
-}
-
 /// One (kernel, error-rate) soak trial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoakTrial {
@@ -103,7 +83,7 @@ pub struct SoakTrial {
     /// The channel bit-error rate.
     pub bit_error_rate: f64,
     /// The classification.
-    pub outcome: SoakOutcome,
+    pub outcome: ResilientOutcome,
     /// The full linked run (transfer, scrub, retry telemetry).
     pub run: LinkRun,
 }
@@ -120,7 +100,7 @@ pub struct SoakCampaign {
 impl SoakCampaign {
     /// Trials with `outcome`.
     #[must_use]
-    pub fn count(&self, outcome: SoakOutcome) -> usize {
+    pub fn count(&self, outcome: ResilientOutcome) -> usize {
         self.trials.iter().filter(|t| t.outcome == outcome).count()
     }
 
@@ -130,20 +110,20 @@ impl SoakCampaign {
         if self.trials.is_empty() {
             return 1.0;
         }
-        1.0 - self.count(SoakOutcome::Unrecoverable) as f64 / self.trials.len() as f64
+        1.0 - self.count(ResilientOutcome::Unrecoverable) as f64 / self.trials.len() as f64
     }
 }
 
 /// Classify one linked run against the oracle.
 #[must_use]
-pub fn classify(run: &LinkRun, expected: &[u8]) -> SoakOutcome {
+pub fn classify(run: &LinkRun, expected: &[u8]) -> ResilientOutcome {
     if !run.programmed || run.gave_up || !run.halted || run.outputs != expected {
-        return SoakOutcome::Unrecoverable;
+        return ResilientOutcome::Unrecoverable;
     }
     if run.rollbacks == 0 && run.image_rollbacks == 0 && run.reprogrammed_pages == 0 {
-        SoakOutcome::Masked
+        ResilientOutcome::Masked
     } else {
-        SoakOutcome::Recovered
+        ResilientOutcome::Recovered
     }
 }
 
@@ -244,7 +224,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(campaign.trials.len(), 1);
-        assert_eq!(campaign.count(SoakOutcome::Masked), 1);
+        assert_eq!(campaign.count(ResilientOutcome::Masked), 1);
         assert!((campaign.survival_rate() - 1.0).abs() < f64::EPSILON);
     }
 

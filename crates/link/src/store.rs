@@ -92,6 +92,19 @@ impl EccStore {
         self.write_page_with(page, data, &mut PowerCut::never());
     }
 
+    /// Encode and write a whole image page by page: a clean local write
+    /// (factory provisioning, the prior-image fallback), no channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` is not exactly as long as the store.
+    pub fn write_image(&mut self, image: &[u8]) {
+        assert_eq!(image.len(), self.len(), "image does not fit the store");
+        for (page, chunk) in image.chunks(PAGE_BYTES).enumerate() {
+            self.write_page(page, chunk);
+        }
+    }
+
     /// [`EccStore::write_page`] with a [`PowerCut`] in the write path:
     /// every code word passes through `power`, which may tear one write
     /// (a seeded mix of old and new bits lands in the store) and lose
@@ -247,9 +260,7 @@ mod tests {
 
     fn programmed(bytes: &[u8]) -> EccStore {
         let mut store = EccStore::erased(bytes.len());
-        for (page, chunk) in bytes.chunks(PAGE_BYTES).enumerate() {
-            store.write_page(page, chunk);
-        }
+        store.write_image(bytes);
         store
     }
 

@@ -178,10 +178,9 @@ impl Device {
         if wire.len() > self.store.slot_bytes() {
             return Err(RejectReason::TooLong);
         }
-        let staging = self.store.stage_begin(Slot::A, wire.len());
-        for (page, chunk) in wire.chunks(PAGE_BYTES).enumerate() {
-            staging.write_page(page, chunk);
-        }
+        self.store
+            .stage_begin(Slot::A, wire.len())
+            .write_image(&wire);
         let (meta, image) = self
             .store
             .authenticate(Slot::A, &self.key)

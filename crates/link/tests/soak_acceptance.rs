@@ -8,7 +8,8 @@
 
 use flexasm::Target;
 use flexkernels::Kernel;
-use flexlink::soak::{run_soak, SoakConfig, SoakOutcome};
+use flexlink::soak::{run_soak, SoakConfig};
+use flexresilient::ResilientOutcome;
 
 /// All seven kernels survive a noisy programming link plus in-service
 /// store upsets with zero unrecoverable trials.
@@ -19,7 +20,7 @@ fn every_kernel_survives_the_noisy_link() {
     for trial in &campaign.trials {
         assert_ne!(
             trial.outcome,
-            SoakOutcome::Unrecoverable,
+            ResilientOutcome::Unrecoverable,
             "{:?} at BER {}: {:?}",
             trial.kernel,
             trial.bit_error_rate,
@@ -53,7 +54,12 @@ fn clean_link_is_fully_masked_for_every_kernel() {
     })
     .unwrap();
     for trial in &campaign.trials {
-        assert_eq!(trial.outcome, SoakOutcome::Masked, "{:?}", trial.kernel);
+        assert_eq!(
+            trial.outcome,
+            ResilientOutcome::Masked,
+            "{:?}",
+            trial.kernel
+        );
         assert_eq!(trial.run.transfer.retried(), 0);
         assert_eq!(trial.run.rollbacks, 0);
         assert_eq!(trial.run.reprogrammed_pages, 0);
@@ -68,7 +74,7 @@ fn other_dialects_survive_the_noisy_link() {
         let campaign = run_soak(SoakConfig::new(target, vec![2e-4], 99)).unwrap();
         assert!(!campaign.trials.is_empty());
         assert_eq!(
-            campaign.count(SoakOutcome::Unrecoverable),
+            campaign.count(ResilientOutcome::Unrecoverable),
             0,
             "{:?}: {:#?}",
             target.dialect,

@@ -16,7 +16,7 @@ use flexlink::attack::DEVICE_KEY;
 use flexlink::exec::{LinkEvent, LinkExecConfig};
 use flexlink::{
     run_attack_soak, sign_update, Attack, AttackOutcome, AttackSoakConfig, ChannelConfig, Device,
-    EccStore, LinkConfig, LinkedExecutor, StoreUpset, UpdateStatus, PAGE_BYTES,
+    EccStore, LinkConfig, LinkedExecutor, StoreUpset, UpdateStatus,
 };
 
 /// SECDED double-error detection, scrub, and image rollback compose
@@ -56,11 +56,7 @@ fn double_error_detect_scrub_and_rollback_end_to_end() {
     )
     .with_rollback(boot.program);
     let mut store = EccStore::erased(image.len());
-    for page in 0..image.len().div_ceil(PAGE_BYTES) {
-        let lo = page * PAGE_BYTES;
-        let hi = (lo + PAGE_BYTES).min(image.len());
-        store.write_page(page, &image[lo..hi]);
-    }
+    store.write_image(&image);
     let upsets = [
         StoreUpset {
             segment: 1,

@@ -2,13 +2,19 @@
 //! every boundary, and re-execute from the last good checkpoint when
 //! the lanes disagree.
 //!
-//! The executor steps one or two lanes in lockstep segments of a fixed
+//! The executor runs one or two lanes in lockstep segments of a fixed
 //! number of retired instructions. At every boundary it takes a cheap
-//! architectural checkpoint ([`Snapshot`] plus the input cursor and the
-//! committed output stream) and — in DMR mode — compares the lanes'
-//! segment outputs and [`Snapshot::same_arch`] states. On divergence,
-//! crash or hang, every lane is rolled back to the canonical checkpoint
-//! and the segment re-executes.
+//! architectural [`Checkpoint`] ([`Snapshot`] plus the input cursor and
+//! the committed output stream) and — in DMR mode — compares the lanes'
+//! segment outputs and [`StateDigest`]s. On divergence, crash or hang,
+//! every lane is rolled back to the canonical checkpoint and the
+//! segment re-executes.
+//!
+//! This module is the one home of checkpointed segment execution:
+//! [`Lane::run_segment`], [`Checkpoint`] and [`RetryCause`] also drive
+//! `flexlink`'s executor out of the protected program store. A segment
+//! drains through [`AnyCore::resume_with`] like every other run, so it
+//! gets the engine's fetch latch and exact hang fast-forward.
 //!
 //! Fault planes are **never** rolled back: a transient flip that
 //! already fired stays fired (the particle strike happened; rewinding
@@ -116,7 +122,8 @@ pub struct RecoveryRun {
 }
 
 /// How one lane finished a segment.
-enum SegmentEnd {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentEnd {
     /// Retired the segment's instruction quota.
     Reached,
     /// Hit the halt idiom before the quota.
@@ -127,19 +134,138 @@ enum SegmentEnd {
     Hung,
 }
 
-/// One redundant lane: a core plus its private IO and fault plane.
-struct RecoveryLane {
-    core: AnyCore,
-    input: ScriptedInput,
-    output: RecordingOutput,
-    plane: FaultPlane,
+impl SegmentEnd {
+    /// The retry this ending calls for: `None` when the segment may
+    /// commit.
+    #[must_use]
+    pub fn retry_cause(self) -> Option<RetryCause> {
+        match self {
+            SegmentEnd::Reached | SegmentEnd::Halted => None,
+            SegmentEnd::Crashed => Some(RetryCause::Crash),
+            SegmentEnd::Hung => Some(RetryCause::Hang),
+        }
+    }
 }
 
-/// The canonical committed state every lane re-synchronizes to.
-struct Checkpoint {
+/// One lane of checkpointed execution: a core plus its private IO and
+/// fault plane.
+#[derive(Debug, Clone)]
+pub struct Lane {
+    /// The simulated die.
+    pub core: AnyCore,
+    /// The lane's input cursor.
+    pub input: ScriptedInput,
+    /// Outputs written since the last checkpoint.
+    pub output: RecordingOutput,
+    /// The lane's faults; never rolled back (see the module docs).
+    pub plane: FaultPlane,
+}
+
+impl Lane {
+    /// Run one segment from `checkpoint`: until the lane has retired
+    /// `interval` instructions past it (at least one), halts, crashes or
+    /// has spent `budget` (cycles on FC4/FC8, retired instructions on
+    /// the extended dialects).
+    ///
+    /// The lane drains through [`AnyCore::resume_with`], bounded so it
+    /// stops exactly where stepping one instruction at a time and
+    /// checking halt, then quota, then watchdog before each step would:
+    /// every instruction spends at least one budget unit, so a bound of
+    /// `spent + (target - retired)` never carries the lane past its
+    /// quota. Most segments finish in one call; FC8's two-cycle
+    /// `LOAD BYTE` can leave part of the quota for another.
+    pub fn run_segment(
+        &mut self,
+        checkpoint: &Checkpoint,
+        interval: u64,
+        budget: u64,
+    ) -> SegmentEnd {
+        let target = checkpoint.snap.instructions.saturating_add(interval.max(1));
+        loop {
+            if self.core.is_halted() {
+                return SegmentEnd::Halted;
+            }
+            let retired = self.core.instructions();
+            if retired >= target {
+                return SegmentEnd::Reached;
+            }
+            let spent = self.core.budget_spent();
+            if spent >= budget {
+                return SegmentEnd::Hung;
+            }
+            let bound = budget.min(spent.saturating_add(target - retired));
+            if self
+                .core
+                .resume_with(&mut self.input, &mut self.output, bound, &mut self.plane)
+                .is_err()
+            {
+                return SegmentEnd::Crashed;
+            }
+        }
+    }
+}
+
+/// The committed state every lane re-synchronizes to: an architectural
+/// snapshot, the input cursor, and the outputs committed so far.
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
     snap: Snapshot,
     input: ScriptedInput,
     committed: Vec<u8>,
+}
+
+impl Checkpoint {
+    /// The power-on checkpoint of `core`: its state before any power-on
+    /// fault lands, `inputs` unread, nothing committed.
+    #[must_use]
+    pub fn power_on(core: &AnyCore, inputs: &[u8]) -> Self {
+        Checkpoint {
+            snap: core.snapshot(),
+            input: ScriptedInput::new(inputs.to_vec()),
+            committed: Vec::new(),
+        }
+    }
+
+    /// A lane running `core` under `plane` from this checkpoint's input
+    /// cursor, with nothing written. The core is taken as it is.
+    #[must_use]
+    pub fn lane(&self, core: AnyCore, plane: FaultPlane) -> Lane {
+        Lane {
+            core,
+            input: self.input.clone(),
+            output: RecordingOutput::new(),
+            plane,
+        }
+    }
+
+    /// The committed architectural state.
+    #[must_use]
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.snap
+    }
+
+    /// Commit `lane`'s segment: append its outputs and adopt its state
+    /// and input cursor. The lane is left at the new checkpoint.
+    pub fn commit(&mut self, lane: &mut Lane) {
+        self.committed.extend(lane.output.values());
+        self.snap = lane.core.snapshot();
+        self.input = lane.input.clone();
+        lane.output = RecordingOutput::new();
+    }
+
+    /// Roll `lane` back onto the checkpoint. Its fault plane is
+    /// deliberately left alone (see the module docs).
+    pub fn rewind(&self, lane: &mut Lane) {
+        lane.core.restore(&self.snap);
+        lane.input = self.input.clone();
+        lane.output = RecordingOutput::new();
+    }
+
+    /// The committed output stream.
+    #[must_use]
+    pub fn into_committed(self) -> Vec<u8> {
+        self.committed
+    }
 }
 
 /// Runs a program under checkpoint/rollback, in DMR-with-re-execution
@@ -196,20 +322,11 @@ impl RecoveryExecutor {
         // The canonical checkpoint starts *before* power-on faults are
         // applied, so the very first rollback already lands on a clean
         // architectural state.
-        let mut checkpoint = Checkpoint {
-            snap: self.proto.snapshot(),
-            input: ScriptedInput::new(inputs.to_vec()),
-            committed: Vec::new(),
-        };
-        let mut lanes: Vec<RecoveryLane> = planes
+        let mut checkpoint = Checkpoint::power_on(&self.proto, inputs);
+        let mut lanes: Vec<Lane> = planes
             .into_iter()
             .map(|plane| {
-                let mut lane = RecoveryLane {
-                    core: self.proto.clone(),
-                    input: checkpoint.input.clone(),
-                    output: RecordingOutput::new(),
-                    plane,
-                };
+                let mut lane = checkpoint.lane(self.proto.clone(), plane);
                 lane.core.power_on_faults(&mut lane.plane);
                 lane
             })
@@ -221,28 +338,23 @@ impl RecoveryExecutor {
         let mut gave_up = false;
 
         let mut segment = 0usize;
-        'run: while !checkpoint.snap.halted {
+        'run: while !checkpoint.snapshot().halted {
             let mut attempt = 0u32;
             let mut next_reassign = 1u32;
             loop {
-                let target = checkpoint.snap.instructions + self.config.interval;
                 let mut failure: Option<(RetryCause, usize)> = None;
                 for (index, lane) in lanes.iter_mut().enumerate() {
-                    match run_segment(lane, target, self.config.budget) {
-                        SegmentEnd::Reached | SegmentEnd::Halted => {}
-                        SegmentEnd::Crashed => {
-                            failure.get_or_insert((RetryCause::Crash, index));
-                        }
-                        SegmentEnd::Hung => {
-                            failure.get_or_insert((RetryCause::Hang, index));
-                        }
+                    let end =
+                        lane.run_segment(&checkpoint, self.config.interval, self.config.budget);
+                    if let Some(cause) = end.retry_cause() {
+                        failure.get_or_insert((cause, index));
                     }
                 }
                 if failure.is_none() && lanes.len() >= 2 {
-                    let reference = lanes[0].core.snapshot();
+                    let reference = StateDigest::of(&lanes[0].core.snapshot());
                     let diverged = lanes[1..].iter().any(|lane| {
                         lane.output.values() != lanes[0].output.values()
-                            || !lane.core.snapshot().same_arch(&reference)
+                            || StateDigest::of(&lane.core.snapshot()) != reference
                     });
                     if diverged {
                         // DMR cannot attribute a divergence to a lane;
@@ -276,12 +388,7 @@ impl RecoveryExecutor {
                     } else {
                         suspect
                     };
-                    lanes[lane] = RecoveryLane {
-                        core: self.proto.clone(),
-                        input: checkpoint.input.clone(),
-                        output: RecordingOutput::new(),
-                        plane: spares.remove(0),
-                    };
+                    lanes[lane] = checkpoint.lane(self.proto.clone(), spares.remove(0));
                     reassignments += 1;
                     RetryAction::Reassign { lane }
                 } else {
@@ -293,60 +400,29 @@ impl RecoveryExecutor {
                     cause,
                     action,
                 });
-                resync(&mut lanes, &checkpoint);
+                for lane in &mut lanes {
+                    checkpoint.rewind(lane);
+                }
             }
 
             // Commit: lane 0 speaks for the agreed state. Re-syncing the
             // other lanes to the canonical snapshot keeps their budget
             // accounting in lockstep for the next segment.
-            checkpoint.committed.extend(lanes[0].output.values());
-            checkpoint.snap = lanes[0].core.snapshot();
-            checkpoint.input = lanes[0].input.clone();
-            resync(&mut lanes, &checkpoint);
+            checkpoint.commit(&mut lanes[0]);
+            for lane in &mut lanes[1..] {
+                checkpoint.rewind(lane);
+            }
             segment += 1;
         }
 
         RecoveryRun {
-            outputs: checkpoint.committed,
-            halted: checkpoint.snap.halted,
+            halted: checkpoint.snapshot().halted,
+            end: StateDigest::of(checkpoint.snapshot()),
+            outputs: checkpoint.into_committed(),
             gave_up,
             retries,
             reassignments,
             trace,
-            end: StateDigest::of(&checkpoint.snap),
-        }
-    }
-}
-
-/// Roll every lane onto the canonical checkpoint. Fault planes are
-/// deliberately left alone (see the module docs).
-fn resync(lanes: &mut [RecoveryLane], checkpoint: &Checkpoint) {
-    for lane in lanes {
-        lane.core.restore(&checkpoint.snap);
-        lane.input = checkpoint.input.clone();
-        lane.output = RecordingOutput::new();
-    }
-}
-
-/// Step one lane until it retires `target` total instructions, halts,
-/// crashes or burns the watchdog budget.
-fn run_segment(lane: &mut RecoveryLane, target: u64, budget: u64) -> SegmentEnd {
-    loop {
-        if lane.core.is_halted() {
-            return SegmentEnd::Halted;
-        }
-        if lane.core.instructions() >= target {
-            return SegmentEnd::Reached;
-        }
-        if lane.core.budget_spent() >= budget {
-            return SegmentEnd::Hung;
-        }
-        if lane
-            .core
-            .step_with(&mut lane.input, &mut lane.output, &mut lane.plane)
-            .is_err()
-        {
-            return SegmentEnd::Crashed;
         }
     }
 }
