@@ -90,11 +90,16 @@ echo "== hang fast-forward gate =="
 # resilient voting drain through Engine::resume too). Checkpointed
 # segments drain through it as well: their oracle holds the segment
 # runner to the plain step loop, and the recovery and link-soak pins
-# were captured while both executors still stepped
+# were captured while both executors still stepped. The gate-level
+# screen runs a compiled tape: its oracle holds the tape to the per-cell
+# interpreter, and the wafer-screen and fault-coverage pins were
+# captured while the interpreter still ran the screen
 cargo test --release --offline -p flexicore -q --test hang_forward
 cargo test --release --offline -p flexresilient -q --test segment_oracle
 cargo test --release --offline -p flexinject -q --test campaign_digests
 cargo test --release --offline -p flexfab -q --test field_digest
+cargo test --release --offline -p flexfab -q --test screen_digests
+cargo test --release --offline -p flexgate -q --test compiled_oracle
 cargo test --release --offline -p flexresilient -q --test recovery_digests
 cargo test --release --offline -p flexlink -q --test soak_digests
 cargo test --release --offline -p flexcheck -q generated_programs_fast_forward_exactly

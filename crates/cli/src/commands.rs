@@ -430,7 +430,10 @@ pub fn wafer(args: &mut Args) -> Result<String, CliError> {
     let exp = WaferExperiment::new(design, seed);
     let run = exp
         .run_with(voltage, cycles, threads)
-        .map_err(|e| CliError::Run(e.to_string()))?;
+        .map_err(|e| match e {
+            flexfab::FabError::Voltage { .. } => CliError::Usage(e.to_string()),
+            e => CliError::Run(e.to_string()),
+        })?;
     let mut out = format!(
         "{} wafer, seed {seed:#x}, {} dies, tested at {voltage} V with {} vectors/die\n",
         design.name(),
@@ -1353,6 +1356,18 @@ mod tests {
     fn kernel_rejects_short_input() {
         let err = call(&["kernel", "calculator", "--input", "1"]).unwrap_err();
         assert!(err.to_string().contains("needs 3"), "{err}");
+    }
+
+    #[test]
+    fn wafer_rejects_voltages_no_die_can_switch_at() {
+        for volts in ["0", "-1", "nan", "inf", "1.29"] {
+            let err = call(&["wafer", "--cycles", "300", "--voltage", volts]).unwrap_err();
+            assert!(
+                matches!(err, crate::CliError::Usage(_)),
+                "--voltage {volts}: {err}"
+            );
+            assert!(err.to_string().contains("threshold"), "{err}");
+        }
     }
 
     #[test]

@@ -11,6 +11,14 @@ pub enum FabError {
     Netlist(NetlistError),
     /// Lot statistics were requested for a lot with zero wafers.
     EmptyLot,
+    /// A wafer was to be tested at a supply that is not finite or does
+    /// not exceed the TFT threshold, where no die can switch.
+    Voltage {
+        /// The requested supply, volts.
+        volts: f64,
+        /// The nominal threshold it must exceed, volts.
+        vth: f64,
+    },
 }
 
 impl core::fmt::Display for FabError {
@@ -18,6 +26,10 @@ impl core::fmt::Display for FabError {
         match self {
             FabError::Netlist(e) => write!(f, "design netlist is malformed: {e}"),
             FabError::EmptyLot => write!(f, "lot has no wafers"),
+            FabError::Voltage { volts, vth } => write!(
+                f,
+                "test voltage {volts} V must be finite and above the {vth} V threshold"
+            ),
         }
     }
 }
@@ -26,7 +38,7 @@ impl std::error::Error for FabError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FabError::Netlist(e) => Some(e),
-            FabError::EmptyLot => None,
+            FabError::EmptyLot | FabError::Voltage { .. } => None,
         }
     }
 }

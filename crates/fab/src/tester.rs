@@ -14,8 +14,9 @@
 use crate::calibration::timing::TEST_CLOCK_HZ;
 use crate::error::FabError;
 use crate::variation::DieVariation;
+use core::ops::ControlFlow;
 use flexgate::fault::random_sites;
-use flexgate::netlist::Netlist;
+use flexgate::netlist::{Net, Netlist};
 use flexgate::sim::BatchSim;
 use flexgate::timing::{analyze, DelayModel};
 use rand::rngs::StdRng;
@@ -152,8 +153,10 @@ impl<'a> Tester<'a> {
     ///
     /// # Errors
     ///
+    /// [`FabError::Voltage`] unless `voltage` is finite and above the
+    /// nominal threshold ([`DelayModel::vth_nom`]); no vector runs then.
     /// [`FabError::Netlist`] if the batch simulator rejects the netlist.
-    /// [`Tester::new`] runs the same validation, so this only fires if
+    /// [`Tester::new`] runs the same validation, so that only fires if
     /// the netlist was mutated behind the tester's back.
     pub fn test_wafer(
         &self,
@@ -178,6 +181,12 @@ impl<'a> Tester<'a> {
         voltage: f64,
         threads: usize,
     ) -> Result<Vec<DieOutcome>, FabError> {
+        if !(voltage.is_finite() && voltage > self.delay_model.vth_nom) {
+            return Err(FabError::Voltage {
+                volts: voltage,
+                vth: self.delay_model.vth_nom,
+            });
+        }
         let chunks: Vec<&[DieVariation]> = dies.chunks(63).collect();
         let per_chunk =
             flexshard::map_indexed(chunks.len(), threads, |i| self.test_chunk(chunks[i]));
@@ -207,29 +216,16 @@ impl<'a> Tester<'a> {
         }
         sim.reset();
 
+        let dies_lanes = chunk_lanes(dies.len());
         let mut errors = vec![0u64; dies.len()];
-        let mut rng = StdRng::seed_from_u64(self.plan.seed);
-        let total = self.plan.total_cycles();
-        for cycle in 0..total {
-            let (instr, iport) = self.plan.stimulus(cycle, &mut rng);
-            sim.set_input_value("instr", instr, !0);
-            sim.set_input_value("iport", iport, !0);
-            sim.clock();
-            // compare every observable output lane against golden lane 0
-            let mut diff_lanes = 0u64;
-            for port in ["pc", "oport"] {
-                for slice in sim.output_slices(port) {
-                    diff_lanes |= slice.lanes_differing_from(0);
-                }
+        screen(&mut sim, &self.plan, |diverged| {
+            let mut lanes = diverged & dies_lanes;
+            while lanes != 0 {
+                errors[lanes.trailing_zeros() as usize - 1] += 1;
+                lanes &= lanes - 1;
             }
-            if diff_lanes != 0 {
-                for (i, err) in errors.iter_mut().enumerate() {
-                    if (diff_lanes >> (i + 1)) & 1 == 1 {
-                        *err += 1;
-                    }
-                }
-            }
-        }
+            ControlFlow::Continue(())
+        });
         Ok(errors)
     }
 
@@ -245,6 +241,55 @@ impl<'a> Tester<'a> {
         // excite the critical path; a hopeless die fails nearly everywhere
         let fail_rate = (0.002 + 0.6 * shortfall * shortfall).min(0.9);
         ((self.plan.total_cycles() as f64) * fail_rate).ceil() as u64
+    }
+}
+
+/// The lanes 1..=`dies` a chunk's faulty dies ride in.
+fn chunk_lanes(dies: usize) -> u64 {
+    debug_assert!((1..=63).contains(&dies));
+    (u64::MAX >> (64 - dies)) << 1
+}
+
+/// Every bit of the observed output buses, `pc` then `oport`: the nets a
+/// screen compares against golden lane 0.
+///
+/// # Panics
+///
+/// Panics if the netlist lacks either port.
+fn observed_nets(netlist: &Netlist) -> Vec<Net> {
+    ["pc", "oport"]
+        .into_iter()
+        .flat_map(|port| {
+            netlist
+                .output_ports()
+                .get(port)
+                .unwrap_or_else(|| panic!("unknown output port `{port}`"))
+        })
+        .copied()
+        .collect()
+}
+
+/// Drive `plan`'s stimulus through `sim`, one clock edge per cycle, and
+/// hand `on_cycle` the set of lanes whose observed outputs differ from
+/// golden lane 0 after each edge. Stops early once `on_cycle` breaks.
+fn screen(
+    sim: &mut BatchSim<'_>,
+    plan: &TestPlan,
+    mut on_cycle: impl FnMut(u64) -> ControlFlow<()>,
+) {
+    let observed = observed_nets(sim.netlist());
+    let mut rng = StdRng::seed_from_u64(plan.seed);
+    for cycle in 0..plan.total_cycles() {
+        let (instr, iport) = plan.stimulus(cycle, &mut rng);
+        sim.set_input_value("instr", instr, !0);
+        sim.set_input_value("iport", iport, !0);
+        sim.clock();
+        let diverged = observed.iter().fold(0, |acc, &net| {
+            acc | sim.net_slice(net).lanes_differing_from(0)
+        });
+        if on_cycle(diverged).is_break() {
+            return;
+        }
     }
 }
 
@@ -266,38 +311,26 @@ pub fn fault_coverage(netlist: &Netlist, plan: TestPlan) -> Result<f64, FabError
     if sites.is_empty() {
         return Ok(1.0);
     }
-    let mut detected = 0usize;
+    // one compiled simulator serves every 63-site chunk
+    let mut sim = BatchSim::new(netlist)?;
+    let mut detected = 0;
     for chunk in sites.chunks(63) {
-        let mut sim = BatchSim::new(netlist)?;
+        sim.clear_faults();
         for (i, site) in chunk.iter().enumerate() {
             sim.inject(site.net, site.stuck_at_one, 1 << (i + 1));
         }
         sim.reset();
-        let mut seen = vec![false; chunk.len()];
-        let mut rng = StdRng::seed_from_u64(tester.plan.seed);
-        for cycle in 0..tester.plan.total_cycles() {
-            let (instr, iport) = tester.plan.stimulus(cycle, &mut rng);
-            sim.set_input_value("instr", instr, !0);
-            sim.set_input_value("iport", iport, !0);
-            sim.clock();
-            let mut diff = 0u64;
-            for port in ["pc", "oport"] {
-                for slice in sim.output_slices(port) {
-                    diff |= slice.lanes_differing_from(0);
-                }
+        let all = chunk_lanes(chunk.len());
+        let mut seen = 0;
+        screen(&mut sim, &tester.plan, |diverged| {
+            seen |= diverged & all;
+            if seen == all {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            if diff != 0 {
-                for (i, s) in seen.iter_mut().enumerate() {
-                    if (diff >> (i + 1)) & 1 == 1 {
-                        *s = true;
-                    }
-                }
-            }
-            if seen.iter().all(|&s| s) {
-                break;
-            }
-        }
-        detected += seen.iter().filter(|&&s| s).count();
+        });
+        detected += seen.count_ones() as usize;
     }
     Ok(detected as f64 / sites.len() as f64)
 }
@@ -386,6 +419,21 @@ mod tests {
         assert!(t4.nominal_fmax_hz(3.0) > TEST_CLOCK_HZ);
         assert!(t8.nominal_fmax_hz(3.0) < TEST_CLOCK_HZ);
         assert!(t8.nominal_fmax_hz(4.5) > TEST_CLOCK_HZ);
+    }
+
+    #[test]
+    fn voltages_no_die_can_switch_at_are_rejected() {
+        let netlist = flexrtl::build_fc4();
+        let tester = Tester::new(&netlist, TestPlan::quick(100)).unwrap();
+        let vth = DelayModel::igzo().vth_nom;
+        for v in [0.0, -1.0, vth, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = tester.test_wafer(&[clean_die()], v).unwrap_err();
+            assert!(matches!(err, FabError::Voltage { .. }), "{v} V: {err}");
+        }
+        // an empty wafer is still checked, so the error never depends on
+        // how many dies there are
+        assert!(tester.test_wafer(&[], 0.0).is_err());
+        assert!(tester.test_wafer(&[clean_die()], vth + 0.5).is_ok());
     }
 
     #[test]

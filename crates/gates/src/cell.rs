@@ -215,6 +215,9 @@ impl CellKind {
     ///
     /// `ins` must hold exactly [`CellSpec::inputs`] elements. Sequential
     /// cells are evaluated by the simulator's state machinery, not here.
+    /// [`BatchSim`](crate::sim::BatchSim) compiles these truth tables
+    /// into its tape's opcodes; the `compiled_oracle` test holds the two
+    /// copies together.
     ///
     /// # Panics
     ///
@@ -234,31 +237,6 @@ impl CellKind {
             // sel ? a : b
             CellKind::Mux2 => (ins[0] & ins[1]) | (!ins[0] & ins[2]),
             CellKind::Dff | CellKind::DffR => ins[0],
-        }
-    }
-
-    /// [`eval`](CellKind::eval) over [`BitSlice64`](crate::slice::BitSlice64) words — the
-    /// evaluation mode [`BatchSim`](crate::sim::BatchSim) drives: one
-    /// call advances the cell across all 64 lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) on wrong input arity.
-    #[inline]
-    #[must_use]
-    pub fn eval_slices(self, ins: &[crate::slice::BitSlice64]) -> crate::slice::BitSlice64 {
-        debug_assert_eq!(ins.len(), self.spec().inputs, "{self:?} arity");
-        match self {
-            CellKind::BufX1 | CellKind::BufX2 | CellKind::Dff | CellKind::DffR => ins[0],
-            CellKind::InvX1 | CellKind::InvX2 => !ins[0],
-            CellKind::Nand2 => ins[0].nand(ins[1]),
-            CellKind::Nand3 => !(ins[0] & ins[1] & ins[2]),
-            CellKind::Nor2 => !(ins[0] | ins[1]),
-            CellKind::Nor3 => !(ins[0] | ins[1] | ins[2]),
-            CellKind::Xor2 => ins[0] ^ ins[1],
-            CellKind::Xnor2 => !(ins[0] ^ ins[1]),
-            // sel ? a : b
-            CellKind::Mux2 => (ins[0] & ins[1]) | (!ins[0] & ins[2]),
         }
     }
 }

@@ -1,14 +1,33 @@
-//! Levelized netlist simulation with 64 parallel lanes.
+//! Compiled netlist simulation with 64 parallel lanes.
 //!
-//! Every net carries one [`BitSlice64`] — one bit per *lane*. All lanes
-//! see the same stimulus; they differ only in injected stuck-at faults —
-//! the classic parallel-pattern single-fault-propagation trick, which is
-//! what makes testing every die of a simulated wafer against
-//! 100 000-cycle vector sets tractable (§4.1): 64 faulty die variants
-//! run in one pass. The slice algebra (lane drive, stuck-at masking,
-//! golden-lane comparison) lives in [`crate::slice`]; this module owns
-//! the levelized evaluation loop and the sequential-element state.
+//! Every net carries one `u64` — one bit per *lane*. All lanes see the
+//! same stimulus; they differ only in injected stuck-at faults — the
+//! classic parallel-pattern single-fault-propagation trick, which is what
+//! makes testing every die of a simulated wafer against 100 000-cycle
+//! vector sets tractable (§4.1): 64 faulty die variants run in one pass.
+//!
+//! [`BatchSim::new`] compiles the netlist once into a flat *tape*: one
+//! step per combinational cell, in levelized order, holding an opcode
+//! and the dense indices of its operand and output nets. BUF and INV
+//! variants fold to one opcode each, and flip-flops stay off the tape.
+//! [`settle`](BatchSim::settle) is then one pass over the tape with a
+//! single `match` per step. Stuck-at faults live in a short mask table
+//! whose entry 0 is the clean mask: each step names the entry for its
+//! output net and applies `(raw & !sa0) | sa1` unconditionally, and
+//! injecting or clearing faults only marks the table for re-pointing at
+//! the next settle. A clock edge copies every flop's D into a reusable
+//! buffer, then every buffered value into its Q, so all flops capture
+//! before any updates.
+//!
+//! The per-cell truth tables therefore exist twice: in
+//! [`CellKind::eval`](crate::cell::CellKind::eval) and in the tape's
+//! opcodes. The `compiled_oracle` test keeps them together by running a
+//! per-cell interpreter over `eval` beside this simulator on random
+//! netlists and fault sets. The slice algebra consumers use on the lane
+//! words (golden-lane comparison, lane gathers) lives in
+//! [`crate::slice`].
 
+use crate::cell::CellKind;
 use crate::netlist::{Net, Netlist, NetlistError};
 use crate::slice::BitSlice64;
 
@@ -23,8 +42,8 @@ pub struct FaultMask {
 
 impl FaultMask {
     #[inline]
-    fn apply(self, v: BitSlice64) -> BitSlice64 {
-        v.stuck(self.sa0, self.sa1)
+    fn apply(self, v: u64) -> u64 {
+        BitSlice64(v).stuck(self.sa0, self.sa1).0
     }
 
     /// Whether any lane carries a fault.
@@ -34,53 +53,150 @@ impl FaultMask {
     }
 }
 
+/// A tape step's boolean function (one per distinct truth table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Op {
+    Buf,
+    Inv,
+    Nand2,
+    Nand3,
+    Nor2,
+    Nor3,
+    Xor2,
+    Xnor2,
+    /// `a ? b : c`.
+    Mux2,
+}
+
+impl Op {
+    /// The opcode of a combinational cell; `None` for flip-flops.
+    fn of(kind: CellKind) -> Option<Op> {
+        Some(match kind {
+            CellKind::BufX1 | CellKind::BufX2 => Op::Buf,
+            CellKind::InvX1 | CellKind::InvX2 => Op::Inv,
+            CellKind::Nand2 => Op::Nand2,
+            CellKind::Nand3 => Op::Nand3,
+            CellKind::Nor2 => Op::Nor2,
+            CellKind::Nor3 => Op::Nor3,
+            CellKind::Xor2 => Op::Xor2,
+            CellKind::Xnor2 => Op::Xnor2,
+            CellKind::Mux2 => Op::Mux2,
+            CellKind::Dff | CellKind::DffR => return None,
+        })
+    }
+}
+
+/// One combinational cell on the tape:
+/// `values[out] = masks[mask].apply(op(values[a], values[b], values[c]))`.
+/// Operand slots a cell does not use repeat `a`.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    op: Op,
+    mask: u32,
+    a: u32,
+    b: u32,
+    c: u32,
+    out: u32,
+}
+
+/// One flip-flop: Q takes `masks[mask].apply(D)` on every clock edge.
+#[derive(Debug, Clone, Copy)]
+struct Flop {
+    d: u32,
+    q: u32,
+    mask: u32,
+}
+
+/// What drives a net, for pointing its fault mask at the right place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Driver {
+    /// A primary input, the constant-0 net or an undriven placeholder.
+    None,
+    /// The tape step at this index.
+    Step(u32),
+    /// The flip-flop at this index.
+    Flop(u32),
+}
+
 /// A lane-parallel simulator over a frozen netlist.
 #[derive(Debug, Clone)]
 pub struct BatchSim<'a> {
     netlist: &'a Netlist,
-    order: Vec<usize>,
-    seq: Vec<usize>,
-    values: Vec<BitSlice64>,
+    tape: Vec<Step>,
+    flops: Vec<Flop>,
+    drivers: Vec<Driver>,
+    const0: Option<usize>,
+    values: Vec<u64>,
+    /// Each flop's D as sampled at the current clock edge.
+    captured: Vec<u64>,
+    /// The injected masks, per net.
     faults: Vec<FaultMask>,
     faulty_nets: Vec<usize>,
-    faulty: bool,
+    /// The mask table the tape and the flops index; entry 0 is clean.
+    masks: Vec<FaultMask>,
+    /// Faulty nets no tape step drives (inputs, constant 0, flop
+    /// outputs, placeholders), with their mask-table entry: they are
+    /// re-pinned at the start of every settle.
+    pinned: Vec<(usize, u32)>,
+    /// Whether `masks` lags behind `faults`.
+    dirty: bool,
 }
 
 impl<'a> BatchSim<'a> {
-    /// Freeze `netlist` for simulation.
+    /// Freeze `netlist` for simulation, compiling it to a tape.
     ///
     /// # Errors
     ///
     /// Propagates [`NetlistError`] integrity failures.
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
-        let order = netlist.levelize()?;
-        let seq = netlist
-            .cells()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.kind.spec().sequential)
-            .map(|(i, _)| i)
-            .collect();
+        let cells = netlist.cells();
+        let mut drivers = vec![Driver::None; netlist.net_count()];
+        let mut tape = Vec::with_capacity(cells.len());
+        for ci in netlist.levelize()? {
+            let cell = &cells[ci];
+            let op = Op::of(cell.kind).expect("levelize orders combinational cells only");
+            let operand = |k: usize| cell.inputs.get(k).unwrap_or(&cell.inputs[0]).0;
+            drivers[cell.output.index()] = Driver::Step(tape.len() as u32);
+            tape.push(Step {
+                op,
+                mask: 0,
+                a: operand(0),
+                b: operand(1),
+                c: operand(2),
+                out: cell.output.0,
+            });
+        }
+        let mut flops = Vec::new();
+        for cell in cells.iter().filter(|c| c.kind.spec().sequential) {
+            drivers[cell.output.index()] = Driver::Flop(flops.len() as u32);
+            flops.push(Flop {
+                d: cell.inputs[0].0,
+                q: cell.output.0,
+                mask: 0,
+            });
+        }
         Ok(BatchSim {
             netlist,
-            order,
-            seq,
-            values: vec![BitSlice64::ZERO; netlist.net_count()],
+            tape,
+            captured: vec![0; flops.len()],
+            flops,
+            drivers,
+            const0: netlist.const0_net().map(Net::index),
+            values: vec![0; netlist.net_count()],
             faults: vec![FaultMask::default(); netlist.net_count()],
             faulty_nets: Vec::new(),
-            faulty: false,
+            masks: vec![FaultMask::default()],
+            pinned: Vec::new(),
+            dirty: false,
         })
     }
 
     /// Reset all nets and flip-flops to 0 (power-on state).
     pub fn reset(&mut self) {
-        for v in &mut self.values {
-            *v = BitSlice64::ZERO;
-        }
-        if self.faulty {
-            for (net, mask) in self.faults.iter().enumerate() {
-                self.values[net] = mask.apply(self.values[net]);
-            }
+        self.values.fill(0);
+        for &net in &self.faulty_nets {
+            self.values[net] = self.faults[net].apply(0);
         }
     }
 
@@ -95,7 +211,7 @@ impl<'a> BatchSim<'a> {
         } else {
             m.sa0 |= lanes;
         }
-        self.faulty = true;
+        self.dirty = true;
     }
 
     /// Remove all injected faults.
@@ -104,7 +220,37 @@ impl<'a> BatchSim<'a> {
             self.faults[net] = FaultMask::default();
         }
         self.faulty_nets.clear();
-        self.faulty = false;
+        self.dirty = true;
+    }
+
+    /// Rebuild the mask table from the injected faults and point every
+    /// step and flop at its output's entry.
+    fn repoint_masks(&mut self) {
+        for step in &mut self.tape {
+            step.mask = 0;
+        }
+        for flop in &mut self.flops {
+            flop.mask = 0;
+        }
+        self.masks.truncate(1);
+        self.pinned.clear();
+        for &net in &self.faulty_nets {
+            let mask = self.faults[net];
+            if mask.is_clean() {
+                continue;
+            }
+            let entry = self.masks.len() as u32;
+            self.masks.push(mask);
+            match self.drivers[net] {
+                Driver::Step(i) => self.tape[i as usize].mask = entry,
+                Driver::Flop(i) => {
+                    self.flops[i as usize].mask = entry;
+                    self.pinned.push((net, entry));
+                }
+                Driver::None => self.pinned.push((net, entry)),
+            }
+        }
+        self.dirty = false;
     }
 
     /// Drive an input bus with `value` on the lanes selected by `lanes`
@@ -118,40 +264,41 @@ impl<'a> BatchSim<'a> {
             .netlist
             .input_ports()
             .get(name)
-            .unwrap_or_else(|| panic!("unknown input port `{name}`"))
-            .clone();
+            .unwrap_or_else(|| panic!("unknown input port `{name}`"));
         for (bit, net) in nets.iter().enumerate() {
-            let set = (value >> bit) & 1 == 1;
-            let idx = net.index();
-            self.values[idx] = self.values[idx].drive(set, lanes);
+            let word = &mut self.values[net.index()];
+            *word = BitSlice64(*word).drive((value >> bit) & 1 == 1, lanes).0;
         }
     }
 
     /// Evaluate the combinational fabric (inputs and flop outputs held).
     pub fn settle(&mut self) {
-        if let Some(c0) = self.netlist.const0_net() {
-            self.values[c0.index()] = self.faults[c0.index()].apply(BitSlice64::ZERO);
+        if self.dirty {
+            self.repoint_masks();
         }
-        if self.faulty {
-            // pin faults on undriven nets (ports, flop outputs); driven
-            // nets are re-masked at evaluation time below
-            for &net in &self.faulty_nets {
-                self.values[net] = self.faults[net].apply(self.values[net]);
-            }
+        if let Some(c0) = self.const0 {
+            self.values[c0] = 0;
         }
-        let mut ins: [BitSlice64; 3] = [BitSlice64::ZERO; 3];
-        for &ci in &self.order {
-            let cell = &self.netlist.cells()[ci];
-            for (k, inp) in cell.inputs.iter().enumerate() {
-                ins[k] = self.values[inp.index()];
-            }
-            let raw = cell.kind.eval_slices(&ins[..cell.inputs.len()]);
-            let out = cell.output.index();
-            self.values[out] = if self.faulty {
-                self.faults[out].apply(raw)
-            } else {
-                raw
+        // pin faults on nets the tape does not drive; driven nets are
+        // masked as their step writes them
+        for &(net, entry) in &self.pinned {
+            self.values[net] = self.masks[entry as usize].apply(self.values[net]);
+        }
+        let values = &mut self.values;
+        for step in &self.tape {
+            let a = values[step.a as usize];
+            let raw = match step.op {
+                Op::Buf => a,
+                Op::Inv => !a,
+                Op::Nand2 => !(a & values[step.b as usize]),
+                Op::Nand3 => !(a & values[step.b as usize] & values[step.c as usize]),
+                Op::Nor2 => !(a | values[step.b as usize]),
+                Op::Nor3 => !(a | values[step.b as usize] | values[step.c as usize]),
+                Op::Xor2 => a ^ values[step.b as usize],
+                Op::Xnor2 => !(a ^ values[step.b as usize]),
+                Op::Mux2 => (a & values[step.b as usize]) | (!a & values[step.c as usize]),
             };
+            values[step.out as usize] = self.masks[step.mask as usize].apply(raw);
         }
     }
 
@@ -160,31 +307,24 @@ impl<'a> BatchSim<'a> {
         self.settle();
         // capture all D values before updating any Q (two-phase, like real
         // edge-triggered flops)
-        let captured: Vec<BitSlice64> = self
-            .seq
-            .iter()
-            .map(|&ci| self.values[self.netlist.cells()[ci].inputs[0].index()])
-            .collect();
-        for (&ci, d) in self.seq.iter().zip(captured) {
-            let out = self.netlist.cells()[ci].output.index();
-            self.values[out] = if self.faulty {
-                self.faults[out].apply(d)
-            } else {
-                d
-            };
+        for (d, flop) in self.captured.iter_mut().zip(&self.flops) {
+            *d = self.values[flop.d as usize];
+        }
+        for (&d, flop) in self.captured.iter().zip(&self.flops) {
+            self.values[flop.q as usize] = self.masks[flop.mask as usize].apply(d);
         }
     }
 
     /// Read a single net's lane vector.
     #[must_use]
     pub fn net_value(&self, net: Net) -> u64 {
-        self.values[net.index()].0
+        self.values[net.index()]
     }
 
     /// Read a single net's packed slice.
     #[must_use]
     pub fn net_slice(&self, net: Net) -> BitSlice64 {
-        self.values[net.index()]
+        BitSlice64(self.values[net.index()])
     }
 
     /// Read an output bus as an integer for one lane.
@@ -221,7 +361,7 @@ impl<'a> BatchSim<'a> {
             .output_ports()
             .get(name)
             .unwrap_or_else(|| panic!("unknown output port `{name}`"));
-        nets.iter().map(|n| self.values[n.index()]).collect()
+        nets.iter().map(|&n| self.net_slice(n)).collect()
     }
 
     /// The underlying netlist.

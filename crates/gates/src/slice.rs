@@ -7,11 +7,12 @@
 //! word is lane `l`'s value; lane 0 is conventionally the fault-free
 //! golden reference in wafer screens.
 //!
-//! [`BatchSim`](crate::sim::BatchSim) stores one `BitSlice64` per net
-//! and evaluates cells directly on the packed words, so a NAND over 64
-//! dies costs one `!(a & b)`. Consumers that compare lanes (the
-//! `flexfab` tester, fault-coverage sweeps) use the lane algebra here
-//! instead of re-deriving shift-and-mask code at every call site.
+//! [`BatchSim`](crate::sim::BatchSim) stores one packed word per net
+//! and evaluates cells directly on those words, so a NAND over 64 dies
+//! costs one `!(a & b)`; it hands the words out as `BitSlice64`s.
+//! Consumers that compare lanes (the `flexfab` tester, fault-coverage
+//! sweeps) use the lane algebra here instead of re-deriving
+//! shift-and-mask code at every call site.
 
 /// A 64-lane packed bit value: bit `l` holds lane `l`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -58,13 +59,6 @@ impl BitSlice64 {
         BitSlice64(if bit { self.0 | mask } else { self.0 & !mask })
     }
 
-    /// Lane-wise NAND — the substrate's universal gate.
-    #[inline]
-    #[must_use]
-    pub fn nand(self, other: Self) -> Self {
-        BitSlice64(!(self.0 & other.0))
-    }
-
     /// Broadcast lane `reference`'s bit across all lanes: the word to
     /// XOR against when asking "which lanes disagree with lane N?".
     #[inline]
@@ -84,8 +78,8 @@ impl BitSlice64 {
 
     /// Apply per-lane stuck-at masks: lanes in `sa0` are forced to 0,
     /// then lanes in `sa1` are forced to 1 (stuck-at-1 wins a
-    /// contradictory double injection, matching
-    /// [`FaultMask::apply`](crate::sim::FaultMask)).
+    /// contradictory double injection, as in
+    /// [`BatchSim`](crate::sim::BatchSim)'s [`FaultMask`](crate::sim::FaultMask)s).
     #[inline]
     #[must_use]
     pub fn stuck(self, sa0: u64, sa1: u64) -> Self {
@@ -108,35 +102,11 @@ impl BitSlice64 {
     }
 }
 
-impl core::ops::BitAnd for BitSlice64 {
-    type Output = BitSlice64;
-    #[inline]
-    fn bitand(self, rhs: Self) -> Self {
-        BitSlice64(self.0 & rhs.0)
-    }
-}
-
-impl core::ops::BitOr for BitSlice64 {
-    type Output = BitSlice64;
-    #[inline]
-    fn bitor(self, rhs: Self) -> Self {
-        BitSlice64(self.0 | rhs.0)
-    }
-}
-
 impl core::ops::BitXor for BitSlice64 {
     type Output = BitSlice64;
     #[inline]
     fn bitxor(self, rhs: Self) -> Self {
         BitSlice64(self.0 ^ rhs.0)
-    }
-}
-
-impl core::ops::Not for BitSlice64 {
-    type Output = BitSlice64;
-    #[inline]
-    fn not(self) -> Self {
-        BitSlice64(!self.0)
     }
 }
 
@@ -169,13 +139,6 @@ mod tests {
     fn drive_touches_only_selected_lanes() {
         let s = BitSlice64(0b1010).drive(true, 0b0100).drive(false, 0b1000);
         assert_eq!(s.0, 0b0110);
-    }
-
-    #[test]
-    fn nand_is_the_universal_gate() {
-        let a = BitSlice64(0b1100);
-        let b = BitSlice64(0b1010);
-        assert_eq!(a.nand(b).0, !(0b1000u64));
     }
 
     #[test]

@@ -494,4 +494,20 @@ mod tests {
         assert_eq!(a.status, ReplyStatus::Ok, "{}", a.text);
         assert!(a.text.contains("yield-inclusion"), "{}", a.text);
     }
+
+    #[test]
+    fn yield_at_or_below_threshold_is_an_error_reply() {
+        for voltage_mv in [0, 1_000, 1_290] {
+            let req = Request::Yield {
+                design: "fc4".into(),
+                voltage_mv,
+                seed: 7,
+                cycles: 120,
+                salvage: false,
+            };
+            let reply = engine().execute(&req, &Deadline::none());
+            assert_eq!(reply.status, ReplyStatus::Error, "{voltage_mv} mV");
+            assert!(reply.text.contains("threshold"), "{}", reply.text);
+        }
+    }
 }
