@@ -9,6 +9,17 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
 
+echo "== paper bins =="
+# every table/figure binary must run to completion: a panic in one of
+# them is a broken reproduction even when no test calls it
+for src in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$src" .rs)
+    ./target/release/"$bin" > /dev/null || {
+        echo "paper bin $bin failed" >&2
+        exit 1
+    }
+done
+
 echo "== resilience smoke =="
 # the acceptance gates for the resilient execution layer (TMR masking,
 # >= 90 % transient recovery, bit-for-bit replay) run first in release

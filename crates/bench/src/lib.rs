@@ -24,8 +24,8 @@
 //! | `dse_summary` | the §6.3 headline numbers |
 //! | `resilience` | fault-injection campaigns + partial-yield Table 5 extension |
 //!
-//! Criterion microbenchmarks for the substrate itself (netlist
-//! simulation, assembly, kernel execution) live under `benches/`.
+//! The speed of the reproduction itself is measured by the `perfbench`
+//! package at the repository root, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -149,8 +149,9 @@ impl Args {
 
     /// A count flag (`--faults`, `--trials`, `--ticks`, `--spares`,
     /// `--reps`, `--upsets`, `--retries`, `--window`, `--threads`,
-    /// `--campaign`), with a default. Counts size allocations and loops
-    /// before anything runs, so every one is capped at [`MAX_COUNT`].
+    /// `--campaign`, `--cycles`), with a default. Counts size
+    /// allocations and loops before anything runs, so every one is
+    /// capped at [`MAX_COUNT`].
     ///
     /// # Errors
     ///
@@ -172,7 +173,7 @@ impl Args {
     }
 
     /// A [`count`](Args::count) that must be at least 1 (`--threads`,
-    /// `--window`).
+    /// `--window`, `--cycles`).
     ///
     /// # Errors
     ///

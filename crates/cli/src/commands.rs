@@ -71,7 +71,7 @@ features (xacc/xls): adc, shift, flags, mul, xch, call, 2xreg — or `revised`
 campaign scaling: --threads N workers; any count replays the single-threaded
 report bit-for-bit
 counts (--faults, --trials, --ticks, --spares, --reps, --upsets, --retries,
---window, --threads, --campaign) are capped at 1048576
+--window, --threads, --campaign, --cycles) are capped at 1048576
 "
     .to_string()
 }
@@ -281,7 +281,7 @@ pub fn cosim(args: &mut Args) -> Result<String, CliError> {
     let path = args.positional(0, "source file").map(str::to_string)?;
     let target = args.target()?;
     let input = args.num("input", 0u8)?;
-    let cycles = args.num("cycles", 10_000u64)?;
+    let cycles = args.positive("cycles", 10_000)? as u64;
     let source = std::fs::read_to_string(&path)?;
     let assembly = Assembler::new(target).assemble(&source)?;
     let mut fixed = flexicore::io::ConstInput::new(input);
@@ -311,7 +311,7 @@ pub fn wave(args: &mut Args) -> Result<String, CliError> {
     let path = args.positional(0, "source file").map(str::to_string)?;
     let target = args.target()?;
     let input = args.num("input", 0u8)?;
-    let cycles = args.num("cycles", 500u64)?;
+    let cycles = args.positive("cycles", 500)? as u64;
     let dest = args.flag("out").unwrap_or_else(|| "trace.vcd".to_string());
 
     let source = std::fs::read_to_string(&path)?;
@@ -423,7 +423,7 @@ pub fn wafer(args: &mut Args) -> Result<String, CliError> {
     })?;
     let voltage = args.num("voltage", 4.5f64)?;
     let seed = args.num("seed", flexfab::calibration::seeds::YIELD)?;
-    let cycles = args.num("cycles", 10_000u64)?;
+    let cycles = args.positive("cycles", 10_000)? as u64;
     let map = args.flag("map").unwrap_or_else(|| "errors".to_string());
     let threads = args.positive("threads", 1)?;
 
@@ -1532,6 +1532,23 @@ mod tests {
                         assert_eq!(code, 2, "{argv:?} must be refused");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_or_oversized_cycles_is_a_usage_error_with_exit_code_2() {
+        // a zero-vector screen must not call a die functional, and a
+        // huge count used to wrap the test plan or never return
+        let src = write_temp("cycles", ADD3);
+        let over = (crate::args::MAX_COUNT + 1).to_string();
+        for command in [&["wafer"][..], &["cosim", &src], &["wave", &src]] {
+            for value in ["0", over.as_str()] {
+                let mut argv = command.to_vec();
+                argv.extend(["--cycles", value]);
+                let err = call(&argv).unwrap_err();
+                assert!(matches!(err, crate::CliError::Usage(_)), "{argv:?}: {err}");
+                assert_eq!(err.exit_code(), 2, "{argv:?}");
             }
         }
     }
