@@ -95,20 +95,22 @@ echo "== hang fast-forward gate =="
 # the engine computes the tail of a hung run instead of simulating it,
 # and skips the fetch-bus visit of hooks that leave the bus alone; both
 # must stay bit-for-bit equal to stepping every cycle. The oracle tests
-# hold the one drain loop to the plain step loop, the stuck-at grid and
-# field-screen digests were pinned before the batch drivers were
-# removed, and so was this mission report's SHA-256 (mission and
-# resilient voting drain through Engine::resume too). Checkpointed
-# segments drain through it as well: their oracle holds the segment
-# runner to the plain step loop, and the recovery and link-soak pins
-# were captured while both executors still stepped. The gate-level
+# hold the one drain loop to the plain step loop, the stuck-at grid
+# digests were pinned before the batch drivers were removed, and so was
+# this mission report's SHA-256 (mission and resilient voting drain
+# through Core::resume_with too). The salvage digests pin the die
+# classes the partial-yield screen derives from each published wafer's
+# defects through that same loop. Checkpointed segments drain through
+# it as well: their oracle holds the segment runner to the plain step
+# loop, and the recovery and link-soak pins were captured while both
+# executors still stepped. The gate-level
 # screen runs a compiled tape: its oracle holds the tape to the per-cell
 # interpreter, and the wafer-screen and fault-coverage pins were
 # captured while the interpreter still ran the screen
 cargo test --release --offline -p flexicore -q --test hang_forward
 cargo test --release --offline -p flexresilient -q --test segment_oracle
 cargo test --release --offline -p flexinject -q --test campaign_digests
-cargo test --release --offline -p flexfab -q --test field_digest
+cargo test --release --offline -p flexinject -q --test salvage_digests
 cargo test --release --offline -p flexfab -q --test screen_digests
 cargo test --release --offline -p flexgate -q --test compiled_oracle
 cargo test --release --offline -p flexresilient -q --test recovery_digests

@@ -269,6 +269,7 @@ impl Assembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexicore::exec::Core;
     use flexicore::io::{ConstInput, RecordingOutput, ScriptedInput};
     use flexicore::isa::features::FeatureSet;
     use flexicore::sim::fc4::Fc4Core;
@@ -384,7 +385,7 @@ mod tests {
         let mut rec = RecordingOutput::new();
         let r = core.run(&mut ConstInput::new(0), &mut rec, 10_000).unwrap();
         assert!(r.halted());
-        assert_eq!(core.page(), 3);
+        assert_eq!(core.state().page(), 3);
         assert_eq!(rec.last(), Some(6));
     }
 

@@ -5,6 +5,7 @@
 //! both must match a plain Rust oracle.
 
 use flexasm::{Assembler, Target};
+use flexicore::exec::Core;
 use flexicore::io::{ConstInput, NullOutput};
 use flexicore::isa::Dialect;
 use flexicore::program::Program;

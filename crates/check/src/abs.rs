@@ -27,15 +27,6 @@ impl AbsVal {
         }
     }
 
-    /// The constant, if known.
-    #[must_use]
-    pub fn as_const(self) -> Option<u8> {
-        match self {
-            AbsVal::Const(v) => Some(v),
-            AbsVal::Top => None,
-        }
-    }
-
     /// Apply a unary fold, keeping ⊤ sticky.
     #[must_use]
     pub fn map(self, f: impl FnOnce(u8) -> u8) -> AbsVal {

@@ -196,12 +196,6 @@ impl CheckReport {
         self.findings.iter().any(|f| f.severity >= severity)
     }
 
-    /// The highest severity present, if any finding exists.
-    #[must_use]
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.findings.iter().map(|f| f.severity).max()
-    }
-
     /// Bytes covered by reachable instructions.
     #[must_use]
     pub fn reachable_bytes(&self) -> usize {

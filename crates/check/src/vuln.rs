@@ -130,13 +130,6 @@ impl VulnReport {
             .map_or(SiteClass::Unknown, |e| e.class)
     }
 
-    /// Whether faults on `element` are provably masked regardless of
-    /// bit, polarity, or kind.
-    #[must_use]
-    pub fn is_masked(&self, element: StateElement) -> bool {
-        self.class_of(element) == SiteClass::ProvablyMasked
-    }
-
     /// Whether this *specific* fault is provably masked: its element is
     /// fully dead, or the fault is a stuck-at whose polarity matches a
     /// provably-constant bit. Transient flips on a constant bit are

@@ -26,7 +26,7 @@ pub enum SimError {
         /// The full fetch address of the instruction.
         address: u32,
     },
-    /// The cycle budget given to [`run`](crate::sim::fc4::Fc4Core::run) was
+    /// The cycle budget given to [`run`](crate::exec::Core::run) was
     /// exhausted before the program reached its halt idiom.
     CycleLimitExceeded {
         /// The budget that was exhausted.

@@ -70,7 +70,7 @@ impl AnyCore {
     ///
     /// # Errors
     ///
-    /// See [`Engine::step`](super::Engine::step).
+    /// See [`Core::step`].
     pub fn step<I: InputPort, O: OutputPort>(
         &mut self,
         input: &mut I,
@@ -83,7 +83,7 @@ impl AnyCore {
     ///
     /// # Errors
     ///
-    /// See [`Engine::step`](super::Engine::step).
+    /// See [`Core::step_with`].
     pub fn step_with<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         input: &mut I,
@@ -99,7 +99,7 @@ impl AnyCore {
     ///
     /// # Errors
     ///
-    /// See [`Engine::run`](super::Engine::run).
+    /// See [`Core::run`].
     pub fn run<I: InputPort, O: OutputPort>(
         &mut self,
         input: &mut I,
@@ -113,7 +113,7 @@ impl AnyCore {
     ///
     /// # Errors
     ///
-    /// See [`Engine::run`](super::Engine::run).
+    /// See [`Core::run_with`].
     pub fn run_with<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         input: &mut I,
@@ -126,14 +126,13 @@ impl AnyCore {
 
     /// [`run_with`](AnyCore::run_with) minus the power-on state-fault
     /// visit: drive an already-powered-on core until the halt idiom or
-    /// until `budget` expires, in the dialect's own tight run loop. One
-    /// dialect dispatch covers the whole drain, so callers that slice a
-    /// run (deadline-bounded serving) pay it once per slice, not per
-    /// instruction.
+    /// until `budget` expires. One dialect dispatch covers the whole
+    /// drain, so callers that slice a run (deadline-bounded serving) pay
+    /// it once per slice, not per instruction.
     ///
     /// # Errors
     ///
-    /// See [`Engine::run`](super::Engine::run).
+    /// See [`Core::resume_with`].
     pub fn resume_with<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         input: &mut I,
@@ -141,7 +140,7 @@ impl AnyCore {
         budget: u64,
         faults: &mut F,
     ) -> Result<RunResult, SimError> {
-        each_core!(self, c => super::Engine::with_faults(&mut *c, faults).resume(input, output, budget))
+        each_core!(self, c => c.resume_with(input, output, budget, faults))
     }
 
     /// Reset architectural state, keeping program (and features).
@@ -152,37 +151,37 @@ impl AnyCore {
     /// Whether the halt idiom has been reached.
     #[must_use]
     pub fn is_halted(&self) -> bool {
-        each_core!(self, c => c.is_halted())
+        each_core!(self, c => c.state().is_halted())
     }
 
     /// Current program counter (7 bits, in-page).
     #[must_use]
     pub fn pc(&self) -> u8 {
-        each_core!(self, c => c.pc())
+        each_core!(self, c => c.state().pc())
     }
 
     /// Elapsed clock cycles.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        each_core!(self, c => c.cycles())
+        each_core!(self, c => c.state().cycles())
     }
 
     /// Retired instruction count.
     #[must_use]
     pub fn instructions(&self) -> u64 {
-        each_core!(self, c => c.instructions())
+        each_core!(self, c => c.state().instructions())
     }
 
     /// The currently selected MMU page.
     #[must_use]
     pub fn page(&self) -> u8 {
-        each_core!(self, c => c.page())
+        each_core!(self, c => c.state().page())
     }
 
     /// The loaded program image.
     #[must_use]
     pub fn program(&self) -> &Program {
-        each_core!(self, c => c.program())
+        each_core!(self, c => c.state().program())
     }
 
     /// The data-memory word or register at `addr`, or `None` when out
@@ -214,26 +213,13 @@ impl AnyCore {
     /// dialects (mirrors each dialect's `run` loop condition).
     #[must_use]
     pub fn budget_spent(&self) -> u64 {
-        match self {
-            AnyCore::Fc4(c) => Fc4Core::budget_spent(c.state()),
-            AnyCore::Fc8(c) => Fc8Core::budget_spent(c.state()),
-            AnyCore::Xacc(c) => XaccCore::budget_spent(c.state()),
-            AnyCore::Xls(c) => XlsCore::budget_spent(c.state()),
-        }
+        each_core!(self, c => super::hang::spent(c))
     }
 
-    /// Apply state faults once at the current cycle — the "stuck
-    /// power-on bit" hook `run_with` fires before the first fetch.
-    /// Callers that step or [`resume_with`](AnyCore::resume_with) a core
-    /// themselves call this once first, so their runs match `run_with`
-    /// exactly.
+    /// Apply state faults once at the current cycle (see
+    /// [`Core::power_on_faults`]).
     pub fn power_on_faults<F: FaultHook>(&mut self, faults: &mut F) {
-        if F::ACTIVE {
-            each_core!(self, c => {
-                let cycle = c.cycles();
-                faults.on_state(cycle, &mut c.arch_state());
-            });
-        }
+        each_core!(self, c => c.power_on_faults(faults));
     }
 
     /// Snapshot the run accounting as a [`RunResult`].

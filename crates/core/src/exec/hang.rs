@@ -1,4 +1,5 @@
-//! Exact hang fast-forward inside the one drain loop, [`Engine::resume`].
+//! Exact hang fast-forward inside the one drain loop,
+//! [`Core::resume_with`].
 //!
 //! A core is a deterministic machine. Under a steady fault hook
 //! ([`FaultHook::is_steady`]) and a stationary input port
@@ -42,7 +43,7 @@ const FIRST_CHECKPOINT: u64 = 1 << 10;
 /// step visiting the fetch bus only when `fetch_faults` is set. Exactly
 /// equivalent to `while !halted && spent < budget { step()? }`.
 ///
-/// Inlined into [`Engine::resume`], with the step inlined into its
+/// Inlined into [`Core::resume_with`], with the step inlined into its
 /// plain loop, so the hot loop compiles like the hand-written one it
 /// replaced (out of line, it cost `inject-sweep` about 7 % of its trials
 /// per second).
@@ -52,7 +53,7 @@ const FIRST_CHECKPOINT: u64 = 1 << 10;
 /// The first error a step returns.
 #[inline(always)]
 pub(crate) fn drain<C, I, O, F>(
-    engine: &mut Engine<C, F>,
+    engine: &mut Engine<'_, C, F>,
     input: &mut I,
     output: &mut O,
     budget: u64,
@@ -64,16 +65,16 @@ where
     O: OutputPort,
     F: FaultHook,
 {
-    let mut checkpoint = spent(&engine.core)
+    let mut checkpoint = spent(engine.core)
         .checked_add(1)
         .and_then(u64::checked_next_power_of_two)
         .unwrap_or(u64::MAX)
         .max(FIRST_CHECKPOINT);
     loop {
-        while runs(&engine.core, checkpoint.min(budget)) {
+        while runs(engine.core, checkpoint.min(budget)) {
             engine.step_latched(input, output, fetch_faults)?;
         }
-        if !runs(&engine.core, budget) {
+        if !runs(engine.core, budget) {
             return Ok(());
         }
         checkpoint = checkpoint.saturating_mul(2);
@@ -81,7 +82,7 @@ where
             let anchor = Anchor {
                 snap: engine.core.snapshot(),
                 position,
-                spent: spent(&engine.core),
+                spent: spent(engine.core),
             };
             let bound = checkpoint.min(budget);
             if let Some(steps) = search(engine, input, output, bound, &anchor, fetch_faults)? {
@@ -99,7 +100,7 @@ where
 /// copy of the step in [`drain`]'s caller.
 #[inline(never)]
 fn search<C, I, O, F>(
-    engine: &mut Engine<C, F>,
+    engine: &mut Engine<'_, C, F>,
     input: &mut I,
     output: &mut O,
     bound: u64,
@@ -113,10 +114,10 @@ where
     F: FaultHook,
 {
     let mut steps = 0u64;
-    while runs(&engine.core, bound) {
+    while runs(engine.core, bound) {
         engine.step_latched(input, output, fetch_faults)?;
         steps += 1;
-        if anchor.matches(&engine.core, input) {
+        if anchor.matches(engine.core, input) {
             return Ok(Some(steps));
         }
     }
@@ -124,7 +125,7 @@ where
 }
 
 /// Watchdog budget spent so far (cycles or instructions, per dialect).
-fn spent<C: Core>(core: &C) -> u64 {
+pub(super) fn spent<C: Core>(core: &C) -> u64 {
     C::budget_spent(core.state())
 }
 
@@ -173,7 +174,7 @@ impl<O: OutputPort> OutputPort for Tee<'_, O> {
 /// periods is left to the caller's plain loop.
 #[inline(never)]
 fn forward<C, I, O, F>(
-    engine: &mut Engine<C, F>,
+    engine: &mut Engine<'_, C, F>,
     input: &mut I,
     output: &mut O,
     budget: u64,
@@ -187,8 +188,8 @@ where
     O: OutputPort,
     F: FaultHook,
 {
-    let period = spent(&engine.core) - anchor.spent;
-    if budget.saturating_sub(spent(&engine.core)) / period < 2 {
+    let period = spent(engine.core) - anchor.spent;
+    if budget.saturating_sub(spent(engine.core)) / period < 2 {
         return Ok(());
     }
     let before = engine.core.state().run_result();
@@ -199,7 +200,7 @@ where
     for _ in 0..steps {
         engine.step_latched(input, &mut tee, fetch_faults)?;
     }
-    let core = &mut engine.core;
+    let core = &mut *engine.core;
     debug_assert!(anchor.matches(core, input), "a period repeats exactly");
     let after = core.state().run_result();
     let writes = tee.writes;

@@ -5,32 +5,39 @@
 //! detection, cycle accounting and the watchdog budget. This module
 //! implements that loop **exactly once**. A dialect plugs in by
 //! implementing [`Core`] — decode and execute semantics plus a handful
-//! of per-dialect accounting knobs — and [`Engine`] drives it.
+//! of per-dialect accounting knobs — and inherits the one API that
+//! drives it.
 //!
 //! The layer has two public pieces:
 //!
-//! * [`Core`] + [`Engine`] — the compile-time-generic path. Each
-//!   simulator (`Fc4Core`, `Fc8Core`, `XaccCore`, `XlsCore`) implements
-//!   [`Core`] and forwards its public `step`/`run` API to an [`Engine`],
-//!   so the fault-free path monomorphizes to the same code the
-//!   hand-rolled loops compiled to.
+//! * [`Core`] — the compile-time-generic path. Its provided methods
+//!   ([`step`](Core::step), [`step_with`](Core::step_with),
+//!   [`run`](Core::run), [`run_with`](Core::run_with),
+//!   [`resume_with`](Core::resume_with),
+//!   [`power_on_faults`](Core::power_on_faults)) are the only way to
+//!   drive a concrete simulator (`Fc4Core`, `Fc8Core`, `XaccCore`,
+//!   `XlsCore`), so the fault-free path monomorphizes to the same code
+//!   the hand-rolled loops compiled to. Generic accessors (PC, cycles,
+//!   halt flag, page, program) live on [`ExecState`], reached through
+//!   [`Core::state`].
 //! * [`AnyCore`] — runtime dialect dispatch. Consumers that used to
 //!   `match` on [`Dialect`](crate::isa::Dialect) at every call site
-//!   (kernel harness, CLI, fault campaigns, wafer screens, voting
+//!   (kernel harness, CLI, fault campaigns, salvage screens, voting
 //!   executors) construct one `AnyCore` and use it uniformly.
 //!
-//! Every run drains through one loop, [`Engine::resume`]. Batch work —
-//! fault campaigns, salvage, field screens, N-modular voting — is a map
-//! of independent runs over `AnyCore::run_with`, spread across threads
-//! by the campaign crates; there is no batched driver. Two things keep
+//! Every run drains through one loop, [`Core::resume_with`]. Batch work
+//! — fault campaigns, salvage, N-modular voting — is a map of
+//! independent runs over `AnyCore::run_with`, spread across threads by
+//! the campaign crates; there is no batched driver. Two things keep
 //! that one loop fast:
 //!
-//! * **The fetch latch.** `resume` asks the hook once whether it
+//! * **The fetch latch.** `resume_with` asks the hook once whether it
 //!   [`corrupts_fetch`](FaultHook::corrupts_fetch). A hook answering
 //!   `false` promises an identity [`FaultHook::on_fetch`] without side
 //!   effects, so the loop skips the per-byte call for the whole run.
-//!   The public [`Engine::step`] still visits `on_fetch` whenever the
-//!   hook is active, which keeps plain step loops an independent oracle.
+//!   The public [`Core::step_with`] still visits `on_fetch` whenever
+//!   the hook is active, which keeps plain step loops an independent
+//!   oracle.
 //! * **The exact hang fast-forward.** When the fault hook is steady
 //!   ([`FaultHook::is_steady`]) and the input port stationary
 //!   ([`InputPort::position`]), a run whose architectural state repeats
@@ -250,7 +257,7 @@ pub enum Flow {
 /// One dialect's contribution to the execution engine: decode and
 /// execute semantics, plus the per-dialect accounting conventions the
 /// engine needs to reproduce each simulator's historical numbers.
-pub trait Core {
+pub trait Core: Sized {
     /// The decoded instruction type.
     type Insn;
 
@@ -371,131 +378,6 @@ pub trait Core {
         state.halted = snap.halted;
         self.load_arch(snap);
     }
-}
-
-impl<C: Core> Core for &mut C {
-    type Insn = C::Insn;
-    const FETCH_WINDOW: usize = C::FETCH_WINDOW;
-
-    #[inline]
-    fn state(&self) -> &ExecState {
-        (**self).state()
-    }
-
-    #[inline]
-    fn state_mut(&mut self) -> &mut ExecState {
-        (**self).state_mut()
-    }
-
-    #[inline]
-    fn fetch_address(&self, page_pc: u32) -> u32 {
-        (**self).fetch_address(page_pc)
-    }
-
-    #[inline]
-    fn decode(&self, window: &[u8], address: u32) -> Result<(Self::Insn, u8), SimError> {
-        (**self).decode(window, address)
-    }
-
-    #[inline]
-    fn execute<I: InputPort, O: OutputPort, F: FaultHook>(
-        &mut self,
-        insn: Self::Insn,
-        input: &mut I,
-        output: &mut O,
-        faults: &mut F,
-    ) -> Flow {
-        (**self).execute(insn, input, output, faults)
-    }
-
-    #[inline]
-    fn insn_cycles(len: u8) -> u64 {
-        C::insn_cycles(len)
-    }
-
-    #[inline]
-    fn pc_increment(len: u8) -> u8 {
-        C::pc_increment(len)
-    }
-
-    #[inline]
-    fn budget_spent(state: &ExecState) -> u64 {
-        C::budget_spent(state)
-    }
-
-    #[inline]
-    fn arch_state(&mut self) -> ArchState<'_> {
-        (**self).arch_state()
-    }
-
-    #[inline]
-    fn event_acc(&self) -> u8 {
-        (**self).event_acc()
-    }
-
-    #[inline]
-    fn save_arch(&self, snap: &mut Snapshot) {
-        (**self).save_arch(snap);
-    }
-
-    #[inline]
-    fn load_arch(&mut self, snap: &Snapshot) {
-        (**self).load_arch(snap);
-    }
-
-    #[inline]
-    fn same_regs(&self, snap: &Snapshot) -> bool {
-        (**self).same_regs(snap)
-    }
-}
-
-/// The one step/run loop shared by every dialect: fetch (with fault
-/// corruption), decode, execute, commit, watchdog.
-#[derive(Debug)]
-pub struct Engine<C, F = NoFaults> {
-    core: C,
-    faults: F,
-}
-
-impl<C: Core> Engine<C, NoFaults> {
-    /// An engine with the fault-free hook (compile-time fast path).
-    pub fn new(core: C) -> Self {
-        Engine {
-            core,
-            faults: NoFaults,
-        }
-    }
-}
-
-impl<C: Core, F: FaultHook> Engine<C, F> {
-    /// An engine threading `faults` through every step.
-    pub fn with_faults(core: C, faults: F) -> Self {
-        Engine { core, faults }
-    }
-
-    /// The driven core.
-    pub fn core(&self) -> &C {
-        &self.core
-    }
-
-    /// The driven core, mutably.
-    pub fn core_mut(&mut self) -> &mut C {
-        &mut self.core
-    }
-
-    /// Consume the engine, returning the core.
-    pub fn into_core(self) -> C {
-        self.core
-    }
-
-    /// Apply state faults once at the current cycle — the "stuck
-    /// power-on bit" hook `run` fires before the first fetch.
-    pub fn apply_power_on_faults(&mut self) {
-        if F::ACTIVE {
-            let cycle = self.core.state().cycle;
-            self.faults.on_state(cycle, &mut self.core.arch_state());
-        }
-    }
 
     /// Execute one instruction.
     ///
@@ -507,16 +389,123 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
     ///   the program image,
     /// * [`SimError::IllegalInstruction`] /
     ///   [`SimError::TruncatedInstruction`] from the dialect's decode.
-    #[inline]
-    pub fn step<I, O>(&mut self, input: &mut I, output: &mut O) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.step_latched(input, output, F::ACTIVE)
+    fn step<I: InputPort, O: OutputPort>(
+        &mut self,
+        input: &mut I,
+        output: &mut O,
+    ) -> Result<StepEvent, SimError> {
+        self.step_with(input, output, &mut NoFaults)
     }
 
-    /// [`step`](Engine::step) with the fetch-bus visit decided by the
+    /// [`step`](Core::step) with a fault-injection hook. Visits
+    /// [`FaultHook::on_fetch`] whenever the hook is active, whatever it
+    /// answers to [`corrupts_fetch`](FaultHook::corrupts_fetch), so a
+    /// plain step loop stays an independent oracle for the drain loop.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Core::step`]; a corrupted fetch may surface as
+    /// [`SimError::IllegalInstruction`].
+    #[inline]
+    fn step_with<I: InputPort, O: OutputPort, F: FaultHook>(
+        &mut self,
+        input: &mut I,
+        output: &mut O,
+        faults: &mut F,
+    ) -> Result<StepEvent, SimError> {
+        Engine { core: self, faults }.step_latched(input, output, F::ACTIVE)
+    }
+
+    /// Run until the halt idiom or until the watchdog `budget` expires
+    /// (cycles or retired instructions, per [`Core::budget_spent`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates any error from [`Core::step`].
+    fn run<I: InputPort, O: OutputPort>(
+        &mut self,
+        input: &mut I,
+        output: &mut O,
+        budget: u64,
+    ) -> Result<RunResult, SimError> {
+        self.run_with(input, output, budget, &mut NoFaults)
+    }
+
+    /// [`run`](Core::run) with a fault-injection hook. State faults are
+    /// applied once before the first fetch (a stuck power-on bit) and
+    /// after every retired instruction.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any error from [`Core::step_with`].
+    fn run_with<I: InputPort, O: OutputPort, F: FaultHook>(
+        &mut self,
+        input: &mut I,
+        output: &mut O,
+        budget: u64,
+        faults: &mut F,
+    ) -> Result<RunResult, SimError> {
+        self.power_on_faults(faults);
+        self.resume_with(input, output, budget, faults)
+    }
+
+    /// The run loop without the power-on state-fault visit: drive an
+    /// already-powered-on core until the halt idiom or until `budget`
+    /// expires. Every run in the stack drains here — `run_with` after
+    /// its power-on visit, and deadline-sliced or checkpointed callers
+    /// once per slice.
+    ///
+    /// The hook's [`corrupts_fetch`](FaultHook::corrupts_fetch) answer
+    /// is latched once per call: a hook that leaves the fetch bus alone
+    /// is not visited per fetched byte. A run that settles into a loop
+    /// it can never leave is fast-forwarded to the watchdog rather than
+    /// simulated to it, with identical results (see DESIGN.md §16).
+    ///
+    /// # Errors
+    ///
+    /// Propagates any error from [`Core::step_with`].
+    fn resume_with<I: InputPort, O: OutputPort, F: FaultHook>(
+        &mut self,
+        input: &mut I,
+        output: &mut O,
+        budget: u64,
+        faults: &mut F,
+    ) -> Result<RunResult, SimError> {
+        let fetch_faults = F::ACTIVE && faults.corrupts_fetch();
+        hang::drain(
+            &mut Engine { core: self, faults },
+            input,
+            output,
+            budget,
+            fetch_faults,
+        )?;
+        Ok(self.state().run_result())
+    }
+
+    /// Apply state faults once at the current cycle — the "stuck
+    /// power-on bit" visit [`run_with`](Core::run_with) makes before the
+    /// first fetch. Callers that step or
+    /// [`resume_with`](Core::resume_with) a core themselves call this
+    /// once first, so their runs match `run_with` exactly.
+    fn power_on_faults<F: FaultHook>(&mut self, faults: &mut F) {
+        if F::ACTIVE {
+            let cycle = self.state().cycle;
+            faults.on_state(cycle, &mut self.arch_state());
+        }
+    }
+}
+
+/// The one step/run loop shared by every dialect: fetch (with fault
+/// corruption), decode, execute, commit, watchdog. Each provided
+/// driving method of [`Core`] borrows the core and its fault hook into
+/// one for the length of the call.
+pub(crate) struct Engine<'a, C, F> {
+    core: &'a mut C,
+    faults: &'a mut F,
+}
+
+impl<C: Core, F: FaultHook> Engine<'_, C, F> {
+    /// [`Core::step_with`] with the fetch-bus visit decided by the
     /// caller: `fetch_faults = false` skips [`FaultHook::on_fetch`],
     /// which is exact for a hook that answered `false` to
     /// [`corrupts_fetch`](FaultHook::corrupts_fetch) (its `on_fetch` is
@@ -575,7 +564,7 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
         };
         let (insn, len) = self.core.decode(window, address)?;
 
-        let flow = self.core.execute(insn, input, output, &mut self.faults);
+        let flow = self.core.execute(insn, input, output, self.faults);
 
         let state = self.core.state_mut();
         let mut taken = false;
@@ -612,57 +601,6 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
             taken_branch: taken,
             halted: state.halted,
         })
-    }
-
-    /// Run until the halt idiom or until the watchdog `budget` expires
-    /// (cycles or retired instructions, per [`Core::budget_spent`]).
-    /// State faults are applied once before the first fetch (a stuck
-    /// power-on bit) and after every retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`Engine::step`].
-    pub fn run<I, O>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        budget: u64,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.apply_power_on_faults();
-        self.resume(input, output, budget)
-    }
-
-    /// The run loop without the power-on state-fault visit: drive an
-    /// already-powered-on core until the halt idiom or until `budget`
-    /// expires. Every run in the stack drains here — `run` after its
-    /// power-on visit, and deadline-sliced callers once per slice.
-    ///
-    /// The hook's [`corrupts_fetch`](FaultHook::corrupts_fetch) answer
-    /// is latched once per call: a hook that leaves the fetch bus alone
-    /// is not visited per fetched byte. A run that settles into a loop
-    /// it can never leave is fast-forwarded to the watchdog rather than
-    /// simulated to it, with identical results (see DESIGN.md §16).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`Engine::step`].
-    pub fn resume<I, O>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        budget: u64,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        let fetch_faults = F::ACTIVE && self.faults.corrupts_fetch();
-        hang::drain(self, input, output, budget, fetch_faults)?;
-        Ok(self.core.state().run_result())
     }
 }
 

@@ -26,6 +26,7 @@
 //! result to the output port:
 //!
 //! ```
+//! use flexicore::exec::Core;
 //! use flexicore::isa::fc4::Instruction;
 //! use flexicore::program::Program;
 //! use flexicore::sim::fc4::Fc4Core;

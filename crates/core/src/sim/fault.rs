@@ -266,7 +266,7 @@ pub trait FaultHook {
 
     /// Whether this hook may alter bytes on the fetch bus.
     ///
-    /// [`Engine::resume`](crate::exec::Engine::resume) latches this once
+    /// [`Core::resume_with`](crate::exec::Core::resume_with) latches this once
     /// per run: a hook answering `false` promises
     /// [`on_fetch`](FaultHook::on_fetch) is the identity (and free of
     /// side effects), so the run skips the per-byte fetch-bus visit.
@@ -320,40 +320,6 @@ pub trait FaultHook {
     #[inline]
     fn on_state(&mut self, cycle: u64, state: &mut ArchState<'_>) {
         let _ = (cycle, state);
-    }
-}
-
-impl<F: FaultHook> FaultHook for &mut F {
-    const ACTIVE: bool = F::ACTIVE;
-
-    #[inline]
-    fn corrupts_fetch(&self) -> bool {
-        (**self).corrupts_fetch()
-    }
-
-    #[inline]
-    fn is_steady(&self) -> bool {
-        (**self).is_steady()
-    }
-
-    #[inline]
-    fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
-        (**self).on_fetch(cycle, byte)
-    }
-
-    #[inline]
-    fn on_input(&mut self, cycle: u64, value: u8) -> u8 {
-        (**self).on_input(cycle, value)
-    }
-
-    #[inline]
-    fn on_output(&mut self, cycle: u64, value: u8) -> u8 {
-        (**self).on_output(cycle, value)
-    }
-
-    #[inline]
-    fn on_state(&mut self, cycle: u64, state: &mut ArchState<'_>) {
-        (**self).on_state(cycle, state);
     }
 }
 
@@ -575,8 +541,6 @@ mod tests {
         assert!(!p.is_steady(), "a pending flip still depends on the cycle");
         p.on_fetch(6, 0);
         assert!(p.is_steady(), "a fired flip is inert");
-        let by_ref = &mut p;
-        assert!(by_ref.is_steady(), "&mut forwards");
         p.reset();
         assert!(!p.is_steady());
     }
@@ -761,12 +725,6 @@ mod tests {
             kind: FaultKind::FlipAtCycle(9),
         }]);
         assert!(fetch.corrupts_fetch(), "transients on the bus count too");
-        let mut via_mut = fetch;
-        let forwarded: &mut FaultPlane = &mut via_mut;
-        assert!(
-            <&mut FaultPlane as FaultHook>::corrupts_fetch(&forwarded),
-            "forwarded via &mut"
-        );
     }
 
     #[test]

@@ -6,19 +6,17 @@
 //! instruction, whose second fetch costs an extra clock cycle (the single
 //! stateful bit in FlexiCore8's controller, §3.4).
 //!
-//! The step/run loop lives in [`crate::exec::Engine`]; this module
+//! The step/run loop lives in [`crate::exec`]; this module
 //! contributes only the FlexiCore8 decode/execute semantics via the
-//! [`Core`] trait.
+//! [`Core`] trait, whose provided methods drive it.
 
 use crate::error::SimError;
-use crate::exec::{Core, Engine, ExecState, Flow, Snapshot};
+use crate::exec::{Core, ExecState, Flow, Snapshot};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::fc8::{Instruction, IPORT_ADDR, MEM_WORDS, OPORT_ADDR};
 use crate::isa::sign_extend;
 use crate::program::Program;
-use crate::sim::fault::{ArchState, FaultHook, NoFaults};
-use crate::sim::RunResult;
-use crate::trace::StepEvent;
+use crate::sim::fault::{ArchState, FaultHook};
 
 const SIGN_BIT: u8 = 0x80;
 
@@ -52,12 +50,6 @@ impl Fc8Core {
         *self = Fc8Core::new(program);
     }
 
-    /// Current program counter (7 bits, in-page).
-    #[must_use]
-    pub fn pc(&self) -> u8 {
-        self.exec.pc
-    }
-
     /// Current accumulator value.
     #[must_use]
     pub fn acc(&self) -> u8 {
@@ -68,36 +60,6 @@ impl Fc8Core {
     #[must_use]
     pub fn mem(&self, addr: u8) -> Option<u8> {
         self.mem.get(usize::from(addr)).copied()
-    }
-
-    /// Elapsed clock cycles (LOAD BYTE counts two).
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.exec.cycle
-    }
-
-    /// Retired instruction count.
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        self.exec.instructions
-    }
-
-    /// Whether the halt idiom has been reached.
-    #[must_use]
-    pub fn is_halted(&self) -> bool {
-        self.exec.halted
-    }
-
-    /// The currently selected MMU page.
-    #[must_use]
-    pub fn page(&self) -> u8 {
-        self.exec.mmu.page()
-    }
-
-    /// The loaded program image.
-    #[must_use]
-    pub fn program(&self) -> &Program {
-        &self.exec.program
     }
 
     fn read_operand<I: InputPort, F: FaultHook>(
@@ -116,81 +78,6 @@ impl Fc8Core {
         } else {
             self.mem[usize::from(addr & 0x3)]
         }
-    }
-
-    /// Execute one instruction.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::FetchOutOfBounds`] — fetch address outside the image,
-    /// * [`SimError::IllegalInstruction`] — reserved encoding,
-    /// * [`SimError::TruncatedInstruction`] — `LOAD BYTE` at the last byte
-    ///   of the image.
-    pub fn step<I, O>(&mut self, input: &mut I, output: &mut O) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.step_with(input, output, &mut NoFaults)
-    }
-
-    /// [`step`](Fc8Core::step) with a fault-injection hook.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Fc8Core::step`].
-    pub fn step_with<I, O, F>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        faults: &mut F,
-    ) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-        F: FaultHook,
-    {
-        Engine::with_faults(&mut *self, faults).step(input, output)
-    }
-
-    /// Run until the halt idiom or until `max_cycles` elapse.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`Fc8Core::step`].
-    pub fn run<I, O>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        max_cycles: u64,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.run_with(input, output, max_cycles, &mut NoFaults)
-    }
-
-    /// [`run`](Fc8Core::run) with a fault-injection hook. State faults
-    /// are applied once before the first fetch (a stuck power-on bit)
-    /// and after every retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`Fc8Core::step_with`].
-    pub fn run_with<I, O, F>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        max_cycles: u64,
-        faults: &mut F,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-        F: FaultHook,
-    {
-        Engine::with_faults(&mut *self, faults).run(input, output, max_cycles)
     }
 }
 

@@ -1,15 +1,15 @@
 //! Functional (ISA-level) simulators for every FlexiCore dialect.
 //!
 //! All simulators share the same shape: a core owns a [`Program`] image and
-//! its architectural state; [`step`](fc4::Fc4Core::step) executes one
-//! instruction against a pair of IO ports, and `run` iterates until the
+//! its architectural state; [`Core::step`] executes one instruction
+//! against a pair of IO ports, and [`Core::run`] iterates until the
 //! *halt idiom* — a taken control transfer to its own address — or a cycle
 //! budget expires. The loop itself lives in exactly one place,
-//! [`crate::exec::Engine`]: each simulator here contributes only decode
-//! and execute semantics (via [`crate::exec::Core`]) and forwards its
-//! public `step`/`run` API to the engine. Consumers that need runtime
-//! dialect dispatch use [`crate::exec::AnyCore`] instead of matching on
-//! the dialect.
+//! [`crate::exec`]: each simulator here contributes only decode and
+//! execute semantics by implementing [`Core`], whose provided methods
+//! are the one API that drives it. Consumers that need runtime dialect
+//! dispatch use [`crate::exec::AnyCore`] instead of matching on the
+//! dialect.
 //!
 //! The halt idiom matches what programs on the physical chips do: FlexiCores
 //! have no `HALT` instruction, so a finished program spins on a
@@ -17,6 +17,9 @@
 //! counter.
 //!
 //! [`Program`]: crate::program::Program
+//! [`Core`]: crate::exec::Core
+//! [`Core::step`]: crate::exec::Core::step
+//! [`Core::run`]: crate::exec::Core::run
 
 pub mod fault;
 pub mod fc4;

@@ -17,20 +17,18 @@
 //! and taken-branch counts into clock cycles for a concrete
 //! microarchitecture and program-bus width.
 //!
-//! The step/run loop lives in [`crate::exec::Engine`]; this module
+//! The step/run loop lives in [`crate::exec`]; this module
 //! contributes only the extended-accumulator decode/execute semantics via
-//! the [`Core`] trait.
+//! the [`Core`] trait, whose provided methods drive it.
 
 use crate::error::SimError;
-use crate::exec::{Core, Engine, ExecState, Flow, Snapshot, PC_MASK};
+use crate::exec::{Core, ExecState, Flow, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::features::FeatureSet;
 use crate::isa::sign_extend;
 use crate::isa::xacc::{Instruction, IPORT_ADDR, OPORT_ADDR};
 use crate::program::Program;
-use crate::sim::fault::{ArchState, FaultHook, NoFaults};
-use crate::sim::RunResult;
-use crate::trace::StepEvent;
+use crate::sim::fault::{ArchState, FaultHook};
 
 const WIDTH: u32 = 4;
 const WIDTH_MASK: u8 = 0xF;
@@ -74,12 +72,6 @@ impl XaccCore {
         self.features
     }
 
-    /// Current program counter.
-    #[must_use]
-    pub fn pc(&self) -> u8 {
-        self.exec.pc
-    }
-
     /// Current accumulator value.
     #[must_use]
     pub fn acc(&self) -> u8 {
@@ -96,36 +88,6 @@ impl XaccCore {
     #[must_use]
     pub fn mem(&self, addr: u8) -> Option<u8> {
         self.mem.get(usize::from(addr)).copied()
-    }
-
-    /// Whether the halt idiom has been reached.
-    #[must_use]
-    pub fn is_halted(&self) -> bool {
-        self.exec.halted
-    }
-
-    /// Retired instruction count (also the ISA-level cycle count).
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        self.exec.instructions
-    }
-
-    /// Elapsed ISA-level cycles (one per retired instruction).
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.exec.cycle
-    }
-
-    /// The currently selected MMU page.
-    #[must_use]
-    pub fn page(&self) -> u8 {
-        self.exec.mmu.page()
-    }
-
-    /// The loaded program image.
-    #[must_use]
-    pub fn program(&self) -> &Program {
-        &self.exec.program
     }
 
     fn read_operand<I: InputPort, F: FaultHook>(
@@ -179,81 +141,6 @@ impl XaccCore {
         let rhs = i16::from(operand & WIDTH_MASK) + i16::from(borrow_in);
         self.carry = lhs >= rhs;
         self.acc = (lhs - rhs) as u8 & WIDTH_MASK;
-    }
-
-    /// Execute one instruction.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::FetchOutOfBounds`] / [`SimError::TruncatedInstruction`]
-    ///   for bad fetches,
-    /// * [`SimError::IllegalInstruction`] for reserved encodings **and** for
-    ///   instructions whose feature is not enabled on this core.
-    pub fn step<I, O>(&mut self, input: &mut I, output: &mut O) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.step_with(input, output, &mut NoFaults)
-    }
-
-    /// [`step`](XaccCore::step) with a fault-injection hook.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`XaccCore::step`].
-    pub fn step_with<I, O, F>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        faults: &mut F,
-    ) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-        F: FaultHook,
-    {
-        Engine::with_faults(&mut *self, faults).step(input, output)
-    }
-
-    /// Run until the halt idiom or until `max_steps` instructions retire.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`XaccCore::step`].
-    pub fn run<I, O>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        max_steps: u64,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.run_with(input, output, max_steps, &mut NoFaults)
-    }
-
-    /// [`run`](XaccCore::run) with a fault-injection hook. State faults
-    /// are applied once before the first fetch (a stuck power-on bit)
-    /// and after every retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`XaccCore::step_with`].
-    pub fn run_with<I, O, F>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        max_steps: u64,
-        faults: &mut F,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-        F: FaultHook,
-    {
-        Engine::with_faults(&mut *self, faults).run(input, output, max_steps)
     }
 }
 
@@ -471,6 +358,7 @@ mod tests {
     use crate::io::{ConstInput, NullOutput, RecordingOutput};
     use crate::isa::features::Feature;
     use crate::isa::xacc::{Cond, Instruction as I};
+    use crate::sim::RunResult;
 
     fn assemble(insns: &[I]) -> Program {
         let mut bytes = Vec::new();

@@ -1,6 +1,6 @@
 //! Exactness oracle for the engine's hang fast-forward.
 //!
-//! The one drain loop, `Engine::resume` (behind `AnyCore::run_with`),
+//! The one drain loop, `Core::resume_with` (behind `AnyCore::run_with`),
 //! skips the tail of a run that has settled into a loop it cannot leave,
 //! and skips the fetch-bus visit of hooks that leave the bus alone. The
 //! oracle here is the path that does neither: a plain

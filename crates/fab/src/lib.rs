@@ -28,7 +28,6 @@ pub mod calibration;
 pub mod cost;
 pub mod current;
 pub mod error;
-pub mod field;
 pub mod lots;
 pub mod tester;
 pub mod variation;

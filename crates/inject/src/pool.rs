@@ -164,12 +164,6 @@ impl SalvagePool {
         let at = self.dies.iter().position(|d| d.id == id)?;
         Some(self.dies.remove(at))
     }
-
-    /// Consume the pool, yielding its dies.
-    #[must_use]
-    pub fn into_dies(self) -> Vec<PoolDie> {
-        self.dies
-    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! loop counter to spare — exactly the §3.3 capacity trade-off).
 
 use flexasm::{Assembler, Target};
+use flexicore::exec::Core;
 use flexicore::io::{RecordingOutput, ScriptedInput};
 use flexicore::sim::fc8::Fc8Core;
 use flexicore::SimError;

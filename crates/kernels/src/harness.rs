@@ -3,7 +3,7 @@
 use crate::{oracle, sources, Kernel};
 use flexasm::{AsmError, Target};
 use flexicore::exec::AnyCore;
-use flexicore::io::{InputPort, OutputPort, RecordingOutput, ScriptedInput};
+use flexicore::io::{RecordingOutput, ScriptedInput};
 use flexicore::program::Program;
 use flexicore::sim::{FaultHook, NoFaults, RunResult};
 use flexicore::SimError;
@@ -265,26 +265,6 @@ pub fn run_kernel_with<F: FaultHook>(
     faults: &mut F,
 ) -> Result<KernelRun, RunError> {
     PreparedKernel::new(kernel, target)?.run_with(inputs, budget, faults)
-}
-
-/// Run `program` on the functional simulator matching `target.dialect`,
-/// threading a fault-injection hook. Thin wrapper over
-/// [`AnyCore::for_dialect`] kept for callers that have a bare program
-/// rather than a [`PreparedKernel`].
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the simulator.
-pub fn run_on_dialect_with<I: InputPort, O: OutputPort, F: FaultHook>(
-    target: Target,
-    program: Program,
-    input: &mut I,
-    output: &mut O,
-    budget: u64,
-    faults: &mut F,
-) -> Result<RunResult, SimError> {
-    AnyCore::for_dialect(target.dialect, target.features, program)
-        .run_with(input, output, budget, faults)
 }
 
 /// Aggregate statistics over many input cases (one Figure 8 data point).

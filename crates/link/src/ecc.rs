@@ -44,12 +44,6 @@ impl Decoded {
             Decoded::Clean(d) | Decoded::Corrected(d) | Decoded::Uncorrectable(d) => d,
         }
     }
-
-    /// Whether the data can be trusted (clean or corrected).
-    #[must_use]
-    pub fn is_trustworthy(self) -> bool {
-        !matches!(self, Decoded::Uncorrectable(_))
-    }
 }
 
 /// Encode one data byte into a 13-bit SECDED word.

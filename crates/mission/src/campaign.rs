@@ -401,7 +401,8 @@ impl Platform<'_> {
                 window: 4,
                 budget: self.config.budget,
             },
-        );
+        )
+        .expect("a nonempty active set votes in windows of four");
         let run = executor.run(inputs, planes);
         if observe {
             for (lane, &die) in self.active[..lanes].iter().enumerate() {

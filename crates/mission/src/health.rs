@@ -25,12 +25,6 @@ impl LaneTelemetry {
     pub fn clean() -> Self {
         LaneTelemetry::default()
     }
-
-    /// Whether anything at all went wrong.
-    #[must_use]
-    pub fn troubled(&self) -> bool {
-        self.dissented || self.crashed || self.hung
-    }
 }
 
 /// Discretized die health, thresholded from the monitor score.

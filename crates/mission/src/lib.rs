@@ -30,7 +30,7 @@
 //!   when they fail. Campaigns run over `flexshard` and replay
 //!   bit-for-bit across any thread count.
 //! * [`report`] renders lifetime tallies and the adaptive-vs-static
-//!   comparison the CLI and benches print.
+//!   comparison `flexi mission` prints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::recovery::{RecoveryConfig, RecoveryExecutor};
 use crate::sched::QuorumMode;
-use crate::vote::{NmrConfig, NmrExecutor, VoteVerdict};
+use crate::vote::{NmrConfig, NmrConfigError, NmrExecutor, VoteVerdict};
 
 /// How one resiliently-executed injection ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -126,6 +126,40 @@ impl RecoveryCampaignConfig {
     }
 }
 
+/// Why a recovery campaign could not run.
+#[derive(Debug)]
+pub enum RecoveryCampaignError {
+    /// The TMR rung's voting configuration is unusable (a zero
+    /// `window`).
+    Vote(NmrConfigError),
+    /// The kernel did not assemble, or its fault-free reference run
+    /// failed.
+    Run(RunError),
+}
+
+impl core::fmt::Display for RecoveryCampaignError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            RecoveryCampaignError::Vote(e) => e.fmt(f),
+            RecoveryCampaignError::Run(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RecoveryCampaignError {}
+
+impl From<NmrConfigError> for RecoveryCampaignError {
+    fn from(e: NmrConfigError) -> Self {
+        RecoveryCampaignError::Vote(e)
+    }
+}
+
+impl From<RunError> for RecoveryCampaignError {
+    fn from(e: RunError) -> Self {
+        RecoveryCampaignError::Run(e)
+    }
+}
+
 /// The classified trials of one recovery campaign.
 #[derive(Debug, Clone)]
 pub struct RecoveryCampaign {
@@ -163,10 +197,24 @@ impl RecoveryCampaign {
 ///
 /// # Errors
 ///
-/// [`RunError::Asm`] if the kernel does not assemble for the target, or
-/// any error from the fault-free reference run — a kernel that fails
-/// *clean* makes every classification meaningless.
-pub fn run_recovery_campaign(config: RecoveryCampaignConfig) -> Result<RecoveryCampaign, RunError> {
+/// * [`RecoveryCampaignError::Vote`] if a TMR campaign's `window` is
+///   zero, before anything runs;
+/// * [`RecoveryCampaignError::Run`] wrapping [`RunError::Asm`] if the
+///   kernel does not assemble for the target, or any error from the
+///   fault-free reference run — a kernel that fails *clean* makes every
+///   classification meaningless.
+pub fn run_recovery_campaign(
+    config: RecoveryCampaignConfig,
+) -> Result<RecoveryCampaign, RecoveryCampaignError> {
+    let lanes = config.mode.lanes();
+    let vote = NmrConfig {
+        lanes,
+        window: config.window,
+        budget: config.budget,
+    };
+    if config.mode == QuorumMode::Tmr {
+        vote.validate()?;
+    }
     let prepared = PreparedKernel::new(config.kernel, config.target)?;
     let site_list = sites::enumerate(config.target.dialect);
     let mut sampler = Sampler::new(config.kernel, config.seed ^ 0x001A_7E57);
@@ -181,7 +229,6 @@ pub fn run_recovery_campaign(config: RecoveryCampaignConfig) -> Result<RecoveryC
     // no RNG, so each pre-drawn trial is a pure function of its plan and
     // the threaded execution below merges back bit-for-bit identical to
     // a serial pass, whatever the thread count.
-    let lanes = config.mode.lanes();
     let plans: Vec<(ArchFault, usize, Vec<u8>, Vec<u8>)> = (0..config.trials)
         .map(|_| {
             let fault = draw_fault(&mut rng, &site_list, config.model, clean_cycles);
@@ -198,7 +245,7 @@ pub fn run_recovery_campaign(config: RecoveryCampaignConfig) -> Result<RecoveryC
 
     let trials = flexshard::map_indexed(plans.len(), config.threads, |i| {
         let (fault, lane, inputs, expected) = &plans[i];
-        run_trial(&prepared, &config, lanes, *fault, *lane, inputs, expected)
+        run_trial(&prepared, &config, vote, *fault, *lane, inputs, expected)
     });
     Ok(RecoveryCampaign {
         config,
@@ -212,26 +259,20 @@ pub fn run_recovery_campaign(config: RecoveryCampaignConfig) -> Result<RecoveryC
 fn run_trial(
     prepared: &PreparedKernel,
     config: &RecoveryCampaignConfig,
-    lanes: usize,
+    vote: NmrConfig,
     fault: ArchFault,
     lane: usize,
     inputs: &[u8],
     expected: &[u8],
 ) -> ResilientTrial {
-    let mut planes = vec![FaultPlane::new(); lanes];
+    let mut planes = vec![FaultPlane::new(); vote.lanes];
     planes[lane] = FaultPlane::with_faults(vec![fault]);
     let spares = vec![FaultPlane::new(); config.spares];
 
     let (outputs, completed, retries) = match config.mode {
         QuorumMode::Tmr => {
-            let executor = NmrExecutor::new(
-                prepared.core(),
-                NmrConfig {
-                    lanes,
-                    window: config.window,
-                    budget: config.budget,
-                },
-            );
+            let executor = NmrExecutor::new(prepared.core(), vote)
+                .expect("run_recovery_campaign validated the TMR vote");
             let run = executor.run(inputs, planes);
             (run.outputs, run.verdict != VoteVerdict::QuorumLost, 0)
         }
@@ -322,6 +363,18 @@ mod tests {
         // a lone lane cannot vote away permanent faults; some trials
         // must fail, or the classification is broken
         assert!(campaign.count(ResilientOutcome::Unrecoverable) > 0);
+    }
+
+    #[test]
+    fn zero_window_tmr_campaign_is_an_error_not_a_panic() {
+        let config = RecoveryCampaignConfig {
+            window: 0,
+            ..quick(QuorumMode::Tmr, FaultModel::StuckAt, 3)
+        };
+        assert!(matches!(
+            run_recovery_campaign(config),
+            Err(RecoveryCampaignError::Vote(NmrConfigError::EmptyWindow))
+        ));
     }
 
     #[test]

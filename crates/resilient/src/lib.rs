@@ -42,7 +42,7 @@
 //!     .trials
 //!     .iter()
 //!     .all(|t| t.outcome == ResilientOutcome::Masked));
-//! # Ok::<(), flexkernels::RunError>(())
+//! # Ok::<(), flexresilient::RecoveryCampaignError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,12 +55,14 @@ pub mod sched;
 pub mod vote;
 
 pub use campaign::{
-    run_recovery_campaign, RecoveryCampaign, RecoveryCampaignConfig, ResilientOutcome,
-    ResilientTrial,
+    run_recovery_campaign, RecoveryCampaign, RecoveryCampaignConfig, RecoveryCampaignError,
+    ResilientOutcome, ResilientTrial,
 };
 pub use recovery::{
     RecoveryConfig, RecoveryExecutor, RecoveryRun, RetryAction, RetryCause, RetryEvent,
 };
 pub use report::{render_recovery_campaign, ResilienceTally};
 pub use sched::{compose, Quorum, QuorumMode};
-pub use vote::{NmrConfig, NmrExecutor, NmrRun, StateDigest, VoteVerdict, WindowVote};
+pub use vote::{
+    NmrConfig, NmrConfigError, NmrExecutor, NmrRun, StateDigest, VoteVerdict, WindowVote,
+};

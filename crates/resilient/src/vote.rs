@@ -96,6 +96,43 @@ pub struct NmrConfig {
     pub budget: u64,
 }
 
+/// Why an [`NmrConfig`] cannot drive an [`NmrExecutor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NmrConfigError {
+    /// `lanes` is zero: there is no lane to vote.
+    NoLanes,
+    /// `window` is zero: the output stream cannot be cut into windows.
+    EmptyWindow,
+}
+
+impl core::fmt::Display for NmrConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(match self {
+            NmrConfigError::NoLanes => "an N-modular executor needs at least one lane",
+            NmrConfigError::EmptyWindow => "an N-modular voting window holds at least one output",
+        })
+    }
+}
+
+impl std::error::Error for NmrConfigError {}
+
+impl NmrConfig {
+    /// Check that the configuration can drive an executor.
+    ///
+    /// # Errors
+    ///
+    /// [`NmrConfigError`] for zero lanes or a zero-length window.
+    pub(crate) fn validate(&self) -> Result<(), NmrConfigError> {
+        if self.lanes == 0 {
+            Err(NmrConfigError::NoLanes)
+        } else if self.window == 0 {
+            Err(NmrConfigError::EmptyWindow)
+        } else {
+            Ok(())
+        }
+    }
+}
+
 impl Default for NmrConfig {
     fn default() -> Self {
         NmrConfig {
@@ -138,9 +175,13 @@ impl NmrExecutor {
     /// program image loaded, e.g. [`PreparedKernel::core`]).
     ///
     /// [`PreparedKernel::core`]: flexkernels::harness::PreparedKernel::core
-    #[must_use]
-    pub fn new(proto: AnyCore, config: NmrConfig) -> Self {
-        NmrExecutor { proto, config }
+    ///
+    /// # Errors
+    ///
+    /// [`NmrConfigError`] if `config` has no lanes or an empty window.
+    pub fn new(proto: AnyCore, config: NmrConfig) -> Result<Self, NmrConfigError> {
+        config.validate()?;
+        Ok(NmrExecutor { proto, config })
     }
 
     /// The configuration in force.
@@ -296,7 +337,8 @@ mod tests {
                 budget: 20_000,
                 ..NmrConfig::default()
             },
-        );
+        )
+        .unwrap();
         (executor, inputs, expected)
     }
 
@@ -355,6 +397,44 @@ mod tests {
         ];
         let run = executor.run(&inputs, planes);
         assert_eq!(run.verdict, VoteVerdict::QuorumLost);
+    }
+
+    #[test]
+    fn zero_lanes_or_window_is_rejected_not_a_panic() {
+        let proto = PreparedKernel::new(Kernel::ParityCheck, Target::fc4())
+            .unwrap()
+            .core();
+        for (config, error) in [
+            (
+                NmrConfig {
+                    lanes: 0,
+                    ..NmrConfig::default()
+                },
+                NmrConfigError::NoLanes,
+            ),
+            (
+                NmrConfig {
+                    window: 0,
+                    ..NmrConfig::default()
+                },
+                NmrConfigError::EmptyWindow,
+            ),
+        ] {
+            assert_eq!(config.validate(), Err(error));
+            assert_eq!(
+                NmrExecutor::new(proto.clone(), config).map(|_| ()),
+                Err(error)
+            );
+        }
+        assert!(NmrExecutor::new(
+            proto,
+            NmrConfig {
+                lanes: 1,
+                window: 1,
+                ..NmrConfig::default()
+            }
+        )
+        .is_ok());
     }
 
     #[test]

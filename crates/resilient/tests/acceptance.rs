@@ -141,7 +141,8 @@ fn corrupt_page_mmu_faults_are_recovered_not_sdc() {
             budget: 20_000,
             ..NmrConfig::default()
         },
-    );
+    )
+    .unwrap();
     let stuck = ArchFault {
         element: StateElement::PageReg,
         bit: 3,
@@ -192,7 +193,7 @@ fn every_kernel_runs_through_the_resilient_executor() {
         let inputs = Sampler::new(kernel, 13).draw();
         let expected = oracle::expected_outputs(kernel, target.dialect, &inputs);
 
-        let tmr = NmrExecutor::new(prepared.core(), NmrConfig::default());
+        let tmr = NmrExecutor::new(prepared.core(), NmrConfig::default()).unwrap();
         let voted = tmr.run(&inputs, vec![flexicore::sim::FaultPlane::new(); 3]);
         assert_eq!(voted.verdict, VoteVerdict::Unanimous, "{kernel}");
         assert_eq!(voted.outputs, expected, "{kernel}");
@@ -246,7 +247,8 @@ fn degradation_ladder_composes_from_a_fabricated_wafer() {
             budget: 20_000,
             ..NmrConfig::default()
         },
-    );
+    )
+    .unwrap();
     let inputs = [0x3, 0x5];
     let voted = executor.run(&inputs, clean.planes());
     assert_eq!(voted.verdict, VoteVerdict::Unanimous);

@@ -10,6 +10,7 @@
 
 use flexgate::netlist::Netlist;
 use flexgate::sim::BatchSim;
+use flexicore::exec::Core;
 use flexicore::io::{InputPort, OutputPort};
 use flexicore::program::Program;
 
@@ -77,7 +78,7 @@ where
         // off-chip MMU (simulated inside the ISA model, shared by both —
         // it is one physical board) supplies the page bits
         let rtl_pc = rtl.output_value("pc", 0);
-        let isa_pc = u64::from(isa.pc());
+        let isa_pc = u64::from(isa.state().pc());
         if rtl_pc != isa_pc {
             mismatches.push(Mismatch {
                 cycle,
@@ -117,7 +118,7 @@ where
             });
             break;
         }
-        if isa.is_halted() {
+        if isa.state().is_halted() {
             break;
         }
     }
@@ -143,7 +144,7 @@ where
     let mut executed = 0;
 
     for step_idx in 0..cycles {
-        let isa_pc = u64::from(isa.pc());
+        let isa_pc = u64::from(isa.state().pc());
         let rtl_pc = rtl.output_value("pc", 0);
         if rtl_pc != isa_pc {
             mismatches.push(Mismatch {
@@ -184,7 +185,7 @@ where
             });
             break;
         }
-        if isa.is_halted() {
+        if isa.state().is_halted() {
             break;
         }
     }

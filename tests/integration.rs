@@ -4,6 +4,7 @@
 
 use flexasm::{Assembler, Target};
 use flexfab::wafer_run::{CoreDesign, WaferExperiment};
+use flexicore::exec::Core;
 use flexicore::io::{ConstInput, RecordingOutput, ScriptedInput};
 use flexicore::sim::fc4::Fc4Core;
 use flexkernels::inputs::Sampler;

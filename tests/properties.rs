@@ -6,6 +6,7 @@ use proptest::prelude::*;
 
 use flexgate::netlist::Netlist;
 use flexgate::sim::BatchSim;
+use flexicore::exec::Core;
 use flexicore::io::{ConstInput, RecordingOutput};
 use flexicore::isa::xacc::Cond;
 use flexicore::isa::{fc4, fc8, xacc, xls, AluOp};
@@ -226,7 +227,7 @@ proptest! {
             let mut output = RecordingOutput::new();
             let r = core.run(&mut ConstInput::new(input), &mut output, 2_000);
             (r.map(|x| (x.cycles, x.instructions, x.stop)), output.values(),
-             core.acc(), core.pc())
+             core.acc(), core.state().pc())
         };
         prop_assert_eq!(run(program.clone()), run(program));
     }
@@ -242,11 +243,11 @@ proptest! {
         let mut output = RecordingOutput::new();
         let mut inp = ConstInput::new(input);
         for _ in 0..500 {
-            if core.is_halted() || core.step(&mut inp, &mut output).is_err() {
+            if core.state().is_halted() || core.step(&mut inp, &mut output).is_err() {
                 break;
             }
             prop_assert!(core.acc() < 16);
-            prop_assert!(core.pc() < 128);
+            prop_assert!(core.state().pc() < 128);
             for a in 0..8 {
                 prop_assert!(core.mem(a).unwrap() < 16);
             }
@@ -357,7 +358,7 @@ proptest! {
         }
     }
 
-    /// The shared [`flexicore::exec::Engine`] upholds its accounting
+    /// The shared engine behind [`flexicore::exec::Core`] upholds its accounting
     /// invariants on every dialect: a retired instruction costs at least
     /// one cycle and at least one fetched byte, kernels terminate via
     /// the halt idiom (not the watchdog), and [`NoFaults`] is
