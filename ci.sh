@@ -49,6 +49,13 @@ cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
 ./target/release/flexi link --rates 0,5e-4 --seed 11 --threads 8 \
     > /tmp/flexi_threaded.txt
 cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
+# the FC8 seed-5 wafer has 66 defective dies, so its screen spans two
+# 63-lane packs with clean dies interleaved between them
+./target/release/flexi wafer --design fc8 --seed 5 --cycles 2000 --map csv \
+    > /tmp/flexi_serial.txt
+./target/release/flexi wafer --design fc8 --seed 5 --cycles 2000 --map csv \
+    --threads 8 > /tmp/flexi_threaded.txt
+cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
 rm -f /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
 
 echo "== mission soak smoke =="

@@ -4,8 +4,11 @@
 //! test vectors"; a die is fully functional iff **zero** differences are
 //! observed between its outputs and the golden RTL behaviour across all
 //! vectors. Here the golden reference is lane 0 of the batch simulator
-//! (the fault-free netlist) and up to 63 faulty dies ride in the other
-//! lanes of the same simulation.
+//! (the fault-free netlist) and up to 63 defective dies ride in the other
+//! lanes of the same simulation. A die with no injected defect is never
+//! simulated: no lane reads another lane's bit, so a fault-free lane
+//! holds lane 0's word on every net and its defect mismatch count is zero
+//! by construction.
 //!
 //! Timing is checked separately: a die whose variation-scaled fmax falls
 //! below the 12.5 kHz test clock produces output errors proportional to
@@ -167,10 +170,12 @@ impl<'a> Tester<'a> {
     }
 
     /// [`test_wafer`](Tester::test_wafer) across up to `threads` worker
-    /// threads. The work unit is one 63-die chunk — each chunk owns its
-    /// simulator and stimulus RNG, and chunk results merge in die order,
-    /// so the outcome vector is bit-for-bit identical for every thread
-    /// count.
+    /// threads. Only dies with `defect_count > 0` are simulated, packed in
+    /// wafer order into packs of up to 63; every clean die gets zero
+    /// defect errors without a lane. The work unit is one pack — each pack
+    /// owns its simulator and stimulus RNG, and pack results merge back in
+    /// die order, so the outcome vector is bit-for-bit identical for every
+    /// thread count. A wafer with no defective die runs no pack at all.
     ///
     /// # Errors
     ///
@@ -187,23 +192,32 @@ impl<'a> Tester<'a> {
                 vth: self.delay_model.vth_nom,
             });
         }
-        let chunks: Vec<&[DieVariation]> = dies.chunks(63).collect();
-        let per_chunk =
-            flexshard::map_indexed(chunks.len(), threads, |i| self.test_chunk(chunks[i]));
-        let mut outcomes = Vec::with_capacity(dies.len());
-        for (chunk, defect_errors) in chunks.iter().zip(per_chunk) {
-            for (die, defects) in chunk.iter().zip(defect_errors?) {
-                let timing_errors = self.timing_errors(die, voltage);
-                outcomes.push(DieOutcome {
-                    defect_errors: defects,
-                    timing_errors,
-                });
-            }
-        }
-        Ok(outcomes)
+        let defective: Vec<DieVariation> = dies
+            .iter()
+            .filter(|die| die.defect_count > 0)
+            .copied()
+            .collect();
+        let packs: Vec<&[DieVariation]> = defective.chunks(63).collect();
+        let per_pack = flexshard::map_indexed(packs.len(), threads, |i| self.test_chunk(packs[i]));
+        let mut defect_errors = per_pack
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .flatten();
+        Ok(dies
+            .iter()
+            .map(|die| DieOutcome {
+                defect_errors: if die.defect_count > 0 {
+                    defect_errors.next().expect("one count per defective die")
+                } else {
+                    0
+                },
+                timing_errors: self.timing_errors(die, voltage),
+            })
+            .collect())
     }
 
-    /// Run the vector set once with up to 63 faulty dies in lanes 1..;
+    /// Run the vector set once with up to 63 defective dies in lanes 1..;
     /// lane 0 is the golden reference. Returns per-die mismatch counts.
     fn test_chunk(&self, dies: &[DieVariation]) -> Result<Vec<u64>, FabError> {
         debug_assert!(dies.len() <= 63);
@@ -461,6 +475,64 @@ mod tests {
         let serial = tester.test_wafer(&dies, 4.5).unwrap();
         let threaded = tester.test_wafer_with(&dies, 4.5, 8).unwrap();
         assert_eq!(serial, threaded);
+    }
+
+    /// 150 dies, every other one defective: 75 defective dies fill one
+    /// 63-die pack and spill into a second, with a clean die between
+    /// each pair of defective ones; every seventh die is slow.
+    fn mixed_wafer() -> Vec<DieVariation> {
+        (0..150)
+            .map(|i: u64| DieVariation {
+                defect_count: if i.is_multiple_of(2) {
+                    1 + (i % 3) as u32
+                } else {
+                    0
+                },
+                defect_seed: 500 + i,
+                delay_factor: if i.is_multiple_of(7) { 1.3 } else { 1.0 },
+                ..clean_die()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_die_screens_as_it_would_alone() {
+        let netlist = flexrtl::build_fc4();
+        let tester = Tester::new(&netlist, TestPlan::quick(300)).unwrap();
+        let dies = mixed_wafer();
+        assert!(dies.iter().filter(|d| d.defect_count > 0).count() > 63);
+        let wafer = tester.test_wafer(&dies, 3.0).unwrap();
+        assert_eq!(wafer.len(), dies.len());
+        for (i, (die, outcome)) in dies.iter().zip(&wafer).enumerate() {
+            let alone = tester.test_wafer(&[*die], 3.0).unwrap();
+            assert_eq!(*outcome, alone[0], "die {i}");
+        }
+        // both packs and both error kinds are exercised
+        assert!(wafer[..126].iter().any(|o| o.defect_errors > 0));
+        assert!(wafer[126..].iter().any(|o| o.defect_errors > 0));
+        assert!(wafer.iter().any(|o| o.timing_errors > 0));
+        assert_eq!(tester.test_wafer_with(&dies, 3.0, 8).unwrap(), wafer);
+    }
+
+    #[test]
+    fn all_clean_wafer_needs_no_pack() {
+        let netlist = flexrtl::build_fc4();
+        let tester = Tester::new(&netlist, TestPlan::quick(200)).unwrap();
+        let dies: Vec<DieVariation> = (0..100)
+            .map(|i| DieVariation {
+                delay_factor: 1.0 + f64::from(i) * 0.005,
+                ..clean_die()
+            })
+            .collect();
+        for v in [3.0, 4.5] {
+            let out = tester.test_wafer_with(&dies, v, 3).unwrap();
+            assert_eq!(out.len(), dies.len());
+            for (die, outcome) in dies.iter().zip(&out) {
+                assert_eq!(outcome.defect_errors, 0, "at {v} V");
+                assert_eq!(outcome.timing_errors, tester.timing_errors(die, v));
+            }
+            assert_eq!(out.iter().any(|o| o.timing_errors > 0), v == 3.0);
+        }
     }
 
     #[test]

@@ -224,8 +224,9 @@ impl WaferExperiment {
     }
 
     /// [`run`](WaferExperiment::run) with the wafer screen spread across
-    /// up to `threads` worker threads (one 63-die tester chunk per work
-    /// unit; results are identical for every thread count).
+    /// up to `threads` worker threads (one tester pack of up to 63
+    /// defective dies per work unit; results are identical for every
+    /// thread count).
     ///
     /// # Errors
     ///

@@ -11,6 +11,12 @@
 //! random script of stuck-at injections on any net, `clear_faults`,
 //! lane-masked input drives, settles, clocks and resets, and asserts
 //! every net's word equal after each settle, clock and reset.
+//!
+//! A second property holds the tape to lane independence, the invariant
+//! the wafer tester rests on when it gives a defect-free die zero
+//! mismatches without simulating it: a lane that carries no fault and
+//! has seen lane 0's drives since the last reset holds lane 0's bit on
+//! every net, whatever faults the other lanes carry.
 
 use flexgate::cell::CellKind;
 use flexgate::netlist::{Net, Netlist};
@@ -295,6 +301,71 @@ fn run_script(seed: u64, cells: usize, ops: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Run one random script on `BatchSim` alone, with faults kept off lane
+/// 0, and check lane independence after every settle, clock and reset.
+/// A lane is *tainted* once it may have diverged from lane 0 since the
+/// last reset: it carries a fault, carried one since that reset, or took
+/// a drive lane 0 did not (or missed one lane 0 took). Every untainted
+/// lane must hold lane 0's bit on every net. Returns how many checks
+/// found a lane differing from lane 0 on some net while it carried a
+/// fault and some lane besides lane 0 was untainted, so the caller can
+/// tell the property was not vacuous.
+fn run_lane_script(seed: u64, cells: usize, ops: usize) -> Result<usize, String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let d = random_design(&mut rng, cells);
+    let mut sim = BatchSim::new(&d.netlist).map_err(|e| e.to_string())?;
+    let (mut faulty, mut tainted) = (0u64, 0u64);
+    let mut contrasted = 0;
+    for step in 0..ops {
+        let op = rng.gen_range(0..10);
+        match op {
+            0 | 1 => {
+                let (net, one, l) = (fault_net(&mut rng, &d), rng.gen_bool(0.5), lanes(&mut rng));
+                let l = l & !1;
+                sim.inject(net, one, l);
+                faulty |= l;
+                tainted |= l;
+            }
+            2 => {
+                sim.clear_faults();
+                faulty = 0;
+            }
+            3 | 4 => {
+                let (name, width) = d.ports[rng.gen_range(0..d.ports.len())];
+                let value = rng.gen_range(0..1u64 << width);
+                let l = lanes(&mut rng);
+                sim.set_input_value(name, value, l);
+                // lanes on the other side of the mask from lane 0
+                tainted |= if l & 1 == 1 { !l } else { l };
+            }
+            5 | 6 => sim.settle(),
+            7 | 8 => sim.clock(),
+            _ => {
+                sim.reset();
+                tainted = faulty;
+            }
+        }
+        if op >= 5 {
+            let mut differing = 0;
+            for &net in &d.nets {
+                let word = sim.net_value(net);
+                let golden = 0u64.wrapping_sub(word & 1);
+                let diff = word ^ golden;
+                if diff & !tainted != 0 {
+                    return Err(format!(
+                        "after op {step} ({op}): net {net:?} word {word:#x} splits untainted lanes \
+                         {:#x} from lane 0",
+                        diff & !tainted
+                    ));
+                }
+                differing |= diff;
+            }
+            contrasted += usize::from(differing & faulty != 0 && !tainted & !1 != 0);
+        }
+    }
+    Ok(contrasted)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -307,6 +378,30 @@ proptest! {
         let verdict = run_script(seed, cells, ops);
         prop_assert!(verdict.is_ok(), "seed {seed}, {cells} cells: {}", verdict.unwrap_err());
     }
+
+    #[test]
+    fn fault_free_lanes_hold_lane_0s_bit_on_every_net(
+        seed in any::<u64>(),
+        cells in 1usize..96,
+        ops in 1usize..80,
+    ) {
+        let verdict = run_lane_script(seed, cells, ops);
+        prop_assert!(verdict.is_ok(), "seed {seed}, {cells} cells: {}", verdict.unwrap_err());
+    }
+}
+
+/// The lane-independence property is not vacuous: across fixed seeds,
+/// many checks see a faulty lane that really differs from lane 0 while
+/// the untainted lanes still match it.
+#[test]
+fn lane_independence_checks_see_faulty_lanes_diverge() {
+    let contrasted: usize = (0..64)
+        .map(|seed| run_lane_script(seed, 64, 80).expect("lane independence"))
+        .sum();
+    assert!(
+        contrasted > 300,
+        "only {contrasted} checks saw a divergent lane"
+    );
 }
 
 /// The generator reaches what the property claims to cover: all
