@@ -113,8 +113,11 @@ echo "== hang fast-forward gate =="
 # executors still stepped. The gate-level
 # screen runs a compiled tape: its oracle holds the tape to the per-cell
 # interpreter, and the wafer-screen and fault-coverage pins were
-# captured while the interpreter still ran the screen
+# captured while the interpreter still ran the screen. The kernel
+# harness skips the replay of a hung loop's writes, which no verdict
+# reads: its oracle holds it to a full recording handed to `verify`
 cargo test --release --offline -p flexicore -q --test hang_forward
+cargo test --release --offline -p flexinject -q --test verdict_oracle
 cargo test --release --offline -p flexresilient -q --test segment_oracle
 cargo test --release --offline -p flexinject -q --test campaign_digests
 cargo test --release --offline -p flexinject -q --test salvage_digests

@@ -19,13 +19,14 @@
 //! * **The jump**: one more period steps with the output port tee'd to
 //!   capture its writes. Then `k` whole periods are skipped: the run
 //!   accounting advances by `k` times one period's deltas, and the
-//!   captured writes are replayed `k` times through the ordinary
-//!   [`OutputPort::write`], each stamped one period's cycles later than
-//!   the last. The final partial period steps normally.
+//!   captured writes are handed to [`OutputPort::repeat`] to replay
+//!   `k` times, each copy stamped one period's cycles later than the
+//!   last. The final partial period steps normally.
 //!
 //! The resulting [`RunResult`](crate::sim::RunResult), output stream and
 //! core state equal the plain run-to-watchdog bit for bit (the
-//! `hang_forward` oracle tests hold both paths equal).
+//! `hang_forward` oracle tests hold both paths equal); the stream does
+//! for every port whose `repeat` replays, as the default does.
 
 use crate::error::SimError;
 use crate::io::{InputPort, OutputPort};
@@ -218,18 +219,6 @@ where
     state.fetched_bytes = state
         .fetched_bytes
         .saturating_add(skipped(|r| r.fetched_bytes));
-    if !writes.is_empty() {
-        // k replayed periods plus at most one period's worth from the
-        // final partial period
-        let total = k.saturating_add(1).saturating_mul(writes.len() as u64);
-        output.reserve(usize::try_from(total).unwrap_or(usize::MAX));
-        let shift = after.cycles - before.cycles;
-        for r in 1..=k {
-            let offset = shift.saturating_mul(r);
-            for &(cycle, value) in &writes {
-                output.write(cycle.saturating_add(offset), value);
-            }
-        }
-    }
+    output.repeat(&writes, after.cycles - before.cycles, k);
     Ok(())
 }

@@ -33,11 +33,28 @@ pub trait OutputPort {
     /// Observe a value driven on the bus at the given cycle.
     fn write(&mut self, cycle: u64, value: u8);
 
-    /// A hint that about `writes` more writes are coming: the engine's
-    /// hang fast-forward calls it before replaying a loop's writes, so a
-    /// recording port can size its buffer once. The default ignores it.
-    fn reserve(&mut self, writes: usize) {
-        let _ = writes;
+    /// Observe `times` more copies of `period`'s writes, the `r`-th copy
+    /// (counting from 1) stamped `shift × r` cycles later, saturating at
+    /// `u64::MAX`. The engine's hang fast-forward calls it once, with
+    /// the writes of one loop period, for the whole periods it skips
+    /// (DESIGN.md §16.3). The default replays the copies through
+    /// [`write`](Self::write), in order; a port may override it to do
+    /// the same faster, or to skip a replay its owner never reads.
+    fn repeat(&mut self, period: &[(u64, u8)], shift: u64, times: u64) {
+        replay(self, period, shift, times);
+    }
+}
+
+/// The default [`OutputPort::repeat`]: every copy through `write`.
+fn replay<O: OutputPort + ?Sized>(port: &mut O, period: &[(u64, u8)], shift: u64, times: u64) {
+    if period.is_empty() {
+        return;
+    }
+    for r in 1..=times {
+        let offset = shift.saturating_mul(r);
+        for &(cycle, value) in period {
+            port.write(cycle.saturating_add(offset), value);
+        }
     }
 }
 
@@ -56,8 +73,8 @@ impl<T: OutputPort + ?Sized> OutputPort for &mut T {
         (**self).write(cycle, value);
     }
 
-    fn reserve(&mut self, writes: usize) {
-        (**self).reserve(writes);
+    fn repeat(&mut self, period: &[(u64, u8)], shift: u64, times: u64) {
+        (**self).repeat(period, shift, times);
     }
 }
 
@@ -213,6 +230,17 @@ impl RecordingOutput {
     pub fn is_empty(&self) -> bool {
         self.writes.is_empty()
     }
+
+    /// Room for `times` copies of a `len`-write period plus one more:
+    /// after a fast-forward's replay the engine steps at most one
+    /// partial period, so that copy's writes need no regrowth either. A
+    /// reservation too large to honour is ignored.
+    fn reserve_periods(&mut self, len: usize, times: u64) {
+        let total = times.saturating_add(1).saturating_mul(len as u64);
+        let _ = self
+            .writes
+            .try_reserve_exact(usize::try_from(total).unwrap_or(usize::MAX));
+    }
 }
 
 impl OutputPort for RecordingOutput {
@@ -220,10 +248,11 @@ impl OutputPort for RecordingOutput {
         self.writes.push((cycle, value));
     }
 
-    /// Reserves exactly, so a fast-forwarded hang's recording carries
-    /// no doubling slack; a hint too large to honour is ignored.
-    fn reserve(&mut self, writes: usize) {
-        let _ = self.writes.try_reserve_exact(writes);
+    /// Reserves exactly, then replays every copy: a fast-forwarded
+    /// hang's recording holds all its writes with no doubling slack.
+    fn repeat(&mut self, period: &[(u64, u8)], shift: u64, times: u64) {
+        self.reserve_periods(period.len(), times);
+        replay(self, period, shift, times);
     }
 }
 
@@ -241,6 +270,8 @@ impl NullOutput {
 
 impl OutputPort for NullOutput {
     fn write(&mut self, _cycle: u64, _value: u8) {}
+
+    fn repeat(&mut self, _period: &[(u64, u8)], _shift: u64, _times: u64) {}
 }
 
 #[cfg(test)]
@@ -303,16 +334,97 @@ mod tests {
         assert_eq!(o.len(), 2);
     }
 
-    #[test]
-    fn recording_reserve_is_forwarded_and_never_panics() {
-        fn hint<O: OutputPort>(mut port: O) {
-            port.reserve(1_000);
+    /// A port with only `write`, so `repeat` is the trait default.
+    #[derive(Default)]
+    struct Plain(Vec<(u64, u8)>);
+
+    impl OutputPort for Plain {
+        fn write(&mut self, cycle: u64, value: u8) {
+            self.0.push((cycle, value));
         }
+    }
+
+    #[test]
+    fn repeat_equals_a_write_loop_and_saturates() {
+        let period = [(u64::MAX - 40, 3), (u64::MAX - 25, 9), (u64::MAX - 5, 1)];
+        for (shift, times) in [(0, 3), (1, 1), (7, 4), (20, 5), (u64::MAX, 2)] {
+            let mut by_hand = Vec::new();
+            for r in 1..=times {
+                for &(cycle, value) in &period {
+                    by_hand.push((cycle.saturating_add(shift.saturating_mul(r)), value));
+                }
+            }
+            let mut plain = Plain::default();
+            plain.repeat(&period, shift, times);
+            let mut rec = RecordingOutput::new();
+            rec.repeat(&period, shift, times);
+            assert_eq!(plain.0, by_hand, "default, shift {shift} x {times}");
+            assert_eq!(
+                rec.writes(),
+                &by_hand[..],
+                "override, shift {shift} x {times}"
+            );
+        }
+        let mut rec = RecordingOutput::new();
+        rec.repeat(&period, 20, 5);
+        assert_eq!(
+            rec.writes()[12..],
+            [(u64::MAX, 3), (u64::MAX, 9), (u64::MAX, 1)]
+        );
+    }
+
+    #[test]
+    fn repeat_zero_times_or_an_empty_period_writes_nothing() {
+        let mut plain = Plain::default();
+        let mut rec = RecordingOutput::new();
+        plain.repeat(&[(5, 1), (6, 2)], 4, 0);
+        rec.repeat(&[(5, 1), (6, 2)], 4, 0);
+        // an empty period returns at once, whatever the count
+        plain.repeat(&[], 4, u64::MAX);
+        rec.repeat(&[], 4, u64::MAX);
+        NullOutput.repeat(&[(5, 1)], 4, u64::MAX);
+        assert!(plain.0.is_empty());
+        assert!(rec.is_empty());
+    }
+
+    #[test]
+    fn mut_ref_forwards_repeat() {
+        /// Counts `repeat` calls and fails on any write.
+        #[derive(Default)]
+        struct Counting(usize);
+
+        impl OutputPort for Counting {
+            fn write(&mut self, _cycle: u64, _value: u8) {
+                panic!("repeat was not forwarded");
+            }
+
+            fn repeat(&mut self, _period: &[(u64, u8)], _shift: u64, _times: u64) {
+                self.0 += 1;
+            }
+        }
+
+        fn replay_through<O: OutputPort>(mut port: O) {
+            port.repeat(&[(1, 2)], 3, 4);
+        }
+        let mut counting = Counting::default();
+        replay_through(&mut counting);
+        assert_eq!(counting.0, 1);
+        let mut rec = RecordingOutput::new();
+        replay_through(&mut rec);
+        assert_eq!(rec.writes(), &[(4, 2), (7, 2), (10, 2), (13, 2)]);
+        assert_eq!(rec.writes.capacity(), 5, "the override reserved");
+    }
+
+    #[test]
+    fn reservation_too_large_to_honour_is_ignored() {
         let mut o = RecordingOutput::new();
-        hint(&mut o);
-        assert!(o.writes.capacity() >= 1_000, "&mut forwards");
-        o.reserve(usize::MAX); // too large to honour: ignored
+        o.reserve_periods(1, u64::MAX);
+        o.reserve_periods(usize::MAX, 2);
+        o.reserve_periods(usize::MAX / 2, 1);
         assert!(o.is_empty());
+        assert_eq!(o.writes.capacity(), 0);
+        o.reserve_periods(3, 4);
+        assert_eq!(o.writes.capacity(), 15, "exact: five copies of three");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::{oracle, sources, Kernel};
 use flexasm::{AsmError, Target};
 use flexicore::exec::AnyCore;
-use flexicore::io::{RecordingOutput, ScriptedInput};
+use flexicore::io::{OutputPort, ScriptedInput};
 use flexicore::program::Program;
 use flexicore::sim::{FaultHook, NoFaults, RunResult};
 use flexicore::SimError;
@@ -14,7 +14,7 @@ use flexicore::SimError;
 pub const CYCLE_BUDGET: u64 = 200_000;
 
 /// The outcome of one verified kernel execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelRun {
     /// Payload outputs (protocol escapes/separators stripped).
     pub outputs: Vec<u8>,
@@ -158,11 +158,15 @@ impl PreparedKernel {
         faults: &mut F,
     ) -> Result<KernelRun, RunError> {
         let mut input = ScriptedInput::new(inputs.to_vec());
-        let mut output = RecordingOutput::new();
+        let mut output = VerdictOutput::new();
         let result = self
             .core()
             .run_with(&mut input, &mut output, budget, faults)?;
-        self.verify(inputs, output.values(), result)
+        debug_assert!(
+            !(output.skipped_replay() && result.halted()),
+            "a fast-forwarded run ends at its watchdog, unhalted"
+        );
+        self.verify(inputs, output.into_values(), result)
     }
 
     /// Run one case per [`BatchCase`], each exactly as
@@ -213,6 +217,60 @@ impl PreparedKernel {
             static_instructions: self.static_instructions,
             code_bytes: self.code_bytes,
         })
+    }
+}
+
+/// The output port [`PreparedKernel::run_with`] records into: one byte
+/// per write and no cycle stamp, because a verdict reads only the
+/// values a halted run wrote.
+///
+/// Its [`repeat`](OutputPort::repeat) records nothing. The engine calls
+/// `repeat` only to replay the periods a hang fast-forward skips
+/// (DESIGN.md §16.3), and such a run ends at its watchdog without
+/// halting, since every state in a repeating period is unhalted. A
+/// verdict rejects an unhalted run before it reads a value, so
+/// [`values`](Self::values) is the run's whole output stream whenever
+/// the run halted.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct VerdictOutput {
+    values: Vec<u8>,
+    skipped_replay: bool,
+}
+
+impl VerdictOutput {
+    /// An empty port.
+    #[must_use]
+    pub fn new() -> Self {
+        VerdictOutput::default()
+    }
+
+    /// The values written, in order: the whole stream if the run halted.
+    #[must_use]
+    pub fn values(&self) -> &[u8] {
+        &self.values
+    }
+
+    /// The values written, by value.
+    #[must_use]
+    pub fn into_values(self) -> Vec<u8> {
+        self.values
+    }
+
+    /// Whether a fast-forward's replay was skipped, which only a run
+    /// that never halts can ask for.
+    #[must_use]
+    pub fn skipped_replay(&self) -> bool {
+        self.skipped_replay
+    }
+}
+
+impl OutputPort for VerdictOutput {
+    fn write(&mut self, _cycle: u64, value: u8) {
+        self.values.push(value);
+    }
+
+    fn repeat(&mut self, _period: &[(u64, u8)], _shift: u64, _times: u64) {
+        self.skipped_replay = true;
     }
 }
 
@@ -398,6 +456,18 @@ mod tests {
         let batch = prepared.run_batch(vec![BatchCase::clean(vec![0x1, 0x0])], 1);
         assert_eq!(batch.len(), 1);
         assert!(matches!(batch[0], Err(RunError::DidNotHalt)));
+    }
+
+    #[test]
+    fn verdict_output_keeps_values_and_skips_replay() {
+        let mut port = VerdictOutput::new();
+        port.write(3, 0xA);
+        port.write(9, 0xB);
+        assert!(!port.skipped_replay());
+        port.repeat(&[(9, 0xB)], 6, 1_000);
+        assert!(port.skipped_replay());
+        assert_eq!(port.values(), [0xA, 0xB]);
+        assert_eq!(port.into_values(), vec![0xA, 0xB]);
     }
 
     #[test]

@@ -23,10 +23,10 @@ use crate::store::PAGE_BYTES;
 use crate::update::{Device, UpdateStatus};
 use flexasm::Target;
 use flexicore::exec::AnyCore;
-use flexicore::io::{RecordingOutput, ScriptedInput};
+use flexicore::io::ScriptedInput;
 use flexicore::isa::Dialect;
 use flexicore::sim::PowerCut;
-use flexkernels::harness::{PreparedKernel, CYCLE_BUDGET};
+use flexkernels::harness::{PreparedKernel, VerdictOutput, CYCLE_BUDGET};
 use flexkernels::{inputs::Sampler, oracle, Kernel, RunError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -434,14 +434,15 @@ fn run_trial(
 }
 
 /// Execute the booted image against seeded inputs and the kernel
-/// oracle.
+/// oracle, recording the output as the kernel harness does: only a
+/// halted run's values are compared.
 fn runs_oracle_exact(target: Target, kernel: Kernel, image: &[u8], seed: u64) -> bool {
     let inputs = Sampler::new(kernel, seed ^ 0xA5A5).draw();
     let expected = oracle::expected_outputs(kernel, target.dialect, &inputs);
     let program = flexicore::program::Program::from_bytes(image.to_vec());
     let mut core = AnyCore::for_dialect(target.dialect, target.features, program);
     let mut input = ScriptedInput::new(inputs);
-    let mut output = RecordingOutput::new();
+    let mut output = VerdictOutput::new();
     match core.run(&mut input, &mut output, CYCLE_BUDGET) {
         Ok(result) => result.halted() && output.values() == expected,
         Err(_) => false,
