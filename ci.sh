@@ -115,13 +115,15 @@ echo "== hang fast-forward gate =="
 # interpreter, and the wafer-screen and fault-coverage pins were
 # captured while the interpreter still ran the screen. The kernel
 # harness skips the replay of a hung loop's writes, which no verdict
-# reads: its oracle holds it to a full recording handed to `verify`
+# reads: its oracle holds it to a full recording handed to `verify`.
+# netlist_digests pins every cell of the three fabricated netlists.
 cargo test --release --offline -p flexicore -q --test hang_forward
 cargo test --release --offline -p flexinject -q --test verdict_oracle
 cargo test --release --offline -p flexresilient -q --test segment_oracle
 cargo test --release --offline -p flexinject -q --test campaign_digests
 cargo test --release --offline -p flexinject -q --test salvage_digests
 cargo test --release --offline -p flexfab -q --test screen_digests
+cargo test --release --offline -p flexrtl -q --test netlist_digests
 cargo test --release --offline -p flexgate -q --test compiled_oracle
 cargo test --release --offline -p flexresilient -q --test recovery_digests
 cargo test --release --offline -p flexlink -q --test soak_digests

@@ -49,7 +49,6 @@ use flexasm::Assembly;
 use flexasm::Target;
 use flexicore::Program;
 
-pub use cfg::analyze as analyze_with;
 pub use report::{CheckReport, Finding, Lint, Severity};
 
 /// Analyze an assembled program image for the given target.

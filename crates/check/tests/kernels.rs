@@ -1,7 +1,6 @@
 //! Acceptance lint: every benchmark kernel, on every dialect it
 //! supports, must come out of the analyzer with no error-severity
-//! findings (ISSUE 5 acceptance criterion). The fc8 demo programs ride
-//! along.
+//! findings. The fc8 checksum demo rides along.
 
 use flexasm::Target;
 use flexcheck::Severity;
@@ -64,18 +63,13 @@ fn kernels_terminate_with_finite_bounds_when_exact() {
 
 #[test]
 fn fc8_demo_programs_lint_clean() {
-    for (name, source) in [
-        ("parity8", flexkernels::fc8_demo::parity8_source()),
-        ("checksum8", flexkernels::fc8_demo::checksum8_source()),
-    ] {
-        let assembly = flexasm::Assembler::new(Target::fc8())
-            .assemble(&source)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let report = flexcheck::check_assembly(&assembly);
-        assert!(
-            !report.has_at_least(Severity::Error),
-            "{name} has error findings:\n{}",
-            report.render()
-        );
-    }
+    let assembly = flexasm::Assembler::new(Target::fc8())
+        .assemble(&flexkernels::fc8_demo::checksum8_source())
+        .expect("checksum8 assembles");
+    let report = flexcheck::check_assembly(&assembly);
+    assert!(
+        !report.has_at_least(Severity::Error),
+        "checksum8 has error findings:\n{}",
+        report.render()
+    );
 }

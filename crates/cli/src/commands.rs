@@ -7,6 +7,7 @@ use flexicore::io::{InputPort, OutputPort, RecordingOutput, ScriptedInput};
 use flexicore::isa::Dialect;
 use flexicore::program::Program;
 use flexicore::sim::RunResult;
+use flexkernels::Kernel;
 use std::fmt::Write as _;
 
 /// Build the gate-level netlist for a fabricated dialect, or report that
@@ -155,7 +156,7 @@ pub fn check(args: &mut Args) -> Result<String, CliError> {
         let mut out = String::new();
         let mut worst: Option<String> = None;
         let mut digest = 0xCBF2_9CE4_8422_2325u64;
-        for kernel in flexkernels::Kernel::ALL {
+        for kernel in Kernel::ALL {
             if !kernel.supports(target.dialect) {
                 continue;
             }
@@ -284,13 +285,10 @@ pub fn cosim(args: &mut Args) -> Result<String, CliError> {
     let cycles = args.positive("cycles", 10_000)? as u64;
     let source = std::fs::read_to_string(&path)?;
     let assembly = Assembler::new(target).assemble(&source)?;
-    let mut fixed = flexicore::io::ConstInput::new(input);
     let netlist = fabricated_netlist("cosim", target.dialect)?;
-    let result = if target.dialect == Dialect::Fc4 {
-        flexrtl::cosim::cosim_fc4(&netlist, assembly.program(), &mut fixed, cycles)
-    } else {
-        flexrtl::cosim::cosim_fc8(&netlist, assembly.program(), &mut fixed, cycles)
-    };
+    let core = AnyCore::for_dialect(target.dialect, target.features, assembly.into_program());
+    let mut fixed = flexicore::io::ConstInput::new(input);
+    let result = flexrtl::cosim::cosim(&netlist, core, &mut fixed, cycles);
     Ok(if result.is_equivalent() {
         format!(
             "equivalent: RTL matched the ISA model on all {} cycles\n",
@@ -351,7 +349,7 @@ pub fn kernels(args: &mut Args) -> Result<String, CliError> {
         "{:<15} {:>8} {:>8} {:>8}  inputs\n",
         "kernel", "insns", "bytes", "paper"
     );
-    for k in flexkernels::Kernel::ALL {
+    for k in Kernel::ALL {
         let assembly = k.assemble(target)?;
         let _ = writeln!(
             out,
@@ -376,7 +374,7 @@ pub fn kernel(args: &mut Args) -> Result<String, CliError> {
     let name = args.positional(0, "kernel name").map(str::to_string)?;
     let target = args.target()?;
     let inputs = args.u8_list("input")?;
-    let kernel = flexkernels::Kernel::ALL
+    let kernel = Kernel::ALL
         .into_iter()
         .find(|k| {
             k.name().eq_ignore_ascii_case(&name)
@@ -472,32 +470,14 @@ pub fn wafer(args: &mut Args) -> Result<String, CliError> {
 /// Usage errors, or [`CliError::Run`] if the campaign itself fails
 /// (the kernel does not assemble or the clean reference run fails).
 pub fn inject(args: &mut Args) -> Result<String, CliError> {
-    use flexinject::{CampaignConfig, FaultModel};
+    use flexinject::CampaignConfig;
 
-    let dialect = args.flag("dialect").unwrap_or_else(|| "fc4".to_string());
-    let target = flexinject::target_from_name(&dialect).ok_or_else(|| {
-        CliError::Usage(format!("unknown dialect `{dialect}` (fc4, fc8, xacc, xls)"))
-    })?;
-    let kernel_name = args.flag("kernel").unwrap_or_else(|| "parity".to_string());
-    let kernel = flexinject::kernel_from_name(&kernel_name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown kernel `{kernel_name}`; run `flexi kernels` for the list"
-        ))
-    })?;
-    if !kernel.supports(target.dialect) {
-        return Err(CliError::Usage(format!(
-            "kernel `{}` does not fit the {} dialect (§3.3 capacity trade-off)",
-            kernel.name(),
-            target.dialect,
-        )));
-    }
+    let target = dialect_flag(args)?.unwrap_or_else(Target::fc4);
+    let kernel = kernel_flag(args, target.dialect)?.unwrap_or(Kernel::ParityCheck);
     let trials = args.count("faults", 32usize)?;
     let seed = args.num("seed", 0xF417u64)?;
     let budget = args.num("budget", flexkernels::harness::CYCLE_BUDGET)?;
-    let mode = args.flag("mode").unwrap_or_else(|| "stuck".to_string());
-    let model = FaultModel::from_name(&mode).ok_or_else(|| {
-        CliError::Usage(format!("unknown mode `{mode}` (stuck, transient, mixed)"))
-    })?;
+    let model = fault_model(args)?;
 
     let mut config = CampaignConfig::new(target, kernel, trials, seed);
     config.budget = budget;
@@ -520,30 +500,11 @@ pub fn inject(args: &mut Args) -> Result<String, CliError> {
 /// Usage errors, or [`CliError::Run`] if the campaign itself fails
 /// (the kernel does not assemble or the clean reference run fails).
 pub fn resilient(args: &mut Args) -> Result<String, CliError> {
-    use flexinject::FaultModel;
     use flexresilient::{QuorumMode, RecoveryCampaignConfig};
 
-    let dialect = args.flag("dialect").unwrap_or_else(|| "fc4".to_string());
-    let target = flexinject::target_from_name(&dialect).ok_or_else(|| {
-        CliError::Usage(format!("unknown dialect `{dialect}` (fc4, fc8, xacc, xls)"))
-    })?;
-    let kernel_name = args.flag("kernel").unwrap_or_else(|| "parity".to_string());
-    let kernel = flexinject::kernel_from_name(&kernel_name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown kernel `{kernel_name}`; run `flexi kernels` for the list"
-        ))
-    })?;
-    if !kernel.supports(target.dialect) {
-        return Err(CliError::Usage(format!(
-            "kernel `{}` does not fit the {} dialect (§3.3 capacity trade-off)",
-            kernel.name(),
-            target.dialect,
-        )));
-    }
-    let mode = args.flag("mode").unwrap_or_else(|| "stuck".to_string());
-    let model = FaultModel::from_name(&mode).ok_or_else(|| {
-        CliError::Usage(format!("unknown mode `{mode}` (stuck, transient, mixed)"))
-    })?;
+    let target = dialect_flag(args)?.unwrap_or_else(Target::fc4);
+    let kernel = kernel_flag(args, target.dialect)?.unwrap_or(Kernel::ParityCheck);
+    let model = fault_model(args)?;
     let quorum_name = args.flag("quorum").unwrap_or_else(|| "tmr".to_string());
     let quorum = QuorumMode::from_name(&quorum_name).ok_or_else(|| {
         CliError::Usage(format!(
@@ -583,36 +544,12 @@ pub fn resilient(args: &mut Args) -> Result<String, CliError> {
 pub fn link(args: &mut Args) -> Result<String, CliError> {
     use flexlink::soak::{run_soak, SoakConfig};
 
-    let dialect = args.flag("dialect").unwrap_or_else(|| "fc4".to_string());
-    let target = flexinject::target_from_name(&dialect).ok_or_else(|| {
-        CliError::Usage(format!("unknown dialect `{dialect}` (fc4, fc8, xacc, xls)"))
-    })?;
-    let mut rates = args.f64_list("rates")?;
-    rates.extend(args.f64_list("ber")?);
-    if rates.is_empty() {
-        rates = vec![0.0, 1e-4, 5e-4];
-    }
-    if let Some(bad) = rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
-        return Err(CliError::Usage(format!(
-            "bit-error rate {bad} outside [0, 1]"
-        )));
-    }
+    let target = dialect_flag(args)?.unwrap_or_else(Target::fc4);
+    let rates = error_rates(args, &[0.0, 1e-4, 5e-4])?;
     let signed = args.has("signed");
     let seed = args.num("seed", 0x11FEu64)?;
     let mut config = SoakConfig::new(target, rates, seed);
-    if let Some(kernel_name) = args.flag("kernel") {
-        let kernel = flexinject::kernel_from_name(&kernel_name).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown kernel `{kernel_name}`; run `flexi kernels` for the list"
-            ))
-        })?;
-        if !kernel.supports(target.dialect) {
-            return Err(CliError::Usage(format!(
-                "kernel `{}` does not fit the {} dialect (§3.3 capacity trade-off)",
-                kernel.name(),
-                target.dialect,
-            )));
-        }
+    if let Some(kernel) = kernel_flag(args, target.dialect)? {
         config.kernels = vec![kernel];
     }
     config.upsets_per_trial = args.count("upsets", config.upsets_per_trial)?;
@@ -637,6 +574,61 @@ fn interval(args: &mut Args, default: u64) -> Result<u64, CliError> {
         return Err(CliError::Usage("--interval must be at least 1".into()));
     }
     Ok(interval)
+}
+
+/// `--dialect`: a dialect by its CLI name (the extended dialects with
+/// their revised feature sets), `None` when the flag is absent.
+fn dialect_flag(args: &mut Args) -> Result<Option<Target>, CliError> {
+    args.flag("dialect")
+        .map(|dialect| {
+            flexinject::target_from_name(&dialect).ok_or_else(|| {
+                CliError::Usage(format!("unknown dialect `{dialect}` (fc4, fc8, xacc, xls)"))
+            })
+        })
+        .transpose()
+}
+
+/// `--kernel`: a kernel that fits `dialect`, `None` when the flag is
+/// absent.
+fn kernel_flag(args: &mut Args, dialect: Dialect) -> Result<Option<Kernel>, CliError> {
+    let Some(name) = args.flag("kernel") else {
+        return Ok(None);
+    };
+    let kernel = flexinject::kernel_from_name(&name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown kernel `{name}`; run `flexi kernels` for the list"
+        ))
+    })?;
+    if !kernel.supports(dialect) {
+        return Err(CliError::Usage(format!(
+            "kernel `{}` does not fit the {dialect} dialect (§3.3 capacity trade-off)",
+            kernel.name(),
+        )));
+    }
+    Ok(Some(kernel))
+}
+
+/// `--mode`: the fault model, stuck-at unless given.
+fn fault_model(args: &mut Args) -> Result<flexinject::FaultModel, CliError> {
+    let mode = args.flag("mode").unwrap_or_else(|| "stuck".to_string());
+    flexinject::FaultModel::from_name(&mode)
+        .ok_or_else(|| CliError::Usage(format!("unknown mode `{mode}` (stuck, transient, mixed)")))
+}
+
+/// `--rates` and its alias `--ber`: bit-error rates, each in [0, 1];
+/// `default` when neither flag is given.
+fn error_rates(args: &mut Args, default: &[f64]) -> Result<Vec<f64>, CliError> {
+    let mut rates = args.f64_list("rates")?;
+    rates.extend(args.f64_list("ber")?);
+    if rates.is_empty() {
+        rates = default.to_vec();
+    }
+    if let Some(bad) = rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+        return Err(CliError::Usage(format!(
+            "bit-error rate {bad} outside [0, 1]"
+        )));
+    }
+    Ok(rates)
 }
 
 /// `flexi link --signed` — drive one authenticated A/B update per
@@ -722,22 +714,10 @@ fn link_signed(config: &flexlink::SoakConfig) -> Result<String, CliError> {
 pub fn attack(args: &mut Args) -> Result<String, CliError> {
     use flexlink::{run_attack_soak, AttackSoakConfig};
 
-    let mut rates = args.f64_list("rates")?;
-    rates.extend(args.f64_list("ber")?);
-    if rates.is_empty() {
-        rates = vec![0.0, 1e-4];
-    }
-    if let Some(bad) = rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
-        return Err(CliError::Usage(format!(
-            "bit-error rate {bad} outside [0, 1]"
-        )));
-    }
+    let rates = error_rates(args, &[0.0, 1e-4])?;
     let seed = args.num("seed", 0xA77Cu64)?;
     let mut config = AttackSoakConfig::new(rates, 1, seed);
-    if let Some(dialect) = args.flag("dialect") {
-        let target = flexinject::target_from_name(&dialect).ok_or_else(|| {
-            CliError::Usage(format!("unknown dialect `{dialect}` (fc4, fc8, xacc, xls)"))
-        })?;
+    if let Some(target) = dialect_flag(args)? {
         config.targets = vec![target];
     }
     config.link.max_retries = args.count("retries", config.link.max_retries)?;
@@ -779,28 +759,8 @@ pub fn attack(args: &mut Args) -> Result<String, CliError> {
 pub fn mission(args: &mut Args) -> Result<String, CliError> {
     use flexmission::{run_mission_campaign, MissionConfig, MissionTally};
 
-    let dialect = args.flag("dialect").unwrap_or_else(|| "fc4".to_string());
-    let target = flexinject::target_from_name(&dialect).ok_or_else(|| {
-        CliError::Usage(format!("unknown dialect `{dialect}` (fc4, fc8, xacc, xls)"))
-    })?;
-    let kernel = match args.flag("kernel") {
-        None => flexkernels::Kernel::ParityCheck,
-        Some(kernel_name) => {
-            let kernel = flexinject::kernel_from_name(&kernel_name).ok_or_else(|| {
-                CliError::Usage(format!(
-                    "unknown kernel `{kernel_name}`; run `flexi kernels` for the list"
-                ))
-            })?;
-            if !kernel.supports(target.dialect) {
-                return Err(CliError::Usage(format!(
-                    "kernel `{}` does not fit the {} dialect (§3.3 capacity trade-off)",
-                    kernel.name(),
-                    target.dialect,
-                )));
-            }
-            kernel
-        }
-    };
+    let target = dialect_flag(args)?.unwrap_or_else(Target::fc4);
+    let kernel = kernel_flag(args, target.dialect)?.unwrap_or(Kernel::ParityCheck);
     let trials = args.count("trials", 64usize)?;
     let ticks = args.count("ticks", 12u32)?;
     let seed = args.num("seed", 0x0015_510Au64)?;
@@ -954,7 +914,7 @@ fn client_source_request(op: &str, args: &mut Args) -> Result<flexserve::Request
 pub fn standard_batch(seed: u64) -> Vec<flexserve::Request> {
     let dialect = Dialect::Fc4;
     let mut subs = Vec::new();
-    for k in flexkernels::Kernel::ALL {
+    for k in Kernel::ALL {
         if !k.supports(dialect) {
             continue;
         }

@@ -4,45 +4,8 @@
 //! wrapper; all command logic lives here and returns strings, so every
 //! command is unit-testable.
 //!
-//! ```text
-//! flexi asm     <file.s> [--target T] [--features F,..] [--out prog.bin] [--listing]
-//! flexi check   <file.s> [--target T] [--features F,..] [--deny info|warning|error]
-//!               | --kernels [--target T] | --campaign N [--seed S]
-//! flexi disasm  <prog.bin> [--target T]
-//! flexi run     <file.s> [--target T] [--features F,..] [--input 1,2,..]
-//!                        [--max-cycles N] [--trace]
-//! flexi cosim   <file.s> [--target fc4|fc8] [--input N] [--cycles N]
-//! flexi wave    <file.s> [--target fc4|fc8] [--input N] [--cycles N]
-//!                        [--out trace.vcd]
-//! flexi kernels [--target T] [--features F,..]
-//! flexi kernel  <name> --input 1,2,.. [--target T]
-//! flexi wafer   [--design fc4|fc8|fc4plus] [--voltage V] [--seed N]
-//!               [--cycles N] [--map errors|current|csv] [--threads N]
-//! flexi inject  [--dialect fc4|fc8|xacc|xls] [--kernel K] [--faults N]
-//!               [--seed N] [--budget N] [--mode stuck|transient|mixed]
-//!               [--threads N]
-//! flexi resilient [--dialect fc4|fc8|xacc|xls] [--kernel K] [--faults N]
-//!               [--seed N] [--budget N] [--mode stuck|transient|mixed]
-//!               [--quorum tmr|dmr|simplex] [--window N] [--interval N]
-//!               [--retries N] [--spares N] [--threads N]
-//! flexi link    [--dialect fc4|fc8|xacc|xls] [--kernel K] [--rates R1,R2,..]
-//!               [--ber R1,R2,..] [--seed N] [--upsets N] [--interval N]
-//!               [--scrub N] [--retries N] [--budget N] [--signed]
-//!               [--threads N]
-//! flexi attack  [--dialect fc4|fc8|xacc|xls] [--rates R1,R2,..] [--reps N]
-//!               [--trials N] [--seed N] [--retries N] [--threads N]
-//! flexi mission [--dialect fc4|fc8|xacc|xls] [--kernel K] [--trials N]
-//!               [--ticks N] [--seed N] [--spares N] [--budget N]
-//!               [--deny info|warning|error] [--threads N]
-//! flexi dse
-//! flexi serve   [--port N] [--host H] [--cache DIR] [--workers N]
-//!               [--queue N] [--conns N] [--deadline-ms N]
-//! flexi client  <status|drain|asm|check|admit|run|yield|batch> [<file.s>]
-//!               --port N [--host H] [--deadline-ms N] [--target T]
-//!               [--features F,..] [--deny S] [--input 1,2,..]
-//!               [--max-cycles N] [--design D] [--voltage-mv N] [--seed N]
-//!               [--cycles N] [--salvage]
-//! ```
+//! The command synopsis lives in one place, [`commands::usage`], which
+//! is also what `flexi help` prints.
 //!
 //! Targets: `fc4` (default), `fc8`, `xacc`, `xls`; `--features` applies to
 //! the DSE dialects (`adc,shift,flags,mul,xch,call,2xreg` or `revised`).

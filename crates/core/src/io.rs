@@ -148,46 +148,6 @@ impl InputPort for ScriptedInput {
     }
 }
 
-/// An input bus that *holds* each scripted value for a fixed number of
-/// reads before advancing — a simple model of a sampled sensor stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamInput {
-    values: Vec<u8>,
-    holds: usize,
-    served: usize,
-}
-
-impl StreamInput {
-    /// Present each of `values` for `holds` consecutive reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `holds` is zero.
-    #[must_use]
-    pub fn new(values: Vec<u8>, holds: usize) -> Self {
-        assert!(holds > 0, "holds must be positive");
-        StreamInput {
-            values,
-            holds,
-            served: 0,
-        }
-    }
-}
-
-impl InputPort for StreamInput {
-    fn read(&mut self, _cycle: u64) -> u8 {
-        let idx = self.served / self.holds;
-        let v = self
-            .values
-            .get(idx)
-            .or(self.values.last())
-            .copied()
-            .unwrap_or(0);
-        self.served += 1;
-        v
-    }
-}
-
 /// An output bus that records every value written, with its cycle stamp.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecordingOutput {
@@ -305,7 +265,6 @@ mod tests {
         p.read(0);
         assert_eq!(p.position(), Some(2), "exhausted script stays put");
         assert_eq!(ConstInput::new(3).position(), Some(0));
-        assert_eq!(StreamInput::new(vec![1], 1).position(), None);
         let by_ref: &mut ScriptedInput = &mut p;
         assert_eq!(by_ref.position(), Some(2), "&mut forwards");
     }
@@ -314,13 +273,6 @@ mod tests {
     fn empty_script_reads_zero() {
         let mut p = ScriptedInput::new(vec![]);
         assert_eq!(p.read(0), 0);
-    }
-
-    #[test]
-    fn stream_input_holds_values() {
-        let mut p = StreamInput::new(vec![7, 8], 2);
-        assert_eq!([p.read(0), p.read(0), p.read(0), p.read(0)], [7, 7, 8, 8]);
-        assert_eq!(p.read(0), 8); // latches last
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Execution tracing.
 //!
-//! Simulators report one [`StepEvent`] per architectural step; a [`Trace`]
-//! is an optional collector used by tests, the RTL co-simulation harness and
-//! the examples' `--trace` modes.
+//! Simulators report one [`StepEvent`] per architectural step from
+//! `Core::step`. Callers that walk a run instruction by instruction read
+//! it directly: `flexi run --trace` prints one line per event, and
+//! `flexrtl::cosim` uses its fetch address and byte count to clock the
+//! gate-level netlist.
 
 /// What happened during one architectural step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,104 +25,4 @@ pub struct StepEvent {
     pub taken_branch: bool,
     /// Whether the step hit the halt idiom (taken branch to itself).
     pub halted: bool,
-}
-
-/// A bounded in-memory trace of [`StepEvent`]s.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    events: Vec<StepEvent>,
-    capacity: Option<usize>,
-}
-
-impl Trace {
-    /// An unbounded trace.
-    #[must_use]
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// A trace that keeps only the most recent `capacity` events.
-    #[must_use]
-    pub fn with_capacity_limit(capacity: usize) -> Self {
-        Trace {
-            events: Vec::new(),
-            capacity: Some(capacity),
-        }
-    }
-
-    /// Record an event (dropping the oldest if at capacity).
-    pub fn record(&mut self, event: StepEvent) {
-        if let Some(cap) = self.capacity {
-            if self.events.len() == cap && cap > 0 {
-                self.events.remove(0);
-            }
-            if cap == 0 {
-                return;
-            }
-        }
-        self.events.push(event);
-    }
-
-    /// The recorded events, oldest first.
-    #[must_use]
-    pub fn events(&self) -> &[StepEvent] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(cycle: u64) -> StepEvent {
-        StepEvent {
-            cycle,
-            address: 0,
-            next_pc: 0,
-            acc: 0,
-            cycles: 1,
-            taken_branch: false,
-            halted: false,
-        }
-    }
-
-    #[test]
-    fn unbounded_trace_keeps_all() {
-        let mut t = Trace::new();
-        for i in 0..10 {
-            t.record(ev(i));
-        }
-        assert_eq!(t.len(), 10);
-        assert_eq!(t.events()[0].cycle, 0);
-    }
-
-    #[test]
-    fn bounded_trace_keeps_most_recent() {
-        let mut t = Trace::with_capacity_limit(3);
-        for i in 0..10 {
-            t.record(ev(i));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.events()[0].cycle, 7);
-        assert_eq!(t.events()[2].cycle, 9);
-    }
-
-    #[test]
-    fn zero_capacity_records_nothing() {
-        let mut t = Trace::with_capacity_limit(0);
-        t.record(ev(1));
-        assert!(t.is_empty());
-    }
 }

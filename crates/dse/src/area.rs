@@ -203,44 +203,24 @@ fn carry_unit() -> Netlist {
     n
 }
 
-/// Two mux stages for right shifts by 0..=3 with an arithmetic fill.
+/// The FlexiCore4+ shifter, right shifts by 0..=3 with an arithmetic
+/// fill.
 fn barrel_shifter() -> Netlist {
     let mut n = Netlist::new();
     let a = n.inputs("a", 4);
     let amt = n.inputs("amt", 2);
     let arith = n.input("arith");
-    let fill = n.and(arith, a[3]);
-    let s1: Vec<_> = (0..4)
-        .map(|i| {
-            let from = if i + 1 < 4 { a[i + 1] } else { fill };
-            n.mux(amt[0], from, a[i])
-        })
-        .collect();
-    let out: Vec<_> = (0..4)
-        .map(|i| {
-            let from = if i + 2 < 4 { s1[i + 2] } else { fill };
-            n.mux(amt[1], from, s1[i])
-        })
-        .collect();
+    let out = flexrtl::fc4plus::right_shifter(&mut n, &a, [amt[0], amt[1]], arith);
     n.outputs("y", &out);
     n
 }
 
-/// Zero/positive detection and the three mask AND gates.
+/// The FlexiCore4+ zero/positive detection and the three mask AND gates.
 fn branch_flags() -> Netlist {
     let mut n = Netlist::new();
     let acc = n.inputs("acc", 4);
     let mask = n.inputs("mask", 3);
-    let z01 = n.cell(flexgate::CellKind::Nor2, &[acc[0], acc[1]]);
-    let z23 = n.cell(flexgate::CellKind::Nor2, &[acc[2], acc[3]]);
-    let z = n.and(z01, z23);
-    let nz = n.or(acc[3], z);
-    let p = n.not(nz);
-    let tn = n.and(mask[2], acc[3]);
-    let tz = n.and(mask[1], z);
-    let tp = n.and(mask[0], p);
-    let t1 = n.or(tn, tz);
-    let taken = n.or(t1, tp);
+    let taken = flexrtl::fc4plus::nzp_condition(&mut n, &acc, [mask[0], mask[1], mask[2]]);
     n.output("taken", taken);
     n
 }

@@ -122,18 +122,9 @@ impl SalvageAnalysis {
 }
 
 /// Screen one die's defect draw against every kernel: `true` when all
-/// runs are oracle-exact (outcome [`Outcome::Masked`]).
-#[must_use]
-pub fn die_is_salvageable(
-    prepared: &[PreparedKernel],
-    variation: &DieVariation,
-    config: &SalvageConfig,
-) -> bool {
-    die_is_salvageable_pruned(prepared, None, variation, config)
-}
-
-/// Screen one die's defect draw, optionally pruned by per-kernel
-/// [`VulnReport`]s (one per `prepared` entry, same order).
+/// runs are oracle-exact (outcome [`Outcome::Masked`]). `reports`, one
+/// [`VulnReport`] per `prepared` entry in the same order, prunes the
+/// screen; `None` simulates every kernel.
 ///
 /// Pruning is deliberately all-or-nothing per kernel: a kernel's batch
 /// is skipped only when **every** fault of the die plane lands on an
@@ -337,7 +328,12 @@ mod tests {
             current_factor: 1.0,
             defect_leak_ma: 0.0,
         };
-        assert!(die_is_salvageable(&prepared, &clean, &quick_config()));
+        assert!(die_is_salvageable_pruned(
+            &prepared,
+            None,
+            &clean,
+            &quick_config()
+        ));
     }
 
     #[test]
@@ -354,7 +350,12 @@ mod tests {
             current_factor: 1.0,
             defect_leak_ma: 0.0,
         };
-        assert!(!die_is_salvageable(&prepared, &wrecked, &quick_config()));
+        assert!(!die_is_salvageable_pruned(
+            &prepared,
+            None,
+            &wrecked,
+            &quick_config()
+        ));
     }
 
     #[test]

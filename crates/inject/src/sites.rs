@@ -42,25 +42,6 @@ impl FaultSite {
     }
 }
 
-/// Datapath width in bits for a dialect.
-#[must_use]
-pub fn data_bits(dialect: Dialect) -> u8 {
-    dialect.datapath_bits() as u8
-}
-
-/// Number of data-memory words (or registers, on the load-store
-/// dialect).
-#[must_use]
-pub fn mem_words(dialect: Dialect) -> u8 {
-    dialect.mem_words()
-}
-
-/// Whether the dialect has an architectural accumulator.
-#[must_use]
-pub fn has_accumulator(dialect: Dialect) -> bool {
-    dialect.has_accumulator()
-}
-
 /// Every injectable (element, bit) site of a dialect, in a fixed order:
 /// PC, accumulator, memory words, fetch bus, input port, output port,
 /// MMU page register, MMU pending-commit latch — low bit first within
@@ -71,7 +52,7 @@ pub fn has_accumulator(dialect: Dialect) -> bool {
 /// never changes.
 #[must_use]
 pub fn enumerate(dialect: Dialect) -> Vec<FaultSite> {
-    let width = data_bits(dialect);
+    let width = dialect.datapath_bits() as u8;
     let mut sites = Vec::new();
     let mut push = |element: StateElement, bits: u8| {
         for bit in 0..bits {
@@ -79,10 +60,10 @@ pub fn enumerate(dialect: Dialect) -> Vec<FaultSite> {
         }
     };
     push(StateElement::Pc, PC_BITS);
-    if has_accumulator(dialect) {
+    if dialect.has_accumulator() {
         push(StateElement::Acc, width);
     }
-    for word in 0..mem_words(dialect) {
+    for word in 0..dialect.mem_words() {
         push(StateElement::Mem(word), width);
     }
     push(StateElement::FetchBus, FETCH_BITS);
@@ -217,7 +198,7 @@ mod tests {
                     StateElement::Pc => PC_BITS,
                     StateElement::FetchBus => FETCH_BITS,
                     StateElement::PageReg | StateElement::PagePending => PAGE_BITS,
-                    _ => data_bits(dialect),
+                    _ => dialect.datapath_bits() as u8,
                 };
                 assert!(s.bit < width, "{dialect:?} {:?}", s);
             }
@@ -247,7 +228,7 @@ mod tests {
                     );
                 }
             }
-            assert!(core.mem(mem_words(dialect)).is_none(), "{dialect:?}");
+            assert!(core.mem(dialect.mem_words()).is_none(), "{dialect:?}");
         }
     }
 

@@ -30,7 +30,7 @@ pub struct KernelRun {
     pub code_bytes: usize,
 }
 
-/// Errors from [`run_kernel`].
+/// Errors from running a kernel ([`Kernel::run`], [`PreparedKernel::run_with`]).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum RunError {
@@ -295,36 +295,6 @@ impl BatchCase<NoFaults> {
     }
 }
 
-/// Assemble `kernel` for `target`, execute it on the matching functional
-/// simulator with `inputs` scripted on the input port, and verify the
-/// output stream against the oracle.
-///
-/// # Errors
-///
-/// See [`RunError`].
-pub fn run_kernel(kernel: Kernel, target: Target, inputs: &[u8]) -> Result<KernelRun, RunError> {
-    run_kernel_with(kernel, target, inputs, CYCLE_BUDGET, &mut NoFaults)
-}
-
-/// [`run_kernel`] with a configurable watchdog `budget` and a
-/// fault-injection hook. Campaign runners use tighter budgets for faster
-/// hang detection and a [`flexicore::sim::FaultPlane`] for injection;
-/// `run_kernel(k, t, i)` is exactly
-/// `run_kernel_with(k, t, i, CYCLE_BUDGET, &mut NoFaults)`.
-///
-/// # Errors
-///
-/// See [`RunError`].
-pub fn run_kernel_with<F: FaultHook>(
-    kernel: Kernel,
-    target: Target,
-    inputs: &[u8],
-    budget: u64,
-    faults: &mut F,
-) -> Result<KernelRun, RunError> {
-    PreparedKernel::new(kernel, target)?.run_with(inputs, budget, faults)
-}
-
 /// Aggregate statistics over many input cases (one Figure 8 data point).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelStats {
@@ -387,7 +357,7 @@ mod tests {
 
     #[test]
     fn parity_on_fc4_matches_oracle() {
-        let run = run_kernel(Kernel::ParityCheck, Target::fc4(), &[0x1, 0x0]).unwrap();
+        let run = Kernel::ParityCheck.run(Target::fc4(), &[0x1, 0x0]).unwrap();
         assert!(run.verified);
         assert_eq!(run.outputs, vec![1]);
     }
@@ -395,12 +365,12 @@ mod tests {
     #[test]
     fn thresholding_on_fc4() {
         // samples 0x21, 0x7B (> 0x5A), then zeros: sticky from sample 2
-        let run = run_kernel(
-            Kernel::Thresholding,
-            Target::fc4(),
-            &[1, 2, 0xB, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        )
-        .unwrap();
+        let run = Kernel::Thresholding
+            .run(
+                Target::fc4(),
+                &[1, 2, 0xB, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            )
+            .unwrap();
         assert_eq!(run.outputs, vec![0, 1, 1, 1, 1, 1, 1, 1]);
     }
 

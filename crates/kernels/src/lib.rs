@@ -173,7 +173,11 @@ impl Kernel {
     /// Assembly errors, simulator faults, oracle mismatches or cycle-limit
     /// overruns — see [`RunError`].
     pub fn run(self, target: Target, inputs: &[u8]) -> Result<KernelRun, RunError> {
-        harness::run_kernel(self, target, inputs)
+        harness::PreparedKernel::new(self, target)?.run_with(
+            inputs,
+            harness::CYCLE_BUDGET,
+            &mut flexicore::sim::NoFaults,
+        )
     }
 }
 

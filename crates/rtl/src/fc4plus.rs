@@ -84,25 +84,7 @@ pub fn build_fc4_plus() -> Netlist {
 
     // barrel shifter: right shift by instr[1:0], arithmetic when instr[2]
     n.push_module("shifter");
-    let fill_arith = n.and(instr[2], acc_q[WIDTH - 1]);
-    // stage 1: shift by 1
-    let s1: Vec<Net> = (0..WIDTH)
-        .map(|i| {
-            let from = if i + 1 < WIDTH {
-                acc_q[i + 1]
-            } else {
-                fill_arith
-            };
-            n.mux(instr[0], from, acc_q[i])
-        })
-        .collect();
-    // stage 2: shift by 2
-    let shifted: Vec<Net> = (0..WIDTH)
-        .map(|i| {
-            let from = if i + 2 < WIDTH { s1[i + 2] } else { fill_arith };
-            n.mux(instr[1], from, s1[i])
-        })
-        .collect();
+    let shifted = right_shifter(&mut n, &acc_q, [instr[0], instr[1]], instr[2]);
     for i in 0..WIDTH {
         alu_out[i] = n.mux(is_shift, shifted[i], alu_out[i]);
     }
@@ -121,19 +103,9 @@ pub fn build_fc4_plus() -> Netlist {
     let pc_q: Vec<Net> = (0..7).map(|_| n.placeholder()).collect();
     let one = n.const1();
     let pc_inc = n.incrementer(&pc_q, one);
-    // condition flags over the accumulator
-    let nflag = acc_q[WIDTH - 1];
-    let z01 = n.cell(CellKind::Nor2, &[acc_q[0], acc_q[1]]);
-    let z23 = n.cell(CellKind::Nor2, &[acc_q[2], acc_q[3]]);
-    let zflag = n.and(z01, z23);
-    let nz = n.or(nflag, zflag);
-    let pflag = n.not(nz);
-    // mask bits ride in instr[6:4] of the branch format
-    let take_n = n.and(instr[6], nflag);
-    let take_z = n.and(instr[5], zflag);
-    let take_p = n.and(instr[4], pflag);
-    let t_nz = n.or(take_n, take_z);
-    let cond = n.or(t_nz, take_p);
+    // condition flags over the accumulator; the nzp mask bits ride in
+    // instr[6:4] of the branch format
+    let cond = nzp_condition(&mut n, &acc_q, [instr[4], instr[5], instr[6]]);
     let taken = n.and(is_branch, cond);
     // branch target: low bits of the instruction plus held target register
     // bits (approximating the second byte of the two-byte branch with a
@@ -171,6 +143,43 @@ pub fn build_fc4_plus() -> Netlist {
     n.outputs("pc", &pc_out);
     n.outputs("oport", &oport);
     n
+}
+
+/// The FlexiCore4+ barrel shifter: `a` shifted right by `amt` places
+/// (`amt[0]` shifts by 1, `amt[1]` by 2) in two mux stages. Vacated bits
+/// take the sign bit of `a` when `arith` is high and zero otherwise.
+pub fn right_shifter(n: &mut Netlist, a: &[Net], amt: [Net; 2], arith: Net) -> Vec<Net> {
+    let width = a.len();
+    let fill = n.and(arith, a[width - 1]);
+    let s1: Vec<Net> = (0..width)
+        .map(|i| {
+            let from = if i + 1 < width { a[i + 1] } else { fill };
+            n.mux(amt[0], from, a[i])
+        })
+        .collect();
+    (0..width)
+        .map(|i| {
+            let from = if i + 2 < width { s1[i + 2] } else { fill };
+            n.mux(amt[1], from, s1[i])
+        })
+        .collect()
+}
+
+/// The FlexiCore4+ branch condition over a 4-bit accumulator: its
+/// negative, zero and positive flags, each gated by its `mask` bit
+/// (`[p, z, n]`, low bit first), ORed into one take-the-branch net.
+pub fn nzp_condition(n: &mut Netlist, acc: &[Net], mask: [Net; 3]) -> Net {
+    let nflag = acc[3];
+    let z01 = n.cell(CellKind::Nor2, &[acc[0], acc[1]]);
+    let z23 = n.cell(CellKind::Nor2, &[acc[2], acc[3]]);
+    let zflag = n.and(z01, z23);
+    let nz = n.or(nflag, zflag);
+    let pflag = n.not(nz);
+    let take_n = n.and(mask[2], nflag);
+    let take_z = n.and(mask[1], zflag);
+    let take_p = n.and(mask[0], pflag);
+    let t_nz = n.or(take_n, take_z);
+    n.or(t_nz, take_p)
 }
 
 #[cfg(test)]

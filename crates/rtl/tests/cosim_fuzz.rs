@@ -4,10 +4,12 @@
 //! methodology (where the netlist plays the chip and the ISA model plays
 //! the golden Verilog simulation).
 
+use flexicore::exec::AnyCore;
 use flexicore::io::ConstInput;
 use flexicore::isa::{fc4, fc8};
 use flexicore::program::Program;
-use flexrtl::cosim::{cosim_fc4, cosim_fc8};
+use flexicore::sim::{fc4::Fc4Core, fc8::Fc8Core};
+use flexrtl::cosim::cosim;
 use proptest::prelude::*;
 
 fn arb_fc4(len: usize) -> impl Strategy<Value = Vec<fc4::Instruction>> {
@@ -53,7 +55,8 @@ proptest! {
         let bytes: Vec<u8> = insns.iter().map(|i| i.encode()).collect();
         let program = Program::from_bytes(bytes);
         let netlist = flexrtl::build_fc4();
-        let result = cosim_fc4(&netlist, &program, &mut ConstInput::new(input), 300);
+        let core = AnyCore::Fc4(Fc4Core::new(program));
+        let result = cosim(&netlist, core, &mut ConstInput::new(input), 300);
         prop_assert!(result.is_equivalent(), "{:?}", result.mismatches);
         prop_assert!(result.cycles > 0);
     }
@@ -69,7 +72,8 @@ proptest! {
         }
         let program = Program::from_bytes(bytes);
         let netlist = flexrtl::build_fc8();
-        let result = cosim_fc8(&netlist, &program, &mut ConstInput::new(input), 300);
+        let core = AnyCore::Fc8(Fc8Core::new(program));
+        let result = cosim(&netlist, core, &mut ConstInput::new(input), 300);
         prop_assert!(result.is_equivalent(), "{:?}", result.mismatches);
     }
 }

@@ -686,6 +686,14 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
     w.buf
 }
 
+/// The length of [`encode_reply`]`(reply)`, without encoding it:
+/// version, status and flag bytes, then the length-prefixed text and
+/// data.
+#[must_use]
+pub fn reply_frame_len(reply: &Reply) -> usize {
+    3 + 4 + reply.text.len() + 4 + reply.data.len()
+}
+
 /// Decode a full reply payload.
 ///
 /// # Errors
@@ -939,6 +947,7 @@ mod tests {
         for reply in &replies {
             let payload = encode_reply(reply);
             assert_eq!(&decode_reply(&payload).unwrap(), reply);
+            assert_eq!(reply_frame_len(reply), payload.len());
         }
         let data = encode_batch_data(&replies);
         assert_eq!(decode_batch_data(&data).unwrap(), replies);

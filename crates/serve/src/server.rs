@@ -37,7 +37,8 @@ use crate::cache::{CacheStats, DiskCache};
 use crate::engine::{Deadline, Engine};
 use crate::protocol::{
     decode_reply_core, decode_request, encode_batch_data, encode_core, encode_reply,
-    encode_reply_core, read_frame, write_frame, FrameError, Reply, ReplyStatus, Request,
+    encode_reply_core, read_frame, reply_frame_len, write_frame, FrameError, Reply, ReplyStatus,
+    Request, MAX_FRAME,
 };
 
 /// How long connection threads block in a read before re-checking the
@@ -212,10 +213,13 @@ fn run_job(shared: &Shared, request: &Request, core: &[u8], deadline: &Deadline)
     if request.cacheable() {
         if let Some(payload) = shared.cache.get(&key) {
             // The payload survived digest verification; a decode failure
-            // here would mean a protocol change, handled as a miss.
+            // here would mean a protocol change, handled as a miss. So is
+            // an entry too large to send, which recomputing replaces.
             if let Ok(mut reply) = decode_reply_core(&payload) {
-                reply.cached = true;
-                return reply;
+                if reply_frame_len(&reply) <= MAX_FRAME {
+                    reply.cached = true;
+                    return reply;
+                }
             }
         }
     }
@@ -223,7 +227,8 @@ fn run_job(shared: &Shared, request: &Request, core: &[u8], deadline: &Deadline)
         shared.engine.execute(request, deadline)
     }));
     match outcome {
-        Ok(mut reply) => {
+        Ok(reply) => {
+            let mut reply = fit_frame(reply);
             // Ok and deterministic Error verdicts are pure functions of
             // the core bytes: cache both. Service conditions are not.
             // Stored entries are provenance-free, and a freshly computed
@@ -241,6 +246,18 @@ fn run_job(shared: &Shared, request: &Request, core: &[u8], deadline: &Deadline)
                 request.kind_name()
             ))
         }
+    }
+}
+
+/// `reply`, or the deterministic `Error` that stands in for it when its
+/// frame would exceed [`MAX_FRAME`]: `write_frame` refuses such a frame,
+/// so the client would get end-of-file instead of a reply.
+fn fit_frame(reply: Reply) -> Reply {
+    let len = reply_frame_len(&reply);
+    if len <= MAX_FRAME {
+        reply
+    } else {
+        Reply::error(format!("reply of {len} bytes exceeds the 1 MiB frame"))
     }
 }
 
@@ -369,10 +386,10 @@ fn serve_request(
                 cached,
                 shed
             );
-            Reply {
+            fit_frame(Reply {
                 data: encode_batch_data(&replies),
                 ..Reply::ok(text)
-            }
+            })
         }
         other => match submit(shared, tx, other, deadline) {
             Ok(rx) => rx.recv().unwrap_or_else(|_| {

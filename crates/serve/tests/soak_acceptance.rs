@@ -16,7 +16,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use flexserve::cache::{read_raw_entry, write_raw_entry, DiskCache};
-use flexserve::protocol::{encode_core, encode_reply_core};
+use flexserve::protocol::{
+    decode_batch_data, decode_reply_core, encode_core, encode_reply_core, reply_frame_len,
+    MAX_FRAME,
+};
 use flexserve::{serve, Client, Reply, ReplyStatus, Request, ServeConfig};
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -307,5 +310,128 @@ fn connection_cap_sheds_with_a_reply_not_a_hang() {
     assert_eq!(reply.status, ReplyStatus::Shed, "{}", reply.text);
 
     drop(first);
+    handle.drain();
+}
+
+/// An fc4 loop that stores to the output port every pass, so a
+/// simulation's reply carries one data byte per pass.
+const STORE_LOOP: &str = "label: store r1\njmp label\n";
+
+fn store_loop(max_cycles: u64) -> Request {
+    Request::Simulate {
+        dialect: "fc4".to_string(),
+        features: String::new(),
+        source: STORE_LOOP.to_string(),
+        inputs: Vec::new(),
+        max_cycles,
+    }
+}
+
+#[test]
+fn a_reply_too_large_for_a_frame_is_one_cached_error() {
+    let cache_dir = scratch("oversize");
+    let handle = serve(ServeConfig {
+        workers: 1,
+        cache_dir: cache_dir.clone(),
+        ..ServeConfig::default()
+    })
+    .expect("daemon binds");
+    let request = store_loop(4_000_000);
+
+    // the client gets exactly one reply, twice: computed, then cached
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    let first = client
+        .call(&request)
+        .expect("an oversized reply is still a reply");
+    assert_eq!(first.status, ReplyStatus::Error, "{}", first.text);
+    assert!(
+        first.text.contains("exceeds the 1 MiB frame"),
+        "{}",
+        first.text
+    );
+    let again = client.call(&request).expect("the connection survives");
+    assert!(again.cached);
+    assert_eq!(canon(&again), canon(&first));
+
+    // the cache holds that error, and it fits a frame
+    let cache = DiskCache::open(&cache_dir).expect("cache opens");
+    let entry = cache
+        .get(&DiskCache::key_for(&encode_core(&request)))
+        .expect("the error verdict is cached");
+    let cached = decode_reply_core(&entry).expect("the entry decodes");
+    assert_eq!(cached.status, ReplyStatus::Error);
+    assert_eq!(cached.text, first.text);
+    assert!(reply_frame_len(&cached) <= MAX_FRAME);
+
+    drop(client);
+    let stats = handle.drain();
+    assert_eq!(stats.requests, stats.replies);
+}
+
+#[test]
+fn a_batch_too_large_for_a_frame_is_an_error() {
+    let handle = serve(ServeConfig {
+        workers: 1,
+        cache_dir: scratch("oversize-batch"),
+        ..ServeConfig::default()
+    })
+    .expect("daemon binds");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+
+    // each sub-reply fits a frame on its own; packed together they do not
+    let single = client.call(&store_loop(2_000_000)).expect("single reply");
+    assert_eq!(single.status, ReplyStatus::Ok, "{}", single.text);
+    assert!(reply_frame_len(&single) <= MAX_FRAME);
+    let batch = Request::Batch(vec![store_loop(2_000_000), store_loop(2_000_001)]);
+    let reply = client
+        .call(&batch)
+        .expect("an oversized batch is still a reply");
+    assert_eq!(reply.status, ReplyStatus::Error, "{}", reply.text);
+    assert!(
+        reply.text.contains("exceeds the 1 MiB frame"),
+        "{}",
+        reply.text
+    );
+    assert!(
+        decode_batch_data(&reply.data).is_err(),
+        "no sub-replies ride along"
+    );
+
+    drop(client);
+    handle.drain();
+}
+
+#[test]
+fn a_cached_entry_too_large_for_a_frame_is_recomputed() {
+    // a cache written before oversized replies became errors can hold an
+    // entry that no frame can carry: it reads as a miss and is replaced
+    let cache_dir = scratch("oversize-entry");
+    let request = asm(FIXED_SOURCE);
+    let key = DiskCache::key_for(&encode_core(&request));
+    let stale = Reply {
+        data: vec![0; MAX_FRAME],
+        ..Reply::ok("stale")
+    };
+    DiskCache::open(&cache_dir)
+        .expect("cache opens")
+        .put(&key, &encode_reply_core(&stale));
+
+    let handle = serve(ServeConfig {
+        workers: 1,
+        cache_dir,
+        ..ServeConfig::default()
+    })
+    .expect("daemon binds");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    let fresh = client
+        .call(&request)
+        .expect("a reply, not a dropped connection");
+    assert_eq!(fresh.status, ReplyStatus::Ok, "{}", fresh.text);
+    assert!(!fresh.cached);
+    let again = client.call(&request).expect("second reply");
+    assert!(again.cached, "the recomputed reply replaced the entry");
+    assert_eq!(canon(&again), canon(&fresh));
+
+    drop(client);
     handle.drain();
 }

@@ -6,10 +6,10 @@
 //! ```
 
 use flexasm::{Assembler, Target};
-use flexicore::exec::Core;
+use flexicore::exec::{AnyCore, Core};
 use flexicore::io::{ConstInput, RecordingOutput};
 use flexicore::sim::fc4::Fc4Core;
-use flexrtl::cosim::cosim_fc4;
+use flexrtl::cosim::cosim;
 
 fn main() {
     // a tiny field program: read the input bus, add 3, emit, halt
@@ -46,7 +46,8 @@ fn main() {
         netlist.cells().len(),
         flexgate::report::Report::of(&netlist).total.devices
     );
-    let cosim = cosim_fc4(&netlist, assembly.program(), &mut ConstInput::new(0x6), 100);
+    let model = AnyCore::Fc4(Fc4Core::new(assembly.program().clone()));
+    let cosim = cosim(&netlist, model, &mut ConstInput::new(0x6), 100);
     assert!(cosim.is_equivalent(), "{:?}", cosim.mismatches);
     println!(
         "co-simulation: RTL matched the ISA model on all {} cycles",

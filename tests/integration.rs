@@ -4,12 +4,18 @@
 
 use flexasm::{Assembler, Target};
 use flexfab::wafer_run::{CoreDesign, WaferExperiment};
-use flexicore::exec::Core;
+use flexicore::exec::{AnyCore, Core};
 use flexicore::io::{ConstInput, RecordingOutput, ScriptedInput};
 use flexicore::sim::fc4::Fc4Core;
 use flexkernels::inputs::Sampler;
 use flexkernels::Kernel;
-use flexrtl::cosim::{cosim_fc4, cosim_fc8};
+use flexrtl::cosim::cosim;
+
+/// The architectural model for an assembled program.
+fn core_of(assembly: &flexasm::Assembly) -> AnyCore {
+    let target = assembly.target();
+    AnyCore::for_dialect(target.dialect, target.features, assembly.program().clone())
+}
 
 /// A kernel assembled by `flexasm` must behave identically on the
 /// architectural simulator and on the gate-level FlexiCore4 netlist —
@@ -21,7 +27,7 @@ fn parity_kernel_runs_identically_on_rtl_and_isa() {
     // the kernel reads two input nibbles through the scripted port; the
     // cosim input presents the same fixed value to both models each cycle,
     // so use a constant word
-    let result = cosim_fc4(&netlist, assembly.program(), &mut ConstInput::new(0x9), 500);
+    let result = cosim(&netlist, core_of(&assembly), &mut ConstInput::new(0x9), 500);
     assert!(result.is_equivalent(), "{:?}", result.mismatches);
     assert!(result.cycles > 30, "ran {} cycles", result.cycles);
 }
@@ -30,9 +36,9 @@ fn parity_kernel_runs_identically_on_rtl_and_isa() {
 fn thresholding_kernel_cosimulates_on_fc4_rtl() {
     let assembly = Kernel::Thresholding.assemble(Target::fc4()).unwrap();
     let netlist = flexrtl::build_fc4();
-    let result = cosim_fc4(
+    let result = cosim(
         &netlist,
-        assembly.program(),
+        core_of(&assembly),
         &mut ConstInput::new(0x3),
         2_000,
     );
@@ -51,9 +57,9 @@ fn fc8_program_cosimulates_including_load_byte() {
     ";
     let assembly = Assembler::new(Target::fc8()).assemble(src).unwrap();
     let netlist = flexrtl::build_fc8();
-    let result = cosim_fc8(
+    let result = cosim(
         &netlist,
-        assembly.program(),
+        core_of(&assembly),
         &mut ConstInput::new(0x66),
         500,
     );
@@ -117,7 +123,7 @@ fn calculator_cosimulates_through_the_mmu_on_gate_level() {
     // op, a, b arrive on the input port; the cosim presents a constant
     // byte, so pick an op whose reads tolerate repetition: op=2 (multiply)
     // reads op, a, b as three successive IPORT samples -> 2 * 2 = 4.
-    let result = cosim_fc4(&netlist, assembly.program(), &mut ConstInput::new(2), 2_000);
+    let result = cosim(&netlist, core_of(&assembly), &mut ConstInput::new(2), 2_000);
     assert!(result.is_equivalent(), "{:?}", result.mismatches);
     assert!(
         result.cycles > 100,
@@ -141,18 +147,17 @@ fn calculator_pages_through_the_mmu_correctly() {
     }
 }
 
-/// The native FlexiCore8 parity demo, gate-level: the ISA-exhaustive
-/// program also matches the FlexiCore8 netlist cycle-for-cycle.
+/// The FlexiCore8 parity kernel, gate-level: the program the harness
+/// checks on all 256 words also matches the FlexiCore8 netlist
+/// cycle-for-cycle.
 #[test]
 fn fc8_native_parity_cosimulates() {
-    let assembly = Assembler::new(Target::fc8())
-        .assemble(&flexkernels::fc8_demo::parity8_source())
-        .unwrap();
+    let assembly = Kernel::ParityCheck.assemble(Target::fc8()).unwrap();
     let netlist = flexrtl::build_fc8();
     for word in [0x00u8, 0x01, 0x5A, 0xFF, 0x80] {
-        let result = cosim_fc8(
+        let result = cosim(
             &netlist,
-            assembly.program(),
+            core_of(&assembly),
             &mut ConstInput::new(word),
             500,
         );

@@ -334,7 +334,7 @@ proptest! {
     #[test]
     fn zero_fault_plane_is_bit_for_bit_transparent(seed in any::<u64>()) {
         use flexicore::sim::fault::{FaultPlane, NoFaults};
-        use flexkernels::harness::{run_kernel_with, CYCLE_BUDGET};
+        use flexkernels::harness::{PreparedKernel, CYCLE_BUDGET};
         use flexkernels::inputs::Sampler;
         use flexkernels::Kernel;
 
@@ -345,10 +345,13 @@ proptest! {
                     continue;
                 }
                 let inputs = Sampler::new(kernel, seed).draw();
-                let clean = run_kernel_with(kernel, target, &inputs, CYCLE_BUDGET, &mut NoFaults)
+                let prepared = PreparedKernel::new(kernel, target).expect("kernel assembles");
+                let clean = prepared
+                    .run_with(&inputs, CYCLE_BUDGET, &mut NoFaults)
                     .expect("clean run must verify");
                 let mut plane = FaultPlane::new();
-                let hooked = run_kernel_with(kernel, target, &inputs, CYCLE_BUDGET, &mut plane)
+                let hooked = prepared
+                    .run_with(&inputs, CYCLE_BUDGET, &mut plane)
                     .expect("zero-fault run must verify");
                 prop_assert_eq!(&clean.outputs, &hooked.outputs, "{} on {}", kernel.name(), name);
                 prop_assert_eq!(&clean.raw_outputs, &hooked.raw_outputs);
