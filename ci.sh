@@ -75,9 +75,10 @@ echo "== flexcheck gate =="
 # static analysis over the kernel suite (all dialects must lint clean at
 # error severity) plus a seeded differential soundness smoke campaign:
 # every analyzer verdict is replayed against the functional simulator
-for target in fc4 fc8 xacc xls; do
-    ./target/release/flexi check --kernels --target "$target" \
-        --features revised > /dev/null
+# every suite runs on the fixed-ISA fabricated cores and on the revised
+# DSE dialects; `$target` word-splits into `T [--features F]`
+for target in fc4 fc8 "xacc --features revised" "xls --features revised"; do
+    ./target/release/flexi check --kernels --target $target > /dev/null
 done
 ./target/release/flexi check --campaign 25 --seed 1 | tail -2
 
@@ -87,11 +88,11 @@ echo "== vuln gate =="
 # two runs), and the differential masking campaign re-injects every
 # provably-masked site through the real engine — any observable
 # divergence exits nonzero
-for target in fc4 fc8 xacc xls; do
-    ./target/release/flexi check --kernels --vuln --target "$target" \
-        --features revised > /tmp/flexi_vuln_a.txt
-    ./target/release/flexi check --kernels --vuln --target "$target" \
-        --features revised > /tmp/flexi_vuln_b.txt
+for target in fc4 fc8 "xacc --features revised" "xls --features revised"; do
+    ./target/release/flexi check --kernels --vuln --target $target \
+        > /tmp/flexi_vuln_a.txt
+    ./target/release/flexi check --kernels --vuln --target $target \
+        > /tmp/flexi_vuln_b.txt
     cmp /tmp/flexi_vuln_a.txt /tmp/flexi_vuln_b.txt
     grep -q "suite vuln digest 0x" /tmp/flexi_vuln_a.txt
 done
@@ -116,8 +117,11 @@ echo "== hang fast-forward gate =="
 # captured while the interpreter still ran the screen. The kernel
 # harness skips the replay of a hung loop's writes, which no verdict
 # reads: its oracle holds it to a full recording handed to `verify`.
-# netlist_digests pins every cell of the three fabricated netlists.
+# netlist_digests pins every cell of the three fabricated netlists, and
+# fabricated_isa pins both fabricated ISAs' decode tables and one-step
+# semantics, captured while FlexiCore4 and FlexiCore8 had separate cores.
 cargo test --release --offline -p flexicore -q --test hang_forward
+cargo test --release --offline -p flexicore -q --test fabricated_isa
 cargo test --release --offline -p flexinject -q --test verdict_oracle
 cargo test --release --offline -p flexresilient -q --test segment_oracle
 cargo test --release --offline -p flexinject -q --test campaign_digests

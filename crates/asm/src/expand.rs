@@ -48,7 +48,7 @@ use crate::parser::{Operand, Stmt};
 use crate::target::Target;
 use flexicore::isa::features::Feature;
 use flexicore::isa::xacc::Cond;
-use flexicore::isa::{fc4, fc8, xacc, xls, Dialect};
+use flexicore::isa::{fc4, xacc, xls, Dialect};
 
 /// A branch destination as written in source: symbolic, or an absolute
 /// page-local PC (what disassembly listings contain).
@@ -193,7 +193,7 @@ impl Ctx {
     fn one_mem(&self, mnemonic: &str, operands: &[Operand]) -> Result<u8, AsmError> {
         match operands {
             [Operand::Reg(m)] => {
-                let words = self.target.data_words() as u8;
+                let words = self.target.dialect.mem_words();
                 if *m < words {
                     Ok(*m)
                 } else {
@@ -249,14 +249,9 @@ impl Ctx {
     }
 
     fn imm4(&self, mnemonic: &str, v: i64) -> Result<u8, AsmError> {
-        let range = if self.target.dialect == Dialect::Fc4 {
-            // raw nibble; negatives wrap mod 16
-            (-8, 15)
-        } else {
-            // sign-extended at execution (fc8 widens, xacc keeps 4 bits
-            // where raw nibbles and sign-extension coincide)
-            (-8, 15)
-        };
+        // sign-extended at execution: fc8 widens, and the 4-bit dialects
+        // keep 4 bits, where raw nibbles and sign-extension coincide
+        let range = (-8, 15);
         if v < range.0 || v > range.1 {
             return Err(self.err(AsmErrorKind::OutOfRange {
                 what: format!("`{mnemonic}` immediate"),
@@ -286,15 +281,10 @@ impl Ctx {
 
     fn acc_alu_mem(&self, op: AccOp, m: u8) -> MachineInsn {
         match self.target.dialect {
-            Dialect::Fc4 => MachineInsn::Fc4(match op {
+            Dialect::Fc4 | Dialect::Fc8 => MachineInsn::Fab(match op {
                 AccOp::Add => fc4::Instruction::AddMem { src: m },
                 AccOp::Nand => fc4::Instruction::NandMem { src: m },
                 AccOp::Xor => fc4::Instruction::XorMem { src: m },
-            }),
-            Dialect::Fc8 => MachineInsn::Fc8(match op {
-                AccOp::Add => fc8::Instruction::AddMem { src: m },
-                AccOp::Nand => fc8::Instruction::NandMem { src: m },
-                AccOp::Xor => fc8::Instruction::XorMem { src: m },
             }),
             Dialect::ExtendedAcc => MachineInsn::Xacc(match op {
                 AccOp::Add => xacc::Instruction::Add { m },
@@ -307,8 +297,7 @@ impl Ctx {
 
     fn acc_load(&self, m: u8) -> MachineInsn {
         match self.target.dialect {
-            Dialect::Fc4 => MachineInsn::Fc4(fc4::Instruction::Load { addr: m }),
-            Dialect::Fc8 => MachineInsn::Fc8(fc8::Instruction::Load { addr: m }),
+            Dialect::Fc4 | Dialect::Fc8 => MachineInsn::Fab(fc4::Instruction::Load { addr: m }),
             Dialect::ExtendedAcc => MachineInsn::Xacc(xacc::Instruction::Load { m }),
             Dialect::LoadStore => unreachable!(),
         }
@@ -316,8 +305,7 @@ impl Ctx {
 
     fn acc_store(&self, m: u8) -> MachineInsn {
         match self.target.dialect {
-            Dialect::Fc4 => MachineInsn::Fc4(fc4::Instruction::Store { addr: m }),
-            Dialect::Fc8 => MachineInsn::Fc8(fc8::Instruction::Store { addr: m }),
+            Dialect::Fc4 | Dialect::Fc8 => MachineInsn::Fab(fc4::Instruction::Store { addr: m }),
             Dialect::ExtendedAcc => MachineInsn::Xacc(xacc::Instruction::Store { m }),
             Dialect::LoadStore => unreachable!(),
         }
@@ -325,8 +313,7 @@ impl Ctx {
 
     fn acc_branch_n(&self) -> MachineInsn {
         match self.target.dialect {
-            Dialect::Fc4 => MachineInsn::Fc4(fc4::Instruction::Branch { target: 0 }),
-            Dialect::Fc8 => MachineInsn::Fc8(fc8::Instruction::Branch { target: 0 }),
+            Dialect::Fc4 | Dialect::Fc8 => MachineInsn::Fab(fc4::Instruction::Branch { target: 0 }),
             Dialect::ExtendedAcc => MachineInsn::Xacc(xacc::Instruction::Br {
                 cond: Cond::N,
                 target: 0,
@@ -341,28 +328,12 @@ impl Ctx {
         match self.target.dialect {
             Dialect::Fc4 | Dialect::Fc8 => {
                 let imm = self.imm4(mnemonic, v)?;
-                let insn = match (self.target.dialect, op) {
-                    (Dialect::Fc4, AccOp::Add) => {
-                        MachineInsn::Fc4(fc4::Instruction::AddImm { imm })
-                    }
-                    (Dialect::Fc4, AccOp::Nand) => {
-                        MachineInsn::Fc4(fc4::Instruction::NandImm { imm })
-                    }
-                    (Dialect::Fc4, AccOp::Xor) => {
-                        MachineInsn::Fc4(fc4::Instruction::XorImm { imm })
-                    }
-                    (Dialect::Fc8, AccOp::Add) => {
-                        MachineInsn::Fc8(fc8::Instruction::AddImm { imm })
-                    }
-                    (Dialect::Fc8, AccOp::Nand) => {
-                        MachineInsn::Fc8(fc8::Instruction::NandImm { imm })
-                    }
-                    (Dialect::Fc8, AccOp::Xor) => {
-                        MachineInsn::Fc8(fc8::Instruction::XorImm { imm })
-                    }
-                    _ => unreachable!(),
+                let insn = match op {
+                    AccOp::Add => fc4::Instruction::AddImm { imm },
+                    AccOp::Nand => fc4::Instruction::NandImm { imm },
+                    AccOp::Xor => fc4::Instruction::XorImm { imm },
                 };
-                self.emit(insn);
+                self.emit(MachineInsn::Fab(insn));
                 Ok(())
             }
             Dialect::ExtendedAcc => {
@@ -390,7 +361,7 @@ impl Ctx {
                         range: (-128, 255),
                     }));
                 }
-                self.emit(MachineInsn::Fc8(fc8::Instruction::LoadByte {
+                self.emit(MachineInsn::Fab(fc4::Instruction::LoadByte {
                     imm: (v & 0xFF) as u8,
                 }));
                 Ok(())
@@ -398,8 +369,8 @@ impl Ctx {
             Dialect::Fc4 => {
                 let k = normalize_nibble_delta(v, self.line, "ldi")?;
                 // nandi 0 -> 0xF (-1), then add k+1
-                self.emit(MachineInsn::Fc4(fc4::Instruction::NandImm { imm: 0 }));
-                self.emit(MachineInsn::Fc4(fc4::Instruction::AddImm {
+                self.emit(MachineInsn::Fab(fc4::Instruction::NandImm { imm: 0 }));
+                self.emit(MachineInsn::Fab(fc4::Instruction::AddImm {
                     imm: ((k + 1) & 0xF) as u8,
                 }));
                 Ok(())
@@ -429,8 +400,9 @@ impl Ctx {
         } else {
             // nandi 0 makes ACC = all-ones (negative); br.n is then taken
             match self.target.dialect {
-                Dialect::Fc4 => self.emit(MachineInsn::Fc4(fc4::Instruction::NandImm { imm: 0 })),
-                Dialect::Fc8 => self.emit(MachineInsn::Fc8(fc8::Instruction::NandImm { imm: 0 })),
+                Dialect::Fc4 | Dialect::Fc8 => {
+                    self.emit(MachineInsn::Fab(fc4::Instruction::NandImm { imm: 0 }));
+                }
                 Dialect::ExtendedAcc => {
                     self.emit(MachineInsn::Xacc(xacc::Instruction::NandImm { imm: 0 }));
                 }
@@ -944,11 +916,8 @@ impl Ctx {
                 } else {
                     // ACC must be negative for the spin branch to take
                     match self.target.dialect {
-                        Dialect::Fc4 => {
-                            self.emit(MachineInsn::Fc4(fc4::Instruction::NandImm { imm: 0 }));
-                        }
-                        Dialect::Fc8 => {
-                            self.emit(MachineInsn::Fc8(fc8::Instruction::NandImm { imm: 0 }));
+                        Dialect::Fc4 | Dialect::Fc8 => {
+                            self.emit(MachineInsn::Fab(fc4::Instruction::NandImm { imm: 0 }));
                         }
                         Dialect::ExtendedAcc => {
                             self.emit(MachineInsn::Xacc(xacc::Instruction::NandImm { imm: 0 }));

@@ -4,15 +4,13 @@
 //! machine instruction of the target dialect; control transfers may still
 //! carry an unresolved label, patched during layout.
 
-use flexicore::isa::{fc4, fc8, xacc, xls};
+use flexicore::isa::{fc4, xacc, xls};
 
 /// A dialect-tagged machine instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MachineInsn {
-    /// FlexiCore4 instruction.
-    Fc4(fc4::Instruction),
-    /// FlexiCore8 instruction.
-    Fc8(fc8::Instruction),
+    /// Fabricated-core instruction (FlexiCore4 or FlexiCore8).
+    Fab(fc4::Instruction),
     /// Extended-accumulator instruction.
     Xacc(xacc::Instruction),
     /// Load-store instruction.
@@ -24,8 +22,7 @@ impl MachineInsn {
     #[must_use]
     pub fn byte_len(&self) -> usize {
         match self {
-            MachineInsn::Fc4(_) => 1,
-            MachineInsn::Fc8(i) => i.len(),
+            MachineInsn::Fab(i) => i.len(),
             MachineInsn::Xacc(i) => i.len(),
             MachineInsn::Xls(i) => i.len(),
         }
@@ -34,8 +31,7 @@ impl MachineInsn {
     /// Append the encoding to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            MachineInsn::Fc4(i) => buf.push(i.encode()),
-            MachineInsn::Fc8(i) => {
+            MachineInsn::Fab(i) => {
                 i.encode_into(buf);
             }
             MachineInsn::Xacc(i) => {
@@ -54,11 +50,8 @@ impl MachineInsn {
     #[must_use]
     pub fn with_target(self, target: u8) -> MachineInsn {
         match self {
-            MachineInsn::Fc4(fc4::Instruction::Branch { .. }) => {
-                MachineInsn::Fc4(fc4::Instruction::Branch { target })
-            }
-            MachineInsn::Fc8(fc8::Instruction::Branch { .. }) => {
-                MachineInsn::Fc8(fc8::Instruction::Branch { target })
+            MachineInsn::Fab(fc4::Instruction::Branch { .. }) => {
+                MachineInsn::Fab(fc4::Instruction::Branch { target })
             }
             MachineInsn::Xacc(xacc::Instruction::Br { cond, .. }) => {
                 MachineInsn::Xacc(xacc::Instruction::Br { cond, target })
@@ -81,8 +74,7 @@ impl MachineInsn {
     pub fn is_control_transfer(&self) -> bool {
         matches!(
             self,
-            MachineInsn::Fc4(fc4::Instruction::Branch { .. })
-                | MachineInsn::Fc8(fc8::Instruction::Branch { .. })
+            MachineInsn::Fab(fc4::Instruction::Branch { .. })
                 | MachineInsn::Xacc(xacc::Instruction::Br { .. })
                 | MachineInsn::Xacc(xacc::Instruction::Call { .. })
                 | MachineInsn::Xls(xls::Instruction::Br { .. })
@@ -94,8 +86,7 @@ impl MachineInsn {
 impl core::fmt::Display for MachineInsn {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            MachineInsn::Fc4(i) => i.fmt(f),
-            MachineInsn::Fc8(i) => i.fmt(f),
+            MachineInsn::Fab(i) => i.fmt(f),
             MachineInsn::Xacc(i) => i.fmt(f),
             MachineInsn::Xls(i) => i.fmt(f),
         }
@@ -143,11 +134,11 @@ mod tests {
     #[test]
     fn byte_lengths() {
         assert_eq!(
-            MachineInsn::Fc4(fc4::Instruction::AddImm { imm: 1 }).byte_len(),
+            MachineInsn::Fab(fc4::Instruction::AddImm { imm: 1 }).byte_len(),
             1
         );
         assert_eq!(
-            MachineInsn::Fc8(fc8::Instruction::LoadByte { imm: 1 }).byte_len(),
+            MachineInsn::Fab(fc4::Instruction::LoadByte { imm: 1 }).byte_len(),
             2
         );
         assert_eq!(
@@ -163,17 +154,17 @@ mod tests {
 
     #[test]
     fn target_patching() {
-        let b = MachineInsn::Fc4(fc4::Instruction::Branch { target: 0 });
+        let b = MachineInsn::Fab(fc4::Instruction::Branch { target: 0 });
         assert_eq!(
             b.with_target(9),
-            MachineInsn::Fc4(fc4::Instruction::Branch { target: 9 })
+            MachineInsn::Fab(fc4::Instruction::Branch { target: 9 })
         );
         let c = MachineInsn::Xacc(xacc::Instruction::Call { target: 0 });
         assert_eq!(
             c.with_target(5),
             MachineInsn::Xacc(xacc::Instruction::Call { target: 5 })
         );
-        let a = MachineInsn::Fc4(fc4::Instruction::AddImm { imm: 2 });
+        let a = MachineInsn::Fab(fc4::Instruction::AddImm { imm: 2 });
         assert_eq!(a.with_target(5), a);
         assert!(b.is_control_transfer());
         assert!(!a.is_control_transfer());
@@ -182,8 +173,8 @@ mod tests {
     #[test]
     fn encoding_appends() {
         let mut buf = Vec::new();
-        MachineInsn::Fc4(fc4::Instruction::Load { addr: 2 }).encode_into(&mut buf);
-        MachineInsn::Fc8(fc8::Instruction::LoadByte { imm: 7 }).encode_into(&mut buf);
+        MachineInsn::Fab(fc4::Instruction::Load { addr: 2 }).encode_into(&mut buf);
+        MachineInsn::Fab(fc4::Instruction::LoadByte { imm: 7 }).encode_into(&mut buf);
         assert_eq!(buf.len(), 3);
     }
 }

@@ -8,8 +8,10 @@ use flexicore::isa::Dialect;
 pub struct Target {
     /// The ISA dialect.
     pub dialect: Dialect,
-    /// Enabled ISA extensions (meaningful for the DSE dialects; ignored for
-    /// the fabricated `fc4`/`fc8` dialects, which have fixed ISAs).
+    /// Enabled ISA extensions of the DSE dialects. The fabricated
+    /// `fc4`/`fc8` dialects have fixed ISAs: their targets carry
+    /// [`FeatureSet::BASE`], and [`Target::parse`] rejects a feature list
+    /// for them.
     pub features: FeatureSet,
 }
 
@@ -62,19 +64,6 @@ impl Target {
         Target::xls(FeatureSet::revised())
     }
 
-    /// Number of addressable data words (memory words for accumulator
-    /// dialects, registers for load-store), including the two IO-mapped
-    /// ones.
-    #[must_use]
-    pub fn data_words(&self) -> usize {
-        match self.dialect {
-            Dialect::Fc4 => 8,
-            Dialect::Fc8 => 4,
-            Dialect::ExtendedAcc => 8,
-            Dialect::LoadStore => 8,
-        }
-    }
-
     /// Whether this target's branches can be unconditional in one
     /// instruction.
     #[must_use]
@@ -93,12 +82,13 @@ impl Target {
     /// into a target. `dialect` is one of `fc4`, `fc8`, `xacc`, `xls`;
     /// `features` is empty, `revised`, or a comma-separated list of
     /// `adc`, `shift`, `flags`, `mul`, `xch`, `call`, `2xreg`. The
-    /// fabricated dialects have fixed ISAs, so their feature list is
-    /// ignored, matching the long-standing CLI behaviour.
+    /// fabricated dialects have fixed ISAs, so their feature list must be
+    /// empty.
     ///
     /// # Errors
     ///
-    /// [`TargetParseError`] naming the unknown dialect or feature.
+    /// [`TargetParseError`] naming the unknown dialect or feature, or the
+    /// feature list handed to a fabricated dialect.
     pub fn parse(dialect: &str, features: &str) -> Result<Target, TargetParseError> {
         use flexicore::isa::features::Feature;
         let set = match features.trim() {
@@ -127,6 +117,12 @@ impl Target {
             }
         };
         match dialect.trim() {
+            fixed @ ("fc4" | "fc8") if !features.trim().is_empty() => {
+                Err(TargetParseError(format!(
+                    "target `{fixed}` has a fixed ISA and takes no features (got `{}`)",
+                    features.trim()
+                )))
+            }
             "fc4" => Ok(Target::fc4()),
             "fc8" => Ok(Target::fc8()),
             "xacc" => Ok(Target::xacc(set)),
@@ -157,7 +153,7 @@ mod tests {
     #[test]
     fn constructors() {
         assert_eq!(Target::fc4().dialect, Dialect::Fc4);
-        assert_eq!(Target::fc8().data_words(), 4);
+        assert_eq!(Target::fc8().dialect.mem_words(), 4);
         assert!(Target::xacc_revised().has_unconditional_branch());
         assert!(!Target::fc4().has_unconditional_branch());
         assert!(!Target::xacc(FeatureSet::BASE).has_unconditional_branch());
@@ -176,8 +172,13 @@ mod tests {
         assert!(t.features.contains(Feature::AddWithCarry));
         assert!(t.features.contains(Feature::BarrelShifter));
         assert!(!t.features.contains(Feature::Multiplier));
-        // fixed-ISA dialects ignore the feature list
-        assert_eq!(Target::parse("fc4", "mul").unwrap(), Target::fc4());
+        // fixed-ISA dialects reject any feature list
+        for features in ["mul", "revised", " , "] {
+            let err = Target::parse("fc4", features).unwrap_err();
+            assert!(err.to_string().contains("fixed ISA"), "{err}");
+            assert!(Target::parse("fc8", features).is_err());
+        }
+        assert_eq!(Target::parse("fc8", "  ").unwrap(), Target::fc8());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use flexasm::disasm::disassemble;
 use flexasm::{Assembler, Target};
-use flexicore::isa::{fc4, fc8, xacc, xls, Dialect};
+use flexicore::isa::{fc4, xacc, xls, Dialect};
 use flexicore::program::Program;
 use proptest::prelude::*;
 
@@ -22,13 +22,13 @@ fn sample_insn(target: &Target, rng: &mut impl FnMut() -> u8) -> Vec<u8> {
         match target.dialect {
             Dialect::Fc4 => {
                 let b = rng();
-                if let Ok(insn) = fc4::Instruction::decode(b) {
-                    return vec![insn.encode()];
+                if let Ok((insn, _)) = fc4::Instruction::decode(&[b], 4) {
+                    return insn.encode();
                 }
             }
             Dialect::Fc8 => {
                 let bytes = [rng(), rng()];
-                if let Ok((insn, _)) = fc8::Instruction::decode(&bytes) {
+                if let Ok((insn, _)) = fc4::Instruction::decode(&bytes, 8) {
                     return insn.encode();
                 }
             }

@@ -9,7 +9,7 @@
 //! [`crate::soundness`] checks empirically.
 
 use flexasm::Target;
-use flexicore::isa::{fc4, fc8, sign_extend, xacc, xls, Dialect};
+use flexicore::isa::{fc4, sign_extend, xacc, xls, Dialect};
 use flexicore::Program;
 
 use crate::abs::{AbsBool, AbsMmu, AbsVal};
@@ -60,12 +60,9 @@ impl AbsState {
     /// The power-on state: everything zero, all tracked cells unwritten.
     #[must_use]
     pub fn poweron(dialect: Dialect) -> AbsState {
-        let uninit = match dialect {
-            // fc8 has four data words; word 0 shadows the input port and
-            // is unreachable, words 1..=3 are tracked
-            Dialect::Fc8 => 0b0000_1110,
-            _ => 0b1111_1110,
-        };
+        // word 0 shadows the input port and is unreachable; every other
+        // word (three on fc8, seven elsewhere) is tracked
+        let uninit = ((1u16 << dialect.mem_words()) - 2) as u8;
         AbsState {
             mmu: AbsMmu::poweron(),
             acc: AbsVal::Const(0),
@@ -246,8 +243,7 @@ pub fn transfer(
     }
 
     match dialect {
-        Dialect::Fc4 => transfer_fc4(window, pc, state),
-        Dialect::Fc8 => transfer_fc8(window, pc, state),
+        Dialect::Fc4 | Dialect::Fc8 => transfer_fab(dialect.datapath_bits(), window, pc, state),
         Dialect::ExtendedAcc => transfer_xacc(target, window, pc, state),
         Dialect::LoadStore => transfer_xls(target, window, pc, state),
     }
@@ -326,84 +322,47 @@ fn branch(out: &mut StepOut, pc: u8, taken: AbsBool, target: u8, seq: u8, state:
     }
 }
 
-fn transfer_fc4(window: &[u8], pc: u8, state: &AbsState) -> Result<StepOut, Crash> {
+/// The fabricated cores: FlexiCore4, and FlexiCore8 at eight bits.
+fn transfer_fab(width: u32, window: &[u8], pc: u8, state: &AbsState) -> Result<StepOut, Crash> {
     use fc4::Instruction as I;
-    let insn = I::decode(window[0]).map_err(crash_of)?;
-    let mut out = StepOut::new(1, 1);
-    // every fc4 instruction but LOAD observes the accumulator (STORE
-    // forwards it, BRANCH tests its sign)
-    out.uses.acc = !matches!(insn, I::Load { .. });
-    let mut s = state.clone();
-    let seq = pc.wrapping_add(1) & PC_MASK;
-    let m4 = |v: u8| v & 0xF;
-    match insn {
-        I::AddImm { imm } => s.acc = s.acc.map(|a| m4(a.wrapping_add(imm))),
-        I::NandImm { imm } => s.acc = abs_nand(s.acc, AbsVal::Const(imm), 0xF),
-        I::XorImm { imm } => s.acc = s.acc.map(|a| m4(a ^ imm)),
-        I::AddMem { src } => {
-            let v = read_cell(&s, src, 0x7, &mut out);
-            s.acc = s.acc.map2(v, |a, b| m4(a.wrapping_add(b)));
-        }
-        I::NandMem { src } => {
-            let v = read_cell(&s, src, 0x7, &mut out);
-            s.acc = abs_nand(s.acc, v, 0xF);
-        }
-        I::XorMem { src } => {
-            let v = read_cell(&s, src, 0x7, &mut out);
-            s.acc = s.acc.map2(v, |a, b| m4(a ^ b));
-        }
-        I::Load { addr } => s.acc = read_cell(&s, addr, 0x7, &mut out),
-        I::Store { addr } => {
-            let v = s.acc;
-            write_cell(&mut s, addr, 0x7, v, &mut out);
-        }
-        I::Branch { target } => {
-            let taken = match s.acc {
-                AbsVal::Const(a) => AbsBool::Const(a & 0x8 != 0),
-                AbsVal::Top => AbsBool::Top,
-            };
-            branch(&mut out, pc, taken, target, seq, &s);
-            return Ok(out);
-        }
-    }
-    out.succs.push((seq, s));
-    Ok(out)
-}
-
-fn transfer_fc8(window: &[u8], pc: u8, state: &AbsState) -> Result<StepOut, Crash> {
-    use fc8::Instruction as I;
-    let (insn, len) = I::decode(window).map_err(crash_of)?;
+    let (insn, len) = I::decode(window, width).map_err(crash_of)?;
     let len = len as u8;
     let mut out = StepOut::new(len, u64::from(len));
-    // as on fc4, only the accumulator loads ignore the old value
+    // only the accumulator loads ignore the old value (STORE forwards
+    // it, BRANCH tests its sign)
     out.uses.acc = !matches!(insn, I::Load { .. } | I::LoadByte { .. });
     let mut s = state.clone();
     let seq = pc.wrapping_add(len) & PC_MASK;
+    let mask = ((1u16 << width) - 1) as u8;
+    let cells = (fc4::mem_words(width) - 1) as u8;
+    // 4-bit immediates are sign-extended to the datapath
+    let sext = |imm: u8| sext4(imm) & mask;
     match insn {
-        I::AddImm { imm } => s.acc = s.acc.map(|a| a.wrapping_add(sext4(imm))),
-        I::NandImm { imm } => s.acc = abs_nand(s.acc, AbsVal::Const(sext4(imm)), 0xFF),
-        I::XorImm { imm } => s.acc = s.acc.map(|a| a ^ sext4(imm)),
+        I::AddImm { imm } => s.acc = s.acc.map(|a| a.wrapping_add(sext(imm)) & mask),
+        I::NandImm { imm } => s.acc = abs_nand(s.acc, AbsVal::Const(sext(imm)), mask),
+        I::XorImm { imm } => s.acc = s.acc.map(|a| (a ^ sext(imm)) & mask),
         I::AddMem { src } => {
-            let v = read_cell(&s, src, 0x3, &mut out);
-            s.acc = s.acc.map2(v, u8::wrapping_add);
+            let v = read_cell(&s, src, cells, &mut out);
+            s.acc = s.acc.map2(v, |a, b| a.wrapping_add(b) & mask);
         }
         I::NandMem { src } => {
-            let v = read_cell(&s, src, 0x3, &mut out);
-            s.acc = abs_nand(s.acc, v, 0xFF);
+            let v = read_cell(&s, src, cells, &mut out);
+            s.acc = abs_nand(s.acc, v, mask);
         }
         I::XorMem { src } => {
-            let v = read_cell(&s, src, 0x3, &mut out);
-            s.acc = s.acc.map2(v, |a, b| a ^ b);
+            let v = read_cell(&s, src, cells, &mut out);
+            s.acc = s.acc.map2(v, |a, b| (a ^ b) & mask);
         }
-        I::Load { addr } => s.acc = read_cell(&s, addr, 0x3, &mut out),
+        I::Load { addr } => s.acc = read_cell(&s, addr, cells, &mut out),
         I::Store { addr } => {
             let v = s.acc;
-            write_cell(&mut s, addr, 0x3, v, &mut out);
+            write_cell(&mut s, addr, cells, v, &mut out);
         }
         I::LoadByte { imm } => s.acc = AbsVal::Const(imm),
         I::Branch { target } => {
+            let sign = 1 << (width - 1);
             let taken = match s.acc {
-                AbsVal::Const(a) => AbsBool::Const(a & 0x80 != 0),
+                AbsVal::Const(a) => AbsBool::Const(a & sign != 0),
                 AbsVal::Top => AbsBool::Top,
             };
             branch(&mut out, pc, taken, target, seq, &s);
@@ -750,6 +709,7 @@ fn crash_of(e: flexicore::error::DecodeError) -> Crash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexicore::isa::fc8;
     use flexicore::isa::features::FeatureSet;
 
     fn state4() -> AbsState {

@@ -155,25 +155,21 @@ fn random_target(dialect: Dialect, rng: &mut StdRng) -> Target {
 fn sample_legal(target: &Target, rng: &mut StdRng, quiet: bool) -> Vec<u8> {
     loop {
         match target.dialect {
-            Dialect::Fc4 => {
-                let b: u8 = rng.gen();
-                let Ok(insn) = fc4::Instruction::decode(b) else {
+            Dialect::Fc4 | Dialect::Fc8 => {
+                // one byte per draw, two where LOAD BYTE can take both
+                let width = target.dialect.datapath_bits();
+                let mut bytes = vec![rng.gen::<u8>()];
+                if fc4::has_load_byte(width) {
+                    bytes.push(rng.gen());
+                }
+                let Ok((insn, len)) = fc4::Instruction::decode(&bytes, width) else {
                     continue;
                 };
                 if quiet && matches!(insn, fc4::Instruction::Store { addr: 1 }) {
                     continue;
                 }
-                return vec![b];
-            }
-            Dialect::Fc8 => {
-                let bytes = [rng.gen::<u8>(), rng.gen::<u8>()];
-                let Ok((insn, len)) = fc8::Instruction::decode(&bytes) else {
-                    continue;
-                };
-                if quiet && matches!(insn, fc8::Instruction::Store { addr: 1 }) {
-                    continue;
-                }
-                return bytes[..len].to_vec();
+                bytes.truncate(len);
+                return bytes;
             }
             Dialect::ExtendedAcc => {
                 let bytes = [rng.gen::<u8>(), rng.gen::<u8>()];
@@ -302,17 +298,11 @@ fn paged_fc8(rng: &mut StdRng) -> Program {
 
 /// Tracked data-cell indices for the uninit-perturbation trial.
 fn tracked_cells(dialect: Dialect) -> std::ops::RangeInclusive<usize> {
-    match dialect {
-        Dialect::Fc8 => 1..=3,
-        _ => 1..=7,
-    }
+    1..=usize::from(dialect.mem_words()) - 1
 }
 
 fn data_mask(dialect: Dialect) -> u8 {
-    match dialect {
-        Dialect::Fc8 => 0xFF,
-        _ => 0xF,
-    }
+    ((1u16 << dialect.datapath_bits()) - 1) as u8
 }
 
 /// The outcome of one concrete trial.

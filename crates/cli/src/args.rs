@@ -253,7 +253,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// [`CliError::Usage`] for unknown names.
+    /// [`CliError::Usage`] for unknown names, and for a feature list on
+    /// the fixed-ISA `fc4`/`fc8`.
     pub fn target(&mut self) -> Result<flexasm::Target, CliError> {
         let features = self.flag("features").unwrap_or_default();
         let dialect = self.flag("target").unwrap_or_else(|| "fc4".to_string());
@@ -350,6 +351,9 @@ mod tests {
 
         let mut a = parse(&["--features", "warp-drive"]);
         assert!(a.target().is_err());
+
+        let mut a = parse(&["--target", "fc8", "--features", "adc"]);
+        assert!(matches!(a.target(), Err(CliError::Usage(_))));
     }
 
     #[test]

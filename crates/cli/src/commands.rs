@@ -272,7 +272,7 @@ pub fn run(args: &mut Args) -> Result<String, CliError> {
 }
 
 /// `flexi cosim` — run a program on both the ISA model and the gate-level
-/// netlist and report equivalence.
+/// netlist for `--cycles` RTL clocks and report equivalence.
 ///
 /// # Errors
 ///
@@ -1137,13 +1137,15 @@ mod tests {
             src,
             "--target",
             target,
-            "--features",
-            "revised",
             "--input",
             "1,2,3",
             "--max-cycles",
             "10",
         ];
+        // the fabricated dialects have fixed ISAs and take no features
+        if matches!(target, "xacc" | "xls") {
+            argv.extend(["--features", "revised"]);
+        }
         if trace {
             argv.push("--trace");
         }
@@ -1225,6 +1227,42 @@ mod tests {
         let src = write_temp("cosim", ADD3);
         let out = call(&["cosim", &src, "--input", "2"]).unwrap();
         assert!(out.contains("equivalent"), "{out}");
+    }
+
+    #[test]
+    fn cosim_bounds_and_counts_rtl_clocks() {
+        use flexicore::exec::AnyCore;
+        use flexicore::io::{ConstInput, NullOutput};
+        use flexicore::isa::{features::FeatureSet, Dialect};
+        // FlexiCore8's parity kernel runs a two-clock LOAD BYTE as its
+        // 20th instruction, so clocks and instructions part ways there;
+        // the model's own cycle watchdog is the reference for both the
+        // bound (a straddling instruction completes) and the count
+        let source =
+            flexkernels::sources::source_for(flexkernels::Kernel::ParityCheck, Dialect::Fc8);
+        let src = write_temp("cosim_parity_fc8", &source);
+        let program = flexasm::Assembler::new(flexasm::Target::fc8())
+            .assemble(&source)
+            .unwrap()
+            .into_program();
+        for budget in [20u64, 10_000] {
+            let mut model = AnyCore::for_dialect(Dialect::Fc8, FeatureSet::BASE, program.clone());
+            let run = model
+                .run(&mut ConstInput::new(90), &mut NullOutput, budget)
+                .unwrap();
+            assert!(run.cycles > run.instructions, "{run:?}");
+            let cycles = budget.to_string();
+            let argv = [
+                "cosim", &src, "--target", "fc8", "--input", "90", "--cycles", &cycles,
+            ];
+            assert_eq!(
+                call(&argv).unwrap(),
+                format!(
+                    "equivalent: RTL matched the ISA model on all {} cycles\n",
+                    run.cycles
+                )
+            );
+        }
     }
 
     #[test]
@@ -1722,6 +1760,17 @@ mod tests {
         assert!(call(&["frobnicate"]).is_err());
         let src = write_temp("uf", ADD3);
         assert!(call(&["asm", &src, "--bogus", "1"]).is_err());
+    }
+
+    #[test]
+    fn fabricated_targets_refuse_features() {
+        let src = write_temp("fixed_isa", ADD3);
+        for target in ["fc4", "fc8"] {
+            let err =
+                call(&["run", &src, "--target", target, "--features", "shift,mul"]).unwrap_err();
+            assert!(err.to_string().contains("fixed ISA"), "{err}");
+            assert_eq!(err.exit_code(), 2, "a usage error");
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! is also what `flexi help` prints.
 //!
 //! Targets: `fc4` (default), `fc8`, `xacc`, `xls`; `--features` applies to
-//! the DSE dialects (`adc,shift,flags,mul,xch,call,2xreg` or `revised`).
+//! the DSE dialects (`adc,shift,flags,mul,xch,call,2xreg` or `revised`) and
+//! is a usage error on the fabricated `fc4`/`fc8`, whose ISAs are fixed.
 //!
 //! The campaign commands (`wafer`, `inject`, `resilient`, `link`, `attack`,
 //! `mission`) accept `--threads N` worker threads; every thread count

@@ -6,8 +6,7 @@ use crate::isa::features::FeatureSet;
 use crate::isa::Dialect;
 use crate::program::Program;
 use crate::sim::fault::FaultHook;
-use crate::sim::fc4::Fc4Core;
-use crate::sim::fc8::Fc8Core;
+use crate::sim::fc4::{Fc4Core, Fc8Core};
 use crate::sim::xacc::XaccCore;
 use crate::sim::xls::XlsCore;
 use crate::sim::RunResult;

@@ -614,7 +614,7 @@ mod tests {
     use crate::sim::fault::{ArchFault, FaultKind, FaultPlane, StateElement};
 
     fn fc4_core(insns: &[I4]) -> AnyCore {
-        let program = Program::from_bytes(insns.iter().map(|i| i.encode()).collect());
+        let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode()).collect());
         AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, program)
     }
 

@@ -1,17 +1,11 @@
-//! The FlexiCore8 instruction set (paper Figure 2b).
+//! What FlexiCore8 (paper Figure 2b) adds to FlexiCore4.
 //!
 //! FlexiCore8 keeps every FlexiCore4 instruction and format but widens the
-//! datapath to eight bits. To stay inside the 800-NAND2 area budget the data
-//! memory is halved to four octet words (§3.3), so the memory address fields
-//! shrink to two bits (bits 3:2 are fixed zeros).
-//!
-//! ```text
-//! Branch     [ 1 | target:7 ]
-//! I-Type     [ 0 | 1 | op:2 | imm:4 ]          imm sign-extended to 8 bits
-//! M-Type     [ 0 | 0 | op:2 | 0 0 | src:2 ]
-//! T-Type     [ 0 | d | 1 1  | 0 0 | src:2 ]    d=0 LOAD, d=1 STORE
-//! Load Byte  [ 0000_1000 ] [ imm:8 ]           ACC = imm (two bytes)
-//! ```
+//! datapath to eight bits, so it shares FlexiCore4's
+//! [`Instruction`](crate::isa::fc4::Instruction) enum and decoder at
+//! `width` 8. To stay inside the 800-NAND2 area budget the data memory is
+//! halved to four octet words (§3.3), so the memory address fields shrink
+//! to two bits (bits 3:2 are fixed zeros).
 //!
 //! `LOAD BYTE` is the only instruction in either fabricated ISA that is not
 //! eight bits: the opcode byte `0x08` (a reserved FlexiCore4 encoding — bit 3
@@ -21,223 +15,17 @@
 //!
 //! I-type immediates are sign-extended from four to eight bits so idioms such
 //! as `addi -3` keep working on the wider datapath (reconstruction choice;
-//! the paper does not state the extension rule).
+//! the paper does not state the extension rule). On FlexiCore4 the
+//! extension is invisible: the result keeps only the low four bits.
 
-use crate::error::DecodeError;
-use crate::isa::AluOp;
-
-/// Number of data-memory words (including the two memory-mapped IO words).
-pub const MEM_WORDS: usize = 4;
-/// Memory address that reads the 8-bit input bus.
-pub const IPORT_ADDR: u8 = 0;
-/// Memory address that drives the 8-bit output bus.
-pub const OPORT_ADDR: u8 = 1;
-/// Width of the program counter in bits.
-pub const PC_BITS: u32 = 7;
-/// Bytes per program page reachable without the off-chip MMU.
-pub const PAGE_BYTES: usize = 1 << PC_BITS;
-/// Datapath width in bits.
-pub const WIDTH: u32 = 8;
 /// The opcode byte announcing a `LOAD BYTE` payload.
 pub const LOAD_BYTE_OPCODE: u8 = 0b0000_1000;
-
-/// A decoded FlexiCore8 instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Instruction {
-    /// `ACC = ACC + sext(imm)`.
-    AddImm {
-        /// 4-bit immediate (sign-extended to 8 bits before use).
-        imm: u8,
-    },
-    /// `ACC = !(ACC & sext(imm))`.
-    NandImm {
-        /// 4-bit immediate.
-        imm: u8,
-    },
-    /// `ACC = ACC ^ sext(imm)`.
-    XorImm {
-        /// 4-bit immediate.
-        imm: u8,
-    },
-    /// `ACC = ACC + MEM[src]`.
-    AddMem {
-        /// Memory address 0..4.
-        src: u8,
-    },
-    /// `ACC = !(ACC & MEM[src])`.
-    NandMem {
-        /// Memory address 0..4.
-        src: u8,
-    },
-    /// `ACC = ACC ^ MEM[src]`.
-    XorMem {
-        /// Memory address 0..4.
-        src: u8,
-    },
-    /// `ACC = MEM[addr]`.
-    Load {
-        /// Memory address 0..4.
-        addr: u8,
-    },
-    /// `MEM[addr] = ACC`.
-    Store {
-        /// Memory address 0..4.
-        addr: u8,
-    },
-    /// `if ACC[7] { PC = target }`.
-    Branch {
-        /// 7-bit in-page target address.
-        target: u8,
-    },
-    /// `ACC = imm` — the two-byte `LOAD BYTE` instruction.
-    LoadByte {
-        /// Full 8-bit immediate carried in the second byte.
-        imm: u8,
-    },
-}
-
-impl Instruction {
-    /// Size of the encoded instruction in bytes (1, or 2 for `LOAD BYTE`).
-    #[must_use]
-    pub fn len(self) -> usize {
-        match self {
-            Instruction::LoadByte { .. } => 2,
-            _ => 1,
-        }
-    }
-
-    /// Always `false`; instructions occupy at least one byte.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        false
-    }
-
-    /// Encode into `buf`, returning the number of bytes written (1 or 2).
-    pub fn encode_into(self, buf: &mut Vec<u8>) -> usize {
-        match self {
-            Instruction::AddImm { imm } => buf.push(0b0100_0000 | (imm & 0xF)),
-            Instruction::NandImm { imm } => buf.push(0b0101_0000 | (imm & 0xF)),
-            Instruction::XorImm { imm } => buf.push(0b0110_0000 | (imm & 0xF)),
-            Instruction::AddMem { src } => buf.push(src & 0x3),
-            Instruction::NandMem { src } => buf.push(0b0001_0000 | (src & 0x3)),
-            Instruction::XorMem { src } => buf.push(0b0010_0000 | (src & 0x3)),
-            Instruction::Load { addr } => buf.push(0b0011_0000 | (addr & 0x3)),
-            Instruction::Store { addr } => buf.push(0b0111_0000 | (addr & 0x3)),
-            Instruction::Branch { target } => buf.push(0b1000_0000 | (target & 0x7F)),
-            Instruction::LoadByte { imm } => {
-                buf.push(LOAD_BYTE_OPCODE);
-                buf.push(imm);
-            }
-        }
-        self.len()
-    }
-
-    /// Encode to a small byte vector.
-    #[must_use]
-    pub fn encode(self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(2);
-        self.encode_into(&mut v);
-        v
-    }
-
-    /// Decode from the byte at the front of `bytes`.
-    ///
-    /// Returns the instruction and its encoded length.
-    ///
-    /// # Errors
-    ///
-    /// * [`DecodeError::Illegal`] for reserved encodings,
-    /// * [`DecodeError::NeedsSecondByte`] if `bytes` holds only the `LOAD
-    ///   BYTE` opcode.
-    pub fn decode(bytes: &[u8]) -> Result<(Self, usize), DecodeError> {
-        let byte = *bytes.first().ok_or(DecodeError::Illegal { raw: 0 })?;
-        if byte & 0x80 != 0 {
-            return Ok((
-                Instruction::Branch {
-                    target: byte & 0x7F,
-                },
-                1,
-            ));
-        }
-        if byte == LOAD_BYTE_OPCODE {
-            let imm = *bytes
-                .get(1)
-                .ok_or(DecodeError::NeedsSecondByte { raw: byte })?;
-            return Ok((Instruction::LoadByte { imm }, 2));
-        }
-        let imm_mode = byte & 0x40 != 0;
-        let op = (byte >> 4) & 0b11;
-        if let Some(alu) = AluOp::from_field(op) {
-            if imm_mode {
-                let imm = byte & 0xF;
-                return Ok((
-                    match alu {
-                        AluOp::Add => Instruction::AddImm { imm },
-                        AluOp::Nand => Instruction::NandImm { imm },
-                        AluOp::Xor => Instruction::XorImm { imm },
-                    },
-                    1,
-                ));
-            }
-            if byte & 0b1100 != 0 {
-                return Err(DecodeError::Illegal { raw: byte.into() });
-            }
-            let src = byte & 0x3;
-            return Ok((
-                match alu {
-                    AluOp::Add => Instruction::AddMem { src },
-                    AluOp::Nand => Instruction::NandMem { src },
-                    AluOp::Xor => Instruction::XorMem { src },
-                },
-                1,
-            ));
-        }
-        if byte & 0b1100 != 0 {
-            return Err(DecodeError::Illegal { raw: byte.into() });
-        }
-        let addr = byte & 0x3;
-        Ok((
-            if imm_mode {
-                Instruction::Store { addr }
-            } else {
-                Instruction::Load { addr }
-            },
-            1,
-        ))
-    }
-
-    /// The ALU operation performed, if this is an ALU instruction.
-    #[must_use]
-    pub fn alu_op(self) -> Option<AluOp> {
-        match self {
-            Instruction::AddImm { .. } | Instruction::AddMem { .. } => Some(AluOp::Add),
-            Instruction::NandImm { .. } | Instruction::NandMem { .. } => Some(AluOp::Nand),
-            Instruction::XorImm { .. } | Instruction::XorMem { .. } => Some(AluOp::Xor),
-            _ => None,
-        }
-    }
-}
-
-impl core::fmt::Display for Instruction {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match *self {
-            Instruction::AddImm { imm } => write!(f, "addi {}", crate::isa::sign_extend(imm, 4)),
-            Instruction::NandImm { imm } => write!(f, "nandi {imm:#x}"),
-            Instruction::XorImm { imm } => write!(f, "xori {imm:#x}"),
-            Instruction::AddMem { src } => write!(f, "add r{src}"),
-            Instruction::NandMem { src } => write!(f, "nand r{src}"),
-            Instruction::XorMem { src } => write!(f, "xor r{src}"),
-            Instruction::Load { addr } => write!(f, "load r{addr}"),
-            Instruction::Store { addr } => write!(f, "store r{addr}"),
-            Instruction::Branch { target } => write!(f, "br {target:#04x}"),
-            Instruction::LoadByte { imm } => write!(f, "ldb {imm:#04x}"),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DecodeError;
+    use crate::isa::fc4::Instruction;
 
     fn all_legal() -> Vec<Instruction> {
         let mut v = Vec::new();
@@ -266,7 +54,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         for insn in all_legal() {
             let bytes = insn.encode();
-            let (decoded, len) = Instruction::decode(&bytes).expect("legal");
+            let (decoded, len) = Instruction::decode(&bytes, 8).expect("legal");
             assert_eq!(decoded, insn);
             assert_eq!(len, bytes.len());
         }
@@ -275,13 +63,18 @@ mod tests {
     #[test]
     fn load_byte_is_0x08_prefix() {
         let bytes = Instruction::LoadByte { imm: 0xAB }.encode();
-        assert_eq!(bytes, vec![0x08, 0xAB]);
+        assert_eq!(bytes, vec![LOAD_BYTE_OPCODE, 0xAB]);
+        // FlexiCore4 keeps the encoding reserved
+        assert_eq!(
+            Instruction::decode(&bytes, 4),
+            Err(DecodeError::Illegal { raw: 0x08 })
+        );
     }
 
     #[test]
     fn load_byte_needs_second_byte() {
         assert_eq!(
-            Instruction::decode(&[0x08]),
+            Instruction::decode(&[0x08], 8),
             Err(DecodeError::NeedsSecondByte { raw: 0x08 })
         );
     }
@@ -289,36 +82,35 @@ mod tests {
     #[test]
     fn narrower_address_fields_than_fc4() {
         // bits 3:2 must be zero in memory formats
-        assert!(Instruction::decode(&[0b0000_0100]).is_err());
-        assert!(Instruction::decode(&[0b0011_0100]).is_err());
+        assert!(Instruction::decode(&[0b0000_0100], 8).is_err());
+        assert!(Instruction::decode(&[0b0011_0100], 8).is_err());
+        // ... where FlexiCore4 reads address 4
+        assert_eq!(
+            Instruction::decode(&[0b0011_0100], 4),
+            Ok((Instruction::Load { addr: 4 }, 1))
+        );
         // 0b0000_1000 is LOAD BYTE, not illegal
         assert!(matches!(
-            Instruction::decode(&[0x08, 0x00]),
+            Instruction::decode(&[0x08, 0x00], 8),
             Ok((Instruction::LoadByte { imm: 0 }, 2))
         ));
     }
 
     #[test]
     fn shared_formats_match_fc4_encodings() {
-        // FlexiCore8 "has all of the instructions of FlexiCore4" — shared
-        // instructions use identical byte encodings.
-        use crate::isa::fc4;
-        let pairs: Vec<(u8, Vec<u8>)> = vec![
-            (
-                fc4::Instruction::AddImm { imm: 7 }.encode(),
-                Instruction::AddImm { imm: 7 }.encode(),
-            ),
-            (
-                fc4::Instruction::Load { addr: 2 }.encode(),
-                Instruction::Load { addr: 2 }.encode(),
-            ),
-            (
-                fc4::Instruction::Branch { target: 99 }.encode(),
-                Instruction::Branch { target: 99 }.encode(),
-            ),
-        ];
-        for (a, b) in pairs {
-            assert_eq!(vec![a], b);
+        // FlexiCore8 "has all of the instructions of FlexiCore4" — every
+        // byte both widths decode means the same instruction on both.
+        let mut shared = 0;
+        for byte in 0..=255u8 {
+            if let (Ok(narrow), Ok(wide)) = (
+                Instruction::decode(&[byte, 0], 4),
+                Instruction::decode(&[byte, 0], 8),
+            ) {
+                assert_eq!(narrow, wide, "{byte:#04x}");
+                shared += 1;
+            }
         }
+        // 128 branches + 48 I-type + 12 M-type + 8 T-type
+        assert_eq!(shared, 196);
     }
 }

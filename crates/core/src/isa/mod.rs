@@ -5,16 +5,19 @@
 //! | Dialect | Paper section | Datapath | Memory | Notes |
 //! |---|---|---|---|---|
 //! | [`fc4`] | §3.3, Fig. 2a | 4 bit | 8 × 4 bit | fabricated base core |
-//! | [`fc8`] | §3.3, Fig. 2b | 8 bit | 4 × 8 bit | adds `LOAD BYTE` |
+//! | [`fc8`] | §3.3, Fig. 2b | 8 bit | 4 × 8 bit | `fc4` at eight bits, adds `LOAD BYTE` |
 //! | [`xacc`] | §6.1–6.2 | 4 bit | 8 × 4 bit (opt. 16) | extended accumulator ISA |
 //! | [`xls`] | §6.2 | 4 bit | 8 registers | two-operand load-store ISA |
 //!
-//! The encodings for `fc4` and `fc8` follow Figure 2 of the paper bit-for-bit
-//! (see the module docs for the one reconstruction choice made where the
-//! figure is ambiguous). The paper does not publish encodings for the DSE
-//! dialects, so `xacc` and `xls` define compact encodings with the operand
-//! counts and instruction widths the paper's Section 6.2 assumes (8-bit
-//! instructions for the accumulator machine, 16-bit for load-store).
+//! The two fabricated cores share one instruction set: [`fc4`] holds its
+//! one enum and decoder, parameterised by datapath width, and [`fc8`]
+//! what the wider core adds. The encodings follow Figure 2 of the paper
+//! bit-for-bit (see [`fc4`] for the one reconstruction choice made where
+//! the figure is ambiguous). The paper does not publish encodings for the
+//! DSE dialects, so `xacc` and `xls` define compact encodings with the
+//! operand counts and instruction widths the paper's Section 6.2 assumes
+//! (8-bit instructions for the accumulator machine, 16-bit for
+//! load-store).
 
 pub mod fc4;
 pub mod fc8;
@@ -126,8 +129,8 @@ impl Dialect {
     #[must_use]
     pub fn mem_words(self) -> u8 {
         match self {
-            Dialect::Fc4 | Dialect::ExtendedAcc | Dialect::LoadStore => 8,
-            Dialect::Fc8 => 4,
+            Dialect::Fc4 | Dialect::Fc8 => fc4::mem_words(self.datapath_bits()) as u8,
+            Dialect::ExtendedAcc | Dialect::LoadStore => 8,
         }
     }
 

@@ -33,14 +33,17 @@
 //! use flexicore::io::{ConstInput, RecordingOutput};
 //!
 //! // load IPORT (address 0), add 3, store to OPORT (address 1), halt.
-//! let prog = Program::from_words(&[
-//!     Instruction::Load { addr: 0 }.encode(),
-//!     Instruction::AddImm { imm: 3 }.encode(),
-//!     Instruction::Store { addr: 1 }.encode(),
+//! let prog: Program = [
+//!     Instruction::Load { addr: 0 },
+//!     Instruction::AddImm { imm: 3 },
+//!     Instruction::Store { addr: 1 },
 //!     // spin: branch-to-self is the halt idiom (taken when ACC is negative)
-//!     Instruction::NandImm { imm: 0 }.encode(), // ACC = 0xF (negative)
-//!     Instruction::Branch { target: 4 }.encode(),
-//! ]);
+//!     Instruction::NandImm { imm: 0 }, // ACC = 0xF (negative)
+//!     Instruction::Branch { target: 4 },
+//! ]
+//! .iter()
+//! .flat_map(|i| i.encode())
+//! .collect();
 //! let mut core = Fc4Core::new(prog);
 //! let mut input = ConstInput::new(0x5);
 //! let mut output = RecordingOutput::new();

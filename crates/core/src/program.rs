@@ -41,12 +41,6 @@ impl Program {
         Program { bytes }
     }
 
-    /// Build from single-byte instruction words (convenient for FlexiCore4).
-    #[must_use]
-    pub fn from_words(words: &[u8]) -> Self {
-        Program::from_bytes(words.to_vec())
-    }
-
     /// The byte at `address`, if within the image.
     #[must_use]
     pub fn fetch(&self, address: u32) -> Option<u8> {
@@ -116,7 +110,7 @@ mod tests {
 
     #[test]
     fn fetch_and_window() {
-        let p = Program::from_words(&[1, 2, 3]);
+        let p = Program::from_bytes(vec![1, 2, 3]);
         assert_eq!(p.fetch(0), Some(1));
         assert_eq!(p.fetch(2), Some(3));
         assert_eq!(p.fetch(3), None);

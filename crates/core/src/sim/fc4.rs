@@ -1,41 +1,63 @@
-//! Functional simulator for FlexiCore4.
+//! Functional simulator for the fabricated cores: FlexiCore4, and
+//! FlexiCore8, which is FlexiCore4 at eight bits.
 //!
-//! Models the architectural state of Figure 3: a 7-bit program counter, a
-//! 4-bit accumulator, and eight 4-bit data-memory words of which addresses 0
-//! and 1 are the input and output buses. The off-chip
-//! `Mmu` (see [`crate::mmu`]) is simulated alongside, snooping the output
-//! port exactly as the external board does (§5.1).
+//! [`FabCore`] models the architectural state of Figure 3: a 7-bit
+//! program counter, a `W`-bit accumulator, and a 32-bit data memory —
+//! eight 4-bit words on FlexiCore4, four octets on FlexiCore8 — of which
+//! addresses 0 and 1 are the input and output buses. The off-chip `Mmu`
+//! (see [`crate::mmu`]) is simulated alongside, snooping the output port
+//! exactly as the external board does (§5.1).
 //!
-//! The step/run loop lives in [`crate::exec`]; this module
-//! contributes only the FlexiCore4 decode/execute semantics via the
-//! [`Core`] trait, whose provided methods drive it.
+//! The datapath width `W` is a compile-time parameter, so [`Fc4Core`]
+//! and [`Fc8Core`] each monomorphise their own step loop. Everything
+//! that differs between them derives from `W`: the width mask, the sign
+//! bit the branch tests, the word count and address mask, the fetch
+//! window and whether `LOAD BYTE` decodes. One execute body serves both:
+//! 4-bit immediates are sign-extended to the datapath, which on
+//! FlexiCore4 is the raw nibble arithmetic mod 16. FlexiCore8's two-byte
+//! `LOAD BYTE` costs an extra clock cycle for its second fetch (the
+//! single stateful bit in FlexiCore8's controller, §3.4).
+//!
+//! The step/run loop lives in [`crate::exec`]; this module contributes
+//! only the decode/execute semantics via the [`Core`] trait, whose
+//! provided methods drive it.
 
-use crate::error::SimError;
+use crate::error::{DecodeError, SimError};
 use crate::exec::{Core, ExecState, Flow, Snapshot};
 use crate::io::{InputPort, OutputPort};
-use crate::isa::fc4::{Instruction, IPORT_ADDR, MEM_WORDS, OPORT_ADDR};
+use crate::isa::fc4::{has_load_byte, mem_words, Instruction, IPORT_ADDR, OPORT_ADDR};
+use crate::isa::{sign_extend, AluOp};
 use crate::program::Program;
 use crate::sim::fault::{ArchState, FaultHook};
 
-const WIDTH_MASK: u8 = 0xF;
-const SIGN_BIT: u8 = 0x8;
-
-/// A FlexiCore4 core plus its off-chip program memory and MMU.
+/// A fabricated FlexiCore of datapath width `W` (4 or 8) plus its
+/// off-chip program memory and MMU.
 #[derive(Debug, Clone)]
-pub struct Fc4Core {
+pub struct FabCore<const W: u32> {
     exec: ExecState,
     acc: u8,
-    mem: [u8; MEM_WORDS],
+    /// The data memory; FlexiCore8 uses the first four words.
+    mem: [u8; mem_words(4)],
 }
 
-impl Fc4Core {
+/// The fabricated 4-bit FlexiCore4 (Figure 2a).
+pub type Fc4Core = FabCore<4>;
+/// The fabricated 8-bit FlexiCore8 (Figure 2b).
+pub type Fc8Core = FabCore<8>;
+
+impl<const W: u32> FabCore<W> {
+    const MASK: u8 = ((1u16 << W) - 1) as u8;
+    const SIGN_BIT: u8 = 1 << (W - 1);
+    const WORDS: usize = mem_words(W);
+    const ADDR_MASK: u8 = Self::WORDS as u8 - 1;
+
     /// A core reset to power-on state with `program` in its external memory.
     #[must_use]
     pub fn new(program: Program) -> Self {
-        Fc4Core {
+        FabCore {
             exec: ExecState::new(program),
             acc: 0,
-            mem: [0; MEM_WORDS],
+            mem: [0; mem_words(4)],
         }
     }
 
@@ -43,13 +65,13 @@ impl Fc4Core {
     /// power-cycling a field-programmed chip does).
     pub fn reset(&mut self) {
         let program = core::mem::take(&mut self.exec.program);
-        *self = Fc4Core::new(program);
+        *self = FabCore::new(program);
     }
 
     /// Replace the external program memory and reset — *field
     /// reprogramming*.
     pub fn reprogram(&mut self, program: Program) {
-        *self = Fc4Core::new(program);
+        *self = FabCore::new(program);
     }
 
     /// Current accumulator value.
@@ -58,11 +80,15 @@ impl Fc4Core {
         self.acc
     }
 
-    /// The data-memory word at `addr`, or `None` when `addr >= 8`.
+    /// The data-memory word at `addr`, or `None` past the last word.
     /// Addresses 0/1 return the backing latches, not live bus values.
     #[must_use]
     pub fn mem(&self, addr: u8) -> Option<u8> {
-        self.mem.get(usize::from(addr)).copied()
+        self.words().get(usize::from(addr)).copied()
+    }
+
+    fn words(&self) -> &[u8] {
+        &self.mem[..Self::WORDS]
     }
 
     fn read_operand<I: InputPort, F: FaultHook>(
@@ -72,21 +98,32 @@ impl Fc4Core {
         faults: &mut F,
     ) -> u8 {
         if addr == IPORT_ADDR {
-            let v = input.read(self.exec.cycle) & WIDTH_MASK;
+            let v = input.read(self.exec.cycle) & Self::MASK;
             if F::ACTIVE {
-                faults.on_input(self.exec.cycle, v) & WIDTH_MASK
+                faults.on_input(self.exec.cycle, v) & Self::MASK
             } else {
                 v
             }
         } else {
-            self.mem[usize::from(addr & 0x7)]
+            self.mem[usize::from(addr & Self::ADDR_MASK)]
         }
+    }
+
+    #[inline]
+    fn alu(&mut self, op: AluOp, operand: u8) {
+        self.acc = op.apply(self.acc, operand, W);
     }
 }
 
-impl Core for Fc4Core {
+/// A 4-bit immediate sign-extended to the datapath.
+#[inline]
+fn sext4(imm: u8) -> u8 {
+    sign_extend(imm, 4) as u8
+}
+
+impl<const W: u32> Core for FabCore<W> {
     type Insn = Instruction;
-    const FETCH_WINDOW: usize = 1;
+    const FETCH_WINDOW: usize = if has_load_byte(W) { 2 } else { 1 };
 
     #[inline]
     fn state(&self) -> &ExecState {
@@ -100,12 +137,11 @@ impl Core for Fc4Core {
 
     #[inline]
     fn decode(&self, window: &[u8], address: u32) -> Result<(Instruction, u8), SimError> {
-        let byte = window[0];
-        let insn = Instruction::decode(byte).map_err(|_| SimError::IllegalInstruction {
-            raw: byte.into(),
-            address,
+        let (insn, len) = Instruction::decode(window, W).map_err(|e| match e {
+            DecodeError::NeedsSecondByte { .. } => SimError::TruncatedInstruction { address },
+            DecodeError::Illegal { raw } => SimError::IllegalInstruction { raw, address },
         })?;
-        Ok((insn, 1))
+        Ok((insn, len as u8))
     }
 
     #[inline]
@@ -117,37 +153,31 @@ impl Core for Fc4Core {
         faults: &mut F,
     ) -> Flow {
         match insn {
-            Instruction::AddImm { imm } => {
-                self.acc = self.acc.wrapping_add(imm) & WIDTH_MASK;
-            }
-            Instruction::NandImm { imm } => {
-                self.acc = !(self.acc & imm) & WIDTH_MASK;
-            }
-            Instruction::XorImm { imm } => {
-                self.acc = (self.acc ^ imm) & WIDTH_MASK;
-            }
+            Instruction::AddImm { imm } => self.alu(AluOp::Add, sext4(imm)),
+            Instruction::NandImm { imm } => self.alu(AluOp::Nand, sext4(imm)),
+            Instruction::XorImm { imm } => self.alu(AluOp::Xor, sext4(imm)),
             Instruction::AddMem { src } => {
                 let v = self.read_operand(src, input, faults);
-                self.acc = self.acc.wrapping_add(v) & WIDTH_MASK;
+                self.alu(AluOp::Add, v);
             }
             Instruction::NandMem { src } => {
                 let v = self.read_operand(src, input, faults);
-                self.acc = !(self.acc & v) & WIDTH_MASK;
+                self.alu(AluOp::Nand, v);
             }
             Instruction::XorMem { src } => {
                 let v = self.read_operand(src, input, faults);
-                self.acc = (self.acc ^ v) & WIDTH_MASK;
+                self.alu(AluOp::Xor, v);
             }
             Instruction::Load { addr } => {
                 self.acc = self.read_operand(addr, input, faults);
             }
             Instruction::Store { addr } => {
                 if addr != IPORT_ADDR {
-                    self.mem[usize::from(addr & 0x7)] = self.acc;
+                    self.mem[usize::from(addr & Self::ADDR_MASK)] = self.acc;
                 }
                 if addr == OPORT_ADDR {
                     let driven = if F::ACTIVE {
-                        faults.on_output(self.exec.cycle, self.acc) & WIDTH_MASK
+                        faults.on_output(self.exec.cycle, self.acc) & Self::MASK
                     } else {
                         self.acc
                     };
@@ -155,8 +185,9 @@ impl Core for Fc4Core {
                     self.exec.mmu.observe(driven);
                 }
             }
+            Instruction::LoadByte { imm } => self.acc = imm,
             Instruction::Branch { target } => {
-                if self.acc & SIGN_BIT != 0 {
+                if self.acc & Self::SIGN_BIT != 0 {
                     return Flow::Jump { target };
                 }
             }
@@ -164,15 +195,20 @@ impl Core for Fc4Core {
         Flow::Sequential
     }
 
+    #[inline]
+    fn insn_cycles(len: u8) -> u64 {
+        u64::from(len)
+    }
+
     fn arch_state(&mut self) -> ArchState<'_> {
         let (page, pending_page) = self.exec.mmu.fault_view();
         ArchState {
             pc: &mut self.exec.pc,
             acc: Some(&mut self.acc),
-            mem: &mut self.mem,
+            mem: &mut self.mem[..Self::WORDS],
             page,
             pending_page,
-            data_mask: WIDTH_MASK,
+            data_mask: Self::MASK,
         }
     }
 
@@ -183,16 +219,16 @@ impl Core for Fc4Core {
 
     fn save_arch(&self, snap: &mut Snapshot) {
         snap.acc = self.acc;
-        snap.mem = self.mem.to_vec();
+        snap.mem = self.words().to_vec();
     }
 
     fn load_arch(&mut self, snap: &Snapshot) {
         self.acc = snap.acc;
-        self.mem.copy_from_slice(&snap.mem);
+        self.mem[..Self::WORDS].copy_from_slice(&snap.mem);
     }
 
     fn same_regs(&self, snap: &Snapshot) -> bool {
-        self.acc == snap.acc && self.mem[..] == snap.mem[..]
+        self.acc == snap.acc && self.words() == &snap.mem[..]
     }
 }
 
@@ -204,7 +240,11 @@ mod tests {
     use crate::sim::StopReason;
 
     fn assemble(insns: &[I]) -> Program {
-        Program::from_bytes(insns.iter().map(|i| i.encode()).collect())
+        let mut bytes = Vec::new();
+        for i in insns {
+            i.encode_into(&mut bytes);
+        }
+        Program::from_bytes(bytes)
     }
 
     /// A spin-forever tail: set ACC negative, branch to self.
@@ -356,12 +396,12 @@ mod tests {
             I::Branch { target: 0 }, // lands at page 1, offset 0
         ];
         for i in page0 {
-            image.push(i.encode());
+            i.encode_into(&mut image);
         }
         image.resize(128, 0); // pad page 0
         let page1 = [I::NandImm { imm: 0 }, I::Branch { target: 1 }];
         for i in page1 {
-            image.push(i.encode());
+            i.encode_into(&mut image);
         }
         let mut core = Fc4Core::new(Program::from_bytes(image));
         let mut out = RecordingOutput::new();
@@ -415,5 +455,98 @@ mod tests {
         let core = Fc4Core::new(assemble(&[I::AddImm { imm: 1 }]));
         assert_eq!(core.mem(7), Some(0));
         assert_eq!(core.mem(8), None);
+    }
+
+    #[test]
+    fn load_byte_loads_full_octet_and_costs_two_cycles() {
+        let prog = assemble(&[
+            I::LoadByte { imm: 0xAB },
+            I::Store { addr: 2 },
+            I::LoadByte { imm: 0x80 },
+            I::Branch { target: 5 }, // byte address 5 is this branch itself
+        ]);
+        let mut core = Fc8Core::new(prog);
+        let r = core
+            .run(&mut ConstInput::new(0), &mut NullOutput::new(), 100)
+            .unwrap();
+        assert!(r.halted());
+        assert_eq!(core.mem(2), Some(0xAB));
+        // 2 + 1 + 2 + 1 cycles
+        assert_eq!(r.cycles, 6);
+        assert_eq!(r.instructions, 4);
+    }
+
+    #[test]
+    fn immediates_are_sign_extended() {
+        let prog = assemble(&[
+            I::LoadByte { imm: 0x10 },
+            I::AddImm { imm: 0xD }, // -3
+            I::Store { addr: 2 },
+            I::LoadByte { imm: 0x80 },
+            I::Branch { target: 6 },
+        ]);
+        let mut core = Fc8Core::new(prog);
+        core.run(&mut ConstInput::new(0), &mut NullOutput::new(), 100)
+            .unwrap();
+        assert_eq!(core.mem(2), Some(0x0D));
+    }
+
+    #[test]
+    fn branch_tests_bit_seven() {
+        // byte layout: 0-1 LOAD BYTE, 2 branch (self), 3-4 LOAD BYTE,
+        // 5 branch (self)
+        let prog = assemble(&[
+            I::LoadByte { imm: 0x7F }, // bytes 0-1
+            I::Branch { target: 2 },   // byte 2: self-target, not taken
+            I::LoadByte { imm: 0xFF }, // bytes 3-4
+            I::Branch { target: 5 },   // byte 5: self-target, taken: halt
+        ]);
+        let mut core = Fc8Core::new(prog);
+        let r = core
+            .run(&mut ConstInput::new(0), &mut NullOutput::new(), 100)
+            .unwrap();
+        assert!(r.halted());
+        assert_eq!(r.taken_branches, 1);
+    }
+
+    #[test]
+    fn eight_bit_io_roundtrip() {
+        let prog = assemble(&[
+            I::Load { addr: 0 },
+            I::AddMem { src: 0 }, // doubles the input
+            I::Store { addr: 1 },
+            I::LoadByte { imm: 0x80 },
+            I::Branch { target: 5 },
+        ]);
+        let mut core = Fc8Core::new(prog);
+        let mut out = RecordingOutput::new();
+        core.run(&mut ConstInput::new(0x55), &mut out, 100).unwrap();
+        assert_eq!(out.values(), vec![0xAA]);
+    }
+
+    #[test]
+    fn truncated_load_byte_is_error() {
+        let prog = Program::from_bytes(vec![0x08]);
+        let mut core = Fc8Core::new(prog);
+        let err = core
+            .step(&mut ConstInput::new(0), &mut NullOutput::new())
+            .unwrap_err();
+        assert!(matches!(err, SimError::TruncatedInstruction { address: 0 }));
+    }
+
+    #[test]
+    fn only_four_memory_words() {
+        let prog = assemble(&[
+            I::LoadByte { imm: 0x42 },
+            I::Store { addr: 3 },
+            I::LoadByte { imm: 0x80 },
+            I::Branch { target: 5 },
+        ]);
+        let mut core = Fc8Core::new(prog);
+        core.run(&mut ConstInput::new(0), &mut NullOutput::new(), 100)
+            .unwrap();
+        assert_eq!(core.mem(3), Some(0x42));
+        assert_eq!(core.mem(2), Some(0));
+        assert_eq!(core.mem(4), None);
     }
 }

@@ -1,5 +1,10 @@
 //! Functional (ISA-level) simulators for every FlexiCore dialect.
 //!
+//! Three core types cover the four dialects: [`fc4::FabCore`] serves both
+//! fabricated cores, with the datapath width as a compile-time parameter
+//! ([`fc4::Fc4Core`], [`fc4::Fc8Core`]), and [`xacc`] and [`xls`] hold the
+//! design-space-exploration cores.
+//!
 //! All simulators share the same shape: a core owns a [`Program`] image and
 //! its architectural state; [`Core::step`] executes one instruction
 //! against a pair of IO ports, and [`Core::run`] iterates until the
@@ -23,7 +28,6 @@
 
 pub mod fault;
 pub mod fc4;
-pub mod fc8;
 pub mod xacc;
 pub mod xls;
 

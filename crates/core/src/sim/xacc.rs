@@ -615,7 +615,7 @@ mod tests {
             }, // @4-5
         ];
         let mut a = Fc4Core::new(Program::from_bytes(
-            fc4.iter().map(|i| i.encode()).collect(),
+            fc4.iter().flat_map(|i| i.encode()).collect(),
         ));
         a.run(&mut ConstInput::new(9), &mut NullOutput::new(), 100)
             .unwrap();

@@ -252,10 +252,11 @@ fn seeded_hang_sweep_matches_the_plain_loop() {
 /// with accounting that saturates instead of overflowing.
 #[test]
 fn unbounded_spin_returns_promptly() {
-    let fc4_spin = vec![
+    let fc4_spin = [
         fc4::Instruction::NandImm { imm: 0 }.encode(),
         fc4::Instruction::Branch { target: 0 }.encode(),
-    ];
+    ]
+    .concat();
     let mut xls_spin = Vec::new();
     xls::Instruction::Alu {
         op: xls::Op::Mov,
@@ -317,7 +318,7 @@ fn input_position_gates_the_jump() {
             I::Branch { target: 5 }, // halt idiom
         ]
         .iter()
-        .map(|i| i.encode())
+        .flat_map(|i| i.encode())
         .collect(),
     );
     let mut inputs = vec![1u8; 3_000];
@@ -345,7 +346,7 @@ fn input_position_gates_the_jump() {
 #[test]
 fn same_regs_sees_every_restored_field() {
     use flexicore::exec::Core;
-    use flexicore::sim::{fc4::Fc4Core, fc8::Fc8Core, xacc::XaccCore, xls::XlsCore};
+    use flexicore::sim::{fc4::Fc4Core, fc4::Fc8Core, xacc::XaccCore, xls::XlsCore};
 
     fn check<C: Core>(mut core: C) {
         let base = core.snapshot();

@@ -21,7 +21,7 @@ fn one_page_program() -> Program {
         I::Branch { target: 3 },
     ]
     .iter()
-    .map(|i| i.encode())
+    .flat_map(|i| i.encode())
     .collect();
     Program::from_bytes(bytes)
 }
@@ -99,9 +99,9 @@ fn legitimate_page_change_still_fetches_the_new_page() {
         I::NandImm { imm: 0 },
         I::Branch { target: 0x23 },
     ];
-    let mut bytes: Vec<u8> = page0.iter().map(|i| i.encode()).collect();
+    let mut bytes: Vec<u8> = page0.iter().flat_map(|i| i.encode()).collect();
     bytes.resize(128 + 0x20, 0);
-    bytes.extend(page1.iter().map(|i| i.encode()));
+    bytes.extend(page1.iter().flat_map(|i| i.encode()));
 
     let mut core = AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, Program::from_bytes(bytes));
     let mut input = ScriptedInput::new(vec![0xE, 0xD, 1, 0x6]);
@@ -136,9 +136,9 @@ fn corrupt_pending_latch_faults_at_commit_not_before() {
         I::NandImm { imm: 0 },
         I::Branch { target: 0x23 },
     ];
-    let mut bytes: Vec<u8> = page0.iter().map(|i| i.encode()).collect();
+    let mut bytes: Vec<u8> = page0.iter().flat_map(|i| i.encode()).collect();
     bytes.resize(128 + 0x20, 0);
-    bytes.extend(page1.iter().map(|i| i.encode()));
+    bytes.extend(page1.iter().flat_map(|i| i.encode()));
 
     let mut core = AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, Program::from_bytes(bytes));
     let mut plane = FaultPlane::with_faults(vec![ArchFault {

@@ -11,7 +11,7 @@
 use flexicore::exec::AnyCore;
 use flexicore::io::{RecordingOutput, ScriptedInput};
 use flexicore::isa::features::FeatureSet;
-use flexicore::isa::{fc4, fc8, xacc, xls, Dialect};
+use flexicore::isa::{fc4, xacc, xls, Dialect};
 use flexicore::program::Program;
 
 /// Step `core` until it halts, bounded by a step guard.
@@ -89,7 +89,7 @@ fn fc4_roundtrip_covers_acc_and_mem() {
         I::Branch { target: 7 },
     ]
     .iter()
-    .map(|i| i.encode())
+    .flat_map(|i| i.encode())
     .collect();
     let core = AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, Program::from_bytes(prog));
     for prefix in 0..6 {
@@ -121,9 +121,9 @@ fn fc4_roundtrip_preserves_pending_mmu_page_change() {
         I::NandImm { imm: 0 },
         I::Branch { target: 0x24 },
     ];
-    let mut bytes: Vec<u8> = page0.iter().map(|i| i.encode()).collect();
+    let mut bytes: Vec<u8> = page0.iter().flat_map(|i| i.encode()).collect();
     bytes.resize(128 + 0x20, 0);
-    bytes.extend(page1.iter().map(|i| i.encode()));
+    bytes.extend(page1.iter().flat_map(|i| i.encode()));
     let core = AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, Program::from_bytes(bytes));
     // prefixes 5..8 checkpoint while the page change sits in the MMU
     // delay line; losing it would replay the wrong page
@@ -134,7 +134,7 @@ fn fc4_roundtrip_preserves_pending_mmu_page_change() {
 
 #[test]
 fn fc8_roundtrip_covers_acc_and_mem() {
-    use fc8::Instruction as I;
+    use fc4::Instruction as I;
     let prog = [
         I::Load { addr: 0 },
         I::AddImm { imm: 7 },

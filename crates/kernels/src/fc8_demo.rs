@@ -17,7 +17,7 @@
 use flexasm::{Assembler, Target};
 use flexicore::exec::Core;
 use flexicore::io::{RecordingOutput, ScriptedInput};
-use flexicore::sim::fc8::Fc8Core;
+use flexicore::sim::fc4::Fc8Core;
 use flexicore::SimError;
 
 /// The native 8-bit ones'-complement checksum: reads `n` bytes (first

@@ -17,7 +17,7 @@ use flexicore::io::{ConstInput, InputPort, NullOutput};
 /// A divergence between RTL and the architectural model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mismatch {
-    /// Step (instruction index) at which the divergence was observed.
+    /// RTL clock at which the diverging instruction's fetch began.
     pub cycle: u64,
     /// What differed (`"pc"` or `"oport"`).
     pub signal: &'static str,
@@ -30,7 +30,8 @@ pub struct Mismatch {
 /// Outcome of a co-simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CosimResult {
-    /// Instructions executed on both sides.
+    /// RTL clocks run: one per fetched byte, the sum of the model's
+    /// per-instruction cycles.
     pub cycles: u64,
     /// All mismatches (empty ⇒ cycle-exact equivalence).
     pub mismatches: Vec<Mismatch>,
@@ -44,32 +45,34 @@ impl CosimResult {
     }
 }
 
-/// Co-simulate `netlist` against the architectural model `core` for at
-/// most `steps` instructions (or until the model halts or faults).
+/// Co-simulate `netlist` against the architectural model `core` while
+/// fewer than `cycles` RTL clocks have run (or until the model halts or
+/// faults). Like the model's own watchdog, the bound is checked before
+/// each instruction, so one that straddles it completes.
 ///
 /// The netlist plays the chip and `core` the golden model: before each
 /// fetch their in-page program counters must agree; the model then
 /// executes one instruction and the netlist is clocked once per byte the
 /// model fetched (one on FlexiCore4, two for a FlexiCore8 `LOAD BYTE`),
 /// after which the output ports must agree. `input` is sampled once per
-/// step with the step index and drives both sides; the netlist sees it
-/// masked to its `iport` width. The netlist must expose the `instr` and
-/// `iport` inputs and the `pc` and `oport` outputs, as every
-/// netlist in [`crate`] does.
+/// instruction with the clock its fetch begins on and drives both sides;
+/// the netlist sees it masked to its `iport` width. The netlist must
+/// expose the `instr` and `iport` inputs and the `pc` and `oport`
+/// outputs, as every netlist in [`crate`] does.
 ///
 /// # Panics
 ///
 /// Panics if `netlist` is malformed or lacks one of those ports.
-pub fn cosim<I>(netlist: &Netlist, mut core: AnyCore, input: &mut I, steps: u64) -> CosimResult
+pub fn cosim<I>(netlist: &Netlist, mut core: AnyCore, input: &mut I, cycles: u64) -> CosimResult
 where
     I: InputPort,
 {
     let mut rtl = BatchSim::new(netlist).expect("cosim netlist is well-formed");
     rtl.reset();
     let mut mismatches = Vec::new();
-    let mut executed = 0;
+    let mut clocks = 0;
 
-    for step in 0..steps {
+    while clocks < cycles {
         // in-page program counters must agree before each fetch; the
         // off-chip MMU (simulated inside the ISA model, shared by both —
         // it is one physical board) supplies the page bits
@@ -77,21 +80,22 @@ where
         let rtl_pc = rtl.output_value("pc", 0);
         if rtl_pc != isa_pc {
             mismatches.push(Mismatch {
-                cycle: step,
+                cycle: clocks,
                 signal: "pc",
                 expected: isa_pc,
                 actual: rtl_pc,
             });
             break;
         }
-        let bus = input.read(step);
+        let bus = input.read(clocks);
         // the ISA model steps first; its StepEvent reports the full
         // (page-extended) fetch address, which is exactly what the board's
         // program memory would return to the chip
         let Ok(event) = core.step(&mut ConstInput::new(bus), &mut NullOutput) else {
             break;
         };
-        executed += 1;
+        let start = clocks;
+        clocks += event.cycles;
         for offset in 0..event.cycles {
             let byte = core
                 .program()
@@ -107,7 +111,7 @@ where
         let isa_oport = u64::from(core.mem(1).expect("OPORT is a valid address"));
         if rtl_oport != isa_oport {
             mismatches.push(Mismatch {
-                cycle: step,
+                cycle: start,
                 signal: "oport",
                 expected: isa_oport,
                 actual: rtl_oport,
@@ -119,7 +123,7 @@ where
         }
     }
     CosimResult {
-        cycles: executed,
+        cycles: clocks,
         mismatches,
     }
 }

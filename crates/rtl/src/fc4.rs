@@ -215,7 +215,7 @@ mod tests {
         for insn in program {
             let pc = sim.output_value("pc", 0);
             let _ = pc;
-            sim.set_input_value("instr", u64::from(insn), !0);
+            sim.set_input_value("instr", u64::from(insn[0]), !0);
             sim.set_input_value("iport", 0, !0);
             sim.clock();
         }
@@ -235,7 +235,7 @@ mod tests {
             I::NandImm { imm: 0 }.encode(),
             I::Branch { target: 0x15 }.encode(),
         ] {
-            sim.set_input_value("instr", u64::from(insn), !0);
+            sim.set_input_value("instr", u64::from(insn[0]), !0);
             sim.set_input_value("iport", 0, !0);
             sim.clock();
         }

@@ -193,7 +193,7 @@ mod tests {
             sim.clock();
         }
         // store acc to the output latch
-        let store = flexicore::isa::fc8::Instruction::Store { addr: 1 }.encode();
+        let store = flexicore::isa::fc4::Instruction::Store { addr: 1 }.encode();
         sim.set_input_value("instr", u64::from(store[0]), !0);
         sim.clock();
         sim.settle();
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn eight_bit_alu_and_branch() {
-        use flexicore::isa::fc8::Instruction as I;
+        use flexicore::isa::fc4::Instruction as I;
         let n = build_fc8();
         let mut sim = BatchSim::new(&n).unwrap();
         sim.reset();

@@ -6,9 +6,9 @@
 
 use flexicore::exec::AnyCore;
 use flexicore::io::ConstInput;
-use flexicore::isa::{fc4, fc8};
+use flexicore::isa::fc4;
 use flexicore::program::Program;
-use flexicore::sim::{fc4::Fc4Core, fc8::Fc8Core};
+use flexicore::sim::fc4::{Fc4Core, Fc8Core};
 use flexrtl::cosim::cosim;
 use proptest::prelude::*;
 
@@ -28,18 +28,18 @@ fn arb_fc4(len: usize) -> impl Strategy<Value = Vec<fc4::Instruction>> {
     proptest::collection::vec(insn, len..=len)
 }
 
-fn arb_fc8(len: usize) -> impl Strategy<Value = Vec<fc8::Instruction>> {
+fn arb_fc8(len: usize) -> impl Strategy<Value = Vec<fc4::Instruction>> {
     let insn = prop_oneof![
-        (0u8..16).prop_map(|imm| fc8::Instruction::AddImm { imm }),
-        (0u8..16).prop_map(|imm| fc8::Instruction::NandImm { imm }),
-        (0u8..16).prop_map(|imm| fc8::Instruction::XorImm { imm }),
-        (0u8..4).prop_map(|src| fc8::Instruction::AddMem { src }),
-        (0u8..4).prop_map(|src| fc8::Instruction::NandMem { src }),
-        (0u8..4).prop_map(|src| fc8::Instruction::XorMem { src }),
-        (0u8..4).prop_map(|addr| fc8::Instruction::Load { addr }),
-        (0u8..4).prop_map(|addr| fc8::Instruction::Store { addr }),
-        any::<u8>().prop_map(|imm| fc8::Instruction::LoadByte { imm }),
-        (0u8..24).prop_map(|target| fc8::Instruction::Branch { target }),
+        (0u8..16).prop_map(|imm| fc4::Instruction::AddImm { imm }),
+        (0u8..16).prop_map(|imm| fc4::Instruction::NandImm { imm }),
+        (0u8..16).prop_map(|imm| fc4::Instruction::XorImm { imm }),
+        (0u8..4).prop_map(|src| fc4::Instruction::AddMem { src }),
+        (0u8..4).prop_map(|src| fc4::Instruction::NandMem { src }),
+        (0u8..4).prop_map(|src| fc4::Instruction::XorMem { src }),
+        (0u8..4).prop_map(|addr| fc4::Instruction::Load { addr }),
+        (0u8..4).prop_map(|addr| fc4::Instruction::Store { addr }),
+        any::<u8>().prop_map(|imm| fc4::Instruction::LoadByte { imm }),
+        (0u8..24).prop_map(|target| fc4::Instruction::Branch { target }),
     ];
     proptest::collection::vec(insn, len..=len)
 }
@@ -52,7 +52,7 @@ proptest! {
         insns in arb_fc4(32),
         input in 0u8..16,
     ) {
-        let bytes: Vec<u8> = insns.iter().map(|i| i.encode()).collect();
+        let bytes: Vec<u8> = insns.iter().flat_map(|i| i.encode()).collect();
         let program = Program::from_bytes(bytes);
         let netlist = flexrtl::build_fc4();
         let core = AnyCore::Fc4(Fc4Core::new(program));

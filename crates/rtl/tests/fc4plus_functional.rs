@@ -25,9 +25,9 @@ fn base_instructions_still_work() {
     let n = flexrtl::build_fc4_plus();
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
-    feed(&mut sim, I::AddImm { imm: 5 }.encode(), 0);
-    feed(&mut sim, I::AddImm { imm: 9 }.encode(), 0);
-    feed(&mut sim, I::Store { addr: 1 }.encode(), 0);
+    feed(&mut sim, I::AddImm { imm: 5 }.encode()[0], 0);
+    feed(&mut sim, I::AddImm { imm: 9 }.encode()[0], 0);
+    feed(&mut sim, I::Store { addr: 1 }.encode()[0], 0);
     sim.settle();
     assert_eq!(sim.output_value("oport", 0), (5 + 9) & 0xF);
 }
@@ -37,9 +37,9 @@ fn logical_right_shift_by_two() {
     let n = flexrtl::build_fc4_plus();
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
-    feed(&mut sim, I::AddImm { imm: 0b1100 }.encode(), 0);
+    feed(&mut sim, I::AddImm { imm: 0b1100 }.encode()[0], 0);
     feed(&mut sim, shift(2, false), 0);
-    feed(&mut sim, I::Store { addr: 1 }.encode(), 0);
+    feed(&mut sim, I::Store { addr: 1 }.encode()[0], 0);
     sim.settle();
     assert_eq!(sim.output_value("oport", 0), 0b0011);
 }
@@ -49,9 +49,9 @@ fn arithmetic_shift_sign_fills() {
     let n = flexrtl::build_fc4_plus();
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
-    feed(&mut sim, I::AddImm { imm: 0b1010 }.encode(), 0);
+    feed(&mut sim, I::AddImm { imm: 0b1010 }.encode()[0], 0);
     feed(&mut sim, shift(1, true), 0);
-    feed(&mut sim, I::Store { addr: 1 }.encode(), 0);
+    feed(&mut sim, I::Store { addr: 1 }.encode()[0], 0);
     sim.settle();
     assert_eq!(sim.output_value("oport", 0), 0b1101);
 }
@@ -73,7 +73,7 @@ fn branch_flags_take_zero_and_positive() {
     // branch-on-positive must be taken
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
-    feed(&mut sim, I::AddImm { imm: 3 }.encode(), 0);
+    feed(&mut sim, I::AddImm { imm: 3 }.encode()[0], 0);
     let pc_before = sim.output_value("pc", 0);
     feed(&mut sim, br_z, 0);
     sim.settle();

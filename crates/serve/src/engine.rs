@@ -413,6 +413,19 @@ mod tests {
     }
 
     #[test]
+    fn features_on_a_fabricated_target_are_an_error_reply() {
+        for dialect in ["fc4", "fc8"] {
+            let req = Request::Assemble {
+                dialect: dialect.into(),
+                features: "shift,mul".into(),
+                source: ADD3.into(),
+            };
+            let reply = engine().execute(&req, &Deadline::none());
+            assert_eq!(reply.status, ReplyStatus::Error, "{dialect}");
+        }
+    }
+
+    #[test]
     fn simulate_runs_and_respects_expired_deadlines() {
         let req = Request::Simulate {
             dialect: "fc4".into(),

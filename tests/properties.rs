@@ -9,7 +9,7 @@ use flexgate::sim::BatchSim;
 use flexicore::exec::Core;
 use flexicore::io::{ConstInput, RecordingOutput};
 use flexicore::isa::xacc::Cond;
-use flexicore::isa::{fc4, fc8, xacc, xls, AluOp};
+use flexicore::isa::{fc4, xacc, xls, AluOp};
 use flexicore::mmu::Mmu;
 use flexicore::program::Program;
 use flexicore::sim::fc4::Fc4Core;
@@ -110,14 +110,14 @@ fn arb_xls_instruction() -> impl Strategy<Value = xls::Instruction> {
 proptest! {
     #[test]
     fn fc4_encode_decode_roundtrip(insn in arb_fc4_instruction()) {
-        let byte = insn.encode();
-        prop_assert_eq!(fc4::Instruction::decode(byte), Ok(insn));
+        let bytes = insn.encode();
+        prop_assert_eq!(fc4::Instruction::decode(&bytes, 4), Ok((insn, 1)));
     }
 
     #[test]
     fn fc8_every_byte_decodes_or_rejects_consistently(byte in any::<u8>(), second in any::<u8>()) {
         // any decodable byte must re-encode to itself
-        if let Ok((insn, len)) = fc8::Instruction::decode(&[byte, second]) {
+        if let Ok((insn, len)) = fc4::Instruction::decode(&[byte, second], 8) {
             let bytes = insn.encode();
             prop_assert_eq!(bytes.len(), len);
             prop_assert_eq!(bytes[0], byte);
@@ -221,7 +221,7 @@ proptest! {
         insns in proptest::collection::vec(arb_fc4_instruction(), 1..60),
         input in 0u8..16,
     ) {
-        let program = Program::from_bytes(insns.iter().map(|i| i.encode()).collect());
+        let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode()).collect());
         let run = |program: Program| {
             let mut core = Fc4Core::new(program);
             let mut output = RecordingOutput::new();
@@ -238,7 +238,7 @@ proptest! {
         insns in proptest::collection::vec(arb_fc4_instruction(), 1..60),
         input in 0u8..16,
     ) {
-        let program = Program::from_bytes(insns.iter().map(|i| i.encode()).collect());
+        let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode()).collect());
         let mut core = Fc4Core::new(program);
         let mut output = RecordingOutput::new();
         let mut inp = ConstInput::new(input);
@@ -302,7 +302,7 @@ proptest! {
         insns in proptest::collection::vec(arb_fc4_instruction(), 1..100),
     ) {
         use flexasm::disasm::disassemble;
-        let bytes: Vec<u8> = insns.iter().map(|i| i.encode()).collect();
+        let bytes: Vec<u8> = insns.iter().flat_map(|i| i.encode()).collect();
         // branches must target addresses inside the program
         prop_assume!(insns.iter().all(|i| match i {
             fc4::Instruction::Branch { target } => usize::from(*target) < bytes.len(),
