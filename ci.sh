@@ -119,9 +119,12 @@ echo "== hang fast-forward gate =="
 # reads: its oracle holds it to a full recording handed to `verify`.
 # netlist_digests pins every cell of the three fabricated netlists, and
 # fabricated_isa pins both fabricated ISAs' decode tables and one-step
-# semantics, captured while FlexiCore4 and FlexiCore8 had separate cores.
+# semantics, captured while FlexiCore4 and FlexiCore8 had separate cores;
+# dse_isa does the same for the two DSE ISAs, captured while each had its
+# own ALU and cell file.
 cargo test --release --offline -p flexicore -q --test hang_forward
 cargo test --release --offline -p flexicore -q --test fabricated_isa
+cargo test --release --offline -p flexicore -q --test dse_isa
 cargo test --release --offline -p flexinject -q --test verdict_oracle
 cargo test --release --offline -p flexresilient -q --test segment_oracle
 cargo test --release --offline -p flexinject -q --test campaign_digests

@@ -9,7 +9,7 @@
 //! [`crate::soundness`] checks empirically.
 
 use flexasm::Target;
-use flexicore::isa::{fc4, sign_extend, xacc, xls, Dialect};
+use flexicore::isa::{fc4, sign_extend, xacc, xls, AluOp, Dialect};
 use flexicore::Program;
 
 use crate::abs::{AbsBool, AbsMmu, AbsVal};
@@ -249,28 +249,10 @@ pub fn transfer(
     }
 }
 
-/// Read a data operand on the 4-bit accumulator dialects: address 0 is
-/// the input bus (unknown), anything else a memory word.
-/// Abstract NAND with an absorbing zero: `!(a & b)` is all-ones
-/// whenever either operand is a known zero, even when the other is ⊤.
-/// The `ldi` and `halt` lowerings lean on `nandi 0` as a constant
-/// generator, so this case must stay precise or every kernel's halt
-/// idiom (and the MMU-disarming zero separators) dissolves into ⊤.
-fn abs_nand(a: AbsVal, b: AbsVal, mask: u8) -> AbsVal {
-    if a == AbsVal::Const(0) || b == AbsVal::Const(0) {
-        return AbsVal::Const(mask);
-    }
-    a.map2(b, |x, y| !(x & y) & mask)
-}
-
-/// Abstract AND, likewise absorbing a known zero on either side.
-fn abs_and(a: AbsVal, b: AbsVal, mask: u8) -> AbsVal {
-    if a == AbsVal::Const(0) || b == AbsVal::Const(0) {
-        return AbsVal::Const(0);
-    }
-    a.map2(b, |x, y| x & y & mask)
-}
-
+/// Read cell `addr` of the port-mapped cell file — the data memory, or
+/// the load-store register file — recording the read in `out`: cell 0
+/// is the input bus (unknown), any other address the tracked word at
+/// `addr & mask`, or ⊤ while it may be unwritten.
 fn read_cell(state: &AbsState, addr: u8, mask: u8, out: &mut StepOut) -> AbsVal {
     if addr == 0 {
         out.uses.input = true;
@@ -336,23 +318,15 @@ fn transfer_fab(width: u32, window: &[u8], pc: u8, state: &AbsState) -> Result<S
     let mask = ((1u16 << width) - 1) as u8;
     let cells = (fc4::mem_words(width) - 1) as u8;
     // 4-bit immediates are sign-extended to the datapath
-    let sext = |imm: u8| sext4(imm) & mask;
+    let sext = |imm: u8| AbsVal::Const(sext4(imm) & mask);
+    let alu = |op: AluOp, a: AbsVal, b: AbsVal| fab_alu(op, a, b, width);
     match insn {
-        I::AddImm { imm } => s.acc = s.acc.map(|a| a.wrapping_add(sext(imm)) & mask),
-        I::NandImm { imm } => s.acc = abs_nand(s.acc, AbsVal::Const(sext(imm)), mask),
-        I::XorImm { imm } => s.acc = s.acc.map(|a| (a ^ sext(imm)) & mask),
-        I::AddMem { src } => {
-            let v = read_cell(&s, src, cells, &mut out);
-            s.acc = s.acc.map2(v, |a, b| a.wrapping_add(b) & mask);
-        }
-        I::NandMem { src } => {
-            let v = read_cell(&s, src, cells, &mut out);
-            s.acc = abs_nand(s.acc, v, mask);
-        }
-        I::XorMem { src } => {
-            let v = read_cell(&s, src, cells, &mut out);
-            s.acc = s.acc.map2(v, |a, b| (a ^ b) & mask);
-        }
+        I::AddImm { imm } => s.acc = alu(AluOp::Add, s.acc, sext(imm)),
+        I::NandImm { imm } => s.acc = alu(AluOp::Nand, s.acc, sext(imm)),
+        I::XorImm { imm } => s.acc = alu(AluOp::Xor, s.acc, sext(imm)),
+        I::AddMem { src } => s.acc = alu(AluOp::Add, s.acc, read_cell(&s, src, cells, &mut out)),
+        I::NandMem { src } => s.acc = alu(AluOp::Nand, s.acc, read_cell(&s, src, cells, &mut out)),
+        I::XorMem { src } => s.acc = alu(AluOp::Xor, s.acc, read_cell(&s, src, cells, &mut out)),
         I::Load { addr } => s.acc = read_cell(&s, addr, cells, &mut out),
         I::Store { addr } => {
             let v = s.acc;
@@ -373,36 +347,60 @@ fn transfer_fab(width: u32, window: &[u8], pc: u8, state: &AbsState) -> Result<S
     Ok(out)
 }
 
-/// `acc + (v & 0xF) + carry_in`, with carry-out (xacc `add_with`).
-fn abs_add_with(acc: AbsVal, v: AbsVal, cin: AbsBool) -> (AbsVal, AbsBool) {
-    match (acc, v, cin) {
+/// Fold a fabricated-core ALU operation over abstract operands: known
+/// operands run through the simulator's own [`AluOp::apply`], anything
+/// else is ⊤ — except that NAND absorbs a known zero on either side. The
+/// `ldi` and `halt` lowerings lean on `nandi 0` as a constant generator,
+/// so this case must stay precise or every kernel's halt idiom (and the
+/// MMU-disarming zero separators) dissolves into ⊤.
+fn fab_alu(op: AluOp, a: AbsVal, b: AbsVal, width: u32) -> AbsVal {
+    if op == AluOp::Nand && (a == AbsVal::Const(0) || b == AbsVal::Const(0)) {
+        return AbsVal::Const(op.apply(0, 0, width));
+    }
+    a.map2(b, |x, y| op.apply(x, y, width))
+}
+
+/// Fold a DSE ALU operation over the abstract accumulator or `rd` (`a`),
+/// operand (`b`) and carry: when every input `op` reads is known, the
+/// simulator's own [`xls::Op::apply`] computes the result and carry
+/// (`MOV` ignores `a`, `NEG` ignores `b`, and only `ADC`/`SWB` read the
+/// carry). Otherwise the result is ⊤, with [`fab_alu`]'s refinement —
+/// NAND, and AND, absorb a known zero — plus two more: a shift by a known
+/// zero is the identity, and an operation that leaves the carry alone
+/// keeps it.
+fn dse_alu(op: xls::Op, a: AbsVal, b: AbsVal, carry: AbsBool) -> (AbsVal, AbsBool) {
+    use xls::Op;
+    let zero = AbsVal::Const(0);
+    match op {
+        Op::Nand | Op::And if a == zero || b == zero => {
+            return (AbsVal::Const(op.apply(0, 0, false).0), carry);
+        }
+        Op::Asr | Op::Lsr if matches!(b, AbsVal::Const(amount) if amount & 7 == 0) => {
+            return (a, carry);
+        }
+        _ => {}
+    }
+    let keeps_carry = !matches!(
+        op,
+        Op::Add | Op::Adc | Op::Sub | Op::Swb | Op::Neg | Op::Asr | Op::Lsr
+    );
+    let a = if op == Op::Mov { zero } else { a };
+    let b = if op == Op::Neg { zero } else { b };
+    let carry_in = match op {
+        Op::Adc | Op::Swb => carry,
+        _ => AbsBool::Const(false),
+    };
+    match (a, b, carry_in) {
         (AbsVal::Const(a), AbsVal::Const(b), AbsBool::Const(c)) => {
-            let sum = u16::from(a) + u16::from(b & 0xF) + u16::from(c);
-            (AbsVal::Const((sum as u8) & 0xF), AbsBool::Const(sum > 0xF))
+            let (value, c) = op.apply(a, b, c);
+            let c = if keeps_carry {
+                carry
+            } else {
+                AbsBool::Const(c)
+            };
+            (AbsVal::Const(value), c)
         }
-        _ => (AbsVal::Top, AbsBool::Top),
-    }
-}
-
-/// 6502-style subtract: carry set means "no borrow" (xacc `sub_with`).
-fn abs_sub_with(acc: AbsVal, v: AbsVal, bin: AbsBool) -> (AbsVal, AbsBool) {
-    match (acc, v, bin) {
-        (AbsVal::Const(a), AbsVal::Const(b), AbsBool::Const(bw)) => {
-            let lhs = i16::from(a);
-            let rhs = i16::from(b & 0xF) + i16::from(bw);
-            (
-                AbsVal::Const((lhs - rhs) as u8 & 0xF),
-                AbsBool::Const(lhs >= rhs),
-            )
-        }
-        _ => (AbsVal::Top, AbsBool::Top),
-    }
-}
-
-fn abs_not(b: AbsBool) -> AbsBool {
-    match b {
-        AbsBool::Const(v) => AbsBool::Const(!v),
-        AbsBool::Top => AbsBool::Top,
+        _ => (AbsVal::Top, if keeps_carry { carry } else { AbsBool::Top }),
     }
 }
 
@@ -431,112 +429,22 @@ fn transfer_xacc(
     };
     let mut s = state.clone();
     let seq = pc.wrapping_add(len) & PC_MASK;
-    let m4 = |v: u8| v & 0xF;
+    if let Some((op, operand)) = insn.alu() {
+        let b = operand_value(&s, operand, &mut out);
+        (s.acc, s.carry) = dse_alu(op, s.acc, b, s.carry);
+        out.succs.push((seq, s));
+        return Ok(out);
+    }
     match insn {
-        I::Add { m } => {
-            let v = read_cell(&s, m, 0x7, &mut out);
-            (s.acc, s.carry) = abs_add_with(s.acc, v, AbsBool::Const(false));
-        }
-        I::Adc { m } => {
-            let v = read_cell(&s, m, 0x7, &mut out);
-            (s.acc, s.carry) = abs_add_with(s.acc, v, s.carry);
-        }
-        I::Sub { m } => {
-            let v = read_cell(&s, m, 0x7, &mut out);
-            (s.acc, s.carry) = abs_sub_with(s.acc, v, AbsBool::Const(false));
-        }
-        I::Swb { m } => {
-            let v = read_cell(&s, m, 0x7, &mut out);
-            let b = abs_not(s.carry);
-            (s.acc, s.carry) = abs_sub_with(s.acc, v, b);
-        }
-        I::Nand { m } => {
-            let v = read_cell(&s, m, 0x7, &mut out);
-            s.acc = abs_nand(s.acc, v, 0xF);
-        }
-        I::Or { m } => {
-            let v = read_cell(&s, m, 0x7, &mut out);
-            s.acc = s.acc.map2(v, |a, b| m4(a | b));
-        }
-        I::Xor { m } => {
-            let v = read_cell(&s, m, 0x7, &mut out);
-            s.acc = s.acc.map2(v, |a, b| m4(a ^ b));
-        }
         I::Xch { m } => {
             let v = read_cell(&s, m, 0x7, &mut out);
             let old = s.acc;
             s.acc = v;
             write_cell(&mut s, m, 0x7, old, &mut out);
         }
-        I::Load { m } => s.acc = read_cell(&s, m, 0x7, &mut out),
         I::Store { m } => {
             let v = s.acc;
             write_cell(&mut s, m, 0x7, v, &mut out);
-        }
-        I::AddImm { imm } => {
-            let v = AbsVal::Const(m4(sext4(imm)));
-            (s.acc, s.carry) = abs_add_with(s.acc, v, AbsBool::Const(false));
-        }
-        I::NandImm { imm } => {
-            let v = m4(sext4(imm));
-            s.acc = abs_nand(s.acc, AbsVal::Const(v), 0xF);
-        }
-        I::OrImm { imm } => {
-            let v = m4(sext4(imm));
-            s.acc = s.acc.map(|a| m4(a | v));
-        }
-        I::XorImm { imm } => {
-            let v = m4(sext4(imm));
-            s.acc = s.acc.map(|a| m4(a ^ v));
-        }
-        I::AdcImm { imm } => {
-            let v = AbsVal::Const(m4(sext4(imm)));
-            (s.acc, s.carry) = abs_add_with(s.acc, v, s.carry);
-        }
-        I::AsrImm { amount } | I::LsrImm { amount } => {
-            let arith = matches!(insn, I::AsrImm { .. });
-            let a = u32::from(amount.min(7));
-            if a > 0 {
-                match s.acc {
-                    AbsVal::Const(acc) => {
-                        let shifted_out = a <= 4 && (acc >> (a - 1)) & 1 != 0;
-                        let sign = arith && acc & 0x8 != 0;
-                        let v = if a >= 4 {
-                            if sign {
-                                0xF
-                            } else {
-                                0
-                            }
-                        } else {
-                            let mut v = acc >> a;
-                            if sign {
-                                v |= m4(0xF << (4 - a));
-                            }
-                            v
-                        };
-                        s.carry = AbsBool::Const(shifted_out);
-                        s.acc = AbsVal::Const(m4(v));
-                    }
-                    AbsVal::Top => {
-                        s.acc = AbsVal::Top;
-                        s.carry = AbsBool::Top;
-                    }
-                }
-            }
-        }
-        I::Neg => {
-            let v = s.acc;
-            (s.acc, s.carry) = abs_sub_with(AbsVal::Const(0), v, AbsBool::Const(false));
-        }
-        I::MulL { m } => {
-            let v = read_cell(&s, m, 0x7, &mut out);
-            s.acc = s.acc.map2(v, |a, b| m4(a.wrapping_mul(b)));
-        }
-        I::MulH { m } => {
-            let v = read_cell(&s, m, 0x7, &mut out);
-            s.acc = s
-                .acc
-                .map2(v, |a, b| m4(((u16::from(a) * u16::from(b)) >> 4) as u8));
         }
         I::Br { cond, target } => {
             let bits = cond.bits();
@@ -566,52 +474,19 @@ fn transfer_xacc(
             }
             return Ok(out);
         }
+        // the ALU instructions, folded above
+        _ => {}
     }
     out.succs.push((seq, s));
     Ok(out)
 }
 
-/// Mirror of `XlsCore::alu`: `(result, new_carry)`.
-fn abs_alu(op: xls::Op, a: AbsVal, b: AbsVal, carry: AbsBool) -> (AbsVal, AbsBool) {
-    use xls::Op;
-    let m4 = |v: u8| v & 0xF;
-    match op {
-        Op::Add => abs_add_with(a, b, AbsBool::Const(false)),
-        Op::Adc => abs_add_with(a, b, carry),
-        Op::Sub => abs_sub_with(a, b, AbsBool::Const(false)),
-        Op::Swb => abs_sub_with(a, b, abs_not(carry)),
-        Op::And => (abs_and(a, b, 0xF), carry),
-        Op::Or => (a.map2(b, |x, y| m4(x | y)), carry),
-        Op::Xor => (a.map2(b, |x, y| m4(x ^ y)), carry),
-        Op::Nand => (abs_nand(a, b, 0xF), carry),
-        Op::Mov => (b.map(m4), carry),
-        Op::Neg => abs_sub_with(AbsVal::Const(0), a, AbsBool::Const(false)),
-        Op::Asr | Op::Lsr => match (a, b) {
-            (_, AbsVal::Const(bv)) if bv & 7 == 0 => (a.map(m4), carry),
-            (AbsVal::Const(av), AbsVal::Const(bv)) => {
-                let amount = u32::from(bv & 7);
-                let sign = op == Op::Asr && av & 0x8 != 0;
-                if amount >= 4 {
-                    (
-                        AbsVal::Const(if sign { 0xF } else { 0 }),
-                        AbsBool::Const(false),
-                    )
-                } else {
-                    let c = (av >> (amount - 1)) & 1 != 0;
-                    let mut v = av >> amount;
-                    if sign {
-                        v |= m4(0xF << (4 - amount));
-                    }
-                    (AbsVal::Const(m4(v)), AbsBool::Const(c))
-                }
-            }
-            _ => (AbsVal::Top, AbsBool::Top),
-        },
-        Op::MulL => (a.map2(b, |x, y| m4(x.wrapping_mul(y))), carry),
-        Op::MulH => (
-            a.map2(b, |x, y| m4(((u16::from(x) * u16::from(y)) >> 4) as u8)),
-            carry,
-        ),
+/// The value of a DSE ALU operand: a cell read, or a sign-extended
+/// 4-bit immediate.
+fn operand_value(state: &AbsState, operand: xls::Operand, out: &mut StepOut) -> AbsVal {
+    match operand {
+        xls::Operand::Reg(r) => read_cell(state, r, 0x7, out),
+        xls::Operand::Imm(imm) => AbsVal::Const(sext4(imm) & 0xF),
     }
 }
 
@@ -632,22 +507,15 @@ fn transfer_xls(
     let seq = pc.wrapping_add(1) & PC_MASK;
     match insn {
         I::Alu { op, rd, operand } => {
-            let b = match operand {
-                xls::Operand::Reg(rs) => read_cell(&s, rs, 0x7, &mut out),
-                xls::Operand::Imm(v) => AbsVal::Const(sext4(v) & 0xF),
-            };
+            let b = operand_value(&s, operand, &mut out);
             // the datapath always reads rd (consuming input for rd=0),
             // but MOV ignores the value — not an uninit dependence
             let a = if op == xls::Op::Mov {
-                if rd == 0 {
-                    AbsVal::Top
-                } else {
-                    s.vals[usize::from(rd & 7)]
-                }
+                AbsVal::Top
             } else {
                 read_cell(&s, rd, 0x7, &mut out)
             };
-            let (result, carry) = abs_alu(op, a, b, s.carry);
+            let (result, carry) = dse_alu(op, a, b, s.carry);
             s.carry = carry;
             match result {
                 AbsVal::Const(v) => {
@@ -807,6 +675,30 @@ mod tests {
         let out = transfer(&t, &program, 0, &AbsState::poweron(Dialect::LoadStore)).unwrap();
         assert_eq!(out.succs.len(), 1);
         assert_eq!(out.succs[0].0, 1, "falls through, does not jump");
+    }
+
+    #[test]
+    fn xls_shift_by_four_carries_the_top_bit() {
+        // movi r2, -8 ; lsri r2, 4 — like xacc, the carry is bit 3
+        let movi = xls::Instruction::Alu {
+            op: xls::Op::Mov,
+            rd: 2,
+            operand: xls::Operand::Imm(0x8),
+        };
+        let lsr = xls::Instruction::Alu {
+            op: xls::Op::Lsr,
+            rd: 2,
+            operand: xls::Operand::Imm(4),
+        };
+        let mut bytes = movi.encode().to_be_bytes().to_vec();
+        bytes.extend_from_slice(&lsr.encode().to_be_bytes());
+        let program = Program::from_bytes(bytes);
+        let t = Target::xls_revised();
+        let out = transfer(&t, &program, 0, &AbsState::poweron(Dialect::LoadStore)).unwrap();
+        let out = transfer(&t, &program, 1, &out.succs[0].1).unwrap();
+        let s = &out.succs[0].1;
+        assert_eq!(s.vals[2], AbsVal::Const(0));
+        assert_eq!(s.carry, AbsBool::Const(true));
     }
 
     #[test]

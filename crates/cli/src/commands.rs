@@ -69,8 +69,8 @@ commands:
 
 targets: fc4 (default), fc8, xacc, xls
 features (xacc/xls): adc, shift, flags, mul, xch, call, 2xreg — or `revised`
-campaign scaling: --threads N workers; any count replays the single-threaded
-report bit-for-bit
+campaign scaling: --threads N workers (and serve's --workers), at most 256 of
+them started; any count replays the single-threaded report bit-for-bit
 counts (--faults, --trials, --ticks, --spares, --reps, --upsets, --retries,
 --window, --threads, --campaign, --cycles) are capped at 1048576
 "

@@ -47,11 +47,6 @@ use crate::error::DecodeError;
 use crate::isa::fc8::LOAD_BYTE_OPCODE;
 use crate::isa::AluOp;
 
-/// Memory address that reads the input bus.
-pub const IPORT_ADDR: u8 = 0;
-/// Memory address that drives the output bus.
-pub const OPORT_ADDR: u8 = 1;
-
 /// Data-memory words (the two memory-mapped IO words included) at
 /// datapath `width`: the 32-bit memory holds eight words on FlexiCore4
 /// and four on FlexiCore8.

@@ -25,6 +25,13 @@ pub mod features;
 pub mod xacc;
 pub mod xls;
 
+/// The data cell every dialect maps to the input bus (§3.3): reading it
+/// samples the bus, and writes to it are dropped.
+pub const IPORT_CELL: u8 = 0;
+/// The data cell every dialect maps to the output bus, which a write
+/// drives and the off-chip MMU snoops.
+pub const OPORT_CELL: u8 = 1;
+
 /// The three ALU functions shared by every fabricated FlexiCore.
 ///
 /// The paper chose exactly `ADD`, `NAND` and `XOR` because all three fall out

@@ -33,15 +33,7 @@
 
 use crate::error::DecodeError;
 use crate::isa::features::{Feature, FeatureSet};
-
-/// Memory address that reads the input bus.
-pub const IPORT_ADDR: u8 = 0;
-/// Memory address that drives the output bus.
-pub const OPORT_ADDR: u8 = 1;
-/// Width of the program counter in bits.
-pub const PC_BITS: u32 = 7;
-/// Datapath width in bits.
-pub const WIDTH: u32 = 4;
+use crate::isa::xls::{Op, Operand};
 
 /// Branch condition mask: any subset of negative / zero / positive.
 ///
@@ -186,14 +178,14 @@ pub enum Instruction {
         /// Raw 4-bit immediate.
         imm: u8,
     },
-    /// Arithmetic shift right by `amount`; carry = last bit out.
-    /// Requires [`Feature::BarrelShifter`].
+    /// Arithmetic shift right by `amount`; carry = last bit out (see
+    /// [`Op::Asr`]). Requires [`Feature::BarrelShifter`].
     AsrImm {
         /// Shift amount 0..8.
         amount: u8,
     },
-    /// Logical shift right by `amount`; carry = last bit out.
-    /// Requires [`Feature::BarrelShifter`].
+    /// Logical shift right by `amount`; carry = last bit out (see
+    /// [`Op::Lsr`]). Requires [`Feature::BarrelShifter`].
     LsrImm {
         /// Shift amount 0..8.
         amount: u8,
@@ -275,6 +267,43 @@ impl Instruction {
     #[must_use]
     pub fn is_legal(self, features: FeatureSet) -> bool {
         self.required_feature().is_none_or(|f| features.contains(f))
+    }
+
+    /// The DSE ALU operation this instruction applies to the accumulator,
+    /// and its second operand: [`Operand::Reg`] names a memory word,
+    /// [`Operand::Imm`] a 4-bit immediate (sign-extended; a shift amount
+    /// is at most 7, so it reads unchanged). `LOAD` is a `MOV` of its
+    /// word. `None` for `XCH`, `STORE` and the control transfers, which
+    /// bypass the ALU.
+    #[must_use]
+    #[inline]
+    pub fn alu(self) -> Option<(Op, Operand)> {
+        use Operand::{Imm, Reg};
+        Some(match self {
+            Instruction::Add { m } => (Op::Add, Reg(m)),
+            Instruction::Adc { m } => (Op::Adc, Reg(m)),
+            Instruction::Sub { m } => (Op::Sub, Reg(m)),
+            Instruction::Swb { m } => (Op::Swb, Reg(m)),
+            Instruction::Nand { m } => (Op::Nand, Reg(m)),
+            Instruction::Or { m } => (Op::Or, Reg(m)),
+            Instruction::Xor { m } => (Op::Xor, Reg(m)),
+            Instruction::Load { m } => (Op::Mov, Reg(m)),
+            Instruction::MulL { m } => (Op::MulL, Reg(m)),
+            Instruction::MulH { m } => (Op::MulH, Reg(m)),
+            Instruction::AddImm { imm } => (Op::Add, Imm(imm)),
+            Instruction::AdcImm { imm } => (Op::Adc, Imm(imm)),
+            Instruction::NandImm { imm } => (Op::Nand, Imm(imm)),
+            Instruction::OrImm { imm } => (Op::Or, Imm(imm)),
+            Instruction::XorImm { imm } => (Op::Xor, Imm(imm)),
+            Instruction::AsrImm { amount } => (Op::Asr, Imm(amount)),
+            Instruction::LsrImm { amount } => (Op::Lsr, Imm(amount)),
+            Instruction::Neg => (Op::Neg, Imm(0)),
+            Instruction::Xch { .. }
+            | Instruction::Store { .. }
+            | Instruction::Br { .. }
+            | Instruction::Call { .. }
+            | Instruction::Ret => return None,
+        })
     }
 
     /// Encode into `buf`; returns bytes written.

@@ -31,17 +31,15 @@ use crate::isa::xacc::Cond;
 
 /// Number of architectural registers (including the two IO-mapped ones).
 pub const NUM_REGS: usize = 8;
-/// Register that reads the input bus.
-pub const IPORT_REG: u8 = 0;
-/// Register that drives the output bus.
-pub const OPORT_REG: u8 = 1;
-/// Width of the program counter in bits (in *instructions*; the fetch
-/// address is `pc * 2` bytes).
-pub const PC_BITS: u32 = 7;
-/// Datapath width in bits.
-pub const WIDTH: u32 = 4;
 
-/// ALU/data operations of the load-store dialect.
+/// The operations of the design-space-exploration ALU (§6.2).
+///
+/// Both DSE dialects execute through this one 4-bit datapath,
+/// [`Op::apply`]: the load-store dialect names the operation in its
+/// encoding, and the extended-accumulator dialect maps its ALU
+/// instructions onto it ([`xacc::Instruction::alu`]).
+///
+/// [`xacc::Instruction::alu`]: crate::isa::xacc::Instruction::alu
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// `rd += operand`; sets carry.
@@ -64,9 +62,13 @@ pub enum Op {
     Mov,
     /// `rd = -rd` (operand ignored).
     Neg,
-    /// `rd >>= operand` arithmetic. Requires [`Feature::BarrelShifter`].
+    /// `rd >>= operand` arithmetic, by the operand's low three bits.
+    /// Carry is the last bit shifted out: bit `amount - 1` for amounts
+    /// 1–4, clear above four (only sign copies leave), unchanged by a
+    /// shift of zero. Requires [`Feature::BarrelShifter`].
     Asr,
-    /// `rd >>= operand` logical. Requires [`Feature::BarrelShifter`].
+    /// `rd >>= operand` logical, with [`Op::Asr`]'s carry rule. Requires
+    /// [`Feature::BarrelShifter`].
     Lsr,
     /// `rd = low(rd * operand)`. Requires [`Feature::Multiplier`].
     MulL,
@@ -111,6 +113,60 @@ impl Op {
             Op::Asr | Op::Lsr => Some(Feature::BarrelShifter),
             Op::MulL | Op::MulH => Some(Feature::Multiplier),
             _ => None,
+        }
+    }
+
+    /// Apply the operation to the 4-bit first operand `a` (the
+    /// accumulator or `rd`) and second operand `b`, with carry flag
+    /// `carry` in. Returns the 4-bit result and the carry flag after it.
+    ///
+    /// Additions set carry on carry-out and subtractions on no borrow
+    /// (6502 style; `NEG` is `0 - a`), shifts follow [`Op::Asr`]'s rule,
+    /// and every other operation leaves the carry as it was. `MOV`
+    /// ignores `a`, `NEG` ignores `b`, and only `ADC`/`SWB` read `carry`.
+    #[must_use]
+    #[inline]
+    pub fn apply(self, a: u8, b: u8, carry: bool) -> (u8, bool) {
+        const MASK: u8 = 0xF;
+        let (a, b) = (a & MASK, b & MASK);
+        let add = |b: u8, carry_in: bool| {
+            let sum = a + b + u8::from(carry_in);
+            (sum & MASK, sum > MASK)
+        };
+        let sub = |lhs: u8, rhs: u8, borrow_in: bool| {
+            let rhs = rhs + u8::from(borrow_in);
+            (lhs.wrapping_sub(rhs) & MASK, lhs >= rhs)
+        };
+        match self {
+            Op::Add => add(b, false),
+            Op::Adc => add(b, carry),
+            Op::Sub => sub(a, b, false),
+            Op::Swb => sub(a, b, !carry),
+            Op::Neg => sub(0, a, false),
+            Op::And => (a & b, carry),
+            Op::Or => (a | b, carry),
+            Op::Xor => (a ^ b, carry),
+            Op::Nand => (!(a & b) & MASK, carry),
+            Op::Mov => (b, carry),
+            Op::Asr | Op::Lsr => {
+                let amount = b & 7;
+                if amount == 0 {
+                    return (a, carry);
+                }
+                let fill = if self == Op::Asr && a & 0x8 != 0 {
+                    MASK
+                } else {
+                    0
+                };
+                let carry = amount <= 4 && (a >> (amount - 1)) & 1 != 0;
+                if amount >= 4 {
+                    (fill, carry)
+                } else {
+                    (((a >> amount) | (fill << (4 - amount))) & MASK, carry)
+                }
+            }
+            Op::MulL => (a.wrapping_mul(b) & MASK, carry),
+            Op::MulH => ((a * b) >> 4, carry),
         }
     }
 

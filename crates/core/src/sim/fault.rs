@@ -7,8 +7,9 @@
 //! observe: program counter, accumulator, data memory / register file,
 //! the instruction fetch bus, and the two IO ports.
 //!
-//! Every simulator exposes `step_with`/`run_with` variants taking a
-//! [`FaultHook`]. The plain `step`/`run` entry points pass [`NoFaults`],
+//! The [`Core`](crate::exec::Core) trait's `step_with`/`run_with`/
+//! `resume_with` methods take a [`FaultHook`], so every simulator runs
+//! under one. The plain `step`/`run` entry points pass [`NoFaults`],
 //! whose hooks are empty `#[inline]` bodies and whose
 //! [`ACTIVE`](FaultHook::ACTIVE) constant is `false`, so after
 //! monomorphization the fault-free path compiles to exactly the code it

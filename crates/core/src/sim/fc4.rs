@@ -25,10 +25,11 @@
 use crate::error::{DecodeError, SimError};
 use crate::exec::{Core, ExecState, Flow, Snapshot};
 use crate::io::{InputPort, OutputPort};
-use crate::isa::fc4::{has_load_byte, mem_words, Instruction, IPORT_ADDR, OPORT_ADDR};
+use crate::isa::fc4::{has_load_byte, mem_words, Instruction};
 use crate::isa::{sign_extend, AluOp};
 use crate::program::Program;
 use crate::sim::fault::{ArchState, FaultHook};
+use crate::sim::{read_cell, write_cell};
 
 /// A fabricated FlexiCore of datapath width `W` (4 or 8) plus its
 /// off-chip program memory and MMU.
@@ -49,7 +50,6 @@ impl<const W: u32> FabCore<W> {
     const MASK: u8 = ((1u16 << W) - 1) as u8;
     const SIGN_BIT: u8 = 1 << (W - 1);
     const WORDS: usize = mem_words(W);
-    const ADDR_MASK: u8 = Self::WORDS as u8 - 1;
 
     /// A core reset to power-on state with `program` in its external memory.
     #[must_use]
@@ -91,22 +91,9 @@ impl<const W: u32> FabCore<W> {
         &self.mem[..Self::WORDS]
     }
 
-    fn read_operand<I: InputPort, F: FaultHook>(
-        &mut self,
-        addr: u8,
-        input: &mut I,
-        faults: &mut F,
-    ) -> u8 {
-        if addr == IPORT_ADDR {
-            let v = input.read(self.exec.cycle) & Self::MASK;
-            if F::ACTIVE {
-                faults.on_input(self.exec.cycle, v) & Self::MASK
-            } else {
-                v
-            }
-        } else {
-            self.mem[usize::from(addr & Self::ADDR_MASK)]
-        }
+    #[inline]
+    fn read<I: InputPort, F: FaultHook>(&self, addr: u8, input: &mut I, faults: &mut F) -> u8 {
+        read_cell(&self.exec, self.words(), addr, Self::MASK, input, faults)
     }
 
     #[inline]
@@ -157,33 +144,21 @@ impl<const W: u32> Core for FabCore<W> {
             Instruction::NandImm { imm } => self.alu(AluOp::Nand, sext4(imm)),
             Instruction::XorImm { imm } => self.alu(AluOp::Xor, sext4(imm)),
             Instruction::AddMem { src } => {
-                let v = self.read_operand(src, input, faults);
+                let v = self.read(src, input, faults);
                 self.alu(AluOp::Add, v);
             }
             Instruction::NandMem { src } => {
-                let v = self.read_operand(src, input, faults);
+                let v = self.read(src, input, faults);
                 self.alu(AluOp::Nand, v);
             }
             Instruction::XorMem { src } => {
-                let v = self.read_operand(src, input, faults);
+                let v = self.read(src, input, faults);
                 self.alu(AluOp::Xor, v);
             }
-            Instruction::Load { addr } => {
-                self.acc = self.read_operand(addr, input, faults);
-            }
+            Instruction::Load { addr } => self.acc = self.read(addr, input, faults),
             Instruction::Store { addr } => {
-                if addr != IPORT_ADDR {
-                    self.mem[usize::from(addr & Self::ADDR_MASK)] = self.acc;
-                }
-                if addr == OPORT_ADDR {
-                    let driven = if F::ACTIVE {
-                        faults.on_output(self.exec.cycle, self.acc) & Self::MASK
-                    } else {
-                        self.acc
-                    };
-                    output.write(self.exec.cycle, driven);
-                    self.exec.mmu.observe(driven);
-                }
+                let (mem, acc) = (&mut self.mem[..Self::WORDS], self.acc);
+                write_cell(&mut self.exec, mem, addr, acc, Self::MASK, output, faults);
             }
             Instruction::LoadByte { imm } => self.acc = imm,
             Instruction::Branch { target } => {

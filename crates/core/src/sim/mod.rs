@@ -6,7 +6,9 @@
 //! design-space-exploration cores.
 //!
 //! All simulators share the same shape: a core owns a [`Program`] image and
-//! its architectural state; [`Core::step`] executes one instruction
+//! its architectural state, and reaches its data cells and IO buses
+//! through one port-mapped cell file (`read_cell`, `write_cell`);
+//! [`Core::step`] executes one instruction
 //! against a pair of IO ports, and [`Core::run`] iterates until the
 //! *halt idiom* — a taken control transfer to its own address — or a cycle
 //! budget expires. The loop itself lives in exactly one place,
@@ -35,6 +37,65 @@ pub use fault::{
     ArchFault, ArchState, FaultHook, FaultKind, FaultPlane, NoFaults, PowerCut, StateElement,
     WriteEffect,
 };
+
+use crate::exec::ExecState;
+use crate::io::{InputPort, OutputPort};
+use crate::isa::{IPORT_CELL, OPORT_CELL};
+
+/// Read cell `addr` of a core's port-mapped cell file `cells` — the
+/// data memory, or the load-store register file. [`IPORT_CELL`] is the
+/// input bus, sampled this cycle through the hook's input tap when the hook is
+/// active; any other address reads its word, masked to the file's
+/// (power-of-two) size. `data_mask` is the datapath width.
+#[inline]
+pub(crate) fn read_cell<I: InputPort, F: FaultHook>(
+    exec: &ExecState,
+    cells: &[u8],
+    addr: u8,
+    data_mask: u8,
+    input: &mut I,
+    faults: &mut F,
+) -> u8 {
+    if addr == IPORT_CELL {
+        let v = input.read(exec.cycle) & data_mask;
+        if F::ACTIVE {
+            faults.on_input(exec.cycle, v) & data_mask
+        } else {
+            v
+        }
+    } else {
+        cells[usize::from(addr) & (cells.len() - 1)]
+    }
+}
+
+/// Write `value` to cell `addr` of `cells`, [`read_cell`]'s file. Writes
+/// to [`IPORT_CELL`] are dropped; [`OPORT_CELL`] also drives the output
+/// bus, through the
+/// hook's output tap when the hook is active, and the off-chip MMU
+/// snoops the driven value.
+#[inline]
+pub(crate) fn write_cell<O: OutputPort, F: FaultHook>(
+    exec: &mut ExecState,
+    cells: &mut [u8],
+    addr: u8,
+    value: u8,
+    data_mask: u8,
+    output: &mut O,
+    faults: &mut F,
+) {
+    if addr != IPORT_CELL {
+        cells[usize::from(addr) & (cells.len() - 1)] = value;
+    }
+    if addr == OPORT_CELL {
+        let driven = if F::ACTIVE {
+            faults.on_output(exec.cycle, value) & data_mask
+        } else {
+            value
+        };
+        output.write(exec.cycle, driven);
+        exec.mmu.observe(driven);
+    }
+}
 
 /// Why a `run` call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

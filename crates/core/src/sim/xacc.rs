@@ -26,9 +26,11 @@ use crate::exec::{Core, ExecState, Flow, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::features::FeatureSet;
 use crate::isa::sign_extend;
-use crate::isa::xacc::{Instruction, IPORT_ADDR, OPORT_ADDR};
+use crate::isa::xacc::Instruction;
+use crate::isa::xls::Operand;
 use crate::program::Program;
 use crate::sim::fault::{ArchState, FaultHook};
+use crate::sim::{read_cell, write_cell};
 
 const WIDTH: u32 = 4;
 const WIDTH_MASK: u8 = 0xF;
@@ -90,57 +92,9 @@ impl XaccCore {
         self.mem.get(usize::from(addr)).copied()
     }
 
-    fn read_operand<I: InputPort, F: FaultHook>(
-        &mut self,
-        addr: u8,
-        input: &mut I,
-        faults: &mut F,
-    ) -> u8 {
-        if addr == IPORT_ADDR {
-            let v = input.read(self.exec.cycle) & WIDTH_MASK;
-            if F::ACTIVE {
-                faults.on_input(self.exec.cycle, v) & WIDTH_MASK
-            } else {
-                v
-            }
-        } else {
-            self.mem[usize::from(addr & 0x7)]
-        }
-    }
-
-    fn write_mem<O: OutputPort, F: FaultHook>(
-        &mut self,
-        addr: u8,
-        value: u8,
-        output: &mut O,
-        faults: &mut F,
-    ) {
-        if addr != IPORT_ADDR {
-            self.mem[usize::from(addr & 0x7)] = value;
-        }
-        if addr == OPORT_ADDR {
-            let driven = if F::ACTIVE {
-                faults.on_output(self.exec.cycle, value) & WIDTH_MASK
-            } else {
-                value
-            };
-            output.write(self.exec.cycle, driven);
-            self.exec.mmu.observe(driven);
-        }
-    }
-
-    fn add_with(&mut self, operand: u8, carry_in: u8) {
-        let sum = u16::from(self.acc) + u16::from(operand & WIDTH_MASK) + u16::from(carry_in);
-        self.carry = sum > u16::from(WIDTH_MASK);
-        self.acc = (sum as u8) & WIDTH_MASK;
-    }
-
-    fn sub_with(&mut self, operand: u8, borrow_in: u8) {
-        // 6502-style: carry set means "no borrow occurred"
-        let lhs = i16::from(self.acc);
-        let rhs = i16::from(operand & WIDTH_MASK) + i16::from(borrow_in);
-        self.carry = lhs >= rhs;
-        self.acc = (lhs - rhs) as u8 & WIDTH_MASK;
+    #[inline]
+    fn read<I: InputPort, F: FaultHook>(&self, m: u8, input: &mut I, faults: &mut F) -> u8 {
+        read_cell(&self.exec, &self.mem, m, WIDTH_MASK, input, faults)
     }
 }
 
@@ -185,117 +139,25 @@ impl Core for XaccCore {
         output: &mut O,
         faults: &mut F,
     ) -> Flow {
+        if let Some((op, operand)) = insn.alu() {
+            let b = match operand {
+                Operand::Reg(m) => self.read(m, input, faults),
+                Operand::Imm(imm) => sign_extend(imm, 4) as u8,
+            };
+            (self.acc, self.carry) = op.apply(self.acc, b, self.carry);
+            return Flow::Sequential;
+        }
         match insn {
-            Instruction::Add { m } => {
-                let v = self.read_operand(m, input, faults);
-                self.add_with(v, 0);
-            }
-            Instruction::Adc { m } => {
-                let v = self.read_operand(m, input, faults);
-                let c = u8::from(self.carry);
-                self.add_with(v, c);
-            }
-            Instruction::Sub { m } => {
-                let v = self.read_operand(m, input, faults);
-                self.sub_with(v, 0);
-            }
-            Instruction::Swb { m } => {
-                let v = self.read_operand(m, input, faults);
-                let b = u8::from(!self.carry);
-                self.sub_with(v, b);
-            }
-            Instruction::Nand { m } => {
-                let v = self.read_operand(m, input, faults);
-                self.acc = !(self.acc & v) & WIDTH_MASK;
-            }
-            Instruction::Or { m } => {
-                let v = self.read_operand(m, input, faults);
-                self.acc = (self.acc | v) & WIDTH_MASK;
-            }
-            Instruction::Xor { m } => {
-                let v = self.read_operand(m, input, faults);
-                self.acc = (self.acc ^ v) & WIDTH_MASK;
-            }
-            Instruction::Xch { m } => {
-                let v = self.read_operand(m, input, faults);
+            Instruction::Xch { m } | Instruction::Store { m } => {
                 let old = self.acc;
-                self.acc = v;
-                self.write_mem(m, old, output, faults);
-            }
-            Instruction::Load { m } => {
-                self.acc = self.read_operand(m, input, faults);
-            }
-            Instruction::Store { m } => {
-                let v = self.acc;
-                self.write_mem(m, v, output, faults);
-            }
-            Instruction::AddImm { imm } => {
-                let v = (sign_extend(imm, 4) as u8) & WIDTH_MASK;
-                self.add_with(v, 0);
-            }
-            Instruction::NandImm { imm } => {
-                let v = (sign_extend(imm, 4) as u8) & WIDTH_MASK;
-                self.acc = !(self.acc & v) & WIDTH_MASK;
-            }
-            Instruction::OrImm { imm } => {
-                let v = (sign_extend(imm, 4) as u8) & WIDTH_MASK;
-                self.acc = (self.acc | v) & WIDTH_MASK;
-            }
-            Instruction::XorImm { imm } => {
-                let v = (sign_extend(imm, 4) as u8) & WIDTH_MASK;
-                self.acc = (self.acc ^ v) & WIDTH_MASK;
-            }
-            Instruction::AsrImm { amount } => {
-                let a = u32::from(amount.min(7));
-                let sign = self.acc & 0x8 != 0;
-                if a > 0 {
-                    let shifted_out = a <= WIDTH && (self.acc >> (a - 1)) & 1 != 0;
-                    let mut v = self.acc >> a.min(WIDTH);
-                    if sign {
-                        // sign-fill the vacated bits
-                        let fill = (WIDTH_MASK << (WIDTH.saturating_sub(a))) & WIDTH_MASK;
-                        v |= fill;
-                    }
-                    if a >= WIDTH {
-                        v = if sign { WIDTH_MASK } else { 0 };
-                    }
-                    self.carry = shifted_out;
-                    self.acc = v & WIDTH_MASK;
+                if matches!(insn, Instruction::Xch { .. }) {
+                    self.acc = self.read(m, input, faults);
                 }
+                let cells = &mut self.mem;
+                write_cell(&mut self.exec, cells, m, old, WIDTH_MASK, output, faults);
             }
-            Instruction::LsrImm { amount } => {
-                let a = u32::from(amount.min(7));
-                if a > 0 {
-                    self.carry = a <= WIDTH && (self.acc >> (a - 1)) & 1 != 0;
-                    self.acc = if a >= WIDTH {
-                        0
-                    } else {
-                        (self.acc >> a) & WIDTH_MASK
-                    };
-                }
-            }
-            Instruction::AdcImm { imm } => {
-                let v = (sign_extend(imm, 4) as u8) & WIDTH_MASK;
-                let c = u8::from(self.carry);
-                self.add_with(v, c);
-            }
-            Instruction::Neg => {
-                let v = self.acc;
-                self.acc = 0;
-                self.sub_with(v, 0);
-            }
-            Instruction::MulL { m } => {
-                let v = self.read_operand(m, input, faults);
-                self.acc = (self.acc.wrapping_mul(v)) & WIDTH_MASK;
-            }
-            Instruction::MulH { m } => {
-                let v = self.read_operand(m, input, faults);
-                self.acc = ((u16::from(self.acc) * u16::from(v)) >> WIDTH) as u8 & WIDTH_MASK;
-            }
-            Instruction::Br { cond, target } => {
-                if cond.taken(self.acc, WIDTH) {
-                    return Flow::Jump { target };
-                }
+            Instruction::Br { cond, target } if cond.taken(self.acc, WIDTH) => {
+                return Flow::Jump { target };
             }
             Instruction::Call { target } => {
                 self.ra = (self.exec.pc + 2) & PC_MASK;
@@ -304,6 +166,8 @@ impl Core for XaccCore {
             Instruction::Ret => {
                 return Flow::Jump { target: self.ra };
             }
+            // untaken branches, and the ALU instructions executed above
+            _ => {}
         }
         Flow::Sequential
     }

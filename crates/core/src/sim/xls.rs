@@ -21,11 +21,11 @@ use crate::exec::{Core, ExecState, Flow, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::features::FeatureSet;
 use crate::isa::sign_extend;
-use crate::isa::xls::{Instruction, Op, Operand, IPORT_REG, NUM_REGS, OPORT_REG};
+use crate::isa::xls::{Instruction, Operand, NUM_REGS};
 use crate::program::Program;
 use crate::sim::fault::{ArchState, FaultHook};
+use crate::sim::{read_cell, write_cell};
 
-const WIDTH: u32 = 4;
 const WIDTH_MASK: u8 = 0xF;
 
 /// Condition flags produced by the last value-writing instruction.
@@ -103,110 +103,9 @@ impl XlsCore {
         self.flags
     }
 
-    fn read_reg<I: InputPort, F: FaultHook>(&mut self, r: u8, input: &mut I, faults: &mut F) -> u8 {
-        if r == IPORT_REG {
-            let v = input.read(self.exec.cycle) & WIDTH_MASK;
-            if F::ACTIVE {
-                faults.on_input(self.exec.cycle, v) & WIDTH_MASK
-            } else {
-                v
-            }
-        } else {
-            self.regs[usize::from(r & 7)]
-        }
-    }
-
-    fn write_reg<O: OutputPort, F: FaultHook>(
-        &mut self,
-        r: u8,
-        value: u8,
-        output: &mut O,
-        faults: &mut F,
-    ) {
-        let v = value & WIDTH_MASK;
-        if r != IPORT_REG {
-            self.regs[usize::from(r & 7)] = v;
-        }
-        if r == OPORT_REG {
-            let driven = if F::ACTIVE {
-                faults.on_output(self.exec.cycle, v) & WIDTH_MASK
-            } else {
-                v
-            };
-            output.write(self.exec.cycle, driven);
-            self.exec.mmu.observe(driven);
-        }
-    }
-
-    fn alu(&mut self, op: Op, a: u8, b: u8) -> u8 {
-        let mask = WIDTH_MASK;
-        match op {
-            Op::Add => {
-                let s = u16::from(a) + u16::from(b);
-                self.flags.c = s > u16::from(mask);
-                (s as u8) & mask
-            }
-            Op::Adc => {
-                let s = u16::from(a) + u16::from(b) + u16::from(self.flags.c);
-                self.flags.c = s > u16::from(mask);
-                (s as u8) & mask
-            }
-            Op::Sub => {
-                let (r, borrow) = sub4(a, b, 0);
-                self.flags.c = !borrow;
-                r
-            }
-            Op::Swb => {
-                let (r, borrow) = sub4(a, b, u8::from(!self.flags.c));
-                self.flags.c = !borrow;
-                r
-            }
-            Op::And => a & b & mask,
-            Op::Or => (a | b) & mask,
-            Op::Xor => (a ^ b) & mask,
-            Op::Nand => !(a & b) & mask,
-            Op::Mov => b & mask,
-            Op::Neg => {
-                let (r, borrow) = sub4(0, a, 0);
-                self.flags.c = !borrow;
-                r
-            }
-            Op::Asr => {
-                let amount = u32::from(b & 7);
-                let sign = a & 0x8 != 0;
-                if amount == 0 {
-                    a
-                } else if amount >= WIDTH {
-                    self.flags.c = false;
-                    if sign {
-                        mask
-                    } else {
-                        0
-                    }
-                } else {
-                    self.flags.c = (a >> (amount - 1)) & 1 != 0;
-                    let mut v = a >> amount;
-                    if sign {
-                        v |= (mask << (WIDTH - amount)) & mask;
-                    }
-                    v & mask
-                }
-            }
-            Op::Lsr => {
-                let amount = u32::from(b & 7);
-                if amount == 0 {
-                    a
-                } else if amount >= WIDTH {
-                    self.flags.c = false;
-                    0
-                } else {
-                    self.flags.c = (a >> (amount - 1)) & 1 != 0;
-                    (a >> amount) & mask
-                }
-            }
-            Op::MulL => a.wrapping_mul(b) & mask,
-            Op::MulH => ((u16::from(a) * u16::from(b)) >> WIDTH) as u8 & mask,
-        }
+    #[inline]
+    fn read<I: InputPort, F: FaultHook>(&self, r: u8, input: &mut I, faults: &mut F) -> u8 {
+        read_cell(&self.exec, &self.regs, r, WIDTH_MASK, input, faults)
     }
 }
 
@@ -259,13 +158,16 @@ impl Core for XlsCore {
         match insn {
             Instruction::Alu { op, rd, operand } => {
                 let b = match operand {
-                    Operand::Reg(rs) => self.read_reg(rs, input, faults),
-                    Operand::Imm(v) => (sign_extend(v, 4) as u8) & WIDTH_MASK,
+                    Operand::Reg(rs) => self.read(rs, input, faults),
+                    Operand::Imm(imm) => sign_extend(imm, 4) as u8,
                 };
-                let a = self.read_reg(rd, input, faults);
-                let result = self.alu(op, a, b);
+                // the datapath reads rd even for MOV, consuming the input
+                let a = self.read(rd, input, faults);
+                let (result, carry) = op.apply(a, b, self.flags.c);
+                self.flags.c = carry;
                 self.flags.set_nzp(result);
-                self.write_reg(rd, result, output, faults);
+                let regs = &mut self.regs;
+                write_cell(&mut self.exec, regs, rd, result, WIDTH_MASK, output, faults);
             }
             Instruction::Br { cond, target } => {
                 let f = self.flags;
@@ -332,18 +234,12 @@ impl Core for XlsCore {
     }
 }
 
-fn sub4(a: u8, b: u8, borrow_in: u8) -> (u8, bool) {
-    let lhs = i16::from(a & 0xF);
-    let rhs = i16::from(b & 0xF) + i16::from(borrow_in);
-    ((lhs - rhs) as u8 & 0xF, lhs < rhs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::io::{ConstInput, NullOutput, RecordingOutput};
     use crate::isa::xacc::Cond;
-    use crate::isa::xls::Instruction as I;
+    use crate::isa::xls::{Instruction as I, Op};
 
     fn assemble(insns: &[I]) -> Program {
         let mut bytes = Vec::new();
@@ -458,6 +354,52 @@ mod tests {
         let (core, _) = run_prog(FeatureSet::revised(), &prog, 0);
         assert_eq!(core.reg(2), Some(0xE));
         assert_eq!(core.reg(3), Some(0x6));
+    }
+
+    #[test]
+    fn shift_carry_matches_the_accumulator_dialect() {
+        // carry = bit `amount - 1` for amounts 1..=4 (a shift by four
+        // carries out the top bit), clear above four, kept at zero
+        use crate::isa::xacc::Instruction as X;
+        use crate::sim::xacc::XaccCore;
+        let features = FeatureSet::revised();
+        for value in 0..16u8 {
+            for amount in 0..8u8 {
+                for carry in [false, true] {
+                    for op in [Op::Asr, Op::Lsr] {
+                        let shift = if op == Op::Asr {
+                            X::AsrImm { amount }
+                        } else {
+                            X::LsrImm { amount }
+                        };
+                        let mut xacc = XaccCore::new(features, Program::from_bytes(shift.encode()));
+                        let mut snap = xacc.snapshot();
+                        (snap.acc, snap.flags) = (value, u8::from(carry));
+                        xacc.restore(&snap);
+                        let mut xls =
+                            XlsCore::new(features, assemble(&[alu(op, 2, Operand::Imm(amount))]));
+                        let mut snap = xls.snapshot();
+                        (snap.mem[2], snap.flags) = (value, u8::from(carry) << 3);
+                        xls.restore(&snap);
+                        xacc.step(&mut ConstInput::new(0), &mut NullOutput::new())
+                            .unwrap();
+                        xls.step(&mut ConstInput::new(0), &mut NullOutput::new())
+                            .unwrap();
+                        let case = format!("{op:?} {value:#x} by {amount}, carry {carry}");
+                        assert_eq!(xls.reg(2), Some(xacc.acc()), "{case}");
+                        assert_eq!(xls.flags().c, xacc.carry(), "{case}");
+                    }
+                }
+            }
+        }
+        // the seam itself: a shift by exactly four carries out bit 3
+        let (core, _) = run_prog(
+            FeatureSet::revised(),
+            &[movi(2, 0x8), alu(Op::Lsr, 2, Operand::Imm(4)), halt(2)],
+            0,
+        );
+        assert_eq!(core.reg(2), Some(0));
+        assert!(core.flags().c);
     }
 
     #[test]

@@ -163,11 +163,11 @@ fn xacc_roundtrip_covers_carry_and_link_register() {
         I::AddImm { imm: 0xF }, // acc = 0xF
         I::AdcImm { imm: 0x2 }, // overflows: acc = 1, carry set
         I::Store {
-            m: xacc::OPORT_ADDR,
+            m: flexicore::isa::OPORT_CELL,
         },
         I::AdcImm { imm: 0 }, // consumes the carry: acc = 2
         I::Store {
-            m: xacc::OPORT_ADDR,
+            m: flexicore::isa::OPORT_CELL,
         },
     ];
     let mut bytes = Vec::new();
@@ -200,7 +200,7 @@ fn xls_roundtrip_covers_flags_and_register_file() {
         I::Alu {
             op: Op::Mov,
             rd: 2,
-            operand: Operand::Reg(xls::IPORT_REG),
+            operand: Operand::Reg(flexicore::isa::IPORT_CELL),
         },
         I::Alu {
             op: Op::Add,
@@ -214,7 +214,7 @@ fn xls_roundtrip_covers_flags_and_register_file() {
         }, // consumes carry
         I::Alu {
             op: Op::Mov,
-            rd: xls::OPORT_REG,
+            rd: flexicore::isa::OPORT_CELL,
             operand: Operand::Reg(2),
         },
     ];

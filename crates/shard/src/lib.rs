@@ -38,19 +38,28 @@ use std::sync::Mutex;
 /// campaign configuration.
 pub const FORCE_THREADS_ENV: &str = "FLEXSHARD_FORCE_THREADS";
 
+/// The most threads any pool starts, whatever was requested or forced.
+/// Every thread count replays the same report, so a larger count buys
+/// nothing and risks the host refusing the threads.
+pub const MAX_THREADS: usize = 256;
+
 /// Resolve a requested thread count against the [`FORCE_THREADS_ENV`]
-/// override. Zero (from either source) is treated as 1: the library
-/// never refuses to run — rejecting `--threads 0` loudly is the CLI's
-/// job.
+/// override, then clamp it to `1..=`[`MAX_THREADS`]. Zero (from either
+/// source) is treated as 1: the library never refuses to run —
+/// rejecting `--threads 0` loudly is the CLI's job.
 #[must_use]
 pub fn effective_threads(requested: usize) -> usize {
-    match std::env::var(FORCE_THREADS_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => requested.max(1),
-        },
-        Err(_) => requested.max(1),
+    resolve_threads(requested, std::env::var(FORCE_THREADS_ENV).ok().as_deref())
+}
+
+/// [`effective_threads`] with the override's value passed in.
+fn resolve_threads(requested: usize, forced: Option<&str>) -> usize {
+    let forced = forced.and_then(|v| v.trim().parse::<usize>().ok());
+    match forced {
+        Some(n) if n > 0 => n,
+        _ => requested,
     }
+    .clamp(1, MAX_THREADS)
 }
 
 /// Derive the private seed of work unit `index` from a campaign seed
@@ -138,6 +147,22 @@ mod tests {
             }
         }
         assert_ne!(shard_seed(1, 0), shard_seed(0, 1));
+    }
+
+    #[test]
+    fn thread_counts_are_clamped_to_the_ceiling() {
+        assert_eq!(resolve_threads(0, None), 1);
+        assert_eq!(resolve_threads(8, None), 8);
+        assert_eq!(resolve_threads(MAX_THREADS + 1, None), MAX_THREADS);
+        assert_eq!(resolve_threads(usize::MAX, None), MAX_THREADS);
+        assert_eq!(resolve_threads(1 << 20, Some("junk")), MAX_THREADS);
+        assert_eq!(resolve_threads(4, Some(" 3 ")), 3);
+        assert_eq!(resolve_threads(4, Some("0")), 4);
+        assert_eq!(resolve_threads(1, Some("1048576")), MAX_THREADS);
+        assert_eq!(
+            resolve_threads(1, Some("18446744073709551615")),
+            MAX_THREADS
+        );
     }
 
     #[test]
