@@ -45,6 +45,17 @@ echo "== threaded campaign smoke =="
 ./target/release/flexi inject --faults 64 --seed 11 --threads 8 \
     > /tmp/flexi_threaded.txt
 cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
+for quorum in tmr dmr simplex; do
+    ./target/release/flexi resilient --faults 64 --seed 11 --quorum $quorum \
+        > /tmp/flexi_serial.txt
+    ./target/release/flexi resilient --faults 64 --seed 11 --quorum $quorum \
+        --threads 8 > /tmp/flexi_threaded.txt
+    cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
+done
+./target/release/flexi attack --trials 200 --seed 1 > /tmp/flexi_serial.txt
+./target/release/flexi attack --trials 200 --seed 1 --threads 8 \
+    > /tmp/flexi_threaded.txt
+cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
 ./target/release/flexi link --rates 0,5e-4 --seed 11 > /tmp/flexi_serial.txt
 ./target/release/flexi link --rates 0,5e-4 --seed 11 --threads 8 \
     > /tmp/flexi_threaded.txt
@@ -100,28 +111,24 @@ rm -f /tmp/flexi_vuln_a.txt /tmp/flexi_vuln_b.txt
 cargo test --release --offline -p flexcheck -q vuln_smoke_campaign
 
 echo "== hang fast-forward gate =="
-# the engine computes the tail of a hung run instead of simulating it,
-# and skips the fetch-bus visit of hooks that leave the bus alone; both
-# must stay bit-for-bit equal to stepping every cycle. The oracle tests
-# hold the one drain loop to the plain step loop, the stuck-at grid
-# digests were pinned before the batch drivers were removed, and so was
-# this mission report's SHA-256 (mission and resilient voting drain
-# through Core::resume_with too). The salvage digests pin the die
-# classes the partial-yield screen derives from each published wafer's
-# defects through that same loop. Checkpointed segments drain through
-# it as well: their oracle holds the segment runner to the plain step
-# loop, and the recovery and link-soak pins were captured while both
-# executors still stepped. The gate-level
-# screen runs a compiled tape: its oracle holds the tape to the per-cell
-# interpreter, and the wafer-screen and fault-coverage pins were
-# captured while the interpreter still ran the screen. The kernel
-# harness skips the replay of a hung loop's writes, which no verdict
-# reads: its oracle holds it to a full recording handed to `verify`.
-# netlist_digests pins every cell of the three fabricated netlists, and
-# fabricated_isa pins both fabricated ISAs' decode tables and one-step
-# semantics, captured while FlexiCore4 and FlexiCore8 had separate cores;
-# dse_isa does the same for the two DSE ISAs, captured while each had its
-# own ALU and cell file.
+# Pinned values and oracles; each must pass unedited. What each holds:
+#   hang_forward      the hang fast-forward equals stepping every cycle
+#   fabricated_isa    FC4/FC8 decode tables and one-step semantics
+#   dse_isa           xacc/xls decode tables and one-step semantics
+#   verdict_oracle    the kernel harness's verdicts equal full recordings
+#   segment_oracle    checkpointed segments equal the plain step loop
+#   campaign_digests  stuck-at grid outcomes of every dialect x kernel
+#   salvage_digests   die classes of the published wafers' defects
+#   prune_equiv       vuln-pruned campaigns equal unpruned ones
+#   screen_digests    wafer-screen outcomes and fault-coverage bits
+#   defect_draws      the gate-level defect sites each die seed draws
+#   netlist_digests   every cell of the three fabricated netlists
+#   compiled_oracle   the compiled gate tape equals the cell interpreter
+#   vuln_digests      per-kernel site verdicts over the fault-site universe
+#   recovery_digests  resilient-executor trials of every quorum mode
+#   soak_digests      link-soak trials, frames and scrub counts
+#   generated_programs_fast_forward_exactly  random programs fast-forward
+#   the mission SHA-256  the whole `flexi mission` report
 cargo test --release --offline -p flexicore -q --test hang_forward
 cargo test --release --offline -p flexicore -q --test fabricated_isa
 cargo test --release --offline -p flexicore -q --test dse_isa
@@ -129,9 +136,12 @@ cargo test --release --offline -p flexinject -q --test verdict_oracle
 cargo test --release --offline -p flexresilient -q --test segment_oracle
 cargo test --release --offline -p flexinject -q --test campaign_digests
 cargo test --release --offline -p flexinject -q --test salvage_digests
+cargo test --release --offline -p flexinject -q --test prune_equiv
 cargo test --release --offline -p flexfab -q --test screen_digests
+cargo test --release --offline -p flexfab -q --test defect_draws
 cargo test --release --offline -p flexrtl -q --test netlist_digests
 cargo test --release --offline -p flexgate -q --test compiled_oracle
+cargo test --release --offline -p flexcheck -q --test vuln_digests
 cargo test --release --offline -p flexresilient -q --test recovery_digests
 cargo test --release --offline -p flexlink -q --test soak_digests
 cargo test --release --offline -p flexcheck -q generated_programs_fast_forward_exactly

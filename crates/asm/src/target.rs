@@ -80,8 +80,9 @@ impl Target {
     /// Resolve a `(dialect, features)` name pair — the form every
     /// session-style entry point (CLI flags, daemon requests) receives —
     /// into a target. `dialect` is one of `fc4`, `fc8`, `xacc`, `xls`;
-    /// `features` is empty, `revised`, or a comma-separated list of
-    /// `adc`, `shift`, `flags`, `mul`, `xch`, `call`, `2xreg`. The
+    /// `features` is a comma-separated list, possibly empty, of `adc`,
+    /// `shift`, `flags`, `mul`, `xch`, `call`, `2xreg` and `revised`
+    /// (which adds the revised set to the others). The
     /// fabricated dialects have fixed ISAs, so their feature list must be
     /// empty.
     ///
@@ -91,31 +92,28 @@ impl Target {
     /// feature list handed to a fabricated dialect.
     pub fn parse(dialect: &str, features: &str) -> Result<Target, TargetParseError> {
         use flexicore::isa::features::Feature;
-        let set = match features.trim() {
-            "" => FeatureSet::BASE,
-            "revised" => FeatureSet::revised(),
-            list => {
-                let mut set = FeatureSet::BASE;
-                for item in list.split(',').filter(|s| !s.is_empty()) {
-                    let feature = match item.trim() {
-                        "adc" => Feature::AddWithCarry,
-                        "shift" => Feature::BarrelShifter,
-                        "flags" => Feature::BranchFlags,
-                        "mul" => Feature::Multiplier,
-                        "xch" => Feature::AccExchange,
-                        "call" => Feature::Subroutines,
-                        "2xreg" => Feature::DoubleRegfile,
-                        other => {
-                            return Err(TargetParseError(format!(
-                                "unknown feature `{other}` (adc, shift, flags, mul, xch, call, 2xreg, revised)"
-                            )))
-                        }
-                    };
-                    set = set.with(feature);
+        let mut set = FeatureSet::BASE;
+        for item in features.trim().split(',').filter(|s| !s.is_empty()) {
+            let feature = match item.trim() {
+                "revised" => {
+                    set.extend(FeatureSet::revised().iter());
+                    continue;
                 }
-                set
-            }
-        };
+                "adc" => Feature::AddWithCarry,
+                "shift" => Feature::BarrelShifter,
+                "flags" => Feature::BranchFlags,
+                "mul" => Feature::Multiplier,
+                "xch" => Feature::AccExchange,
+                "call" => Feature::Subroutines,
+                "2xreg" => Feature::DoubleRegfile,
+                other => {
+                    return Err(TargetParseError(format!(
+                    "unknown feature `{other}` (adc, shift, flags, mul, xch, call, 2xreg, revised)"
+                )))
+                }
+            };
+            set = set.with(feature);
+        }
         match dialect.trim() {
             fixed @ ("fc4" | "fc8") if !features.trim().is_empty() => {
                 Err(TargetParseError(format!(
@@ -172,6 +170,13 @@ mod tests {
         assert!(t.features.contains(Feature::AddWithCarry));
         assert!(t.features.contains(Feature::BarrelShifter));
         assert!(!t.features.contains(Feature::Multiplier));
+        // `revised` is a list item that adds its set to the others
+        let t = Target::parse("xls", "revised,mul").unwrap();
+        assert_eq!(t.features, FeatureSet::revised().with(Feature::Multiplier));
+        assert_eq!(
+            Target::parse("xacc", "adc, revised").unwrap(),
+            Target::xacc_revised()
+        );
         // fixed-ISA dialects reject any feature list
         for features in ["mul", "revised", " , "] {
             let err = Target::parse("fc4", features).unwrap_err();

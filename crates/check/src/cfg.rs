@@ -10,12 +10,13 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use flexasm::Target;
+use flexicore::exec::PC_MASK;
 use flexicore::isa::Dialect;
 use flexicore::Program;
 
 use crate::abs::AbsVal;
 use crate::report::{CheckReport, Finding, Lint};
-use crate::sem::{fetch_address, transfer, AbsState, Crash, StepOut, PC_MASK};
+use crate::sem::{fetch_address, transfer, AbsState, Crash, StepOut};
 
 /// `16 pages * 128 PCs`: the whole page-extended node space.
 pub(crate) const NODE_SPACE: usize = 16 * 128;

@@ -41,6 +41,25 @@ impl Severity {
             _ => None,
         }
     }
+
+    /// The severity's byte on the daemon wire: its rank in the order,
+    /// 0 info, 1 warning, 2 error.
+    #[must_use]
+    pub fn to_byte(self) -> u8 {
+        self as u8
+    }
+
+    /// The severity a wire byte names (the inverse of
+    /// [`to_byte`](Severity::to_byte)); `None` above 2.
+    #[must_use]
+    pub fn from_byte(byte: u8) -> Option<Severity> {
+        match byte {
+            0 => Some(Severity::Info),
+            1 => Some(Severity::Warning),
+            2 => Some(Severity::Error),
+            _ => None,
+        }
+    }
 }
 
 /// The lint catalogue (DESIGN.md §10.2).
@@ -225,5 +244,20 @@ impl CheckReport {
             warnings,
         ));
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn severity_names_and_wire_bytes_round_trip() {
+        for severity in [Severity::Info, Severity::Warning, Severity::Error] {
+            assert_eq!(Severity::parse(&severity.to_string()), Some(severity));
+            assert_eq!(Severity::from_byte(severity.to_byte()), Some(severity));
+        }
+        assert_eq!(Severity::parse("warn"), Some(Severity::Warning));
+        assert_eq!(Severity::from_byte(3), None);
     }
 }

@@ -9,13 +9,11 @@
 //! [`crate::soundness`] checks empirically.
 
 use flexasm::Target;
+use flexicore::exec::PC_MASK;
 use flexicore::isa::{fc4, sign_extend, xacc, xls, AluOp, Dialect};
 use flexicore::Program;
 
 use crate::abs::{AbsBool, AbsMmu, AbsVal};
-
-/// PC mask shared by every dialect (7-bit program counter).
-pub const PC_MASK: u8 = 0x7F;
 
 /// Translate a page-extended PC into a byte fetch address (mirrors
 /// `Core::fetch_address`: identity except for the instruction-indexed

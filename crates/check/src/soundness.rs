@@ -115,10 +115,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignStats {
     for (d_idx, dialect) in dialects.into_iter().enumerate() {
         for i in 0..config.programs_per_dialect {
             // one derived seed per program: replayable in isolation
-            let seed = config
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((d_idx * 1_000_003 + i) as u64);
+            let seed = flexshard::cell_seed(config.seed, (d_idx * 1_000_003 + i) as u64);
             let mut rng = StdRng::seed_from_u64(seed);
             let target = random_target(dialect, &mut rng);
             let program = generate_program(&target, i, &mut rng);
@@ -715,9 +712,10 @@ pub fn run_vuln_campaign(config: &CampaignConfig) -> VulnCampaignStats {
         for i in 0..config.programs_per_dialect {
             // one derived seed per program, in a stream distinct from
             // the lint-soundness campaign's
-            let seed = (config.seed ^ 0xAE57_A11C_0DE5_17E5)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((d_idx * 1_000_003 + i) as u64);
+            let seed = flexshard::cell_seed(
+                config.seed ^ 0xAE57_A11C_0DE5_17E5,
+                (d_idx * 1_000_003 + i) as u64,
+            );
             let mut rng = StdRng::seed_from_u64(seed);
             let target = random_target(dialect, &mut rng);
             let program = generate_program(&target, i, &mut rng);

@@ -1,8 +1,8 @@
 //! Static fault-vulnerability analysis (DESIGN.md §15).
 //!
-//! Classifies every architectural fault site of `flexinject`'s
-//! enumeration universe — PC, accumulator, data cells, fetch bus, IO
-//! ports, MMU page register and pending-commit latch — against one
+//! Classifies every architectural fault site of the universe
+//! [`StateElement::all`] spans — PC, accumulator, data cells, fetch bus,
+//! IO ports, MMU page register and pending-commit latch — against one
 //! program, using the same converged dataflow fixpoint [`crate::analyze`]
 //! derives its lints from.
 //!
@@ -42,7 +42,9 @@
 use std::collections::BTreeSet;
 
 use flexasm::Target;
+use flexicore::exec::PC_MASK;
 use flexicore::isa::Dialect;
+use flexicore::sim::fault::PAGE_MASK;
 use flexicore::sim::StateElement;
 use flexicore::Program;
 
@@ -87,7 +89,7 @@ pub struct ElementVerdict {
     /// The element classified.
     pub element: StateElement,
     /// Fault sites this element contributes (its bit width for the
-    /// dialect, matching `flexinject::sites::enumerate`).
+    /// dialect, [`StateElement::bits`]).
     pub bits: u8,
     /// The verdict.
     pub class: SiteClass,
@@ -107,7 +109,7 @@ pub struct ElementVerdict {
 }
 
 /// Per-program fault-vulnerability report: one verdict per state
-/// element, in `flexinject::sites::enumerate` order.
+/// element, in [`StateElement::all`] order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VulnReport {
     /// The dialect analyzed.
@@ -168,7 +170,8 @@ impl VulnReport {
     }
 
     /// Total fault sites across all elements (matches
-    /// `flexinject::sites::enumerate(dialect).len()`).
+    /// the sum of [`StateElement::bits`] over [`StateElement::all`], the
+    /// length of `flexinject::sites::enumerate(dialect)`).
     #[must_use]
     pub fn total_sites(&self) -> usize {
         self.elements.iter().map(|e| usize::from(e.bits)).sum()
@@ -343,8 +346,7 @@ pub fn analyze(target: &Target, program: &Program) -> VulnReport {
     let mut fetch_w: BTreeSet<u32> = BTreeSet::new();
     let mut arm_w: BTreeSet<u32> = BTreeSet::new();
 
-    let width = dialect.datapath_bits() as u8;
-    let wmask: u8 = if width >= 8 { 0xFF } else { (1 << width) - 1 };
+    let wmask = bit_mask(StateElement::Acc.bits(dialect));
     let mut pc_obs = BitObs::new();
     let mut page_obs = BitObs::new();
     let mut acc_obs = BitObs::new();
@@ -360,8 +362,8 @@ pub fn analyze(target: &Target, program: &Program) -> VulnReport {
         let address = fetch_address(dialect, ext);
         // the PC and page register are observed by the address
         // computation of every reachable node, crashing or not
-        pc_obs.see_const((ext & 0x7F) as u8, 0x7F);
-        page_obs.see_const((ext >> 7) as u8, 0xF);
+        pc_obs.see_const(ext as u8 & PC_MASK, PC_MASK);
+        page_obs.see_const((ext >> 7) as u8, PAGE_MASK);
         let fetched = |obs: &mut BitObs, count: usize| {
             for &byte in program.window(address).iter().take(count) {
                 obs.see_const(byte, 0xFF);
@@ -405,7 +407,7 @@ pub fn analyze(target: &Target, program: &Program) -> VulnReport {
                     arm_w.insert(address);
                 }
                 for value in &out.armed_vals {
-                    pending_obs.see(*value, 0xF);
+                    pending_obs.see(*value, PAGE_MASK);
                 }
             }
         }
@@ -416,8 +418,8 @@ pub fn analyze(target: &Target, program: &Program) -> VulnReport {
     // so no constancy claim is safe for the page register or the
     // pending latch then.
     if !a.wild_commits.is_empty() {
-        page_obs.see(crate::abs::AbsVal::Top, 0xF);
-        pending_obs.see(crate::abs::AbsVal::Top, 0xF);
+        page_obs.see(crate::abs::AbsVal::Top, PAGE_MASK);
+        pending_obs.see(crate::abs::AbsVal::Top, PAGE_MASK);
     }
 
     let verdict = |witnesses: &BTreeSet<u32>| {
@@ -443,79 +445,52 @@ pub fn analyze(target: &Target, program: &Program) -> VulnReport {
         }
     };
 
-    // enumeration order mirrors flexinject::sites::enumerate
-    let mut elements = Vec::new();
-    let mut push = |element: StateElement,
-                    bits: u8,
-                    (class, witnesses): (SiteClass, Vec<u32>),
-                    obs: BitObs,
-                    mask: u8| {
-        let (const0_bits, const1_bits) = if class == SiteClass::ReachableLive {
-            obs.masks(mask)
-        } else {
-            (0, 0)
-        };
-        elements.push(ElementVerdict {
-            element,
-            bits,
-            class,
-            witnesses,
-            const0_bits,
-            const1_bits,
-        });
-    };
-    push(StateElement::Pc, 7, always_live(), pc_obs, 0x7F);
-    if dialect.has_accumulator() {
-        push(StateElement::Acc, width, verdict(&acc_w), acc_obs, wmask);
-    }
-    for w in 0..dialect.mem_words() {
-        push(
-            StateElement::Mem(w),
-            width,
-            verdict(&cell_w[usize::from(w)]),
-            cell_obs[usize::from(w)],
-            wmask,
-        );
-    }
-    push(
-        StateElement::FetchBus,
-        8,
-        verdict(&fetch_w),
-        fetch_obs,
-        0xFF,
-    );
-    // input values are externally chosen, so no bit is ever constant
-    push(
-        StateElement::InputPort,
-        width,
-        verdict(&input_w),
-        BitObs::new(),
-        wmask,
-    );
-    push(
-        StateElement::OutputPort,
-        width,
-        verdict(&output_w),
-        output_obs,
-        wmask,
-    );
-    push(StateElement::PageReg, 4, always_live(), page_obs, 0xF);
-    // pending-latch faults only land while a page commit is in flight,
-    // so a program that can never arm the escape transducer can never
-    // expose them
-    push(
-        StateElement::PagePending,
-        4,
-        verdict(&arm_w),
-        pending_obs,
-        0xF,
-    );
+    let elements = StateElement::all(dialect)
+        .map(|element| {
+            let ((class, witnesses), obs) = match element {
+                StateElement::Pc => (always_live(), pc_obs),
+                StateElement::Acc => (verdict(&acc_w), acc_obs),
+                StateElement::Mem(w) => {
+                    (verdict(&cell_w[usize::from(w)]), cell_obs[usize::from(w)])
+                }
+                StateElement::FetchBus => (verdict(&fetch_w), fetch_obs),
+                // input values are externally chosen, so no bit is ever
+                // constant
+                StateElement::InputPort => (verdict(&input_w), BitObs::new()),
+                StateElement::OutputPort => (verdict(&output_w), output_obs),
+                StateElement::PageReg => (always_live(), page_obs),
+                // pending-latch faults only land while a page commit is
+                // in flight, so a program that can never arm the escape
+                // transducer can never expose them
+                StateElement::PagePending => (verdict(&arm_w), pending_obs),
+            };
+            let bits = element.bits(dialect);
+            let (const0_bits, const1_bits) = if class == SiteClass::ReachableLive {
+                obs.masks(bit_mask(bits))
+            } else {
+                (0, 0)
+            };
+            ElementVerdict {
+                element,
+                bits,
+                class,
+                witnesses,
+                const0_bits,
+                const1_bits,
+            }
+        })
+        .collect();
 
     VulnReport {
         dialect,
         exact,
         elements,
     }
+}
+
+/// The low `bits` bits of a byte (`bits` is 1..=8).
+fn bit_mask(bits: u8) -> u8 {
+    u8::MAX >> (8 - bits)
 }
 
 /// [`analyze`] over an [`Assembly`](flexasm::Assembly).

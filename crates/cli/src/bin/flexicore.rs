@@ -2,12 +2,5 @@
 //! paper's project name. See [`flexcli`] for the command set.
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match flexcli::dispatch(&argv) {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("flexicore: {e}");
-            std::process::exit(1);
-        }
-    }
+    flexcli::main("flexicore");
 }

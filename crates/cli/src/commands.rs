@@ -68,7 +68,8 @@ commands:
   help
 
 targets: fc4 (default), fc8, xacc, xls
-features (xacc/xls): adc, shift, flags, mul, xch, call, 2xreg — or `revised`
+features (xacc/xls): comma list of adc, shift, flags, mul, xch, call, 2xreg,
+  revised (the paper's revised set, added to the others)
 campaign scaling: --threads N workers (and serve's --workers), at most 256 of
 them started; any count replays the single-threaded report bit-for-bit
 counts (--faults, --trials, --ticks, --spares, --reps, --upsets, --retries,
@@ -120,12 +121,7 @@ pub fn asm(args: &mut Args) -> Result<String, CliError> {
 /// findings at or above the `--deny` severity exist, or when a campaign
 /// observes an unsound verdict.
 pub fn check(args: &mut Args) -> Result<String, CliError> {
-    let deny = match args.flag("deny") {
-        None => flexcheck::Severity::Error,
-        Some(name) => flexcheck::Severity::parse(&name).ok_or_else(|| {
-            CliError::Usage(format!("unknown severity `{name}` (info, warning, error)"))
-        })?,
-    };
+    let deny = deny_flag(args)?.unwrap_or(flexcheck::Severity::Error);
 
     if args.has("campaign") {
         let programs = args.count("campaign", 0usize)?;
@@ -657,10 +653,7 @@ fn link_signed(config: &flexlink::SoakConfig) -> Result<String, CliError> {
         let image = prepared.program().as_bytes().to_vec();
         for (r, &ber) in config.error_rates.iter().enumerate() {
             let cell = ((k as u64) << 32) | r as u64;
-            let trial_seed = config
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(cell);
+            let trial_seed = flexshard::cell_seed(config.seed, cell);
             let mut device = flexlink::Device::new(config.target, image.len(), DEVICE_KEY)
                 .with_link(config.link);
             device
@@ -768,11 +761,7 @@ pub fn mission(args: &mut Args) -> Result<String, CliError> {
     config.spares = args.count("spares", config.spares)?;
     config.budget = args.num("budget", config.budget)?;
     config.threads = args.positive("threads", 1)?;
-    if let Some(name) = args.flag("deny") {
-        config.deny = Some(flexcheck::Severity::parse(&name).ok_or_else(|| {
-            CliError::Usage(format!("unknown severity `{name}` (info, warning, error)"))
-        })?);
-    }
+    config.deny = deny_flag(args)?.or(config.deny);
 
     let adaptive = run_mission_campaign(&config).map_err(|e| CliError::Run(e.to_string()))?;
     let baseline = run_mission_campaign(&MissionConfig {
@@ -861,16 +850,23 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
     Ok(format!("drained cleanly\n{}", stats.render()))
 }
 
-fn parse_deny(args: &mut Args) -> Result<u8, CliError> {
-    let name = args.flag("deny").unwrap_or_else(|| "error".to_string());
-    match name.as_str() {
-        "info" => Ok(0),
-        "warning" => Ok(1),
-        "error" => Ok(2),
-        other => Err(CliError::Usage(format!(
-            "unknown deny severity `{other}` (info, warning, error)"
-        ))),
-    }
+/// `--deny`: a [`flexcheck::Severity`] by name, `None` when the flag is
+/// absent.
+fn deny_flag(args: &mut Args) -> Result<Option<flexcheck::Severity>, CliError> {
+    args.flag("deny")
+        .map(|name| {
+            flexcheck::Severity::parse(&name).ok_or_else(|| {
+                CliError::Usage(format!("unknown severity `{name}` (info, warning, error)"))
+            })
+        })
+        .transpose()
+}
+
+/// The client's `--deny` as the daemon's wire byte (error by default).
+fn deny_byte(args: &mut Args) -> Result<u8, CliError> {
+    Ok(deny_flag(args)?
+        .unwrap_or(flexcheck::Severity::Error)
+        .to_byte())
 }
 
 fn client_source_request(op: &str, args: &mut Args) -> Result<flexserve::Request, CliError> {
@@ -888,13 +884,13 @@ fn client_source_request(op: &str, args: &mut Args) -> Result<flexserve::Request
             dialect,
             features,
             source,
-            deny: parse_deny(args)?,
+            deny: deny_byte(args)?,
         },
         "admit" => flexserve::Request::Admit {
             dialect,
             features,
             source,
-            deny: parse_deny(args)?,
+            deny: deny_byte(args)?,
         },
         _ => flexserve::Request::Simulate {
             dialect,
@@ -1271,6 +1267,41 @@ mod tests {
         for name in ["Calculator", "XorShift8", "Thresholding"] {
             assert!(out.contains(name), "{out}");
         }
+    }
+
+    #[test]
+    fn revised_is_a_feature_list_item() {
+        let both = call(&["kernels", "--target", "xls", "--features", "revised,mul"]).unwrap();
+        let spelled = call(&[
+            "kernels",
+            "--target",
+            "xls",
+            "--features",
+            "adc,shift,flags,xch,call,mul",
+        ])
+        .unwrap();
+        assert_eq!(both, spelled);
+    }
+
+    #[test]
+    fn client_deny_accepts_every_severity_spelling() {
+        use crate::{Args, CliError};
+        let src = write_temp("client_deny", ADD3);
+        for (name, byte) in [("info", 0), ("warn", 1), ("warning", 1), ("error", 2)] {
+            let argv = ["check".into(), src.clone(), "--deny".into(), name.into()];
+            let mut args = Args::parse(&argv).unwrap();
+            let request = super::client_source_request("check", &mut args).unwrap();
+            assert!(
+                matches!(request, flexserve::Request::Check { deny, .. } if deny == byte),
+                "{name}"
+            );
+        }
+        let mut args =
+            Args::parse(&["check".into(), src, "--deny".into(), "fatal".into()]).unwrap();
+        assert!(matches!(
+            super::client_source_request("check", &mut args),
+            Err(CliError::Usage(_))
+        ));
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! # flexcli
 //!
-//! Implementation of the `flexi` command-line tool. The binary is a thin
-//! wrapper; all command logic lives here and returns strings, so every
-//! command is unit-testable.
+//! Implementation of the `flexi` command-line tool. Both binaries,
+//! `flexi` and its alias `flexicore`, are one call to [`main`]; all
+//! command logic lives here and returns strings, so every command is
+//! unit-testable.
 //!
 //! The command synopsis lives in one place, [`commands::usage`], which
 //! is also what `flexi help` prints.
 //!
 //! Targets: `fc4` (default), `fc8`, `xacc`, `xls`; `--features` applies to
-//! the DSE dialects (`adc,shift,flags,mul,xch,call,2xreg` or `revised`) and
-//! is a usage error on the fabricated `fc4`/`fc8`, whose ISAs are fixed.
+//! the DSE dialects (a comma list of `adc,shift,flags,mul,xch,call,2xreg`
+//! and `revised`, which adds the revised set) and is a usage error on the
+//! fabricated `fc4`/`fc8`, whose ISAs are fixed.
 //!
 //! The campaign commands (`wafer`, `inject`, `resilient`, `link`, `attack`,
 //! `mission`) accept `--threads N` worker threads; every thread count
@@ -25,7 +27,21 @@ pub mod commands;
 
 pub use args::{Args, CliError};
 
-/// Entry point shared by the binary and the tests: dispatch `argv`
+/// The `main` of both binaries (`flexi` and its alias `flexicore`):
+/// dispatch the process arguments and print the output, or print the
+/// error after `program` and exit with [`CliError::exit_code`].
+pub fn main(program: &str) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&argv) {
+        Ok(text) => print!("{text}"),
+        Err(e) => {
+            eprintln!("{program}: {e}");
+            std::process::exit(e.exit_code());
+        }
+    }
+}
+
+/// Entry point shared by the binaries and the tests: dispatch `argv`
 /// (without the program name) and return the output text.
 ///
 /// # Errors

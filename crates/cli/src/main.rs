@@ -1,12 +1,5 @@
 //! The `flexi` binary: see [`flexcli`] for the command set.
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match flexcli::dispatch(&argv) {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("flexi: {e}");
-            std::process::exit(e.exit_code());
-        }
-    }
+    flexcli::main("flexi");
 }

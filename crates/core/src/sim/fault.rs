@@ -18,8 +18,18 @@
 //! [`FaultPlane`] is the standard implementation: a set of
 //! [`ArchFault`]s, each a permanent stuck-at or a one-shot transient
 //! bit flip on one bit of one state element.
+//!
+//! The fault-site universe is defined here and nowhere else:
+//! [`StateElement::all`] lists a dialect's elements in site order and
+//! [`StateElement::bits`] gives each one's width. `flexinject::sites`
+//! spans them bit by bit for every campaign, and `flexcheck::vuln`
+//! classifies them. [`PowerCut`] draws its torn bits with
+//! `flexshard::splitmix64`, the workspace's one seed mixer.
 
 use core::fmt;
+
+use crate::exec::PC_MASK;
+use crate::isa::Dialect;
 
 /// One architectural state element a fault can land on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,6 +56,49 @@ pub enum StateElement {
     /// escape-sequence transducer while it waits out the "short delay".
     /// Faults here land only while a page change is in flight.
     PagePending,
+}
+
+impl StateElement {
+    /// Every element of `dialect`'s fault-site universe, in site order:
+    /// PC, accumulator (absent on the load-store dialect), data words,
+    /// fetch bus, input port, output port, MMU page register, MMU
+    /// pending-commit latch. The MMU elements live on the off-chip
+    /// programming board but are fabricated on the same flexible
+    /// substrate, so campaigns target them alongside core state.
+    ///
+    /// The order is part of every seeded campaign's replay contract:
+    /// fault draws index into the (element, bit) list this order spans,
+    /// so new elements are appended, never inserted.
+    pub fn all(dialect: Dialect) -> impl Iterator<Item = StateElement> {
+        let acc = dialect.has_accumulator().then_some(StateElement::Acc);
+        core::iter::once(StateElement::Pc)
+            .chain(acc)
+            .chain((0..dialect.mem_words()).map(StateElement::Mem))
+            .chain([
+                StateElement::FetchBus,
+                StateElement::InputPort,
+                StateElement::OutputPort,
+                StateElement::PageReg,
+                StateElement::PagePending,
+            ])
+    }
+
+    /// The element's width in bits on `dialect`, i.e. how many fault
+    /// sites it contributes: the in-page PC is 7 bits and every fetched
+    /// byte crosses an 8-bit bus on every dialect, the MMU registers are
+    /// [`PAGE_MASK`]-wide, and everything else is a datapath word.
+    #[must_use]
+    pub fn bits(self, dialect: Dialect) -> u8 {
+        match self {
+            StateElement::Pc => PC_MASK.count_ones() as u8,
+            StateElement::FetchBus => 8,
+            StateElement::PageReg | StateElement::PagePending => PAGE_MASK.count_ones() as u8,
+            StateElement::Acc
+            | StateElement::Mem(_)
+            | StateElement::InputPort
+            | StateElement::OutputPort => dialect.datapath_bits() as u8,
+        }
+    }
 }
 
 impl fmt::Display for StateElement {
@@ -154,16 +207,6 @@ pub struct PowerCut {
     fired: bool,
 }
 
-/// One round of SplitMix64 — the deterministic torn-bit draw (kept
-/// local so the core crate stays free of the vendored `rand`).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl PowerCut {
     /// A plan with stable power: every write commits in full.
     #[must_use]
@@ -224,7 +267,7 @@ impl PowerCut {
             Some(at) if index >= at => {
                 self.fired = true;
                 let mut state = self.torn_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let mask = splitmix64(&mut state) as u16;
+                let mask = flexshard::splitmix64(&mut state) as u16;
                 WriteEffect::Torn((old & !mask) | (new & mask))
             }
             _ => WriteEffect::Committed(new),
@@ -697,6 +740,31 @@ mod tests {
                 old & agree,
                 "seed {seed}: agreed bits flipped"
             );
+        }
+    }
+
+    #[test]
+    fn torn_words_are_pinned() {
+        // with old all-zero and new all-one, the torn word is the mask
+        // itself: one splitmix64 output per (seed, cut index)
+        let pinned: [(u64, [u16; 3]); 4] = [
+            (0, [0xCDAF, 0x65F4, 0xAB3C]),
+            (1, [0x5CC1, 0x82C9, 0x8064]),
+            (0x1234_5678_9ABC_DEF0, [0x50E8, 0x3BDC, 0xCBCA]),
+            (u64::MAX, [0x2C20, 0xBD7B, 0xC8EC]),
+        ];
+        for (seed, words) in pinned {
+            for (cut, want) in [0u64, 1, 7].into_iter().zip(words) {
+                let mut power = PowerCut::at_write(cut, seed);
+                for _ in 0..cut {
+                    power.on_write(0x0000, 0xFFFF);
+                }
+                assert_eq!(
+                    power.on_write(0x0000, 0xFFFF),
+                    WriteEffect::Torn(want),
+                    "seed {seed:#x}, cut at write {cut}"
+                );
+            }
         }
     }
 

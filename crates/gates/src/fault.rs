@@ -33,9 +33,9 @@ pub fn sites(netlist: &Netlist) -> Vec<FaultSite> {
     v
 }
 
-/// Draw `count` distinct random fault sites using the caller's RNG state
-/// (a simple splitmix so `flexgate` needs no RNG dependency; pass any
-/// nonzero seed).
+/// Draw `count` distinct random fault sites from `seed`, a
+/// [`flexshard::splitmix64`] stream (so `flexgate` needs no RNG
+/// dependency).
 #[must_use]
 pub fn random_sites(netlist: &Netlist, count: usize, seed: u64) -> Vec<FaultSite> {
     let all = sites(netlist);
@@ -45,23 +45,15 @@ pub fn random_sites(netlist: &Netlist, count: usize, seed: u64) -> Vec<FaultSite
     let mut state = seed
         .wrapping_mul(0x2545_F491_4F6C_DD1D)
         .wrapping_add(0x9E37_79B9);
-    let mut next = move || {
-        // splitmix64
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
     let mut picked = Vec::with_capacity(count);
     let mut used = std::collections::HashSet::new();
-    // Rejection sampling: a plain `next() % len` over-weights the low
+    // Rejection sampling: a plain `draw % len` over-weights the low
     // indices whenever `len` does not divide 2^64. Draws at or above the
     // largest multiple of `len` are discarded instead.
     let len = all.len() as u64;
     let zone = u64::MAX - (u64::MAX % len);
     while picked.len() < count && used.len() < all.len() {
-        let draw = next();
+        let draw = flexshard::splitmix64(&mut state);
         if draw >= zone {
             continue;
         }

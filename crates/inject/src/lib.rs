@@ -67,17 +67,17 @@ pub fn kernel_from_name(name: &str) -> Option<Kernel> {
     }
 }
 
-/// Parse a dialect's CLI spelling into a ready-to-run target (the
-/// extended dialects use their revised feature sets).
+/// Parse a dialect's CLI spelling into a ready-to-run target through
+/// [`Target::parse`] (the extended dialects get their revised feature
+/// sets).
 #[must_use]
 pub fn target_from_name(name: &str) -> Option<Target> {
-    match name.to_ascii_lowercase().as_str() {
-        "fc4" => Some(Target::fc4()),
-        "fc8" => Some(Target::fc8()),
-        "xacc" => Some(Target::xacc_revised()),
-        "xls" => Some(Target::xls_revised()),
-        _ => None,
-    }
+    let dialect = name.to_ascii_lowercase();
+    let features = match dialect.as_str() {
+        "xacc" | "xls" => "revised",
+        _ => "",
+    };
+    Target::parse(&dialect, features).ok()
 }
 
 #[cfg(test)]

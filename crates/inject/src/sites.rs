@@ -1,25 +1,18 @@
-//! Fault-site enumeration: every (state element, bit) pair a fault can
-//! land on, per dialect.
+//! The fault-site universe and the fault draws over it.
 //!
-//! The architectural state differs across the four dialects (datapath
-//! width, memory depth, presence of an accumulator), so the site list is
-//! dialect-specific. Site order is fixed — enumeration order is part of
-//! the campaign determinism contract.
+//! A site is one bit of one architectural state element. The elements,
+//! their order and their widths per dialect come from
+//! [`StateElement::all`] and [`StateElement::bits`]; [`enumerate`] spans
+//! them bit by bit. Every uniform single-fault draw over that list —
+//! campaign trials, recovery trials, die defects, mission wear — is the
+//! one function [`draw_fault`], so the site order and the draw order are
+//! both part of the campaign determinism contract.
 
+use crate::campaign::FaultModel;
 use flexicore::isa::Dialect;
 use flexicore::sim::{ArchFault, FaultKind, PowerCut, StateElement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The program counter is 7 bits on every dialect (in-page addressing).
-pub const PC_BITS: u8 = 7;
-
-/// Every fetched byte crosses an 8-bit bus regardless of datapath width.
-pub const FETCH_BITS: u8 = 8;
-
-/// The off-chip MMU page register and its pending-commit latch are four
-/// bits on every dialect (§5.1: sixteen 128-instruction pages).
-pub const PAGE_BITS: u8 = 4;
 
 /// One injectable location: a single bit of a single state element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,36 +35,13 @@ impl FaultSite {
     }
 }
 
-/// Every injectable (element, bit) site of a dialect, in a fixed order:
-/// PC, accumulator, memory words, fetch bus, input port, output port,
-/// MMU page register, MMU pending-commit latch — low bit first within
-/// each element. The MMU sites live on the off-chip programming board
-/// but are fabricated on the same flexible substrate, so campaigns
-/// target them alongside core state. New elements are appended so the
-/// prefix order (and with it old seeds' draws over old site lists)
-/// never changes.
+/// Every injectable (element, bit) site of a dialect: the elements of
+/// [`StateElement::all`] in order, low bit first within each element.
 #[must_use]
 pub fn enumerate(dialect: Dialect) -> Vec<FaultSite> {
-    let width = dialect.datapath_bits() as u8;
-    let mut sites = Vec::new();
-    let mut push = |element: StateElement, bits: u8| {
-        for bit in 0..bits {
-            sites.push(FaultSite { element, bit });
-        }
-    };
-    push(StateElement::Pc, PC_BITS);
-    if dialect.has_accumulator() {
-        push(StateElement::Acc, width);
-    }
-    for word in 0..dialect.mem_words() {
-        push(StateElement::Mem(word), width);
-    }
-    push(StateElement::FetchBus, FETCH_BITS);
-    push(StateElement::InputPort, width);
-    push(StateElement::OutputPort, width);
-    push(StateElement::PageReg, PAGE_BITS);
-    push(StateElement::PagePending, PAGE_BITS);
-    sites
+    StateElement::all(dialect)
+        .flat_map(|element| (0..element.bits(dialect)).map(move |bit| FaultSite { element, bit }))
+        .collect()
 }
 
 /// An order-sensitive FNV-1a digest of a dialect's site enumeration.
@@ -107,6 +77,35 @@ pub fn enumeration_digest(dialect: Dialect) -> u64 {
     hash
 }
 
+/// Draw one fault from `model`'s population: a uniformly chosen site
+/// from `site_list`, then — for `Mixed`, after a transient-or-stuck
+/// coin — either a one-shot flip scheduled uniformly inside
+/// `0..clean_cycles` or a stuck-at of random polarity. `clean_cycles` is
+/// read only by transient draws. Campaign and recovery trials, die
+/// defects and mission wear all draw through this one function, so each
+/// RNG stream consumes its draws in one order.
+pub fn draw_fault(
+    rng: &mut StdRng,
+    site_list: &[FaultSite],
+    model: FaultModel,
+    clean_cycles: u64,
+) -> ArchFault {
+    let site = site_list[rng.gen_range(0..site_list.len())];
+    let transient = match model {
+        FaultModel::StuckAt => false,
+        FaultModel::Transient => true,
+        FaultModel::Mixed => rng.gen_bool(0.5),
+    };
+    let kind = if transient {
+        FaultKind::FlipAtCycle(rng.gen_range(0..clean_cycles))
+    } else if rng.gen_bool(0.5) {
+        FaultKind::StuckAt0
+    } else {
+        FaultKind::StuckAt1
+    };
+    site.with_kind(kind)
+}
+
 /// Draw `count` stuck-at faults for one manufactured die from its
 /// defect seed, mirroring how `flexfab` maps defect draws onto gate-level
 /// fault sites: uniform over the architectural site list, polarity by
@@ -116,15 +115,7 @@ pub fn die_faults(dialect: Dialect, defect_seed: u64, count: u32) -> Vec<ArchFau
     let sites = enumerate(dialect);
     let mut rng = StdRng::seed_from_u64(defect_seed);
     (0..count)
-        .map(|_| {
-            let site = sites[rng.gen_range(0..sites.len())];
-            let kind = if rng.gen_bool(0.5) {
-                FaultKind::StuckAt0
-            } else {
-                FaultKind::StuckAt1
-            };
-            site.with_kind(kind)
-        })
+        .map(|_| draw_fault(&mut rng, &sites, FaultModel::StuckAt, 0))
         .collect()
 }
 
@@ -195,9 +186,9 @@ mod tests {
             assert_eq!(unique.len(), sites.len(), "{dialect:?}");
             for s in &sites {
                 let width = match s.element {
-                    StateElement::Pc => PC_BITS,
-                    StateElement::FetchBus => FETCH_BITS,
-                    StateElement::PageReg | StateElement::PagePending => PAGE_BITS,
+                    StateElement::Pc => 7,
+                    StateElement::FetchBus => 8,
+                    StateElement::PageReg | StateElement::PagePending => 4,
                     _ => dialect.datapath_bits() as u8,
                 };
                 assert!(s.bit < width, "{dialect:?} {:?}", s);

@@ -37,7 +37,8 @@
 //! stress processes must be appended after the existing draws so old
 //! seeds keep producing the same histories.
 
-use crate::sites::{self, FaultSite};
+use crate::campaign::FaultModel;
+use crate::sites;
 use flexicore::isa::Dialect;
 use flexicore::sim::{ArchFault, FaultKind, PowerCut};
 use rand::rngs::StdRng;
@@ -178,7 +179,7 @@ impl StressSchedule {
                 if config.ticks == 0 {
                     break;
                 }
-                let fault = stuck_at(&mut rng, &site_list);
+                let fault = sites::draw_fault(&mut rng, &site_list, FaultModel::StuckAt, 0);
                 let at = rng.gen_range(0..config.ticks) as usize;
                 ticks[at].wear.push((die, fault));
             }
@@ -260,17 +261,6 @@ impl StressSchedule {
 /// the stream stays aligned regardless of the probability value.
 fn per_mille(rng: &mut StdRng, p: u32) -> bool {
     rng.gen_range(0..1000u32) < p
-}
-
-/// Draw one permanent stuck-at over the site list.
-fn stuck_at(rng: &mut StdRng, site_list: &[FaultSite]) -> ArchFault {
-    let site = site_list[rng.gen_range(0..site_list.len())];
-    let kind = if rng.gen_bool(0.5) {
-        FaultKind::StuckAt0
-    } else {
-        FaultKind::StuckAt1
-    };
-    site.with_kind(kind)
 }
 
 #[cfg(test)]

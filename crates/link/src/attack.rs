@@ -298,10 +298,7 @@ pub fn run_attack_soak(config: AttackSoakConfig) -> Result<AttackCampaign, RunEr
                             | (r as u64) << 32
                             | (a as u64) << 16
                             | rep as u64;
-                        let trial_seed = config
-                            .seed
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            .wrapping_add(cell);
+                        let trial_seed = flexshard::cell_seed(config.seed, cell);
                         plan.push((group, ber, attack, rep, trial_seed));
                     }
                 }

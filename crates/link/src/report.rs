@@ -46,20 +46,20 @@ pub fn render(campaign: &SoakCampaign) -> String {
         ));
     }
     out.push('\n');
-    for outcome in [
-        ResilientOutcome::Masked,
-        ResilientOutcome::Recovered,
-        ResilientOutcome::Unrecoverable,
+    let tally = campaign.tally();
+    for (outcome, count) in [
+        (ResilientOutcome::Masked, tally.masked),
+        (ResilientOutcome::Recovered, tally.recovered),
+        (ResilientOutcome::Unrecoverable, tally.unrecoverable),
     ] {
-        out.push_str(&format!(
-            "{:<14} {:>5}\n",
-            outcome.to_string(),
-            campaign.count(outcome)
-        ));
+        out.push_str(&format!("{:<14} {:>5}\n", outcome.to_string(), count));
     }
+    // survival counted from the unrecoverable side, `1 − u / n`: it can
+    // differ from `(m + r) / n` in the last bit, which shows at three
+    // decimals
     out.push_str(&format!(
         "survival       {:>5.3}\n",
-        campaign.survival_rate()
+        1.0 - tally.rate(tally.unrecoverable)
     ));
     out
 }

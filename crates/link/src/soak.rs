@@ -27,7 +27,7 @@ use flexasm::Target;
 use flexicore::sim::FaultPlane;
 use flexkernels::harness::PreparedKernel;
 use flexkernels::{inputs::Sampler, oracle, Kernel, RunError};
-use flexresilient::ResilientOutcome;
+use flexresilient::{ResilienceTally, ResilientOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -98,19 +98,10 @@ pub struct SoakCampaign {
 }
 
 impl SoakCampaign {
-    /// Trials with `outcome`.
+    /// The outcome tally of every trial.
     #[must_use]
-    pub fn count(&self, outcome: ResilientOutcome) -> usize {
-        self.trials.iter().filter(|t| t.outcome == outcome).count()
-    }
-
-    /// Fraction of trials that ended oracle-exact.
-    #[must_use]
-    pub fn survival_rate(&self) -> f64 {
-        if self.trials.is_empty() {
-            return 1.0;
-        }
-        1.0 - self.count(ResilientOutcome::Unrecoverable) as f64 / self.trials.len() as f64
+    pub fn tally(&self) -> ResilienceTally {
+        ResilienceTally::of(self.trials.iter().map(|t| t.outcome))
     }
 }
 
@@ -181,10 +172,7 @@ fn run_cell(
 ) -> SoakTrial {
     let ber = config.error_rates[r];
     // one private, reproducible stream per (kernel, rate) cell
-    let trial_seed = config
-        .seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((k as u64) << 32 | r as u64);
+    let trial_seed = flexshard::cell_seed(config.seed, (k as u64) << 32 | r as u64);
     let mut rng = StdRng::seed_from_u64(trial_seed);
     let inputs = Sampler::new(kernel, trial_seed ^ 0xA5A5).draw();
     let upsets: Vec<StoreUpset> = (0..config.upsets_per_trial)
@@ -224,8 +212,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(campaign.trials.len(), 1);
-        assert_eq!(campaign.count(ResilientOutcome::Masked), 1);
-        assert!((campaign.survival_rate() - 1.0).abs() < f64::EPSILON);
+        assert_eq!(campaign.tally().masked, 1);
+        assert!((campaign.tally().survival_rate() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn every_kernel_survives_the_noisy_link() {
         );
         assert!(trial.run.programmed && trial.run.halted);
     }
-    assert!((campaign.survival_rate() - 1.0).abs() < f64::EPSILON);
+    assert!((campaign.tally().survival_rate() - 1.0).abs() < f64::EPSILON);
 }
 
 /// A multi-rate campaign replays bit-for-bit: same trials, same frame
@@ -74,7 +74,7 @@ fn other_dialects_survive_the_noisy_link() {
         let campaign = run_soak(SoakConfig::new(target, vec![2e-4], 99)).unwrap();
         assert!(!campaign.trials.is_empty());
         assert_eq!(
-            campaign.count(ResilientOutcome::Unrecoverable),
+            campaign.tally().unrecoverable,
             0,
             "{:?}: {:#?}",
             target.dialect,

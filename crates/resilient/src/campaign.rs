@@ -19,14 +19,15 @@
 
 use flexasm::Target;
 use flexicore::sim::{ArchFault, FaultPlane, NoFaults};
-use flexinject::campaign::{draw_fault, FaultModel};
-use flexinject::sites;
+use flexinject::campaign::FaultModel;
+use flexinject::sites::{self, draw_fault};
 use flexkernels::harness::{PreparedKernel, RunError, CYCLE_BUDGET};
 use flexkernels::{inputs::Sampler, oracle, Kernel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::recovery::{RecoveryConfig, RecoveryExecutor};
+use crate::report::ResilienceTally;
 use crate::sched::QuorumMode;
 use crate::vote::{NmrConfig, NmrConfigError, NmrExecutor, VoteVerdict};
 
@@ -173,21 +174,10 @@ pub struct RecoveryCampaign {
 }
 
 impl RecoveryCampaign {
-    /// Count trials with `outcome`.
+    /// The outcome tally of every trial.
     #[must_use]
-    pub fn count(&self, outcome: ResilientOutcome) -> usize {
-        self.trials.iter().filter(|t| t.outcome == outcome).count()
-    }
-
-    /// Fraction of trials the executor delivered oracle-exact (masked
-    /// plus recovered).
-    #[must_use]
-    pub fn survival_rate(&self) -> f64 {
-        if self.trials.is_empty() {
-            return 0.0;
-        }
-        (self.count(ResilientOutcome::Masked) + self.count(ResilientOutcome::Recovered)) as f64
-            / self.trials.len() as f64
+    pub fn tally(&self) -> ResilienceTally {
+        ResilienceTally::of(self.trials.iter().map(|t| t.outcome))
     }
 }
 
@@ -346,14 +336,18 @@ mod tests {
             "{:?}",
             campaign.trials
         );
-        assert!((campaign.survival_rate() - 1.0).abs() < f64::EPSILON);
+        assert!((campaign.tally().survival_rate() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
     fn dmr_campaign_recovers_transients() {
         let campaign =
             run_recovery_campaign(quick(QuorumMode::DmrReexec, FaultModel::Transient, 5)).unwrap();
-        assert!(campaign.survival_rate() >= 0.9, "{:?}", campaign.trials);
+        assert!(
+            campaign.tally().survival_rate() >= 0.9,
+            "{:?}",
+            campaign.trials
+        );
     }
 
     #[test]
@@ -362,7 +356,7 @@ mod tests {
             run_recovery_campaign(quick(QuorumMode::Simplex, FaultModel::StuckAt, 7)).unwrap();
         // a lone lane cannot vote away permanent faults; some trials
         // must fail, or the classification is broken
-        assert!(campaign.count(ResilientOutcome::Unrecoverable) > 0);
+        assert!(campaign.tally().unrecoverable > 0);
     }
 
     #[test]

@@ -18,9 +18,7 @@ use flexkernels::{inputs::Sampler, oracle, Kernel};
 use flexresilient::recovery::{RecoveryConfig, RecoveryExecutor};
 use flexresilient::sched::{compose, QuorumMode};
 use flexresilient::vote::{NmrConfig, NmrExecutor, VoteVerdict};
-use flexresilient::{
-    run_recovery_campaign, RecoveryCampaignConfig, ResilienceTally, ResilientOutcome,
-};
+use flexresilient::{run_recovery_campaign, RecoveryCampaignConfig, ResilientOutcome};
 
 const ALL_TARGETS: [fn() -> Target; 4] = [
     Target::fc4,
@@ -69,7 +67,7 @@ fn checkpoint_rollback_recovers_most_transients_on_all_dialects() {
             29,
         ))
         .unwrap();
-        let tally = ResilienceTally::of(&campaign.trials);
+        let tally = campaign.tally();
         assert!(
             tally.survival_rate() >= 0.9,
             "{:?}: survival {:.2} < 0.90 over {} trials ({} unrecoverable)",

@@ -66,12 +66,10 @@ impl Deadline {
     }
 }
 
+/// A request's deny byte as a severity; a byte the wire decoder would
+/// reject (only an in-process request can carry one) denies at error.
 fn map_deny(deny: u8) -> Severity {
-    match deny {
-        0 => Severity::Info,
-        1 => Severity::Warning,
-        _ => Severity::Error,
-    }
+    Severity::from_byte(deny).unwrap_or(Severity::Error)
 }
 
 /// The daemon's computation engine. Stateless with respect to results;

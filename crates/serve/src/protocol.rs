@@ -400,13 +400,13 @@ impl<'a> Reader<'a> {
 }
 
 fn deny_valid(deny: u8) -> Result<u8, ProtoError> {
-    if deny <= 2 {
-        Ok(deny)
-    } else {
-        Err(ProtoError::new(format!(
-            "deny severity byte {deny} out of range (0 info, 1 warning, 2 error)"
-        )))
-    }
+    flexcheck::Severity::from_byte(deny)
+        .map(flexcheck::Severity::to_byte)
+        .ok_or_else(|| {
+            ProtoError::new(format!(
+                "deny severity byte {deny} out of range (0 info, 1 warning, 2 error)"
+            ))
+        })
 }
 
 /// Encode a request *core* — the cache-key material: kind byte plus

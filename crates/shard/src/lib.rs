@@ -13,7 +13,9 @@
 //!   whatever seed material the caller derived for that index) — never
 //!   of a shared mutable RNG. Campaigns achieve this by drawing all
 //!   RNG-dependent material serially up front, or by deriving a private
-//!   stream per unit with [`shard_seed`].
+//!   stream per unit with [`shard_seed`] or [`cell_seed`].
+//! * This crate owns every derived seed: the [`splitmix64`] step,
+//!   [`shard_seed`] and [`cell_seed`] exist here and nowhere else.
 //! * The pool is self-scheduling (workers pull the next unit index from
 //!   a shared counter), so wall-clock balances across uneven units
 //!   while determinism rides entirely on the order-preserving merge.
@@ -62,18 +64,40 @@ fn resolve_threads(requested: usize, forced: Option<&str>) -> usize {
     .clamp(1, MAX_THREADS)
 }
 
-/// Derive the private seed of work unit `index` from a campaign seed
-/// using a splitmix64 finalizer — the same mixer the vendored `rand`
-/// uses, so unit streams are as decorrelated as fresh `StdRng` streams.
-/// Two different `(seed, index)` pairs collide only if splitmix64 does.
-#[must_use]
-pub fn shard_seed(campaign_seed: u64, index: u64) -> u64 {
-    let mut z = campaign_seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+/// One splitmix64 step: advance `state` by the golden-ratio increment
+/// and return the finalized value — the same mixer the vendored `rand`
+/// uses. Every derived seed and dependency-free draw in the workspace
+/// (PowerCut torn bits, gate-level defect sites, [`shard_seed`]) runs
+/// through this one function.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Derive the private seed of work unit `index` from a campaign seed
+/// with one [`splitmix64`] step, so unit streams are as decorrelated as
+/// fresh `StdRng` streams. Two different `(seed, index)` pairs collide
+/// only if splitmix64 does.
+#[must_use]
+#[inline]
+pub fn shard_seed(campaign_seed: u64, index: u64) -> u64 {
+    let mut state = campaign_seed.wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    splitmix64(&mut state)
+}
+
+/// The seed of one campaign cell: `seed × φ·2⁶⁴ + cell`, where `cell`
+/// packs the cell's coordinates (kernel, rate, repetition, …) into one
+/// word. Unlike [`shard_seed`] this is not mixed — the cell's `StdRng`
+/// does the mixing — and it is part of the replay contract of every
+/// campaign that seeds its cells with it.
+#[must_use]
+#[inline]
+pub fn cell_seed(seed: u64, cell: u64) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(cell)
 }
 
 /// Map `f` over `0..count` on up to `threads` worker threads and return
@@ -147,6 +171,127 @@ mod tests {
             }
         }
         assert_ne!(shard_seed(1, 0), shard_seed(0, 1));
+    }
+
+    /// Seeds at the edges of the domain, plus one with every nibble set.
+    const EDGES: [u64; 4] = [0, 1, 0x1234_5678_9ABC_DEF0, u64::MAX];
+
+    #[test]
+    fn shard_seed_values_are_pinned() {
+        let pinned: [[u64; 4]; 4] = [
+            [
+                0xE220_A839_7B1D_CDAF,
+                0xE4BA_CEA5_C4B9_B499,
+                0x3618_6C9B_09A5_C323,
+                0x8A7E_6316_529F_79A8,
+            ],
+            [
+                0x910A_2DEC_8902_5CC1,
+                0x0AB1_85BB_B69A_2D35,
+                0xF177_6137_9B58_E8A4,
+                0x2F58_118E_563E_E174,
+            ],
+            [
+                0x1619_22C6_45CE_50E8,
+                0xEDFF_095C_BDC5_47D9,
+                0x5FE1_F126_C558_F61C,
+                0x6EBB_A3C4_6795_9019,
+            ],
+            [
+                0xE4D9_7177_1B65_2C20,
+                0xA784_C31D_524D_0DF7,
+                0xBE20_0F97_A821_62FB,
+                0xFCC3_3CB0_7158_AA5E,
+            ],
+        ];
+        for (row, seed) in pinned.iter().zip(EDGES) {
+            for (&want, index) in row.iter().zip(EDGES) {
+                assert_eq!(
+                    shard_seed(seed, index),
+                    want,
+                    "shard_seed({seed:#x}, {index:#x})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cell_seed_values_are_pinned() {
+        let pinned: [[u64; 4]; 4] = [
+            [0, 1, 0x1234_5678_9ABC_DEF0, u64::MAX],
+            [
+                0x9E37_79B9_7F4A_7C15,
+                0x9E37_79B9_7F4A_7C16,
+                0xB06B_D032_1A07_5B05,
+                0x9E37_79B9_7F4A_7C14,
+            ],
+            [
+                0xC93A_7B79_AEDA_89B0,
+                0xC93A_7B79_AEDA_89B1,
+                0xDB6E_D1F2_4997_68A0,
+                0xC93A_7B79_AEDA_89AF,
+            ],
+            [
+                0x61C8_8646_80B5_83EB,
+                0x61C8_8646_80B5_83EC,
+                0x73FC_DCBF_1B72_62DB,
+                0x61C8_8646_80B5_83EA,
+            ],
+        ];
+        for (row, seed) in pinned.iter().zip(EDGES) {
+            for (&want, cell) in row.iter().zip(EDGES) {
+                assert_eq!(
+                    cell_seed(seed, cell),
+                    want,
+                    "cell_seed({seed:#x}, {cell:#x})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn splitmix64_streams_are_pinned() {
+        let pinned: [([u64; 3], u64); 4] = [
+            (
+                [
+                    0xE220_A839_7B1D_CDAF,
+                    0x6E78_9E6A_A1B9_65F4,
+                    0x06C4_5D18_8009_454F,
+                ],
+                0xDAA6_6D2C_7DDF_743F,
+            ),
+            (
+                [
+                    0x910A_2DEC_8902_5CC1,
+                    0xBEEB_8DA1_658E_EC67,
+                    0xF893_A2EE_FB32_555E,
+                ],
+                0xDAA6_6D2C_7DDF_7440,
+            ),
+            (
+                [
+                    0x1619_22C6_45CE_50E8,
+                    0xAD76_0CAF_A169_7B60,
+                    0x3501_FF44_902C_A50D,
+                ],
+                0xECDA_C3A5_189C_532F,
+            ),
+            (
+                [
+                    0xE4D9_7177_1B65_2C20,
+                    0xE99F_F867_DBF6_82C9,
+                    0x382F_F84C_B272_81E9,
+                ],
+                0xDAA6_6D2C_7DDF_743E,
+            ),
+        ];
+        for ((outputs, end), seed) in pinned.iter().zip(EDGES) {
+            let mut state = seed;
+            for &want in outputs {
+                assert_eq!(splitmix64(&mut state), want, "stream from {seed:#x}");
+            }
+            assert_eq!(state, *end, "state after three steps from {seed:#x}");
+        }
     }
 
     #[test]
