@@ -122,7 +122,9 @@ echo "== hang fast-forward gate =="
 #   prune_equiv       vuln-pruned campaigns equal unpruned ones
 #   screen_digests    wafer-screen outcomes and fault-coverage bits
 #   defect_draws      the gate-level defect sites each die seed draws
-#   netlist_digests   every cell of the three fabricated netlists
+#   netlist_digests   every cell of the three netlists flexrtl::build makes
+#   cosim_fuzz        flexrtl::build at 4 and 8 bits equals FabCore<4>/<8>
+#                     cycle by cycle on random programs
 #   compiled_oracle   the compiled gate tape equals the cell interpreter
 #   vuln_digests      per-kernel site verdicts over the fault-site universe
 #   recovery_digests  resilient-executor trials of every quorum mode
@@ -140,6 +142,7 @@ cargo test --release --offline -p flexinject -q --test prune_equiv
 cargo test --release --offline -p flexfab -q --test screen_digests
 cargo test --release --offline -p flexfab -q --test defect_draws
 cargo test --release --offline -p flexrtl -q --test netlist_digests
+cargo test --release --offline -p flexrtl -q --test cosim_fuzz
 cargo test --release --offline -p flexgate -q --test compiled_oracle
 cargo test --release --offline -p flexcheck -q --test vuln_digests
 cargo test --release --offline -p flexresilient -q --test recovery_digests

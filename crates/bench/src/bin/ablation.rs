@@ -19,13 +19,14 @@ use flexfab::variation::{draw_wafer, WaferRecipe};
 use flexfab::wafer::WaferLayout;
 use flexfab::wafer_run::{CoreDesign, WaferExperiment};
 use flexgate::report::Report;
+use flexicore::isa::features::FeatureSet;
 
 fn main() {
     flexbench::header("Ablation 1 — defect-density sensitivity (FlexiCore4, 4.5 V)");
     // re-draw wafers with scaled densities by scaling the die area fed to
     // the Poisson model (λ = density × area, so the two are interchangeable)
     let layout = WaferLayout::new();
-    let netlist = flexrtl::build_fc4();
+    let netlist = flexrtl::build(4, FeatureSet::BASE);
     let area = Report::of(&netlist).total.area_mm2();
     let tester = Tester::new(&netlist, TestPlan::quick(4_000)).expect("netlist validation failed");
     println!("{:>8} {:>12} {:>12}", "scale", "yield full", "yield incl");

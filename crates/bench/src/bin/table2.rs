@@ -2,6 +2,7 @@
 //! power (on-core data memory dominates).
 
 use flexgate::report::Report;
+use flexicore::isa::features::FeatureSet;
 
 /// `(module, paper area share %, paper power share %, paper non-comb %)`
 const PAPER: &[(&str, f64, f64, f64)] = &[
@@ -14,6 +15,6 @@ const PAPER: &[(&str, f64, f64, f64)] = &[
 
 fn main() {
     flexbench::header("Table 2 — FlexiCore4 module breakdown");
-    let netlist = flexrtl::build_fc4();
+    let netlist = flexrtl::build(4, FeatureSet::BASE);
     flexbench::print_breakdown(&Report::of(&netlist), PAPER);
 }

@@ -6,6 +6,7 @@
 
 use flexfab::wafer_run::{CoreDesign, WaferExperiment};
 use flexgate::report::Report;
+use flexicore::isa::features::FeatureSet;
 
 struct Row {
     name: &'static str,
@@ -83,7 +84,7 @@ const LITERATURE: &[Row] = &[
 
 fn main() {
     flexbench::header("Table 7 — FlexiCore4 vs other flexible ICs");
-    let netlist = flexrtl::build_fc4();
+    let netlist = flexrtl::build(4, FeatureSet::BASE);
     let report = Report::of(&netlist);
     let run = WaferExperiment::published(CoreDesign::FlexiCore4)
         .run(4.5, 20_000)

@@ -218,18 +218,9 @@ impl VulnReport {
             hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
         };
         for e in &self.elements {
-            let (tag, word) = match e.element {
-                StateElement::Pc => (0u64, 0u64),
-                StateElement::Acc => (1, 0),
-                StateElement::Mem(w) => (2, u64::from(w)),
-                StateElement::FetchBus => (3, 0),
-                StateElement::InputPort => (4, 0),
-                StateElement::OutputPort => (5, 0),
-                StateElement::PageReg => (6, 0),
-                StateElement::PagePending => (7, 0),
-            };
-            mix(tag);
-            mix(word);
+            let (tag, word) = e.element.code();
+            mix(u64::from(tag));
+            mix(u64::from(word));
             mix(u64::from(e.bits));
             mix(match e.class {
                 SiteClass::ProvablyMasked => 0,

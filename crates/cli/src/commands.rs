@@ -4,6 +4,7 @@ use crate::args::{Args, CliError};
 use flexasm::{Assembler, Target};
 use flexicore::exec::AnyCore;
 use flexicore::io::{InputPort, OutputPort, RecordingOutput, ScriptedInput};
+use flexicore::isa::features::FeatureSet;
 use flexicore::isa::Dialect;
 use flexicore::program::Program;
 use flexicore::sim::RunResult;
@@ -17,8 +18,9 @@ fn fabricated_netlist(
     dialect: Dialect,
 ) -> Result<flexgate::netlist::Netlist, CliError> {
     match dialect {
-        Dialect::Fc4 => Ok(flexrtl::build_fc4()),
-        Dialect::Fc8 => Ok(flexrtl::build_fc8()),
+        Dialect::Fc4 | Dialect::Fc8 => {
+            Ok(flexrtl::build(dialect.datapath_bits(), FeatureSet::BASE))
+        }
         other => Err(CliError::Usage(format!(
             "{command} supports the fabricated dialects fc4/fc8, not {other}"
         ))),

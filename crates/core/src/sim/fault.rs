@@ -99,6 +99,26 @@ impl StateElement {
             | StateElement::OutputPort => dialect.datapath_bits() as u8,
         }
     }
+
+    /// The element's `(tag, word)` code in the order-sensitive digests
+    /// that pin the site universe (`flexinject::sites::enumeration_digest`,
+    /// `flexcheck::vuln::VulnReport::digest`): the tag follows [`all`]'s
+    /// order and the word is the data-memory index, zero elsewhere.
+    ///
+    /// [`all`]: StateElement::all
+    #[must_use]
+    pub fn code(self) -> (u8, u8) {
+        match self {
+            StateElement::Pc => (0, 0),
+            StateElement::Acc => (1, 0),
+            StateElement::Mem(word) => (2, word),
+            StateElement::FetchBus => (3, 0),
+            StateElement::InputPort => (4, 0),
+            StateElement::OutputPort => (5, 0),
+            StateElement::PageReg => (6, 0),
+            StateElement::PagePending => (7, 0),
+        }
+    }
 }
 
 impl fmt::Display for StateElement {

@@ -18,7 +18,7 @@ use crate::config::{CoreConfig, OperandModel};
 use flexgate::netlist::Netlist;
 use flexgate::report::{ModuleStats, Report};
 use flexgate::timing::{analyze, DelayModel};
-use flexicore::isa::features::Feature;
+use flexicore::isa::features::{Feature, FeatureSet};
 use flexicore::uarch::Microarch;
 
 /// Delay units charged to instruction fetch/decode before execution can
@@ -126,7 +126,7 @@ pub fn estimate(config: &CoreConfig) -> CoreCost {
 fn base_cost(operand: OperandModel) -> CoreCost {
     match operand {
         OperandModel::Accumulator => {
-            let n = flexrtl::build_fc4();
+            let n = flexrtl::build(4, FeatureSet::BASE);
             let r = Report::of(&n).total;
             let path = analyze(&n).expect("fc4 is well-formed").critical_path_units;
             CoreCost {
@@ -143,7 +143,7 @@ fn base_cost(operand: OperandModel) -> CoreCost {
             // read port, a wider (16-bit) instruction decode, and a flags
             // register
             let mut cost = base_cost(OperandModel::Accumulator);
-            let fc4 = flexrtl::build_fc4();
+            let fc4 = flexrtl::build(4, FeatureSet::BASE);
             let acc = Report::of(&fc4).module_rollup("acc");
             cost.area_nand2 -= acc.area();
             cost.devices -= acc.devices;
@@ -379,7 +379,6 @@ fn multicycle_controller(operand: OperandModel) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexicore::isa::features::FeatureSet;
 
     fn cfg(operand: OperandModel, uarch: Microarch, features: FeatureSet) -> CoreConfig {
         CoreConfig {
@@ -392,7 +391,7 @@ mod tests {
     #[test]
     fn base_acc_sc_is_flexicore4() {
         let cost = estimate(&CoreConfig::flexicore4());
-        let fc4 = Report::of(&flexrtl::build_fc4()).total;
+        let fc4 = Report::of(&flexrtl::build(4, FeatureSet::BASE)).total;
         assert!((cost.area_nand2 - fc4.area()).abs() < 1e-9);
         assert_eq!(cost.devices, fc4.devices);
     }

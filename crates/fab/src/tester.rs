@@ -353,6 +353,7 @@ pub fn fault_coverage(netlist: &Netlist, plan: TestPlan) -> Result<f64, FabError
 mod tests {
     use super::*;
     use crate::variation::DieVariation;
+    use flexicore::isa::features::FeatureSet;
 
     fn clean_die() -> DieVariation {
         DieVariation {
@@ -375,7 +376,7 @@ mod tests {
             "in-field vectors must not replay the fab's"
         );
         // the plan still drives the gate-level tester
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let tester = Tester::new(&netlist, plan).unwrap();
         let out = tester.test_wafer(&[clean_die(); 2], 4.5).unwrap();
         assert!(out.iter().all(DieOutcome::functional));
@@ -383,7 +384,7 @@ mod tests {
 
     #[test]
     fn clean_dies_pass_at_both_voltages() {
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let tester = Tester::new(&netlist, TestPlan::quick(500)).unwrap();
         for v in [3.0, 4.5] {
             let out = tester.test_wafer(&[clean_die(); 5], v).unwrap();
@@ -393,7 +394,7 @@ mod tests {
 
     #[test]
     fn defective_dies_usually_fail() {
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let tester = Tester::new(&netlist, TestPlan::quick(2_000)).unwrap();
         let dies: Vec<DieVariation> = (0..40)
             .map(|i| DieVariation {
@@ -411,7 +412,7 @@ mod tests {
 
     #[test]
     fn slow_dies_fail_only_at_low_voltage() {
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let tester = Tester::new(&netlist, TestPlan::quick(500)).unwrap();
         let slow = DieVariation {
             delay_factor: 1.3,
@@ -426,8 +427,8 @@ mod tests {
 
     #[test]
     fn fc8_nominal_timing_fails_at_3v_but_not_fc4() {
-        let fc4 = flexrtl::build_fc4();
-        let fc8 = flexrtl::build_fc8();
+        let fc4 = flexrtl::build(4, FeatureSet::BASE);
+        let fc8 = flexrtl::build(8, FeatureSet::BASE);
         let t4 = Tester::new(&fc4, TestPlan::quick(100)).unwrap();
         let t8 = Tester::new(&fc8, TestPlan::quick(100)).unwrap();
         assert!(t4.nominal_fmax_hz(3.0) > TEST_CLOCK_HZ);
@@ -437,7 +438,7 @@ mod tests {
 
     #[test]
     fn voltages_no_die_can_switch_at_are_rejected() {
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let tester = Tester::new(&netlist, TestPlan::quick(100)).unwrap();
         let vth = DelayModel::igzo().vth_nom;
         for v in [0.0, -1.0, vth, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -452,7 +453,7 @@ mod tests {
 
     #[test]
     fn more_than_63_dies_are_chunked() {
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let tester = Tester::new(&netlist, TestPlan::quick(200)).unwrap();
         let dies = vec![clean_die(); 130];
         let out = tester.test_wafer(&dies, 4.5).unwrap();
@@ -462,7 +463,7 @@ mod tests {
 
     #[test]
     fn threaded_screen_is_bit_identical_to_serial() {
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let tester = Tester::new(&netlist, TestPlan::quick(400)).unwrap();
         // five chunks' worth of defective dies so threads matter
         let dies: Vec<DieVariation> = (0..300)
@@ -497,7 +498,7 @@ mod tests {
 
     #[test]
     fn each_die_screens_as_it_would_alone() {
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let tester = Tester::new(&netlist, TestPlan::quick(300)).unwrap();
         let dies = mixed_wafer();
         assert!(dies.iter().filter(|d| d.defect_count > 0).count() > 63);
@@ -516,7 +517,7 @@ mod tests {
 
     #[test]
     fn all_clean_wafer_needs_no_pack() {
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let tester = Tester::new(&netlist, TestPlan::quick(200)).unwrap();
         let dies: Vec<DieVariation> = (0..100)
             .map(|i| DieVariation {
@@ -538,7 +539,7 @@ mod tests {
     #[test]
     fn vector_set_covers_most_stuck_at_faults() {
         // §4.1: the vectors must stimulate all regions of the core
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let coverage = fault_coverage(&netlist, TestPlan::quick(4_000)).unwrap();
         assert!(coverage > 0.85, "stuck-at coverage {coverage:.3}");
     }

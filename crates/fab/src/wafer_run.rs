@@ -7,6 +7,7 @@ use crate::variation::{draw_wafer, DieVariation, WaferRecipe};
 use crate::wafer::{DieSite, WaferLayout};
 use flexgate::netlist::Netlist;
 use flexgate::report::Report;
+use flexicore::isa::features::FeatureSet;
 
 /// Which fabricated core a wafer carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,9 +35,9 @@ impl CoreDesign {
     #[must_use]
     pub fn netlist(self) -> Netlist {
         match self {
-            CoreDesign::FlexiCore4 => flexrtl::build_fc4(),
-            CoreDesign::FlexiCore8 => flexrtl::build_fc8(),
-            CoreDesign::FlexiCore4Plus => flexrtl::build_fc4_plus(),
+            CoreDesign::FlexiCore4 => flexrtl::build(4, FeatureSet::BASE),
+            CoreDesign::FlexiCore8 => flexrtl::build(8, FeatureSet::BASE),
+            CoreDesign::FlexiCore4Plus => flexrtl::build(4, FeatureSet::fc4_plus()),
         }
     }
 

@@ -3,10 +3,11 @@
 //! the published wafers' screen outcomes rest on these exact draws.
 
 use flexgate::fault::random_sites;
+use flexicore::isa::features::FeatureSet;
 
 #[test]
 fn fc4_defect_draws_are_pinned() {
-    let netlist = flexrtl::fc4::build_fc4();
+    let netlist = flexrtl::build(4, FeatureSet::BASE);
     let pinned: [(u64, [(usize, bool); 6]); 4] = [
         (
             0,

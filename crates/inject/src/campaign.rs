@@ -180,19 +180,13 @@ pub fn run_campaign_pruned(
     config: CampaignConfig,
     prune: Option<&flexcheck::vuln::VulnReport>,
 ) -> Result<CampaignResult, RunError> {
-    let prepared = PreparedKernel::new(config.kernel, config.target)?;
-    let site_list = sites::enumerate(config.target.dialect);
-    let mut sampler = Sampler::new(config.kernel, config.seed ^ 0x001A_7E57);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    // Fault-free reference: verifies the kernel on this target and
-    // bounds the transient-flip scheduling window.
-    let clean = prepared.run_with(
-        &sampler.draw(),
-        config.budget,
-        &mut flexicore::sim::NoFaults,
-    )?;
-    let clean_cycles = clean.result.cycles.max(1);
+    let TrialStream {
+        prepared,
+        site_list,
+        mut sampler,
+        mut rng,
+        clean_cycles,
+    } = TrialStream::new(config.kernel, config.target, config.seed, config.budget)?;
 
     // Pre-draw every (fault, input) pair in trial order — the RNG and
     // sampler streams interleave exactly as the old serial loop did —
@@ -233,6 +227,49 @@ pub fn run_campaign_pruned(
         clean_cycles,
         executed: executed.len(),
     })
+}
+
+/// The seeded streams every single-fault campaign draws its trials
+/// from, after the fault-free reference run. Fault-injection and
+/// recovery campaigns both start here, so one seed names one fault and
+/// input stream whichever campaign replays it.
+pub struct TrialStream {
+    /// The kernel, assembled once for the target.
+    pub prepared: PreparedKernel,
+    /// The target's fault-site universe ([`sites::enumerate`]).
+    pub site_list: Vec<sites::FaultSite>,
+    /// The input cases, seeded by the campaign seed salted apart from
+    /// `rng`.
+    pub sampler: Sampler,
+    /// The fault (and lane) draws, seeded by the campaign seed.
+    pub rng: StdRng,
+    /// Cycle count of the fault-free reference run, at least one: the
+    /// window transient flips are scheduled inside.
+    pub clean_cycles: u64,
+}
+
+impl TrialStream {
+    /// Assemble `kernel` for `target`, seed both streams from `seed`, and
+    /// run the fault-free reference on the sampler's first input case
+    /// under `budget`.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Asm`] if the kernel does not assemble for the target,
+    /// or any error from the reference run — a kernel that fails *clean*
+    /// makes every classification meaningless.
+    pub fn new(kernel: Kernel, target: Target, seed: u64, budget: u64) -> Result<Self, RunError> {
+        let prepared = PreparedKernel::new(kernel, target)?;
+        let mut sampler = Sampler::new(kernel, seed ^ 0x001A_7E57);
+        let clean = prepared.run_with(&sampler.draw(), budget, &mut flexicore::sim::NoFaults)?;
+        Ok(TrialStream {
+            site_list: sites::enumerate(target.dialect),
+            sampler,
+            rng: StdRng::seed_from_u64(seed),
+            clean_cycles: clean.result.cycles.max(1),
+            prepared,
+        })
+    }
 }
 
 /// Map a harness result onto the four-way classification.

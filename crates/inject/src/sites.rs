@@ -60,16 +60,7 @@ pub fn enumeration_digest(dialect: Dialect) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     };
     for site in enumerate(dialect) {
-        let (tag, word) = match site.element {
-            StateElement::Pc => (0u8, 0u8),
-            StateElement::Acc => (1, 0),
-            StateElement::Mem(w) => (2, w),
-            StateElement::FetchBus => (3, 0),
-            StateElement::InputPort => (4, 0),
-            StateElement::OutputPort => (5, 0),
-            StateElement::PageReg => (6, 0),
-            StateElement::PagePending => (7, 0),
-        };
+        let (tag, word) = site.element.code();
         mix(tag);
         mix(word);
         mix(site.bit);

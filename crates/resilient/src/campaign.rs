@@ -1,9 +1,10 @@
 //! Recovery campaigns: measure how much of `flexinject`'s fault
 //! population the resilient executor masks or recovers.
 //!
-//! A campaign mirrors [`flexinject::campaign`] — same site enumeration,
-//! same fault population via [`draw_fault`], same input sampler, one
-//! seeded RNG stream — but instead of a bare simulator each trial runs
+//! A campaign mirrors [`flexinject::campaign`] — the same
+//! [`TrialStream`] (site enumeration, input sampler, one seeded RNG
+//! stream, fault-free reference), the same fault population via
+//! [`draw_fault`] — but instead of a bare simulator each trial runs
 //! through the resilient executor at one rung of the degradation
 //! ladder. The three-way classification refines the injector's:
 //!
@@ -18,13 +19,12 @@
 //! every retry decision inside every trial — replays bit-for-bit.
 
 use flexasm::Target;
-use flexicore::sim::{ArchFault, FaultPlane, NoFaults};
-use flexinject::campaign::FaultModel;
-use flexinject::sites::{self, draw_fault};
+use flexicore::sim::{ArchFault, FaultPlane};
+use flexinject::campaign::{FaultModel, TrialStream};
+use flexinject::sites::draw_fault;
 use flexkernels::harness::{PreparedKernel, RunError, CYCLE_BUDGET};
-use flexkernels::{inputs::Sampler, oracle, Kernel};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use flexkernels::{oracle, Kernel};
+use rand::Rng;
 
 use crate::recovery::{RecoveryConfig, RecoveryExecutor};
 use crate::report::ResilienceTally;
@@ -205,13 +205,13 @@ pub fn run_recovery_campaign(
     if config.mode == QuorumMode::Tmr {
         vote.validate()?;
     }
-    let prepared = PreparedKernel::new(config.kernel, config.target)?;
-    let site_list = sites::enumerate(config.target.dialect);
-    let mut sampler = Sampler::new(config.kernel, config.seed ^ 0x001A_7E57);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    let clean = prepared.run_with(&sampler.draw(), config.budget, &mut NoFaults)?;
-    let clean_cycles = clean.result.cycles.max(1);
+    let TrialStream {
+        prepared,
+        site_list,
+        mut sampler,
+        mut rng,
+        clean_cycles,
+    } = TrialStream::new(config.kernel, config.target, config.seed, config.budget)?;
 
     // Serial pre-draw: faults, lane choices, inputs and oracle outputs
     // all come off the single seeded stream in trial order, exactly as

@@ -4,12 +4,13 @@
 
 use flexgate::report::Report;
 use flexgate::timing::{analyze, DelayModel};
+use flexicore::isa::features::FeatureSet;
 
 fn main() {
     for (name, n) in [
-        ("FlexiCore4", flexrtl::build_fc4()),
-        ("FlexiCore8", flexrtl::build_fc8()),
-        ("FlexiCore4+", flexrtl::build_fc4_plus()),
+        ("FlexiCore4", flexrtl::build(4, FeatureSet::BASE)),
+        ("FlexiCore8", flexrtl::build(8, FeatureSet::BASE)),
+        ("FlexiCore4+", flexrtl::build(4, FeatureSet::fc4_plus())),
     ] {
         let r = Report::of(&n);
         let t = analyze(&n).unwrap();

@@ -132,6 +132,7 @@ where
 mod tests {
     use super::*;
     use flexasm::{Assembler, Target};
+    use flexicore::isa::features::FeatureSet;
 
     fn core_for(target: Target, src: &str) -> AnyCore {
         let program = Assembler::new(target).assemble(src).unwrap().into_program();
@@ -152,7 +153,12 @@ mod tests {
             halt
         ";
         let core = core_for(Target::fc4(), src);
-        let r = cosim(&crate::build_fc4(), core, &mut ConstInput::new(0x6), 200);
+        let r = cosim(
+            &crate::build(4, FeatureSet::BASE),
+            core,
+            &mut ConstInput::new(0x6),
+            200,
+        );
         assert!(r.is_equivalent(), "{:?}", r.mismatches);
         assert!(r.cycles > 8);
     }
@@ -168,7 +174,12 @@ mod tests {
             halt
         ";
         let core = core_for(Target::fc8(), src);
-        let r = cosim(&crate::build_fc8(), core, &mut ConstInput::new(0x11), 200);
+        let r = cosim(
+            &crate::build(8, FeatureSet::BASE),
+            core,
+            &mut ConstInput::new(0x11),
+            200,
+        );
         assert!(r.is_equivalent(), "{:?}", r.mismatches);
     }
 
@@ -183,7 +194,12 @@ mod tests {
             halt
         ";
         let core = core_for(Target::fc8(), src);
-        let r = cosim(&crate::build_fc4(), core, &mut ConstInput::new(0), 200);
+        let r = cosim(
+            &crate::build(4, FeatureSet::BASE),
+            core,
+            &mut ConstInput::new(0),
+            200,
+        );
         assert!(!r.is_equivalent());
         assert_eq!(r.mismatches.len(), 1, "{:?}", r.mismatches);
         let m = &r.mismatches[0];

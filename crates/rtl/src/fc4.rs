@@ -1,4 +1,6 @@
-//! The FlexiCore4 gate-level netlist (paper Figure 3).
+//! The fabricated FlexiCore gate-level netlists — FlexiCore4 (paper
+//! Figure 3), FlexiCore8 (§3.3–3.4) and FlexiCore4+ (§6.1) — from one
+//! builder, [`build`].
 //!
 //! Single-cycle accumulator machine:
 //!
@@ -6,86 +8,148 @@
 //!   branch format, bit 6 drives the ALU input multiplexer, bits 5:4 drive
 //!   the ALU output multiplexer directly (§3.3). A handful of gates derive
 //!   the load/store/branch strobes.
-//! * **alu** — one 4-bit ripple-carry adder whose per-bit XOR (propagate)
-//!   and NAND terms are exported as side effects; NAND costs "only four
+//! * **alu** — one ripple-carry adder whose per-bit XOR (propagate) and
+//!   NAND terms are exported as side effects; NAND costs "only four
 //!   inverters" beyond the adder's internal AND terms (§3.4).
-//! * **mem** — eight 4-bit words: word 0 *is* the input bus (no storage),
-//!   word 1 is the output-port latch, words 2–7 are general purpose; one
-//!   shared read port (a 8:1 mux tree) and a write decoder.
+//! * **mem** — 32 bits of data words: word 0 *is* the input bus (no
+//!   storage), word 1 is the output-port latch, the rest are general
+//!   purpose; one shared read port (a mux tree) and a write decoder.
 //! * **pc** — 7-bit counter with a half-adder incrementer, branch-target
 //!   mux, and pad drivers for the external instruction-address bus.
-//! * **acc** — the 4-bit accumulator.
+//! * **acc** — the accumulator.
 //!
-//! Ports: inputs `instr[7:0]`, `iport[3:0]`; outputs `pc[6:0]`,
-//! `oport[3:0]`.
+//! FlexiCore8 is this machine at eight bits ([`mem_words`],
+//! [`has_load_byte`]): four octets behind a 2-bit address instead of eight
+//! nibbles behind a 3-bit one, 4-bit immediates sign-extended to the
+//! datapath, and the two-byte `LOAD BYTE`. That instruction is the single
+//! piece of controller state: a flag flip-flop set when the opcode byte
+//! `0x08` is decoded — while it is set, the incoming program byte is data
+//! to load into the accumulator, not an instruction (§3.4). FlexiCore4+
+//! adds the hardware of its two features ([`crate::fc4plus`]): a barrel
+//! shifter on the ALU output and nzp branch flags.
+//!
+//! Ports: inputs `instr[7:0]`, `iport[W-1:0]`; outputs `pc[6:0]`,
+//! `oport[W-1:0]`.
 
+use crate::fc4plus::{nzp_condition, right_shifter};
 use flexgate::netlist::{Net, Netlist};
 use flexgate::CellKind;
+use flexicore::isa::fc4::{has_load_byte, mem_words};
+use flexicore::isa::features::{Feature, FeatureSet};
 
-/// Data-path width.
-pub const WIDTH: usize = 4;
-/// Number of data-memory words.
-pub const MEM_WORDS: usize = 8;
-
-/// Build the FlexiCore4 netlist.
+/// Build the netlist of the fabricated core with a `width`-bit datapath
+/// and the ISA extensions `features`.
+///
+/// The cell order is part of the yield contract: fault sites are drawn
+/// in [`Netlist::cells`] order, so it fixes every die's defects.
+///
+/// # Panics
+///
+/// Unless (`width`, `features`) is one of the three taped-out points:
+/// FlexiCore4 (4, [`FeatureSet::BASE`]), FlexiCore8 (8, `BASE`) and
+/// FlexiCore4+ (4, [`FeatureSet::fc4_plus`]).
 #[must_use]
-pub fn build_fc4() -> Netlist {
+pub fn build(width: u32, features: FeatureSet) -> Netlist {
+    let fabricated = match width {
+        4 => features.is_base() || features == FeatureSet::fc4_plus(),
+        8 => features.is_base(),
+        _ => false,
+    };
+    assert!(
+        fabricated,
+        "no FlexiCore was fabricated at width {width} with features {features}"
+    );
+    let w = width as usize;
     let mut n = Netlist::new();
     let instr = n.inputs("instr", 8);
-    let iport = n.inputs("iport", WIDTH);
+    let iport = n.inputs("iport", w);
 
-    // ---- decoder --------------------------------------------------------
+    // ---- decoder / controller --------------------------------------------
     n.push_module("decoder");
     let is_branch = instr[7];
     let not_branch = n.not(is_branch);
     let imm_mode = instr[6];
     let op0 = instr[4];
     let op1 = instr[5];
+    // LOAD BYTE: `prefix` detects instr == 0b0000_1000, and the flag is
+    // set for exactly one cycle after the prefix byte
+    let load_byte = has_load_byte(width).then(|| {
+        let mut prefix = instr[3];
+        for (bit, &net) in instr.iter().enumerate() {
+            if bit != 3 {
+                let nb = n.not(net);
+                prefix = n.and(prefix, nb);
+            }
+        }
+        let flag = n.placeholder();
+        let not_flag = n.not(flag);
+        let next = n.and(prefix, not_flag);
+        n.drive_dff_r(next, flag);
+        (prefix, flag, not_flag)
+    });
     let is_transfer = n.and(op0, op1);
     let not_imm = n.not(imm_mode);
     let t_and_nb = n.and(is_transfer, not_branch);
-    // the load strobe exists physically but the datapath routes LOAD
-    // through the ALU output mux, so only its gates matter for area
-    let is_load = n.and(t_and_nb, not_imm);
-    let _ = is_load;
-    let is_store = n.and(t_and_nb, imm_mode);
+    // Order quirk 2: the base cores carry a load strobe whose gate only
+    // costs area (the datapath routes LOAD through the ALU output mux);
+    // FlexiCore4+ has none. Like quirk 1 below, it stays because moving
+    // a cell moves every die's defect draw.
+    if features.is_base() {
+        let _is_load = n.and(t_and_nb, not_imm);
+    }
+    let mut is_store = n.and(t_and_nb, imm_mode);
+    let mut branch_en = is_branch;
+    if let Some((_, _, not_flag)) = load_byte {
+        // while the flag is up, the incoming byte is pure data: suppress
+        // all strobes
+        is_store = n.and(is_store, not_flag);
+        branch_en = n.and(is_branch, not_flag);
+    }
+    // reserved encodings (bit 3 high in the *memory* formats — I-type
+    // immediates legitimately use bit 3) select the shifter
+    let is_shift = features.contains(Feature::BarrelShifter).then(|| {
+        let nb_bit3 = n.and(not_branch, instr[3]);
+        let not_transfer = n.not(is_transfer);
+        let mem_reserved = n.and(nb_bit3, not_transfer);
+        n.and(mem_reserved, not_imm)
+    });
     // acc write strobe: every non-branch, non-store instruction
     let not_store = n.not(is_store);
-    let acc_we = n.and(not_branch, not_store);
+    let acc_we = match load_byte {
+        None => n.and(not_branch, not_store),
+        Some((prefix, flag, _)) => {
+            // ACC holds during the prefix byte and loads the byte after it
+            let not_branch_en = n.not(branch_en);
+            let normal = n.and(not_branch_en, not_store);
+            let not_prefix = n.not(prefix);
+            let held = n.and(normal, not_prefix);
+            n.or(held, flag)
+        }
+    };
     n.pop_module();
 
     // ---- accumulator (declared early: feedback into ALU) -----------------
-    // build with explicit feedback nets so the ALU can read ACC
-    let acc_q: Vec<Net> = (0..WIDTH).map(|_| n.placeholder()).collect();
+    let acc_q: Vec<Net> = (0..w).map(|_| n.placeholder()).collect();
 
     // ---- memory ----------------------------------------------------------
     n.push_module("mem");
-    let addr = [instr[0], instr[1], instr[2]];
-    // word 1: output-port latch; words 2..7: general registers
-    let dec = n.decoder(&addr);
-    let mut words: Vec<Vec<Net>> = Vec::with_capacity(MEM_WORDS);
-    words.push(iport); // word 0 reads the live input bus
-    let mut stored_words: Vec<Vec<Net>> = Vec::new();
-    for d in dec
-        .iter()
-        .skip(1)
-        .take(MEM_WORDS - 1)
-        .copied()
-        .collect::<Vec<_>>()
-    {
+    let words = mem_words(width);
+    let addr = &instr[..words.trailing_zeros() as usize];
+    let dec = n.decoder(addr);
+    // word 0 reads the live input bus; word 1 is the output-port latch
+    let mut mem = vec![iport];
+    for &d in &dec[1..words] {
         let we = n.and(is_store, d);
-        let q = n.register(&acc_q, we);
-        words.push(q.clone());
-        stored_words.push(q);
+        mem.push(n.register(&acc_q, we));
     }
-    let mem_read = n.mux_tree(&addr, &words);
+    let mem_read = n.mux_tree(addr, &mem);
     n.pop_module();
 
     // ---- ALU -------------------------------------------------------------
     n.push_module("alu");
-    let imm = [instr[0], instr[1], instr[2], instr[3]];
-    let operand: Vec<Net> = (0..WIDTH)
-        .map(|i| n.mux(imm_mode, imm[i], mem_read[i]))
+    // the 4-bit immediate, sign-extended to the datapath
+    let operand: Vec<Net> = (0..w)
+        .map(|i| n.mux(imm_mode, instr[i.min(3)], mem_read[i]))
         .collect();
     let zero = n.const0();
     let (sum, _carry, xors, ands) = n.ripple_adder_with_terms(&acc_q, &operand, zero);
@@ -94,37 +158,75 @@ pub fn build_fc4() -> Netlist {
     let nands: Vec<Net> = ands.iter().map(|&g| n.not(g)).collect();
     // output mux: op 00 -> ADD, 01 -> NAND, 10 -> XOR, 11 -> operand
     // (the transfer format: LOAD passes the memory operand through)
-    let alu_out: Vec<Net> = (0..WIDTH)
+    let mut alu_out: Vec<Net> = (0..w)
         .map(|i| {
             let lo = n.mux(op0, nands[i], sum[i]);
             let hi = n.mux(op0, operand[i], xors[i]);
             n.mux(op1, hi, lo)
         })
         .collect();
+    if let Some((_, flag, _)) = load_byte {
+        // when the flag is up, the raw instruction byte is the result
+        alu_out = (0..w).map(|i| n.mux(flag, instr[i], alu_out[i])).collect();
+    }
     n.pop_module();
+
+    if let Some(is_shift) = is_shift {
+        // barrel shifter: right shift by instr[1:0], arithmetic when instr[2]
+        n.push_module("shifter");
+        let shifted = right_shifter(&mut n, &acc_q, [instr[0], instr[1]], instr[2]);
+        for (out, shifted) in alu_out.iter_mut().zip(shifted) {
+            *out = n.mux(is_shift, shifted, *out);
+        }
+        n.pop_module();
+    }
 
     // ---- accumulator -----------------------------------------------------
     n.push_module("acc");
-    for (i, &q) in acc_q.iter().enumerate() {
-        let d = n.mux(acc_we, alu_out[i], q);
+    for (&out, &q) in alu_out.iter().zip(&acc_q) {
+        let d = n.mux(acc_we, out, q);
         n.drive_dff_r(d, q);
     }
     n.pop_module();
 
-    // ---- program counter ---------------------------------------------------
+    // ---- program counter -------------------------------------------------
     n.push_module("pc");
     let pc_q: Vec<Net> = (0..7).map(|_| n.placeholder()).collect();
     let one = n.const1();
     let pc_inc = n.incrementer(&pc_q, one);
-    let taken = n.and(is_branch, acc_q[WIDTH - 1]);
-    let target = [
-        instr[0], instr[1], instr[2], instr[3], instr[4], instr[5], instr[6],
-    ];
-    let pc_next = (0..7)
-        .map(|i| n.mux(taken, target[i], pc_inc[i]))
-        .collect::<Vec<_>>();
-    for (i, &q) in pc_q.iter().enumerate() {
-        n.drive_dff_r(pc_next[i], q);
+    let mut target = instr[..7].to_vec();
+    let taken = if features.contains(Feature::BranchFlags) {
+        // condition flags over the accumulator; the nzp mask bits ride in
+        // instr[6:4] of the branch format
+        let flags = nzp_condition(&mut n, &acc_q, [instr[4], instr[5], instr[6]]);
+        let taken = n.and(branch_en, flags);
+        // branch target: low bits of the instruction plus held target
+        // register bits (approximating the second byte of the two-byte
+        // branch with a 3-bit target-extension register)
+        for bit in &mut target[4..] {
+            let q = n.placeholder();
+            n.drive_dff_r(*bit, q);
+            *bit = q;
+        }
+        taken
+    } else {
+        n.and(branch_en, acc_q[w - 1])
+    };
+    // Order quirk 1: FlexiCore4 emits all seven PC muxes before their
+    // flops; FlexiCore8 and FlexiCore4+ interleave them. Kept for the
+    // defect draws, as quirk 2.
+    let muxes_first = width == 4 && features.is_base();
+    let mut pending = Vec::new();
+    for ((&t, &inc), &q) in target.iter().zip(&pc_inc).zip(&pc_q) {
+        let d = n.mux(taken, t, inc);
+        if muxes_first {
+            pending.push((d, q));
+        } else {
+            n.drive_dff_r(d, q);
+        }
+    }
+    for (d, q) in pending {
+        n.drive_dff_r(d, q);
     }
     // pad drivers for the external instruction-address bus
     let pc_out: Vec<Net> = pc_q
@@ -136,10 +238,10 @@ pub fn build_fc4() -> Netlist {
         .collect();
     n.pop_module();
 
-    // ---- output port -------------------------------------------------------
+    // ---- output port -----------------------------------------------------
     // the oport latch is mem word 1; buffer it to the pads
     n.push_module("mem");
-    let oport: Vec<Net> = stored_words[0]
+    let oport: Vec<Net> = mem[1]
         .iter()
         .map(|&q| n.cell(CellKind::BufX2, &[q]))
         .collect();
@@ -158,14 +260,14 @@ mod tests {
 
     #[test]
     fn netlist_is_well_formed() {
-        let n = build_fc4();
+        let n = build(4, FeatureSet::BASE);
         assert!(n.levelize().is_ok());
     }
 
     #[test]
     fn gate_and_device_counts_near_paper() {
         // paper: 336 gates, 2104 devices, ~801 NAND2-equivalent area
-        let n = build_fc4();
+        let n = build(4, FeatureSet::BASE);
         let r = Report::of(&n);
         assert!(
             (250..=450).contains(&r.total.cells),
@@ -186,7 +288,7 @@ mod tests {
 
     #[test]
     fn memory_dominates_area_as_in_table2() {
-        let n = build_fc4();
+        let n = build(4, FeatureSet::BASE);
         let r = Report::of(&n);
         let mem = r.area_share("mem");
         let pc = r.area_share("pc");
@@ -204,7 +306,7 @@ mod tests {
     #[test]
     fn executes_add_store_sequence() {
         use flexicore::isa::fc4::Instruction as I;
-        let n = build_fc4();
+        let n = build(4, FeatureSet::BASE);
         let mut sim = BatchSim::new(&n).unwrap();
         sim.reset();
         let program = [
@@ -227,7 +329,7 @@ mod tests {
     #[test]
     fn branch_taken_on_negative_acc() {
         use flexicore::isa::fc4::Instruction as I;
-        let n = build_fc4();
+        let n = build(4, FeatureSet::BASE);
         let mut sim = BatchSim::new(&n).unwrap();
         sim.reset();
         // acc = 0xF (negative) then branch to 0x15
@@ -241,5 +343,91 @@ mod tests {
         }
         sim.settle();
         assert_eq!(sim.output_value("pc", 0), 0x15);
+    }
+
+    #[test]
+    fn fc8_netlist_is_well_formed() {
+        let n = build(8, FeatureSet::BASE);
+        assert!(n.levelize().is_ok());
+    }
+
+    #[test]
+    fn slightly_larger_than_fc4_as_in_table4() {
+        // paper: FlexiCore8 has ~9 % more gates than FlexiCore4
+        let fc4 = Report::of(&build(4, FeatureSet::BASE)).total;
+        let fc8 = Report::of(&build(8, FeatureSet::BASE)).total;
+        let ratio = fc8.area() / fc4.area();
+        assert!(
+            (1.0..1.35).contains(&ratio),
+            "area ratio fc8/fc4 = {ratio:.3}"
+        );
+    }
+
+    #[test]
+    fn load_byte_loads_the_following_byte() {
+        let n = build(8, FeatureSet::BASE);
+        let mut sim = BatchSim::new(&n).unwrap();
+        sim.reset();
+        for byte in [0x08u8, 0xAB] {
+            sim.set_input_value("instr", u64::from(byte), !0);
+            sim.set_input_value("iport", 0, !0);
+            sim.clock();
+        }
+        // store acc to the output latch
+        let store = flexicore::isa::fc4::Instruction::Store { addr: 1 }.encode();
+        sim.set_input_value("instr", u64::from(store[0]), !0);
+        sim.clock();
+        sim.settle();
+        assert_eq!(sim.output_value("oport", 0), 0xAB);
+    }
+
+    #[test]
+    fn eight_bit_alu_and_branch() {
+        use flexicore::isa::fc4::Instruction as I;
+        let n = build(8, FeatureSet::BASE);
+        let mut sim = BatchSim::new(&n).unwrap();
+        sim.reset();
+        let feed = |sim: &mut BatchSim, bytes: &[u8]| {
+            for &b in bytes {
+                sim.set_input_value("instr", u64::from(b), !0);
+                sim.set_input_value("iport", 0x30, !0);
+                sim.clock();
+            }
+        };
+        // acc = input (0x30), add itself via mem
+        feed(&mut sim, &I::Load { addr: 0 }.encode());
+        feed(&mut sim, &I::Store { addr: 2 }.encode());
+        feed(&mut sim, &I::AddMem { src: 2 }.encode());
+        feed(&mut sim, &I::Store { addr: 1 }.encode());
+        sim.settle();
+        assert_eq!(sim.output_value("oport", 0), 0x60);
+        // branch on negative: acc = 0x60 positive -> not taken
+        let pc_before = sim.output_value("pc", 0);
+        feed(&mut sim, &I::Branch { target: 0x40 }.encode());
+        sim.settle();
+        assert_eq!(sim.output_value("pc", 0), pc_before + 1);
+        // make acc negative and branch
+        feed(&mut sim, &I::NandImm { imm: 0 }.encode());
+        feed(&mut sim, &I::Branch { target: 0x40 }.encode());
+        sim.settle();
+        assert_eq!(sim.output_value("pc", 0), 0x40);
+    }
+
+    #[test]
+    #[should_panic(expected = "no FlexiCore was fabricated")]
+    fn refuses_fc4_plus_features_at_eight_bits() {
+        let _ = build(8, FeatureSet::fc4_plus());
+    }
+
+    #[test]
+    #[should_panic(expected = "no FlexiCore was fabricated")]
+    fn refuses_an_unfabricated_feature() {
+        let _ = build(4, FeatureSet::only(Feature::AddWithCarry));
+    }
+
+    #[test]
+    #[should_panic(expected = "no FlexiCore was fabricated")]
+    fn refuses_an_unfabricated_width() {
+        let _ = build(16, FeatureSet::BASE);
     }
 }

@@ -1,4 +1,4 @@
-//! The FlexiCore4+ gate-level netlist (§6.1, Figure 4c).
+//! The FlexiCore4+ extension circuits (§6.1, Figure 4c).
 //!
 //! The paper fabricated a small number of FlexiCore4 variants carrying two
 //! of the DSE extensions — a barrel shifter (arithmetic/logical right
@@ -11,139 +11,13 @@
 //! the *structure* — what hardware is added and what it costs — is what
 //! Table 4 and the die photo report, and that is what this netlist
 //! reproduces.
+//!
+//! [`crate::build`] wires these circuits into FlexiCore4 for
+//! `FeatureSet::fc4_plus()`, and `flexdse::area` prices the same two
+//! circuits as single DSE features, so both see one copy of each.
 
 use flexgate::netlist::{Net, Netlist};
 use flexgate::CellKind;
-
-/// Data-path width.
-pub const WIDTH: usize = 4;
-
-/// Build the FlexiCore4+ netlist.
-#[must_use]
-pub fn build_fc4_plus() -> Netlist {
-    let mut n = Netlist::new();
-    let instr = n.inputs("instr", 8);
-    let iport = n.inputs("iport", WIDTH);
-
-    // ---- decoder ----------------------------------------------------------
-    n.push_module("decoder");
-    let is_branch = instr[7];
-    let not_branch = n.not(is_branch);
-    let imm_mode = instr[6];
-    let op0 = instr[4];
-    let op1 = instr[5];
-    let is_transfer = n.and(op0, op1);
-    let not_imm = n.not(imm_mode);
-    let t_and_nb = n.and(is_transfer, not_branch);
-    let is_store = n.and(t_and_nb, imm_mode);
-    // reserved encodings (bit 3 high in the *memory* formats — I-type
-    // immediates legitimately use bit 3) select the shifter
-    let nb_bit3 = n.and(not_branch, instr[3]);
-    let not_transfer = n.not(is_transfer);
-    let mem_reserved = n.and(nb_bit3, not_transfer);
-    let is_shift = n.and(mem_reserved, not_imm);
-    let not_store = n.not(is_store);
-    let acc_we = n.and(not_branch, not_store);
-    n.pop_module();
-
-    let acc_q: Vec<Net> = (0..WIDTH).map(|_| n.placeholder()).collect();
-
-    // ---- memory (same organisation as FlexiCore4) ---------------------------
-    n.push_module("mem");
-    let addr = [instr[0], instr[1], instr[2]];
-    let dec = n.decoder(&addr);
-    let mut words: Vec<Vec<Net>> = Vec::with_capacity(8);
-    words.push(iport);
-    let mut stored: Vec<Vec<Net>> = Vec::new();
-    for d in dec.iter().skip(1).take(8 - 1).copied().collect::<Vec<_>>() {
-        let we = n.and(is_store, d);
-        let q = n.register(&acc_q, we);
-        words.push(q.clone());
-        stored.push(q);
-    }
-    let mem_read = n.mux_tree(&addr, &words);
-    n.pop_module();
-
-    // ---- ALU + barrel shifter ------------------------------------------------
-    n.push_module("alu");
-    let imm = [instr[0], instr[1], instr[2], instr[3]];
-    let operand: Vec<Net> = (0..WIDTH)
-        .map(|i| n.mux(imm_mode, imm[i], mem_read[i]))
-        .collect();
-    let zero = n.const0();
-    let (sum, _carry, xors, ands) = n.ripple_adder_with_terms(&acc_q, &operand, zero);
-    let nands: Vec<Net> = ands.iter().map(|&g| n.not(g)).collect();
-    let mut alu_out: Vec<Net> = (0..WIDTH)
-        .map(|i| {
-            let lo = n.mux(op0, nands[i], sum[i]);
-            let hi = n.mux(op0, operand[i], xors[i]);
-            n.mux(op1, hi, lo)
-        })
-        .collect();
-    n.pop_module();
-
-    // barrel shifter: right shift by instr[1:0], arithmetic when instr[2]
-    n.push_module("shifter");
-    let shifted = right_shifter(&mut n, &acc_q, [instr[0], instr[1]], instr[2]);
-    for i in 0..WIDTH {
-        alu_out[i] = n.mux(is_shift, shifted[i], alu_out[i]);
-    }
-    n.pop_module();
-
-    // ---- accumulator -------------------------------------------------------------
-    n.push_module("acc");
-    for (i, &q) in acc_q.iter().enumerate() {
-        let d = n.mux(acc_we, alu_out[i], q);
-        n.drive_dff_r(d, q);
-    }
-    n.pop_module();
-
-    // ---- program counter with nzp branch flags --------------------------------------
-    n.push_module("pc");
-    let pc_q: Vec<Net> = (0..7).map(|_| n.placeholder()).collect();
-    let one = n.const1();
-    let pc_inc = n.incrementer(&pc_q, one);
-    // condition flags over the accumulator; the nzp mask bits ride in
-    // instr[6:4] of the branch format
-    let cond = nzp_condition(&mut n, &acc_q, [instr[4], instr[5], instr[6]]);
-    let taken = n.and(is_branch, cond);
-    // branch target: low bits of the instruction plus held target register
-    // bits (approximating the second byte of the two-byte branch with a
-    // 3-bit target-extension register)
-    let tgt_ext: Vec<Net> = (0..3)
-        .map(|i| {
-            let q = n.placeholder();
-            n.drive_dff_r(instr[i + 4], q);
-            q
-        })
-        .collect();
-    let target = [
-        instr[0], instr[1], instr[2], instr[3], tgt_ext[0], tgt_ext[1], tgt_ext[2],
-    ];
-    for (i, &q) in pc_q.iter().enumerate() {
-        let d = n.mux(taken, target[i], pc_inc[i]);
-        n.drive_dff_r(d, q);
-    }
-    let pc_out: Vec<Net> = pc_q
-        .iter()
-        .map(|&q| {
-            let b = n.cell(CellKind::BufX2, &[q]);
-            n.cell(CellKind::BufX2, &[b])
-        })
-        .collect();
-    n.pop_module();
-
-    n.push_module("mem");
-    let oport: Vec<Net> = stored[0]
-        .iter()
-        .map(|&q| n.cell(CellKind::BufX2, &[q]))
-        .collect();
-    n.pop_module();
-
-    n.outputs("pc", &pc_out);
-    n.outputs("oport", &oport);
-    n
-}
 
 /// The FlexiCore4+ barrel shifter: `a` shifted right by `amt` places
 /// (`amt[0]` shifts by 1, `amt[1]` by 2) in two mux stages. Vacated bits
@@ -184,19 +58,20 @@ pub fn nzp_condition(n: &mut Netlist, acc: &[Net], mask: [Net; 3]) -> Net {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::build;
     use flexgate::report::Report;
+    use flexicore::isa::features::FeatureSet;
 
     #[test]
     fn well_formed() {
-        assert!(build_fc4_plus().levelize().is_ok());
+        assert!(build(4, FeatureSet::fc4_plus()).levelize().is_ok());
     }
 
     #[test]
     fn about_fifteen_percent_more_devices_than_fc4() {
         // paper: FlexiCore4+ contains 15 % more devices than FlexiCore4
-        let fc4 = Report::of(&crate::build_fc4()).total.devices as f64;
-        let plus = Report::of(&build_fc4_plus()).total.devices as f64;
+        let fc4 = Report::of(&build(4, FeatureSet::BASE)).total.devices as f64;
+        let plus = Report::of(&build(4, FeatureSet::fc4_plus())).total.devices as f64;
         let ratio = plus / fc4;
         assert!(
             (1.05..1.30).contains(&ratio),
@@ -206,7 +81,7 @@ mod tests {
 
     #[test]
     fn shifter_adds_area_to_the_alu_side() {
-        let r = Report::of(&build_fc4_plus());
+        let r = Report::of(&build(4, FeatureSet::fc4_plus()));
         assert!(r.module_rollup("shifter").area() > 10.0);
     }
 }

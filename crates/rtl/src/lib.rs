@@ -1,10 +1,11 @@
 //! # flexrtl
 //!
 //! Structural gate-level implementations of the fabricated FlexiCores,
-//! built cell-by-cell on [`flexgate`]: the single-cycle FlexiCore4 of
-//! Figure 3, FlexiCore8 with its one-flip-flop `LOAD BYTE` controller, and
-//! the FlexiCore4+ variant taped out in §6.1 (barrel shifter + branch
-//! condition flags).
+//! built cell-by-cell on [`flexgate`] by one builder, [`build`], from a
+//! datapath width and an ISA feature set: the single-cycle FlexiCore4 of
+//! Figure 3 (4, `BASE`), FlexiCore8 with its one-flip-flop `LOAD BYTE`
+//! controller (8, `BASE`), and the FlexiCore4+ variant taped out in §6.1
+//! (4, `FeatureSet::fc4_plus()`: barrel shifter + branch condition flags).
 //!
 //! Because these are real netlists, the paper's physical tables fall out
 //! mechanically: module area/power breakdowns (Tables 2–3) from
@@ -17,8 +18,9 @@
 //!
 //! ```
 //! use flexgate::report::Report;
+//! use flexicore::isa::features::FeatureSet;
 //!
-//! let netlist = flexrtl::build_fc4();
+//! let netlist = flexrtl::build(4, FeatureSet::BASE);
 //! let report = Report::of(&netlist);
 //! // the fabricated chip had 2104 devices; the reconstruction is within 1 %
 //! assert!((report.total.devices as i64 - 2104).abs() < 30);
@@ -30,8 +32,5 @@
 pub mod cosim;
 pub mod fc4;
 pub mod fc4plus;
-pub mod fc8;
 
-pub use fc4::build_fc4;
-pub use fc4plus::build_fc4_plus;
-pub use fc8::build_fc8;
+pub use fc4::build;

@@ -7,6 +7,7 @@
 use flexicore::exec::AnyCore;
 use flexicore::io::ConstInput;
 use flexicore::isa::fc4;
+use flexicore::isa::features::FeatureSet;
 use flexicore::program::Program;
 use flexicore::sim::fc4::{Fc4Core, Fc8Core};
 use flexrtl::cosim::cosim;
@@ -54,7 +55,7 @@ proptest! {
     ) {
         let bytes: Vec<u8> = insns.iter().flat_map(|i| i.encode()).collect();
         let program = Program::from_bytes(bytes);
-        let netlist = flexrtl::build_fc4();
+        let netlist = flexrtl::build(4, FeatureSet::BASE);
         let core = AnyCore::Fc4(Fc4Core::new(program));
         let result = cosim(&netlist, core, &mut ConstInput::new(input), 300);
         prop_assert!(result.is_equivalent(), "{:?}", result.mismatches);
@@ -71,7 +72,7 @@ proptest! {
             i.encode_into(&mut bytes);
         }
         let program = Program::from_bytes(bytes);
-        let netlist = flexrtl::build_fc8();
+        let netlist = flexrtl::build(8, FeatureSet::BASE);
         let core = AnyCore::Fc8(Fc8Core::new(program));
         let result = cosim(&netlist, core, &mut ConstInput::new(input), 300);
         prop_assert!(result.is_equivalent(), "{:?}", result.mismatches);

@@ -4,6 +4,7 @@
 
 use flexgate::sim::BatchSim;
 use flexicore::isa::fc4::Instruction as I;
+use flexicore::isa::features::FeatureSet;
 
 fn feed(sim: &mut BatchSim, byte: u8, iport: u8) {
     sim.set_input_value("instr", u64::from(byte), !0);
@@ -22,7 +23,7 @@ fn shift(amount: u8, arithmetic: bool) -> u8 {
 
 #[test]
 fn base_instructions_still_work() {
-    let n = flexrtl::build_fc4_plus();
+    let n = flexrtl::build(4, FeatureSet::fc4_plus());
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
     feed(&mut sim, I::AddImm { imm: 5 }.encode()[0], 0);
@@ -34,7 +35,7 @@ fn base_instructions_still_work() {
 
 #[test]
 fn logical_right_shift_by_two() {
-    let n = flexrtl::build_fc4_plus();
+    let n = flexrtl::build(4, FeatureSet::fc4_plus());
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
     feed(&mut sim, I::AddImm { imm: 0b1100 }.encode()[0], 0);
@@ -46,7 +47,7 @@ fn logical_right_shift_by_two() {
 
 #[test]
 fn arithmetic_shift_sign_fills() {
-    let n = flexrtl::build_fc4_plus();
+    let n = flexrtl::build(4, FeatureSet::fc4_plus());
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
     feed(&mut sim, I::AddImm { imm: 0b1010 }.encode()[0], 0);
@@ -60,7 +61,7 @@ fn arithmetic_shift_sign_fills() {
 fn branch_flags_take_zero_and_positive() {
     // FlexiCore4+ branch: mask rides in instr[6:4] (reconstruction):
     // n = bit6, z = bit5, p = bit4.
-    let n = flexrtl::build_fc4_plus();
+    let n = flexrtl::build(4, FeatureSet::fc4_plus());
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
     // ACC = 0: a branch-on-zero must be taken

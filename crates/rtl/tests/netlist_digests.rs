@@ -6,7 +6,7 @@
 //! the same gates in another order, with swapped operands or under
 //! another module fails here even when the area totals agree. The
 //! FlexiCore4+ shifter and nzp-flag circuits are built once and shared
-//! by `build_fc4_plus` and `flexdse::area`; the `estimate` pins hold the
+//! by `flexrtl::build` and `flexdse::area`; the `estimate` pins hold the
 //! DSE side of that sharing to its exact `f64` bits. Bump a pin only
 //! together with a note saying why the netlist legitimately moved.
 
@@ -69,7 +69,7 @@ fn single_feature_cost(feature: Feature) -> [u64; 5] {
 #[test]
 fn fc4_netlist_is_pinned() {
     assert_eq!(
-        netlist_digest(&flexrtl::build_fc4()),
+        netlist_digest(&flexrtl::build(4, FeatureSet::BASE)),
         (0x0101_890F_6DC3_5936, 262)
     );
 }
@@ -77,7 +77,7 @@ fn fc4_netlist_is_pinned() {
 #[test]
 fn fc8_netlist_is_pinned() {
     assert_eq!(
-        netlist_digest(&flexrtl::build_fc8()),
+        netlist_digest(&flexrtl::build(8, FeatureSet::BASE)),
         (0x93FB_2CF7_459E_B0AA, 324)
     );
 }
@@ -85,7 +85,7 @@ fn fc8_netlist_is_pinned() {
 #[test]
 fn fc4_plus_netlist_is_pinned() {
     assert_eq!(
-        netlist_digest(&flexrtl::build_fc4_plus()),
+        netlist_digest(&flexrtl::build(4, FeatureSet::fc4_plus())),
         (0x1839_F485_A359_5521, 301)
     );
 }

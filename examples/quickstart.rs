@@ -8,6 +8,7 @@
 use flexasm::{Assembler, Target};
 use flexicore::exec::{AnyCore, Core};
 use flexicore::io::{ConstInput, RecordingOutput};
+use flexicore::isa::features::FeatureSet;
 use flexicore::sim::fc4::Fc4Core;
 use flexrtl::cosim::cosim;
 
@@ -40,7 +41,7 @@ fn main() {
     );
 
     // prove the gate-level FlexiCore4 does exactly the same, cycle by cycle
-    let netlist = flexrtl::build_fc4();
+    let netlist = flexrtl::build(4, FeatureSet::BASE);
     println!(
         "gate-level FlexiCore4: {} cells, {} devices",
         netlist.cells().len(),

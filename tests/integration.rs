@@ -6,6 +6,7 @@ use flexasm::{Assembler, Target};
 use flexfab::wafer_run::{CoreDesign, WaferExperiment};
 use flexicore::exec::{AnyCore, Core};
 use flexicore::io::{ConstInput, RecordingOutput, ScriptedInput};
+use flexicore::isa::features::FeatureSet;
 use flexicore::sim::fc4::Fc4Core;
 use flexkernels::inputs::Sampler;
 use flexkernels::Kernel;
@@ -23,7 +24,7 @@ fn core_of(assembly: &flexasm::Assembly) -> AnyCore {
 #[test]
 fn parity_kernel_runs_identically_on_rtl_and_isa() {
     let assembly = Kernel::ParityCheck.assemble(Target::fc4()).unwrap();
-    let netlist = flexrtl::build_fc4();
+    let netlist = flexrtl::build(4, FeatureSet::BASE);
     // the kernel reads two input nibbles through the scripted port; the
     // cosim input presents the same fixed value to both models each cycle,
     // so use a constant word
@@ -35,7 +36,7 @@ fn parity_kernel_runs_identically_on_rtl_and_isa() {
 #[test]
 fn thresholding_kernel_cosimulates_on_fc4_rtl() {
     let assembly = Kernel::Thresholding.assemble(Target::fc4()).unwrap();
-    let netlist = flexrtl::build_fc4();
+    let netlist = flexrtl::build(4, FeatureSet::BASE);
     let result = cosim(
         &netlist,
         core_of(&assembly),
@@ -56,7 +57,7 @@ fn fc8_program_cosimulates_including_load_byte() {
         halt
     ";
     let assembly = Assembler::new(Target::fc8()).assemble(src).unwrap();
-    let netlist = flexrtl::build_fc8();
+    let netlist = flexrtl::build(8, FeatureSet::BASE);
     let result = cosim(
         &netlist,
         core_of(&assembly),
@@ -119,7 +120,7 @@ fn xorshift_kernel_has_full_period_end_to_end() {
 #[test]
 fn calculator_cosimulates_through_the_mmu_on_gate_level() {
     let assembly = Kernel::Calculator.assemble(Target::fc4()).unwrap();
-    let netlist = flexrtl::build_fc4();
+    let netlist = flexrtl::build(4, FeatureSet::BASE);
     // op, a, b arrive on the input port; the cosim presents a constant
     // byte, so pick an op whose reads tolerate repetition: op=2 (multiply)
     // reads op, a, b as three successive IPORT samples -> 2 * 2 = 4.
@@ -153,7 +154,7 @@ fn calculator_pages_through_the_mmu_correctly() {
 #[test]
 fn fc8_native_parity_cosimulates() {
     let assembly = Kernel::ParityCheck.assemble(Target::fc8()).unwrap();
-    let netlist = flexrtl::build_fc8();
+    let netlist = flexrtl::build(8, FeatureSet::BASE);
     for word in [0x00u8, 0x01, 0x5A, 0xFF, 0x80] {
         let result = cosim(
             &netlist,
@@ -225,7 +226,7 @@ fn one_chip_runs_every_kernel() {
 #[test]
 fn per_instruction_energy_is_consistent_with_gate_level_power() {
     use flexicore::energy::{FLEXICORE4_NJ_PER_INSN, FLEXICORE_CLOCK_HZ};
-    let netlist = flexrtl::build_fc4();
+    let netlist = flexrtl::build(4, FeatureSet::BASE);
     let report = flexgate::report::Report::of(&netlist);
     let power_mw = report.total.static_power_mw(4.5);
     let nj_per_insn = power_mw * 1e6 / FLEXICORE_CLOCK_HZ;
