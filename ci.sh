@@ -112,12 +112,15 @@ cargo test --release --offline -p flexcheck -q vuln_smoke_campaign
 
 echo "== hang fast-forward gate =="
 # Pinned values and oracles; each must pass unedited. What each holds:
-#   hang_forward      the hang fast-forward equals stepping every cycle
+#   hang_forward      the hang fast-forward and the quiet stretches
+#                     equal stepping every cycle, boundary cases too
+#                     (early flips, 2-3 per plane, FC8 LOAD BYTEs)
 #   fabricated_isa    FC4/FC8 decode tables and one-step semantics
 #   dse_isa           xacc/xls decode tables and one-step semantics
 #   verdict_oracle    the kernel harness's verdicts equal full recordings
+#                     (stuck-at and transient trials)
 #   segment_oracle    checkpointed segments equal the plain step loop
-#   campaign_digests  stuck-at grid outcomes of every dialect x kernel
+#   campaign_digests  stuck-at and transient grid outcomes
 #   salvage_digests   die classes of the published wafers' defects
 #   prune_equiv       vuln-pruned campaigns equal unpruned ones
 #   screen_digests    wafer-screen outcomes and fault-coverage bits

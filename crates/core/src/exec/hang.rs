@@ -14,8 +14,8 @@
 //!   steady and the port stationary, the state is anchored; until the
 //!   next checkpoint every step compares the PC with the anchor's and,
 //!   on a match, the full architectural state (MMU, halt flag and
-//!   dialect registers, compared in place) plus the port position. Before the first checkpoint the loop does no extra work
-//!   per step.
+//!   dialect registers, compared in place) plus the port position.
+//!   Before the first checkpoint the loop does no extra work per step.
 //! * **The jump**: one more period steps with the output port tee'd to
 //!   capture its writes. Then `k` whole periods are skipped: the run
 //!   accounting advances by `k` times one period's deltas, and the
@@ -97,8 +97,8 @@ where
 
 /// Step until `bound`, comparing each step's state with `anchor`:
 /// the number of steps to the first repeat, if one comes. Kept out of
-/// line, like [`forward`], so that the plain loop is the only inlined
-/// copy of the step in [`drain`]'s caller.
+/// line, like [`forward`], so that the plain loop holds the only copy
+/// of the step each [`drain`] call inlines.
 #[inline(never)]
 fn search<C, I, O, F>(
     engine: &mut Engine<'_, C, F>,
@@ -131,7 +131,7 @@ pub(super) fn spent<C: Core>(core: &C) -> u64 {
 }
 
 /// The plain loop's condition.
-fn runs<C: Core>(core: &C, bound: u64) -> bool {
+pub(super) fn runs<C: Core>(core: &C, bound: u64) -> bool {
     !core.state().halted && spent(core) < bound
 }
 

@@ -28,9 +28,15 @@
 //! Every run drains through one loop, [`Core::resume_with`]. Batch work
 //! — fault campaigns, salvage, N-modular voting — is a map of
 //! independent runs over `AnyCore::run_with`, spread across threads by
-//! the campaign crates; there is no batched driver. Two things keep
+//! the campaign crates; there is no batched driver. Three things keep
 //! that one loop fast:
 //!
+//! * **Quiet stretches.** A hook whose only faults are pending
+//!   transient flips does nothing until the first of them can fire
+//!   ([`FaultHook::quiet_until`]), and nothing at all once every flip
+//!   has fired. `resume_with` runs those stretches on the [`NoFaults`]
+//!   path, the same code a fault-free run compiles to, and visits the
+//!   hook only while a flip can fire.
 //! * **The fetch latch.** `resume_with` asks the hook once whether it
 //!   [`corrupts_fetch`](FaultHook::corrupts_fetch). A hook answering
 //!   `false` promises an identity [`FaultHook::on_fetch`] without side
@@ -457,9 +463,13 @@ pub trait Core: Sized {
     ///
     /// The hook's [`corrupts_fetch`](FaultHook::corrupts_fetch) answer
     /// is latched once per call: a hook that leaves the fetch bus alone
-    /// is not visited per fetched byte. A run that settles into a loop
-    /// it can never leave is fast-forwarded to the watchdog rather than
-    /// simulated to it, with identical results (see DESIGN.md §16).
+    /// is not visited per fetched byte. Every stretch in which the hook
+    /// provably does nothing — before its first pending flip can fire
+    /// ([`quiet_until`](FaultHook::quiet_until)), and all of the run once
+    /// it has nothing left to do — runs on the fault-free path. A run
+    /// that settles into a loop it can never leave is fast-forwarded to
+    /// the watchdog rather than simulated to it. Both give identical
+    /// results (see DESIGN.md §16).
     ///
     /// # Errors
     ///
@@ -471,14 +481,59 @@ pub trait Core: Sized {
         budget: u64,
         faults: &mut F,
     ) -> Result<RunResult, SimError> {
-        let fetch_faults = F::ACTIVE && faults.corrupts_fetch();
-        hang::drain(
-            &mut Engine { core: self, faults },
-            input,
-            output,
-            budget,
-            fetch_faults,
-        )?;
+        if !F::ACTIVE {
+            hang::drain(
+                &mut Engine { core: self, faults },
+                input,
+                output,
+                budget,
+                false,
+            )?;
+            return Ok(self.state().run_result());
+        }
+        let fetch_faults = faults.corrupts_fetch();
+        // A step that starts at cycle `pre` stamps its hook visits at
+        // most `pre + reach`: port visits `pre`, fetch beats `pre + i`
+        // for `i < FETCH_WINDOW`, the state visit the post-step cycle
+        // (`pre + 2` after FlexiCore8's two-cycle `LOAD BYTE`). So it
+        // runs hook-free while `pre + reach < quiet_until()`.
+        let window = Self::FETCH_WINDOW as u64;
+        let reach = window.max(Self::insn_cycles(Self::FETCH_WINDOW as u8));
+        // steps an armed hook runs before it is asked again, doubling
+        // while a flip waits for its port or bus
+        let mut armed = 1u64;
+        while hang::runs(self, budget) {
+            let spent = hang::spent(self);
+            let cycle = self.state().cycle;
+            // the quiet bound is in cycles, the watchdog in budget units
+            debug_assert_eq!(spent, cycle, "every dialect's watchdog counts cycles");
+            let at = faults.quiet_until();
+            let quiet = if at == u64::MAX && faults.is_steady() {
+                budget
+            } else {
+                at.saturating_sub(reach)
+            };
+            if cycle < quiet {
+                let quiet_engine = &mut Engine {
+                    core: &mut *self,
+                    faults: &mut NoFaults,
+                };
+                hang::drain(quiet_engine, input, output, quiet.min(budget), false)?;
+                armed = 1;
+            } else {
+                let bound = if faults.is_steady() {
+                    budget
+                } else {
+                    spent.saturating_add(armed).min(budget)
+                };
+                let engine = &mut Engine {
+                    core: &mut *self,
+                    faults: &mut *faults,
+                };
+                hang::drain(engine, input, output, bound, fetch_faults)?;
+                armed = armed.saturating_mul(2);
+            }
+        }
         Ok(self.state().run_result())
     }
 

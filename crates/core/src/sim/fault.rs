@@ -13,7 +13,9 @@
 //! whose hooks are empty `#[inline]` bodies and whose
 //! [`ACTIVE`](FaultHook::ACTIVE) constant is `false`, so after
 //! monomorphization the fault-free path compiles to exactly the code it
-//! was before the hook existed.
+//! was before the hook existed. A fault plane's quiet stretches, before
+//! a pending flip can fire and after the last one has, run on that same
+//! code.
 //!
 //! [`FaultPlane`] is the standard implementation: a set of
 //! [`ArchFault`]s, each a permanent stuck-at or a one-shot transient
@@ -357,6 +359,26 @@ pub trait FaultHook {
         false
     }
 
+    /// The first visit stamp at which the hook may act: every visit
+    /// stamped earlier is the identity and leaves the hook unchanged.
+    /// [`Core::resume_with`](crate::exec::Core::resume_with) runs the
+    /// steps whose visits all fall before it on the [`NoFaults`] path,
+    /// and once this is `u64::MAX` and the hook
+    /// [`is_steady`](FaultHook::is_steady), all of the rest of the run.
+    ///
+    /// A step that starts at cycle `pre` stamps its port visits `pre`,
+    /// its fetch-bus visits `pre + i` for each fetched byte `i`, and its
+    /// state visit with the post-step cycle.
+    ///
+    /// The default `0` ("never quiet") is always sound. [`NoFaults`]
+    /// answers `u64::MAX`; [`FaultPlane`] answers `0` while it holds a
+    /// stuck-at, `u64::MAX` once every flip has fired, and otherwise the
+    /// least cycle among its unfired flips.
+    #[inline]
+    fn quiet_until(&self) -> u64 {
+        0
+    }
+
     /// Corrupt one byte crossing the instruction fetch bus.
     #[inline]
     fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
@@ -399,15 +421,30 @@ impl FaultHook for NoFaults {
     fn is_steady(&self) -> bool {
         true
     }
+
+    #[inline]
+    fn quiet_until(&self) -> u64 {
+        u64::MAX
+    }
 }
 
 /// A concrete set of [`ArchFault`]s implementing [`FaultHook`].
 ///
 /// Stuck-at faults reassert on every hook visit; transient flips fire
-/// exactly once per [`reset`](FaultPlane::reset). An empty plane is
-/// behaviourally identical to [`NoFaults`] (enforced by the
-/// `fault_free_plane_is_transparent` property test) but does not get
-/// the compile-time fast path.
+/// exactly once per [`reset`](FaultPlane::reset), on the first visit of
+/// their element stamped at or after their cycle. So a flip on the PC,
+/// the accumulator, a data word or the page register fires on the next
+/// state visit, while a port or fetch-bus flip stays armed until its
+/// bus is next used, and a pending-latch flip until a page change is in
+/// flight.
+///
+/// A plane of transients only is quiet until its earliest pending flip
+/// ([`quiet_until`](FaultHook::quiet_until)), and for good once every
+/// flip has fired, so [`Core::resume_with`](crate::exec::Core::resume_with)
+/// runs those stretches on the [`NoFaults`] code. An empty plane is
+/// quiet from the start and behaves identically to [`NoFaults`]
+/// (enforced by the `zero_fault_plane_is_bit_for_bit_transparent`
+/// property test).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlane {
     faults: Vec<ArchFault>,
@@ -489,6 +526,18 @@ impl FaultHook for FaultPlane {
             .iter()
             .zip(&self.fired)
             .all(|(f, &fired)| fired || !matches!(f.kind, FaultKind::FlipAtCycle(_)))
+    }
+
+    fn quiet_until(&self) -> u64 {
+        let mut until = u64::MAX;
+        for (fault, &fired) in self.faults.iter().zip(&self.fired) {
+            match fault.kind {
+                FaultKind::FlipAtCycle(at) if !fired => until = until.min(at),
+                FaultKind::FlipAtCycle(_) => {}
+                FaultKind::StuckAt0 | FaultKind::StuckAt1 => return 0,
+            }
+        }
+        until
     }
 
     #[inline]
@@ -607,6 +656,34 @@ mod tests {
         assert!(p.is_steady(), "a fired flip is inert");
         p.reset();
         assert!(!p.is_steady());
+    }
+
+    #[test]
+    fn plane_is_quiet_until_its_earliest_pending_flip() {
+        let flip = |element, at| ArchFault {
+            element,
+            bit: 0,
+            kind: FaultKind::FlipAtCycle(at),
+        };
+        assert_eq!(NoFaults.quiet_until(), u64::MAX);
+        assert_eq!(FaultPlane::new().quiet_until(), u64::MAX);
+        let mut p = FaultPlane::with_faults(vec![
+            flip(StateElement::FetchBus, 9),
+            flip(StateElement::InputPort, 4),
+        ]);
+        assert_eq!(p.quiet_until(), 4);
+        assert_eq!(p.on_input(3, 0), 0, "a visit before the flip is quiet");
+        assert_eq!(p.quiet_until(), 4);
+        p.on_input(6, 0);
+        assert_eq!(p.quiet_until(), 9, "the fired flip drops out");
+        p.on_fetch(9, 0);
+        assert_eq!(p.quiet_until(), u64::MAX, "nothing left to fire");
+        p.add(ArchFault {
+            element: StateElement::Acc,
+            bit: 0,
+            kind: FaultKind::StuckAt0,
+        });
+        assert_eq!(p.quiet_until(), 0, "a stuck-at acts on every visit");
     }
 
     #[test]

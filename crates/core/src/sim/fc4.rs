@@ -131,7 +131,9 @@ impl<const W: u32> Core for FabCore<W> {
         Ok((insn, len as u8))
     }
 
-    #[inline]
+    // inlined into every copy of the engine's step, which runs it
+    // once per simulated instruction
+    #[inline(always)]
     fn execute<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         insn: Instruction,

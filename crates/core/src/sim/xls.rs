@@ -147,7 +147,9 @@ impl Core for XlsCore {
         Ok((insn, len as u8))
     }
 
-    #[inline]
+    // inlined into every copy of the engine's step, which runs it
+    // once per simulated instruction
+    #[inline(always)]
     fn execute<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         insn: Instruction,

@@ -14,6 +14,12 @@
 //! Budgets run from 0 and 1 up past 20 000, so hangs cross several
 //! power-of-two checkpoints; full-page images (the PC wraps instead of
 //! running off the end) make hangs common.
+//!
+//! A second strategy sits on the boundary of the quiet stretches, the
+//! hook-free runs up to a pending flip: two or three flips per plane at
+//! cycles 0..64, on port, fetch-bus and state elements alike, and
+//! FlexiCore8 images dense in two-cycle `LOAD BYTE`s, whose state visit
+//! lands two cycles after the step starts.
 
 use flexicore::exec::{AnyCore, Snapshot};
 use flexicore::io::{RecordingOutput, ScriptedInput};
@@ -153,6 +159,62 @@ fn budgets() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// Flips only, early enough that most fire inside the run.
+fn early_flips() -> impl Strategy<Value = ArchFault> {
+    (elements(), 0u8..8, 0u64..64).prop_map(|(element, bit, at)| ArchFault {
+        element,
+        bit,
+        kind: FaultKind::FlipAtCycle(at),
+    })
+}
+
+/// A FlexiCore8 image of legal instructions, one in three a `LOAD BYTE`,
+/// with branches that stay inside the image.
+fn fc8_load_byte_images() -> impl Strategy<Value = Program> {
+    proptest::collection::vec((0u8..9, any::<u8>()), 4..48).prop_map(|picks| {
+        let len = picks.len() as u8;
+        let mut bytes = Vec::new();
+        for (pick, arg) in picks {
+            let insn = match pick {
+                0..=2 => fc4::Instruction::LoadByte { imm: arg },
+                3 => fc4::Instruction::AddImm { imm: arg & 0xF },
+                4 => fc4::Instruction::XorMem { src: arg & 0x3 },
+                5 => fc4::Instruction::Load { addr: arg & 0x3 },
+                6 => fc4::Instruction::Store { addr: arg & 0x3 },
+                7 => fc4::Instruction::NandImm { imm: arg & 0xF },
+                _ => fc4::Instruction::Branch { target: arg % len },
+            };
+            insn.encode_into(&mut bytes);
+        }
+        Program::from_bytes(bytes)
+    })
+}
+
+fn boundary_cases() -> impl Strategy<Value = Case> {
+    let material = prop_oneof![
+        (Just(Dialect::Fc8), fc8_load_byte_images()),
+        (dialects(), images()),
+    ];
+    let budgets = prop_oneof![0u64..200, 1_000u64..3_000];
+    (
+        material,
+        features(),
+        proptest::collection::vec(any::<u8>(), 0..6),
+        proptest::collection::vec(early_flips(), 2..=3),
+        budgets,
+    )
+        .prop_map(
+            |((dialect, program), features, inputs, faults, budget)| Case {
+                dialect,
+                features,
+                program,
+                inputs,
+                faults,
+                budget,
+            },
+        )
+}
+
 fn cases() -> impl Strategy<Value = Case> {
     (
         dialects(),
@@ -179,7 +241,7 @@ proptest! {
 
     /// `AnyCore::run_with` ends exactly where the plain loop ends.
     #[test]
-    fn run_with_equals_the_plain_loop(case in cases()) {
+    fn run_with_equals_the_plain_loop(case in prop_oneof![cases(), boundary_cases()]) {
         prop_assert_eq!(case.run_with(), case.oracle(), "{:?}", case);
     }
 }

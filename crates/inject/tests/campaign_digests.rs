@@ -1,8 +1,11 @@
-//! Seed-stability snapshot: the report of an unpruned stuck-at grid —
-//! every dialect × supported kernel, 64 trials each under the default
-//! `CYCLE_BUDGET` watchdog — is pinned as one digest. Every trial that
-//! hangs runs the watchdog out, so this pin holds the engine's hang
-//! fast-forward to the plain run-to-watchdog outcome for outcome.
+//! Seed-stability snapshots: the report of an unpruned grid — every
+//! dialect × supported kernel, 64 trials each — is pinned as one digest
+//! per fault model. The stuck-at grid runs under the default
+//! `CYCLE_BUDGET` watchdog, and every trial that hangs runs the watchdog
+//! out, so its pin holds the engine's hang fast-forward to the plain
+//! run-to-watchdog outcome for outcome. The transient grid runs under a
+//! 2 000-cycle watchdog, so its pin holds the engine's quiet stretches
+//! (the hook-free run up to a pending flip) to the hooked run.
 //!
 //! A change to the fault draw, the input sampler, the engine or the
 //! classifier shows up here as a digest mismatch. Bump the pinned value
@@ -25,7 +28,7 @@ fn fold(hash: &mut u64, bytes: &[u8]) {
 
 /// FNV-1a over every trial's `(fault, outcome)`, cell by cell in
 /// dialect then `Kernel::ALL` order. Also returns how many trials hung.
-fn grid_digest() -> (u64, usize) {
+fn grid_digest(model: FaultModel, budget: u64) -> (u64, usize) {
     let mut hash = FNV_OFFSET;
     let mut hangs = 0;
     let mut cell = 0u64;
@@ -36,8 +39,8 @@ fn grid_digest() -> (u64, usize) {
                 continue;
             }
             let config = CampaignConfig {
-                budget: CYCLE_BUDGET,
-                model: FaultModel::StuckAt,
+                budget,
+                model,
                 ..CampaignConfig::new(target, kernel, 64, 0xD16E_0000 + cell)
             };
             cell += 1;
@@ -54,10 +57,19 @@ fn grid_digest() -> (u64, usize) {
 
 #[test]
 fn stuck_at_grid_digest_is_pinned() {
-    let (got, hangs) = grid_digest();
+    let (got, hangs) = grid_digest(FaultModel::StuckAt, CYCLE_BUDGET);
     assert!(hangs > 0, "the grid must exercise the watchdog");
     assert_eq!(
         got, 0xb845_3659_41ab_b78f,
         "stuck-at grid digest drifted — pin {got:#018x} ({hangs} hangs)"
+    );
+}
+
+#[test]
+fn transient_grid_digest_is_pinned() {
+    let (got, hangs) = grid_digest(FaultModel::Transient, 2_000);
+    assert_eq!(
+        got, 0xc427_2e78_fb1d_39c3,
+        "transient grid digest drifted — pin {got:#018x} ({hangs} hangs)"
     );
 }

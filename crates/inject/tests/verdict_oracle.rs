@@ -2,9 +2,9 @@
 //! cycle stamps, and none of the writes a hang fast-forward would
 //! replay. This oracle holds `PreparedKernel::run_with` to the plain
 //! path it replaced, a full `RecordingOutput` handed to `verify`, over
-//! seeded stuck-at trials on every dialect × supported kernel at the
-//! default watchdog. The sample must include hangs whose loop writes
-//! the port, so the skipped replay is exercised.
+//! seeded stuck-at and transient trials on every dialect × supported
+//! kernel at the default watchdog. The sample must include hangs whose
+//! loop writes the port, so the skipped replay is exercised.
 
 use flexicore::io::{OutputPort, RecordingOutput, ScriptedInput};
 use flexicore::sim::FaultPlane;
@@ -33,34 +33,39 @@ fn harness_verdicts_equal_full_recording_verdicts() {
             }
             cell += 1;
             let prepared = PreparedKernel::new(kernel, target).expect("kernel assembles");
-            let mut sampler = Sampler::new(kernel, 0x0EAC_1E00 + cell);
-            let mut rng = StdRng::seed_from_u64(0x0EAC_1E00 ^ cell);
-            let clean_cycles = prepared
-                .run_with(&sampler.draw(), CYCLE_BUDGET, &mut flexicore::sim::NoFaults)
-                .expect("kernel runs clean")
-                .result
-                .cycles;
-            for trial in 0..TRIALS {
-                let fault = draw_fault(&mut rng, &site_list, FaultModel::StuckAt, clean_cycles);
-                let inputs = sampler.draw();
-                let harness = prepared.run_with(
-                    &inputs,
-                    CYCLE_BUDGET,
-                    &mut FaultPlane::with_faults(vec![fault]),
-                );
+            for (salt, model) in [
+                (0u64, FaultModel::StuckAt),
+                (1 << 32, FaultModel::Transient),
+            ] {
+                let mut sampler = Sampler::new(kernel, 0x0EAC_1E00 + cell + salt);
+                let mut rng = StdRng::seed_from_u64(0x0EAC_1E00 ^ cell ^ salt);
+                let clean_cycles = prepared
+                    .run_with(&sampler.draw(), CYCLE_BUDGET, &mut flexicore::sim::NoFaults)
+                    .expect("kernel runs clean")
+                    .result
+                    .cycles;
+                for trial in 0..TRIALS {
+                    let fault = draw_fault(&mut rng, &site_list, model, clean_cycles);
+                    let inputs = sampler.draw();
+                    let harness = prepared.run_with(
+                        &inputs,
+                        CYCLE_BUDGET,
+                        &mut FaultPlane::with_faults(vec![fault]),
+                    );
 
-                let mut recording = RecordingOutput::new();
-                let plain = drive(&prepared, &inputs, fault, &mut recording)
-                    .map_err(Into::into)
-                    .and_then(|result| prepared.verify(&inputs, recording.values(), result));
-                assert_eq!(harness, plain, "{name} {kernel} trial {trial}: {fault}");
+                    let mut recording = RecordingOutput::new();
+                    let plain = drive(&prepared, &inputs, fault, &mut recording)
+                        .map_err(Into::into)
+                        .and_then(|result| prepared.verify(&inputs, recording.values(), result));
+                    assert_eq!(harness, plain, "{name} {kernel} trial {trial}: {fault}");
 
-                let mut verdict = VerdictOutput::new();
-                let result = drive(&prepared, &inputs, fault, &mut verdict);
-                if result.is_ok_and(|r| !r.halted()) {
-                    hangs += 1;
-                    if verdict.skipped_replay() && recording.len() > verdict.values().len() {
-                        writing_hangs += 1;
+                    let mut verdict = VerdictOutput::new();
+                    let result = drive(&prepared, &inputs, fault, &mut verdict);
+                    if result.is_ok_and(|r| !r.halted()) {
+                        hangs += 1;
+                        if verdict.skipped_replay() && recording.len() > verdict.values().len() {
+                            writing_hangs += 1;
+                        }
                     }
                 }
             }
