@@ -237,7 +237,9 @@ fn cases() -> impl Strategy<Value = Case> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    // half the cases come from each strategy, so `cases()` keeps its
+    // 512 draws and the boundary cases come on top
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// `AnyCore::run_with` ends exactly where the plain loop ends.
     #[test]
