@@ -114,7 +114,10 @@ echo "== hang fast-forward gate =="
 # Pinned values and oracles; each must pass unedited. What each holds:
 #   hang_forward      the hang fast-forward and the quiet stretches
 #                     equal stepping every cycle, boundary cases too
-#                     (early flips, 2-3 per plane, FC8 LOAD BYTEs)
+#                     (early flips, 2-3 per plane, FC8 LOAD BYTEs;
+#                     budgets at the 64/128 checkpoints, periods longer
+#                     than the first window), and the detector's
+#                     schedule (a hang caught within 3 periods of 64)
 #   fabricated_isa    FC4/FC8 decode tables and one-step semantics
 #   dse_isa           xacc/xls decode tables and one-step semantics
 #   verdict_oracle    the kernel harness's verdicts equal full recordings

@@ -16,6 +16,8 @@
 //!   on a match, the full architectural state (MMU, halt flag and
 //!   dialect registers, compared in place) plus the port position.
 //!   Before the first checkpoint the loop does no extra work per step.
+//!   The first anchor's snapshot is the one allocation a [`drain`] call
+//!   makes for detection; every later anchor overwrites it in place.
 //! * **The jump**: one more period steps with the output port tee'd to
 //!   capture its writes. Then `k` whole periods are skipped: the run
 //!   accounting advances by `k` times one period's deltas, and the
@@ -36,9 +38,12 @@ use crate::sim::RunResult;
 use super::{Core, Engine, Snapshot};
 
 /// The first checkpoint, in budget units. Runs that halt before it pay
-/// nothing for detection; the kernel suite's fault-free runs take a few
-/// hundred units.
-const FIRST_CHECKPOINT: u64 = 1 << 10;
+/// nothing for detection; runs that go on past it pay an anchor per
+/// checkpoint crossed and a PC compare per step (3–4 % of a kernel run
+/// that halts after about 100 units). Hung stuck-at kernel runs enter
+/// their loop after a median 25 units, with a median period of 16, so
+/// most hangs are caught within a few periods of it (DESIGN.md §16.2).
+const FIRST_CHECKPOINT: u64 = 1 << 6;
 
 /// Drive `engine` until the halt idiom or until `budget` is spent, each
 /// step visiting the fetch bus only when `fetch_faults` is set. Exactly
@@ -71,6 +76,7 @@ where
         .and_then(u64::checked_next_power_of_two)
         .unwrap_or(u64::MAX)
         .max(FIRST_CHECKPOINT);
+    let mut anchor = None;
     loop {
         while runs(engine.core, checkpoint.min(budget)) {
             engine.step_latched(input, output, fetch_faults)?;
@@ -80,14 +86,10 @@ where
         }
         checkpoint = checkpoint.saturating_mul(2);
         if let (true, Some(position)) = (engine.faults.is_steady(), input.position()) {
-            let anchor = Anchor {
-                snap: engine.core.snapshot(),
-                position,
-                spent: spent(engine.core),
-            };
+            let anchor = Anchor::take(&mut anchor, engine.core, position);
             let bound = checkpoint.min(budget);
-            if let Some(steps) = search(engine, input, output, bound, &anchor, fetch_faults)? {
-                forward(engine, input, output, budget, &anchor, steps, fetch_faults)?;
+            if let Some(steps) = search(engine, input, output, bound, anchor, fetch_faults)? {
+                forward(engine, input, output, budget, anchor, steps, fetch_faults)?;
                 // after a jump only the plain tail is left
                 checkpoint = u64::MAX;
             }
@@ -144,6 +146,26 @@ struct Anchor {
 }
 
 impl Anchor {
+    /// Anchor at the core's current state and port `position`: the
+    /// first time into a fresh snapshot, after that over the one in
+    /// `slot`, in place.
+    fn take<'a, C: Core>(slot: &'a mut Option<Anchor>, core: &C, position: u64) -> &'a Anchor {
+        let spent = spent(core);
+        match slot {
+            Some(anchor) => {
+                core.snapshot_into(&mut anchor.snap);
+                anchor.position = position;
+                anchor.spent = spent;
+                anchor
+            }
+            None => slot.insert(Anchor {
+                snap: core.snapshot(),
+                position,
+                spent,
+            }),
+        }
+    }
+
     /// Whether the core and port are back in the anchored state. The PC
     /// goes first: it is the one compare most steps fail.
     fn matches<C: Core, I: InputPort>(&self, core: &C, input: &I) -> bool {

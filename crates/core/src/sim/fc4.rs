@@ -196,7 +196,8 @@ impl<const W: u32> Core for FabCore<W> {
 
     fn save_arch(&self, snap: &mut Snapshot) {
         snap.acc = self.acc;
-        snap.mem = self.words().to_vec();
+        snap.mem.clear();
+        snap.mem.extend_from_slice(self.words());
     }
 
     fn load_arch(&mut self, snap: &Snapshot) {

@@ -200,7 +200,8 @@ impl Core for XaccCore {
         snap.acc = self.acc;
         snap.ra = self.ra;
         snap.flags = u8::from(self.carry);
-        snap.mem = self.mem.to_vec();
+        snap.mem.clear();
+        snap.mem.extend_from_slice(&self.mem);
     }
 
     fn load_arch(&mut self, snap: &Snapshot) {

@@ -217,7 +217,8 @@ impl Core for XlsCore {
     fn save_arch(&self, snap: &mut Snapshot) {
         snap.ra = self.ra;
         snap.flags = self.flags.bits();
-        snap.mem = self.regs.to_vec();
+        snap.mem.clear();
+        snap.mem.extend_from_slice(&self.regs);
     }
 
     fn load_arch(&mut self, snap: &Snapshot) {

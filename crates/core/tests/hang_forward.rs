@@ -20,6 +20,12 @@
 //! cycles 0..64, on port, fetch-bus and state elements alike, and
 //! FlexiCore8 images dense in two-cycle `LOAD BYTE`s, whose state visit
 //! lands two cycles after the step starts.
+//!
+//! A third sits on the detector's schedule: budgets on either side of
+//! the first two checkpoints (64 and 128 units), and fabricated-core
+//! loops whose period is longer than the first checkpoint's window, so
+//! only a re-anchor can catch them. The schedule itself is pinned by
+//! counting the steps a steady hook sees on two hangs.
 
 use flexicore::exec::{AnyCore, Snapshot};
 use flexicore::io::{RecordingOutput, ScriptedInput};
@@ -27,7 +33,7 @@ use flexicore::isa::features::FeatureSet;
 use flexicore::isa::xacc::Cond;
 use flexicore::isa::{fc4, xls, Dialect};
 use flexicore::program::Program;
-use flexicore::sim::fault::{ArchFault, FaultKind, FaultPlane, StateElement};
+use flexicore::sim::fault::{ArchFault, ArchState, FaultHook, FaultKind, FaultPlane, StateElement};
 use flexicore::sim::{RunResult, StopReason};
 use flexicore::SimError;
 use proptest::prelude::*;
@@ -215,6 +221,72 @@ fn boundary_cases() -> impl Strategy<Value = Case> {
         )
 }
 
+/// Budgets one unit either side of, and on, the first two
+/// checkpoints, and budgets that leave room for several re-anchors.
+fn checkpoint_budgets() -> impl Strategy<Value = u64> {
+    prop_oneof![63u64..=65, 127u64..=129, 130u64..3_000]
+}
+
+/// A fabricated-core image: a straight-line prefix, then a loop of 63
+/// to 100 straight-line instructions closed by `NAND 0` (the
+/// accumulator turns negative) and a taken branch back. Its period is
+/// longer than the 64-unit window after the first checkpoint unless a
+/// fault breaks it.
+fn long_loop_images() -> impl Strategy<Value = Program> {
+    let straight = (0u8..8, any::<u8>()).prop_map(|(pick, arg)| match pick {
+        0 => fc4::Instruction::AddImm { imm: arg & 0xF },
+        1 => fc4::Instruction::NandImm { imm: arg & 0xF },
+        2 => fc4::Instruction::XorImm { imm: arg & 0xF },
+        3 => fc4::Instruction::AddMem { src: arg & 0x3 },
+        4 => fc4::Instruction::XorMem { src: arg & 0x3 },
+        5 => fc4::Instruction::Load { addr: arg & 0x3 },
+        6 => fc4::Instruction::Store { addr: arg & 0x3 },
+        _ => fc4::Instruction::NandMem { src: arg & 0x3 },
+    });
+    (
+        proptest::collection::vec(straight.clone(), 0..26),
+        proptest::collection::vec(straight, 63..=100),
+    )
+        .prop_map(|(prefix, body)| {
+            let start = prefix.len() as u8;
+            let mut bytes = Vec::new();
+            for insn in prefix.iter().chain(&body).chain(&[
+                fc4::Instruction::NandImm { imm: 0 },
+                fc4::Instruction::Branch { target: start },
+            ]) {
+                insn.encode_into(&mut bytes);
+            }
+            Program::from_bytes(bytes)
+        })
+}
+
+fn schedule_cases() -> impl Strategy<Value = Case> {
+    let material = prop_oneof![
+        (
+            prop_oneof![Just(Dialect::Fc4), Just(Dialect::Fc8)],
+            long_loop_images()
+        ),
+        (dialects(), images()),
+    ];
+    (
+        material,
+        features(),
+        proptest::collection::vec(any::<u8>(), 0..6),
+        proptest::collection::vec(arch_faults(), 0..2),
+        checkpoint_budgets(),
+    )
+        .prop_map(
+            |((dialect, program), features, inputs, faults, budget)| Case {
+                dialect,
+                features,
+                program,
+                inputs,
+                faults,
+                budget,
+            },
+        )
+}
+
 fn cases() -> impl Strategy<Value = Case> {
     (
         dialects(),
@@ -237,13 +309,15 @@ fn cases() -> impl Strategy<Value = Case> {
 }
 
 proptest! {
-    // half the cases come from each strategy, so `cases()` keeps its
-    // 512 draws and the boundary cases come on top
-    #![proptest_config(ProptestConfig::with_cases(1024))]
+    // a third of the cases come from each strategy, so `cases()` keeps
+    // its 512 draws and the boundary and schedule cases come on top
+    #![proptest_config(ProptestConfig::with_cases(1536))]
 
     /// `AnyCore::run_with` ends exactly where the plain loop ends.
     #[test]
-    fn run_with_equals_the_plain_loop(case in prop_oneof![cases(), boundary_cases()]) {
+    fn run_with_equals_the_plain_loop(
+        case in prop_oneof![cases(), boundary_cases(), schedule_cases()]
+    ) {
         prop_assert_eq!(case.run_with(), case.oracle(), "{:?}", case);
     }
 }
@@ -310,6 +384,113 @@ fn seeded_hang_sweep_matches_the_plain_loop() {
         hangs >= per_dialect / 2,
         "the sweep must exercise the watchdog, got {hangs} hangs"
     );
+}
+
+/// A steady hook that counts its state visits: one per simulated step,
+/// plus the power-on visit, and none for the steps a jump skips. The
+/// count never reaches the core, so the run is that of `NoFaults`.
+#[derive(Default)]
+struct StepCounter {
+    visits: u64,
+}
+
+impl FaultHook for StepCounter {
+    fn is_steady(&self) -> bool {
+        true
+    }
+
+    fn on_state(&mut self, _cycle: u64, _state: &mut ArchState<'_>) {
+        self.visits += 1;
+    }
+}
+
+/// The kernel harness's watchdog, in cycles.
+const CYCLE_BUDGET: u64 = 200_000;
+
+/// The steps simulated in one FlexiCore4 run of `insns` to the kernel
+/// watchdog, once the run is checked to hang and to end where the
+/// plain loop ends.
+fn steps_to_watchdog(insns: &[fc4::Instruction]) -> u64 {
+    let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode()).collect());
+    let run = |plain: bool| {
+        let mut core = AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, program.clone());
+        let mut input = ScriptedInput::new(Vec::new());
+        let mut output = RecordingOutput::new();
+        let mut hook = StepCounter::default();
+        let result = if plain {
+            core.power_on_faults(&mut hook);
+            while !core.is_halted() && core.budget_spent() < CYCLE_BUDGET {
+                core.step_with(&mut input, &mut output, &mut hook)
+                    .expect("the loop never faults");
+            }
+            core.run_result()
+        } else {
+            core.run_with(&mut input, &mut output, CYCLE_BUDGET, &mut hook)
+                .expect("the loop never faults")
+        };
+        (
+            result,
+            output.writes().to_vec(),
+            core.snapshot(),
+            hook.visits,
+        )
+    };
+    let (result, writes, core, steps) = run(false);
+    let (plain_result, plain_writes, plain_core, _) = run(true);
+    assert_eq!(result.stop, StopReason::CycleLimit);
+    assert_eq!(
+        (result, writes, core),
+        (plain_result, plain_writes, plain_core)
+    );
+    steps
+}
+
+/// The detector anchors first at 64 units: a period-2 loop entered
+/// after two cycles is caught within a few periods of that checkpoint,
+/// not of a later one.
+#[test]
+fn a_hang_is_caught_within_periods_of_the_first_checkpoint() {
+    use fc4::Instruction as I;
+    let period = 2;
+    let steps = steps_to_watchdog(&[
+        I::AddImm { imm: 1 },
+        I::AddImm { imm: 1 },
+        I::NandImm { imm: 0 }, // acc = -1, so the branch is taken
+        I::Branch { target: 2 },
+    ]);
+    // the power-on visit, the steps to the checkpoint, the search and
+    // the replayed period, and at most one partial period
+    assert!(steps <= 1 + 64 + 3 * period, "{steps} steps simulated");
+}
+
+/// A loop entered after the first checkpoint, with a period longer
+/// than its 64-unit window, is caught by the re-anchor at 128.
+#[test]
+fn a_long_period_entered_late_is_caught_by_the_next_anchor() {
+    use fc4::Instruction as I;
+    // count r2 down from 0 to 7: nine passes of four cycles
+    let mut insns = vec![
+        I::Load { addr: 2 },
+        I::AddImm { imm: 0xF },
+        I::Store { addr: 2 },
+        I::Branch { target: 0 },
+    ];
+    // a straight run to cycle 66, past the first checkpoint, leaving
+    // acc = -1 as every later pass does
+    insns.extend([I::XorImm { imm: 0 }; 29]);
+    insns.push(I::NandImm { imm: 0 });
+    let start = insns.len() as u8;
+    for i in 0..68 {
+        insns.push(if i % 2 == 0 {
+            I::AddImm { imm: 1 }
+        } else {
+            I::XorImm { imm: 5 }
+        });
+    }
+    insns.extend([I::NandImm { imm: 0 }, I::Branch { target: start }]);
+    let period = 70;
+    let steps = steps_to_watchdog(&insns);
+    assert!(steps <= 1 + 128 + 3 * period, "{steps} steps simulated");
 }
 
 /// A two-instruction spin under an unbounded watchdog returns at once,
@@ -406,7 +587,8 @@ fn input_position_gates_the_jump() {
 
 /// `same_regs` sees every piece of dialect-private state a snapshot
 /// restores: perturbing any one of them makes the core differ from the
-/// original snapshot and match the perturbed one.
+/// original snapshot and match the perturbed one. `snapshot_into` a
+/// used buffer gives what `snapshot` gives.
 #[test]
 fn same_regs_sees_every_restored_field() {
     use flexicore::exec::Core;
@@ -415,6 +597,12 @@ fn same_regs_sees_every_restored_field() {
     fn check<C: Core>(mut core: C) {
         let base = core.snapshot();
         assert!(core.same_regs(&base));
+        // a used buffer, with every field set and a longer memory
+        let mut buffer = base.clone();
+        buffer.acc = 0xFF;
+        buffer.ra = 0xFF;
+        buffer.flags = 0xFF;
+        buffer.mem = vec![0xAA; 64];
         let mut perturbed = Vec::new();
         for bit in 0..4 {
             let mut s = base.clone();
@@ -437,6 +625,8 @@ fn same_regs_sees_every_restored_field() {
                 continue; // not part of this dialect's state
             }
             seen += 1;
+            core.snapshot_into(&mut buffer);
+            assert_eq!(buffer, s, "snapshot_into overwrites every field");
             assert!(core.same_regs(&s), "{s:?}");
             assert!(!core.same_regs(&base), "{s:?} vs {base:?}");
         }

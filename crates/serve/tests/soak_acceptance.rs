@@ -43,7 +43,27 @@ fn asm(source: &str) -> Request {
 }
 
 const FIXED_SOURCE: &str = "load r0\naddi 3\nstore r1\nhalt\n";
-const SPIN_SOURCE: &str = "spin: jmp spin\n";
+
+/// An endless program whose state never repeats within the 10^8-unit
+/// `max_cycles` ceiling: a 24-bit counter in r2..r7 (one pass per
+/// count, 2^24 passes to wrap), so no hang fast-forward can serve it
+/// early. Served, it took 1.5 s on a 2-vCPU host, well past every
+/// deadline below. A periodic `spin: jmp spin` took 0.7-0.9 s, sometimes inside
+/// the 600 ms deadline, and a detector that carries across the
+/// simulation's chunks would serve it at once.
+const SPIN_SOURCE: &str = "spin:\naddi r2, 1\nadci r3, 0\nadci r4, 0\nadci r5, 0\n\
+                           adci r6, 0\nadci r7, 0\njmp spin\n";
+
+/// The endless program at the largest `max_cycles` the daemon accepts.
+fn spin() -> Request {
+    Request::Simulate {
+        dialect: "xls".to_string(),
+        features: "adc".to_string(),
+        source: SPIN_SOURCE.to_string(),
+        inputs: Vec::new(),
+        max_cycles: 100_000_000,
+    }
+}
 
 #[test]
 fn hostile_weather_soak_holds_the_robustness_contract() {
@@ -156,19 +176,8 @@ fn hostile_weather_soak_holds_the_robustness_contract() {
                     // 4: a deadline that cannot be met — the endless
                     // program must be cancelled, not served or hung.
                     client.deadline_ms = 30;
-                    let reply = call_until_accepted(
-                        &mut client,
-                        &Request::Simulate {
-                            dialect: "fc4".to_string(),
-                            features: String::new(),
-                            source: SPIN_SOURCE.to_string(),
-                            inputs: Vec::new(),
-                            max_cycles: 100_000_000,
-                        },
-                        &sent,
-                        &replied,
-                        &soak_sheds,
-                    );
+                    let reply =
+                        call_until_accepted(&mut client, &spin(), &sent, &replied, &soak_sheds);
                     assert_eq!(reply.status, ReplyStatus::Deadline, "{}", reply.text);
                     client.deadline_ms = 0;
                 }
@@ -186,15 +195,7 @@ fn hostile_weather_soak_holds_the_robustness_contract() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("spin client connects");
                 client.deadline_ms = 600;
-                let reply = client
-                    .call(&Request::Simulate {
-                        dialect: "fc4".to_string(),
-                        features: String::new(),
-                        source: SPIN_SOURCE.to_string(),
-                        inputs: Vec::new(),
-                        max_cycles: 100_000_000,
-                    })
-                    .expect("spin reply");
+                let reply = client.call(&spin()).expect("spin reply");
                 assert_eq!(reply.status, ReplyStatus::Deadline, "{}", reply.text);
             })
         })
@@ -267,13 +268,7 @@ fn drain_finishes_in_flight_work_before_exiting() {
         let mut client = Client::connect(addr).expect("client connects");
         client.deadline_ms = 400;
         client
-            .call(&Request::Simulate {
-                dialect: "fc4".to_string(),
-                features: String::new(),
-                source: SPIN_SOURCE.to_string(),
-                inputs: Vec::new(),
-                max_cycles: 100_000_000,
-            })
+            .call(&spin())
             .expect("in-flight request must be answered across the drain")
     });
     std::thread::sleep(Duration::from_millis(100));
