@@ -16,8 +16,6 @@
 //!   on a match, the full architectural state (MMU, halt flag and
 //!   dialect registers, compared in place) plus the port position.
 //!   Before the first checkpoint the loop does no extra work per step.
-//!   The first anchor's snapshot is the one allocation a [`drain`] call
-//!   makes for detection; every later anchor overwrites it in place.
 //! * **The jump**: one more period steps with the output port tee'd to
 //!   capture its writes. Then `k` whole periods are skipped: the run
 //!   accounting advances by `k` times one period's deltas, and the
@@ -76,7 +74,6 @@ where
         .and_then(u64::checked_next_power_of_two)
         .unwrap_or(u64::MAX)
         .max(FIRST_CHECKPOINT);
-    let mut anchor = None;
     loop {
         while runs(engine.core, checkpoint.min(budget)) {
             engine.step_latched(input, output, fetch_faults)?;
@@ -86,10 +83,14 @@ where
         }
         checkpoint = checkpoint.saturating_mul(2);
         if let (true, Some(position)) = (engine.faults.is_steady(), input.position()) {
-            let anchor = Anchor::take(&mut anchor, engine.core, position);
+            let anchor = Anchor {
+                snap: engine.core.snapshot(),
+                position,
+                spent: spent(engine.core),
+            };
             let bound = checkpoint.min(budget);
-            if let Some(steps) = search(engine, input, output, bound, anchor, fetch_faults)? {
-                forward(engine, input, output, budget, anchor, steps, fetch_faults)?;
+            if let Some(steps) = search(engine, input, output, bound, &anchor, fetch_faults)? {
+                forward(engine, input, output, budget, &anchor, steps, fetch_faults)?;
                 // after a jump only the plain tail is left
                 checkpoint = u64::MAX;
             }
@@ -146,26 +147,6 @@ struct Anchor {
 }
 
 impl Anchor {
-    /// Anchor at the core's current state and port `position`: the
-    /// first time into a fresh snapshot, after that over the one in
-    /// `slot`, in place.
-    fn take<'a, C: Core>(slot: &'a mut Option<Anchor>, core: &C, position: u64) -> &'a Anchor {
-        let spent = spent(core);
-        match slot {
-            Some(anchor) => {
-                core.snapshot_into(&mut anchor.snap);
-                anchor.position = position;
-                anchor.spent = spent;
-                anchor
-            }
-            None => slot.insert(Anchor {
-                snap: core.snapshot(),
-                position,
-                spent,
-            }),
-        }
-    }
-
     /// Whether the core and port are back in the anchored state. The PC
     /// goes first: it is the one compare most steps fail.
     fn matches<C: Core, I: InputPort>(&self, core: &C, input: &I) -> bool {

@@ -341,10 +341,9 @@ pub trait Core: Sized {
     }
 
     /// Copy the dialect-private architectural state (accumulator,
-    /// flags, link register, data memory / register file) into `snap`,
-    /// reusing the capacity of `snap.mem`. The engine-owned fields of
-    /// `snap` are already filled, and the private ones zeroed, by
-    /// [`Core::snapshot_into`].
+    /// flags, link register, data memory / register file) into `snap`.
+    /// The engine-owned fields of `snap` are already filled by
+    /// [`Core::snapshot`].
     fn save_arch(&self, snap: &mut Snapshot);
 
     /// Restore the dialect-private architectural state from `snap`,
@@ -361,17 +360,8 @@ pub trait Core: Sized {
     /// — it is immutable, and snapshots stay a few dozen bytes.
     #[must_use]
     fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot::empty();
-        self.snapshot_into(&mut snap);
-        snap
-    }
-
-    /// [`Core::snapshot`] into an existing buffer: `snap` ends equal to
-    /// `self.snapshot()`, and once its `mem` has held one snapshot of
-    /// this core, overwriting it allocates nothing. The hang
-    /// fast-forward re-anchors through it.
-    fn snapshot_into(&self, snap: &mut Snapshot) {
         let state = self.state();
+        let mut snap = Snapshot::empty();
         snap.mmu = state.mmu;
         snap.pc = state.pc;
         snap.cycle = state.cycle;
@@ -379,10 +369,8 @@ pub trait Core: Sized {
         snap.taken_branches = state.taken_branches;
         snap.fetched_bytes = state.fetched_bytes;
         snap.halted = state.halted;
-        snap.acc = 0;
-        snap.ra = 0;
-        snap.flags = 0;
-        self.save_arch(snap);
+        self.save_arch(&mut snap);
+        snap
     }
 
     /// Roll the core back to a previously taken [`Core::snapshot`]. The

@@ -196,8 +196,7 @@ impl<const W: u32> Core for FabCore<W> {
 
     fn save_arch(&self, snap: &mut Snapshot) {
         snap.acc = self.acc;
-        snap.mem.clear();
-        snap.mem.extend_from_slice(self.words());
+        snap.mem = self.words().to_vec();
     }
 
     fn load_arch(&mut self, snap: &Snapshot) {

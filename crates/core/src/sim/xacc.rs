@@ -200,8 +200,7 @@ impl Core for XaccCore {
         snap.acc = self.acc;
         snap.ra = self.ra;
         snap.flags = u8::from(self.carry);
-        snap.mem.clear();
-        snap.mem.extend_from_slice(&self.mem);
+        snap.mem = self.mem.to_vec();
     }
 
     fn load_arch(&mut self, snap: &Snapshot) {

@@ -217,8 +217,7 @@ impl Core for XlsCore {
     fn save_arch(&self, snap: &mut Snapshot) {
         snap.ra = self.ra;
         snap.flags = self.flags.bits();
-        snap.mem.clear();
-        snap.mem.extend_from_slice(&self.regs);
+        snap.mem = self.regs.to_vec();
     }
 
     fn load_arch(&mut self, snap: &Snapshot) {

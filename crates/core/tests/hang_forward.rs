@@ -587,8 +587,7 @@ fn input_position_gates_the_jump() {
 
 /// `same_regs` sees every piece of dialect-private state a snapshot
 /// restores: perturbing any one of them makes the core differ from the
-/// original snapshot and match the perturbed one. `snapshot_into` a
-/// used buffer gives what `snapshot` gives.
+/// original snapshot and match the perturbed one.
 #[test]
 fn same_regs_sees_every_restored_field() {
     use flexicore::exec::Core;
@@ -597,12 +596,6 @@ fn same_regs_sees_every_restored_field() {
     fn check<C: Core>(mut core: C) {
         let base = core.snapshot();
         assert!(core.same_regs(&base));
-        // a used buffer, with every field set and a longer memory
-        let mut buffer = base.clone();
-        buffer.acc = 0xFF;
-        buffer.ra = 0xFF;
-        buffer.flags = 0xFF;
-        buffer.mem = vec![0xAA; 64];
         let mut perturbed = Vec::new();
         for bit in 0..4 {
             let mut s = base.clone();
@@ -625,8 +618,6 @@ fn same_regs_sees_every_restored_field() {
                 continue; // not part of this dialect's state
             }
             seen += 1;
-            core.snapshot_into(&mut buffer);
-            assert_eq!(buffer, s, "snapshot_into overwrites every field");
             assert!(core.same_regs(&s), "{s:?}");
             assert!(!core.same_regs(&base), "{s:?} vs {base:?}");
         }

@@ -47,10 +47,13 @@ const FIXED_SOURCE: &str = "load r0\naddi 3\nstore r1\nhalt\n";
 /// An endless program whose state never repeats within the 10^8-unit
 /// `max_cycles` ceiling: a 24-bit counter in r2..r7 (one pass per
 /// count, 2^24 passes to wrap), so no hang fast-forward can serve it
-/// early. Served, it took 1.5 s on a 2-vCPU host, well past every
-/// deadline below. A periodic `spin: jmp spin` took 0.7-0.9 s, sometimes inside
-/// the 600 ms deadline, and a detector that carries across the
-/// simulation's chunks would serve it at once.
+/// early. Served, it took 1.5 s on a 2-vCPU host, 2.5 times the
+/// longest deadline below (600 ms). That margin is host speed: the
+/// ceiling fixes the work, not the time, so a host that simulates about
+/// 2.5 times faster would finish it inside that deadline. A periodic
+/// `spin: jmp spin` took 0.7-0.9 s, sometimes inside the 600 ms
+/// deadline, and a detector that carries across the simulation's
+/// chunks would serve it at once.
 const SPIN_SOURCE: &str = "spin:\naddi r2, 1\nadci r3, 0\nadci r4, 0\nadci r5, 0\n\
                            adci r6, 0\nadci r7, 0\njmp spin\n";
 
