@@ -67,6 +67,13 @@ cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
 ./target/release/flexi wafer --design fc8 --seed 5 --cycles 2000 --map csv \
     --threads 8 > /tmp/flexi_threaded.txt
 cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
+# the FC4+ seed-36 wafer has 68 defective dies: two packs on the third
+# fabricated netlist
+./target/release/flexi wafer --design fc4plus --seed 36 --cycles 2000 \
+    --map csv > /tmp/flexi_serial.txt
+./target/release/flexi wafer --design fc4plus --seed 36 --cycles 2000 \
+    --map csv --threads 8 > /tmp/flexi_threaded.txt
+cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
 rm -f /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
 
 echo "== mission soak smoke =="

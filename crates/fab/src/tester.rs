@@ -74,10 +74,10 @@ impl TestPlan {
         }
     }
 
-    /// Total cycles applied.
+    /// Total cycles applied, saturating at `u64::MAX`.
     #[must_use]
     pub fn total_cycles(&self) -> u64 {
-        self.directed_cycles + self.random_cycles
+        self.directed_cycles.saturating_add(self.random_cycles)
     }
 
     /// The `(instr, iport)` stimulus for one cycle: a directed sweep of
@@ -286,17 +286,31 @@ fn observed_nets(netlist: &Netlist) -> Vec<Net> {
 /// Drive `plan`'s stimulus through `sim`, one clock edge per cycle, and
 /// hand `on_cycle` the set of lanes whose observed outputs differ from
 /// golden lane 0 after each edge. Stops early once `on_cycle` breaks.
+/// The `instr` and `iport` buses and the observed nets are looked up
+/// once, before the first cycle.
+///
+/// # Panics
+///
+/// Panics if the netlist lacks any of those ports.
 fn screen(
     sim: &mut BatchSim<'_>,
     plan: &TestPlan,
     mut on_cycle: impl FnMut(u64) -> ControlFlow<()>,
 ) {
-    let observed = observed_nets(sim.netlist());
+    let netlist = sim.netlist();
+    let observed = observed_nets(netlist);
+    let input = |port: &str| {
+        netlist
+            .input_ports()
+            .get(port)
+            .unwrap_or_else(|| panic!("unknown input port `{port}`"))
+    };
+    let (instr_bus, iport_bus) = (input("instr"), input("iport"));
     let mut rng = StdRng::seed_from_u64(plan.seed);
     for cycle in 0..plan.total_cycles() {
         let (instr, iport) = plan.stimulus(cycle, &mut rng);
-        sim.set_input_value("instr", instr, !0);
-        sim.set_input_value("iport", iport, !0);
+        sim.drive(instr_bus, instr, !0);
+        sim.drive(iport_bus, iport, !0);
         sim.clock();
         let diverged = observed.iter().fold(0, |acc, &net| {
             acc | sim.net_slice(net).lanes_differing_from(0)
@@ -380,6 +394,13 @@ mod tests {
         let tester = Tester::new(&netlist, plan).unwrap();
         let out = tester.test_wafer(&[clean_die(); 2], 4.5).unwrap();
         assert!(out.iter().all(DieOutcome::functional));
+    }
+
+    #[test]
+    fn total_cycles_saturate_instead_of_wrapping() {
+        assert_eq!(TestPlan::quick(u64::MAX).total_cycles(), u64::MAX);
+        assert_eq!(TestPlan::quick(u64::MAX - 1).total_cycles(), u64::MAX);
+        assert_eq!(TestPlan::quick(1_000).total_cycles(), 1_500);
     }
 
     #[test]

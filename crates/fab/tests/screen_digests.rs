@@ -5,11 +5,11 @@
 //! is pinned to its exact `f64` bits alongside.
 //!
 //! Both pins were captured with the per-cell interpreter that predates
-//! the compiled tape, so they hold the tape, its fault-mask table and the
-//! tester's screen loop to the old evaluator's bytes. A change to the
-//! wafer draw, the defect sites, the stimulus or the simulator shows up
-//! here as a mismatch. Bump a pin only together with a note saying why
-//! the screen legitimately moved.
+//! the compiled tape, so they hold the tape, the stuck-at masks inlined
+//! in its steps and the tester's screen loop to the old evaluator's
+//! bytes. A change to the wafer draw, the defect sites, the stimulus or
+//! the simulator shows up here as a mismatch. Bump a pin only together
+//! with a note saying why the screen legitimately moved.
 
 use flexfab::tester::{fault_coverage, TestPlan};
 use flexfab::wafer_run::{CoreDesign, WaferExperiment};

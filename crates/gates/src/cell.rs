@@ -216,8 +216,8 @@ impl CellKind {
     /// `ins` must hold exactly [`CellSpec::inputs`] elements. Sequential
     /// cells are evaluated by the simulator's state machinery, not here.
     /// [`BatchSim`](crate::sim::BatchSim) compiles these truth tables
-    /// into its tape's opcodes; the `compiled_oracle` test holds the two
-    /// copies together.
+    /// into its tape's mux-step encodings; the `compiled_oracle` test
+    /// holds the two copies together.
     ///
     /// # Panics
     ///

@@ -6,26 +6,53 @@
 //! makes testing every die of a simulated wafer against 100 000-cycle
 //! vector sets tractable (§4.1): 64 faulty die variants run in one pass.
 //!
-//! [`BatchSim::new`] compiles the netlist once into a flat *tape*: one
-//! step per combinational cell, in levelized order, holding an opcode
-//! and the dense indices of its operand and output nets. BUF and INV
-//! variants fold to one opcode each, and flip-flops stay off the tape.
-//! [`settle`](BatchSim::settle) is then one pass over the tape with a
-//! single `match` per step. Stuck-at faults live in a short mask table
-//! whose entry 0 is the clean mask: each step names the entry for its
-//! output net and applies `(raw & !sa0) | sa1` unconditionally, and
-//! injecting or clearing faults only marks the table for re-pointing at
-//! the next settle. A clock edge copies every flop's D into a reusable
-//! buffer, then every buffered value into its Q, so all flops capture
-//! before any updates.
+//! [`BatchSim::new`] compiles the netlist once into a flat *tape* of
+//! steps that all share one branch-free form:
+//!
+//! ```text
+//! values[out] = ((mux(values[a], values[b] ^ inv_b, values[c] ^ inv_c) ^ inv_out) & keep) | set
+//! mux(s, x, y) = (s & (x ^ y)) ^ y        // s ? x : y, lane by lane
+//! ```
+//!
+//! Every combinational cell is one such step: BUF is `(x, x, x)` and INV
+//! the same with `inv_out`; NAND2 is `(x, y, x)` and NOR2 `(x, x, y)`,
+//! both with `inv_out`; XOR2 is `(x, y, y)` with `inv_b` and XNOR2 the
+//! same with `inv_c`; MUX2 is `(s, p, q)`. NAND3 and NOR3 take two steps,
+//! an AND or an OR of their first two inputs into a scratch word placed
+//! after the last net, then a NAND2 or NOR2 of that word with the third.
+//! The two steps stay adjacent, so one scratch word serves every such
+//! cell. Flip-flops stay off the tape. [`settle`](BatchSim::settle) is one pass
+//! over the tape with no per-step dispatch.
+//!
+//! The tape runs in *level order*: cells are sorted stably by logic depth
+//! (primary inputs, constants and flop outputs are depth 0), so steps of
+//! one level, which never read each other, sit next to each other rather
+//! than in dependent chains. Fault sites are drawn by netlist cell index,
+//! never by tape position, so the order moves no defect.
+//!
+//! Stuck-at faults live inline. `keep` is `!sa0` and `set` is `sa1` of
+//! the step's output net (all-ones and zero on a clean net), so a
+//! stuck-at-1 wins a contradictory double injection, and the pass has no
+//! fault branch. Flip-flops carry the same pair for their Q. Injecting or
+//! clearing faults only marks the masks for rewriting at the next settle.
+//! Nets no step drives (ports, the constant 0, flop outputs) are re-pinned
+//! from a list of their faulty masks before the pass. A clock edge copies
+//! every flop's D into a reusable buffer, then every buffered value
+//! through its Q's masks, so all flops capture before any updates.
+//!
+//! Inputs are driven through [`BatchSim::drive`] on a bus's nets;
+//! [`set_input_value`](BatchSim::set_input_value) looks a port up by name
+//! first, so a loop that drives the same ports every cycle resolves them
+//! once and calls `drive`.
 //!
 //! The per-cell truth tables therefore exist twice: in
-//! [`CellKind::eval`](crate::cell::CellKind::eval) and in the tape's
-//! opcodes. The `compiled_oracle` test keeps them together by running a
+//! [`CellKind::eval`](crate::cell::CellKind::eval) and in the step
+//! encodings. The `compiled_oracle` test keeps them together by running a
 //! per-cell interpreter over `eval` beside this simulator on random
-//! netlists and fault sets. The slice algebra consumers use on the lane
-//! words (golden-lane comparison, lane gathers) lives in
-//! [`crate::slice`].
+//! netlists and fault sets, and this module's
+//! `every_cell_kind_compiles_to_its_truth_table` test checks each cell
+//! exhaustively. The slice algebra consumers use on the lane words
+//! (golden-lane comparison, lane gathers) lives in [`crate::slice`].
 
 use crate::cell::CellKind;
 use crate::netlist::{Net, Netlist, NetlistError};
@@ -53,59 +80,84 @@ impl FaultMask {
     }
 }
 
-/// A tape step's boolean function (one per distinct truth table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum Op {
-    Buf,
-    Inv,
-    Nand2,
-    Nand3,
-    Nor2,
-    Nor3,
-    Xor2,
-    Xnor2,
-    /// `a ? b : c`.
-    Mux2,
-}
-
-impl Op {
-    /// The opcode of a combinational cell; `None` for flip-flops.
-    fn of(kind: CellKind) -> Option<Op> {
-        Some(match kind {
-            CellKind::BufX1 | CellKind::BufX2 => Op::Buf,
-            CellKind::InvX1 | CellKind::InvX2 => Op::Inv,
-            CellKind::Nand2 => Op::Nand2,
-            CellKind::Nand3 => Op::Nand3,
-            CellKind::Nor2 => Op::Nor2,
-            CellKind::Nor3 => Op::Nor3,
-            CellKind::Xor2 => Op::Xor2,
-            CellKind::Xnor2 => Op::Xnor2,
-            CellKind::Mux2 => Op::Mux2,
-            CellKind::Dff | CellKind::DffR => return None,
-        })
-    }
-}
-
-/// One combinational cell on the tape:
-/// `values[out] = masks[mask].apply(op(values[a], values[b], values[c]))`.
-/// Operand slots a cell does not use repeat `a`.
+/// One tape step:
+/// `values[out] = ((mux(values[a], values[b] ^ inv_b, values[c] ^ inv_c) ^ inv_out) & keep) | set`,
+/// with `keep = !sa0` and `set = sa1` of the output net.
 #[derive(Debug, Clone, Copy)]
 struct Step {
-    op: Op,
-    mask: u32,
     a: u32,
     b: u32,
     c: u32,
     out: u32,
+    inv_b: u64,
+    inv_c: u64,
+    inv_out: u64,
+    keep: u64,
+    set: u64,
 }
 
-/// One flip-flop: Q takes `masks[mask].apply(D)` on every clock edge.
+impl Step {
+    /// `out = a ? b : c`, clean.
+    fn mux(a: u32, b: u32, c: u32, out: u32) -> Step {
+        Step {
+            a,
+            b,
+            c,
+            out,
+            inv_b: 0,
+            inv_c: 0,
+            inv_out: 0,
+            keep: !0,
+            set: 0,
+        }
+    }
+
+    /// This step with its output inverted.
+    fn inverted(self) -> Step {
+        Step {
+            inv_out: !0,
+            ..self
+        }
+    }
+
+    /// Append the steps computing combinational cell `kind` over operand
+    /// nets `[x, y, z]` (slots past the cell's arity repeat `x`) into
+    /// `out`; NAND3 and NOR3 pass through `scratch`.
+    fn compile(kind: CellKind, [x, y, z]: [u32; 3], out: u32, scratch: u32, tape: &mut Vec<Step>) {
+        match kind {
+            CellKind::BufX1 | CellKind::BufX2 => tape.push(Step::mux(x, x, x, out)),
+            CellKind::InvX1 | CellKind::InvX2 => tape.push(Step::mux(x, x, x, out).inverted()),
+            CellKind::Nand2 => tape.push(Step::mux(x, y, x, out).inverted()),
+            CellKind::Nor2 => tape.push(Step::mux(x, x, y, out).inverted()),
+            CellKind::Xor2 => tape.push(Step {
+                inv_b: !0,
+                ..Step::mux(x, y, y, out)
+            }),
+            CellKind::Xnor2 => tape.push(Step {
+                inv_c: !0,
+                ..Step::mux(x, y, y, out)
+            }),
+            CellKind::Mux2 => tape.push(Step::mux(x, y, z, out)),
+            CellKind::Nand3 => {
+                tape.push(Step::mux(x, y, x, scratch));
+                tape.push(Step::mux(scratch, z, scratch, out).inverted());
+            }
+            CellKind::Nor3 => {
+                tape.push(Step::mux(x, x, y, scratch));
+                tape.push(Step::mux(scratch, scratch, z, out).inverted());
+            }
+            CellKind::Dff | CellKind::DffR => unreachable!("flip-flops stay off the tape"),
+        }
+    }
+}
+
+/// One flip-flop: Q takes `(D & keep) | set` on every clock edge.
 #[derive(Debug, Clone, Copy)]
 struct Flop {
     d: u32,
     q: u32,
-    mask: u32,
+    keep: u64,
+    set: u64,
 }
 
 /// What drives a net, for pointing its fault mask at the right place.
@@ -127,19 +179,18 @@ pub struct BatchSim<'a> {
     flops: Vec<Flop>,
     drivers: Vec<Driver>,
     const0: Option<usize>,
+    /// One word per net, then the scratch word of NAND3 and NOR3.
     values: Vec<u64>,
     /// Each flop's D as sampled at the current clock edge.
     captured: Vec<u64>,
     /// The injected masks, per net.
     faults: Vec<FaultMask>,
     faulty_nets: Vec<usize>,
-    /// The mask table the tape and the flops index; entry 0 is clean.
-    masks: Vec<FaultMask>,
     /// Faulty nets no tape step drives (inputs, constant 0, flop
-    /// outputs, placeholders), with their mask-table entry: they are
-    /// re-pinned at the start of every settle.
-    pinned: Vec<(usize, u32)>,
-    /// Whether `masks` lags behind `faults`.
+    /// outputs, placeholders), with their masks: they are re-pinned at
+    /// the start of every settle.
+    pinned: Vec<(usize, FaultMask)>,
+    /// Whether the steps' and flops' masks lag behind `faults`.
     dirty: bool,
 }
 
@@ -151,21 +202,25 @@ impl<'a> BatchSim<'a> {
     /// Propagates [`NetlistError`] integrity failures.
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
         let cells = netlist.cells();
+        let scratch = netlist.net_count() as u32;
+        // logic depth per net: 0 for everything no combinational cell
+        // drives, one past the deepest operand otherwise
+        let mut depth = vec![0u32; netlist.net_count()];
+        let mut order = netlist.levelize()?;
+        for &ci in &order {
+            let cell = &cells[ci];
+            let deepest = cell.inputs.iter().map(|n| depth[n.index()]).max();
+            depth[cell.output.index()] = deepest.unwrap_or(0) + 1;
+        }
+        order.sort_by_key(|&ci| depth[cells[ci].output.index()]);
         let mut drivers = vec![Driver::None; netlist.net_count()];
         let mut tape = Vec::with_capacity(cells.len());
-        for ci in netlist.levelize()? {
+        for ci in order {
             let cell = &cells[ci];
-            let op = Op::of(cell.kind).expect("levelize orders combinational cells only");
             let operand = |k: usize| cell.inputs.get(k).unwrap_or(&cell.inputs[0]).0;
-            drivers[cell.output.index()] = Driver::Step(tape.len() as u32);
-            tape.push(Step {
-                op,
-                mask: 0,
-                a: operand(0),
-                b: operand(1),
-                c: operand(2),
-                out: cell.output.0,
-            });
+            let operands = [operand(0), operand(1), operand(2)];
+            Step::compile(cell.kind, operands, cell.output.0, scratch, &mut tape);
+            drivers[cell.output.index()] = Driver::Step(tape.len() as u32 - 1);
         }
         let mut flops = Vec::new();
         for cell in cells.iter().filter(|c| c.kind.spec().sequential) {
@@ -173,7 +228,8 @@ impl<'a> BatchSim<'a> {
             flops.push(Flop {
                 d: cell.inputs[0].0,
                 q: cell.output.0,
-                mask: 0,
+                keep: !0,
+                set: 0,
             });
         }
         Ok(BatchSim {
@@ -183,10 +239,9 @@ impl<'a> BatchSim<'a> {
             flops,
             drivers,
             const0: netlist.const0_net().map(Net::index),
-            values: vec![0; netlist.net_count()],
+            values: vec![0; netlist.net_count() + 1],
             faults: vec![FaultMask::default(); netlist.net_count()],
             faulty_nets: Vec::new(),
-            masks: vec![FaultMask::default()],
             pinned: Vec::new(),
             dirty: false,
         })
@@ -223,34 +278,46 @@ impl<'a> BatchSim<'a> {
         self.dirty = true;
     }
 
-    /// Rebuild the mask table from the injected faults and point every
-    /// step and flop at its output's entry.
+    /// Rewrite every step's and flop's `keep` and `set` from the injected
+    /// faults, and rebuild the pinned list.
     fn repoint_masks(&mut self) {
         for step in &mut self.tape {
-            step.mask = 0;
+            (step.keep, step.set) = (!0, 0);
         }
         for flop in &mut self.flops {
-            flop.mask = 0;
+            (flop.keep, flop.set) = (!0, 0);
         }
-        self.masks.truncate(1);
         self.pinned.clear();
         for &net in &self.faulty_nets {
             let mask = self.faults[net];
             if mask.is_clean() {
                 continue;
             }
-            let entry = self.masks.len() as u32;
-            self.masks.push(mask);
             match self.drivers[net] {
-                Driver::Step(i) => self.tape[i as usize].mask = entry,
-                Driver::Flop(i) => {
-                    self.flops[i as usize].mask = entry;
-                    self.pinned.push((net, entry));
+                Driver::Step(i) => {
+                    let step = &mut self.tape[i as usize];
+                    (step.keep, step.set) = (!mask.sa0, mask.sa1);
                 }
-                Driver::None => self.pinned.push((net, entry)),
+                Driver::Flop(i) => {
+                    let flop = &mut self.flops[i as usize];
+                    (flop.keep, flop.set) = (!mask.sa0, mask.sa1);
+                    self.pinned.push((net, mask));
+                }
+                Driver::None => self.pinned.push((net, mask)),
             }
         }
         self.dirty = false;
+    }
+
+    /// Drive a bus of nets, least significant bit first, with `value` on
+    /// the lanes selected by `lanes` (other lanes keep their previous
+    /// drive). Meant for input-port nets, resolved once by a caller that
+    /// drives the same bus every cycle.
+    pub fn drive(&mut self, nets: &[Net], value: u64, lanes: u64) {
+        for (bit, net) in nets.iter().enumerate() {
+            let word = &mut self.values[net.index()];
+            *word = BitSlice64(*word).drive((value >> bit) & 1 == 1, lanes).0;
+        }
     }
 
     /// Drive an input bus with `value` on the lanes selected by `lanes`
@@ -265,10 +332,7 @@ impl<'a> BatchSim<'a> {
             .input_ports()
             .get(name)
             .unwrap_or_else(|| panic!("unknown input port `{name}`"));
-        for (bit, net) in nets.iter().enumerate() {
-            let word = &mut self.values[net.index()];
-            *word = BitSlice64(*word).drive((value >> bit) & 1 == 1, lanes).0;
-        }
+        self.drive(nets, value, lanes);
     }
 
     /// Evaluate the combinational fabric (inputs and flop outputs held).
@@ -281,24 +345,16 @@ impl<'a> BatchSim<'a> {
         }
         // pin faults on nets the tape does not drive; driven nets are
         // masked as their step writes them
-        for &(net, entry) in &self.pinned {
-            self.values[net] = self.masks[entry as usize].apply(self.values[net]);
+        for &(net, mask) in &self.pinned {
+            self.values[net] = mask.apply(self.values[net]);
         }
         let values = &mut self.values;
         for step in &self.tape {
-            let a = values[step.a as usize];
-            let raw = match step.op {
-                Op::Buf => a,
-                Op::Inv => !a,
-                Op::Nand2 => !(a & values[step.b as usize]),
-                Op::Nand3 => !(a & values[step.b as usize] & values[step.c as usize]),
-                Op::Nor2 => !(a | values[step.b as usize]),
-                Op::Nor3 => !(a | values[step.b as usize] | values[step.c as usize]),
-                Op::Xor2 => a ^ values[step.b as usize],
-                Op::Xnor2 => !(a ^ values[step.b as usize]),
-                Op::Mux2 => (a & values[step.b as usize]) | (!a & values[step.c as usize]),
-            };
-            values[step.out as usize] = self.masks[step.mask as usize].apply(raw);
+            let s = values[step.a as usize];
+            let x = values[step.b as usize] ^ step.inv_b;
+            let y = values[step.c as usize] ^ step.inv_c;
+            let raw = ((s & (x ^ y)) ^ y) ^ step.inv_out;
+            values[step.out as usize] = (raw & step.keep) | step.set;
         }
     }
 
@@ -311,7 +367,7 @@ impl<'a> BatchSim<'a> {
             *d = self.values[flop.d as usize];
         }
         for (&d, flop) in self.captured.iter().zip(&self.flops) {
-            self.values[flop.q as usize] = self.masks[flop.mask as usize].apply(d);
+            self.values[flop.q as usize] = (d & flop.keep) | flop.set;
         }
     }
 
@@ -366,7 +422,7 @@ impl<'a> BatchSim<'a> {
 
     /// The underlying netlist.
     #[must_use]
-    pub fn netlist(&self) -> &Netlist {
+    pub fn netlist(&self) -> &'a Netlist {
         self.netlist
     }
 }
@@ -499,5 +555,52 @@ mod tests {
             .iter()
             .fold(0u64, |acc, s| acc | s.lanes_differing_from(0));
         assert_eq!(diverged, 1 << 7);
+    }
+
+    /// Every cell kind, alone in a netlist: its 2^k input combinations
+    /// ride lanes `l % 2^k`, and every lane of the output must equal
+    /// `CellKind::eval`, clean and under stuck-at-0 and stuck-at-1 on
+    /// overlapping lanes, where stuck-at-1 wins.
+    #[test]
+    fn every_cell_kind_compiles_to_its_truth_table() {
+        let (sa0, sa1) = (0x00FF_00FF_F0F0_3C3C, 0x0F0F_0FF0_FF00_3333);
+        assert_ne!(sa0 & sa1, 0, "the masks overlap");
+        for kind in CellKind::ALL {
+            let arity = kind.spec().inputs;
+            let mut n = Netlist::new();
+            let ins = n.inputs("i", arity);
+            let out = n.cell(kind, &ins);
+            n.output("y", out);
+            let combos = 1u64 << arity;
+            let words: Vec<u64> = (0..arity)
+                .map(|bit| {
+                    (0..64)
+                        .filter(|l| (l % combos) >> bit & 1 == 1)
+                        .fold(0, |w, l| w | 1 << l)
+                })
+                .collect();
+            let clean = kind.eval(&words);
+            let mut sim = BatchSim::new(&n).unwrap();
+            for faulted in [false, true] {
+                if faulted {
+                    sim.inject(out, false, sa0);
+                    sim.inject(out, true, sa1);
+                }
+                sim.reset();
+                for combo in 0..combos {
+                    let lanes = (0..64)
+                        .filter(|l| l % combos == combo)
+                        .fold(0, |w, l| w | 1 << l);
+                    sim.set_input_value("i", combo, lanes);
+                }
+                if kind.spec().sequential {
+                    sim.clock();
+                } else {
+                    sim.settle();
+                }
+                let want = if faulted { (clean & !sa0) | sa1 } else { clean };
+                assert_eq!(sim.net_value(out), want, "{kind:?}, faulted {faulted}");
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! [`BatchSim`](crate::sim::BatchSim) stores one packed word per net
 //! and evaluates cells directly on those words, so a NAND over 64 dies
-//! costs one `!(a & b)`; it hands the words out as `BitSlice64`s.
+//! costs one word-wide mux step; it hands the words out as `BitSlice64`s.
 //! Consumers that compare lanes (the `flexfab` tester, fault-coverage
 //! sweeps) use the lane algebra here instead of re-deriving
 //! shift-and-mask code at every call site.
