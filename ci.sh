@@ -160,6 +160,7 @@ cargo test --release --offline -p flexgate -q --test compiled_oracle
 cargo test --release --offline -p flexcheck -q --test vuln_digests
 cargo test --release --offline -p flexresilient -q --test recovery_digests
 cargo test --release --offline -p flexlink -q --test soak_digests
+cargo test --release --offline -p flexbench -q --test paper_pins
 cargo test --release --offline -p flexcheck -q generated_programs_fast_forward_exactly
 mission_sha=$(./target/release/flexi mission --trials 24 --ticks 6 --seed 17 |
     sha256sum | cut -d ' ' -f 1)
