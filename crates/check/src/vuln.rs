@@ -45,6 +45,7 @@ use flexasm::Target;
 use flexicore::exec::PC_MASK;
 use flexicore::isa::Dialect;
 use flexicore::sim::fault::PAGE_MASK;
+use flexshard::{fnv1a, FNV_OFFSET};
 use flexicore::sim::StateElement;
 use flexicore::Program;
 
@@ -212,25 +213,24 @@ impl VulnReport {
     /// reclassifies sites changes this value and fails CI.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        let mut mix = |value: u64| {
-            hash ^= value;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        for e in &self.elements {
+        self.elements.iter().fold(FNV_OFFSET, |hash, e| {
             let (tag, word) = e.element.code();
-            mix(u64::from(tag));
-            mix(u64::from(word));
-            mix(u64::from(e.bits));
-            mix(match e.class {
+            let class = match e.class {
                 SiteClass::ProvablyMasked => 0,
                 SiteClass::ReachableLive => 1,
                 SiteClass::Unknown => 2,
-            });
-            mix(u64::from(e.const0_bits));
-            mix(u64::from(e.const1_bits));
-        }
-        hash
+            };
+            [
+                u64::from(tag),
+                u64::from(word),
+                u64::from(e.bits),
+                class,
+                u64::from(e.const0_bits),
+                u64::from(e.const1_bits),
+            ]
+            .into_iter()
+            .fold(hash, fnv1a)
+        })
     }
 
     /// Human-readable classification, one line per element.

@@ -153,7 +153,7 @@ pub fn check(args: &mut Args) -> Result<String, CliError> {
     if args.has("kernels") {
         let mut out = String::new();
         let mut worst: Option<String> = None;
-        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut digest = flexshard::FNV_OFFSET;
         for kernel in Kernel::ALL {
             if !kernel.supports(target.dialect) {
                 continue;
@@ -169,8 +169,7 @@ pub fn check(args: &mut Args) -> Result<String, CliError> {
                     report.masked_fraction() * 100.0,
                     report.polarity_masked_bits(),
                 );
-                digest ^= report.digest();
-                digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+                digest = flexshard::fnv1a(digest, report.digest());
                 continue;
             }
             let report = flexcheck::check_assembly(&assembly);
@@ -544,22 +543,28 @@ pub fn link(args: &mut Args) -> Result<String, CliError> {
 
     let target = dialect_flag(args)?.unwrap_or_else(Target::fc4);
     let rates = error_rates(args, &[0.0, 1e-4, 5e-4])?;
-    let signed = args.has("signed");
     let seed = args.num("seed", 0x11FEu64)?;
     let mut config = SoakConfig::new(target, rates, seed);
     if let Some(kernel) = kernel_flag(args, target.dialect)? {
         config.kernels = vec![kernel];
     }
+    config.link.max_retries = args.count("retries", config.link.max_retries)?;
+    if args.has("signed") {
+        // one update per cell, applied serially: no upsets, execution
+        // segments, scrubbing, watchdog or worker pool to configure
+        let soak_only = ["upsets", "interval", "scrub", "budget", "threads"];
+        if let Some(flag) = soak_only.into_iter().find(|flag| args.has(flag)) {
+            return Err(CliError::Usage(format!(
+                "--{flag} does not apply to --signed"
+            )));
+        }
+        return link_signed(&config);
+    }
     config.upsets_per_trial = args.count("upsets", config.upsets_per_trial)?;
     config.exec.interval = interval(args, config.exec.interval)?;
     config.exec.scrub_interval = args.num("scrub", config.exec.scrub_interval)?;
     config.exec.budget = args.num("budget", config.exec.budget)?;
-    config.link.max_retries = args.count("retries", config.link.max_retries)?;
     config.threads = args.positive("threads", 1)?;
-
-    if signed {
-        return link_signed(&config);
-    }
     let campaign = run_soak(config).map_err(|e| CliError::Run(e.to_string()))?;
     Ok(flexlink::report::render(&campaign))
 }
@@ -1701,6 +1706,26 @@ mod tests {
         .unwrap();
         assert!(out.contains("signed update"), "{out}");
         assert!(out.contains("applied 2/2 updates"), "{out}");
+    }
+
+    #[test]
+    fn link_signed_rejects_soak_only_flags() {
+        for (flag, value) in [
+            ("--upsets", "7"),
+            ("--interval", "3"),
+            ("--scrub", "2"),
+            ("--budget", "9"),
+            ("--threads", "4"),
+        ] {
+            let err = call(&["link", "--signed", "--rates", "0", "--seed", "1", flag, value])
+                .unwrap_err();
+            assert!(
+                matches!(err, crate::CliError::Usage(_)),
+                "`link --signed {flag} {value}` must be a usage error, got {err}"
+            );
+            assert_eq!(err.exit_code(), 2, "{flag}");
+            assert!(err.to_string().contains(flag), "{err}");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::campaign::FaultModel;
 use flexicore::isa::Dialect;
 use flexicore::sim::{ArchFault, FaultKind, PowerCut, StateElement};
+use flexshard::{fnv1a, FNV_OFFSET};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,18 +55,12 @@ pub fn enumerate(dialect: Dialect) -> Vec<FaultSite> {
 /// must consciously update the snapshot while a reshuffle fails loudly.
 #[must_use]
 pub fn enumeration_digest(dialect: Dialect) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    let mut mix = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for site in enumerate(dialect) {
+    enumerate(dialect).iter().fold(FNV_OFFSET, |hash, site| {
         let (tag, word) = site.element.code();
-        mix(tag);
-        mix(word);
-        mix(site.bit);
-    }
-    hash
+        [tag, word, site.bit]
+            .into_iter()
+            .fold(hash, |hash, byte| fnv1a(hash, u64::from(byte)))
+    })
 }
 
 /// Draw one fault from `model`'s population: a uniformly chosen site

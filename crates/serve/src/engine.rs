@@ -324,11 +324,10 @@ fn simulate_reply(
     let mut core = AnyCore::for_dialect(target.dialect, target.features, assembly.into_program());
     let mut input = ScriptedInput::new(inputs.to_vec());
     let mut output = RecordingOutput::new();
-    let mut faults = NoFaults;
-    let mut powered_on = false;
     // The watchdog budget is an absolute threshold on the core's
     // cumulative counter, so chunking means walking that threshold up
-    // in SIM_CHUNK steps with a deadline poll between steps.
+    // in SIM_CHUNK steps with a deadline poll between steps. Without
+    // faults there is no power-on visit, so every slice resumes.
     while !core.is_halted() && core.budget_spent() < max_cycles {
         if deadline.expired() {
             return Reply::deadline();
@@ -337,13 +336,7 @@ fn simulate_reply(
             .budget_spent()
             .saturating_add(SIM_CHUNK)
             .min(max_cycles);
-        let step = if powered_on {
-            core.resume_with(&mut input, &mut output, slice, &mut faults)
-        } else {
-            powered_on = true;
-            core.run_with(&mut input, &mut output, slice, &mut faults)
-        };
-        if let Err(e) = step {
+        if let Err(e) = core.resume_with(&mut input, &mut output, slice, &mut NoFaults) {
             return Reply::error(format!("simulation fault: {e}"));
         }
     }

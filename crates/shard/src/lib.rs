@@ -78,6 +78,20 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The FNV-1a offset basis: the starting value of every digest that
+/// folds with [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// One FNV-1a step: fold `value` into `hash`. Every pinned digest in the
+/// workspace's library code (the fault-site enumeration, the
+/// vulnerability report, the `flexi check --vuln` suite) folds its
+/// values through this one function, starting from [`FNV_OFFSET`].
+#[must_use]
+#[inline]
+pub fn fnv1a(hash: u64, value: u64) -> u64 {
+    (hash ^ value).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
 /// Derive the private seed of work unit `index` from a campaign seed
 /// with one [`splitmix64`] step, so unit streams are as decorrelated as
 /// fresh `StdRng` streams. Two different `(seed, index)` pairs collide
@@ -175,6 +189,12 @@ mod tests {
 
     /// Seeds at the edges of the domain, plus one with every nibble set.
     const EDGES: [u64; 4] = [0, 1, 0x1234_5678_9ABC_DEF0, u64::MAX];
+
+    #[test]
+    fn fnv1a_folds_bytes_like_the_reference() {
+        // the published FNV-1a test vector for "a"
+        assert_eq!(fnv1a(FNV_OFFSET, u64::from(b'a')), 0xAF63_DC4C_8601_EC8C);
+    }
 
     #[test]
     fn shard_seed_values_are_pinned() {
