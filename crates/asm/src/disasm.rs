@@ -2,7 +2,7 @@
 //!
 //! Used by listings, debugging and the round-trip property tests.
 
-use flexicore::isa::{fc4, xacc, xls, Dialect};
+use flexicore::isa::{acc, xls, Dialect};
 use flexicore::program::Program;
 
 /// One disassembled instruction.
@@ -29,16 +29,12 @@ pub fn disassemble(dialect: Dialect, program: &Program) -> Vec<DisasmLine> {
     while at < bytes.len() {
         let window = &bytes[at..];
         let (text, len) = match dialect {
-            Dialect::Fc4 | Dialect::Fc8 => {
-                match fc4::Instruction::decode(window, dialect.datapath_bits()) {
-                    Ok((i, n)) => (i.to_string(), n),
+            Dialect::Fc4 | Dialect::Fc8 | Dialect::ExtendedAcc => {
+                match acc::Instruction::decode(window, dialect) {
+                    Ok((i, n)) => (i.in_dialect(dialect).to_string(), n),
                     Err(_) => (format!(".byte {:#04x}", window[0]), 1),
                 }
             }
-            Dialect::ExtendedAcc => match xacc::Instruction::decode(window) {
-                Ok((i, n)) => (i.to_string(), n),
-                Err(_) => (format!(".byte {:#04x}", window[0]), 1),
-            },
             Dialect::LoadStore => {
                 if window.len() >= 2 {
                     let h = (u16::from(window[0]) << 8) | u16::from(window[1]);

@@ -46,9 +46,9 @@ use crate::error::{AsmError, AsmErrorKind};
 use crate::ir::{Item, MachineInsn};
 use crate::parser::{Operand, Stmt};
 use crate::target::Target;
+use flexicore::isa::acc::{Cond, Instruction as A};
 use flexicore::isa::features::Feature;
-use flexicore::isa::xacc::Cond;
-use flexicore::isa::{fc4, xacc, xls, Dialect};
+use flexicore::isa::{xls, Dialect};
 
 /// A branch destination as written in source: symbolic, or an absolute
 /// page-local PC (what disassembly listings contain).
@@ -56,6 +56,12 @@ enum BranchTarget {
     Label(String),
     Abs(u8),
 }
+
+/// The base ISA's branch-if-negative, its target patched at layout.
+const BR_N: A = A::Br {
+    cond: Cond::N,
+    target: 0,
+};
 
 /// Scratch register used by single-temporary expansions.
 pub const SCRATCH_A: u8 = 7;
@@ -279,119 +285,63 @@ impl Ctx {
 
     // ---- accumulator-dialect instruction builders ------------------------
 
+    /// `insn` in the target's accumulator dialect.
+    fn acc(&self, insn: A) -> MachineInsn {
+        MachineInsn::Acc(insn.in_dialect(self.target.dialect))
+    }
+
+    fn emit_acc(&mut self, insn: A) {
+        self.emit(self.acc(insn));
+    }
+
     fn acc_alu_mem(&self, op: AccOp, m: u8) -> MachineInsn {
-        match self.target.dialect {
-            Dialect::Fc4 | Dialect::Fc8 => MachineInsn::Fab(match op {
-                AccOp::Add => fc4::Instruction::AddMem { src: m },
-                AccOp::Nand => fc4::Instruction::NandMem { src: m },
-                AccOp::Xor => fc4::Instruction::XorMem { src: m },
-            }),
-            Dialect::ExtendedAcc => MachineInsn::Xacc(match op {
-                AccOp::Add => xacc::Instruction::Add { m },
-                AccOp::Nand => xacc::Instruction::Nand { m },
-                AccOp::Xor => xacc::Instruction::Xor { m },
-            }),
-            Dialect::LoadStore => unreachable!("accumulator builder on load-store target"),
-        }
+        self.acc(match op {
+            AccOp::Add => A::Add { m },
+            AccOp::Nand => A::Nand { m },
+            AccOp::Xor => A::Xor { m },
+        })
     }
 
-    fn acc_load(&self, m: u8) -> MachineInsn {
-        match self.target.dialect {
-            Dialect::Fc4 | Dialect::Fc8 => MachineInsn::Fab(fc4::Instruction::Load { addr: m }),
-            Dialect::ExtendedAcc => MachineInsn::Xacc(xacc::Instruction::Load { m }),
-            Dialect::LoadStore => unreachable!(),
-        }
-    }
-
-    fn acc_store(&self, m: u8) -> MachineInsn {
-        match self.target.dialect {
-            Dialect::Fc4 | Dialect::Fc8 => MachineInsn::Fab(fc4::Instruction::Store { addr: m }),
-            Dialect::ExtendedAcc => MachineInsn::Xacc(xacc::Instruction::Store { m }),
-            Dialect::LoadStore => unreachable!(),
-        }
-    }
-
-    fn acc_branch_n(&self) -> MachineInsn {
-        match self.target.dialect {
-            Dialect::Fc4 | Dialect::Fc8 => MachineInsn::Fab(fc4::Instruction::Branch { target: 0 }),
-            Dialect::ExtendedAcc => MachineInsn::Xacc(xacc::Instruction::Br {
-                cond: Cond::N,
-                target: 0,
-            }),
-            Dialect::LoadStore => unreachable!(),
-        }
-    }
-
-    /// Emit `ACC = ACC op imm` for an arbitrary nibble immediate, using
-    /// instruction chains where the encoding is too narrow (xacc imm3).
+    /// Emit `ACC = ACC op imm` for a nibble immediate.
     fn emit_acc_alu_imm(&mut self, op: AccOp, mnemonic: &str, v: i64) -> Result<(), AsmError> {
-        match self.target.dialect {
-            Dialect::Fc4 | Dialect::Fc8 => {
-                let imm = self.imm4(mnemonic, v)?;
-                let insn = match op {
-                    AccOp::Add => fc4::Instruction::AddImm { imm },
-                    AccOp::Nand => fc4::Instruction::NandImm { imm },
-                    AccOp::Xor => fc4::Instruction::XorImm { imm },
-                };
-                self.emit(MachineInsn::Fab(insn));
-                Ok(())
-            }
-            Dialect::ExtendedAcc => {
-                let imm = self.imm4(mnemonic, v)?;
-                let insn = match op {
-                    AccOp::Add => xacc::Instruction::AddImm { imm },
-                    AccOp::Nand => xacc::Instruction::NandImm { imm },
-                    AccOp::Xor => xacc::Instruction::XorImm { imm },
-                };
-                self.emit(MachineInsn::Xacc(insn));
-                Ok(())
-            }
-            Dialect::LoadStore => unreachable!(),
-        }
+        let imm = self.imm4(mnemonic, v)?;
+        self.emit_acc(match op {
+            AccOp::Add => A::AddImm { imm },
+            AccOp::Nand => A::NandImm { imm },
+            AccOp::Xor => A::XorImm { imm },
+        });
+        Ok(())
     }
 
     /// Load a 4-bit (or, on fc8, 8-bit) constant into the accumulator.
     fn emit_ldi(&mut self, v: i64) -> Result<(), AsmError> {
-        match self.target.dialect {
-            Dialect::Fc8 => {
-                if !(-128..=255).contains(&v) {
-                    return Err(self.err(AsmErrorKind::OutOfRange {
-                        what: "`ldi` immediate".into(),
-                        value: v,
-                        range: (-128, 255),
-                    }));
-                }
-                self.emit(MachineInsn::Fab(fc4::Instruction::LoadByte {
-                    imm: (v & 0xFF) as u8,
+        if self.target.dialect == Dialect::Fc8 {
+            if !(-128..=255).contains(&v) {
+                return Err(self.err(AsmErrorKind::OutOfRange {
+                    what: "`ldi` immediate".into(),
+                    value: v,
+                    range: (-128, 255),
                 }));
-                Ok(())
             }
-            Dialect::Fc4 => {
-                let k = normalize_nibble_delta(v, self.line, "ldi")?;
-                // nandi 0 -> 0xF (-1), then add k+1
-                self.emit(MachineInsn::Fab(fc4::Instruction::NandImm { imm: 0 }));
-                self.emit(MachineInsn::Fab(fc4::Instruction::AddImm {
-                    imm: ((k + 1) & 0xF) as u8,
-                }));
-                Ok(())
-            }
-            Dialect::ExtendedAcc => {
-                let k = normalize_nibble_delta(v, self.line, "ldi")?;
-                self.emit(MachineInsn::Xacc(xacc::Instruction::NandImm { imm: 0 }));
-                self.emit(MachineInsn::Xacc(xacc::Instruction::AddImm {
-                    imm: ((k + 1) & 0xF) as u8,
-                }));
-                Ok(())
-            }
-            Dialect::LoadStore => unreachable!(),
+            self.emit_acc(A::LoadByte {
+                imm: (v & 0xFF) as u8,
+            });
+        } else {
+            let k = normalize_nibble_delta(v, self.line, "ldi")?;
+            // nandi 0 -> 0xF (-1), then add k+1
+            self.emit_acc(A::NandImm { imm: 0 });
+            self.emit_acc(A::AddImm {
+                imm: ((k + 1) & 0xF) as u8,
+            });
         }
+        Ok(())
     }
 
     /// Unconditional jump, clobbering the accumulator (and flags).
     fn emit_jmp(&mut self, label: &str) {
         if self.feature(Feature::BranchFlags) {
             self.emit_branch(
-                MachineInsn::Xacc(xacc::Instruction::Br {
+                self.acc(A::Br {
                     cond: Cond::ALWAYS,
                     target: 0,
                 }),
@@ -399,16 +349,8 @@ impl Ctx {
             );
         } else {
             // nandi 0 makes ACC = all-ones (negative); br.n is then taken
-            match self.target.dialect {
-                Dialect::Fc4 | Dialect::Fc8 => {
-                    self.emit(MachineInsn::Fab(fc4::Instruction::NandImm { imm: 0 }));
-                }
-                Dialect::ExtendedAcc => {
-                    self.emit(MachineInsn::Xacc(xacc::Instruction::NandImm { imm: 0 }));
-                }
-                Dialect::LoadStore => unreachable!(),
-            }
-            self.emit_branch(self.acc_branch_n(), label);
+            self.emit_acc(A::NandImm { imm: 0 });
+            self.emit_branch(self.acc(BR_N), label);
         }
     }
 
@@ -434,38 +376,38 @@ impl Ctx {
         let t0 = SCRATCH_A;
         let t1 = SCRATCH_B;
 
-        self.emit(self.acc_store(t0)); // t0 = a
+        self.emit_acc(A::Store { m: t0 }); // t0 = a
         self.emit_ldi(0)?; // acc = 0
-        self.emit(self.acc_store(t1)); // r = 0
-        self.emit(self.acc_load(t0));
-        self.emit_branch(self.acc_branch_n(), &b3set); // bit3 set?
+        self.emit_acc(A::Store { m: t1 }); // r = 0
+        self.emit_acc(A::Load { m: t0 });
+        self.emit_branch(self.acc(BR_N), &b3set); // bit3 set?
         self.emit_jmp(&b3done);
         self.emit_label(b3set);
-        self.emit(self.acc_load(t0));
+        self.emit_acc(A::Load { m: t0 });
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", -8)?; // clear bit 3
-        self.emit(self.acc_store(t0));
-        self.emit(self.acc_load(t1));
+        self.emit_acc(A::Store { m: t0 });
+        self.emit_acc(A::Load { m: t1 });
         // shifted bit 3 lands in bit 2; for asr also re-set bit 3
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", if arithmetic { 12 } else { 4 })?;
-        self.emit(self.acc_store(t1));
+        self.emit_acc(A::Store { m: t1 });
         self.emit_label(b3done);
-        self.emit(self.acc_load(t0));
+        self.emit_acc(A::Load { m: t0 });
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", -4)?;
-        self.emit_branch(self.acc_branch_n(), &b2clr);
-        self.emit(self.acc_store(t0));
-        self.emit(self.acc_load(t1));
+        self.emit_branch(self.acc(BR_N), &b2clr);
+        self.emit_acc(A::Store { m: t0 });
+        self.emit_acc(A::Load { m: t1 });
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", 2)?;
-        self.emit(self.acc_store(t1));
+        self.emit_acc(A::Store { m: t1 });
         self.emit_label(b2clr);
-        self.emit(self.acc_load(t0));
+        self.emit_acc(A::Load { m: t0 });
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", -2)?;
-        self.emit_branch(self.acc_branch_n(), &b1clr);
-        self.emit(self.acc_store(t0));
-        self.emit(self.acc_load(t1));
+        self.emit_branch(self.acc(BR_N), &b1clr);
+        self.emit_acc(A::Store { m: t0 });
+        self.emit_acc(A::Load { m: t1 });
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", 1)?;
-        self.emit(self.acc_store(t1));
+        self.emit_acc(A::Store { m: t1 });
         self.emit_label(b1clr);
-        self.emit(self.acc_load(t1));
+        self.emit_acc(A::Load { m: t1 });
         Ok(())
     }
 
@@ -484,15 +426,15 @@ impl Ctx {
         }
         if self.feature(Feature::BarrelShifter) {
             let insn = if arithmetic {
-                xacc::Instruction::AsrImm {
+                A::AsrImm {
                     amount: amount as u8,
                 }
             } else {
-                xacc::Instruction::LsrImm {
+                A::LsrImm {
                     amount: amount as u8,
                 }
             };
-            self.emit(MachineInsn::Xacc(insn));
+            self.emit(self.acc(insn));
             return Ok(());
         }
         if self.feature(Feature::Subroutines) {
@@ -500,10 +442,7 @@ impl Ctx {
             // register instead of inlining ~29 instructions per shift
             let label = self.shared_shift_label(arithmetic);
             for _ in 0..amount {
-                self.emit_branch(
-                    MachineInsn::Xacc(xacc::Instruction::Call { target: 0 }),
-                    &label,
-                );
+                self.emit_branch(self.acc(A::Call { target: 0 }), &label);
             }
             return Ok(());
         }
@@ -544,7 +483,7 @@ impl Ctx {
             if let Some(label) = label {
                 self.emit_label(label);
                 self.emit_rshift1_soft(arithmetic)?;
-                self.emit(MachineInsn::Xacc(xacc::Instruction::Ret));
+                self.emit_acc(A::Ret);
             }
         }
         Ok(())
@@ -563,13 +502,13 @@ impl Ctx {
     fn emit_brgtu(&mut self, x: u8, m: u8, label: &str) -> Result<(), AsmError> {
         if self.feature(Feature::AddWithCarry) {
             // carry = (m >= x); acc = carry; acc - 1 is negative iff x > m
-            self.emit(self.acc_load(m));
-            self.emit(MachineInsn::Xacc(xacc::Instruction::Sub { m: x }));
+            self.emit_acc(A::Load { m });
+            self.emit_acc(A::Sub { m: x });
             self.emit_acc_alu_imm(AccOp::Nand, "brgtu", 0)?; // acc = 0xF
             self.emit_acc_alu_imm(AccOp::Nand, "brgtu", -1)?; // acc = 0
-            self.emit(MachineInsn::Xacc(xacc::Instruction::AdcImm { imm: 0 }));
+            self.emit_acc(A::AdcImm { imm: 0 });
             self.emit_acc_alu_imm(AccOp::Add, "brgtu", -1)?;
-            self.emit_branch(self.acc_branch_n(), label);
+            self.emit_branch(self.acc(BR_N), label);
             return Ok(());
         }
         self.require_scratch("brgtu")?;
@@ -580,24 +519,24 @@ impl Ctx {
         let xhi = self.fresh_label("ugt_xhi");
         let tail = self.fresh_label("ugt_tail");
         let le = self.fresh_label("ugt_le");
-        self.emit(self.acc_load(x));
-        self.emit_branch(self.acc_branch_n(), &xhi);
-        self.emit(self.acc_load(m));
-        self.emit_branch(self.acc_branch_n(), &le); // x < 8 <= m
+        self.emit_acc(A::Load { m: x });
+        self.emit_branch(self.acc(BR_N), &xhi);
+        self.emit_acc(A::Load { m });
+        self.emit_branch(self.acc(BR_N), &le); // x < 8 <= m
         self.emit_jmp(&tail); // both low
         self.emit_label(xhi);
-        self.emit(self.acc_load(m));
-        self.emit_branch(self.acc_branch_n(), &tail); // both high
+        self.emit_acc(A::Load { m });
+        self.emit_branch(self.acc(BR_N), &tail); // both high
         self.emit_jmp(label); // x >= 8 > m
         self.emit_label(tail);
         // x - m - 1 via the one's complement identity ~m = -m - 1: the
         // result is negative exactly when x <= m (clobbers r7)
-        self.emit(self.acc_load(m));
+        self.emit_acc(A::Load { m });
         self.emit_acc_alu_imm(AccOp::Nand, "brgtu", -1)?;
-        self.emit(self.acc_store(SCRATCH_A));
-        self.emit(self.acc_load(x));
+        self.emit_acc(A::Store { m: SCRATCH_A });
+        self.emit_acc(A::Load { m: x });
         self.emit(self.acc_alu_mem(AccOp::Add, SCRATCH_A));
-        self.emit_branch(self.acc_branch_n(), &le);
+        self.emit_branch(self.acc(BR_N), &le);
         self.emit_jmp(label);
         self.emit_label(le);
         Ok(())
@@ -623,30 +562,30 @@ impl Ctx {
             // constants first: `ldi` contains an ADD and would clobber the
             // borrow chain if interleaved
             self.emit_ldi(kl)?;
-            self.emit(self.acc_store(SCRATCH_B));
+            self.emit_acc(A::Store { m: SCRATCH_B });
             self.emit_ldi(kh)?;
-            self.emit(self.acc_store(SCRATCH_A));
-            self.emit(self.acc_load(xl));
-            self.emit(MachineInsn::Xacc(xacc::Instruction::Sub { m: SCRATCH_B }));
-            self.emit(self.acc_load(xh));
-            self.emit(MachineInsn::Xacc(xacc::Instruction::Swb { m: SCRATCH_A }));
+            self.emit_acc(A::Store { m: SCRATCH_A });
+            self.emit_acc(A::Load { m: xl });
+            self.emit_acc(A::Sub { m: SCRATCH_B });
+            self.emit_acc(A::Load { m: xh });
+            self.emit_acc(A::Swb { m: SCRATCH_A });
             // carry = x >= k; acc = carry - 1 is negative iff x < k
             self.emit_acc_alu_imm(AccOp::Nand, "brltu8", 0)?;
             self.emit_acc_alu_imm(AccOp::Nand, "brltu8", -1)?;
-            self.emit(MachineInsn::Xacc(xacc::Instruction::AdcImm { imm: 0 }));
+            self.emit_acc(A::AdcImm { imm: 0 });
             self.emit_acc_alu_imm(AccOp::Add, "brltu8", -1)?;
-            self.emit_branch(self.acc_branch_n(), label);
+            self.emit_branch(self.acc(BR_N), label);
             return Ok(());
         }
         self.require_scratch("brltu8")?;
         // nibble-by-nibble: less iff (xh < kh) or (xh == kh and xl < kl)
         let ge = self.fresh_label("ult8_ge");
         self.emit_ldi(kh)?;
-        self.emit(self.acc_store(SCRATCH_B));
+        self.emit_acc(A::Store { m: SCRATCH_B });
         self.emit_brgtu(SCRATCH_B, xh, label)?; // kh > xh: less
         self.emit_brgtu(xh, SCRATCH_B, &ge)?; // xh > kh: not less
         self.emit_ldi(kl)?;
-        self.emit(self.acc_store(SCRATCH_B));
+        self.emit_acc(A::Store { m: SCRATCH_B });
         self.emit_brgtu(SCRATCH_B, xl, label)?; // tie: kl > xl decides
         self.emit_label(ge);
         Ok(())
@@ -693,22 +632,19 @@ impl Ctx {
             }
             "load" => {
                 let m = self.one_mem(mnemonic, operands)?;
-                self.emit(self.acc_load(m));
+                self.emit_acc(A::Load { m });
             }
             "store" => {
                 let m = self.one_mem(mnemonic, operands)?;
-                self.emit(self.acc_store(m));
+                self.emit_acc(A::Store { m });
             }
             "br" => {
                 let c = self.cond_mask(cond)?;
                 let target = self.one_target(mnemonic, operands)?;
                 if c == Cond::N {
-                    self.emit_branch_to(self.acc_branch_n(), target);
+                    self.emit_branch_to(self.acc(BR_N), target);
                 } else if self.feature(Feature::BranchFlags) {
-                    self.emit_branch_to(
-                        MachineInsn::Xacc(xacc::Instruction::Br { cond: c, target: 0 }),
-                        target,
-                    );
+                    self.emit_branch_to(self.acc(A::Br { cond: c, target: 0 }), target);
                 } else {
                     return Err(self.unsupported(
                         "br",
@@ -734,11 +670,11 @@ impl Ctx {
                     ));
                 }
                 let insn = if mnemonic == "adc" {
-                    xacc::Instruction::Adc { m }
+                    A::Adc { m }
                 } else {
-                    xacc::Instruction::Swb { m }
+                    A::Swb { m }
                 };
-                self.emit(MachineInsn::Xacc(insn));
+                self.emit(self.acc(insn));
             }
             "adci" => {
                 let v = self.one_imm(mnemonic, operands)?;
@@ -755,19 +691,19 @@ impl Ctx {
                         range: (-8, 7),
                     }));
                 }
-                self.emit(MachineInsn::Xacc(xacc::Instruction::AdcImm {
+                self.emit(self.acc(A::AdcImm {
                     imm: (v & 0xF) as u8,
                 }));
             }
             "sub" => {
                 let m = self.one_mem(mnemonic, operands)?;
                 if self.feature(Feature::AddWithCarry) {
-                    self.emit(MachineInsn::Xacc(xacc::Instruction::Sub { m }));
+                    self.emit_acc(A::Sub { m });
                 } else {
                     self.require_scratch("sub")?;
                     // acc - m = acc + ~m + 1
-                    self.emit(self.acc_store(SCRATCH_A));
-                    self.emit(self.acc_load(m));
+                    self.emit_acc(A::Store { m: SCRATCH_A });
+                    self.emit_acc(A::Load { m });
                     self.emit_acc_alu_imm(AccOp::Nand, "sub", -1)?; // ~m
                     self.emit_acc_alu_imm(AccOp::Add, "sub", 1)?; // -m
                     self.emit(self.acc_alu_mem(AccOp::Add, SCRATCH_A));
@@ -782,7 +718,7 @@ impl Ctx {
                     return Err(self.syntax("`neg` takes no operands"));
                 }
                 if self.feature(Feature::AddWithCarry) {
-                    self.emit(MachineInsn::Xacc(xacc::Instruction::Neg));
+                    self.emit_acc(A::Neg);
                 } else {
                     self.emit_acc_alu_imm(AccOp::Nand, "neg", -1)?;
                     self.emit_acc_alu_imm(AccOp::Add, "neg", 1)?;
@@ -801,13 +737,13 @@ impl Ctx {
             "or" => {
                 let m = self.one_mem(mnemonic, operands)?;
                 if self.feature(Feature::AddWithCarry) {
-                    self.emit(MachineInsn::Xacc(xacc::Instruction::Or { m }));
+                    self.emit_acc(A::Or { m });
                 } else {
                     self.require_scratch("or")?;
                     // a|b = ~(~a & ~b)
                     self.emit_acc_alu_imm(AccOp::Nand, "or", -1)?; // ~a
-                    self.emit(self.acc_store(SCRATCH_A));
-                    self.emit(self.acc_load(m));
+                    self.emit_acc(A::Store { m: SCRATCH_A });
+                    self.emit_acc(A::Load { m });
                     self.emit_acc_alu_imm(AccOp::Nand, "or", -1)?; // ~b
                     self.emit(self.acc_alu_mem(AccOp::Nand, SCRATCH_A));
                 }
@@ -816,7 +752,7 @@ impl Ctx {
                 let v = self.one_imm(mnemonic, operands)?;
                 if self.feature(Feature::AddWithCarry) {
                     let imm = self.imm4("ori", v)?;
-                    self.emit(MachineInsn::Xacc(xacc::Instruction::OrImm { imm }));
+                    self.emit_acc(A::OrImm { imm });
                     return Ok(());
                 }
                 // ~a NAND ~k = a | k
@@ -826,15 +762,15 @@ impl Ctx {
             "xch" => {
                 let m = self.one_mem(mnemonic, operands)?;
                 if self.feature(Feature::AccExchange) {
-                    self.emit(MachineInsn::Xacc(xacc::Instruction::Xch { m }));
+                    self.emit_acc(A::Xch { m });
                 } else {
                     self.require_scratch("xch")?;
-                    self.emit(self.acc_store(SCRATCH_A));
-                    self.emit(self.acc_load(m));
-                    self.emit(self.acc_store(SCRATCH_B));
-                    self.emit(self.acc_load(SCRATCH_A));
-                    self.emit(self.acc_store(m));
-                    self.emit(self.acc_load(SCRATCH_B));
+                    self.emit_acc(A::Store { m: SCRATCH_A });
+                    self.emit_acc(A::Load { m });
+                    self.emit_acc(A::Store { m: SCRATCH_B });
+                    self.emit_acc(A::Load { m: SCRATCH_A });
+                    self.emit_acc(A::Store { m });
+                    self.emit_acc(A::Load { m: SCRATCH_B });
                 }
             }
             "lsr1" => self.emit_rshift(mnemonic, 1, false)?,
@@ -862,11 +798,11 @@ impl Ctx {
                     );
                 }
                 let insn = if mnemonic == "mull" {
-                    xacc::Instruction::MulL { m }
+                    A::MulL { m }
                 } else {
-                    xacc::Instruction::MulH { m }
+                    A::MulH { m }
                 };
-                self.emit(MachineInsn::Xacc(insn));
+                self.emit(self.acc(insn));
             }
             "call" => {
                 let target = self.one_target(mnemonic, operands)?;
@@ -876,10 +812,7 @@ impl Ctx {
                         "needs the Subroutines extension (return-address register)",
                     ));
                 }
-                self.emit_branch_to(
-                    MachineInsn::Xacc(xacc::Instruction::Call { target: 0 }),
-                    target,
-                );
+                self.emit_branch_to(self.acc(A::Call { target: 0 }), target);
             }
             "ret" => {
                 if !self.feature(Feature::Subroutines) {
@@ -888,7 +821,7 @@ impl Ctx {
                         "needs the Subroutines extension (return-address register)",
                     ));
                 }
-                self.emit(MachineInsn::Xacc(xacc::Instruction::Ret));
+                self.emit_acc(A::Ret);
             }
             // ---- universal pseudos ----
             "ldi" => {
@@ -907,7 +840,7 @@ impl Ctx {
                 if self.feature(Feature::BranchFlags) {
                     self.emit_label(here.clone());
                     self.emit_branch(
-                        MachineInsn::Xacc(xacc::Instruction::Br {
+                        self.acc(A::Br {
                             cond: Cond::ALWAYS,
                             target: 0,
                         }),
@@ -915,17 +848,9 @@ impl Ctx {
                     );
                 } else {
                     // ACC must be negative for the spin branch to take
-                    match self.target.dialect {
-                        Dialect::Fc4 | Dialect::Fc8 => {
-                            self.emit(MachineInsn::Fab(fc4::Instruction::NandImm { imm: 0 }));
-                        }
-                        Dialect::ExtendedAcc => {
-                            self.emit(MachineInsn::Xacc(xacc::Instruction::NandImm { imm: 0 }));
-                        }
-                        Dialect::LoadStore => unreachable!(),
-                    }
+                    self.emit_acc(A::NandImm { imm: 0 });
                     self.emit_label(here.clone());
-                    self.emit_branch(self.acc_branch_n(), &here);
+                    self.emit_branch(self.acc(BR_N), &here);
                 }
             }
             "nop" => {
@@ -954,11 +879,11 @@ impl Ctx {
                 // branch; the page commits during the two-slot delay
                 let oport = 1;
                 self.emit_ldi(i64::from(flexicore::mmu::ESCAPE_1))?;
-                self.emit(self.acc_store(oport));
+                self.emit_acc(A::Store { m: oport });
                 self.emit_ldi(i64::from(flexicore::mmu::ESCAPE_2))?;
-                self.emit(self.acc_store(oport));
+                self.emit_acc(A::Store { m: oport });
                 self.emit_ldi(page)?;
-                self.emit(self.acc_store(oport));
+                self.emit_acc(A::Store { m: oport });
                 // the MMU commits the page three instruction slots after
                 // the page value appears; the base-ISA `jmp` occupies two
                 // slots, but the BranchFlags `jmp` is a single instruction

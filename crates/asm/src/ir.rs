@@ -4,15 +4,15 @@
 //! machine instruction of the target dialect; control transfers may still
 //! carry an unresolved label, patched during layout.
 
-use flexicore::isa::{fc4, xacc, xls};
+use flexicore::isa::acc::{self, DialectInsn};
+use flexicore::isa::xls;
 
 /// A dialect-tagged machine instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MachineInsn {
-    /// Fabricated-core instruction (FlexiCore4 or FlexiCore8).
-    Fab(fc4::Instruction),
-    /// Extended-accumulator instruction.
-    Xacc(xacc::Instruction),
+    /// Accumulator instruction (FlexiCore4, FlexiCore8 or extended
+    /// accumulator), in its dialect's encoding.
+    Acc(DialectInsn),
     /// Load-store instruction.
     Xls(xls::Instruction),
 }
@@ -22,8 +22,7 @@ impl MachineInsn {
     #[must_use]
     pub fn byte_len(&self) -> usize {
         match self {
-            MachineInsn::Fab(i) => i.len(),
-            MachineInsn::Xacc(i) => i.len(),
+            MachineInsn::Acc(i) => i.len(),
             MachineInsn::Xls(i) => i.len(),
         }
     }
@@ -31,10 +30,7 @@ impl MachineInsn {
     /// Append the encoding to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            MachineInsn::Fab(i) => {
-                i.encode_into(buf);
-            }
-            MachineInsn::Xacc(i) => {
+            MachineInsn::Acc(i) => {
                 i.encode_into(buf);
             }
             MachineInsn::Xls(i) => {
@@ -49,15 +45,15 @@ impl MachineInsn {
     /// never calls it for those).
     #[must_use]
     pub fn with_target(self, target: u8) -> MachineInsn {
+        use acc::Instruction as A;
         match self {
-            MachineInsn::Fab(fc4::Instruction::Branch { .. }) => {
-                MachineInsn::Fab(fc4::Instruction::Branch { target })
-            }
-            MachineInsn::Xacc(xacc::Instruction::Br { cond, .. }) => {
-                MachineInsn::Xacc(xacc::Instruction::Br { cond, target })
-            }
-            MachineInsn::Xacc(xacc::Instruction::Call { .. }) => {
-                MachineInsn::Xacc(xacc::Instruction::Call { target })
+            MachineInsn::Acc(mut i) => {
+                i.insn = match i.insn {
+                    A::Br { cond, .. } => A::Br { cond, target },
+                    A::Call { .. } => A::Call { target },
+                    other => other,
+                };
+                MachineInsn::Acc(i)
             }
             MachineInsn::Xls(xls::Instruction::Br { cond, .. }) => {
                 MachineInsn::Xls(xls::Instruction::Br { cond, target })
@@ -72,13 +68,13 @@ impl MachineInsn {
     /// Whether this instruction takes a branch-target field.
     #[must_use]
     pub fn is_control_transfer(&self) -> bool {
+        use acc::Instruction as A;
         matches!(
             self,
-            MachineInsn::Fab(fc4::Instruction::Branch { .. })
-                | MachineInsn::Xacc(xacc::Instruction::Br { .. })
-                | MachineInsn::Xacc(xacc::Instruction::Call { .. })
-                | MachineInsn::Xls(xls::Instruction::Br { .. })
-                | MachineInsn::Xls(xls::Instruction::Call { .. })
+            MachineInsn::Acc(DialectInsn {
+                insn: A::Br { .. } | A::Call { .. },
+                ..
+            }) | MachineInsn::Xls(xls::Instruction::Br { .. } | xls::Instruction::Call { .. })
         )
     }
 }
@@ -86,8 +82,7 @@ impl MachineInsn {
 impl core::fmt::Display for MachineInsn {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            MachineInsn::Fab(i) => i.fmt(f),
-            MachineInsn::Xacc(i) => i.fmt(f),
+            MachineInsn::Acc(i) => i.fmt(f),
             MachineInsn::Xls(i) => i.fmt(f),
         }
     }
@@ -129,20 +124,23 @@ pub enum Item {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexicore::isa::xacc::Cond;
+    use flexicore::isa::acc::{Cond, Instruction};
+    use flexicore::isa::Dialect;
+
+    fn fab(insn: Instruction) -> MachineInsn {
+        MachineInsn::Acc(insn.in_dialect(Dialect::Fc4))
+    }
+
+    fn xacc(insn: Instruction) -> MachineInsn {
+        MachineInsn::Acc(insn.in_dialect(Dialect::ExtendedAcc))
+    }
 
     #[test]
     fn byte_lengths() {
+        assert_eq!(fab(Instruction::AddImm { imm: 1 }).byte_len(), 1);
+        assert_eq!(fab(Instruction::LoadByte { imm: 1 }).byte_len(), 2);
         assert_eq!(
-            MachineInsn::Fab(fc4::Instruction::AddImm { imm: 1 }).byte_len(),
-            1
-        );
-        assert_eq!(
-            MachineInsn::Fab(fc4::Instruction::LoadByte { imm: 1 }).byte_len(),
-            2
-        );
-        assert_eq!(
-            MachineInsn::Xacc(xacc::Instruction::Br {
+            xacc(Instruction::Br {
                 cond: Cond::N,
                 target: 0
             })
@@ -154,17 +152,20 @@ mod tests {
 
     #[test]
     fn target_patching() {
-        let b = MachineInsn::Fab(fc4::Instruction::Branch { target: 0 });
+        let b = fab(Instruction::Br {
+            cond: Cond::N,
+            target: 0,
+        });
         assert_eq!(
             b.with_target(9),
-            MachineInsn::Fab(fc4::Instruction::Branch { target: 9 })
+            fab(Instruction::Br {
+                cond: Cond::N,
+                target: 9
+            })
         );
-        let c = MachineInsn::Xacc(xacc::Instruction::Call { target: 0 });
-        assert_eq!(
-            c.with_target(5),
-            MachineInsn::Xacc(xacc::Instruction::Call { target: 5 })
-        );
-        let a = MachineInsn::Fab(fc4::Instruction::AddImm { imm: 2 });
+        let c = xacc(Instruction::Call { target: 0 });
+        assert_eq!(c.with_target(5), xacc(Instruction::Call { target: 5 }));
+        let a = fab(Instruction::AddImm { imm: 2 });
         assert_eq!(a.with_target(5), a);
         assert!(b.is_control_transfer());
         assert!(!a.is_control_transfer());
@@ -173,8 +174,8 @@ mod tests {
     #[test]
     fn encoding_appends() {
         let mut buf = Vec::new();
-        MachineInsn::Fab(fc4::Instruction::Load { addr: 2 }).encode_into(&mut buf);
-        MachineInsn::Fab(fc4::Instruction::LoadByte { imm: 7 }).encode_into(&mut buf);
+        fab(Instruction::Load { m: 2 }).encode_into(&mut buf);
+        fab(Instruction::LoadByte { imm: 7 }).encode_into(&mut buf);
         assert_eq!(buf.len(), 3);
     }
 }

@@ -22,21 +22,21 @@ fn sample_insn(target: &Target, rng: &mut impl FnMut() -> u8) -> Vec<u8> {
         match target.dialect {
             Dialect::Fc4 => {
                 let b = rng();
-                if let Ok((insn, _)) = fc4::Instruction::decode(&[b], 4) {
-                    return insn.encode();
+                if let Ok((insn, _)) = fc4::decode(&[b], 4) {
+                    return insn.encode(Dialect::Fc4);
                 }
             }
             Dialect::Fc8 => {
                 let bytes = [rng(), rng()];
-                if let Ok((insn, _)) = fc4::Instruction::decode(&bytes, 8) {
-                    return insn.encode();
+                if let Ok((insn, _)) = fc4::decode(&bytes, 8) {
+                    return insn.encode(Dialect::Fc8);
                 }
             }
             Dialect::ExtendedAcc => {
                 let bytes = [rng(), rng()];
-                if let Ok((insn, _)) = xacc::Instruction::decode(&bytes) {
+                if let Ok((insn, _)) = xacc::decode(&bytes) {
                     if insn.is_legal(target.features) {
-                        return insn.encode();
+                        return insn.encode(Dialect::ExtendedAcc);
                     }
                 }
             }

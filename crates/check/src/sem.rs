@@ -10,7 +10,7 @@
 
 use flexasm::Target;
 use flexicore::exec::PC_MASK;
-use flexicore::isa::{fc4, sign_extend, xacc, xls, AluOp, Dialect};
+use flexicore::isa::{acc, sign_extend, xls, Dialect};
 use flexicore::Program;
 
 use crate::abs::{AbsBool, AbsMmu, AbsVal};
@@ -241,8 +241,9 @@ pub fn transfer(
     }
 
     match dialect {
-        Dialect::Fc4 | Dialect::Fc8 => transfer_fab(dialect.datapath_bits(), window, pc, state),
-        Dialect::ExtendedAcc => transfer_xacc(target, window, pc, state),
+        Dialect::Fc4 | Dialect::Fc8 | Dialect::ExtendedAcc => {
+            transfer_acc(target, window, pc, state)
+        }
         Dialect::LoadStore => transfer_xls(target, window, pc, state),
     }
 }
@@ -302,76 +303,22 @@ fn branch(out: &mut StepOut, pc: u8, taken: AbsBool, target: u8, seq: u8, state:
     }
 }
 
-/// The fabricated cores: FlexiCore4, and FlexiCore8 at eight bits.
-fn transfer_fab(width: u32, window: &[u8], pc: u8, state: &AbsState) -> Result<StepOut, Crash> {
-    use fc4::Instruction as I;
-    let (insn, len) = I::decode(window, width).map_err(crash_of)?;
-    let len = len as u8;
-    let mut out = StepOut::new(len, u64::from(len));
-    // only the accumulator loads ignore the old value (STORE forwards
-    // it, BRANCH tests its sign)
-    out.uses.acc = !matches!(insn, I::Load { .. } | I::LoadByte { .. });
-    let mut s = state.clone();
-    let seq = pc.wrapping_add(len) & PC_MASK;
-    let mask = ((1u16 << width) - 1) as u8;
-    let cells = (fc4::mem_words(width) - 1) as u8;
-    // 4-bit immediates are sign-extended to the datapath
-    let sext = |imm: u8| AbsVal::Const(sext4(imm) & mask);
-    let alu = |op: AluOp, a: AbsVal, b: AbsVal| fab_alu(op, a, b, width);
-    match insn {
-        I::AddImm { imm } => s.acc = alu(AluOp::Add, s.acc, sext(imm)),
-        I::NandImm { imm } => s.acc = alu(AluOp::Nand, s.acc, sext(imm)),
-        I::XorImm { imm } => s.acc = alu(AluOp::Xor, s.acc, sext(imm)),
-        I::AddMem { src } => s.acc = alu(AluOp::Add, s.acc, read_cell(&s, src, cells, &mut out)),
-        I::NandMem { src } => s.acc = alu(AluOp::Nand, s.acc, read_cell(&s, src, cells, &mut out)),
-        I::XorMem { src } => s.acc = alu(AluOp::Xor, s.acc, read_cell(&s, src, cells, &mut out)),
-        I::Load { addr } => s.acc = read_cell(&s, addr, cells, &mut out),
-        I::Store { addr } => {
-            let v = s.acc;
-            write_cell(&mut s, addr, cells, v, &mut out);
-        }
-        I::LoadByte { imm } => s.acc = AbsVal::Const(imm),
-        I::Branch { target } => {
-            let sign = 1 << (width - 1);
-            let taken = match s.acc {
-                AbsVal::Const(a) => AbsBool::Const(a & sign != 0),
-                AbsVal::Top => AbsBool::Top,
-            };
-            branch(&mut out, pc, taken, target, seq, &s);
-            return Ok(out);
-        }
-    }
-    out.succs.push((seq, s));
-    Ok(out)
-}
-
-/// Fold a fabricated-core ALU operation over abstract operands: known
-/// operands run through the simulator's own [`AluOp::apply`], anything
-/// else is ⊤ — except that NAND absorbs a known zero on either side. The
-/// `ldi` and `halt` lowerings lean on `nandi 0` as a constant generator,
-/// so this case must stay precise or every kernel's halt idiom (and the
-/// MMU-disarming zero separators) dissolves into ⊤.
-fn fab_alu(op: AluOp, a: AbsVal, b: AbsVal, width: u32) -> AbsVal {
-    if op == AluOp::Nand && (a == AbsVal::Const(0) || b == AbsVal::Const(0)) {
-        return AbsVal::Const(op.apply(0, 0, width));
-    }
-    a.map2(b, |x, y| op.apply(x, y, width))
-}
-
-/// Fold a DSE ALU operation over the abstract accumulator or `rd` (`a`),
-/// operand (`b`) and carry: when every input `op` reads is known, the
-/// simulator's own [`xls::Op::apply`] computes the result and carry
-/// (`MOV` ignores `a`, `NEG` ignores `b`, and only `ADC`/`SWB` read the
-/// carry). Otherwise the result is ⊤, with [`fab_alu`]'s refinement —
-/// NAND, and AND, absorb a known zero — plus two more: a shift by a known
-/// zero is the identity, and an operation that leaves the carry alone
-/// keeps it.
-fn dse_alu(op: xls::Op, a: AbsVal, b: AbsVal, carry: AbsBool) -> (AbsVal, AbsBool) {
+/// Fold a DSE ALU operation at datapath `width` over the abstract
+/// accumulator or `rd` (`a`), operand (`b`) and carry: when every input
+/// `op` reads is known, the simulator's own [`xls::Op::apply`] computes
+/// the result and carry (`MOV` ignores `a`, `NEG` ignores `b`, and only
+/// `ADC`/`SWB` read the carry). Otherwise the result is ⊤, with three
+/// refinements. NAND, and AND, absorb a known zero: the `ldi` and `halt`
+/// lowerings lean on `nandi 0` as a constant generator, so this case must
+/// stay precise or every kernel's halt idiom (and the MMU-disarming zero
+/// separators) dissolves into ⊤. A shift by a known zero is the identity,
+/// and an operation that leaves the carry alone keeps it.
+fn dse_alu(op: xls::Op, a: AbsVal, b: AbsVal, carry: AbsBool, width: u32) -> (AbsVal, AbsBool) {
     use xls::Op;
     let zero = AbsVal::Const(0);
     match op {
         Op::Nand | Op::And if a == zero || b == zero => {
-            return (AbsVal::Const(op.apply(0, 0, false).0), carry);
+            return (AbsVal::Const(op.apply(0, 0, false, width).0), carry);
         }
         Op::Asr | Op::Lsr if matches!(b, AbsVal::Const(amount) if amount & 7 == 0) => {
             return (a, carry);
@@ -390,7 +337,7 @@ fn dse_alu(op: xls::Op, a: AbsVal, b: AbsVal, carry: AbsBool) -> (AbsVal, AbsBoo
     };
     match (a, b, carry_in) {
         (AbsVal::Const(a), AbsVal::Const(b), AbsBool::Const(c)) => {
-            let (value, c) = op.apply(a, b, c);
+            let (value, c) = op.apply(a, b, c, width);
             let c = if keeps_carry {
                 carry
             } else {
@@ -402,56 +349,72 @@ fn dse_alu(op: xls::Op, a: AbsVal, b: AbsVal, carry: AbsBool) -> (AbsVal, AbsBoo
     }
 }
 
-fn transfer_xacc(
+/// The accumulator dialects: FlexiCore4, FlexiCore8 at eight bits, and
+/// the extended accumulator, whose carry flag and link register the
+/// fabricated cores lack.
+fn transfer_acc(
     target: &Target,
     window: &[u8],
     pc: u8,
     state: &AbsState,
 ) -> Result<StepOut, Crash> {
-    use xacc::Instruction as I;
-    let (insn, len) = I::decode(window).map_err(crash_of)?;
+    use acc::Instruction as I;
+    let dialect = target.dialect;
+    let (insn, len) = I::decode(window, dialect).map_err(crash_of)?;
     if !insn.is_legal(target.features) {
         return Err(Crash::Illegal {
             raw: u16::from(window[0]),
         });
     }
     let len = len as u8;
-    let mut out = StepOut::new(len, 1);
-    // LOAD overwrites the accumulator, CALL/RET never touch it, and an
-    // always/never branch condition cannot depend on its value; every
+    let extended = !dialect.is_fabricated();
+    let mut out = StepOut::new(len, if extended { 1 } else { u64::from(len) });
+    // the loads overwrite the accumulator, CALL/RET never touch it, and
+    // an always/never branch condition cannot depend on its value; every
     // other instruction observes it
     out.uses.acc = match insn {
-        I::Load { .. } | I::Call { .. } | I::Ret => false,
+        I::Load { .. } | I::LoadByte { .. } | I::Call { .. } | I::Ret => false,
         I::Br { cond, .. } => !matches!(cond.bits(), 0b000 | 0b111),
         _ => true,
     };
     let mut s = state.clone();
     let seq = pc.wrapping_add(len) & PC_MASK;
+    let width = dialect.datapath_bits();
+    let mask = ((1u16 << width) - 1) as u8;
+    let cells = dialect.mem_words() - 1;
     if let Some((op, operand)) = insn.alu() {
-        let b = operand_value(&s, operand, &mut out);
-        (s.acc, s.carry) = dse_alu(op, s.acc, b, s.carry);
+        let b = match operand {
+            xls::Operand::Reg(m) => read_cell(&s, m, cells, &mut out),
+            // 4-bit immediates are sign-extended to the datapath
+            xls::Operand::Imm(imm) => AbsVal::Const(sext4(imm) & mask),
+        };
+        let carry;
+        (s.acc, carry) = dse_alu(op, s.acc, b, s.carry, width);
+        if extended {
+            s.carry = carry;
+        }
         out.succs.push((seq, s));
         return Ok(out);
     }
     match insn {
         I::Xch { m } => {
-            let v = read_cell(&s, m, 0x7, &mut out);
+            let v = read_cell(&s, m, cells, &mut out);
             let old = s.acc;
             s.acc = v;
-            write_cell(&mut s, m, 0x7, old, &mut out);
+            write_cell(&mut s, m, cells, old, &mut out);
         }
         I::Store { m } => {
             let v = s.acc;
-            write_cell(&mut s, m, 0x7, v, &mut out);
+            write_cell(&mut s, m, cells, v, &mut out);
         }
+        I::LoadByte { imm } => s.acc = AbsVal::Const(imm),
         I::Br { cond, target } => {
-            let bits = cond.bits();
-            let taken = match bits {
+            let taken = match cond.bits() {
                 // n|z|p partitions the value space
                 0b111 => AbsBool::Const(true),
                 0b000 => AbsBool::Const(false),
                 _ => match s.acc {
-                    AbsVal::Const(a) => AbsBool::Const(cond.taken(a, 4)),
+                    AbsVal::Const(a) => AbsBool::Const(cond.taken(a, width)),
                     AbsVal::Top => AbsBool::Top,
                 },
             };
@@ -479,7 +442,7 @@ fn transfer_xacc(
     Ok(out)
 }
 
-/// The value of a DSE ALU operand: a cell read, or a sign-extended
+/// The value of an xls ALU operand: a register read, or a sign-extended
 /// 4-bit immediate.
 fn operand_value(state: &AbsState, operand: xls::Operand, out: &mut StepOut) -> AbsVal {
     match operand {
@@ -513,7 +476,7 @@ fn transfer_xls(
             } else {
                 read_cell(&s, rd, 0x7, &mut out)
             };
-            let (result, carry) = dse_alu(op, a, b, s.carry);
+            let (result, carry) = dse_alu(op, a, b, s.carry, 4);
             s.carry = carry;
             match result {
                 AbsVal::Const(v) => {
@@ -624,8 +587,8 @@ mod tests {
     #[test]
     fn xacc_feature_gating_is_illegal() {
         // ADC needs AddWithCarry; base feature set must reject it
-        let insn = xacc::Instruction::Adc { m: 2 };
-        let program = Program::from_bytes(insn.encode());
+        let insn = acc::Instruction::Adc { m: 2 };
+        let program = Program::from_bytes(insn.encode(Dialect::ExtendedAcc));
         let base = Target::xacc(FeatureSet::BASE);
         let err = transfer(&base, &program, 0, &AbsState::poweron(Dialect::ExtendedAcc));
         assert!(matches!(err, Err(Crash::Illegal { .. })));
@@ -642,7 +605,7 @@ mod tests {
             operand: xls::Operand::Imm(0xF),
         };
         let br = xls::Instruction::Br {
-            cond: xacc::Cond::N,
+            cond: acc::Cond::N,
             target: 1,
         };
         let mut bytes = movi.encode().to_be_bytes().to_vec();
@@ -663,7 +626,7 @@ mod tests {
     fn xls_poweron_flags_make_br_nzp_fall_through() {
         // br.nzp at power-on is NOT taken (flags all clear)
         let br = xls::Instruction::Br {
-            cond: xacc::Cond::ALWAYS,
+            cond: acc::Cond::ALWAYS,
             target: 3,
         };
         let mut bytes = br.encode().to_be_bytes().to_vec();

@@ -27,7 +27,7 @@ use flexicore::error::SimError;
 use flexicore::exec::AnyCore;
 use flexicore::io::{RecordingOutput, ScriptedInput};
 use flexicore::isa::features::{Feature, FeatureSet};
-use flexicore::isa::{fc4, fc8, xacc, xls, Dialect};
+use flexicore::isa::{acc, fc8, xls, Dialect};
 use flexicore::Program;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -152,25 +152,13 @@ fn random_target(dialect: Dialect, rng: &mut StdRng) -> Target {
 fn sample_legal(target: &Target, rng: &mut StdRng, quiet: bool) -> Vec<u8> {
     loop {
         match target.dialect {
-            Dialect::Fc4 | Dialect::Fc8 => {
-                // one byte per draw, two where LOAD BYTE can take both
-                let width = target.dialect.datapath_bits();
+            Dialect::Fc4 | Dialect::Fc8 | Dialect::ExtendedAcc => {
+                // one byte per draw, two where an instruction can take both
                 let mut bytes = vec![rng.gen::<u8>()];
-                if fc4::has_load_byte(width) {
+                if target.dialect != Dialect::Fc4 {
                     bytes.push(rng.gen());
                 }
-                let Ok((insn, len)) = fc4::Instruction::decode(&bytes, width) else {
-                    continue;
-                };
-                if quiet && matches!(insn, fc4::Instruction::Store { addr: 1 }) {
-                    continue;
-                }
-                bytes.truncate(len);
-                return bytes;
-            }
-            Dialect::ExtendedAcc => {
-                let bytes = [rng.gen::<u8>(), rng.gen::<u8>()];
-                let Ok((insn, len)) = xacc::Instruction::decode(&bytes) else {
+                let Ok((insn, len)) = acc::Instruction::decode(&bytes, target.dialect) else {
                     continue;
                 };
                 if !insn.is_legal(target.features) {
@@ -179,12 +167,13 @@ fn sample_legal(target: &Target, rng: &mut StdRng, quiet: bool) -> Vec<u8> {
                 if quiet
                     && matches!(
                         insn,
-                        xacc::Instruction::Store { m: 1 } | xacc::Instruction::Xch { m: 1 }
+                        acc::Instruction::Store { m: 1 } | acc::Instruction::Xch { m: 1 }
                     )
                 {
                     continue;
                 }
-                return bytes[..len].to_vec();
+                bytes.truncate(len);
+                return bytes;
             }
             Dialect::LoadStore => {
                 let half: u16 = rng.gen();

@@ -45,9 +45,9 @@ use flexasm::Target;
 use flexicore::exec::PC_MASK;
 use flexicore::isa::Dialect;
 use flexicore::sim::fault::PAGE_MASK;
-use flexshard::{fnv1a, FNV_OFFSET};
 use flexicore::sim::StateElement;
 use flexicore::Program;
+use flexshard::{fnv1a, FNV_OFFSET};
 
 use crate::cfg::{Analysis, NODE_SPACE};
 use crate::sem::{fetch_address, transfer, Crash};
@@ -659,7 +659,7 @@ mod tests {
             operand: flexicore::isa::xls::Operand::Imm(0xF),
         };
         let br = flexicore::isa::xls::Instruction::Br {
-            cond: flexicore::isa::xacc::Cond::N,
+            cond: flexicore::isa::acc::Cond::N,
             target: 1,
         };
         let mut bytes = movi.encode().to_be_bytes().to_vec();

@@ -1717,8 +1717,10 @@ mod tests {
             ("--budget", "9"),
             ("--threads", "4"),
         ] {
-            let err = call(&["link", "--signed", "--rates", "0", "--seed", "1", flag, value])
-                .unwrap_err();
+            let err = call(&[
+                "link", "--signed", "--rates", "0", "--seed", "1", flag, value,
+            ])
+            .unwrap_err();
             assert!(
                 matches!(err, crate::CliError::Usage(_)),
                 "`link --signed {flag} {value}` must be a usage error, got {err}"

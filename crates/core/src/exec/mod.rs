@@ -666,20 +666,27 @@ impl<C: Core, F: FaultHook> Engine<'_, C, F> {
 mod tests {
     use super::*;
     use crate::io::{ConstInput, RecordingOutput, ScriptedInput};
-    use crate::isa::fc4::Instruction as I4;
+    use crate::isa::acc::{Cond, Instruction as I4};
     use crate::isa::features::FeatureSet;
     use crate::isa::Dialect;
     use crate::sim::fault::{ArchFault, FaultKind, FaultPlane, StateElement};
 
     fn fc4_core(insns: &[I4]) -> AnyCore {
-        let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode()).collect());
+        let program =
+            Program::from_bytes(insns.iter().flat_map(|i| i.encode(Dialect::Fc4)).collect());
         AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, program)
     }
 
     #[test]
     fn budget_exhaustion_hangs_a_run() {
         // spin between two addresses: never the halt idiom
-        let mut core = fc4_core(&[I4::NandImm { imm: 0 }, I4::Branch { target: 0 }]);
+        let mut core = fc4_core(&[
+            I4::NandImm { imm: 0 },
+            I4::Br {
+                cond: Cond::N,
+                target: 0,
+            },
+        ]);
         let run = core.run(&mut ConstInput::new(0), &mut RecordingOutput::new(), 50);
         match LaneStatus::of(run) {
             LaneStatus::Hung(r) => {
@@ -712,9 +719,12 @@ mod tests {
         // power-on visit followed by resume_with agree
         let insns = [
             I4::AddImm { imm: 5 },
-            I4::Store { addr: 1 },
+            I4::Store { m: 1 },
             I4::NandImm { imm: 0 },
-            I4::Branch { target: 3 },
+            I4::Br {
+                cond: Cond::N,
+                target: 3,
+            },
         ];
         let plane = FaultPlane::with_faults(vec![ArchFault {
             element: StateElement::Pc,
@@ -765,11 +775,14 @@ mod tests {
     #[test]
     fn fetch_latch_skips_only_the_drain_loop() {
         let echo = [
-            I4::Load { addr: 0 },
+            I4::Load { m: 0 },
             I4::AddImm { imm: 1 },
-            I4::Store { addr: 1 },
+            I4::Store { m: 1 },
             I4::NandImm { imm: 0 },
-            I4::Branch { target: 4 },
+            I4::Br {
+                cond: Cond::N,
+                target: 4,
+            },
         ];
         let mut probe = FetchProbe { visits: 0 };
         let mut core = fc4_core(&echo);

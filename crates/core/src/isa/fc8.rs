@@ -1,9 +1,9 @@
 //! What FlexiCore8 (paper Figure 2b) adds to FlexiCore4.
 //!
 //! FlexiCore8 keeps every FlexiCore4 instruction and format but widens the
-//! datapath to eight bits, so it shares FlexiCore4's
-//! [`Instruction`](crate::isa::fc4::Instruction) enum and decoder at
-//! `width` 8. To stay inside the 800-NAND2 area budget the data memory is
+//! datapath to eight bits, so it runs the one accumulator
+//! [`Instruction`](crate::isa::acc::Instruction) set through FlexiCore4's
+//! [`decode`](crate::isa::fc4::decode) at `width` 8. To stay inside the 800-NAND2 area budget the data memory is
 //! halved to four octet words (§3.3), so the memory address fields shrink
 //! to two bits (bits 3:2 are fixed zeros).
 //!
@@ -25,7 +25,9 @@ pub const LOAD_BYTE_OPCODE: u8 = 0b0000_1000;
 mod tests {
     use super::*;
     use crate::error::DecodeError;
-    use crate::isa::fc4::Instruction;
+    use crate::isa::acc::{Cond, Instruction};
+    use crate::isa::fc4::decode;
+    use crate::isa::Dialect;
 
     fn all_legal() -> Vec<Instruction> {
         let mut v = Vec::new();
@@ -35,14 +37,17 @@ mod tests {
             v.push(Instruction::XorImm { imm });
         }
         for a in 0..4u8 {
-            v.push(Instruction::AddMem { src: a });
-            v.push(Instruction::NandMem { src: a });
-            v.push(Instruction::XorMem { src: a });
-            v.push(Instruction::Load { addr: a });
-            v.push(Instruction::Store { addr: a });
+            v.push(Instruction::Add { m: a });
+            v.push(Instruction::Nand { m: a });
+            v.push(Instruction::Xor { m: a });
+            v.push(Instruction::Load { m: a });
+            v.push(Instruction::Store { m: a });
         }
         for t in 0..128u8 {
-            v.push(Instruction::Branch { target: t });
+            v.push(Instruction::Br {
+                cond: Cond::N,
+                target: t,
+            });
         }
         for imm in [0u8, 1, 0x7F, 0x80, 0xFF] {
             v.push(Instruction::LoadByte { imm });
@@ -53,8 +58,8 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         for insn in all_legal() {
-            let bytes = insn.encode();
-            let (decoded, len) = Instruction::decode(&bytes, 8).expect("legal");
+            let bytes = insn.encode(Dialect::Fc8);
+            let (decoded, len) = decode(&bytes, 8).expect("legal");
             assert_eq!(decoded, insn);
             assert_eq!(len, bytes.len());
         }
@@ -62,19 +67,16 @@ mod tests {
 
     #[test]
     fn load_byte_is_0x08_prefix() {
-        let bytes = Instruction::LoadByte { imm: 0xAB }.encode();
+        let bytes = Instruction::LoadByte { imm: 0xAB }.encode(Dialect::Fc8);
         assert_eq!(bytes, vec![LOAD_BYTE_OPCODE, 0xAB]);
         // FlexiCore4 keeps the encoding reserved
-        assert_eq!(
-            Instruction::decode(&bytes, 4),
-            Err(DecodeError::Illegal { raw: 0x08 })
-        );
+        assert_eq!(decode(&bytes, 4), Err(DecodeError::Illegal { raw: 0x08 }));
     }
 
     #[test]
     fn load_byte_needs_second_byte() {
         assert_eq!(
-            Instruction::decode(&[0x08], 8),
+            decode(&[0x08], 8),
             Err(DecodeError::NeedsSecondByte { raw: 0x08 })
         );
     }
@@ -82,16 +84,16 @@ mod tests {
     #[test]
     fn narrower_address_fields_than_fc4() {
         // bits 3:2 must be zero in memory formats
-        assert!(Instruction::decode(&[0b0000_0100], 8).is_err());
-        assert!(Instruction::decode(&[0b0011_0100], 8).is_err());
+        assert!(decode(&[0b0000_0100], 8).is_err());
+        assert!(decode(&[0b0011_0100], 8).is_err());
         // ... where FlexiCore4 reads address 4
         assert_eq!(
-            Instruction::decode(&[0b0011_0100], 4),
-            Ok((Instruction::Load { addr: 4 }, 1))
+            decode(&[0b0011_0100], 4),
+            Ok((Instruction::Load { m: 4 }, 1))
         );
         // 0b0000_1000 is LOAD BYTE, not illegal
         assert!(matches!(
-            Instruction::decode(&[0x08, 0x00], 8),
+            decode(&[0x08, 0x00], 8),
             Ok((Instruction::LoadByte { imm: 0 }, 2))
         ));
     }
@@ -102,10 +104,7 @@ mod tests {
         // byte both widths decode means the same instruction on both.
         let mut shared = 0;
         for byte in 0..=255u8 {
-            if let (Ok(narrow), Ok(wide)) = (
-                Instruction::decode(&[byte, 0], 4),
-                Instruction::decode(&[byte, 0], 8),
-            ) {
+            if let (Ok(narrow), Ok(wide)) = (decode(&[byte, 0], 4), decode(&[byte, 0], 8)) {
                 assert_eq!(narrow, wide, "{byte:#04x}");
                 shared += 1;
             }

@@ -6,19 +6,23 @@
 //! |---|---|---|---|---|
 //! | [`fc4`] | §3.3, Fig. 2a | 4 bit | 8 × 4 bit | fabricated base core |
 //! | [`fc8`] | §3.3, Fig. 2b | 8 bit | 4 × 8 bit | `fc4` at eight bits, adds `LOAD BYTE` |
-//! | [`xacc`] | §6.1–6.2 | 4 bit | 8 × 4 bit (opt. 16) | extended accumulator ISA |
+//! | [`xacc`] | §6.1–6.2 | 4 bit | 8 × 4 bit | extended accumulator ISA |
 //! | [`xls`] | §6.2 | 4 bit | 8 registers | two-operand load-store ISA |
 //!
-//! The two fabricated cores share one instruction set: [`fc4`] holds its
-//! one enum and decoder, parameterised by datapath width, and [`fc8`]
-//! what the wider core adds. The encodings follow Figure 2 of the paper
-//! bit-for-bit (see [`fc4`] for the one reconstruction choice made where
-//! the figure is ambiguous). The paper does not publish encodings for the
-//! DSE dialects, so `xacc` and `xls` define compact encodings with the
-//! operand counts and instruction widths the paper's Section 6.2 assumes
-//! (8-bit instructions for the accumulator machine, 16-bit for
-//! load-store).
+//! The three accumulator dialects share one instruction set,
+//! [`acc::Instruction`]: the DSE extensions are features gated by
+//! [`acc::Instruction::required_feature`], and `LOAD BYTE` is
+//! FlexiCore8's. Only their encodings differ, and there are two: the
+//! fabricated one of Figure 2 ([`fc4`], at width 4 or 8; [`fc8`] holds
+//! what the wider core adds), which follows the paper bit-for-bit (see
+//! [`fc4`] for the one reconstruction choice made where the figure is
+//! ambiguous), and the DSE one ([`xacc`]). The paper does not publish
+//! encodings for the DSE dialects, so `xacc` and `xls` define compact
+//! encodings with the operand counts and instruction widths the paper's
+//! Section 6.2 assumes (8-bit instructions for the accumulator machine,
+//! 16-bit for load-store).
 
+pub mod acc;
 pub mod fc4;
 pub mod fc8;
 pub mod features;
@@ -72,19 +76,18 @@ impl AluOp {
         }
     }
 
-    /// Apply the operation to `a` and `b`, truncated to `width` bits.
+    /// Apply the operation to `a` and `b`, truncated to `width` bits,
+    /// on the one accumulator ALU ([`xls::Op::apply`]).
     ///
     /// `width` must be 1..=8; the fabricated cores use 4 and 8.
     #[must_use]
     pub fn apply(self, a: u8, b: u8, width: u32) -> u8 {
-        debug_assert!((1..=8).contains(&width));
-        let mask = ((1u16 << width) - 1) as u8;
-        let r = match self {
-            AluOp::Add => a.wrapping_add(b),
-            AluOp::Nand => !(a & b),
-            AluOp::Xor => a ^ b,
+        let op = match self {
+            AluOp::Add => xls::Op::Add,
+            AluOp::Nand => xls::Op::Nand,
+            AluOp::Xor => xls::Op::Xor,
         };
-        r & mask
+        op.apply(a, b, false, width).0
     }
 }
 
@@ -115,7 +118,7 @@ pub enum Dialect {
 impl Dialect {
     /// Datapath width in bits.
     #[must_use]
-    pub fn datapath_bits(self) -> u32 {
+    pub const fn datapath_bits(self) -> u32 {
         match self {
             Dialect::Fc4 | Dialect::ExtendedAcc | Dialect::LoadStore => 4,
             Dialect::Fc8 => 8,
@@ -134,11 +137,19 @@ impl Dialect {
     /// Number of data-memory words (accumulator dialects) or registers
     /// (load-store dialect), IO-mapped entries included.
     #[must_use]
-    pub fn mem_words(self) -> u8 {
+    pub const fn mem_words(self) -> u8 {
         match self {
             Dialect::Fc4 | Dialect::Fc8 => fc4::mem_words(self.datapath_bits()) as u8,
             Dialect::ExtendedAcc | Dialect::LoadStore => 8,
         }
+    }
+
+    /// Whether this is one of the fabricated cores, FlexiCore4 or
+    /// FlexiCore8: the fabricated encoding and listing, no carry flag or
+    /// link register, and a clock cycle per fetched byte.
+    #[must_use]
+    pub const fn is_fabricated(self) -> bool {
+        matches!(self, Dialect::Fc4 | Dialect::Fc8)
     }
 
     /// Whether the dialect has a dedicated accumulator register (the

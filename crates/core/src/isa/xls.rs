@@ -26,20 +26,20 @@
 //! accumulator dialects, which test the accumulator directly).
 
 use crate::error::DecodeError;
+use crate::isa::acc::Cond;
 use crate::isa::features::{Feature, FeatureSet};
-use crate::isa::xacc::Cond;
 
 /// Number of architectural registers (including the two IO-mapped ones).
 pub const NUM_REGS: usize = 8;
 
 /// The operations of the design-space-exploration ALU (§6.2).
 ///
-/// Both DSE dialects execute through this one 4-bit datapath,
-/// [`Op::apply`]: the load-store dialect names the operation in its
-/// encoding, and the extended-accumulator dialect maps its ALU
-/// instructions onto it ([`xacc::Instruction::alu`]).
+/// Every dialect executes through this one datapath, [`Op::apply`]: the
+/// load-store dialect names the operation in its encoding, and the
+/// accumulator dialects map their ALU instructions onto it
+/// ([`acc::Instruction::alu`]).
 ///
-/// [`xacc::Instruction::alu`]: crate::isa::xacc::Instruction::alu
+/// [`acc::Instruction::alu`]: crate::isa::acc::Instruction::alu
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// `rd += operand`; sets carry.
@@ -116,9 +116,10 @@ impl Op {
         }
     }
 
-    /// Apply the operation to the 4-bit first operand `a` (the
-    /// accumulator or `rd`) and second operand `b`, with carry flag
-    /// `carry` in. Returns the 4-bit result and the carry flag after it.
+    /// Apply the operation at datapath `width` (1..=8 bits; 4 on the DSE
+    /// dialects) to the first operand `a` (the accumulator or `rd`) and
+    /// second operand `b`, with carry flag `carry` in. Returns the
+    /// `width`-bit result and the carry flag after it.
     ///
     /// Additions set carry on carry-out and subtractions on no borrow
     /// (6502 style; `NEG` is `0 - a`), shifts follow [`Op::Asr`]'s rule,
@@ -126,16 +127,20 @@ impl Op {
     /// ignores `a`, `NEG` ignores `b`, and only `ADC`/`SWB` read `carry`.
     #[must_use]
     #[inline]
-    pub fn apply(self, a: u8, b: u8, carry: bool) -> (u8, bool) {
-        const MASK: u8 = 0xF;
-        let (a, b) = (a & MASK, b & MASK);
+    pub fn apply(self, a: u8, b: u8, carry: bool, width: u32) -> (u8, bool) {
+        debug_assert!((1..=8).contains(&width));
+        let mask = ((1u16 << width) - 1) as u8;
+        let (a, b) = (a & mask, b & mask);
         let add = |b: u8, carry_in: bool| {
-            let sum = a + b + u8::from(carry_in);
-            (sum & MASK, sum > MASK)
+            let sum = u16::from(a) + u16::from(b) + u16::from(carry_in);
+            (sum as u8 & mask, sum > u16::from(mask))
         };
         let sub = |lhs: u8, rhs: u8, borrow_in: bool| {
-            let rhs = rhs + u8::from(borrow_in);
-            (lhs.wrapping_sub(rhs) & MASK, lhs >= rhs)
+            let rhs = u16::from(rhs) + u16::from(borrow_in);
+            (
+                u16::from(lhs).wrapping_sub(rhs) as u8 & mask,
+                u16::from(lhs) >= rhs,
+            )
         };
         match self {
             Op::Add => add(b, false),
@@ -146,27 +151,27 @@ impl Op {
             Op::And => (a & b, carry),
             Op::Or => (a | b, carry),
             Op::Xor => (a ^ b, carry),
-            Op::Nand => (!(a & b) & MASK, carry),
+            Op::Nand => (!(a & b) & mask, carry),
             Op::Mov => (b, carry),
             Op::Asr | Op::Lsr => {
-                let amount = b & 7;
+                let amount = u32::from(b & 7);
                 if amount == 0 {
                     return (a, carry);
                 }
-                let fill = if self == Op::Asr && a & 0x8 != 0 {
-                    MASK
+                let fill = if self == Op::Asr && a >> (width - 1) != 0 {
+                    mask
                 } else {
                     0
                 };
-                let carry = amount <= 4 && (a >> (amount - 1)) & 1 != 0;
-                if amount >= 4 {
+                let carry = amount <= width && (a >> (amount - 1)) & 1 != 0;
+                if amount >= width {
                     (fill, carry)
                 } else {
-                    (((a >> amount) | (fill << (4 - amount))) & MASK, carry)
+                    (((a >> amount) | (fill << (width - amount))) & mask, carry)
                 }
             }
-            Op::MulL => (a.wrapping_mul(b) & MASK, carry),
-            Op::MulH => ((a * b) >> 4, carry),
+            Op::MulL => (a.wrapping_mul(b) & mask, carry),
+            Op::MulH => (((u16::from(a) * u16::from(b)) >> width) as u8, carry),
         }
     }
 

@@ -6,10 +6,11 @@
 //!
 //! The crate models the paper's primary contribution:
 //!
-//! * The [`isa`] module defines the FlexiCore4 and FlexiCore8 instruction
-//!   sets exactly as encoded in the paper (Figure 2), plus the *extended*
-//!   accumulator ISA and the *load-store* ISA explored in the paper's design
-//!   space exploration (Section 6).
+//! * The [`isa`] module defines the one accumulator instruction set that
+//!   FlexiCore4, FlexiCore8 and the *extended* accumulator of the paper's
+//!   design space exploration (Section 6) share, with its two encodings:
+//!   FlexiCore4/8's exactly as in the paper (Figure 2), and the extended
+//!   one. Beside it is the *load-store* ISA of the same exploration.
 //! * The [`sim`] module provides cycle-callable functional simulators for
 //!   every ISA dialect, including the off-chip [`mmu`] page transducer that
 //!   lets programs exceed the 7-bit program counter's 128-instruction reach.
@@ -27,22 +28,23 @@
 //!
 //! ```
 //! use flexicore::exec::Core;
-//! use flexicore::isa::fc4::Instruction;
+//! use flexicore::isa::acc::{Cond, Instruction};
+//! use flexicore::isa::Dialect;
 //! use flexicore::program::Program;
 //! use flexicore::sim::fc4::Fc4Core;
 //! use flexicore::io::{ConstInput, RecordingOutput};
 //!
 //! // load IPORT (address 0), add 3, store to OPORT (address 1), halt.
 //! let prog: Program = [
-//!     Instruction::Load { addr: 0 },
+//!     Instruction::Load { m: 0 },
 //!     Instruction::AddImm { imm: 3 },
-//!     Instruction::Store { addr: 1 },
+//!     Instruction::Store { m: 1 },
 //!     // spin: branch-to-self is the halt idiom (taken when ACC is negative)
 //!     Instruction::NandImm { imm: 0 }, // ACC = 0xF (negative)
-//!     Instruction::Branch { target: 4 },
+//!     Instruction::Br { cond: Cond::N, target: 4 },
 //! ]
 //! .iter()
-//! .flat_map(|i| i.encode())
+//! .flat_map(|i| i.encode(Dialect::Fc4))
 //! .collect();
 //! let mut core = Fc4Core::new(prog);
 //! let mut input = ConstInput::new(0x5);

@@ -1,9 +1,9 @@
 //! Functional (ISA-level) simulators for every FlexiCore dialect.
 //!
-//! Three core types cover the four dialects: [`fc4::FabCore`] serves both
-//! fabricated cores, with the datapath width as a compile-time parameter
-//! ([`fc4::Fc4Core`], [`fc4::Fc8Core`]), and [`xacc`] and [`xls`] hold the
-//! design-space-exploration cores.
+//! Two core types cover the four dialects: [`acc::AccCore`] serves the
+//! three accumulator dialects, with the dialect as a compile-time
+//! parameter ([`fc4::Fc4Core`], [`fc4::Fc8Core`], [`xacc::XaccCore`]), and
+//! [`xls`] holds the load-store core of the design-space exploration.
 //!
 //! All simulators share the same shape: a core owns a [`Program`] image and
 //! its architectural state, and reaches its data cells and IO buses
@@ -28,6 +28,7 @@
 //! [`Core::step`]: crate::exec::Core::step
 //! [`Core::run`]: crate::exec::Core::run
 
+pub mod acc;
 pub mod fault;
 pub mod fc4;
 pub mod xacc;

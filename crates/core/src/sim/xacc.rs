@@ -1,235 +1,39 @@
-//! Functional simulator for the extended accumulator ISA (§6).
+//! The extended accumulator of the design-space exploration (§6).
 //!
-//! The simulator is parameterized by a [`FeatureSet`]; executing an
-//! instruction whose feature is not enabled raises
-//! [`SimError::IllegalInstruction`], exactly as a core synthesized without
-//! that hardware would fail to decode it. With an empty feature set the
-//! machine is architecturally the base FlexiCore4 (re-encoded).
-//!
-//! Beyond FlexiCore4's state, the extended machine carries a carry flag
-//! (for `ADC`/`SWB` data coalescing) and, when
-//! [`Feature::Subroutines`](crate::isa::features::Feature::Subroutines) is
-//! enabled, a single return-address register (8 flip-flops, §6.1 — calls do
-//! not nest).
-//!
-//! At the ISA level each instruction costs one "cycle"; the
-//! [`uarch`](crate::uarch) module turns retired-instruction, fetched-byte
-//! and taken-branch counts into clock cycles for a concrete
-//! microarchitecture and program-bus width.
-//!
-//! The step/run loop lives in [`crate::exec`]; this module
-//! contributes only the extended-accumulator decode/execute semantics via
-//! the [`Core`] trait, whose provided methods drive it.
+//! It is the one accumulator core, [`AccCore`], with a carry flag, a
+//! link register and a configurable [`FeatureSet`]; with an empty
+//! feature set it is architecturally the base FlexiCore4 (re-encoded).
 
-use crate::error::SimError;
-use crate::exec::{Core, ExecState, Flow, Snapshot, PC_MASK};
-use crate::io::{InputPort, OutputPort};
 use crate::isa::features::FeatureSet;
-use crate::isa::sign_extend;
-use crate::isa::xacc::Instruction;
-use crate::isa::xls::Operand;
 use crate::program::Program;
-use crate::sim::fault::{ArchState, FaultHook};
-use crate::sim::{read_cell, write_cell};
-
-const WIDTH: u32 = 4;
-const WIDTH_MASK: u8 = 0xF;
-const MEM_WORDS: usize = 8;
+use crate::sim::acc::{AccCore, Xacc};
 
 /// An extended-accumulator core with a given feature configuration.
-#[derive(Debug, Clone)]
-pub struct XaccCore {
-    features: FeatureSet,
-    exec: ExecState,
-    acc: u8,
-    carry: bool,
-    ra: u8,
-    mem: [u8; MEM_WORDS],
-}
+pub type XaccCore = AccCore<Xacc>;
 
 impl XaccCore {
     /// A core with `features` enabled and `program` loaded.
     #[must_use]
     pub fn new(features: FeatureSet, program: Program) -> Self {
-        XaccCore {
-            features,
-            exec: ExecState::new(program),
-            acc: 0,
-            carry: false,
-            ra: 0,
-            mem: [0; MEM_WORDS],
-        }
-    }
-
-    /// Reset architectural state, keeping program and features.
-    pub fn reset(&mut self) {
-        let features = self.features;
-        let program = core::mem::take(&mut self.exec.program);
-        *self = XaccCore::new(features, program);
-    }
-
-    /// The enabled feature set.
-    #[must_use]
-    pub fn features(&self) -> FeatureSet {
-        self.features
-    }
-
-    /// Current accumulator value.
-    #[must_use]
-    pub fn acc(&self) -> u8 {
-        self.acc
-    }
-
-    /// Current carry flag.
-    #[must_use]
-    pub fn carry(&self) -> bool {
-        self.carry
-    }
-
-    /// The data-memory word at `addr`, or `None` when `addr >= 8`.
-    #[must_use]
-    pub fn mem(&self, addr: u8) -> Option<u8> {
-        self.mem.get(usize::from(addr)).copied()
-    }
-
-    #[inline]
-    fn read<I: InputPort, F: FaultHook>(&self, m: u8, input: &mut I, faults: &mut F) -> u8 {
-        read_cell(&self.exec, &self.mem, m, WIDTH_MASK, input, faults)
-    }
-}
-
-impl Core for XaccCore {
-    type Insn = Instruction;
-    const FETCH_WINDOW: usize = 2;
-
-    #[inline]
-    fn state(&self) -> &ExecState {
-        &self.exec
-    }
-
-    #[inline]
-    fn state_mut(&mut self) -> &mut ExecState {
-        &mut self.exec
-    }
-
-    #[inline]
-    fn decode(&self, window: &[u8], address: u32) -> Result<(Instruction, u8), SimError> {
-        let (insn, len) = Instruction::decode(window).map_err(|e| match e {
-            crate::error::DecodeError::NeedsSecondByte { .. } => {
-                SimError::TruncatedInstruction { address }
-            }
-            crate::error::DecodeError::Illegal { raw } => {
-                SimError::IllegalInstruction { raw, address }
-            }
-        })?;
-        if !insn.is_legal(self.features) {
-            return Err(SimError::IllegalInstruction {
-                raw: u16::from(window[0]),
-                address,
-            });
-        }
-        Ok((insn, len as u8))
-    }
-
-    // inlined into every copy of the engine's step, which runs it
-    // once per simulated instruction
-    #[inline(always)]
-    fn execute<I: InputPort, O: OutputPort, F: FaultHook>(
-        &mut self,
-        insn: Instruction,
-        input: &mut I,
-        output: &mut O,
-        faults: &mut F,
-    ) -> Flow {
-        if let Some((op, operand)) = insn.alu() {
-            let b = match operand {
-                Operand::Reg(m) => self.read(m, input, faults),
-                Operand::Imm(imm) => sign_extend(imm, 4) as u8,
-            };
-            (self.acc, self.carry) = op.apply(self.acc, b, self.carry);
-            return Flow::Sequential;
-        }
-        match insn {
-            Instruction::Xch { m } | Instruction::Store { m } => {
-                let old = self.acc;
-                if matches!(insn, Instruction::Xch { .. }) {
-                    self.acc = self.read(m, input, faults);
-                }
-                let cells = &mut self.mem;
-                write_cell(&mut self.exec, cells, m, old, WIDTH_MASK, output, faults);
-            }
-            Instruction::Br { cond, target } if cond.taken(self.acc, WIDTH) => {
-                return Flow::Jump { target };
-            }
-            Instruction::Call { target } => {
-                self.ra = (self.exec.pc + 2) & PC_MASK;
-                return Flow::Jump { target };
-            }
-            Instruction::Ret => {
-                return Flow::Jump { target: self.ra };
-            }
-            // untaken branches, and the ALU instructions executed above
-            _ => {}
-        }
-        Flow::Sequential
-    }
-
-    #[inline]
-    fn budget_spent(state: &ExecState) -> u64 {
-        state.instructions
-    }
-
-    fn arch_state(&mut self) -> ArchState<'_> {
-        let (page, pending_page) = self.exec.mmu.fault_view();
-        ArchState {
-            pc: &mut self.exec.pc,
-            acc: Some(&mut self.acc),
-            mem: &mut self.mem,
-            page,
-            pending_page,
-            data_mask: WIDTH_MASK,
-        }
-    }
-
-    #[inline]
-    fn event_acc(&self) -> u8 {
-        self.acc
-    }
-
-    fn save_arch(&self, snap: &mut Snapshot) {
-        snap.acc = self.acc;
-        snap.ra = self.ra;
-        snap.flags = u8::from(self.carry);
-        snap.mem = self.mem.to_vec();
-    }
-
-    fn load_arch(&mut self, snap: &Snapshot) {
-        self.acc = snap.acc;
-        self.ra = snap.ra;
-        self.carry = snap.flags & 1 != 0;
-        self.mem.copy_from_slice(&snap.mem);
-    }
-
-    fn same_regs(&self, snap: &Snapshot) -> bool {
-        self.acc == snap.acc
-            && self.ra == snap.ra
-            && u8::from(self.carry) == snap.flags
-            && self.mem[..] == snap.mem[..]
+        AccCore::with_features(features, program)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
+    use crate::exec::Core;
     use crate::io::{ConstInput, NullOutput, RecordingOutput};
+    use crate::isa::acc::{Cond, Instruction as I};
     use crate::isa::features::Feature;
-    use crate::isa::xacc::{Cond, Instruction as I};
+    use crate::isa::Dialect;
     use crate::sim::RunResult;
 
     fn assemble(insns: &[I]) -> Program {
         let mut bytes = Vec::new();
         for i in insns {
-            i.encode_into(&mut bytes);
+            i.encode_into(Dialect::ExtendedAcc, &mut bytes);
         }
         Program::from_bytes(bytes)
     }
@@ -460,15 +264,17 @@ mod tests {
     fn base_config_matches_fc4_semantics() {
         // the same logical program on Fc4Core and base XaccCore produces the
         // same memory state
-        use crate::isa::fc4::Instruction as F;
         use crate::sim::fc4::Fc4Core;
 
         let fc4 = [
-            F::Load { addr: 0 },
-            F::AddImm { imm: 3 },
-            F::Store { addr: 2 },
-            F::NandImm { imm: 0 },
-            F::Branch { target: 4 },
+            I::Load { m: 0 },
+            I::AddImm { imm: 3 },
+            I::Store { m: 2 },
+            I::NandImm { imm: 0 },
+            I::Br {
+                cond: Cond::N,
+                target: 4,
+            },
         ];
         let xac = [
             I::Load { m: 0 },      // @0
@@ -481,7 +287,7 @@ mod tests {
             }, // @4-5
         ];
         let mut a = Fc4Core::new(Program::from_bytes(
-            fc4.iter().flat_map(|i| i.encode()).collect(),
+            fc4.iter().flat_map(|i| i.encode(Dialect::Fc4)).collect(),
         ));
         a.run(&mut ConstInput::new(9), &mut NullOutput::new(), 100)
             .unwrap();

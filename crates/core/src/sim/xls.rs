@@ -165,7 +165,7 @@ impl Core for XlsCore {
                 };
                 // the datapath reads rd even for MOV, consuming the input
                 let a = self.read(rd, input, faults);
-                let (result, carry) = op.apply(a, b, self.flags.c);
+                let (result, carry) = op.apply(a, b, self.flags.c, 4);
                 self.flags.c = carry;
                 self.flags.set_nzp(result);
                 let regs = &mut self.regs;
@@ -240,7 +240,7 @@ impl Core for XlsCore {
 mod tests {
     use super::*;
     use crate::io::{ConstInput, NullOutput, RecordingOutput};
-    use crate::isa::xacc::Cond;
+    use crate::isa::acc::Cond;
     use crate::isa::xls::{Instruction as I, Op};
 
     fn assemble(insns: &[I]) -> Program {
@@ -362,7 +362,8 @@ mod tests {
     fn shift_carry_matches_the_accumulator_dialect() {
         // carry = bit `amount - 1` for amounts 1..=4 (a shift by four
         // carries out the top bit), clear above four, kept at zero
-        use crate::isa::xacc::Instruction as X;
+        use crate::isa::acc::Instruction as X;
+        use crate::isa::Dialect;
         use crate::sim::xacc::XaccCore;
         let features = FeatureSet::revised();
         for value in 0..16u8 {
@@ -374,7 +375,10 @@ mod tests {
                         } else {
                             X::LsrImm { amount }
                         };
-                        let mut xacc = XaccCore::new(features, Program::from_bytes(shift.encode()));
+                        let mut xacc = XaccCore::new(
+                            features,
+                            Program::from_bytes(shift.encode(Dialect::ExtendedAcc)),
+                        );
                         let mut snap = xacc.snapshot();
                         (snap.acc, snap.flags) = (value, u8::from(carry));
                         xacc.restore(&snap);

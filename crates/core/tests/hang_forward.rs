@@ -29,9 +29,9 @@
 
 use flexicore::exec::{AnyCore, Snapshot};
 use flexicore::io::{RecordingOutput, ScriptedInput};
+use flexicore::isa::acc::{self, Cond};
 use flexicore::isa::features::FeatureSet;
-use flexicore::isa::xacc::Cond;
-use flexicore::isa::{fc4, xls, Dialect};
+use flexicore::isa::{xls, Dialect};
 use flexicore::program::Program;
 use flexicore::sim::fault::{ArchFault, ArchState, FaultHook, FaultKind, FaultPlane, StateElement};
 use flexicore::sim::{RunResult, StopReason};
@@ -182,15 +182,18 @@ fn fc8_load_byte_images() -> impl Strategy<Value = Program> {
         let mut bytes = Vec::new();
         for (pick, arg) in picks {
             let insn = match pick {
-                0..=2 => fc4::Instruction::LoadByte { imm: arg },
-                3 => fc4::Instruction::AddImm { imm: arg & 0xF },
-                4 => fc4::Instruction::XorMem { src: arg & 0x3 },
-                5 => fc4::Instruction::Load { addr: arg & 0x3 },
-                6 => fc4::Instruction::Store { addr: arg & 0x3 },
-                7 => fc4::Instruction::NandImm { imm: arg & 0xF },
-                _ => fc4::Instruction::Branch { target: arg % len },
+                0..=2 => acc::Instruction::LoadByte { imm: arg },
+                3 => acc::Instruction::AddImm { imm: arg & 0xF },
+                4 => acc::Instruction::Xor { m: arg & 0x3 },
+                5 => acc::Instruction::Load { m: arg & 0x3 },
+                6 => acc::Instruction::Store { m: arg & 0x3 },
+                7 => acc::Instruction::NandImm { imm: arg & 0xF },
+                _ => acc::Instruction::Br {
+                    cond: Cond::N,
+                    target: arg % len,
+                },
             };
-            insn.encode_into(&mut bytes);
+            insn.encode_into(Dialect::Fc8, &mut bytes);
         }
         Program::from_bytes(bytes)
     })
@@ -234,14 +237,14 @@ fn checkpoint_budgets() -> impl Strategy<Value = u64> {
 /// fault breaks it.
 fn long_loop_images() -> impl Strategy<Value = Program> {
     let straight = (0u8..8, any::<u8>()).prop_map(|(pick, arg)| match pick {
-        0 => fc4::Instruction::AddImm { imm: arg & 0xF },
-        1 => fc4::Instruction::NandImm { imm: arg & 0xF },
-        2 => fc4::Instruction::XorImm { imm: arg & 0xF },
-        3 => fc4::Instruction::AddMem { src: arg & 0x3 },
-        4 => fc4::Instruction::XorMem { src: arg & 0x3 },
-        5 => fc4::Instruction::Load { addr: arg & 0x3 },
-        6 => fc4::Instruction::Store { addr: arg & 0x3 },
-        _ => fc4::Instruction::NandMem { src: arg & 0x3 },
+        0 => acc::Instruction::AddImm { imm: arg & 0xF },
+        1 => acc::Instruction::NandImm { imm: arg & 0xF },
+        2 => acc::Instruction::XorImm { imm: arg & 0xF },
+        3 => acc::Instruction::Add { m: arg & 0x3 },
+        4 => acc::Instruction::Xor { m: arg & 0x3 },
+        5 => acc::Instruction::Load { m: arg & 0x3 },
+        6 => acc::Instruction::Store { m: arg & 0x3 },
+        _ => acc::Instruction::Nand { m: arg & 0x3 },
     });
     (
         proptest::collection::vec(straight.clone(), 0..26),
@@ -251,10 +254,13 @@ fn long_loop_images() -> impl Strategy<Value = Program> {
             let start = prefix.len() as u8;
             let mut bytes = Vec::new();
             for insn in prefix.iter().chain(&body).chain(&[
-                fc4::Instruction::NandImm { imm: 0 },
-                fc4::Instruction::Branch { target: start },
+                acc::Instruction::NandImm { imm: 0 },
+                acc::Instruction::Br {
+                    cond: Cond::N,
+                    target: start,
+                },
             ]) {
-                insn.encode_into(&mut bytes);
+                insn.encode_into(Dialect::Fc4, &mut bytes);
             }
             Program::from_bytes(bytes)
         })
@@ -410,8 +416,8 @@ const CYCLE_BUDGET: u64 = 200_000;
 /// The steps simulated in one FlexiCore4 run of `insns` to the kernel
 /// watchdog, once the run is checked to hang and to end where the
 /// plain loop ends.
-fn steps_to_watchdog(insns: &[fc4::Instruction]) -> u64 {
-    let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode()).collect());
+fn steps_to_watchdog(insns: &[acc::Instruction]) -> u64 {
+    let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode(Dialect::Fc4)).collect());
     let run = |plain: bool| {
         let mut core = AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, program.clone());
         let mut input = ScriptedInput::new(Vec::new());
@@ -450,13 +456,16 @@ fn steps_to_watchdog(insns: &[fc4::Instruction]) -> u64 {
 /// not of a later one.
 #[test]
 fn a_hang_is_caught_within_periods_of_the_first_checkpoint() {
-    use fc4::Instruction as I;
+    use acc::Instruction as I;
     let period = 2;
     let steps = steps_to_watchdog(&[
         I::AddImm { imm: 1 },
         I::AddImm { imm: 1 },
         I::NandImm { imm: 0 }, // acc = -1, so the branch is taken
-        I::Branch { target: 2 },
+        I::Br {
+            cond: Cond::N,
+            target: 2,
+        },
     ]);
     // the power-on visit, the steps to the checkpoint, the search and
     // the replayed period, and at most one partial period
@@ -467,13 +476,16 @@ fn a_hang_is_caught_within_periods_of_the_first_checkpoint() {
 /// than its 64-unit window, is caught by the re-anchor at 128.
 #[test]
 fn a_long_period_entered_late_is_caught_by_the_next_anchor() {
-    use fc4::Instruction as I;
+    use acc::Instruction as I;
     // count r2 down from 0 to 7: nine passes of four cycles
     let mut insns = vec![
-        I::Load { addr: 2 },
+        I::Load { m: 2 },
         I::AddImm { imm: 0xF },
-        I::Store { addr: 2 },
-        I::Branch { target: 0 },
+        I::Store { m: 2 },
+        I::Br {
+            cond: Cond::N,
+            target: 0,
+        },
     ];
     // a straight run to cycle 66, past the first checkpoint, leaving
     // acc = -1 as every later pass does
@@ -487,7 +499,13 @@ fn a_long_period_entered_late_is_caught_by_the_next_anchor() {
             I::XorImm { imm: 5 }
         });
     }
-    insns.extend([I::NandImm { imm: 0 }, I::Branch { target: start }]);
+    insns.extend([
+        I::NandImm { imm: 0 },
+        I::Br {
+            cond: Cond::N,
+            target: start,
+        },
+    ]);
     let period = 70;
     let steps = steps_to_watchdog(&insns);
     assert!(steps <= 1 + 128 + 3 * period, "{steps} steps simulated");
@@ -498,8 +516,12 @@ fn a_long_period_entered_late_is_caught_by_the_next_anchor() {
 #[test]
 fn unbounded_spin_returns_promptly() {
     let fc4_spin = [
-        fc4::Instruction::NandImm { imm: 0 }.encode(),
-        fc4::Instruction::Branch { target: 0 }.encode(),
+        acc::Instruction::NandImm { imm: 0 }.encode(Dialect::Fc4),
+        acc::Instruction::Br {
+            cond: Cond::N,
+            target: 0,
+        }
+        .encode(Dialect::Fc4),
     ]
     .concat();
     let mut xls_spin = Vec::new();
@@ -552,18 +574,27 @@ fn unbounded_spin_returns_promptly() {
 /// because a later value breaks it out.
 #[test]
 fn input_position_gates_the_jump() {
-    use fc4::Instruction as I;
+    use acc::Instruction as I;
     let program = Program::from_bytes(
         [
-            I::Load { addr: 0 },     // acc = next input
-            I::Branch { target: 4 }, // negative input: leave
-            I::NandImm { imm: 0 },   // acc = 0xF
-            I::Branch { target: 0 }, // poll again
-            I::NandImm { imm: 0 },   //
-            I::Branch { target: 5 }, // halt idiom
+            I::Load { m: 0 }, // acc = next input
+            I::Br {
+                cond: Cond::N,
+                target: 4,
+            }, // negative input: leave
+            I::NandImm { imm: 0 }, // acc = 0xF
+            I::Br {
+                cond: Cond::N,
+                target: 0,
+            }, // poll again
+            I::NandImm { imm: 0 }, //
+            I::Br {
+                cond: Cond::N,
+                target: 5,
+            }, // halt idiom
         ]
         .iter()
-        .flat_map(|i| i.encode())
+        .flat_map(|i| i.encode(Dialect::Fc4))
         .collect(),
     );
     let mut inputs = vec![1u8; 3_000];

@@ -5,23 +5,26 @@
 
 use flexicore::exec::AnyCore;
 use flexicore::io::{RecordingOutput, ScriptedInput};
+use flexicore::isa::acc::{Cond, Instruction as I};
 use flexicore::isa::features::FeatureSet;
-use flexicore::isa::{fc4, Dialect};
+use flexicore::isa::Dialect;
 use flexicore::program::Program;
 use flexicore::sim::{ArchFault, FaultKind, FaultPlane, StateElement};
 use flexicore::SimError;
 
 /// A one-page fc4 program: copy the input to the output, then halt.
 fn one_page_program() -> Program {
-    use fc4::Instruction as I;
     let bytes: Vec<u8> = [
-        I::Load { addr: 0 },
-        I::Store { addr: 1 },
+        I::Load { m: 0 },
+        I::Store { m: 1 },
         I::NandImm { imm: 0 },
-        I::Branch { target: 3 },
+        I::Br {
+            cond: Cond::N,
+            target: 3,
+        },
     ]
     .iter()
-    .flat_map(|i| i.encode())
+    .flat_map(|i| i.encode(Dialect::Fc4))
     .collect();
     Program::from_bytes(bytes)
 }
@@ -79,29 +82,34 @@ fn page_faults_display_the_corrupt_page() {
 
 #[test]
 fn legitimate_page_change_still_fetches_the_new_page() {
-    use fc4::Instruction as I;
     // page 0 forwards the scripted 0xE, 0xD, 1 escape sequence to the
     // output port, then branches to 0x20 of the newly selected page 1,
     // where the program halts after emitting one more value.
     let page0 = [
-        I::Load { addr: 0 }, // 0xE
-        I::Store { addr: 1 },
-        I::Load { addr: 0 }, // 0xD
-        I::Store { addr: 1 },
-        I::Load { addr: 0 }, // 1 — page change pending after this store
-        I::Store { addr: 1 },
-        I::NandImm { imm: 0 },      // delay slot (old page)
-        I::Branch { target: 0x20 }, // delay slot (old page)
+        I::Load { m: 0 }, // 0xE
+        I::Store { m: 1 },
+        I::Load { m: 0 }, // 0xD
+        I::Store { m: 1 },
+        I::Load { m: 0 }, // 1 — page change pending after this store
+        I::Store { m: 1 },
+        I::NandImm { imm: 0 }, // delay slot (old page)
+        I::Br {
+            cond: Cond::N,
+            target: 0x20,
+        }, // delay slot (old page)
     ];
     let page1 = [
-        I::Load { addr: 0 }, // fetched from page 1
-        I::Store { addr: 1 },
+        I::Load { m: 0 }, // fetched from page 1
+        I::Store { m: 1 },
         I::NandImm { imm: 0 },
-        I::Branch { target: 0x23 },
+        I::Br {
+            cond: Cond::N,
+            target: 0x23,
+        },
     ];
-    let mut bytes: Vec<u8> = page0.iter().flat_map(|i| i.encode()).collect();
+    let mut bytes: Vec<u8> = page0.iter().flat_map(|i| i.encode(Dialect::Fc4)).collect();
     bytes.resize(128 + 0x20, 0);
-    bytes.extend(page1.iter().flat_map(|i| i.encode()));
+    bytes.extend(page1.iter().flat_map(|i| i.encode(Dialect::Fc4)));
 
     let mut core = AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, Program::from_bytes(bytes));
     let mut input = ScriptedInput::new(vec![0xE, 0xD, 1, 0x6]);
@@ -115,30 +123,35 @@ fn legitimate_page_change_still_fetches_the_new_page() {
 
 #[test]
 fn corrupt_pending_latch_faults_at_commit_not_before() {
-    use fc4::Instruction as I;
     // Same page-changing program, but a stuck bit in the pending-commit
     // latch retargets the in-flight change from page 1 to page 9 —
     // which was never programmed. The guard must catch it when the
     // corrupt value commits.
     let page0 = [
-        I::Load { addr: 0 },
-        I::Store { addr: 1 },
-        I::Load { addr: 0 },
-        I::Store { addr: 1 },
-        I::Load { addr: 0 },
-        I::Store { addr: 1 },
+        I::Load { m: 0 },
+        I::Store { m: 1 },
+        I::Load { m: 0 },
+        I::Store { m: 1 },
+        I::Load { m: 0 },
+        I::Store { m: 1 },
         I::NandImm { imm: 0 },
-        I::Branch { target: 0x20 },
+        I::Br {
+            cond: Cond::N,
+            target: 0x20,
+        },
     ];
     let page1 = [
-        I::Load { addr: 0 },
-        I::Store { addr: 1 },
+        I::Load { m: 0 },
+        I::Store { m: 1 },
         I::NandImm { imm: 0 },
-        I::Branch { target: 0x23 },
+        I::Br {
+            cond: Cond::N,
+            target: 0x23,
+        },
     ];
-    let mut bytes: Vec<u8> = page0.iter().flat_map(|i| i.encode()).collect();
+    let mut bytes: Vec<u8> = page0.iter().flat_map(|i| i.encode(Dialect::Fc4)).collect();
     bytes.resize(128 + 0x20, 0);
-    bytes.extend(page1.iter().flat_map(|i| i.encode()));
+    bytes.extend(page1.iter().flat_map(|i| i.encode(Dialect::Fc4)));
 
     let mut core = AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, Program::from_bytes(bytes));
     let mut plane = FaultPlane::with_faults(vec![ArchFault {

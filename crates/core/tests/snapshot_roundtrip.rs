@@ -11,7 +11,7 @@
 use flexicore::exec::AnyCore;
 use flexicore::io::{RecordingOutput, ScriptedInput};
 use flexicore::isa::features::FeatureSet;
-use flexicore::isa::{fc4, xacc, xls, Dialect};
+use flexicore::isa::{acc, xls, Dialect};
 use flexicore::program::Program;
 
 /// Step `core` until it halts, bounded by a step guard.
@@ -77,19 +77,22 @@ fn roundtrip(core: AnyCore, inputs: Vec<u8>, prefix: u32) {
 
 #[test]
 fn fc4_roundtrip_covers_acc_and_mem() {
-    use fc4::Instruction as I;
+    use acc::{Cond, Instruction as I};
     let prog: Vec<u8> = [
-        I::Load { addr: 0 },
+        I::Load { m: 0 },
         I::AddImm { imm: 1 },
-        I::Store { addr: 1 },
-        I::Load { addr: 0 },
+        I::Store { m: 1 },
+        I::Load { m: 0 },
         I::AddImm { imm: 2 },
-        I::Store { addr: 1 },
+        I::Store { m: 1 },
         I::NandImm { imm: 0 },
-        I::Branch { target: 7 },
+        I::Br {
+            cond: Cond::N,
+            target: 7,
+        },
     ]
     .iter()
-    .flat_map(|i| i.encode())
+    .flat_map(|i| i.encode(Dialect::Fc4))
     .collect();
     let core = AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, Program::from_bytes(prog));
     for prefix in 0..6 {
@@ -99,31 +102,37 @@ fn fc4_roundtrip_covers_acc_and_mem() {
 
 #[test]
 fn fc4_roundtrip_preserves_pending_mmu_page_change() {
-    use fc4::Instruction as I;
+    use acc::{Cond, Instruction as I};
     // page 0: forward the scripted 0xE, 0xD, 1 sequence to the output
     // port (arming a page change to page 1), then branch to 0x20; the
     // commit delay means the branch still fetches from page 0, and the
     // instruction after it from page 1.
     let page0 = [
-        I::Load { addr: 0 }, // 0xE
-        I::Store { addr: 1 },
-        I::Load { addr: 0 }, // 0xD
-        I::Store { addr: 1 },
-        I::Load { addr: 0 }, // 1 — page change pending after this store
-        I::Store { addr: 1 },
-        I::NandImm { imm: 0 },      // delay slot 1 (old page)
-        I::Branch { target: 0x20 }, // delay slot 2 (old page)
+        I::Load { m: 0 }, // 0xE
+        I::Store { m: 1 },
+        I::Load { m: 0 }, // 0xD
+        I::Store { m: 1 },
+        I::Load { m: 0 }, // 1 — page change pending after this store
+        I::Store { m: 1 },
+        I::NandImm { imm: 0 }, // delay slot 1 (old page)
+        I::Br {
+            cond: Cond::N,
+            target: 0x20,
+        }, // delay slot 2 (old page)
     ];
     let page1 = [
-        I::Load { addr: 0 }, // fetched from page 1
+        I::Load { m: 0 }, // fetched from page 1
         I::AddImm { imm: 4 },
-        I::Store { addr: 1 },
+        I::Store { m: 1 },
         I::NandImm { imm: 0 },
-        I::Branch { target: 0x24 },
+        I::Br {
+            cond: Cond::N,
+            target: 0x24,
+        },
     ];
-    let mut bytes: Vec<u8> = page0.iter().flat_map(|i| i.encode()).collect();
+    let mut bytes: Vec<u8> = page0.iter().flat_map(|i| i.encode(Dialect::Fc4)).collect();
     bytes.resize(128 + 0x20, 0);
-    bytes.extend(page1.iter().flat_map(|i| i.encode()));
+    bytes.extend(page1.iter().flat_map(|i| i.encode(Dialect::Fc4)));
     let core = AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, Program::from_bytes(bytes));
     // prefixes 5..8 checkpoint while the page change sits in the MMU
     // delay line; losing it would replay the wrong page
@@ -134,22 +143,26 @@ fn fc4_roundtrip_preserves_pending_mmu_page_change() {
 
 #[test]
 fn fc8_roundtrip_covers_acc_and_mem() {
-    use fc4::Instruction as I;
+    use acc::{Cond, Instruction as I};
     let prog = [
-        I::Load { addr: 0 },
+        I::Load { m: 0 },
         I::AddImm { imm: 7 },
-        I::Store { addr: 1 },
-        I::Load { addr: 0 },
+        I::Store { m: 1 },
+        I::Load { m: 0 },
         I::XorImm { imm: 3 },
-        I::Store { addr: 1 },
+        I::Store { m: 1 },
         I::NandImm { imm: 0 },
     ];
     let mut bytes = Vec::new();
     for i in &prog {
-        i.encode_into(&mut bytes);
+        i.encode_into(Dialect::Fc8, &mut bytes);
     }
     let halt_at = bytes.len() as u8;
-    I::Branch { target: halt_at }.encode_into(&mut bytes);
+    I::Br {
+        cond: Cond::N,
+        target: halt_at,
+    }
+    .encode_into(Dialect::Fc8, &mut bytes);
     let core = AnyCore::for_dialect(Dialect::Fc8, FeatureSet::BASE, Program::from_bytes(bytes));
     for prefix in 0..6 {
         roundtrip(core.clone(), vec![0x21, 0x5A], prefix);
@@ -158,7 +171,7 @@ fn fc8_roundtrip_covers_acc_and_mem() {
 
 #[test]
 fn xacc_roundtrip_covers_carry_and_link_register() {
-    use xacc::{Cond, Instruction as I};
+    use acc::{Cond, Instruction as I};
     let prog = [
         I::AddImm { imm: 0xF }, // acc = 0xF
         I::AdcImm { imm: 0x2 }, // overflows: acc = 1, carry set
@@ -172,14 +185,14 @@ fn xacc_roundtrip_covers_carry_and_link_register() {
     ];
     let mut bytes = Vec::new();
     for i in &prog {
-        i.encode_into(&mut bytes);
+        i.encode_into(Dialect::ExtendedAcc, &mut bytes);
     }
     let halt_at = bytes.len() as u8;
     I::Br {
         cond: Cond::ALWAYS,
         target: halt_at,
     }
-    .encode_into(&mut bytes);
+    .encode_into(Dialect::ExtendedAcc, &mut bytes);
     let core = AnyCore::for_dialect(
         Dialect::ExtendedAcc,
         FeatureSet::revised(),
@@ -194,7 +207,7 @@ fn xacc_roundtrip_covers_carry_and_link_register() {
 
 #[test]
 fn xls_roundtrip_covers_flags_and_register_file() {
-    use xacc::Cond;
+    use acc::Cond;
     use xls::{Instruction as I, Op, Operand};
     let prog = [
         I::Alu {

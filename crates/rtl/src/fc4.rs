@@ -305,14 +305,15 @@ mod tests {
 
     #[test]
     fn executes_add_store_sequence() {
-        use flexicore::isa::fc4::Instruction as I;
+        use flexicore::isa::acc::Instruction as I;
+        use flexicore::isa::Dialect;
         let n = build(4, FeatureSet::BASE);
         let mut sim = BatchSim::new(&n).unwrap();
         sim.reset();
         let program = [
-            I::AddImm { imm: 5 }.encode(),
-            I::AddImm { imm: 3 }.encode(),
-            I::Store { addr: 1 }.encode(),
+            I::AddImm { imm: 5 }.encode(Dialect::Fc4),
+            I::AddImm { imm: 3 }.encode(Dialect::Fc4),
+            I::Store { m: 1 }.encode(Dialect::Fc4),
         ];
         for insn in program {
             let pc = sim.output_value("pc", 0);
@@ -328,14 +329,19 @@ mod tests {
 
     #[test]
     fn branch_taken_on_negative_acc() {
-        use flexicore::isa::fc4::Instruction as I;
+        use flexicore::isa::acc::{Cond, Instruction as I};
+        use flexicore::isa::Dialect;
         let n = build(4, FeatureSet::BASE);
         let mut sim = BatchSim::new(&n).unwrap();
         sim.reset();
         // acc = 0xF (negative) then branch to 0x15
         for insn in [
-            I::NandImm { imm: 0 }.encode(),
-            I::Branch { target: 0x15 }.encode(),
+            I::NandImm { imm: 0 }.encode(Dialect::Fc4),
+            I::Br {
+                cond: Cond::N,
+                target: 0x15,
+            }
+            .encode(Dialect::Fc4),
         ] {
             sim.set_input_value("instr", u64::from(insn[0]), !0);
             sim.set_input_value("iport", 0, !0);
@@ -374,7 +380,8 @@ mod tests {
             sim.clock();
         }
         // store acc to the output latch
-        let store = flexicore::isa::fc4::Instruction::Store { addr: 1 }.encode();
+        let store =
+            flexicore::isa::acc::Instruction::Store { m: 1 }.encode(flexicore::isa::Dialect::Fc8);
         sim.set_input_value("instr", u64::from(store[0]), !0);
         sim.clock();
         sim.settle();
@@ -383,7 +390,8 @@ mod tests {
 
     #[test]
     fn eight_bit_alu_and_branch() {
-        use flexicore::isa::fc4::Instruction as I;
+        use flexicore::isa::acc::{Cond, Instruction as I};
+        use flexicore::isa::Dialect;
         let n = build(8, FeatureSet::BASE);
         let mut sim = BatchSim::new(&n).unwrap();
         sim.reset();
@@ -395,20 +403,34 @@ mod tests {
             }
         };
         // acc = input (0x30), add itself via mem
-        feed(&mut sim, &I::Load { addr: 0 }.encode());
-        feed(&mut sim, &I::Store { addr: 2 }.encode());
-        feed(&mut sim, &I::AddMem { src: 2 }.encode());
-        feed(&mut sim, &I::Store { addr: 1 }.encode());
+        feed(&mut sim, &I::Load { m: 0 }.encode(Dialect::Fc4));
+        feed(&mut sim, &I::Store { m: 2 }.encode(Dialect::Fc4));
+        feed(&mut sim, &I::Add { m: 2 }.encode(Dialect::Fc4));
+        feed(&mut sim, &I::Store { m: 1 }.encode(Dialect::Fc4));
         sim.settle();
         assert_eq!(sim.output_value("oport", 0), 0x60);
         // branch on negative: acc = 0x60 positive -> not taken
         let pc_before = sim.output_value("pc", 0);
-        feed(&mut sim, &I::Branch { target: 0x40 }.encode());
+        feed(
+            &mut sim,
+            &I::Br {
+                cond: Cond::N,
+                target: 0x40,
+            }
+            .encode(Dialect::Fc4),
+        );
         sim.settle();
         assert_eq!(sim.output_value("pc", 0), pc_before + 1);
         // make acc negative and branch
-        feed(&mut sim, &I::NandImm { imm: 0 }.encode());
-        feed(&mut sim, &I::Branch { target: 0x40 }.encode());
+        feed(&mut sim, &I::NandImm { imm: 0 }.encode(Dialect::Fc4));
+        feed(
+            &mut sim,
+            &I::Br {
+                cond: Cond::N,
+                target: 0x40,
+            }
+            .encode(Dialect::Fc4),
+        );
         sim.settle();
         assert_eq!(sim.output_value("pc", 0), 0x40);
     }

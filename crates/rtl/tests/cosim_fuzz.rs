@@ -6,41 +6,48 @@
 
 use flexicore::exec::AnyCore;
 use flexicore::io::ConstInput;
-use flexicore::isa::fc4;
+use flexicore::isa::acc::{self, Cond};
 use flexicore::isa::features::FeatureSet;
+use flexicore::isa::Dialect;
 use flexicore::program::Program;
 use flexicore::sim::fc4::{Fc4Core, Fc8Core};
 use flexrtl::cosim::cosim;
 use proptest::prelude::*;
 
-fn arb_fc4(len: usize) -> impl Strategy<Value = Vec<fc4::Instruction>> {
+fn arb_fc4(len: usize) -> impl Strategy<Value = Vec<acc::Instruction>> {
     let insn = prop_oneof![
-        (0u8..16).prop_map(|imm| fc4::Instruction::AddImm { imm }),
-        (0u8..16).prop_map(|imm| fc4::Instruction::NandImm { imm }),
-        (0u8..16).prop_map(|imm| fc4::Instruction::XorImm { imm }),
-        (0u8..8).prop_map(|src| fc4::Instruction::AddMem { src }),
-        (0u8..8).prop_map(|src| fc4::Instruction::NandMem { src }),
-        (0u8..8).prop_map(|src| fc4::Instruction::XorMem { src }),
-        (0u8..8).prop_map(|addr| fc4::Instruction::Load { addr }),
-        (0u8..8).prop_map(|addr| fc4::Instruction::Store { addr }),
+        (0u8..16).prop_map(|imm| acc::Instruction::AddImm { imm }),
+        (0u8..16).prop_map(|imm| acc::Instruction::NandImm { imm }),
+        (0u8..16).prop_map(|imm| acc::Instruction::XorImm { imm }),
+        (0u8..8).prop_map(|m| acc::Instruction::Add { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Nand { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Xor { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Load { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Store { m }),
         // keep branch targets inside the program so fetches stay in range
-        (0u8..32).prop_map(|target| fc4::Instruction::Branch { target }),
+        (0u8..32).prop_map(|target| acc::Instruction::Br {
+            cond: Cond::N,
+            target
+        }),
     ];
     proptest::collection::vec(insn, len..=len)
 }
 
-fn arb_fc8(len: usize) -> impl Strategy<Value = Vec<fc4::Instruction>> {
+fn arb_fc8(len: usize) -> impl Strategy<Value = Vec<acc::Instruction>> {
     let insn = prop_oneof![
-        (0u8..16).prop_map(|imm| fc4::Instruction::AddImm { imm }),
-        (0u8..16).prop_map(|imm| fc4::Instruction::NandImm { imm }),
-        (0u8..16).prop_map(|imm| fc4::Instruction::XorImm { imm }),
-        (0u8..4).prop_map(|src| fc4::Instruction::AddMem { src }),
-        (0u8..4).prop_map(|src| fc4::Instruction::NandMem { src }),
-        (0u8..4).prop_map(|src| fc4::Instruction::XorMem { src }),
-        (0u8..4).prop_map(|addr| fc4::Instruction::Load { addr }),
-        (0u8..4).prop_map(|addr| fc4::Instruction::Store { addr }),
-        any::<u8>().prop_map(|imm| fc4::Instruction::LoadByte { imm }),
-        (0u8..24).prop_map(|target| fc4::Instruction::Branch { target }),
+        (0u8..16).prop_map(|imm| acc::Instruction::AddImm { imm }),
+        (0u8..16).prop_map(|imm| acc::Instruction::NandImm { imm }),
+        (0u8..16).prop_map(|imm| acc::Instruction::XorImm { imm }),
+        (0u8..4).prop_map(|m| acc::Instruction::Add { m }),
+        (0u8..4).prop_map(|m| acc::Instruction::Nand { m }),
+        (0u8..4).prop_map(|m| acc::Instruction::Xor { m }),
+        (0u8..4).prop_map(|m| acc::Instruction::Load { m }),
+        (0u8..4).prop_map(|m| acc::Instruction::Store { m }),
+        any::<u8>().prop_map(|imm| acc::Instruction::LoadByte { imm }),
+        (0u8..24).prop_map(|target| acc::Instruction::Br {
+            cond: Cond::N,
+            target
+        }),
     ];
     proptest::collection::vec(insn, len..=len)
 }
@@ -53,7 +60,7 @@ proptest! {
         insns in arb_fc4(32),
         input in 0u8..16,
     ) {
-        let bytes: Vec<u8> = insns.iter().flat_map(|i| i.encode()).collect();
+        let bytes: Vec<u8> = insns.iter().flat_map(|i| i.encode(Dialect::Fc4)).collect();
         let program = Program::from_bytes(bytes);
         let netlist = flexrtl::build(4, FeatureSet::BASE);
         let core = AnyCore::Fc4(Fc4Core::new(program));
@@ -69,7 +76,7 @@ proptest! {
     ) {
         let mut bytes = Vec::new();
         for i in &insns {
-            i.encode_into(&mut bytes);
+            i.encode_into(Dialect::Fc8, &mut bytes);
         }
         let program = Program::from_bytes(bytes);
         let netlist = flexrtl::build(8, FeatureSet::BASE);

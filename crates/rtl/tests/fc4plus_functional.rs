@@ -3,8 +3,9 @@
 //! gate-level reconstruction, not just occupy area.
 
 use flexgate::sim::BatchSim;
-use flexicore::isa::fc4::Instruction as I;
+use flexicore::isa::acc::Instruction as I;
 use flexicore::isa::features::FeatureSet;
+use flexicore::isa::Dialect;
 
 fn feed(sim: &mut BatchSim, byte: u8, iport: u8) {
     sim.set_input_value("instr", u64::from(byte), !0);
@@ -26,9 +27,9 @@ fn base_instructions_still_work() {
     let n = flexrtl::build(4, FeatureSet::fc4_plus());
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
-    feed(&mut sim, I::AddImm { imm: 5 }.encode()[0], 0);
-    feed(&mut sim, I::AddImm { imm: 9 }.encode()[0], 0);
-    feed(&mut sim, I::Store { addr: 1 }.encode()[0], 0);
+    feed(&mut sim, I::AddImm { imm: 5 }.encode(Dialect::Fc4)[0], 0);
+    feed(&mut sim, I::AddImm { imm: 9 }.encode(Dialect::Fc4)[0], 0);
+    feed(&mut sim, I::Store { m: 1 }.encode(Dialect::Fc4)[0], 0);
     sim.settle();
     assert_eq!(sim.output_value("oport", 0), (5 + 9) & 0xF);
 }
@@ -38,9 +39,13 @@ fn logical_right_shift_by_two() {
     let n = flexrtl::build(4, FeatureSet::fc4_plus());
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
-    feed(&mut sim, I::AddImm { imm: 0b1100 }.encode()[0], 0);
+    feed(
+        &mut sim,
+        I::AddImm { imm: 0b1100 }.encode(Dialect::Fc4)[0],
+        0,
+    );
     feed(&mut sim, shift(2, false), 0);
-    feed(&mut sim, I::Store { addr: 1 }.encode()[0], 0);
+    feed(&mut sim, I::Store { m: 1 }.encode(Dialect::Fc4)[0], 0);
     sim.settle();
     assert_eq!(sim.output_value("oport", 0), 0b0011);
 }
@@ -50,9 +55,13 @@ fn arithmetic_shift_sign_fills() {
     let n = flexrtl::build(4, FeatureSet::fc4_plus());
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
-    feed(&mut sim, I::AddImm { imm: 0b1010 }.encode()[0], 0);
+    feed(
+        &mut sim,
+        I::AddImm { imm: 0b1010 }.encode(Dialect::Fc4)[0],
+        0,
+    );
     feed(&mut sim, shift(1, true), 0);
-    feed(&mut sim, I::Store { addr: 1 }.encode()[0], 0);
+    feed(&mut sim, I::Store { m: 1 }.encode(Dialect::Fc4)[0], 0);
     sim.settle();
     assert_eq!(sim.output_value("oport", 0), 0b1101);
 }
@@ -74,7 +83,7 @@ fn branch_flags_take_zero_and_positive() {
     // branch-on-positive must be taken
     let mut sim = BatchSim::new(&n).unwrap();
     sim.reset();
-    feed(&mut sim, I::AddImm { imm: 3 }.encode()[0], 0);
+    feed(&mut sim, I::AddImm { imm: 3 }.encode(Dialect::Fc4)[0], 0);
     let pc_before = sim.output_value("pc", 0);
     feed(&mut sim, br_z, 0);
     sim.settle();

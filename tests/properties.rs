@@ -8,8 +8,8 @@ use flexgate::netlist::Netlist;
 use flexgate::sim::BatchSim;
 use flexicore::exec::Core;
 use flexicore::io::{ConstInput, RecordingOutput};
-use flexicore::isa::xacc::Cond;
-use flexicore::isa::{fc4, xacc, xls, AluOp};
+use flexicore::isa::acc::{self, Cond};
+use flexicore::isa::{fc4, xacc, xls, AluOp, Dialect};
 use flexicore::mmu::Mmu;
 use flexicore::program::Program;
 use flexicore::sim::fc4::Fc4Core;
@@ -18,48 +18,51 @@ use flexicore::sim::fc4::Fc4Core;
 // instruction encodings
 // ---------------------------------------------------------------------------
 
-fn arb_fc4_instruction() -> impl Strategy<Value = fc4::Instruction> {
+fn arb_fc4_instruction() -> impl Strategy<Value = acc::Instruction> {
     prop_oneof![
-        (0u8..16).prop_map(|imm| fc4::Instruction::AddImm { imm }),
-        (0u8..16).prop_map(|imm| fc4::Instruction::NandImm { imm }),
-        (0u8..16).prop_map(|imm| fc4::Instruction::XorImm { imm }),
-        (0u8..8).prop_map(|src| fc4::Instruction::AddMem { src }),
-        (0u8..8).prop_map(|src| fc4::Instruction::NandMem { src }),
-        (0u8..8).prop_map(|src| fc4::Instruction::XorMem { src }),
-        (0u8..8).prop_map(|addr| fc4::Instruction::Load { addr }),
-        (0u8..8).prop_map(|addr| fc4::Instruction::Store { addr }),
-        (0u8..128).prop_map(|target| fc4::Instruction::Branch { target }),
+        (0u8..16).prop_map(|imm| acc::Instruction::AddImm { imm }),
+        (0u8..16).prop_map(|imm| acc::Instruction::NandImm { imm }),
+        (0u8..16).prop_map(|imm| acc::Instruction::XorImm { imm }),
+        (0u8..8).prop_map(|m| acc::Instruction::Add { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Nand { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Xor { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Load { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Store { m }),
+        (0u8..128).prop_map(|target| acc::Instruction::Br {
+            cond: Cond::N,
+            target
+        }),
     ]
 }
 
-fn arb_xacc_instruction() -> impl Strategy<Value = xacc::Instruction> {
+fn arb_xacc_instruction() -> impl Strategy<Value = acc::Instruction> {
     prop_oneof![
-        (0u8..8).prop_map(|m| xacc::Instruction::Add { m }),
-        (0u8..8).prop_map(|m| xacc::Instruction::Adc { m }),
-        (0u8..8).prop_map(|m| xacc::Instruction::Sub { m }),
-        (0u8..8).prop_map(|m| xacc::Instruction::Swb { m }),
-        (0u8..8).prop_map(|m| xacc::Instruction::Nand { m }),
-        (0u8..8).prop_map(|m| xacc::Instruction::Or { m }),
-        (0u8..8).prop_map(|m| xacc::Instruction::Xor { m }),
-        (0u8..8).prop_map(|m| xacc::Instruction::Xch { m }),
-        (0u8..8).prop_map(|m| xacc::Instruction::Load { m }),
-        (0u8..8).prop_map(|m| xacc::Instruction::Store { m }),
-        (0u8..16).prop_map(|imm| xacc::Instruction::AddImm { imm }),
-        (0u8..16).prop_map(|imm| xacc::Instruction::NandImm { imm }),
-        (0u8..16).prop_map(|imm| xacc::Instruction::OrImm { imm }),
-        (0u8..16).prop_map(|imm| xacc::Instruction::XorImm { imm }),
-        (0u8..16).prop_map(|imm| xacc::Instruction::AdcImm { imm }),
-        (0u8..8).prop_map(|amount| xacc::Instruction::AsrImm { amount }),
-        (0u8..8).prop_map(|amount| xacc::Instruction::LsrImm { amount }),
-        (0u8..4).prop_map(|m| xacc::Instruction::MulL { m }),
-        (0u8..4).prop_map(|m| xacc::Instruction::MulH { m }),
-        Just(xacc::Instruction::Neg),
-        Just(xacc::Instruction::Ret),
-        ((0u8..8), (0u8..128)).prop_map(|(c, target)| xacc::Instruction::Br {
+        (0u8..8).prop_map(|m| acc::Instruction::Add { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Adc { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Sub { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Swb { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Nand { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Or { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Xor { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Xch { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Load { m }),
+        (0u8..8).prop_map(|m| acc::Instruction::Store { m }),
+        (0u8..16).prop_map(|imm| acc::Instruction::AddImm { imm }),
+        (0u8..16).prop_map(|imm| acc::Instruction::NandImm { imm }),
+        (0u8..16).prop_map(|imm| acc::Instruction::OrImm { imm }),
+        (0u8..16).prop_map(|imm| acc::Instruction::XorImm { imm }),
+        (0u8..16).prop_map(|imm| acc::Instruction::AdcImm { imm }),
+        (0u8..8).prop_map(|amount| acc::Instruction::AsrImm { amount }),
+        (0u8..8).prop_map(|amount| acc::Instruction::LsrImm { amount }),
+        (0u8..4).prop_map(|m| acc::Instruction::MulL { m }),
+        (0u8..4).prop_map(|m| acc::Instruction::MulH { m }),
+        Just(acc::Instruction::Neg),
+        Just(acc::Instruction::Ret),
+        ((0u8..8), (0u8..128)).prop_map(|(c, target)| acc::Instruction::Br {
             cond: Cond::from_bits(c),
             target,
         }),
-        (0u8..128).prop_map(|target| xacc::Instruction::Call { target }),
+        (0u8..128).prop_map(|target| acc::Instruction::Call { target }),
     ]
 }
 
@@ -110,15 +113,15 @@ fn arb_xls_instruction() -> impl Strategy<Value = xls::Instruction> {
 proptest! {
     #[test]
     fn fc4_encode_decode_roundtrip(insn in arb_fc4_instruction()) {
-        let bytes = insn.encode();
-        prop_assert_eq!(fc4::Instruction::decode(&bytes, 4), Ok((insn, 1)));
+        let bytes = insn.encode(Dialect::Fc4);
+        prop_assert_eq!(fc4::decode(&bytes, 4), Ok((insn, 1)));
     }
 
     #[test]
     fn fc8_every_byte_decodes_or_rejects_consistently(byte in any::<u8>(), second in any::<u8>()) {
         // any decodable byte must re-encode to itself
-        if let Ok((insn, len)) = fc4::Instruction::decode(&[byte, second], 8) {
-            let bytes = insn.encode();
+        if let Ok((insn, len)) = fc4::decode(&[byte, second], 8) {
+            let bytes = insn.encode(Dialect::Fc8);
             prop_assert_eq!(bytes.len(), len);
             prop_assert_eq!(bytes[0], byte);
             if len == 2 {
@@ -129,8 +132,8 @@ proptest! {
 
     #[test]
     fn xacc_encode_decode_roundtrip(insn in arb_xacc_instruction()) {
-        let bytes = insn.encode();
-        let (decoded, len) = xacc::Instruction::decode(&bytes).unwrap();
+        let bytes = insn.encode(Dialect::ExtendedAcc);
+        let (decoded, len) = xacc::decode(&bytes).unwrap();
         prop_assert_eq!(decoded, insn);
         prop_assert_eq!(len, bytes.len());
     }
@@ -221,7 +224,7 @@ proptest! {
         insns in proptest::collection::vec(arb_fc4_instruction(), 1..60),
         input in 0u8..16,
     ) {
-        let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode()).collect());
+        let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode(Dialect::Fc4)).collect());
         let run = |program: Program| {
             let mut core = Fc4Core::new(program);
             let mut output = RecordingOutput::new();
@@ -238,7 +241,7 @@ proptest! {
         insns in proptest::collection::vec(arb_fc4_instruction(), 1..60),
         input in 0u8..16,
     ) {
-        let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode()).collect());
+        let program = Program::from_bytes(insns.iter().flat_map(|i| i.encode(Dialect::Fc4)).collect());
         let mut core = Fc4Core::new(program);
         let mut output = RecordingOutput::new();
         let mut inp = ConstInput::new(input);
@@ -302,10 +305,10 @@ proptest! {
         insns in proptest::collection::vec(arb_fc4_instruction(), 1..100),
     ) {
         use flexasm::disasm::disassemble;
-        let bytes: Vec<u8> = insns.iter().flat_map(|i| i.encode()).collect();
+        let bytes: Vec<u8> = insns.iter().flat_map(|i| i.encode(Dialect::Fc4)).collect();
         // branches must target addresses inside the program
         prop_assume!(insns.iter().all(|i| match i {
-            fc4::Instruction::Branch { target } => usize::from(*target) < bytes.len(),
+            acc::Instruction::Br { target, .. } => usize::from(*target) < bytes.len(),
             _ => true,
         }));
         let program = Program::from_bytes(bytes.clone());
