@@ -67,17 +67,21 @@ impl Cond {
         self.bits
     }
 
-    /// Evaluate against an accumulator value of the given bit width.
+    /// Evaluate against an accumulator value of the given bit width:
+    /// taken when the mask holds the value's one class — negative, zero
+    /// or positive.
     #[must_use]
+    #[inline]
     pub fn taken(self, acc: u8, width: u32) -> bool {
-        let mask = ((1u16 << width) - 1) as u8;
-        let v = acc & mask;
-        let n = v & (1 << (width - 1)) != 0;
-        let z = v == 0;
-        let p = !n && !z;
-        (self.bits & 0b100 != 0 && n)
-            || (self.bits & 0b010 != 0 && z)
-            || (self.bits & 0b001 != 0 && p)
+        let v = acc & ((1u16 << width) - 1) as u8;
+        let class = if v >> (width - 1) != 0 {
+            Cond::N.bits
+        } else if v == 0 {
+            Cond::Z.bits
+        } else {
+            Cond::P.bits
+        };
+        self.bits & class != 0
     }
 }
 

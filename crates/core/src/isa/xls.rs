@@ -126,7 +126,9 @@ impl Op {
     /// and every other operation leaves the carry as it was. `MOV`
     /// ignores `a`, `NEG` ignores `b`, and only `ADC`/`SWB` read `carry`.
     #[must_use]
-    #[inline]
+    // inlined into each execute arm, where `self` and `width` are
+    // constants and the match folds to one operation
+    #[inline(always)]
     pub fn apply(self, a: u8, b: u8, carry: bool, width: u32) -> (u8, bool) {
         debug_assert!((1..=8).contains(&width));
         let mask = ((1u16 << width) - 1) as u8;

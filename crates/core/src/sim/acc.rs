@@ -52,7 +52,7 @@ use crate::exec::{Core, ExecState, Flow, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::acc::{DialectInsn, Instruction};
 use crate::isa::features::FeatureSet;
-use crate::isa::xls::Operand;
+use crate::isa::xls::Op;
 use crate::isa::{sign_extend, Dialect};
 use crate::program::Program;
 use crate::sim::fault::{ArchState, FaultHook};
@@ -164,6 +164,23 @@ impl<D: AccDialect> AccCore<D> {
     fn read<I: InputPort, F: FaultHook>(&self, addr: u8, input: &mut I, faults: &mut F) -> u8 {
         read_cell(&self.exec, self.words(), addr, Self::MASK, input, faults)
     }
+
+    /// `ACC = ACC op b` on the datapath; the carry is kept only where it
+    /// exists.
+    #[inline(always)]
+    fn alu(&mut self, op: Op, b: u8) {
+        let (acc, carry) = op.apply(self.acc, b, self.carry, Self::WIDTH);
+        self.acc = acc;
+        if Self::EXTENDED {
+            self.carry = carry;
+        }
+    }
+}
+
+/// A 4-bit immediate sign-extended to the datapath.
+#[inline]
+fn sext4(imm: u8) -> u8 {
+    sign_extend(imm, 4) as u8
 }
 
 impl<D: AccDialect> Core for AccCore<D> {
@@ -190,7 +207,7 @@ impl<D: AccDialect> Core for AccCore<D> {
             DecodeError::NeedsSecondByte { .. } => SimError::TruncatedInstruction { address },
             DecodeError::Illegal { raw } => SimError::IllegalInstruction { raw, address },
         })?;
-        if !insn.is_legal(self.features) {
+        if Self::EXTENDED && !insn.is_legal(self.features) {
             return Err(SimError::IllegalInstruction {
                 raw: u16::from(window[0]),
                 address,
@@ -209,41 +226,47 @@ impl<D: AccDialect> Core for AccCore<D> {
         output: &mut O,
         faults: &mut F,
     ) -> Flow {
-        let insn = insn.insn;
-        if let Some((op, operand)) = insn.alu() {
-            let b = match operand {
-                Operand::Reg(m) => self.read(m, input, faults),
-                Operand::Imm(imm) => sign_extend(imm, 4) as u8,
-            };
-            let (acc, carry) = op.apply(self.acc, b, self.carry, Self::WIDTH);
-            self.acc = acc;
-            if Self::EXTENDED {
-                self.carry = carry;
-            }
-            return Flow::Sequential;
-        }
-        match insn {
-            Instruction::Xch { m } | Instruction::Store { m } => {
+        use Instruction as I;
+        // one match, each arm with its ALU operation constant, so every
+        // arm folds to its own datapath
+        match insn.insn {
+            I::Add { m } => self.alu(Op::Add, self.read(m, input, faults)),
+            I::Adc { m } => self.alu(Op::Adc, self.read(m, input, faults)),
+            I::Sub { m } => self.alu(Op::Sub, self.read(m, input, faults)),
+            I::Swb { m } => self.alu(Op::Swb, self.read(m, input, faults)),
+            I::Nand { m } => self.alu(Op::Nand, self.read(m, input, faults)),
+            I::Or { m } => self.alu(Op::Or, self.read(m, input, faults)),
+            I::Xor { m } => self.alu(Op::Xor, self.read(m, input, faults)),
+            I::Load { m } => self.alu(Op::Mov, self.read(m, input, faults)),
+            I::MulL { m } => self.alu(Op::MulL, self.read(m, input, faults)),
+            I::MulH { m } => self.alu(Op::MulH, self.read(m, input, faults)),
+            I::AddImm { imm } => self.alu(Op::Add, sext4(imm)),
+            I::AdcImm { imm } => self.alu(Op::Adc, sext4(imm)),
+            I::NandImm { imm } => self.alu(Op::Nand, sext4(imm)),
+            I::OrImm { imm } => self.alu(Op::Or, sext4(imm)),
+            I::XorImm { imm } => self.alu(Op::Xor, sext4(imm)),
+            I::AsrImm { amount } => self.alu(Op::Asr, amount),
+            I::LsrImm { amount } => self.alu(Op::Lsr, amount),
+            I::Neg => self.alu(Op::Neg, 0),
+            I::LoadByte { imm } => self.acc = imm & Self::MASK,
+            I::Xch { m } | I::Store { m } => {
                 let old = self.acc;
-                if matches!(insn, Instruction::Xch { .. }) {
+                if matches!(insn.insn, I::Xch { .. }) {
                     self.acc = self.read(m, input, faults);
                 }
                 let cells = &mut self.mem[..Self::WORDS];
                 write_cell(&mut self.exec, cells, m, old, Self::MASK, output, faults);
             }
-            Instruction::LoadByte { imm } => self.acc = imm & Self::MASK,
-            Instruction::Br { cond, target } if cond.taken(self.acc, Self::WIDTH) => {
-                return Flow::Jump { target };
+            I::Br { cond, target } => {
+                if cond.taken(self.acc, Self::WIDTH) {
+                    return Flow::Jump { target };
+                }
             }
-            Instruction::Call { target } => {
+            I::Call { target } => {
                 self.ra = (self.exec.pc + 2) & PC_MASK;
                 return Flow::Jump { target };
             }
-            Instruction::Ret => {
-                return Flow::Jump { target: self.ra };
-            }
-            // untaken branches, and the ALU instructions executed above
-            _ => {}
+            I::Ret => return Flow::Jump { target: self.ra },
         }
         Flow::Sequential
     }
