@@ -136,12 +136,13 @@ echo "== hang fast-forward gate =="
 #   screen_digests    wafer-screen outcomes and fault-coverage bits
 #   defect_draws      the gate-level defect sites each die seed draws
 #   netlist_digests   every cell of the three netlists flexrtl::build makes
-#   cosim_fuzz        flexrtl::build at 4 and 8 bits equals FabCore<4>/<8>
+#   cosim_fuzz        flexrtl::build at 4 and 8 bits equals Fc4Core/Fc8Core
 #                     cycle by cycle on random programs
 #   compiled_oracle   the compiled gate tape equals the cell interpreter
 #   vuln_digests      per-kernel site verdicts over the fault-site universe
 #   recovery_digests  resilient-executor trials of every quorum mode
 #   soak_digests      link-soak trials, frames and scrub counts
+#   paper_pins        the stdout of every paper table and figure bin
 #   generated_programs_fast_forward_exactly  random programs fast-forward
 #   the mission SHA-256  the whole `flexi mission` report
 cargo test --release --offline -p flexicore -q --test hang_forward

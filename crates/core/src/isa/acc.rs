@@ -260,12 +260,14 @@ impl Instruction {
         self.required_feature().is_none_or(|f| features.contains(f))
     }
 
-    /// The DSE ALU operation this instruction applies to the accumulator,
+    /// The ALU operation this instruction applies to the accumulator,
     /// and its second operand: [`Operand::Reg`] names a memory word,
     /// [`Operand::Imm`] a 4-bit immediate (sign-extended; a shift amount
     /// is at most 7, so it reads unchanged). `LOAD` is a `MOV` of its
     /// word. `None` for `XCH`, `STORE`, `LOAD BYTE` and the control
-    /// transfers, which bypass the ALU.
+    /// transfers, which bypass the ALU. The abstract transfer folds
+    /// through this; the simulator's execute arms apply the same
+    /// operations, each as a constant.
     #[must_use]
     #[inline]
     pub fn alu(self) -> Option<(Op, Operand)> {
@@ -322,12 +324,6 @@ impl Instruction {
         } else {
             xacc::len(self)
         }
-    }
-
-    /// Always `false`; instructions occupy at least one byte.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        false
     }
 
     /// Append the encoding in accumulator `dialect` to `buf`, returning

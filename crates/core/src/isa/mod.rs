@@ -6,7 +6,7 @@
 //! |---|---|---|---|---|
 //! | [`fc4`] | §3.3, Fig. 2a | 4 bit | 8 × 4 bit | fabricated base core |
 //! | [`fc8`] | §3.3, Fig. 2b | 8 bit | 4 × 8 bit | `fc4` at eight bits, adds `LOAD BYTE` |
-//! | [`xacc`] | §6.1–6.2 | 4 bit | 8 × 4 bit | extended accumulator ISA |
+//! | [`xacc`] | §6.1–6.2 | 4 bit | 8 × 4 bit (opt. 16) | extended accumulator ISA |
 //! | [`xls`] | §6.2 | 4 bit | 8 registers | two-operand load-store ISA |
 //!
 //! The three accumulator dialects share one instruction set,

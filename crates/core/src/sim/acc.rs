@@ -50,7 +50,7 @@ use core::marker::PhantomData;
 use crate::error::{DecodeError, SimError};
 use crate::exec::{Core, ExecState, Flow, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
-use crate::isa::acc::{DialectInsn, Instruction};
+use crate::isa::acc::{Cond, DialectInsn, Instruction};
 use crate::isa::features::FeatureSet;
 use crate::isa::xls::Op;
 use crate::isa::{sign_extend, Dialect};
@@ -207,6 +207,8 @@ impl<D: AccDialect> Core for AccCore<D> {
             DecodeError::NeedsSecondByte { .. } => SimError::TruncatedInstruction { address },
             DecodeError::Illegal { raw } => SimError::IllegalInstruction { raw, address },
         })?;
+        // the fabricated encoding decodes the base ISA only, which every
+        // feature set allows
         if Self::EXTENDED && !insn.is_legal(self.features) {
             return Err(SimError::IllegalInstruction {
                 raw: u16::from(window[0]),
@@ -258,6 +260,8 @@ impl<D: AccDialect> Core for AccCore<D> {
                 write_cell(&mut self.exec, cells, m, old, Self::MASK, output, faults);
             }
             I::Br { cond, target } => {
+                // the fabricated encoding's one branch is `br.n`
+                let cond = if Self::EXTENDED { cond } else { Cond::N };
                 if cond.taken(self.acc, Self::WIDTH) {
                     return Flow::Jump { target };
                 }
