@@ -10,10 +10,10 @@
 //! beyond the base ISA. Only the binary encodings differ, and exactly
 //! two exist beside the enum:
 //!
-//! * [`fc4`](crate::isa::fc4) — the fabricated encoding of Figure 2, at
+//! * [`fc4`] — the fabricated encoding of Figure 2, at
 //!   datapath width 4 (FlexiCore4) or 8 (FlexiCore8, which adds
 //!   `LOAD BYTE`); it encodes the base ISA only;
-//! * [`xacc`](crate::isa::xacc) — the compact DSE encoding of every
+//! * [`xacc`] — the compact DSE encoding of every
 //!   extension, which has no `LOAD BYTE`.
 //!
 //! The methods that need an encoding ([`Instruction::decode`],

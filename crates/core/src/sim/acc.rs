@@ -177,6 +177,57 @@ impl<D: AccDialect> AccCore<D> {
     }
 }
 
+impl<D: AccDialect> AccCore<D> {
+    #[inline(always)]
+    fn store<O: OutputPort, F: FaultHook>(&mut self, m: u8, output: &mut O, faults: &mut F) {
+        let (cells, acc) = (&mut self.mem[..Self::WORDS], self.acc);
+        write_cell(&mut self.exec, cells, m, acc, Self::MASK, output, faults);
+    }
+
+    /// The §6 extensions. The fabricated encodings decode none of
+    /// them, so on FlexiCore4/8 this folds away and their step loops
+    /// hold the base ISA only.
+    #[inline(always)]
+    fn execute_extension<I: InputPort, O: OutputPort, F: FaultHook>(
+        &mut self,
+        insn: Instruction,
+        input: &mut I,
+        output: &mut O,
+        faults: &mut F,
+    ) -> Flow {
+        use Instruction as I;
+        if !Self::EXTENDED {
+            return Flow::Sequential;
+        }
+        match insn {
+            I::Adc { m } => self.alu(Op::Adc, self.read(m, input, faults)),
+            I::Sub { m } => self.alu(Op::Sub, self.read(m, input, faults)),
+            I::Swb { m } => self.alu(Op::Swb, self.read(m, input, faults)),
+            I::Or { m } => self.alu(Op::Or, self.read(m, input, faults)),
+            I::MulL { m } => self.alu(Op::MulL, self.read(m, input, faults)),
+            I::MulH { m } => self.alu(Op::MulH, self.read(m, input, faults)),
+            I::AdcImm { imm } => self.alu(Op::Adc, sext4(imm)),
+            I::OrImm { imm } => self.alu(Op::Or, sext4(imm)),
+            I::AsrImm { amount } => self.alu(Op::Asr, amount),
+            I::LsrImm { amount } => self.alu(Op::Lsr, amount),
+            I::Neg => self.alu(Op::Neg, 0),
+            I::Xch { m } => {
+                let loaded = self.read(m, input, faults);
+                self.store(m, output, faults);
+                self.acc = loaded;
+            }
+            I::Call { target } => {
+                self.ra = (self.exec.pc + 2) & PC_MASK;
+                return Flow::Jump { target };
+            }
+            I::Ret => return Flow::Jump { target: self.ra },
+            // the base ISA, executed by `execute`
+            _ => {}
+        }
+        Flow::Sequential
+    }
+}
+
 /// A 4-bit immediate sign-extended to the datapath.
 #[inline]
 fn sext4(imm: u8) -> u8 {
@@ -233,32 +284,14 @@ impl<D: AccDialect> Core for AccCore<D> {
         // arm folds to its own datapath
         match insn.insn {
             I::Add { m } => self.alu(Op::Add, self.read(m, input, faults)),
-            I::Adc { m } => self.alu(Op::Adc, self.read(m, input, faults)),
-            I::Sub { m } => self.alu(Op::Sub, self.read(m, input, faults)),
-            I::Swb { m } => self.alu(Op::Swb, self.read(m, input, faults)),
             I::Nand { m } => self.alu(Op::Nand, self.read(m, input, faults)),
-            I::Or { m } => self.alu(Op::Or, self.read(m, input, faults)),
             I::Xor { m } => self.alu(Op::Xor, self.read(m, input, faults)),
             I::Load { m } => self.alu(Op::Mov, self.read(m, input, faults)),
-            I::MulL { m } => self.alu(Op::MulL, self.read(m, input, faults)),
-            I::MulH { m } => self.alu(Op::MulH, self.read(m, input, faults)),
             I::AddImm { imm } => self.alu(Op::Add, sext4(imm)),
-            I::AdcImm { imm } => self.alu(Op::Adc, sext4(imm)),
             I::NandImm { imm } => self.alu(Op::Nand, sext4(imm)),
-            I::OrImm { imm } => self.alu(Op::Or, sext4(imm)),
             I::XorImm { imm } => self.alu(Op::Xor, sext4(imm)),
-            I::AsrImm { amount } => self.alu(Op::Asr, amount),
-            I::LsrImm { amount } => self.alu(Op::Lsr, amount),
-            I::Neg => self.alu(Op::Neg, 0),
             I::LoadByte { imm } => self.acc = imm & Self::MASK,
-            I::Xch { m } | I::Store { m } => {
-                let old = self.acc;
-                if matches!(insn.insn, I::Xch { .. }) {
-                    self.acc = self.read(m, input, faults);
-                }
-                let cells = &mut self.mem[..Self::WORDS];
-                write_cell(&mut self.exec, cells, m, old, Self::MASK, output, faults);
-            }
+            I::Store { m } => self.store(m, output, faults),
             I::Br { cond, target } => {
                 // the fabricated encoding's one branch is `br.n`
                 let cond = if Self::EXTENDED { cond } else { Cond::N };
@@ -266,11 +299,7 @@ impl<D: AccDialect> Core for AccCore<D> {
                     return Flow::Jump { target };
                 }
             }
-            I::Call { target } => {
-                self.ra = (self.exec.pc + 2) & PC_MASK;
-                return Flow::Jump { target };
-            }
-            I::Ret => return Flow::Jump { target: self.ra },
+            extension => return self.execute_extension(extension, input, output, faults),
         }
         Flow::Sequential
     }
