@@ -294,14 +294,6 @@ impl Ctx {
         self.emit(self.acc(insn));
     }
 
-    fn acc_alu_mem(&self, op: AccOp, m: u8) -> MachineInsn {
-        self.acc(match op {
-            AccOp::Add => A::Add { m },
-            AccOp::Nand => A::Nand { m },
-            AccOp::Xor => A::Xor { m },
-        })
-    }
-
     /// Emit `ACC = ACC op imm` for a nibble immediate.
     fn emit_acc_alu_imm(&mut self, op: AccOp, mnemonic: &str, v: i64) -> Result<(), AsmError> {
         let imm = self.imm4(mnemonic, v)?;
@@ -434,7 +426,7 @@ impl Ctx {
                     amount: amount as u8,
                 }
             };
-            self.emit(self.acc(insn));
+            self.emit_acc(insn);
             return Ok(());
         }
         if self.feature(Feature::Subroutines) {
@@ -535,7 +527,7 @@ impl Ctx {
         self.emit_acc_alu_imm(AccOp::Nand, "brgtu", -1)?;
         self.emit_acc(A::Store { m: SCRATCH_A });
         self.emit_acc(A::Load { m: x });
-        self.emit(self.acc_alu_mem(AccOp::Add, SCRATCH_A));
+        self.emit_acc(A::Add { m: SCRATCH_A });
         self.emit_branch(self.acc(BR_N), &le);
         self.emit_jmp(label);
         self.emit_label(le);
@@ -608,15 +600,15 @@ impl Ctx {
             // ---- native three ALU ops, both addressing modes ----
             "add" => {
                 let m = self.one_mem(mnemonic, operands)?;
-                self.emit(self.acc_alu_mem(AccOp::Add, m));
+                self.emit_acc(A::Add { m });
             }
             "nand" => {
                 let m = self.one_mem(mnemonic, operands)?;
-                self.emit(self.acc_alu_mem(AccOp::Nand, m));
+                self.emit_acc(A::Nand { m });
             }
             "xor" => {
                 let m = self.one_mem(mnemonic, operands)?;
-                self.emit(self.acc_alu_mem(AccOp::Xor, m));
+                self.emit_acc(A::Xor { m });
             }
             "addi" => {
                 let v = self.one_imm(mnemonic, operands)?;
@@ -674,7 +666,7 @@ impl Ctx {
                 } else {
                     A::Swb { m }
                 };
-                self.emit(self.acc(insn));
+                self.emit_acc(insn);
             }
             "adci" => {
                 let v = self.one_imm(mnemonic, operands)?;
@@ -691,9 +683,9 @@ impl Ctx {
                         range: (-8, 7),
                     }));
                 }
-                self.emit(self.acc(A::AdcImm {
+                self.emit_acc(A::AdcImm {
                     imm: (v & 0xF) as u8,
-                }));
+                });
             }
             "sub" => {
                 let m = self.one_mem(mnemonic, operands)?;
@@ -706,7 +698,7 @@ impl Ctx {
                     self.emit_acc(A::Load { m });
                     self.emit_acc_alu_imm(AccOp::Nand, "sub", -1)?; // ~m
                     self.emit_acc_alu_imm(AccOp::Add, "sub", 1)?; // -m
-                    self.emit(self.acc_alu_mem(AccOp::Add, SCRATCH_A));
+                    self.emit_acc(A::Add { m: SCRATCH_A });
                 }
             }
             "subi" => {
@@ -726,7 +718,7 @@ impl Ctx {
             }
             "and" => {
                 let m = self.one_mem(mnemonic, operands)?;
-                self.emit(self.acc_alu_mem(AccOp::Nand, m));
+                self.emit_acc(A::Nand { m });
                 self.emit_acc_alu_imm(AccOp::Nand, "and", -1)?;
             }
             "andi" => {
@@ -745,7 +737,7 @@ impl Ctx {
                     self.emit_acc(A::Store { m: SCRATCH_A });
                     self.emit_acc(A::Load { m });
                     self.emit_acc_alu_imm(AccOp::Nand, "or", -1)?; // ~b
-                    self.emit(self.acc_alu_mem(AccOp::Nand, SCRATCH_A));
+                    self.emit_acc(A::Nand { m: SCRATCH_A });
                 }
             }
             "ori" => {
@@ -802,7 +794,7 @@ impl Ctx {
                 } else {
                     A::MulH { m }
                 };
-                self.emit(self.acc(insn));
+                self.emit_acc(insn);
             }
             "call" => {
                 let target = self.one_target(mnemonic, operands)?;

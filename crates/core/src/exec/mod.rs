@@ -310,8 +310,8 @@ pub trait Core: Sized {
     /// (FlexiCore8's two-byte `LOAD BYTE` pays one cycle per fetch
     /// beat; everything else is single-cycle at the ISA level).
     /// `resume_with`'s quiet stretches bound cycles against a budget
-    /// that counts instructions on xacc/xls, so those dialects rely on
-    /// this default of 1.
+    /// that counts instructions on xacc/xls, so every instruction there
+    /// must cost 1.
     fn insn_cycles(len: u8) -> u64 {
         let _ = len;
         1

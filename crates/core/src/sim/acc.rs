@@ -175,9 +175,7 @@ impl<D: AccDialect> AccCore<D> {
             self.carry = carry;
         }
     }
-}
 
-impl<D: AccDialect> AccCore<D> {
     #[inline(always)]
     fn store<O: OutputPort, F: FaultHook>(&mut self, m: u8, output: &mut O, faults: &mut F) {
         let (cells, acc) = (&mut self.mem[..Self::WORDS], self.acc);
