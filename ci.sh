@@ -100,6 +100,13 @@ for target in fc4 fc8 "xacc --features revised" "xls --features revised"; do
 done
 ./target/release/flexi check --campaign 25 --seed 1 | tail -2
 
+echo "== kernel listing smoke =="
+# every target lists the suite and exits 0: kernels a target cannot hold
+# are left out (FlexiCore8) or listed with what they need (base xls)
+for target in fc4 fc8 xacc xls "xls --features revised"; do
+    ./target/release/flexi kernels --target $target > /dev/null
+done
+
 echo "== vuln gate =="
 # static fault-vulnerability analysis: the per-dialect kernel-suite
 # classification must be deterministic (printed digest compared across
@@ -119,6 +126,9 @@ cargo test --release --offline -p flexcheck -q vuln_smoke_campaign
 
 echo "== hang fast-forward gate =="
 # Pinned values and oracles; each must pass unedited. What each holds:
+#   predecode         each core's predecoded table equals its decode,
+#                     fault-free runs equal the raw step loop, and a
+#                     stuck fetch-bus bit runs like a stuck image
 #   hang_forward      the hang fast-forward and the quiet stretches
 #                     equal stepping every cycle, boundary cases too
 #                     (early flips, 2-3 per plane, FC8 LOAD BYTEs;
@@ -145,6 +155,7 @@ echo "== hang fast-forward gate =="
 #   paper_pins        the stdout of every paper table and figure bin
 #   generated_programs_fast_forward_exactly  random programs fast-forward
 #   the mission SHA-256  the whole `flexi mission` report
+cargo test --release --offline -p flexicore -q --test predecode
 cargo test --release --offline -p flexicore -q --test hang_forward
 cargo test --release --offline -p flexicore -q --test fabricated_isa
 cargo test --release --offline -p flexicore -q --test dse_isa

@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use flexicore::isa::features::Feature;
+
 /// An error produced while assembling a source file.
 ///
 /// Every error carries the 1-based source line it was detected on.
@@ -33,6 +35,8 @@ pub enum AsmErrorKind {
         mnemonic: String,
         /// Why it is unavailable.
         reason: String,
+        /// The ISA extension that would make it available, if one would.
+        feature: Option<Feature>,
     },
     /// An immediate or address operand is outside its field range.
     OutOfRange {
@@ -89,6 +93,16 @@ impl AsmError {
     pub fn kind(&self) -> &AsmErrorKind {
         &self.kind
     }
+
+    /// The ISA extension the target lacks, when that is why the source
+    /// does not assemble.
+    #[must_use]
+    pub fn missing_feature(&self) -> Option<Feature> {
+        match self.kind {
+            AsmErrorKind::Unsupported { feature, .. } => feature,
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for AsmError {
@@ -97,7 +111,9 @@ impl fmt::Display for AsmError {
         match &self.kind {
             AsmErrorKind::BadToken { text } => write!(f, "unrecognised token `{text}`"),
             AsmErrorKind::Syntax { message } => write!(f, "{message}"),
-            AsmErrorKind::Unsupported { mnemonic, reason } => {
+            AsmErrorKind::Unsupported {
+                mnemonic, reason, ..
+            } => {
                 write!(f, "`{mnemonic}` is not available on this target: {reason}")
             }
             AsmErrorKind::OutOfRange { what, value, range } => write!(

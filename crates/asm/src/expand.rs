@@ -140,6 +140,16 @@ impl Ctx {
         self.err(AsmErrorKind::Unsupported {
             mnemonic: mnemonic.to_string(),
             reason: reason.into(),
+            feature: None,
+        })
+    }
+
+    /// `mnemonic` is unavailable because the target lacks `feature`.
+    fn needs(&self, mnemonic: &str, feature: Feature, reason: impl Into<String>) -> AsmError {
+        self.err(AsmErrorKind::Unsupported {
+            mnemonic: mnemonic.to_string(),
+            reason: reason.into(),
+            feature: Some(feature),
         })
     }
 
@@ -638,8 +648,9 @@ impl Ctx {
                 } else if self.feature(Feature::BranchFlags) {
                     self.emit_branch_to(self.acc(A::Br { cond: c, target: 0 }), target);
                 } else {
-                    return Err(self.unsupported(
+                    return Err(self.needs(
                         "br",
+                        Feature::BranchFlags,
                         "condition masks other than `.n` need the BranchFlags extension",
                     ));
                 }
@@ -656,8 +667,9 @@ impl Ctx {
             "adc" | "swb" => {
                 let m = self.one_mem(mnemonic, operands)?;
                 if !self.feature(Feature::AddWithCarry) {
-                    return Err(self.unsupported(
+                    return Err(self.needs(
                         mnemonic,
+                        Feature::AddWithCarry,
                         "needs the ADC extension (no architected carry otherwise)",
                     ));
                 }
@@ -671,8 +683,9 @@ impl Ctx {
             "adci" => {
                 let v = self.one_imm(mnemonic, operands)?;
                 if !self.feature(Feature::AddWithCarry) {
-                    return Err(self.unsupported(
+                    return Err(self.needs(
                         mnemonic,
+                        Feature::AddWithCarry,
                         "needs the ADC extension (no architected carry otherwise)",
                     ));
                 }
@@ -785,9 +798,11 @@ impl Ctx {
                     }));
                 }
                 if !self.feature(Feature::Multiplier) {
-                    return Err(
-                        self.unsupported(mnemonic, "needs the hardware multiplier extension")
-                    );
+                    return Err(self.needs(
+                        mnemonic,
+                        Feature::Multiplier,
+                        "needs the hardware multiplier extension",
+                    ));
                 }
                 let insn = if mnemonic == "mull" {
                     A::MulL { m }
@@ -799,8 +814,9 @@ impl Ctx {
             "call" => {
                 let target = self.one_target(mnemonic, operands)?;
                 if !self.feature(Feature::Subroutines) {
-                    return Err(self.unsupported(
+                    return Err(self.needs(
                         "call",
+                        Feature::Subroutines,
                         "needs the Subroutines extension (return-address register)",
                     ));
                 }
@@ -808,8 +824,9 @@ impl Ctx {
             }
             "ret" => {
                 if !self.feature(Feature::Subroutines) {
-                    return Err(self.unsupported(
+                    return Err(self.needs(
                         "ret",
+                        Feature::Subroutines,
                         "needs the Subroutines extension (return-address register)",
                     ));
                 }
@@ -953,8 +970,9 @@ impl Ctx {
     fn ls_check(&self, mnemonic: &str, op: xls::Op) -> Result<(), AsmError> {
         if let Some(f) = op.required_feature() {
             if !self.ls_feature(f) {
-                return Err(self.unsupported(
+                return Err(self.needs(
                     mnemonic,
+                    f,
                     format!("needs the {f} extension on the load-store target"),
                 ));
             }
@@ -1021,8 +1039,9 @@ impl Ctx {
             "br" => {
                 let c = self.cond_mask(cond)?;
                 if c != Cond::N && !self.ls_feature(Feature::BranchFlags) {
-                    return Err(self.unsupported(
+                    return Err(self.needs(
                         "br",
+                        Feature::BranchFlags,
                         "condition masks other than `.n` need the BranchFlags extension",
                     ));
                 }
@@ -1034,7 +1053,11 @@ impl Ctx {
             }
             "call" => {
                 if !self.ls_feature(Feature::Subroutines) {
-                    return Err(self.unsupported("call", "needs the Subroutines extension"));
+                    return Err(self.needs(
+                        "call",
+                        Feature::Subroutines,
+                        "needs the Subroutines extension",
+                    ));
                 }
                 let target = self.one_target(mnemonic, operands)?;
                 self.emit_branch_to(
@@ -1044,7 +1067,11 @@ impl Ctx {
             }
             "ret" => {
                 if !self.ls_feature(Feature::Subroutines) {
-                    return Err(self.unsupported("ret", "needs the Subroutines extension"));
+                    return Err(self.needs(
+                        "ret",
+                        Feature::Subroutines,
+                        "needs the Subroutines extension",
+                    ));
                 }
                 self.emit(MachineInsn::Xls(xls::Instruction::Ret));
             }

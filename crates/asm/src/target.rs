@@ -1,7 +1,28 @@
 //! Assembly targets: dialect + feature configuration.
 
-use flexicore::isa::features::FeatureSet;
+use flexicore::isa::features::{Feature, FeatureSet};
 use flexicore::isa::Dialect;
+
+/// The name each ISA extension has in a feature list.
+const FEATURE_FLAGS: [(&str, Feature); 7] = [
+    ("adc", Feature::AddWithCarry),
+    ("shift", Feature::BarrelShifter),
+    ("flags", Feature::BranchFlags),
+    ("mul", Feature::Multiplier),
+    ("xch", Feature::AccExchange),
+    ("call", Feature::Subroutines),
+    ("2xreg", Feature::DoubleRegfile),
+];
+
+/// The name of `feature` in a feature list (`adc` for
+/// [`Feature::AddWithCarry`]).
+#[must_use]
+pub fn feature_flag(feature: Feature) -> &'static str {
+    FEATURE_FLAGS
+        .iter()
+        .find(|(_, f)| *f == feature)
+        .map_or("", |(name, _)| name)
+}
 
 /// What the assembler is building for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,26 +112,17 @@ impl Target {
     /// [`TargetParseError`] naming the unknown dialect or feature, or the
     /// feature list handed to a fabricated dialect.
     pub fn parse(dialect: &str, features: &str) -> Result<Target, TargetParseError> {
-        use flexicore::isa::features::Feature;
         let mut set = FeatureSet::BASE;
         for item in features.trim().split(',').filter(|s| !s.is_empty()) {
-            let feature = match item.trim() {
-                "revised" => {
-                    set.extend(FeatureSet::revised().iter());
-                    continue;
-                }
-                "adc" => Feature::AddWithCarry,
-                "shift" => Feature::BarrelShifter,
-                "flags" => Feature::BranchFlags,
-                "mul" => Feature::Multiplier,
-                "xch" => Feature::AccExchange,
-                "call" => Feature::Subroutines,
-                "2xreg" => Feature::DoubleRegfile,
-                other => {
-                    return Err(TargetParseError(format!(
-                    "unknown feature `{other}` (adc, shift, flags, mul, xch, call, 2xreg, revised)"
-                )))
-                }
+            let item = item.trim();
+            if item == "revised" {
+                set.extend(FeatureSet::revised().iter());
+                continue;
+            }
+            let Some(&(_, feature)) = FEATURE_FLAGS.iter().find(|(name, _)| *name == item) else {
+                return Err(TargetParseError(format!(
+                    "unknown feature `{item}` (adc, shift, flags, mul, xch, call, 2xreg, revised)"
+                )));
             };
             set = set.with(feature);
         }

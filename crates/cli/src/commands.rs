@@ -1,7 +1,9 @@
 //! The `flexi` subcommands. Each returns its output as a `String`.
 
 use crate::args::{Args, CliError};
-use flexasm::{Assembler, Target};
+use flexasm::error::AsmErrorKind;
+use flexasm::target::feature_flag;
+use flexasm::{Assembler, Assembly, Target};
 use flexicore::exec::AnyCore;
 use flexicore::io::{InputPort, OutputPort, RecordingOutput, ScriptedInput};
 use flexicore::isa::features::FeatureSet;
@@ -158,7 +160,13 @@ pub fn check(args: &mut Args) -> Result<String, CliError> {
             if !kernel.supports(target.dialect) {
                 continue;
             }
-            let assembly = Assembler::new(target).assemble(&kernel.source_for(target.dialect))?;
+            let assembly = match assemble_kernel(kernel, target)? {
+                Ok(assembly) => assembly,
+                Err(note) => {
+                    let _ = writeln!(out, "{kernel}: {note}");
+                    continue;
+                }
+            };
             if vuln {
                 let report = flexcheck::vuln::analyze_assembly(&assembly);
                 let _ = writeln!(
@@ -335,6 +343,31 @@ pub fn wave(args: &mut Args) -> Result<String, CliError> {
     ))
 }
 
+/// `kernel` assembled for `target`, or `Err(note)` when the target
+/// cannot hold it: it lacks an ISA extension the kernel's source uses
+/// (`needs adc`, the first one the assembler meets), or the expanded
+/// code overflows a page.
+///
+/// # Errors
+///
+/// Any other assembly error.
+fn assemble_kernel(kernel: Kernel, target: Target) -> Result<Result<Assembly, String>, CliError> {
+    let e = match kernel.assemble(target) {
+        Ok(assembly) => return Ok(Ok(assembly)),
+        Err(e) => e,
+    };
+    match (e.missing_feature(), e.kind()) {
+        (Some(feature), _) => Ok(Err(format!("needs {}", feature_flag(feature)))),
+        (None, AsmErrorKind::PageOverflow { page, bytes }) => Ok(Err(format!(
+            "does not fit: page {page} needs {bytes} bytes"
+        ))),
+        (None, AsmErrorKind::TooManyPages) => {
+            Ok(Err("does not fit in the sixteen pages".to_string()))
+        }
+        _ => Err(e.into()),
+    }
+}
+
 /// `flexi kernels` — list the benchmark kernels for a target.
 ///
 /// # Errors
@@ -346,8 +379,17 @@ pub fn kernels(args: &mut Args) -> Result<String, CliError> {
         "{:<15} {:>8} {:>8} {:>8}  inputs\n",
         "kernel", "insns", "bytes", "paper"
     );
-    for k in Kernel::ALL {
-        let assembly = k.assemble(target)?;
+    for k in Kernel::ALL
+        .into_iter()
+        .filter(|k| k.supports(target.dialect))
+    {
+        let assembly = match assemble_kernel(k, target)? {
+            Ok(assembly) => assembly,
+            Err(note) => {
+                let _ = writeln!(out, "{:<15} {note}", k.name());
+                continue;
+            }
+        };
         let _ = writeln!(
             out,
             "{:<15} {:>8} {:>8} {:>8}  {}",
@@ -1274,6 +1316,37 @@ mod tests {
         for name in ["Calculator", "XorShift8", "Thresholding"] {
             assert!(out.contains(name), "{out}");
         }
+    }
+
+    #[test]
+    fn kernels_lists_only_what_the_target_holds() {
+        // FlexiCore8's four data words hold the parity kernel alone
+        let fc8 = call(&["kernels", "--target", "fc8"]).unwrap();
+        assert!(fc8.contains("Parity Check"), "{fc8}");
+        assert!(!fc8.contains("Calculator"), "{fc8}");
+        // the base load-store ISA lacks extensions most kernels use
+        let xls = call(&["kernels", "--target", "xls"]).unwrap();
+        assert!(xls.contains("Calculator      needs adc\n"), "{xls}");
+        assert!(xls.contains("XorShift8       needs shift\n"), "{xls}");
+        assert!(
+            xls.contains("Decision Tree   does not fit: page 0"),
+            "{xls}"
+        );
+        assert_eq!(
+            xls.lines().count(),
+            1 + flexkernels::Kernel::ALL.len(),
+            "{xls}"
+        );
+    }
+
+    #[test]
+    fn check_kernels_notes_what_the_target_lacks() {
+        let lint = call(&["check", "--kernels", "--target", "xls"]).unwrap();
+        assert!(lint.contains("Calculator: needs adc\n"), "{lint}");
+        assert!(lint.contains("Parity Check: 16 reachable"), "{lint}");
+        let vuln = call(&["check", "--kernels", "--vuln", "--target", "xls"]).unwrap();
+        assert!(vuln.contains("Calculator: needs adc\n"), "{vuln}");
+        assert!(vuln.contains("suite vuln digest 0x"), "{vuln}");
     }
 
     #[test]

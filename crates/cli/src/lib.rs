@@ -27,13 +27,27 @@ pub mod commands;
 
 pub use args::{Args, CliError};
 
+use std::io::Write as _;
+
 /// The `main` of both binaries (`flexi` and its alias `flexicore`):
 /// dispatch the process arguments and print the output, or print the
 /// error after `program` and exit with [`CliError::exit_code`].
 pub fn main(program: &str) {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&argv) {
-        Ok(text) => print!("{text}"),
+        Ok(text) => {
+            let mut stdout = std::io::stdout().lock();
+            let written = stdout
+                .write_all(text.as_bytes())
+                .and_then(|()| stdout.flush());
+            // a reader that stops early (`| head`) closes the pipe: not an error
+            if let Err(e) = written {
+                if e.kind() != std::io::ErrorKind::BrokenPipe {
+                    eprintln!("{program}: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
         Err(e) => {
             eprintln!("{program}: {e}");
             std::process::exit(e.exit_code());

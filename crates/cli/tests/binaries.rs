@@ -1,7 +1,7 @@
 //! Both binaries, `flexi` and its alias `flexicore`, behave as one:
 //! same output, same error text after their own name, same exit codes.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const BINARIES: [(&str, &str); 2] = [
     ("flexi", env!("CARGO_BIN_EXE_flexi")),
@@ -45,4 +45,32 @@ fn both_names_print_the_same_report() {
     let (a, b) = (run(flexi, &args), run(alias, &args));
     assert!(a.status.success() && b.status.success());
     assert_eq!(a.stdout, b.stdout);
+}
+
+/// A reader that closes the pipe before the report is written (`flexi
+/// inject | head`) ends the run quietly, not with a panic.
+#[test]
+fn a_closed_stdout_pipe_ends_quietly() {
+    for (name, path) in BINARIES {
+        let mut child = Command::new(path)
+            .args([
+                "inject",
+                "--dialect",
+                "fc4",
+                "--faults",
+                "64",
+                "--seed",
+                "3",
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the binary starts");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("the binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(stderr.is_empty(), "{name}: {stderr}");
+        assert!(out.status.success(), "{name}: {:?}", out.status);
+    }
 }

@@ -28,8 +28,14 @@
 //! Every run drains through one loop, [`Core::resume_with`]. Batch work
 //! — fault campaigns, salvage, N-modular voting — is a map of
 //! independent runs over `AnyCore::run_with`, spread across threads by
-//! the campaign crates; there is no batched driver. Three things keep
+//! the campaign crates; there is no batched driver. Four things keep
 //! that one loop fast:
+//!
+//! * **Predecoded programs.** Each core decodes its program once, when
+//!   it is built (`predecode`), and its clones share the table. A
+//!   step whose fetch bus is fault-free reads the instruction from it;
+//!   a hook that corrupts the fetch bus, an address past the image and
+//!   an undecodable entry take the raw fetch and decode.
 //!
 //! * **Quiet stretches.** A hook whose only faults are pending
 //!   transient flips does nothing until the first of them can fire
@@ -53,6 +59,8 @@
 //!   cycle stamps. The results equal the plain run-to-watchdog bit for
 //!   bit (DESIGN.md §16).
 
+use std::sync::Arc;
+
 use crate::error::SimError;
 use crate::io::{InputPort, OutputPort};
 use crate::mmu::Mmu;
@@ -69,6 +77,21 @@ pub use any::AnyCore;
 /// In-page program-counter mask shared by every dialect (the PC is 7
 /// bits on all FlexiCores).
 pub const PC_MASK: u8 = 0x7F;
+
+/// A program decoded once: entry `a` holds what [`Core::decode`]
+/// returns for the fetch window at byte address `a`, or `None` where
+/// that decode fails. Built by `predecode` when a core is
+/// constructed; clones of the core share it.
+pub type Predecoded<I> = Arc<[Option<(I, u8)>]>;
+
+/// Decode `core`'s program at every byte address of the image, through
+/// the core's own [`Core::decode`].
+pub(crate) fn predecode<C: Core>(core: &C) -> Predecoded<C::Insn> {
+    let program = &core.state().program;
+    (0..program.len() as u32)
+        .map(|address| core.decode(program.window(address), address).ok())
+        .collect()
+}
 
 /// The dialect-independent execution state every [`Core`] embeds: the
 /// program image, the off-chip MMU, the program counter, and the run
@@ -265,7 +288,7 @@ pub enum Flow {
 /// engine needs to reproduce each simulator's historical numbers.
 pub trait Core: Sized {
     /// The decoded instruction type.
-    type Insn;
+    type Insn: Copy;
 
     /// How many bytes of the fetch window cross the fetch bus per step
     /// (1 for single-byte dialects, 2 for the two-byte ones). Governs
@@ -295,6 +318,11 @@ pub trait Core: Sized {
     /// [`SimError::IllegalInstruction`] / [`SimError::TruncatedInstruction`]
     /// per the dialect's decode rules.
     fn decode(&self, window: &[u8], address: u32) -> Result<(Self::Insn, u8), SimError>;
+
+    /// The loaded program decoded at every byte address (`predecode`),
+    /// built when the core is constructed. A step whose fetch bus is
+    /// fault-free reads its instruction here instead of decoding.
+    fn predecoded(&self) -> &[Option<(Self::Insn, u8)>];
 
     /// Execute one decoded instruction: dialect semantics only. State
     /// commit (PC, counters, halt detection) belongs to the engine.
@@ -603,24 +631,42 @@ impl<C: Core, F: FaultHook> Engine<'_, C, F> {
             }
         }
 
-        let window = self.core.state().program.window(address);
-        if window.is_empty() {
-            return Err(SimError::FetchOutOfBounds {
-                address,
-                program_len: self.core.state().program.len(),
-            });
-        }
-        let mut fetch_buf = [0u8; 2];
-        let window: &[u8] = if fetch_faults {
-            let n = window.len().min(C::FETCH_WINDOW);
-            for (i, b) in window[..n].iter().enumerate() {
-                fetch_buf[i] = self.faults.on_fetch(start_cycle + i as u64, *b);
-            }
-            &fetch_buf[..n]
+        // A fault-free fetch bus delivers the image's bytes, so the
+        // predecoded entry is the decode. An address past the image or
+        // an entry whose decode failed takes the raw path, which builds
+        // the error.
+        let predecoded = if fetch_faults {
+            None
         } else {
-            window
+            self.core
+                .predecoded()
+                .get(address as usize)
+                .copied()
+                .flatten()
         };
-        let (insn, len) = self.core.decode(window, address)?;
+        let (insn, len) = match predecoded {
+            Some(entry) => entry,
+            None => {
+                let window = self.core.state().program.window(address);
+                if window.is_empty() {
+                    return Err(SimError::FetchOutOfBounds {
+                        address,
+                        program_len: self.core.state().program.len(),
+                    });
+                }
+                let mut fetch_buf = [0u8; 2];
+                let window: &[u8] = if fetch_faults {
+                    let n = window.len().min(C::FETCH_WINDOW);
+                    for (i, b) in window[..n].iter().enumerate() {
+                        fetch_buf[i] = self.faults.on_fetch(start_cycle + i as u64, *b);
+                    }
+                    &fetch_buf[..n]
+                } else {
+                    window
+                };
+                self.core.decode(window, address)?
+            }
+        };
 
         let flow = self.core.execute(insn, input, output, self.faults);
 

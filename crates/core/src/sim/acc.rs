@@ -46,9 +46,10 @@
 //! provided methods drive it.
 
 use core::marker::PhantomData;
+use std::sync::Arc;
 
 use crate::error::{DecodeError, SimError};
-use crate::exec::{Core, ExecState, Flow, Snapshot, PC_MASK};
+use crate::exec::{predecode, Core, ExecState, Flow, Predecoded, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::acc::{Cond, DialectInsn, Instruction};
 use crate::isa::features::FeatureSet;
@@ -93,6 +94,7 @@ pub struct AccCore<D> {
     ra: u8,
     /// The data memory; FlexiCore8 uses the first four words.
     mem: [u8; 8],
+    predecoded: Predecoded<DialectInsn>,
     dialect: PhantomData<D>,
 }
 
@@ -107,15 +109,18 @@ impl<D: AccDialect> AccCore<D> {
     /// power-on state.
     #[must_use]
     pub fn with_features(features: FeatureSet, program: Program) -> Self {
-        AccCore {
+        let mut core = AccCore {
             features,
             exec: ExecState::new(program),
             acc: 0,
             carry: false,
             ra: 0,
             mem: [0; 8],
+            predecoded: Arc::from([]),
             dialect: PhantomData,
-        }
+        };
+        core.predecoded = predecode(&core);
+        core
     }
 
     /// Reset architectural state, keeping program and features (this is
@@ -265,6 +270,11 @@ impl<D: AccDialect> Core for AccCore<D> {
             });
         }
         Ok((insn.in_dialect(D::DIALECT), len as u8))
+    }
+
+    #[inline]
+    fn predecoded(&self) -> &[Option<(DialectInsn, u8)>] {
+        &self.predecoded
     }
 
     // inlined into every copy of the engine's step, which runs it

@@ -16,8 +16,10 @@
 //! contributes only the load-store decode/execute semantics via the
 //! [`Core`] trait, whose provided methods drive it.
 
+use std::sync::Arc;
+
 use crate::error::SimError;
-use crate::exec::{Core, ExecState, Flow, Snapshot, PC_MASK};
+use crate::exec::{predecode, Core, ExecState, Flow, Predecoded, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::features::FeatureSet;
 use crate::isa::sign_extend;
@@ -63,19 +65,23 @@ pub struct XlsCore {
     regs: [u8; NUM_REGS],
     flags: Flags,
     ra: u8,
+    predecoded: Predecoded<Instruction>,
 }
 
 impl XlsCore {
     /// A core with `features` enabled and `program` loaded.
     #[must_use]
     pub fn new(features: FeatureSet, program: Program) -> Self {
-        XlsCore {
+        let mut core = XlsCore {
             features,
             exec: ExecState::new(program),
             regs: [0; NUM_REGS],
             flags: Flags::default(),
             ra: 0,
-        }
+            predecoded: Arc::from([]),
+        };
+        core.predecoded = predecode(&core);
+        core
     }
 
     /// Reset architectural state, keeping program and features.
@@ -145,6 +151,11 @@ impl Core for XlsCore {
             });
         }
         Ok((insn, len as u8))
+    }
+
+    #[inline]
+    fn predecoded(&self) -> &[Option<(Instruction, u8)>] {
+        &self.predecoded
     }
 
     // inlined into every copy of the engine's step, which runs it

@@ -88,12 +88,13 @@ impl From<SimError> for RunError {
 
 /// A kernel assembled once for a target, reusable across many runs
 /// (fault-injection campaigns run thousands of executions of the same
-/// program image).
+/// program image). It keeps one power-on core of the program, whose
+/// clones share its predecoded table, so no run decodes the image again.
 #[derive(Debug, Clone)]
 pub struct PreparedKernel {
     kernel: Kernel,
     target: Target,
-    program: Program,
+    core: AnyCore,
     static_instructions: usize,
     code_bytes: usize,
 }
@@ -112,7 +113,7 @@ impl PreparedKernel {
             target,
             static_instructions: assembly.static_instructions(),
             code_bytes: assembly.code_bytes(),
-            program: assembly.into_program(),
+            core: AnyCore::for_dialect(target.dialect, target.features, assembly.into_program()),
         })
     }
 
@@ -131,18 +132,14 @@ impl PreparedKernel {
     /// The assembled program image.
     #[must_use]
     pub fn program(&self) -> &Program {
-        &self.program
+        self.core.program()
     }
 
     /// A fresh simulator of the target dialect with the assembled image
     /// loaded.
     #[must_use]
     pub fn core(&self) -> AnyCore {
-        AnyCore::for_dialect(
-            self.target.dialect,
-            self.target.features,
-            self.program.clone(),
-        )
+        self.core.clone()
     }
 
     /// Execute once with `inputs` scripted on the input port, a `budget`
