@@ -45,6 +45,15 @@ echo "== threaded campaign smoke =="
 ./target/release/flexi inject --faults 64 --seed 11 --threads 8 \
     > /tmp/flexi_threaded.txt
 cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
+# compiled stuck-at planes and stuck fetch images under threads; `$args`
+# word-splits
+for args in "--mode mixed --dialect fc8" "--dialect xls"; do
+    ./target/release/flexi inject --faults 64 --seed 11 $args \
+        > /tmp/flexi_serial.txt
+    ./target/release/flexi inject --faults 64 --seed 11 $args --threads 8 \
+        > /tmp/flexi_threaded.txt
+    cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
+done
 for quorum in tmr dmr simplex; do
     ./target/release/flexi resilient --faults 64 --seed 11 --quorum $quorum \
         > /tmp/flexi_serial.txt
@@ -129,6 +138,9 @@ echo "== hang fast-forward gate =="
 #   predecode         each core's predecoded table equals its decode,
 #                     fault-free runs equal the raw step loop, and a
 #                     stuck fetch-bus bit runs like a stuck image
+#   stuck_compile     one-element stuck-at planes, which drain on their
+#                     compiled mask, equal the plain step loop on every
+#                     element, as do two-element and fired-flip planes
 #   hang_forward      the hang fast-forward and the quiet stretches
 #                     equal stepping every cycle, boundary cases too
 #                     (early flips, 2-3 per plane, FC8 LOAD BYTEs;
@@ -156,6 +168,7 @@ echo "== hang fast-forward gate =="
 #   generated_programs_fast_forward_exactly  random programs fast-forward
 #   the mission SHA-256  the whole `flexi mission` report
 cargo test --release --offline -p flexicore -q --test predecode
+cargo test --release --offline -p flexicore -q --test stuck_compile
 cargo test --release --offline -p flexicore -q --test hang_forward
 cargo test --release --offline -p flexicore -q --test fabricated_isa
 cargo test --release --offline -p flexicore -q --test dse_isa

@@ -404,7 +404,8 @@ pub fn kernels(args: &mut Args) -> Result<String, CliError> {
 }
 
 /// `flexi kernel <name>` — run one kernel with explicit inputs, verified
-/// against its oracle.
+/// against its oracle. A kernel the target cannot hold is a usage error
+/// that says why, as `flexi kernels` notes it.
 ///
 /// # Errors
 ///
@@ -424,6 +425,13 @@ pub fn kernel(args: &mut Args) -> Result<String, CliError> {
                 "unknown kernel `{name}`; see `flexi kernels` for the list"
             ))
         })?;
+    fits(kernel, target.dialect)?;
+    if let Err(note) = assemble_kernel(kernel, target)? {
+        return Err(CliError::Usage(format!(
+            "kernel `{}` on this target: {note}",
+            kernel.name()
+        )));
+    }
     if inputs.len() < kernel.inputs_per_run() {
         return Err(CliError::Usage(format!(
             "{} needs {} input values (--input), got {}",
@@ -644,13 +652,19 @@ fn kernel_flag(args: &mut Args, dialect: Dialect) -> Result<Option<Kernel>, CliE
             "unknown kernel `{name}`; run `flexi kernels` for the list"
         ))
     })?;
-    if !kernel.supports(dialect) {
-        return Err(CliError::Usage(format!(
-            "kernel `{}` does not fit the {dialect} dialect (§3.3 capacity trade-off)",
-            kernel.name(),
-        )));
-    }
+    fits(kernel, dialect)?;
     Ok(Some(kernel))
+}
+
+/// A usage error unless `dialect` holds `kernel` (`Kernel::supports`).
+fn fits(kernel: Kernel, dialect: Dialect) -> Result<(), CliError> {
+    if kernel.supports(dialect) {
+        return Ok(());
+    }
+    Err(CliError::Usage(format!(
+        "kernel `{}` does not fit the {dialect} dialect (§3.3 capacity trade-off)",
+        kernel.name(),
+    )))
 }
 
 /// `--mode`: the fault model, stuck-at unless given.
@@ -1459,6 +1473,52 @@ mod tests {
         let out = call(&["kernel", "paritycheck", "--input", "1,0"]).unwrap();
         assert!(out.contains("verified"), "{out}");
         assert!(out.contains("[0x1]"), "{out}");
+    }
+
+    #[test]
+    fn kernel_refuses_what_the_target_cannot_hold() {
+        let fc8 = call(&[
+            "kernel",
+            "Calculator",
+            "--target",
+            "fc8",
+            "--input",
+            "0,1,2",
+        ]);
+        let err = fc8.unwrap_err();
+        assert!(matches!(err, crate::CliError::Usage(_)), "{err}");
+        assert!(
+            err.to_string().contains("does not fit the fc8 dialect"),
+            "{err}"
+        );
+        let xls = call(&[
+            "kernel",
+            "Calculator",
+            "--target",
+            "xls",
+            "--input",
+            "0,1,2",
+        ]);
+        let err = xls.unwrap_err();
+        assert!(matches!(err, crate::CliError::Usage(_)), "{err}");
+        assert!(
+            err.to_string().ends_with("on this target: needs adc"),
+            "{err}"
+        );
+        let tree = call(&[
+            "kernel",
+            "decisiontree",
+            "--target",
+            "xls",
+            "--input",
+            "1,2",
+        ]);
+        let err = tree.unwrap_err();
+        assert!(matches!(err, crate::CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("does not fit: page 0"), "{err}");
+        // what the target holds still runs
+        let parity = call(&["kernel", "paritycheck", "--target", "fc8", "--input", "1,0"]);
+        assert!(parity.unwrap().contains("verified"));
     }
 
     #[test]

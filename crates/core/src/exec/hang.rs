@@ -33,7 +33,7 @@ use crate::io::{InputPort, OutputPort};
 use crate::sim::fault::FaultHook;
 use crate::sim::RunResult;
 
-use super::{Core, Engine, Snapshot};
+use super::{Core, Engine, Fetch, Snapshot};
 
 /// The first checkpoint, in budget units. Runs that halt before it pay
 /// nothing for detection; runs that go on past it pay an anchor per
@@ -44,7 +44,7 @@ use super::{Core, Engine, Snapshot};
 const FIRST_CHECKPOINT: u64 = 1 << 6;
 
 /// Drive `engine` until the halt idiom or until `budget` is spent, each
-/// step visiting the fetch bus only when `fetch_faults` is set. Exactly
+/// step taking its instruction as `fetch` says. Exactly
 /// equivalent to `while !halted && spent < budget { step()? }`.
 ///
 /// Inlined into [`Core::resume_with`], with the step inlined into its
@@ -61,7 +61,7 @@ pub(crate) fn drain<C, I, O, F>(
     input: &mut I,
     output: &mut O,
     budget: u64,
-    fetch_faults: bool,
+    fetch: Fetch<'_, C::Insn>,
 ) -> Result<(), SimError>
 where
     C: Core,
@@ -76,7 +76,7 @@ where
         .max(FIRST_CHECKPOINT);
     loop {
         while runs(engine.core, checkpoint.min(budget)) {
-            engine.step_latched(input, output, fetch_faults)?;
+            engine.step_latched(input, output, fetch)?;
         }
         if !runs(engine.core, budget) {
             return Ok(());
@@ -89,8 +89,8 @@ where
                 spent: spent(engine.core),
             };
             let bound = checkpoint.min(budget);
-            if let Some(steps) = search(engine, input, output, bound, &anchor, fetch_faults)? {
-                forward(engine, input, output, budget, &anchor, steps, fetch_faults)?;
+            if let Some(steps) = search(engine, input, output, bound, &anchor, fetch)? {
+                forward(engine, input, output, budget, &anchor, steps, fetch)?;
                 // after a jump only the plain tail is left
                 checkpoint = u64::MAX;
             }
@@ -109,7 +109,7 @@ fn search<C, I, O, F>(
     output: &mut O,
     bound: u64,
     anchor: &Anchor,
-    fetch_faults: bool,
+    fetch: Fetch<'_, C::Insn>,
 ) -> Result<Option<u64>, SimError>
 where
     C: Core,
@@ -119,7 +119,7 @@ where
 {
     let mut steps = 0u64;
     while runs(engine.core, bound) {
-        engine.step_latched(input, output, fetch_faults)?;
+        engine.step_latched(input, output, fetch)?;
         steps += 1;
         if anchor.matches(engine.core, input) {
             return Ok(Some(steps));
@@ -184,7 +184,7 @@ fn forward<C, I, O, F>(
     budget: u64,
     anchor: &Anchor,
     steps: u64,
-    fetch_faults: bool,
+    fetch: Fetch<'_, C::Insn>,
 ) -> Result<(), SimError>
 where
     C: Core,
@@ -202,7 +202,7 @@ where
         writes: Vec::new(),
     };
     for _ in 0..steps {
-        engine.step_latched(input, &mut tee, fetch_faults)?;
+        engine.step_latched(input, &mut tee, fetch)?;
     }
     let core = &mut *engine.core;
     debug_assert!(anchor.matches(core, input), "a period repeats exactly");

@@ -28,28 +28,35 @@
 //! Every run drains through one loop, [`Core::resume_with`]. Batch work
 //! — fault campaigns, salvage, N-modular voting — is a map of
 //! independent runs over `AnyCore::run_with`, spread across threads by
-//! the campaign crates; there is no batched driver. Four things keep
+//! the campaign crates; there is no batched driver. Five things keep
 //! that one loop fast:
 //!
 //! * **Predecoded programs.** Each core decodes its program once, when
 //!   it is built (`predecode`), and its clones share the table. A
-//!   step whose fetch bus is fault-free reads the instruction from it;
-//!   a hook that corrupts the fetch bus, an address past the image and
-//!   an undecodable entry take the raw fetch and decode.
-//!
+//!   step whose fetch bus is fault-free reads the instruction from it.
+//!   A fetch bus stuck at fixed bits reads the table of the image as
+//!   that bus delivers it, built once per mask and shared the same
+//!   way. A hook that corrupts the fetch bus otherwise, an address past
+//!   the image and an undecodable entry take the raw fetch and decode.
 //! * **Quiet stretches.** A hook whose only faults are pending
 //!   transient flips does nothing until the first of them can fire
 //!   ([`FaultHook::quiet_until`]), and nothing at all once every flip
 //!   has fired. `resume_with` runs those stretches on the [`NoFaults`]
 //!   path, the same code a fault-free run compiles to, and visits the
 //!   hook only while a flip can fire.
+//! * **Compiled stuck-at planes.** A steady hook whose faults that can
+//!   still act are all stuck-ats on one element hands the loop a
+//!   loop-free [`StuckMask`] ([`FaultHook::compiled`]), and the rest of
+//!   the run drains on that: one `match` on the element per visit
+//!   instead of a walk of the fault list. A plane with stuck-ats on two
+//!   or more elements stays hooked.
 //! * **The fetch latch.** `resume_with` asks the hook once whether it
 //!   [`corrupts_fetch`](FaultHook::corrupts_fetch). A hook answering
 //!   `false` promises an identity [`FaultHook::on_fetch`] without side
 //!   effects, so the loop skips the per-byte call for the whole run.
-//!   The public [`Core::step_with`] still visits `on_fetch` whenever
-//!   the hook is active, which keeps plain step loops an independent
-//!   oracle.
+//!   The public [`Core::step_with`] always fetches and decodes the raw
+//!   bytes, visiting `on_fetch` whenever the hook is active, which
+//!   keeps plain step loops an independent oracle.
 //! * **The exact hang fast-forward.** When the fault hook is steady
 //!   ([`FaultHook::is_steady`]) and the input port stationary
 //!   ([`InputPort::position`]), a run whose architectural state repeats
@@ -59,13 +66,13 @@
 //!   cycle stamps. The results equal the plain run-to-watchdog bit for
 //!   bit (DESIGN.md §16).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::SimError;
 use crate::io::{InputPort, OutputPort};
 use crate::mmu::Mmu;
 use crate::program::Program;
-use crate::sim::fault::{ArchState, FaultHook, NoFaults};
+use crate::sim::fault::{ArchState, FaultHook, NoFaults, StuckMask};
 use crate::sim::{RunResult, StopReason};
 use crate::trace::StepEvent;
 
@@ -78,19 +85,107 @@ pub use any::AnyCore;
 /// bits on all FlexiCores).
 pub const PC_MASK: u8 = 0x7F;
 
-/// A program decoded once: entry `a` holds what [`Core::decode`]
-/// returns for the fetch window at byte address `a`, or `None` where
-/// that decode fails. Built by `predecode` when a core is
-/// constructed; clones of the core share it.
+/// One decode table: entry `a` holds what [`Core::decode`] returns for
+/// the fetch window at byte address `a`, or `None` where that decode
+/// fails.
 pub type Predecoded<I> = Arc<[Option<(I, u8)>]>;
 
-/// Decode `core`'s program at every byte address of the image, through
-/// the core's own [`Core::decode`].
-pub(crate) fn predecode<C: Core>(core: &C) -> Predecoded<C::Insn> {
-    let program = &core.state().program;
+/// A program decoded once, when its core is built (`predecode`), and
+/// shared by every clone of the core through one `Arc`: the table of
+/// the image, and the tables of the image as a stuck fetch bus delivers
+/// it, each built the first time a run needs it (`stuck_image`).
+#[derive(Debug)]
+pub struct Decoded<I> {
+    table: Box<[Option<(I, u8)>]>,
+    stuck: Mutex<Vec<StuckImage<I>>>,
+}
+
+/// A stuck fetch bus's `(keep, set)` mask and the table of the image it
+/// delivers.
+type StuckImage<I> = ((u8, u8), Predecoded<I>);
+
+impl<I> Default for Decoded<I> {
+    fn default() -> Self {
+        Decoded {
+            table: Box::new([]),
+            stuck: Mutex::default(),
+        }
+    }
+}
+
+/// Decode `program` at every byte address, through `core`'s own
+/// [`Core::decode`].
+fn decode_image<C: Core, T: FromIterator<Option<(C::Insn, u8)>>>(core: &C, program: &Program) -> T {
     (0..program.len() as u32)
         .map(|address| core.decode(program.window(address), address).ok())
         .collect()
+}
+
+/// Decode `core`'s program once, for the core and its clones to share.
+pub(crate) fn predecode<C: Core>(core: &C) -> Arc<Decoded<C::Insn>> {
+    Arc::new(Decoded {
+        table: decode_image(core, &core.state().program),
+        stuck: Mutex::default(),
+    })
+}
+
+/// The table of `core`'s image with every byte passed through a fetch
+/// bus stuck at `(keep, set)`: built on the first call for that mask,
+/// then shared by every clone of the core.
+fn stuck_image<C: Core>(core: &C, keep: u8, set: u8) -> Predecoded<C::Insn> {
+    let mut images = core
+        .decoded()
+        .stuck
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, table)) = images.iter().find(|(mask, _)| *mask == (keep, set)) {
+        return Arc::clone(table);
+    }
+    let image = core
+        .state()
+        .program
+        .as_bytes()
+        .iter()
+        .map(|byte| (byte & keep) | set)
+        .collect();
+    let table: Predecoded<C::Insn> = decode_image(core, &image);
+    images.push(((keep, set), Arc::clone(&table)));
+    table
+}
+
+/// The rest of a run on a compiled plane's mask (DESIGN.md §16.7), a
+/// stuck fetch bus on the stuck image's table. Out of line, so that the
+/// `resume_with` of every hook holds only its own drains.
+#[inline(never)]
+fn drain_compiled<C: Core, I: InputPort, O: OutputPort>(
+    core: &mut C,
+    input: &mut I,
+    output: &mut O,
+    budget: u64,
+    mut stuck: StuckMask,
+    clean: Fetch<'_, C::Insn>,
+) -> Result<(), SimError> {
+    let image = stuck
+        .fetch_bus()
+        .map(|(keep, set)| stuck_image(core, keep, set));
+    let fetch = image.as_deref().map_or(clean, Fetch::Table);
+    let engine = &mut Engine {
+        core,
+        faults: &mut stuck,
+    };
+    hang::drain(engine, input, output, budget, fetch)
+}
+
+/// Where a step takes its instruction from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fetch<'t, I> {
+    /// The decode of the bytes the fetch bus delivers: the core's own
+    /// table while the bus is fault-free, a stuck image's table while a
+    /// compiled hook holds it stuck.
+    Table(&'t [Option<(I, u8)>]),
+    /// No table: every step passes the raw bytes through
+    /// [`FaultHook::on_fetch`] and decodes what comes back.
+    Raw,
 }
 
 /// The dialect-independent execution state every [`Core`] embeds: the
@@ -319,10 +414,17 @@ pub trait Core: Sized {
     /// per the dialect's decode rules.
     fn decode(&self, window: &[u8], address: u32) -> Result<(Self::Insn, u8), SimError>;
 
-    /// The loaded program decoded at every byte address (`predecode`),
-    /// built when the core is constructed. A step whose fetch bus is
-    /// fault-free reads its instruction here instead of decoding.
-    fn predecoded(&self) -> &[Option<(Self::Insn, u8)>];
+    /// The loaded program decoded once (`predecode`), built when the
+    /// core is constructed and shared by its clones.
+    fn decoded(&self) -> &Arc<Decoded<Self::Insn>>;
+
+    /// The loaded program decoded at every byte address. The drains of
+    /// [`Core::resume_with`] read their instructions here while the
+    /// fetch bus is fault-free, instead of decoding.
+    #[inline]
+    fn predecoded(&self) -> &[Option<(Self::Insn, u8)>] {
+        &self.decoded().table
+    }
 
     /// Execute one decoded instruction: dialect semantics only. State
     /// commit (PC, counters, halt detection) belongs to the engine.
@@ -434,10 +536,12 @@ pub trait Core: Sized {
         self.step_with(input, output, &mut NoFaults)
     }
 
-    /// [`step`](Core::step) with a fault-injection hook. Visits
-    /// [`FaultHook::on_fetch`] whenever the hook is active, whatever it
-    /// answers to [`corrupts_fetch`](FaultHook::corrupts_fetch), so a
-    /// plain step loop stays an independent oracle for the drain loop.
+    /// [`step`](Core::step) with a fault-injection hook. Fetches and
+    /// decodes the raw bytes, visiting [`FaultHook::on_fetch`] whenever
+    /// the hook is active, whatever it answers to
+    /// [`corrupts_fetch`](FaultHook::corrupts_fetch) or
+    /// [`compiled`](FaultHook::compiled), so a plain step loop stays an
+    /// independent oracle for the drain loop and its decode tables.
     ///
     /// # Errors
     ///
@@ -450,7 +554,7 @@ pub trait Core: Sized {
         output: &mut O,
         faults: &mut F,
     ) -> Result<StepEvent, SimError> {
-        Engine { core: self, faults }.step_latched(input, output, F::ACTIVE)
+        Engine { core: self, faults }.step_latched(input, output, Fetch::Raw)
     }
 
     /// Run until the halt idiom or until the watchdog `budget` expires
@@ -497,10 +601,12 @@ pub trait Core: Sized {
     /// is not visited per fetched byte. Every stretch in which the hook
     /// provably does nothing — before its first pending flip can fire
     /// ([`quiet_until`](FaultHook::quiet_until)), and all of the run once
-    /// it has nothing left to do — runs on the fault-free path. A run
-    /// that settles into a loop it can never leave is fast-forwarded to
-    /// the watchdog rather than simulated to it. Both give identical
-    /// results (see DESIGN.md §16).
+    /// it has nothing left to do — runs on the fault-free path. A steady
+    /// hook that [`compiles`](FaultHook::compiled) runs the rest of the
+    /// run on its [`StuckMask`], a stuck fetch bus on the table of the
+    /// stuck image. A run that settles into a loop it can never leave is
+    /// fast-forwarded to the watchdog rather than simulated to it. All
+    /// of these give identical results (see DESIGN.md §16).
     ///
     /// # Errors
     ///
@@ -512,17 +618,25 @@ pub trait Core: Sized {
         budget: u64,
         faults: &mut F,
     ) -> Result<RunResult, SimError> {
+        // the table's own handle, so that the drains read it from a
+        // local rather than through the core they mutate
+        let decoded = Arc::clone(self.decoded());
+        let clean = Fetch::Table(&decoded.table);
         if !F::ACTIVE {
             hang::drain(
                 &mut Engine { core: self, faults },
                 input,
                 output,
                 budget,
-                false,
+                clean,
             )?;
             return Ok(self.state().run_result());
         }
-        let fetch_faults = faults.corrupts_fetch();
+        let fetch = if faults.corrupts_fetch() {
+            Fetch::Raw
+        } else {
+            clean
+        };
         // A step that starts at cycle `pre` stamps its hook visits at
         // most `pre + reach`: port visits `pre`, fetch beats `pre + i`
         // for `i < FETCH_WINDOW`, the state visit the post-step cycle
@@ -549,8 +663,10 @@ pub trait Core: Sized {
                     core: &mut *self,
                     faults: &mut NoFaults,
                 };
-                hang::drain(quiet_engine, input, output, quiet.min(budget), false)?;
+                hang::drain(quiet_engine, input, output, quiet.min(budget), clean)?;
                 armed = 1;
+            } else if let Some(stuck) = faults.is_steady().then(|| faults.compiled()).flatten() {
+                drain_compiled(self, input, output, budget, stuck, clean)?;
             } else {
                 let bound = if faults.is_steady() {
                     budget
@@ -561,7 +677,7 @@ pub trait Core: Sized {
                     core: &mut *self,
                     faults: &mut *faults,
                 };
-                hang::drain(engine, input, output, bound, fetch_faults)?;
+                hang::drain(engine, input, output, bound, fetch)?;
                 armed = armed.saturating_mul(2);
             }
         }
@@ -591,17 +707,18 @@ pub(crate) struct Engine<'a, C, F> {
 }
 
 impl<C: Core, F: FaultHook> Engine<'_, C, F> {
-    /// [`Core::step_with`] with the fetch-bus visit decided by the
-    /// caller: `fetch_faults = false` skips [`FaultHook::on_fetch`],
-    /// which is exact for a hook that answered `false` to
-    /// [`corrupts_fetch`](FaultHook::corrupts_fetch) (its `on_fetch` is
-    /// the identity, free of side effects).
+    /// [`Core::step_with`] with the table chosen by the caller. A step
+    /// that finds its instruction in the table skips
+    /// [`FaultHook::on_fetch`], which is exact for a hook that answered
+    /// `false` to [`corrupts_fetch`](FaultHook::corrupts_fetch) (its
+    /// `on_fetch` is the identity, free of side effects) and for a
+    /// compiled mask on the stuck image's table.
     #[inline(always)]
     pub(crate) fn step_latched<I, O>(
         &mut self,
         input: &mut I,
         output: &mut O,
-        fetch_faults: bool,
+        fetch: Fetch<'_, C::Insn>,
     ) -> Result<StepEvent, SimError>
     where
         I: InputPort,
@@ -631,19 +748,15 @@ impl<C: Core, F: FaultHook> Engine<'_, C, F> {
             }
         }
 
-        // A fault-free fetch bus delivers the image's bytes, so the
-        // predecoded entry is the decode. An address past the image or
-        // an entry whose decode failed takes the raw path, which builds
-        // the error.
-        let predecoded = if fetch_faults {
-            None
-        } else {
-            self.core
-                .predecoded()
-                .get(address as usize)
-                .copied()
-                .flatten()
+        // A fault-free fetch bus delivers the image's bytes and a stuck
+        // one the stuck image's, so the chosen table's entry is the
+        // decode. An address past the image or an entry whose decode
+        // failed takes the raw path, which builds the error.
+        let table = match fetch {
+            Fetch::Table(table) => table,
+            Fetch::Raw => &[],
         };
+        let predecoded = table.get(address as usize).copied().flatten();
         let (insn, len) = match predecoded {
             Some(entry) => entry,
             None => {
@@ -655,7 +768,9 @@ impl<C: Core, F: FaultHook> Engine<'_, C, F> {
                     });
                 }
                 let mut fetch_buf = [0u8; 2];
-                let window: &[u8] = if fetch_faults {
+                // only errors come here from a table, so visiting an
+                // identity `on_fetch` costs nothing that matters
+                let window: &[u8] = if F::ACTIVE {
                     let n = window.len().min(C::FETCH_WINDOW);
                     for (i, b) in window[..n].iter().enumerate() {
                         fetch_buf[i] = self.faults.on_fetch(start_cycle + i as u64, *b);
@@ -800,6 +915,26 @@ mod tests {
         );
         assert_eq!(again, run);
         assert_eq!(resumed_output.values(), output.values());
+    }
+
+    #[test]
+    #[allow(clippy::redundant_clone)] // the clone under test is only read
+    fn a_stuck_image_is_decoded_once_per_mask_and_shared_by_clones() {
+        let AnyCore::Fc4(core) = fc4_core(&[I4::AddImm { imm: 9 }, I4::Load { m: 3 }]) else {
+            unreachable!("fc4_core builds a FlexiCore4");
+        };
+        // built through a clone, then found by the core it was cloned from
+        let first = stuck_image(&core.clone(), 0xF7, 0);
+        assert!(Arc::ptr_eq(&first, &stuck_image(&core, 0xF7, 0)));
+        assert!(!Arc::ptr_eq(&first, &stuck_image(&core, 0xFF, 0x08)));
+        let image = core
+            .state()
+            .program
+            .as_bytes()
+            .iter()
+            .map(|b| b & 0xF7)
+            .collect();
+        assert_eq!(*first, *crate::sim::fc4::Fc4Core::new(image).predecoded());
     }
 
     /// Counts fetch-bus visits while promising they are identities.

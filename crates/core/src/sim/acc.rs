@@ -49,7 +49,7 @@ use core::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::error::{DecodeError, SimError};
-use crate::exec::{predecode, Core, ExecState, Flow, Predecoded, Snapshot, PC_MASK};
+use crate::exec::{predecode, Core, Decoded, ExecState, Flow, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::acc::{Cond, DialectInsn, Instruction};
 use crate::isa::features::FeatureSet;
@@ -94,7 +94,7 @@ pub struct AccCore<D> {
     ra: u8,
     /// The data memory; FlexiCore8 uses the first four words.
     mem: [u8; 8],
-    predecoded: Predecoded<DialectInsn>,
+    decoded: Arc<Decoded<DialectInsn>>,
     dialect: PhantomData<D>,
 }
 
@@ -116,10 +116,10 @@ impl<D: AccDialect> AccCore<D> {
             carry: false,
             ra: 0,
             mem: [0; 8],
-            predecoded: Arc::from([]),
+            decoded: Arc::default(),
             dialect: PhantomData,
         };
-        core.predecoded = predecode(&core);
+        core.decoded = predecode(&core);
         core
     }
 
@@ -273,8 +273,8 @@ impl<D: AccDialect> Core for AccCore<D> {
     }
 
     #[inline]
-    fn predecoded(&self) -> &[Option<(DialectInsn, u8)>] {
-        &self.predecoded
+    fn decoded(&self) -> &Arc<Decoded<DialectInsn>> {
+        &self.decoded
     }
 
     // inlined into every copy of the engine's step, which runs it

@@ -379,6 +379,21 @@ pub trait FaultHook {
         0
     }
 
+    /// A loop-free form of this hook for the rest of the run, if it has
+    /// one: `Some(mask)` promises that every future visit of this hook
+    /// returns what the same visit of `mask` returns and leaves this
+    /// hook unchanged. [`Core::resume_with`](crate::exec::Core::resume_with)
+    /// asks a steady hook once and drains the rest of the run on the
+    /// mask, as it drains a quiet stretch on [`NoFaults`].
+    ///
+    /// The default `None` ("keep visiting me") is always sound.
+    /// [`FaultPlane`] answers `Some` when every fault that can still act
+    /// is a stuck-at on one element.
+    #[inline]
+    fn compiled(&self) -> Option<StuckMask> {
+        None
+    }
+
     /// Corrupt one byte crossing the instruction fetch bus.
     #[inline]
     fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
@@ -441,7 +456,13 @@ impl FaultHook for NoFaults {
 /// A plane of transients only is quiet until its earliest pending flip
 /// ([`quiet_until`](FaultHook::quiet_until)), and for good once every
 /// flip has fired, so [`Core::resume_with`](crate::exec::Core::resume_with)
-/// runs those stretches on the [`NoFaults`] code. An empty plane is
+/// runs those stretches on the [`NoFaults`] code. A plane whose faults
+/// that can still act are all stuck-ats on one element compiles to a
+/// [`StuckMask`] ([`compiled`](FaultHook::compiled)), and the engine
+/// runs the rest of the run on that instead of walking the fault list
+/// at every visit; a plane with stuck-ats on two or more elements stays
+/// hooked throughout. [`Core::step_with`](crate::exec::Core::step_with)
+/// always visits the plane itself. An empty plane is
 /// quiet from the start and behaves identically to [`NoFaults`]
 /// (enforced by the `zero_fault_plane_is_bit_for_bit_transparent`
 /// property test).
@@ -540,6 +561,32 @@ impl FaultHook for FaultPlane {
         until
     }
 
+    /// Composes the stuck-ats in list order, skipping fired flips; an
+    /// unfired flip, or stuck-ats on two elements, keep the plane.
+    fn compiled(&self) -> Option<StuckMask> {
+        let mut compiled: Option<StuckMask> = None;
+        for (fault, &fired) in self.faults.iter().zip(&self.fired) {
+            let mask = 1u8 << fault.bit;
+            let (keep, set) = match fault.kind {
+                FaultKind::StuckAt0 => (!mask, 0),
+                FaultKind::StuckAt1 => (!0, mask),
+                FaultKind::FlipAtCycle(_) if fired => continue,
+                FaultKind::FlipAtCycle(_) => return None,
+            };
+            let stuck = compiled.get_or_insert(StuckMask {
+                element: fault.element,
+                keep: !0,
+                set: 0,
+            });
+            if stuck.element != fault.element {
+                return None;
+            }
+            stuck.keep &= keep;
+            stuck.set = (stuck.set & keep) | set;
+        }
+        compiled
+    }
+
     #[inline]
     fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
         self.corrupt(StateElement::FetchBus, cycle, byte)
@@ -580,6 +627,79 @@ impl FaultHook for FaultPlane {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A stuck-at plane compiled to one element (DESIGN.md §16.7): every
+/// visit of `element` returns `(value & keep) | set`, and every other
+/// visit is the identity. On state, `set` is masked to the element's
+/// width at the visit, as a plane masks each stuck-at-1; on the fetch
+/// bus and the ports it is not. Each visit is one `match` on the
+/// element, with no loop over faults.
+///
+/// Built by [`FaultPlane`]'s [`compiled`](FaultHook::compiled), which
+/// composes the plane's stuck-ats in list order: a stuck-at-0 on bit
+/// `b` clears `b` in both `keep` and `set`, a stuck-at-1 sets it in
+/// `set`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StuckMask {
+    element: StateElement,
+    keep: u8,
+    set: u8,
+}
+
+impl StuckMask {
+    /// The `(keep, set)` masks every fetched byte passes through, or
+    /// `None` when the mask leaves the fetch bus alone.
+    #[must_use]
+    pub(crate) fn fetch_bus(&self) -> Option<(u8, u8)> {
+        (self.element == StateElement::FetchBus).then_some((self.keep, self.set))
+    }
+
+    #[inline]
+    fn bus(&self, element: StateElement, value: u8) -> u8 {
+        if self.element == element {
+            (value & self.keep) | self.set
+        } else {
+            value
+        }
+    }
+}
+
+impl FaultHook for StuckMask {
+    #[inline]
+    fn is_steady(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn on_fetch(&mut self, _cycle: u64, byte: u8) -> u8 {
+        self.bus(StateElement::FetchBus, byte)
+    }
+
+    #[inline]
+    fn on_input(&mut self, _cycle: u64, value: u8) -> u8 {
+        self.bus(StateElement::InputPort, value)
+    }
+
+    #[inline]
+    fn on_output(&mut self, _cycle: u64, value: u8) -> u8 {
+        self.bus(StateElement::OutputPort, value)
+    }
+
+    #[inline]
+    fn on_state(&mut self, _cycle: u64, state: &mut ArchState<'_>) {
+        let (slot, width_mask) = match self.element {
+            StateElement::Pc => (Some(&mut *state.pc), PC_MASK),
+            StateElement::Acc => (state.acc.as_deref_mut(), state.data_mask),
+            StateElement::Mem(i) => (state.mem.get_mut(usize::from(i)), state.data_mask),
+            StateElement::PageReg => (Some(&mut *state.page), PAGE_MASK),
+            StateElement::PagePending => (state.pending_page.as_deref_mut(), PAGE_MASK),
+            StateElement::FetchBus | StateElement::InputPort | StateElement::OutputPort => return,
+        };
+        if let Some(slot) = slot {
+            *slot = (*slot & self.keep) | (self.set & width_mask);
         }
     }
 }
@@ -873,6 +993,127 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11)[3], run(12)[3], "different seeds tear differently");
+    }
+
+    #[test]
+    fn planes_compile_when_every_live_fault_is_a_stuck_at_on_one_element() {
+        use FaultKind::{FlipAtCycle, StuckAt0, StuckAt1};
+        use StateElement::{Acc, FetchBus, Mem, Pc};
+        let fault = |element, bit, kind| ArchFault { element, bit, kind };
+        let compiled = |faults: &[ArchFault]| FaultPlane::with_faults(faults.to_vec()).compiled();
+        let mask = |element, keep, set| Some(StuckMask { element, keep, set });
+
+        assert_eq!(compiled(&[]), None, "nothing to compile");
+        assert_eq!(compiled(&[fault(Acc, 1, StuckAt1)]), mask(Acc, 0xFF, 0x02));
+        assert_eq!(compiled(&[fault(Pc, 6, StuckAt0)]), mask(Pc, 0xBF, 0));
+        // composed in list order: the later of two stuck-ats on a bit wins
+        assert_eq!(
+            compiled(&[fault(Acc, 1, StuckAt0), fault(Acc, 1, StuckAt1)]),
+            mask(Acc, 0xFD, 0x02)
+        );
+        assert_eq!(
+            compiled(&[fault(Acc, 1, StuckAt1), fault(Acc, 1, StuckAt0)]),
+            mask(Acc, 0xFD, 0)
+        );
+        assert_eq!(
+            compiled(&[
+                fault(FetchBus, 0, StuckAt1),
+                fault(FetchBus, 7, StuckAt0),
+                fault(FetchBus, 3, StuckAt1),
+            ]),
+            mask(FetchBus, 0x7F, 0x09)
+        );
+        // two elements stay hooked; two data words are two elements
+        assert_eq!(
+            compiled(&[fault(Acc, 0, StuckAt1), fault(Pc, 0, StuckAt0)]),
+            None
+        );
+        assert_eq!(
+            compiled(&[fault(Mem(0), 0, StuckAt1), fault(Mem(1), 0, StuckAt1)]),
+            None
+        );
+
+        // a pending flip keeps the plane; once fired it drops out
+        let mut plane = FaultPlane::with_faults(vec![
+            fault(Pc, 2, FlipAtCycle(5)),
+            fault(FetchBus, 3, StuckAt0),
+        ]);
+        assert_eq!(plane.compiled(), None);
+        let (mut pc, mut acc, mut mem, mut page) = (0u8, 0u8, [0u8; 4], 0u8);
+        plane.on_state(6, &mut state_of(&mut pc, &mut acc, &mut mem, &mut page));
+        assert_eq!(pc, 0x4, "the flip fired");
+        assert_eq!(plane.compiled(), mask(FetchBus, 0xF7, 0));
+        plane.reset();
+        assert_eq!(plane.compiled(), None, "re-armed");
+    }
+
+    #[test]
+    fn a_compiled_plane_visits_like_the_plane() {
+        // the width rules: stuck-at-1 past the element's width is inert
+        // on state and lands on the ports and the fetch bus
+        let elements = [
+            StateElement::Pc,
+            StateElement::Acc,
+            StateElement::Mem(1),
+            StateElement::Mem(6),
+            StateElement::FetchBus,
+            StateElement::InputPort,
+            StateElement::OutputPort,
+            StateElement::PageReg,
+            StateElement::PagePending,
+        ];
+        for element in elements {
+            for bits in [[0u8, 7], [5, 5], [3, 1]] {
+                for (first, second) in [
+                    (FaultKind::StuckAt0, FaultKind::StuckAt1),
+                    (FaultKind::StuckAt1, FaultKind::StuckAt0),
+                    (FaultKind::StuckAt1, FaultKind::StuckAt1),
+                ] {
+                    let mut plane = FaultPlane::with_faults(vec![
+                        ArchFault {
+                            element,
+                            bit: bits[0],
+                            kind: first,
+                        },
+                        ArchFault {
+                            element,
+                            bit: bits[1],
+                            kind: second,
+                        },
+                    ]);
+                    let mut stuck = plane.compiled().expect("one element compiles");
+                    for value in [0x00u8, 0x0F, 0x5A, 0xFF] {
+                        let what = format!("{element} {bits:?} {first} {second} {value:#x}");
+                        assert_eq!(stuck.on_fetch(0, value), plane.on_fetch(0, value), "{what}");
+                        assert_eq!(stuck.on_input(0, value), plane.on_input(0, value), "{what}");
+                        assert_eq!(
+                            stuck.on_output(0, value),
+                            plane.on_output(0, value),
+                            "{what}"
+                        );
+                        let visit = |hook: &mut dyn FnMut(&mut ArchState<'_>)| {
+                            let (mut pc, mut acc, mut mem) =
+                                (value & 0x7F, value & 0xF, [value & 0xF; 4]);
+                            let (mut page, mut pending) = (value & 0xF, value >> 4);
+                            hook(&mut ArchState {
+                                pc: &mut pc,
+                                acc: Some(&mut acc),
+                                mem: &mut mem,
+                                page: &mut page,
+                                pending_page: Some(&mut pending),
+                                data_mask: 0xF,
+                            });
+                            (pc, acc, mem, page, pending)
+                        };
+                        assert_eq!(
+                            visit(&mut |state| stuck.on_state(0, state)),
+                            visit(&mut |state| plane.on_state(0, state)),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod xls;
 
 pub use fault::{
     ArchFault, ArchState, FaultHook, FaultKind, FaultPlane, NoFaults, PowerCut, StateElement,
-    WriteEffect,
+    StuckMask, WriteEffect,
 };
 
 use crate::exec::ExecState;

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use crate::error::SimError;
-use crate::exec::{predecode, Core, ExecState, Flow, Predecoded, Snapshot, PC_MASK};
+use crate::exec::{predecode, Core, Decoded, ExecState, Flow, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::features::FeatureSet;
 use crate::isa::sign_extend;
@@ -65,7 +65,7 @@ pub struct XlsCore {
     regs: [u8; NUM_REGS],
     flags: Flags,
     ra: u8,
-    predecoded: Predecoded<Instruction>,
+    decoded: Arc<Decoded<Instruction>>,
 }
 
 impl XlsCore {
@@ -78,9 +78,9 @@ impl XlsCore {
             regs: [0; NUM_REGS],
             flags: Flags::default(),
             ra: 0,
-            predecoded: Arc::from([]),
+            decoded: Arc::default(),
         };
-        core.predecoded = predecode(&core);
+        core.decoded = predecode(&core);
         core
     }
 
@@ -154,8 +154,8 @@ impl Core for XlsCore {
     }
 
     #[inline]
-    fn predecoded(&self) -> &[Option<(Instruction, u8)>] {
-        &self.predecoded
+    fn decoded(&self) -> &Arc<Decoded<Instruction>> {
+        &self.decoded
     }
 
     // inlined into every copy of the engine's step, which runs it
