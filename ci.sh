@@ -167,6 +167,8 @@ echo "== hang fast-forward gate =="
 #   paper_pins        the stdout of every paper table and figure bin
 #   generated_programs_fast_forward_exactly  random programs fast-forward
 #   the mission SHA-256  the whole `flexi mission` report
+#   the wave SHA-256  the `flexi wave` VCD of the fc4 parity kernel, which
+#                     reads every port net after a post-clock settle
 cargo test --release --offline -p flexicore -q --test predecode
 cargo test --release --offline -p flexicore -q --test stuck_compile
 cargo test --release --offline -p flexicore -q --test hang_forward
@@ -191,6 +193,13 @@ mission_sha=$(./target/release/flexi mission --trials 24 --ticks 6 --seed 17 |
     sha256sum | cut -d ' ' -f 1)
 test "$mission_sha" = \
     924e4eced8341bcf6dda4403644b7f82edb976a9be44bc87b7b2d59a42a05b01
+wave_vcd=$(mktemp)
+./target/release/flexi wave crates/kernels/asm/parity.s --target fc4 \
+    --input 5 --cycles 500 --out "$wave_vcd" > /dev/null
+wave_sha=$(sha256sum < "$wave_vcd" | cut -d ' ' -f 1)
+rm -f "$wave_vcd"
+test "$wave_sha" = \
+    04c8a394806b6dbe527ee8a65adee246a41dade07ab51415b9b6ed623f1e60fb
 
 echo "== serve smoke =="
 # crash-safety gate for the toolchain daemon: batch twice (the second

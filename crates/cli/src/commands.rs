@@ -288,9 +288,9 @@ pub fn cosim(args: &mut Args) -> Result<String, CliError> {
     let target = args.target()?;
     let input = args.num("input", 0u8)?;
     let cycles = args.positive("cycles", 10_000)? as u64;
+    let netlist = fabricated_netlist("cosim", target.dialect)?;
     let source = std::fs::read_to_string(&path)?;
     let assembly = Assembler::new(target).assemble(&source)?;
-    let netlist = fabricated_netlist("cosim", target.dialect)?;
     let core = AnyCore::for_dialect(target.dialect, target.features, assembly.into_program());
     let mut fixed = flexicore::io::ConstInput::new(input);
     let result = flexrtl::cosim::cosim(&netlist, core, &mut fixed, cycles);
@@ -317,9 +317,9 @@ pub fn wave(args: &mut Args) -> Result<String, CliError> {
     let cycles = args.positive("cycles", 500)? as u64;
     let dest = args.flag("out").unwrap_or_else(|| "trace.vcd".to_string());
 
+    let netlist = fabricated_netlist("wave", target.dialect)?;
     let source = std::fs::read_to_string(&path)?;
     let assembly = Assembler::new(target).assemble(&source)?;
-    let netlist = fabricated_netlist("wave", target.dialect)?;
     let mut sim = flexgate::sim::BatchSim::new(&netlist)
         .map_err(|e| CliError::Run(format!("netlist rejected by the gate simulator: {e}")))?;
     sim.reset();
@@ -2002,5 +2002,61 @@ mod tests {
         let vcd = std::fs::read_to_string(&out_path).unwrap();
         assert!(vcd.contains("$var wire 7 "), "{vcd}");
         assert!(vcd.contains("oport"), "{vcd}");
+    }
+
+    /// The `wave` VCD of ADD3 on both fabricated cores, folded byte by
+    /// byte through FNV-1a: every port net is read after a post-clock
+    /// settle, so a gate-tape change that moves any of them shows here.
+    #[test]
+    fn wave_vcds_are_pinned() {
+        let src = write_temp("wave_pin", ADD3);
+        for (target, digest, len) in [
+            ("fc4", 0x726c_2366_3e5d_4cca, 300),
+            ("fc8", 0xa41b_1ea4_7ffa_862a, 300),
+        ] {
+            let out_path = std::env::temp_dir().join(format!(
+                "flexi_wave_pin_{target}_{}.vcd",
+                std::process::id()
+            ));
+            let out = call(&[
+                "wave",
+                &src,
+                "--target",
+                target,
+                "--input",
+                "5",
+                "--cycles",
+                "64",
+                "--out",
+                out_path.to_str().unwrap(),
+            ])
+            .unwrap();
+            assert!(out.starts_with("wrote "), "{out}");
+            let vcd = std::fs::read(&out_path).unwrap();
+            let got = vcd.iter().fold(flexshard::FNV_OFFSET, |h, &b| {
+                flexshard::fnv1a(h, u64::from(b))
+            });
+            assert_eq!((got, vcd.len()), (digest, len), "{target}");
+        }
+    }
+
+    /// `cosim` and `wave` refuse a target without a netlist before they
+    /// read the source, so the refusal does not hang on whether the
+    /// source assembles for that target (ADD3 does not for xls) or
+    /// exists at all.
+    #[test]
+    fn cosim_and_wave_refuse_unfabricated_targets_before_assembling() {
+        let src = write_temp("unfabricated", ADD3);
+        for command in ["cosim", "wave"] {
+            for target in ["xacc", "xls"] {
+                for path in [src.as_str(), "/nonexistent/flexi-input.s"] {
+                    let err = call(&[command, path, "--target", target]).unwrap_err();
+                    assert_eq!(err.exit_code(), 2, "{command} --target {target}: {err}");
+                    let want =
+                        format!("{command} supports the fabricated dialects fc4/fc8, not {target}");
+                    assert!(err.to_string().contains(&want), "{err}");
+                }
+            }
+        }
     }
 }

@@ -10,6 +10,12 @@
 //! holds lane 0's word on every net and its defect mismatch count is zero
 //! by construction.
 //!
+//! Each pack counts its dies' mismatches bit-sliced: plane `k` holds bit
+//! `k` of every lane's count, so the word of diverged lanes a cycle
+//! yields is added with a ripple carry across the planes (about two
+//! words per cycle) instead of once per diverged lane, and each die's
+//! count is read out of the planes after the last vector.
+//!
 //! Timing is checked separately: a die whose variation-scaled fmax falls
 //! below the 12.5 kHz test clock produces output errors proportional to
 //! its shortfall (a slow die misses capture on some fraction of cycles).
@@ -218,7 +224,9 @@ impl<'a> Tester<'a> {
     }
 
     /// Run the vector set once with up to 63 defective dies in lanes 1..;
-    /// lane 0 is the golden reference. Returns per-die mismatch counts.
+    /// lane 0 is the golden reference. Returns per-die mismatch counts,
+    /// kept bit-sliced ([`LaneCounts`]) while the vectors run and read out
+    /// per lane at the end.
     fn test_chunk(&self, dies: &[DieVariation]) -> Result<Vec<u64>, FabError> {
         debug_assert!(dies.len() <= 63);
         let mut sim = BatchSim::new(self.netlist)?;
@@ -231,16 +239,14 @@ impl<'a> Tester<'a> {
         sim.reset();
 
         let dies_lanes = chunk_lanes(dies.len());
-        let mut errors = vec![0u64; dies.len()];
+        let mut errors = LaneCounts::default();
         screen(&mut sim, &self.plan, |diverged| {
-            let mut lanes = diverged & dies_lanes;
-            while lanes != 0 {
-                errors[lanes.trailing_zeros() as usize - 1] += 1;
-                lanes &= lanes - 1;
-            }
+            errors.add(diverged & dies_lanes);
             ControlFlow::Continue(())
         });
-        Ok(errors)
+        Ok((1..=dies.len() as u32)
+            .map(|lane| errors.count(lane))
+            .collect())
     }
 
     /// Errors from missed timing: zero when the die's fmax clears the test
@@ -255,6 +261,41 @@ impl<'a> Tester<'a> {
         // excite the critical path; a hopeless die fails nearly everywhere
         let fail_rate = (0.002 + 0.6 * shortfall * shortfall).min(0.9);
         ((self.plan.total_cycles() as f64) * fail_rate).ceil() as u64
+    }
+}
+
+/// Per-lane event counts, bit-sliced: plane `k` holds bit `k` of every
+/// lane's count. Adding a word of lanes is a ripple carry through the
+/// planes that stops at the first one it leaves no carry in, so a screen
+/// cycle costs about two words whatever the number of diverged lanes.
+#[derive(Debug, Default)]
+struct LaneCounts {
+    planes: Vec<u64>,
+}
+
+impl LaneCounts {
+    /// Count one event in each lane of `lanes`.
+    fn add(&mut self, lanes: u64) {
+        let mut carry = lanes;
+        for plane in &mut self.planes {
+            if carry == 0 {
+                return;
+            }
+            let sum = *plane ^ carry;
+            carry &= *plane;
+            *plane = sum;
+        }
+        if carry != 0 {
+            self.planes.push(carry);
+        }
+    }
+
+    /// The number of events counted in `lane`.
+    fn count(&self, lane: u32) -> u64 {
+        self.planes
+            .iter()
+            .enumerate()
+            .fold(0, |n, (k, plane)| n | ((plane >> lane) & 1) << k)
     }
 }
 
@@ -554,6 +595,45 @@ mod tests {
                 assert_eq!(outcome.timing_errors, tester.timing_errors(die, v));
             }
             assert_eq!(out.iter().any(|o| o.timing_errors > 0), v == 3.0);
+        }
+    }
+
+    /// The bit-sliced counts equal a per-lane tally over random diverged
+    /// streams longer than 2^16 cycles, sparse to dense. In the last
+    /// stream lanes 1 and 63, the ends of a full pack, diverge on every
+    /// cycle, so their counts pass 2^16 and carry into a seventeenth
+    /// plane.
+    #[test]
+    fn bit_sliced_counts_equal_a_per_lane_tally() {
+        let mut rng = StdRng::seed_from_u64(0x005C_4EE7);
+        let pack = chunk_lanes(63);
+        for density in 0..4 {
+            let cycles = (1 << 16) + rng.gen_range(1..5_000u64);
+            let mut sliced = LaneCounts::default();
+            let mut tally = [0u64; 64];
+            for _ in 0..cycles {
+                let word = match density {
+                    0 => rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>(),
+                    1 => rng.gen(),
+                    2 => rng.gen::<u64>() | rng.gen::<u64>(),
+                    _ => 1 << 1 | 1 << 63 | (rng.gen::<u64>() & rng.gen::<u64>()),
+                } & pack;
+                sliced.add(word);
+                for (lane, n) in tally.iter_mut().enumerate() {
+                    *n += word >> lane & 1;
+                }
+            }
+            for (lane, &n) in tally.iter().enumerate() {
+                assert_eq!(
+                    sliced.count(lane as u32),
+                    n,
+                    "density {density}, lane {lane}"
+                );
+            }
+            assert_eq!(tally[0], 0, "the golden lane never counts");
+            if density == 3 {
+                assert_eq!((tally[1], tally[63]), (cycles, cycles));
+            }
         }
     }
 

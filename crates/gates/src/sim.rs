@@ -6,23 +6,48 @@
 //! makes testing every die of a simulated wafer against 100 000-cycle
 //! vector sets tractable (§4.1): 64 faulty die variants run in one pass.
 //!
-//! [`BatchSim::new`] compiles the netlist once into a flat *tape* of
-//! steps that all share one branch-free form:
+//! [`BatchSim`] compiles the netlist, under the faults injected so far,
+//! into a flat *tape* of steps, a *copy list* and the flip-flops. Every
+//! combinational cell is first a *gate* of one form,
 //!
 //! ```text
-//! values[out] = ((mux(values[a], values[b] ^ inv_b, values[c] ^ inv_c) ^ inv_out) & keep) | set
+//! out = mux(a, b ^ inv_b, c ^ inv_c) ^ inv_out
 //! mux(s, x, y) = (s & (x ^ y)) ^ y        // s ? x : y, lane by lane
 //! ```
 //!
-//! Every combinational cell is one such step: BUF is `(x, x, x)` and INV
-//! the same with `inv_out`; NAND2 is `(x, y, x)` and NOR2 `(x, x, y)`,
-//! both with `inv_out`; XOR2 is `(x, y, y)` with `inv_b` and XNOR2 the
-//! same with `inv_c`; MUX2 is `(s, p, q)`. NAND3 and NOR3 take two steps,
-//! an AND or an OR of their first two inputs into a scratch word placed
-//! after the last net, then a NAND2 or NOR2 of that word with the third.
-//! The two steps stay adjacent, so one scratch word serves every such
-//! cell. Flip-flops stay off the tape. [`settle`](BatchSim::settle) is one pass
-//! over the tape with no per-step dispatch.
+//! BUF is `(x, x, x)` and INV the same with `inv_out`; NAND2 is
+//! `(x, y, x)` and NOR2 `(x, x, y)`, both with `inv_out`; XOR2 is
+//! `(x, y, y)` with `inv_b` and XNOR2 the same with `inv_c`; MUX2 is
+//! `(s, p, q)`. NAND3 and NOR3 take two gates, an AND or an OR of their
+//! first two inputs into a scratch word placed after the last net, then a
+//! NAND2 or NOR2 of that word with the third. The two stay adjacent, so
+//! one scratch word serves every such cell. Flip-flops stay off the tape.
+//!
+//! A BUF or INV whose output carries no fault in any lane is *folded*: it
+//! emits no step, and its output becomes an alias of its input, a source
+//! net plus a polarity (a chain of them composes into one alias). Every
+//! other gate reads its operands through the aliases: an inverted `b` or
+//! `c` operand flips `inv_b` or `inv_c`, and an inverted select swaps `b`
+//! and `c` with their flags. Each remaining gate then folds its
+//! inversions and its output's stuck-at masks into three words,
+//!
+//! ```text
+//! k1  = inv_b ^ inv_c
+//! and = !(sa0 | sa1)
+//! xor = ((inv_c ^ inv_out) & and) | sa1
+//! values[out] = (((values[a] & (values[b] ^ values[c] ^ k1)) ^ values[c]) & and) ^ xor
+//! ```
+//!
+//! which is the gate's value on clean lanes, 1 on stuck-at-1 lanes and 0
+//! on the other stuck-at-0 lanes, so a stuck-at-1 wins a contradictory
+//! double injection and the pass has no fault branch.
+//! [`settle`](BatchSim::settle) is one pass over the tape with no
+//! per-step dispatch, followed by the copy list: every folded net takes
+//! its source's word, inverted if its polarity says so. Every read
+//! (`net_value`, the output ports, flop D capture) therefore sees a
+//! folded net exactly as if its cell had run, and between settles (after
+//! a [`reset`](BatchSim::reset), or a [`drive`](BatchSim::drive) with no
+//! settle yet) it holds what the cell last wrote, as any other net does.
 //!
 //! The tape runs in *level order*: cells are sorted stably by logic depth
 //! (primary inputs, constants and flop outputs are depth 0), so steps of
@@ -30,15 +55,16 @@
 //! than in dependent chains. Fault sites are drawn by netlist cell index,
 //! never by tape position, so the order moves no defect.
 //!
-//! Stuck-at faults live inline. `keep` is `!sa0` and `set` is `sa1` of
-//! the step's output net (all-ones and zero on a clean net), so a
-//! stuck-at-1 wins a contradictory double injection, and the pass has no
-//! fault branch. Flip-flops carry the same pair for their Q. Injecting or
-//! clearing faults only marks the masks for rewriting at the next settle.
-//! Nets no step drives (ports, the constant 0, flop outputs) are re-pinned
-//! from a list of their faulty masks before the pass. A clock edge copies
-//! every flop's D into a reusable buffer, then every buffered value
-//! through its Q's masks, so all flops capture before any updates.
+//! Injecting or clearing faults only marks the simulator for a recompile
+//! at the next settle: which cells fold, and every step's and flop's
+//! masks, depend on the fault set. A compile walks the level-ordered
+//! cells once, so a caller reusing one simulator across fault sets pays
+//! a few hundred cells per set. Flip-flops carry `keep = !sa0` and
+//! `set = sa1` of their Q. Nets no step drives (ports, the constant 0,
+//! flop outputs) are re-pinned from a list of their faulty masks before
+//! the pass. A clock edge copies every flop's D into a reusable buffer,
+//! then every buffered value through its Q's masks, so all flops capture
+//! before any updates.
 //!
 //! Inputs are driven through [`BatchSim::drive`] on a bus's nets;
 //! [`set_input_value`](BatchSim::set_input_value) looks a port up by name
@@ -46,7 +72,7 @@
 //! once and calls `drive`.
 //!
 //! The per-cell truth tables therefore exist twice: in
-//! [`CellKind::eval`](crate::cell::CellKind::eval) and in the step
+//! [`CellKind::eval`](crate::cell::CellKind::eval) and in the gate
 //! encodings. The `compiled_oracle` test keeps them together by running a
 //! per-cell interpreter over `eval` beside this simulator on random
 //! netlists and fault sets, and this module's
@@ -80,75 +106,145 @@ impl FaultMask {
     }
 }
 
+/// `bit` in every lane.
+fn word(bit: bool) -> u64 {
+    BitSlice64::splat(bit).0
+}
+
+/// One combinational gate before compilation:
+/// `out = mux(a, b ^ inv_b, c ^ inv_c) ^ inv_out`.
+#[derive(Debug, Clone, Copy)]
+struct Gate {
+    a: u32,
+    b: u32,
+    c: u32,
+    out: u32,
+    inv_b: bool,
+    inv_c: bool,
+    inv_out: bool,
+}
+
+impl Gate {
+    /// `out = a ? b : c`.
+    fn mux(a: u32, b: u32, c: u32, out: u32) -> Gate {
+        Gate {
+            a,
+            b,
+            c,
+            out,
+            inv_b: false,
+            inv_c: false,
+            inv_out: false,
+        }
+    }
+
+    /// This gate with its output inverted.
+    fn inverted(self) -> Gate {
+        Gate {
+            inv_out: true,
+            ..self
+        }
+    }
+
+    /// The gates computing combinational cell `kind` over operand nets
+    /// `[x, y, z]` (slots past the cell's arity repeat `x`) into `out`:
+    /// the last one writes `out`, and NAND3 and NOR3 first write
+    /// `scratch`.
+    fn compile(
+        kind: CellKind,
+        [x, y, z]: [u32; 3],
+        out: u32,
+        scratch: u32,
+    ) -> (Option<Gate>, Gate) {
+        match kind {
+            CellKind::BufX1 | CellKind::BufX2 => (None, Gate::mux(x, x, x, out)),
+            CellKind::InvX1 | CellKind::InvX2 => (None, Gate::mux(x, x, x, out).inverted()),
+            CellKind::Nand2 => (None, Gate::mux(x, y, x, out).inverted()),
+            CellKind::Nor2 => (None, Gate::mux(x, x, y, out).inverted()),
+            CellKind::Xor2 => (
+                None,
+                Gate {
+                    inv_b: true,
+                    ..Gate::mux(x, y, y, out)
+                },
+            ),
+            CellKind::Xnor2 => (
+                None,
+                Gate {
+                    inv_c: true,
+                    ..Gate::mux(x, y, y, out)
+                },
+            ),
+            CellKind::Mux2 => (None, Gate::mux(x, y, z, out)),
+            CellKind::Nand3 => (
+                Some(Gate::mux(x, y, x, scratch)),
+                Gate::mux(scratch, z, scratch, out).inverted(),
+            ),
+            CellKind::Nor3 => (
+                Some(Gate::mux(x, x, y, scratch)),
+                Gate::mux(scratch, scratch, z, out).inverted(),
+            ),
+            CellKind::Dff | CellKind::DffR => unreachable!("flip-flops stay off the tape"),
+        }
+    }
+
+    /// This gate reading its operands through `alias` (per net: the net
+    /// its word comes from and whether it comes inverted).
+    fn through(self, alias: &[(u32, bool)]) -> Gate {
+        let (a, inv_a) = alias[self.a as usize];
+        let read = |net: u32, inv: bool| {
+            let (src, flip) = alias[net as usize];
+            (src, inv ^ flip)
+        };
+        let (mut b, mut c) = (read(self.b, self.inv_b), read(self.c, self.inv_c));
+        if inv_a {
+            // !s ? x : y is s ? y : x
+            std::mem::swap(&mut b, &mut c);
+        }
+        Gate {
+            a,
+            b: b.0,
+            c: c.0,
+            inv_b: b.1,
+            inv_c: c.1,
+            ..self
+        }
+    }
+
+    /// The tape step of this gate under its output's `mask`.
+    fn step(self, mask: FaultMask) -> Step {
+        let and = !(mask.sa0 | mask.sa1);
+        Step {
+            a: self.a,
+            b: self.b,
+            c: self.c,
+            out: self.out,
+            k1: word(self.inv_b ^ self.inv_c),
+            and,
+            xor: (word(self.inv_c ^ self.inv_out) & and) | mask.sa1,
+        }
+    }
+}
+
 /// One tape step:
-/// `values[out] = ((mux(values[a], values[b] ^ inv_b, values[c] ^ inv_c) ^ inv_out) & keep) | set`,
-/// with `keep = !sa0` and `set = sa1` of the output net.
+/// `values[out] = (((values[a] & (values[b] ^ values[c] ^ k1)) ^ values[c]) & and) ^ xor`.
 #[derive(Debug, Clone, Copy)]
 struct Step {
     a: u32,
     b: u32,
     c: u32,
     out: u32,
-    inv_b: u64,
-    inv_c: u64,
-    inv_out: u64,
-    keep: u64,
-    set: u64,
+    k1: u64,
+    and: u64,
+    xor: u64,
 }
 
-impl Step {
-    /// `out = a ? b : c`, clean.
-    fn mux(a: u32, b: u32, c: u32, out: u32) -> Step {
-        Step {
-            a,
-            b,
-            c,
-            out,
-            inv_b: 0,
-            inv_c: 0,
-            inv_out: 0,
-            keep: !0,
-            set: 0,
-        }
-    }
-
-    /// This step with its output inverted.
-    fn inverted(self) -> Step {
-        Step {
-            inv_out: !0,
-            ..self
-        }
-    }
-
-    /// Append the steps computing combinational cell `kind` over operand
-    /// nets `[x, y, z]` (slots past the cell's arity repeat `x`) into
-    /// `out`; NAND3 and NOR3 pass through `scratch`.
-    fn compile(kind: CellKind, [x, y, z]: [u32; 3], out: u32, scratch: u32, tape: &mut Vec<Step>) {
-        match kind {
-            CellKind::BufX1 | CellKind::BufX2 => tape.push(Step::mux(x, x, x, out)),
-            CellKind::InvX1 | CellKind::InvX2 => tape.push(Step::mux(x, x, x, out).inverted()),
-            CellKind::Nand2 => tape.push(Step::mux(x, y, x, out).inverted()),
-            CellKind::Nor2 => tape.push(Step::mux(x, x, y, out).inverted()),
-            CellKind::Xor2 => tape.push(Step {
-                inv_b: !0,
-                ..Step::mux(x, y, y, out)
-            }),
-            CellKind::Xnor2 => tape.push(Step {
-                inv_c: !0,
-                ..Step::mux(x, y, y, out)
-            }),
-            CellKind::Mux2 => tape.push(Step::mux(x, y, z, out)),
-            CellKind::Nand3 => {
-                tape.push(Step::mux(x, y, x, scratch));
-                tape.push(Step::mux(scratch, z, scratch, out).inverted());
-            }
-            CellKind::Nor3 => {
-                tape.push(Step::mux(x, x, y, scratch));
-                tape.push(Step::mux(scratch, scratch, z, out).inverted());
-            }
-            CellKind::Dff | CellKind::DffR => unreachable!("flip-flops stay off the tape"),
-        }
-    }
+/// One folded net: `values[dst] = values[src] ^ inv` after every pass.
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    dst: u32,
+    src: u32,
+    inv: u64,
 }
 
 /// One flip-flop: Q takes `(D & keep) | set` on every clock edge.
@@ -160,24 +256,17 @@ struct Flop {
     set: u64,
 }
 
-/// What drives a net, for pointing its fault mask at the right place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Driver {
-    /// A primary input, the constant-0 net or an undriven placeholder.
-    None,
-    /// The tape step at this index.
-    Step(u32),
-    /// The flip-flop at this index.
-    Flop(u32),
-}
-
 /// A lane-parallel simulator over a frozen netlist.
 #[derive(Debug, Clone)]
 pub struct BatchSim<'a> {
     netlist: &'a Netlist,
+    /// The combinational cells' indices in level order.
+    order: Vec<u32>,
+    /// Whether a combinational cell drives the net.
+    comb_driven: Vec<bool>,
     tape: Vec<Step>,
+    copies: Vec<Fold>,
     flops: Vec<Flop>,
-    drivers: Vec<Driver>,
     const0: Option<usize>,
     /// One word per net, then the scratch word of NAND3 and NOR3.
     values: Vec<u64>,
@@ -190,19 +279,18 @@ pub struct BatchSim<'a> {
     /// outputs, placeholders), with their masks: they are re-pinned at
     /// the start of every settle.
     pinned: Vec<(usize, FaultMask)>,
-    /// Whether the steps' and flops' masks lag behind `faults`.
+    /// Whether the tape, copies and flop masks lag behind `faults`.
     dirty: bool,
 }
 
 impl<'a> BatchSim<'a> {
-    /// Freeze `netlist` for simulation, compiling it to a tape.
+    /// Freeze `netlist` for simulation; the first settle compiles it.
     ///
     /// # Errors
     ///
     /// Propagates [`NetlistError`] integrity failures.
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
         let cells = netlist.cells();
-        let scratch = netlist.net_count() as u32;
         // logic depth per net: 0 for everything no combinational cell
         // drives, one past the deepest operand otherwise
         let mut depth = vec![0u32; netlist.net_count()];
@@ -213,37 +301,34 @@ impl<'a> BatchSim<'a> {
             depth[cell.output.index()] = deepest.unwrap_or(0) + 1;
         }
         order.sort_by_key(|&ci| depth[cells[ci].output.index()]);
-        let mut drivers = vec![Driver::None; netlist.net_count()];
-        let mut tape = Vec::with_capacity(cells.len());
-        for ci in order {
-            let cell = &cells[ci];
-            let operand = |k: usize| cell.inputs.get(k).unwrap_or(&cell.inputs[0]).0;
-            let operands = [operand(0), operand(1), operand(2)];
-            Step::compile(cell.kind, operands, cell.output.0, scratch, &mut tape);
-            drivers[cell.output.index()] = Driver::Step(tape.len() as u32 - 1);
+        let mut comb_driven = vec![false; netlist.net_count()];
+        for &ci in &order {
+            comb_driven[cells[ci].output.index()] = true;
         }
-        let mut flops = Vec::new();
-        for cell in cells.iter().filter(|c| c.kind.spec().sequential) {
-            drivers[cell.output.index()] = Driver::Flop(flops.len() as u32);
-            flops.push(Flop {
+        let flops: Vec<Flop> = cells
+            .iter()
+            .filter(|c| c.kind.spec().sequential)
+            .map(|cell| Flop {
                 d: cell.inputs[0].0,
                 q: cell.output.0,
                 keep: !0,
                 set: 0,
-            });
-        }
+            })
+            .collect();
         Ok(BatchSim {
             netlist,
-            tape,
+            order: order.into_iter().map(|ci| ci as u32).collect(),
+            comb_driven,
+            tape: Vec::with_capacity(cells.len()),
+            copies: Vec::new(),
             captured: vec![0; flops.len()],
             flops,
-            drivers,
             const0: netlist.const0_net().map(Net::index),
             values: vec![0; netlist.net_count() + 1],
             faults: vec![FaultMask::default(); netlist.net_count()],
             faulty_nets: Vec::new(),
             pinned: Vec::new(),
-            dirty: false,
+            dirty: true,
         })
     }
 
@@ -278,32 +363,54 @@ impl<'a> BatchSim<'a> {
         self.dirty = true;
     }
 
-    /// Rewrite every step's and flop's `keep` and `set` from the injected
-    /// faults, and rebuild the pinned list.
-    fn repoint_masks(&mut self) {
-        for step in &mut self.tape {
-            (step.keep, step.set) = (!0, 0);
+    /// Compile the level-ordered cells under the injected faults into the
+    /// tape, the copy list and the flops' masks, and rebuild the pinned
+    /// list.
+    fn compile(&mut self) {
+        let cells = self.netlist.cells();
+        let scratch = self.netlist.net_count() as u32;
+        // per net and the scratch word: the net its word comes from and
+        // whether inverted; a net maps to itself unless its cell folds
+        let mut alias: Vec<(u32, bool)> = (0..=scratch).map(|n| (n, false)).collect();
+        self.tape.clear();
+        self.copies.clear();
+        for &ci in &self.order {
+            let cell = &cells[ci as usize];
+            let out = cell.output.0;
+            let mask = self.faults[out as usize];
+            let inverting = match cell.kind {
+                CellKind::BufX1 | CellKind::BufX2 => Some(false),
+                CellKind::InvX1 | CellKind::InvX2 => Some(true),
+                _ => None,
+            };
+            if let (Some(inv), true) = (inverting, mask.is_clean()) {
+                let (src, pol) = alias[cell.inputs[0].index()];
+                alias[out as usize] = (src, pol ^ inv);
+                self.copies.push(Fold {
+                    dst: out,
+                    src,
+                    inv: word(pol ^ inv),
+                });
+                continue;
+            }
+            let operand = |k: usize| cell.inputs.get(k).unwrap_or(&cell.inputs[0]).0;
+            let operands = [operand(0), operand(1), operand(2)];
+            let (first, last) = Gate::compile(cell.kind, operands, out, scratch);
+            if let Some(first) = first {
+                self.tape
+                    .push(first.through(&alias).step(FaultMask::default()));
+            }
+            self.tape.push(last.through(&alias).step(mask));
         }
         for flop in &mut self.flops {
-            (flop.keep, flop.set) = (!0, 0);
+            let mask = self.faults[flop.q as usize];
+            (flop.keep, flop.set) = (!mask.sa0, mask.sa1);
         }
         self.pinned.clear();
         for &net in &self.faulty_nets {
             let mask = self.faults[net];
-            if mask.is_clean() {
-                continue;
-            }
-            match self.drivers[net] {
-                Driver::Step(i) => {
-                    let step = &mut self.tape[i as usize];
-                    (step.keep, step.set) = (!mask.sa0, mask.sa1);
-                }
-                Driver::Flop(i) => {
-                    let flop = &mut self.flops[i as usize];
-                    (flop.keep, flop.set) = (!mask.sa0, mask.sa1);
-                    self.pinned.push((net, mask));
-                }
-                Driver::None => self.pinned.push((net, mask)),
+            if !mask.is_clean() && !self.comb_driven[net] {
+                self.pinned.push((net, mask));
             }
         }
         self.dirty = false;
@@ -338,7 +445,7 @@ impl<'a> BatchSim<'a> {
     /// Evaluate the combinational fabric (inputs and flop outputs held).
     pub fn settle(&mut self) {
         if self.dirty {
-            self.repoint_masks();
+            self.compile();
         }
         if let Some(c0) = self.const0 {
             self.values[c0] = 0;
@@ -351,10 +458,13 @@ impl<'a> BatchSim<'a> {
         let values = &mut self.values;
         for step in &self.tape {
             let s = values[step.a as usize];
-            let x = values[step.b as usize] ^ step.inv_b;
-            let y = values[step.c as usize] ^ step.inv_c;
-            let raw = ((s & (x ^ y)) ^ y) ^ step.inv_out;
-            values[step.out as usize] = (raw & step.keep) | step.set;
+            let b = values[step.b as usize];
+            let c = values[step.c as usize];
+            let t = (s & (b ^ c ^ step.k1)) ^ c;
+            values[step.out as usize] = (t & step.and) ^ step.xor;
+        }
+        for copy in &self.copies {
+            values[copy.dst as usize] = values[copy.src as usize] ^ copy.inv;
         }
     }
 
@@ -555,6 +665,37 @@ mod tests {
             .iter()
             .fold(0u64, |acc, s| acc | s.lanes_differing_from(0));
         assert_eq!(diverged, 1 << 7);
+    }
+
+    /// A clean BUF/INV chain emits no step: its nets become copies of
+    /// their source, and a fault on one of them puts that cell back on
+    /// the tape until the faults are cleared.
+    #[test]
+    fn clean_buffers_and_inverters_fold_into_copies() {
+        let mut n = Netlist::new();
+        let a = n.input("a");
+        let b = n.input("b");
+        let not_a = n.cell(CellKind::InvX1, &[a]);
+        let buf = n.cell(CellKind::BufX1, &[not_a]);
+        let again = n.cell(CellKind::InvX2, &[buf]);
+        let y = n.cell(CellKind::Nand2, &[buf, b]);
+        n.output("y", y);
+        n.output("again", again);
+        let mut sim = BatchSim::new(&n).unwrap();
+        sim.set_input_value("a", 1, !0);
+        sim.set_input_value("b", 1, !0);
+        sim.settle();
+        assert_eq!((sim.tape.len(), sim.copies.len()), (1, 3));
+        let words = |sim: &BatchSim<'_>| [buf, again, y].map(|net| sim.net_value(net));
+        assert_eq!(words(&sim), [0, !0, !0]);
+        sim.inject(buf, true, 1 << 5);
+        sim.settle();
+        assert_eq!((sim.tape.len(), sim.copies.len()), (2, 2));
+        assert_eq!(words(&sim), [1 << 5, !(1 << 5), !(1 << 5)]);
+        sim.clear_faults();
+        sim.settle();
+        assert_eq!((sim.tape.len(), sim.copies.len()), (1, 3));
+        assert_eq!(words(&sim), [0, !0, !0]);
     }
 
     /// Every cell kind, alone in a netlist: its 2^k input combinations

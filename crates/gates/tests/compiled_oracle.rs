@@ -431,3 +431,205 @@ fn generator_covers_every_cell_and_net_class() {
     assert_eq!(seen.len(), CellKind::ALL.len(), "cells reached: {seen:?}");
     assert!(const0 && const1 && feedback);
 }
+
+/// The buffers and inverters a folding chain is built from.
+const CHAIN_CELLS: [CellKind; 4] = [
+    CellKind::BufX1,
+    CellKind::BufX2,
+    CellKind::InvX1,
+    CellKind::InvX2,
+];
+
+/// The cells chains feed: every operand slot of these reads through one.
+const CHAIN_FED: [CellKind; 9] = [
+    CellKind::Mux2,
+    CellKind::Xor2,
+    CellKind::Xnor2,
+    CellKind::Nand2,
+    CellKind::Nor2,
+    CellKind::Nand3,
+    CellKind::Nor3,
+    CellKind::Dff,
+    CellKind::DffR,
+];
+
+/// A net to read: usually the end of a fresh chain of 1–4 buffers and
+/// inverters over an existing net, otherwise an existing net itself.
+/// Chain nets are added to `nets` and to `chained`.
+fn chained_operand(
+    rng: &mut StdRng,
+    n: &mut Netlist,
+    nets: &mut Vec<Net>,
+    chained: &mut Vec<Net>,
+) -> Net {
+    let mut net = nets[rng.gen_range(0..nets.len())];
+    if rng.gen_bool(0.75) {
+        for _ in 0..rng.gen_range(1..=4usize) {
+            net = n.cell(CHAIN_CELLS[rng.gen_range(0..CHAIN_CELLS.len())], &[net]);
+            nets.push(net);
+            chained.push(net);
+        }
+    }
+    net
+}
+
+/// A random netlist heavy in buffer and inverter chains, the cells the
+/// simulator folds while they carry no fault. Chains feed mux selects and
+/// data inputs, XOR/XNOR and NAND/NOR operands, flop D inputs (feedback
+/// through placeholders too) and the output port. Returns the design and
+/// every chain net.
+fn chain_design(rng: &mut StdRng, cells: usize) -> (Design, Vec<Net>) {
+    let mut n = Netlist::new();
+    let mut nets = Vec::new();
+    let mut chained = Vec::new();
+    let mut ports = Vec::new();
+    for name in ["a", "b", "c"].into_iter().take(rng.gen_range(1..=3usize)) {
+        let width = rng.gen_range(1..=4usize);
+        nets.extend(n.inputs(name, width));
+        ports.push((name, width));
+    }
+    let const0 = rng.gen_bool(0.7).then(|| {
+        let zero = n.const0();
+        nets.push(zero);
+        if rng.gen_bool(0.5) {
+            nets.push(n.const1());
+        }
+        zero
+    });
+    let placeholders: Vec<Net> = (0..rng.gen_range(0..4)).map(|_| n.placeholder()).collect();
+    nets.extend(&placeholders);
+    let mut flop_outputs = Vec::new();
+    for _ in 0..cells {
+        let kind = CHAIN_FED[rng.gen_range(0..CHAIN_FED.len())];
+        let inputs: Vec<Net> = (0..kind.spec().inputs)
+            .map(|_| chained_operand(rng, &mut n, &mut nets, &mut chained))
+            .collect();
+        let out = n.cell(kind, &inputs);
+        if kind.spec().sequential {
+            flop_outputs.push(out);
+        }
+        nets.push(out);
+    }
+    for &q in &placeholders {
+        if rng.gen_bool(0.8) {
+            let d = chained_operand(rng, &mut n, &mut nets, &mut chained);
+            n.drive_dff_r(d, q);
+            flop_outputs.push(q);
+        }
+    }
+    let observed: Vec<Net> = (0..rng.gen_range(1..6))
+        .map(|_| chained_operand(rng, &mut n, &mut nets, &mut chained))
+        .collect();
+    n.outputs("y", &observed);
+    assert_eq!(nets.len(), n.net_count(), "every net is tracked");
+    let design = Design {
+        netlist: n,
+        nets,
+        ports,
+        const0,
+        flop_outputs,
+    };
+    (design, chained)
+}
+
+/// Run one random script over a chain-heavy netlist against both
+/// simulators, comparing every net after every operation: after a reset,
+/// after a drive with no settle yet, and after injections and clears
+/// before the settle that recompiles, as well as after settles and
+/// clocks. Most injections land on chain nets, so buffers and inverters
+/// fold, unfold when faulted and fold again once cleared.
+fn run_chain_script(seed: u64, cells: usize, ops: usize) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (d, chained) = chain_design(&mut rng, cells);
+    let mut sim = BatchSim::new(&d.netlist).map_err(|e| e.to_string())?;
+    let mut oracle = Interpreter::new(&d.netlist, d.const0);
+    for step in 0..ops {
+        let op = rng.gen_range(0..10);
+        match op {
+            0 | 1 => {
+                let net = if !chained.is_empty() && rng.gen_bool(0.7) {
+                    chained[rng.gen_range(0..chained.len())]
+                } else {
+                    fault_net(&mut rng, &d)
+                };
+                let (one, l) = (rng.gen_bool(0.5), lanes(&mut rng));
+                sim.inject(net, one, l);
+                oracle.inject(net, one, l);
+            }
+            2 => {
+                sim.clear_faults();
+                oracle.clear_faults();
+            }
+            3 | 4 => {
+                let (name, width) = d.ports[rng.gen_range(0..d.ports.len())];
+                let value = rng.gen_range(0..1u64 << width);
+                let l = lanes(&mut rng);
+                sim.set_input_value(name, value, l);
+                oracle.set_input_value(name, value, l);
+            }
+            5 | 6 => {
+                sim.settle();
+                oracle.settle();
+            }
+            7 | 8 => {
+                sim.clock();
+                oracle.clock();
+            }
+            _ => {
+                sim.reset();
+                oracle.reset();
+            }
+        }
+        compare(&sim, &oracle, &d).map_err(|e| format!("after op {step} ({op}): {e}"))?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn folded_buffer_and_inverter_chains_match_the_per_cell_interpreter(
+        seed in any::<u64>(),
+        cells in 1usize..48,
+        ops in 1usize..80,
+    ) {
+        let verdict = run_chain_script(seed, cells, ops);
+        prop_assert!(verdict.is_ok(), "seed {seed}, {cells} cells: {}", verdict.unwrap_err());
+    }
+}
+
+/// The chain generator reaches what the folding property claims: a
+/// chain into a mux select, a mux data input, an XOR/XNOR operand, a
+/// NAND/NOR operand, a flop's D and the output port, with inverters on
+/// the way.
+#[test]
+fn chain_generator_feeds_every_operand_slot() {
+    let mut reached = [false; 6];
+    for seed in 0..64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (d, chained) = chain_design(&mut rng, 32);
+        let is_chained = |net: &Net| chained.contains(net);
+        for cell in d.netlist.cells() {
+            let slots: &[usize] = match cell.kind {
+                CellKind::Mux2 => {
+                    reached[0] |= is_chained(&cell.inputs[0]);
+                    reached[1] |= cell.inputs[1..].iter().any(is_chained);
+                    &[]
+                }
+                CellKind::Xor2 | CellKind::Xnor2 => &[2],
+                CellKind::Nand2 | CellKind::Nor2 | CellKind::Nand3 | CellKind::Nor3 => &[3],
+                CellKind::Dff | CellKind::DffR => &[4],
+                _ => &[],
+            };
+            for &slot in slots {
+                reached[slot] |= cell.inputs.iter().any(is_chained);
+            }
+        }
+        reached[5] |= d.netlist.output_ports()["y"].iter().any(is_chained);
+    }
+    assert_eq!(
+        reached, [true; 6],
+        "mux select, mux data, xor, nand/nor, flop d, output"
+    );
+}
