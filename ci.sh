@@ -45,9 +45,12 @@ echo "== threaded campaign smoke =="
 ./target/release/flexi inject --faults 64 --seed 11 --threads 8 \
     > /tmp/flexi_threaded.txt
 cmp /tmp/flexi_serial.txt /tmp/flexi_threaded.txt
-# compiled stuck-at planes and stuck fetch images under threads; `$args`
+# compiled stuck-at planes and stuck fetch images under threads, and
+# transient trials judged without a recording, whose runs drain to the
+# fault-free first hang checkpoint once their flip fired; `$args`
 # word-splits
-for args in "--mode mixed --dialect fc8" "--dialect xls"; do
+for args in "--mode mixed --dialect fc8" "--dialect xls" \
+    "--mode transient --dialect fc4" "--mode transient --dialect xacc"; do
     ./target/release/flexi inject --faults 64 --seed 11 $args \
         > /tmp/flexi_serial.txt
     ./target/release/flexi inject --faults 64 --seed 11 $args --threads 8 \
@@ -146,11 +149,14 @@ echo "== hang fast-forward gate =="
 #                     (early flips, 2-3 per plane, FC8 LOAD BYTEs;
 #                     budgets at the 64/128 checkpoints, periods longer
 #                     than the first window), and the detector's
-#                     schedule (a hang caught within 3 periods of 64)
+#                     schedule (a hang caught within 3 periods of 64
+#                     under an active hook; a fault-free hang not
+#                     before 1 024, and within 3 periods of it)
 #   fabricated_isa    FC4/FC8 decode tables and one-step semantics
 #   dse_isa           xacc/xls decode tables and one-step semantics
-#   verdict_oracle    the kernel harness's verdicts equal full recordings
-#                     (stuck-at and transient trials)
+#   verdict_oracle    the kernel harness's verdicts, and the outcomes of
+#                     campaigns that keep no recording, equal full
+#                     recordings (stuck-at, transient and mixed trials)
 #   segment_oracle    checkpointed segments equal the plain step loop
 #   campaign_digests  stuck-at and transient grid outcomes
 #   salvage_digests   die classes of the published wafers' defects

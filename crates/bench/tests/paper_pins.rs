@@ -10,14 +10,7 @@
 
 use std::process::Command;
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
-    })
-}
+use flexshard::{fnv1a, FNV_OFFSET};
 
 /// Run the bin at `path` and digest its stdout.
 fn report_digest(path: &str) -> u64 {
@@ -25,7 +18,9 @@ fn report_digest(path: &str) -> u64 {
         .output()
         .unwrap_or_else(|e| panic!("{path}: {e}"));
     assert!(out.status.success(), "{path} exited {}", out.status);
-    fnv1a(&out.stdout)
+    out.stdout
+        .iter()
+        .fold(FNV_OFFSET, |hash, &byte| fnv1a(hash, byte.into()))
 }
 
 macro_rules! pins {

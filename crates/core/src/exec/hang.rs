@@ -16,6 +16,12 @@
 //!   on a match, the full architectural state (MMU, halt flag and
 //!   dialect registers, compared in place) plus the port position.
 //!   Before the first checkpoint the loop does no extra work per step.
+//!   The first checkpoint depends on the hook the drain runs: 64 units
+//!   ([`FIRST_CHECKPOINT`]) while a fault can still act, 1 024
+//!   ([`FAULT_FREE_CHECKPOINT`]) on the fault-free code, which runs
+//!   fault-free runs, quiet stretches and the rest of a run once its
+//!   last flip has fired. When a checkpoint is taken never changes a
+//!   result, only how many steps are simulated before a jump.
 //! * **The jump**: one more period steps with the output port tee'd to
 //!   capture its writes. Then `k` whole periods are skipped: the run
 //!   accounting advances by `k` times one period's deltas, and the
@@ -35,13 +41,21 @@ use crate::sim::RunResult;
 
 use super::{Core, Engine, Fetch, Snapshot};
 
-/// The first checkpoint, in budget units. Runs that halt before it pay
-/// nothing for detection; runs that go on past it pay an anchor per
-/// checkpoint crossed and a PC compare per step (3–4 % of a kernel run
-/// that halts after about 100 units). Hung stuck-at kernel runs enter
-/// their loop after a median 25 units, with a median period of 16, so
-/// most hangs are caught within a few periods of it (DESIGN.md §16.2).
+/// The first checkpoint, in budget units, of a drain whose hook can
+/// still act. Runs that halt before it pay nothing for detection; runs
+/// that go on past it pay an anchor per checkpoint crossed and a PC
+/// compare per step. Hung stuck-at kernel runs enter their loop after a
+/// median 25 units, with a median period of 16, so most hangs are
+/// caught within a few periods of it (DESIGN.md §16.2).
 const FIRST_CHECKPOINT: u64 = 1 << 6;
+
+/// The first checkpoint of a fault-free drain, above every kernel's
+/// fault-free run. A drain on the fault-free code almost never hangs
+/// (10 hangs in 17 309 executed `inject-sweep` trials at seed 7), so
+/// it skips what a 64-unit checkpoint costs every run that halts after
+/// 64 units: about 8 % of replaying those trials, whose runs average
+/// about 105 units (DESIGN.md §16.2).
+const FAULT_FREE_CHECKPOINT: u64 = 1 << 10;
 
 /// Drive `engine` until the halt idiom or until `budget` is spent, each
 /// step taking its instruction as `fetch` says. Exactly
@@ -69,11 +83,16 @@ where
     O: OutputPort,
     F: FaultHook,
 {
+    let first = if F::ACTIVE {
+        FIRST_CHECKPOINT
+    } else {
+        FAULT_FREE_CHECKPOINT
+    };
     let mut checkpoint = spent(engine.core)
         .checked_add(1)
         .and_then(u64::checked_next_power_of_two)
         .unwrap_or(u64::MAX)
-        .max(FIRST_CHECKPOINT);
+        .max(first);
     loop {
         while runs(engine.core, checkpoint.min(budget)) {
             engine.step_latched(input, output, fetch)?;

@@ -6,6 +6,8 @@
 //! [`InputPort`] and [`OutputPort`] traits. Values are carried in `u8` and
 //! masked by the core to its datapath width.
 
+use std::borrow::Cow;
+
 /// A device driving the core's input bus.
 ///
 /// `read` is called once per architectural read of the IPORT address with
@@ -107,17 +109,35 @@ impl InputPort for ConstInput {
 /// After the sequence is exhausted the bus holds the final value (or 0 for
 /// an empty script). This models a peripheral that the program polls at its
 /// own pace — e.g. the Calculator kernel reading operands and an operation.
+///
+/// The script is owned ([`new`](Self::new)) or borrowed
+/// ([`borrowed`](Self::borrowed)); both are the one port type, so a run
+/// over a borrowed script copies nothing and compiles no second drain.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ScriptedInput {
-    values: Vec<u8>,
+pub struct ScriptedInput<'a> {
+    values: Cow<'a, [u8]>,
     next: usize,
 }
 
-impl ScriptedInput {
+impl ScriptedInput<'static> {
     /// Present `values` in order, one per IPORT read.
     #[must_use]
     pub fn new(values: Vec<u8>) -> Self {
-        ScriptedInput { values, next: 0 }
+        ScriptedInput {
+            values: Cow::Owned(values),
+            next: 0,
+        }
+    }
+}
+
+impl<'a> ScriptedInput<'a> {
+    /// Present the borrowed `values` in order, one per IPORT read.
+    #[must_use]
+    pub fn borrowed(values: &'a [u8]) -> Self {
+        ScriptedInput {
+            values: Cow::Borrowed(values),
+            next: 0,
+        }
     }
 
     /// Number of reads already served.
@@ -127,7 +147,7 @@ impl ScriptedInput {
     }
 }
 
-impl InputPort for ScriptedInput {
+impl InputPort for ScriptedInput<'_> {
     fn read(&mut self, _cycle: u64) -> u8 {
         let v = self
             .values
@@ -265,8 +285,19 @@ mod tests {
         p.read(0);
         assert_eq!(p.position(), Some(2), "exhausted script stays put");
         assert_eq!(ConstInput::new(3).position(), Some(0));
-        let by_ref: &mut ScriptedInput = &mut p;
+        let by_ref: &mut ScriptedInput<'_> = &mut p;
         assert_eq!(by_ref.position(), Some(2), "&mut forwards");
+    }
+
+    #[test]
+    fn a_borrowed_script_reads_as_an_owned_one() {
+        let script = [4, 5];
+        let mut borrowed = ScriptedInput::borrowed(&script);
+        let mut owned = ScriptedInput::new(script.to_vec());
+        for _ in 0..3 {
+            assert_eq!(borrowed.read(0), owned.read(0));
+            assert_eq!(borrowed.position(), owned.position());
+        }
     }
 
     #[test]

@@ -6,15 +6,20 @@
 //! than one 128-byte page rely on the off-chip [`Mmu`](crate::mmu::Mmu) to
 //! switch pages.
 
+use std::sync::Arc;
+
 use crate::mmu::PAGE_COUNT;
 
 /// Bytes per program page (the reach of the 7-bit program counter).
 pub const PAGE_BYTES: usize = 128;
 
 /// An immutable program image held in the external program memory.
+///
+/// The bytes are shared: a clone (every core built from one image, every
+/// clone of such a core) copies a reference, not the image.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Program {
-    bytes: Vec<u8>,
+    bytes: Arc<[u8]>,
 }
 
 impl Program {
@@ -38,7 +43,9 @@ impl Program {
             bytes.len(),
             PAGE_BYTES * PAGE_COUNT
         );
-        Program { bytes }
+        Program {
+            bytes: bytes.into(),
+        }
     }
 
     /// The byte at `address`, if within the image.
@@ -107,6 +114,14 @@ impl FromIterator<u8> for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clones_share_the_image() {
+        let p = Program::from_bytes(vec![1, 2, 3]);
+        let q = p.clone();
+        assert_eq!(p, q);
+        assert_eq!(p.as_bytes().as_ptr(), q.as_bytes().as_ptr());
+    }
 
     #[test]
     fn fetch_and_window() {

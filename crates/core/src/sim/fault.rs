@@ -469,7 +469,56 @@ impl FaultHook for NoFaults {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlane {
     faults: Vec<ArchFault>,
-    fired: Vec<bool>,
+    fired: Fired,
+}
+
+/// Which of a plane's faults have fired, one bit per fault: the first
+/// [`INLINE`](Self::INLINE) held inline, so a plane of up to that many
+/// faults allocates nothing beside its fault list.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct Fired {
+    low: u64,
+    high: Vec<bool>,
+}
+
+impl Fired {
+    const INLINE: usize = 64;
+
+    /// None of `len` faults fired.
+    fn new(len: usize) -> Self {
+        Fired {
+            low: 0,
+            high: vec![false; len.saturating_sub(Self::INLINE)],
+        }
+    }
+
+    /// Room for fault `index`, appended unfired.
+    fn push(&mut self, index: usize) {
+        if index >= Self::INLINE {
+            self.high.push(false);
+        }
+    }
+
+    #[inline]
+    fn get(&self, index: usize) -> bool {
+        match index.checked_sub(Self::INLINE) {
+            None => self.low >> index & 1 != 0,
+            Some(i) => self.high[i],
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, index: usize) {
+        match index.checked_sub(Self::INLINE) {
+            None => self.low |= 1 << index,
+            Some(i) => self.high[i] = true,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.low = 0;
+        self.high.fill(false);
+    }
 }
 
 impl FaultPlane {
@@ -482,14 +531,14 @@ impl FaultPlane {
     /// A plane carrying `faults`.
     #[must_use]
     pub fn with_faults(faults: Vec<ArchFault>) -> Self {
-        let fired = vec![false; faults.len()];
+        let fired = Fired::new(faults.len());
         FaultPlane { faults, fired }
     }
 
     /// Add one fault.
     pub fn add(&mut self, fault: ArchFault) {
+        self.fired.push(self.faults.len());
         self.faults.push(fault);
-        self.fired.push(false);
     }
 
     /// The faults carried.
@@ -506,15 +555,13 @@ impl FaultPlane {
 
     /// Re-arm transient flips (for re-running the same plane).
     pub fn reset(&mut self) {
-        for f in &mut self.fired {
-            *f = false;
-        }
+        self.fired.clear();
     }
 
     /// Apply every fault targeting `element` to `value` at `cycle`.
     #[inline]
     fn corrupt(&mut self, element: StateElement, cycle: u64, mut value: u8) -> u8 {
-        for (fault, fired) in self.faults.iter().zip(&mut self.fired) {
+        for (i, fault) in self.faults.iter().enumerate() {
             if fault.element != element {
                 continue;
             }
@@ -523,9 +570,9 @@ impl FaultPlane {
                 FaultKind::StuckAt0 => value &= !mask,
                 FaultKind::StuckAt1 => value |= mask,
                 FaultKind::FlipAtCycle(at) => {
-                    if cycle >= at && !*fired {
+                    if cycle >= at && !self.fired.get(i) {
                         value ^= mask;
-                        *fired = true;
+                        self.fired.set(i);
                     }
                 }
             }
@@ -545,15 +592,15 @@ impl FaultHook for FaultPlane {
     fn is_steady(&self) -> bool {
         self.faults
             .iter()
-            .zip(&self.fired)
-            .all(|(f, &fired)| fired || !matches!(f.kind, FaultKind::FlipAtCycle(_)))
+            .enumerate()
+            .all(|(i, f)| !matches!(f.kind, FaultKind::FlipAtCycle(_)) || self.fired.get(i))
     }
 
     fn quiet_until(&self) -> u64 {
         let mut until = u64::MAX;
-        for (fault, &fired) in self.faults.iter().zip(&self.fired) {
+        for (i, fault) in self.faults.iter().enumerate() {
             match fault.kind {
-                FaultKind::FlipAtCycle(at) if !fired => until = until.min(at),
+                FaultKind::FlipAtCycle(at) if !self.fired.get(i) => until = until.min(at),
                 FaultKind::FlipAtCycle(_) => {}
                 FaultKind::StuckAt0 | FaultKind::StuckAt1 => return 0,
             }
@@ -565,12 +612,12 @@ impl FaultHook for FaultPlane {
     /// unfired flip, or stuck-ats on two elements, keep the plane.
     fn compiled(&self) -> Option<StuckMask> {
         let mut compiled: Option<StuckMask> = None;
-        for (fault, &fired) in self.faults.iter().zip(&self.fired) {
+        for (i, fault) in self.faults.iter().enumerate() {
             let mask = 1u8 << fault.bit;
             let (keep, set) = match fault.kind {
                 FaultKind::StuckAt0 => (!mask, 0),
                 FaultKind::StuckAt1 => (!0, mask),
-                FaultKind::FlipAtCycle(_) if fired => continue,
+                FaultKind::FlipAtCycle(_) if self.fired.get(i) => continue,
                 FaultKind::FlipAtCycle(_) => return None,
             };
             let stuck = compiled.get_or_insert(StuckMask {
@@ -603,7 +650,7 @@ impl FaultHook for FaultPlane {
     }
 
     fn on_state(&mut self, cycle: u64, state: &mut ArchState<'_>) {
-        for (fault, fired) in self.faults.iter().zip(&mut self.fired) {
+        for (i, fault) in self.faults.iter().enumerate() {
             let mask = 1u8 << fault.bit;
             let (slot, width_mask) = match fault.element {
                 StateElement::Pc => (Some(&mut *state.pc), 0x7Fu8),
@@ -621,9 +668,9 @@ impl FaultHook for FaultPlane {
                 FaultKind::StuckAt0 => *slot &= !mask,
                 FaultKind::StuckAt1 => *slot |= mask & width_mask,
                 FaultKind::FlipAtCycle(at) => {
-                    if cycle >= at && !*fired {
+                    if cycle >= at && !self.fired.get(i) {
                         *slot ^= mask & width_mask;
-                        *fired = true;
+                        self.fired.set(i);
                     }
                 }
             }
@@ -751,6 +798,40 @@ mod tests {
         acc = 0x2;
         p.on_state(1, &mut state_of(&mut pc, &mut acc, &mut mem, &mut page));
         assert_eq!(acc, 0xA);
+    }
+
+    #[test]
+    fn flips_past_the_inline_fired_bits_fire_once_and_re_arm() {
+        // 70 flips of the output port's bit 0 at cycles 0..70: visit k
+        // fires flip k alone, so the value toggles once per visit
+        let mut p = FaultPlane::with_faults(
+            (0..70)
+                .map(|at| ArchFault {
+                    element: StateElement::OutputPort,
+                    bit: 0,
+                    kind: FaultKind::FlipAtCycle(at),
+                })
+                .collect(),
+        );
+        for round in 0..2 {
+            for cycle in 0..70 {
+                assert_eq!(p.on_output(cycle, 0), 1, "round {round}, cycle {cycle}");
+            }
+            assert!(p.is_steady(), "every flip fired");
+            assert_eq!(p.on_output(99, 0), 0, "none fires twice");
+            p.reset();
+            assert_eq!(p.quiet_until(), 0, "re-armed");
+        }
+        p.add(ArchFault {
+            element: StateElement::OutputPort,
+            bit: 1,
+            kind: FaultKind::FlipAtCycle(5),
+        });
+        assert_eq!(p.quiet_until(), 0);
+        for cycle in 0..70 {
+            p.on_output(cycle, 0);
+        }
+        assert!(p.is_steady(), "the appended flip fired too");
     }
 
     #[test]

@@ -31,9 +31,7 @@ use flexicore::isa::features::FeatureSet;
 use flexicore::program::Program;
 use flexicore::sim::xacc::XaccCore;
 use flexicore::sim::xls::XlsCore;
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+use flexshard::{fnv1a, FNV_OFFSET};
 
 /// The byte after the decoded one in the `xacc` decode table.
 const SECOND_BYTE: u8 = 0xA5;
@@ -45,13 +43,6 @@ const XACC_TARGETS: [u8; 3] = [0x00, 0x05, 0x85];
 
 /// Control-transfer targets stepped on `xls`, likewise.
 const XLS_TARGETS: [u8; 3] = [0x00, 0x05, 0x80];
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &byte in bytes {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// The architectural states every legal encoding is stepped from.
 struct Grid {
@@ -86,7 +77,7 @@ where
             }
             Err(e) => format!("{window:02x?} {e:?}\n"),
         };
-        fnv1a(&mut hash, line.as_bytes());
+        hash = line.bytes().fold(hash, |h, b| fnv1a(h, b.into()));
     }
     for bytes in &steps {
         for &acc in grid.accs {
@@ -106,7 +97,7 @@ where
                             core.snapshot(),
                             out.writes()
                         );
-                        fnv1a(&mut hash, line.as_bytes());
+                        hash = line.bytes().fold(hash, |h, b| fnv1a(h, b.into()));
                     }
                 }
             }

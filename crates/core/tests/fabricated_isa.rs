@@ -21,22 +21,13 @@ use flexicore::exec::Core;
 use flexicore::io::{ConstInput, RecordingOutput};
 use flexicore::program::Program;
 use flexicore::sim::fc4::{Fc4Core, Fc8Core};
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+use flexshard::{fnv1a, FNV_OFFSET};
 
 /// The byte after the decoded one in the decode table.
 const SECOND_BYTE: u8 = 0xA5;
 
 /// `LOAD BYTE` payloads stepped from every state.
 const PAYLOADS: [u8; 5] = [0x00, 0x01, 0x7F, 0x80, 0xFF];
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &byte in bytes {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// Everything the pin reads from one dialect.
 struct Grid {
@@ -67,7 +58,7 @@ where
             }
             Err(e) => format!("{first:#04x} {e:?}\n"),
         };
-        fnv1a(&mut hash, line.as_bytes());
+        hash = line.bytes().fold(hash, |h, b| fnv1a(h, b.into()));
     }
     for bytes in &legal {
         for &acc in grid.accs {
@@ -85,7 +76,7 @@ where
                         core.snapshot(),
                         out.writes()
                     );
-                    fnv1a(&mut hash, line.as_bytes());
+                    hash = line.bytes().fold(hash, |h, b| fnv1a(h, b.into()));
                 }
             }
         }

@@ -25,10 +25,12 @@
 //! the first two checkpoints (64 and 128 units), and fabricated-core
 //! loops whose period is longer than the first checkpoint's window, so
 //! only a re-anchor can catch them. The schedule itself is pinned by
-//! counting the steps a steady hook sees on two hangs.
+//! counting the steps a steady hook sees on two hangs, and, for the
+//! fault-free code's later first checkpoint, the periods a fault-free
+//! hang writes to the port.
 
 use flexicore::exec::{AnyCore, Snapshot};
-use flexicore::io::{RecordingOutput, ScriptedInput};
+use flexicore::io::{OutputPort, RecordingOutput, ScriptedInput};
 use flexicore::isa::acc::{self, Cond};
 use flexicore::isa::features::FeatureSet;
 use flexicore::isa::{xls, Dialect};
@@ -509,6 +511,88 @@ fn a_long_period_entered_late_is_caught_by_the_next_anchor() {
     let period = 70;
     let steps = steps_to_watchdog(&insns);
     assert!(steps <= 1 + 128 + 3 * period, "{steps} steps simulated");
+}
+
+/// Counts the output writes a run simulates, and the replays the jump
+/// asks for in their place.
+#[derive(Default)]
+struct WriteCounter {
+    writes: u64,
+    repeats: u64,
+}
+
+impl OutputPort for WriteCounter {
+    fn write(&mut self, _cycle: u64, _value: u8) {
+        self.writes += 1;
+    }
+
+    fn repeat(&mut self, _period: &[(u64, u8)], _shift: u64, _times: u64) {
+        self.repeats += 1;
+    }
+}
+
+/// A fault-free run anchors first at 1 024 units: a loop that writes
+/// the port once per period, entered after two cycles, is simulated
+/// until about that checkpoint and jumped from within a few periods of
+/// it, never from the 64-unit checkpoint of an active hook.
+#[test]
+fn a_fault_free_hang_is_caught_from_the_later_first_checkpoint() {
+    use acc::Instruction as I;
+    let program = Program::from_bytes(
+        [
+            I::AddImm { imm: 1 },
+            I::AddImm { imm: 1 },
+            I::Store { m: 1 },     // one output write per period
+            I::NandImm { imm: 0 }, // acc = -1, so the branch is taken
+            I::Br {
+                cond: Cond::N,
+                target: 2,
+            },
+        ]
+        .iter()
+        .flat_map(|i| i.encode(Dialect::Fc4))
+        .collect(),
+    );
+    let period = 3;
+    let core = || AnyCore::for_dialect(Dialect::Fc4, FeatureSet::BASE, program.clone());
+
+    let mut counter = WriteCounter::default();
+    core()
+        .run(
+            &mut ScriptedInput::new(Vec::new()),
+            &mut counter,
+            CYCLE_BUDGET,
+        )
+        .expect("the loop never faults");
+    assert_eq!(counter.repeats, 1, "one jump");
+    let periods = counter.writes;
+    assert!(
+        ((1024 - 2) / period..=(1 + 1024 + 3 * period) / period).contains(&periods),
+        "{periods} periods simulated"
+    );
+
+    let mut fast = core();
+    let mut fast_output = RecordingOutput::new();
+    let result = fast
+        .run(
+            &mut ScriptedInput::new(Vec::new()),
+            &mut fast_output,
+            CYCLE_BUDGET,
+        )
+        .expect("the loop never faults");
+    let mut plain = core();
+    let mut plain_output = RecordingOutput::new();
+    let mut input = ScriptedInput::new(Vec::new());
+    while !plain.is_halted() && plain.budget_spent() < CYCLE_BUDGET {
+        plain
+            .step(&mut input, &mut plain_output)
+            .expect("the loop never faults");
+    }
+    assert_eq!(result.stop, StopReason::CycleLimit);
+    assert_eq!(
+        (result, fast_output.writes(), fast.snapshot()),
+        (plain.run_result(), plain_output.writes(), plain.snapshot())
+    );
 }
 
 /// A two-instruction spin under an unbounded watchdog returns at once,

@@ -13,20 +13,11 @@
 
 use flexfab::tester::{fault_coverage, TestPlan};
 use flexfab::wafer_run::{CoreDesign, WaferExperiment};
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+use flexshard::{fnv1a, FNV_OFFSET};
 
 /// Random vectors per die: enough that defective dies accumulate
 /// distinct error counts, few enough for a debug-profile test.
 const VECTORS: u64 = 1_000;
-
-fn fnv1a(hash: &mut u64, word: u64) {
-    for byte in word.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// FNV-1a over every die's `(defect_errors, timing_errors)`, wafer by
 /// wafer (design, then voltage) in site order. Also returns how many
@@ -41,8 +32,12 @@ fn screen_digest() -> (u64, usize, usize) {
                 .run(voltage, VECTORS)
                 .expect("published netlists are valid");
             for outcome in &run.outcomes {
-                fnv1a(&mut hash, outcome.defect_errors);
-                fnv1a(&mut hash, outcome.timing_errors);
+                for word in [outcome.defect_errors, outcome.timing_errors] {
+                    hash = word
+                        .to_le_bytes()
+                        .into_iter()
+                        .fold(hash, |h, b| fnv1a(h, b.into()));
+                }
                 screened += 1;
                 passed += usize::from(outcome.functional());
             }

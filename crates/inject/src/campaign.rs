@@ -18,7 +18,7 @@
 use crate::sites;
 use flexasm::Target;
 use flexicore::sim::{ArchFault, FaultPlane};
-use flexkernels::harness::{PreparedKernel, RunError, CYCLE_BUDGET};
+use flexkernels::harness::{PreparedKernel, RunError, Verdict, CYCLE_BUDGET};
 use flexkernels::{inputs::Sampler, Kernel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,6 +70,19 @@ impl Outcome {
             Outcome::Sdc => "SDC",
             Outcome::Crash => "crash",
             Outcome::Hang => "hang",
+        }
+    }
+}
+
+impl From<Verdict> for Outcome {
+    /// The classification of a judged run, as [`classify`] maps the
+    /// harness result of the same run.
+    fn from(verdict: Verdict) -> Self {
+        match verdict {
+            Verdict::Verified(_) => Outcome::Masked,
+            Verdict::Mismatch => Outcome::Sdc,
+            Verdict::Faulted(_) => Outcome::Crash,
+            Verdict::DidNotHalt => Outcome::Hang,
         }
     }
 }
@@ -209,7 +222,7 @@ pub fn run_campaign_pruned(
     let outcomes = flexshard::map_indexed(executed.len(), config.threads, |j| {
         let (i, inputs) = &executed[j];
         let mut plane = FaultPlane::with_faults(vec![faults[*i]]);
-        classify(prepared.run_with(inputs, config.budget, &mut plane))
+        Outcome::from(prepared.verdict(inputs, config.budget, &mut plane))
     });
     let mut trials: Vec<Trial> = faults
         .into_iter()

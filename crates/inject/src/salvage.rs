@@ -13,14 +13,13 @@
 //! speed regardless of which program runs — so only defect-limited
 //! failures are screened.
 
-use crate::campaign::{classify, Outcome};
 use crate::sites;
 use flexasm::Target;
 use flexfab::tester::DieOutcome;
 use flexfab::variation::DieVariation;
 use flexfab::wafer_run::{CoreDesign, WaferRun};
 use flexicore::sim::{FaultPlane, NoFaults};
-use flexkernels::harness::{PreparedKernel, RunError, CYCLE_BUDGET};
+use flexkernels::harness::{PreparedKernel, RunError, Verdict, CYCLE_BUDGET};
 use flexkernels::{inputs::Sampler, Kernel};
 
 /// The assembly target whose simulator models a fabricated design.
@@ -122,7 +121,7 @@ impl SalvageAnalysis {
 }
 
 /// Screen one die's defect draw against every kernel: `true` when all
-/// runs are oracle-exact (outcome [`Outcome::Masked`]). `reports`, one
+/// runs are oracle-exact ([`Verdict::Verified`]). `reports`, one
 /// [`VulnReport`] per `prepared` entry in the same order, prunes the
 /// screen; `None` simulates every kernel.
 ///
@@ -154,19 +153,20 @@ pub fn die_is_salvageable_pruned(
         variation.defect_seed,
         variation.defect_count,
     );
-    let plane = FaultPlane::with_faults(faults.clone());
+    let mut plane = FaultPlane::with_faults(faults.clone());
     for (idx, kernel) in prepared.iter().enumerate() {
         if let Some(report) = reports.and_then(|r| r.get(idx)) {
             if faults.iter().all(|f| report.is_masked_fault(f)) {
                 continue;
             }
         }
-        // Each case runs under a freshly armed copy of the die's fault
-        // plane; the first case that is not masked condemns the die.
+        // Each case runs under the die's fault plane freshly re-armed;
+        // the first case that is not masked condemns the die.
         let mut sampler = Sampler::new(kernel.kernel(), config.seed);
         let fails = (0..config.cases_per_kernel).any(|_| {
-            let run = kernel.run_with(&sampler.draw(), config.budget, &mut plane.clone());
-            classify(run) != Outcome::Masked
+            plane.reset();
+            let verdict = kernel.verdict(&sampler.draw(), config.budget, &mut plane);
+            !matches!(verdict, Verdict::Verified(_))
         });
         if fails {
             return false;

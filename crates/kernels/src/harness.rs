@@ -1,6 +1,7 @@
 //! Kernel execution harness: assemble → simulate → verify against oracle.
 
-use crate::{oracle, sources, Kernel};
+use crate::oracle::{self, Stream};
+use crate::{sources, Kernel};
 use flexasm::{AsmError, Target};
 use flexicore::exec::AnyCore;
 use flexicore::io::{OutputPort, ScriptedInput};
@@ -144,6 +145,8 @@ impl PreparedKernel {
 
     /// Execute once with `inputs` scripted on the input port, a `budget`
     /// watchdog, and `faults` injected, verifying against the oracle.
+    /// Built on [`verdict`](Self::verdict)'s run, with the output stream
+    /// kept for the [`KernelRun`] or the [`RunError::OracleMismatch`].
     ///
     /// # Errors
     ///
@@ -154,16 +157,56 @@ impl PreparedKernel {
         budget: u64,
         faults: &mut F,
     ) -> Result<KernelRun, RunError> {
-        let mut input = ScriptedInput::new(inputs.to_vec());
-        let mut output = VerdictOutput::new();
-        let result = self
-            .core()
-            .run_with(&mut input, &mut output, budget, faults)?;
+        let expected = oracle::expected_stream(self.kernel, self.target.dialect, inputs);
+        let mut output = VerdictOutput {
+            record: true,
+            ..VerdictOutput::against(expected)
+        };
+        match self.judge(inputs, budget, faults, &mut output) {
+            Verdict::Verified(result) => Ok(self.kernel_run(output.into_values(), result)),
+            Verdict::Mismatch => Err(RunError::OracleMismatch {
+                expected: expected.to_vec(),
+                actual: output.into_values(),
+            }),
+            Verdict::DidNotHalt => Err(RunError::DidNotHalt),
+            Verdict::Faulted(e) => Err(RunError::Sim(e)),
+        }
+    }
+
+    /// Execute once, as [`run_with`](Self::run_with) does, and judge the
+    /// run against the oracle while it writes, keeping no recording: all
+    /// a fault campaign or a salvage screen reads. Borrows `inputs` and
+    /// allocates nothing beyond what the run's fault hook and hang
+    /// detector do.
+    #[must_use]
+    pub fn verdict<F: FaultHook>(&self, inputs: &[u8], budget: u64, faults: &mut F) -> Verdict {
+        let expected = oracle::expected_stream(self.kernel, self.target.dialect, inputs);
+        self.judge(
+            inputs,
+            budget,
+            faults,
+            &mut VerdictOutput::against(expected),
+        )
+    }
+
+    /// The one run behind [`run_with`](Self::run_with) and
+    /// [`verdict`](Self::verdict): a clone of the prepared core over the
+    /// borrowed script, judged by `output`.
+    fn judge<F: FaultHook>(
+        &self,
+        inputs: &[u8],
+        budget: u64,
+        faults: &mut F,
+        output: &mut VerdictOutput,
+    ) -> Verdict {
+        let run =
+            self.core()
+                .run_with(&mut ScriptedInput::borrowed(inputs), output, budget, faults);
         debug_assert!(
-            !(output.skipped_replay() && result.halted()),
+            !(output.skipped_replay() && run.as_ref().is_ok_and(RunResult::halted)),
             "a fast-forwarded run ends at its watchdog, unhalted"
         );
-        self.verify(inputs, output.into_values(), result)
+        output.verdict(run)
     }
 
     /// Run one case per [`BatchCase`], each exactly as
@@ -205,43 +248,98 @@ impl PreparedKernel {
                 actual: raw_outputs,
             });
         }
-        let outputs = oracle::payload(self.kernel, self.target.dialect, &raw_outputs);
-        Ok(KernelRun {
-            outputs,
+        Ok(self.kernel_run(raw_outputs, result))
+    }
+
+    /// Package an oracle-exact halted run.
+    fn kernel_run(&self, raw_outputs: Vec<u8>, result: RunResult) -> KernelRun {
+        KernelRun {
+            outputs: oracle::payload(self.kernel, self.target.dialect, &raw_outputs),
             raw_outputs,
             result,
             verified: true,
             static_instructions: self.static_instructions,
             code_bytes: self.code_bytes,
-        })
+        }
     }
 }
 
-/// The output port [`PreparedKernel::run_with`] records into: one byte
-/// per write and no cycle stamp, because a verdict reads only the
-/// values a halted run wrote.
+/// How one run ended, judged against the oracle
+/// ([`PreparedKernel::verdict`], [`VerdictOutput::verdict`]). The four
+/// endings [`PreparedKernel::verify`] tells apart, without the streams.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// Halted, having written exactly the oracle's stream.
+    Verified(RunResult),
+    /// Halted, having written a different stream.
+    Mismatch,
+    /// The watchdog expired before the halt idiom.
+    DidNotHalt,
+    /// The simulator faulted.
+    Faulted(SimError),
+}
+
+/// The output port every [`PreparedKernel`] run writes into. It
+/// compares each write with the oracle's stream at its position as it
+/// comes, so a verdict needs no recording; it records the values, with
+/// no cycle stamp, only when asked to ([`new`](Self::new), or
+/// [`PreparedKernel::run_with`] for its [`KernelRun`]).
 ///
-/// Its [`repeat`](OutputPort::repeat) records nothing. The engine calls
-/// `repeat` only to replay the periods a hang fast-forward skips
-/// (DESIGN.md §16.3), and such a run ends at its watchdog without
+/// Its [`repeat`](OutputPort::repeat) neither compares nor records. The
+/// engine calls `repeat` only to replay the periods a hang fast-forward
+/// skips (DESIGN.md §16.3), and such a run ends at its watchdog without
 /// halting, since every state in a repeating period is unhalted. A
-/// verdict rejects an unhalted run before it reads a value, so
-/// [`values`](Self::values) is the run's whole output stream whenever
-/// the run halted.
+/// verdict rejects an unhalted run before it reads the comparison, so
+/// [`verdict`](Self::verdict) judges, and [`values`](Self::values)
+/// holds, the run's whole output stream whenever the run halted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerdictOutput {
+    expected: Stream,
+    written: usize,
+    diverged: bool,
+    record: bool,
     values: Vec<u8>,
     skipped_replay: bool,
 }
 
 impl VerdictOutput {
-    /// An empty port.
+    /// A port that records every value, judged against an empty stream.
     #[must_use]
     pub fn new() -> Self {
-        VerdictOutput::default()
+        VerdictOutput {
+            record: true,
+            ..VerdictOutput::default()
+        }
     }
 
-    /// The values written, in order: the whole stream if the run halted.
+    /// A port that judges the run against `expected` and records
+    /// nothing.
+    #[must_use]
+    pub fn against(expected: Stream) -> Self {
+        VerdictOutput {
+            expected,
+            ..VerdictOutput::default()
+        }
+    }
+
+    /// Judge the run this port observed, given what the run returned: a
+    /// halted run whose writes were exactly the expected stream is
+    /// [`Verdict::Verified`], in the order [`PreparedKernel::verify`]
+    /// checks.
+    #[must_use]
+    pub fn verdict(&self, run: Result<RunResult, SimError>) -> Verdict {
+        match run {
+            Err(e) => Verdict::Faulted(e),
+            Ok(result) if !result.halted() => Verdict::DidNotHalt,
+            Ok(result) if !self.diverged && self.written == self.expected.len() => {
+                Verdict::Verified(result)
+            }
+            Ok(_) => Verdict::Mismatch,
+        }
+    }
+
+    /// The values written, in order, on a recording port: the whole
+    /// stream if the run halted. Empty on a port that only judges.
     #[must_use]
     pub fn values(&self) -> &[u8] {
         &self.values
@@ -263,7 +361,11 @@ impl VerdictOutput {
 
 impl OutputPort for VerdictOutput {
     fn write(&mut self, _cycle: u64, value: u8) {
-        self.values.push(value);
+        self.diverged |= self.expected.get(self.written) != Some(&value);
+        self.written += 1;
+        if self.record {
+            self.values.push(value);
+        }
     }
 
     fn repeat(&mut self, _period: &[(u64, u8)], _shift: u64, _times: u64) {
@@ -435,6 +537,63 @@ mod tests {
         assert!(port.skipped_replay());
         assert_eq!(port.values(), [0xA, 0xB]);
         assert_eq!(port.into_values(), vec![0xA, 0xB]);
+    }
+
+    #[test]
+    fn verdict_output_judges_the_whole_stream_without_recording() {
+        use flexicore::isa::Dialect;
+        use flexicore::sim::StopReason;
+        let halted = RunResult {
+            cycles: 9,
+            instructions: 9,
+            taken_branches: 1,
+            fetched_bytes: 9,
+            stop: StopReason::Halted,
+        };
+        // odd parity: the oracle's stream is the single value 1
+        let expected = oracle::expected_stream(Kernel::ParityCheck, Dialect::Fc4, &[0x1, 0x0]);
+        assert_eq!(*expected, [1]);
+        let judge = |writes: &[u8], run: Result<RunResult, SimError>| {
+            let mut port = VerdictOutput::against(expected);
+            for &value in writes {
+                port.write(0, value);
+            }
+            assert!(port.values().is_empty(), "a judging port records nothing");
+            port.verdict(run)
+        };
+        assert_eq!(judge(&[1], Ok(halted)), Verdict::Verified(halted));
+        assert_eq!(judge(&[], Ok(halted)), Verdict::Mismatch, "short stream");
+        assert_eq!(judge(&[1, 0], Ok(halted)), Verdict::Mismatch, "long stream");
+        assert_eq!(judge(&[0], Ok(halted)), Verdict::Mismatch);
+        let hung = RunResult {
+            stop: StopReason::CycleLimit,
+            ..halted
+        };
+        assert_eq!(judge(&[1], Ok(hung)), Verdict::DidNotHalt);
+        let fault = SimError::FetchOutOfBounds {
+            address: 9,
+            program_len: 4,
+        };
+        assert_eq!(judge(&[1], Err(fault.clone())), Verdict::Faulted(fault));
+    }
+
+    #[test]
+    fn verdict_judges_the_run_that_run_with_verifies() {
+        let prepared = PreparedKernel::new(Kernel::XorShift8, Target::fc4()).unwrap();
+        let mut s = Sampler::new(Kernel::XorShift8, 5);
+        for case in s.draw_many(8) {
+            let run = prepared
+                .run_with(&case, CYCLE_BUDGET, &mut NoFaults)
+                .unwrap();
+            assert_eq!(
+                prepared.verdict(&case, CYCLE_BUDGET, &mut NoFaults),
+                Verdict::Verified(run.result)
+            );
+            assert_eq!(
+                prepared.verdict(&case, 3, &mut NoFaults),
+                Verdict::DidNotHalt
+            );
+        }
     }
 
     #[test]

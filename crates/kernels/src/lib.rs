@@ -40,7 +40,7 @@ pub mod inputs;
 pub mod oracle;
 pub mod sources;
 
-pub use harness::{BatchCase, KernelRun, RunError};
+pub use harness::{BatchCase, KernelRun, RunError, Verdict};
 
 use flexasm::{AsmError, Assembler, Assembly, Target};
 

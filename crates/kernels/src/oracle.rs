@@ -34,6 +34,40 @@ fn escape(page: u8) -> [u8; 3] {
     [ESCAPE_1, ESCAPE_2, page]
 }
 
+/// The most values any kernel writes in one run: FIR's eight samples
+/// with their separators, and Calculator's multiply, which enters four
+/// pages before its two results.
+const MAX_STREAM: usize = 2 * STREAM_LEN;
+
+/// An expected output stream, held inline: computing one allocates
+/// nothing. Reads as the slice of its values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Stream {
+    values: [u8; MAX_STREAM],
+    len: usize,
+}
+
+impl Stream {
+    fn push(&mut self, value: u8) {
+        self.values[self.len] = value;
+        self.len += 1;
+    }
+
+    fn extend(&mut self, values: impl IntoIterator<Item = u8>) {
+        for value in values {
+            self.push(value);
+        }
+    }
+}
+
+impl core::ops::Deref for Stream {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.values[..self.len]
+    }
+}
+
 /// The expected output stream for `kernel` on `inputs`, when built for
 /// `dialect`.
 ///
@@ -46,6 +80,16 @@ fn escape(page: u8) -> [u8; 3] {
 /// obtain inputs from [`crate::inputs`], which sizes them correctly.
 #[must_use]
 pub fn expected_outputs(kernel: Kernel, dialect: Dialect, inputs: &[u8]) -> Vec<u8> {
+    expected_stream(kernel, dialect, inputs).to_vec()
+}
+
+/// [`expected_outputs`] held inline.
+///
+/// # Panics
+///
+/// As [`expected_outputs`].
+#[must_use]
+pub fn expected_stream(kernel: Kernel, dialect: Dialect, inputs: &[u8]) -> Stream {
     assert!(
         inputs.len() >= kernel.inputs_per_run(),
         "{kernel} needs {} inputs, got {}",
@@ -64,11 +108,11 @@ pub fn expected_outputs(kernel: Kernel, dialect: Dialect, inputs: &[u8]) -> Vec<
     }
 }
 
-fn calculator(inputs: &[u8], paged: bool) -> Vec<u8> {
+fn calculator(inputs: &[u8], paged: bool) -> Stream {
     let op = inputs[0] & 0xF;
     let a = inputs[1] & 0xF;
     let b = inputs[2] & 0xF;
-    let mut out = Vec::new();
+    let mut out = Stream::default();
     match op {
         0 => {
             let sum = u16::from(a) + u16::from(b);
@@ -101,9 +145,9 @@ fn calculator(inputs: &[u8], paged: bool) -> Vec<u8> {
     out
 }
 
-fn fir(inputs: &[u8]) -> Vec<u8> {
+fn fir(inputs: &[u8]) -> Stream {
     let mut delay = [0u8; 3]; // x[n-1], x[n-2], x[n-3]
-    let mut out = Vec::new();
+    let mut out = Stream::default();
     for &raw in &inputs[..STREAM_LEN] {
         let x = raw & 0xF;
         let y = x
@@ -117,9 +161,9 @@ fn fir(inputs: &[u8]) -> Vec<u8> {
     out
 }
 
-fn decision_tree(inputs: &[u8], paged: bool) -> Vec<u8> {
+fn decision_tree(inputs: &[u8], paged: bool) -> Stream {
     let features = [inputs[0] & 0x7, inputs[1] & 0x7, inputs[2] & 0x7];
-    let mut out = Vec::new();
+    let mut out = Stream::default();
     if paged {
         let root_right = features[DecisionTreeSpec::feature(1)] > DecisionTreeSpec::threshold(1);
         out.extend(escape(if root_right {
@@ -132,9 +176,9 @@ fn decision_tree(inputs: &[u8], paged: bool) -> Vec<u8> {
     out
 }
 
-fn intavg(inputs: &[u8]) -> Vec<u8> {
+fn intavg(inputs: &[u8]) -> Stream {
     let mut avg = 0u8;
-    let mut out = Vec::new();
+    let mut out = Stream::default();
     for &raw in &inputs[..STREAM_LEN] {
         let x = raw & 0x7;
         let diff = x.wrapping_sub(avg) & 0xF;
@@ -148,9 +192,9 @@ fn intavg(inputs: &[u8]) -> Vec<u8> {
 /// The thresholding kernel's sticky 8-bit threshold.
 pub const THRESHOLD: u8 = 0x5A;
 
-fn thresholding(inputs: &[u8]) -> Vec<u8> {
+fn thresholding(inputs: &[u8]) -> Stream {
     let mut flag = 0u8;
-    let mut out = Vec::new();
+    let mut out = Stream::default();
     for pair in inputs[..STREAM_LEN * 2].chunks(2) {
         let sample = (pair[1] & 0xF) << 4 | (pair[0] & 0xF);
         if sample > THRESHOLD {
@@ -161,15 +205,19 @@ fn thresholding(inputs: &[u8]) -> Vec<u8> {
     out
 }
 
-fn parity(inputs: &[u8]) -> Vec<u8> {
+fn parity(inputs: &[u8]) -> Stream {
     let word = (inputs[1] & 0xF) << 4 | (inputs[0] & 0xF);
-    vec![word.count_ones() as u8 & 1]
+    let mut out = Stream::default();
+    out.push(word.count_ones() as u8 & 1);
+    out
 }
 
-fn xorshift(inputs: &[u8]) -> Vec<u8> {
+fn xorshift(inputs: &[u8]) -> Stream {
     let x = (inputs[1] & 0xF) << 4 | (inputs[0] & 0xF);
     let next = xorshift_step(x);
-    vec![next & 0xF, 0, next >> 4, 0]
+    let mut out = Stream::default();
+    out.extend([next & 0xF, 0, next >> 4, 0]);
+    out
 }
 
 /// Extract the payload values (results only) from a raw output stream by
@@ -220,10 +268,10 @@ mod tests {
     #[test]
     fn calculator_add_carry() {
         assert_eq!(
-            calculator(&[0, 9, 9], true),
-            vec![2, 0, 1, 0] // 18 = 0x12
+            *calculator(&[0, 9, 9], true),
+            [2, 0, 1, 0] // 18 = 0x12
         );
-        assert_eq!(calculator(&[0, 3, 4], true), vec![7, 0, 0, 0]);
+        assert_eq!(*calculator(&[0, 3, 4], true), [7, 0, 0, 0]);
     }
 
     #[test]
@@ -232,20 +280,21 @@ mod tests {
         assert_eq!(&out[..3], &escape(CALC_SUB_PAGE));
         assert_eq!(&out[3..], &[0xE, 0, 1, 0]); // 3-5 = -2, borrow
         let unpaged = calculator(&[1, 3, 5], false);
-        assert_eq!(unpaged, vec![0xE, 0, 1, 0]);
+        assert_eq!(*unpaged, [0xE, 0, 1, 0]);
     }
 
     #[test]
     fn calculator_mul_walks_all_pages() {
         let out = calculator(&[2, 7, 6], true);
         assert_eq!(out.len(), 4 * 3 + 4);
+        assert_eq!(out.len(), MAX_STREAM, "the longest stream fits");
         assert_eq!(&out[12..], &[0xA, 0, 0x2, 0]); // 42 = 0x2A
     }
 
     #[test]
     fn calculator_div() {
         let out = calculator(&[3, 13, 4], false);
-        assert_eq!(out, vec![3, 0, 1, 0]);
+        assert_eq!(*out, [3, 0, 1, 0]);
     }
 
     #[test]
@@ -254,7 +303,7 @@ mod tests {
         let out = thresholding(&[
             0x1, 0x2, 0xB, 0x5, 0xA, 0x5, 0x0, 0x0, 0x1, 0x0, 0x2, 0x0, 0x3, 0x0, 0x4, 0x0,
         ]);
-        assert_eq!(out, vec![0, 1, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(*out, [0, 1, 1, 1, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -277,6 +326,7 @@ mod tests {
     fn fir_filters_a_step() {
         // unit step into {+1,-1,+1,-1} taps: 1, 0, 1, 0, 0, ...
         let out = fir(&[1, 1, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(out.len(), MAX_STREAM, "the longest stream fits");
         let ys: Vec<u8> = out.iter().step_by(2).copied().collect();
         assert_eq!(ys, vec![1, 0, 1, 0, 0, 0, 0, 0]);
     }
@@ -286,15 +336,15 @@ mod tests {
         // truncating alpha=1/4 smoothing of a constant 7 climbs 0,1,2,3,4
         // and stalls once the residual drops below 4
         let out = intavg(&[7, 7, 7, 7, 7, 7, 7, 7]);
-        assert_eq!(out, vec![1, 2, 3, 4, 4, 4, 4, 4]);
+        assert_eq!(*out, [1, 2, 3, 4, 4, 4, 4, 4]);
         assert!(out.iter().all(|&v| v <= 7), "{out:?}");
     }
 
     #[test]
     fn parity_counts_bits() {
-        assert_eq!(parity(&[0x3, 0x5]), vec![0]); // 0x53: 4 bits
-        assert_eq!(parity(&[0x1, 0x0]), vec![1]);
-        assert_eq!(parity(&[0xF, 0xF]), vec![0]);
+        assert_eq!(*parity(&[0x3, 0x5]), [0]); // 0x53: 4 bits
+        assert_eq!(*parity(&[0x1, 0x0]), [1]);
+        assert_eq!(*parity(&[0xF, 0xF]), [0]);
     }
 
     #[test]

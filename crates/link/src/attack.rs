@@ -26,7 +26,7 @@ use flexicore::exec::AnyCore;
 use flexicore::io::ScriptedInput;
 use flexicore::isa::Dialect;
 use flexicore::sim::PowerCut;
-use flexkernels::harness::{PreparedKernel, VerdictOutput, CYCLE_BUDGET};
+use flexkernels::harness::{PreparedKernel, Verdict, VerdictOutput, CYCLE_BUDGET};
 use flexkernels::{inputs::Sampler, oracle, Kernel, RunError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -430,20 +430,18 @@ fn run_trial(
     }
 }
 
-/// Execute the booted image against seeded inputs and the kernel
-/// oracle, recording the output as the kernel harness does: only a
-/// halted run's values are compared.
+/// Execute the booted image against seeded inputs and judge it against
+/// the kernel oracle as the kernel harness does: only a halted run's
+/// stream is compared.
 fn runs_oracle_exact(target: Target, kernel: Kernel, image: &[u8], seed: u64) -> bool {
     let inputs = Sampler::new(kernel, seed ^ 0xA5A5).draw();
-    let expected = oracle::expected_outputs(kernel, target.dialect, &inputs);
+    let expected = oracle::expected_stream(kernel, target.dialect, &inputs);
     let program = flexicore::program::Program::from_bytes(image.to_vec());
     let mut core = AnyCore::for_dialect(target.dialect, target.features, program);
     let mut input = ScriptedInput::new(inputs);
-    let mut output = VerdictOutput::new();
-    match core.run(&mut input, &mut output, CYCLE_BUDGET) {
-        Ok(result) => result.halted() && output.values() == expected,
-        Err(_) => false,
-    }
+    let mut output = VerdictOutput::against(expected);
+    let run = core.run(&mut input, &mut output, CYCLE_BUDGET);
+    matches!(output.verdict(run), Verdict::Verified(_))
 }
 
 #[cfg(test)]

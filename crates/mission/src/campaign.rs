@@ -37,7 +37,7 @@ use flexicore::exec::{AnyCore, LaneStatus};
 use flexicore::program::Program;
 use flexicore::sim::{ArchFault, FaultPlane, PowerCut};
 use flexinject::{BrownoutPlan, StressConfig, StressSchedule};
-use flexkernels::harness::PreparedKernel;
+use flexkernels::harness::{PreparedKernel, Verdict};
 use flexkernels::inputs::Sampler;
 use flexkernels::{oracle, Kernel, RunError};
 use flexlink::attack::DEVICE_KEY;
@@ -343,9 +343,10 @@ impl Platform<'_> {
         let passed = (0..vectors).all(|_| {
             let inputs = sampler.draw();
             let mut plane = FaultPlane::with_faults(self.die_faults[die].clone());
-            self.prepared
-                .run_with(&inputs, self.config.budget, &mut plane)
-                .is_ok()
+            let verdict = self
+                .prepared
+                .verdict(&inputs, self.config.budget, &mut plane);
+            matches!(verdict, Verdict::Verified(_))
         });
         if passed {
             self.health[die].rescreen_passed();

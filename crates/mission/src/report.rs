@@ -1,5 +1,7 @@
 //! Campaign tallies and the adaptive-vs-static lifetime comparison.
 
+use std::cmp::Ordering;
+
 use crate::campaign::{MissionCampaign, MissionOutcome};
 
 /// Aggregated counters over a whole campaign.
@@ -113,27 +115,33 @@ pub fn render_mission_comparison(adaptive: &MissionCampaign, baseline: &MissionC
         "  useful work    {} vs {}  ({})\n",
         a.useful_work,
         s.useful_work,
-        verdict(a.useful_work > s.useful_work)
+        verdict(a.useful_work.cmp(&s.useful_work))
     ));
     out.push_str(&format!(
         "  lost missions  {} vs {}  ({})\n",
         a.unrecoverable + a.bricked,
         s.unrecoverable + s.bricked,
-        verdict(a.unrecoverable + a.bricked < s.unrecoverable + s.bricked)
+        verdict((s.unrecoverable + s.bricked).cmp(&(a.unrecoverable + a.bricked)))
     ));
     out.push_str(&format!(
         "  forgeries      {} accepted  ({})\n",
         a.forged_accepted + s.forged_accepted,
-        verdict(a.forged_accepted + s.forged_accepted == 0)
+        verdict(if a.forged_accepted + s.forged_accepted == 0 {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        })
     ));
     out
 }
 
-fn verdict(won: bool) -> &'static str {
-    if won {
-        "adaptive wins"
-    } else {
-        "ADAPTIVE LOSES"
+/// The word for how the adaptive side compares with the static one,
+/// `Greater` being better: equal counts are a tie, not a loss.
+fn verdict(adaptive: Ordering) -> &'static str {
+    match adaptive {
+        Ordering::Greater => "adaptive wins",
+        Ordering::Equal => "tie",
+        Ordering::Less => "ADAPTIVE LOSES",
     }
 }
 
@@ -170,5 +178,20 @@ mod tests {
         assert!(text.contains("comparison"));
         assert!(text.contains("useful work"));
         assert!(text.contains("forgeries"));
+    }
+
+    #[test]
+    fn equal_counts_render_as_a_tie() {
+        let idle = |adaptive| {
+            run_mission_campaign(&MissionConfig {
+                adaptive,
+                ..MissionConfig::new(Target::fc4(), Kernel::ParityCheck, 3, 0, 7)
+            })
+            .unwrap()
+        };
+        let text = render_mission_comparison(&idle(true), &idle(false));
+        assert!(text.contains("useful work    0 vs 0  (tie)"), "{text}");
+        assert!(text.contains("lost missions  0 vs 0  (tie)"), "{text}");
+        assert!(!text.contains("LOSES"), "{text}");
     }
 }

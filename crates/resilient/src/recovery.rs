@@ -154,7 +154,7 @@ pub struct Lane {
     /// The simulated die.
     pub core: AnyCore,
     /// The lane's input cursor.
-    pub input: ScriptedInput,
+    pub input: ScriptedInput<'static>,
     /// Outputs written since the last checkpoint.
     pub output: RecordingOutput,
     /// The lane's faults; never rolled back (see the module docs).
@@ -210,7 +210,7 @@ impl Lane {
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     snap: Snapshot,
-    input: ScriptedInput,
+    input: ScriptedInput<'static>,
     committed: Vec<u8>,
 }
 

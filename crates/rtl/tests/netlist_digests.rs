@@ -16,18 +16,15 @@ use flexgate::netlist::Netlist;
 use flexicore::isa::features::{Feature, FeatureSet};
 use flexicore::uarch::Microarch;
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+use flexshard::{fnv1a, FNV_OFFSET};
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &byte in bytes {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
+/// Fold `bytes` into `hash`, one FNV-1a step per byte.
+fn bytes(hash: &mut u64, bytes: &[u8]) {
+    *hash = bytes.iter().fold(*hash, |h, &b| fnv1a(h, b.into()));
 }
 
 fn word(hash: &mut u64, value: u64) {
-    fnv1a(hash, &value.to_le_bytes());
+    bytes(hash, &value.to_le_bytes());
 }
 
 /// FNV-1a over every cell in netlist order, plus the cell count.
@@ -42,7 +39,7 @@ fn netlist_digest(netlist: &Netlist) -> (u64, usize) {
         word(&mut hash, cell.output.index() as u64);
         let module = &netlist.modules()[cell.module];
         word(&mut hash, module.len() as u64);
-        fnv1a(&mut hash, module.as_bytes());
+        bytes(&mut hash, module.as_bytes());
     }
     (hash, netlist.cells().len())
 }
