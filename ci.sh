@@ -171,6 +171,8 @@ echo "== hang fast-forward gate =="
 #   recovery_digests  resilient-executor trials of every quorum mode
 #   soak_digests      link-soak trials, frames and scrub counts
 #   paper_pins        the stdout of every paper table and figure bin
+#   asm_digests       every kernel's image, sizes and listing on every
+#                     target, and the assembler's error messages
 #   generated_programs_fast_forward_exactly  random programs fast-forward
 #   the mission SHA-256  the whole `flexi mission` report
 #   the wave SHA-256  the `flexi wave` VCD of the fc4 parity kernel, which
@@ -194,6 +196,7 @@ cargo test --release --offline -p flexcheck -q --test vuln_digests
 cargo test --release --offline -p flexresilient -q --test recovery_digests
 cargo test --release --offline -p flexlink -q --test soak_digests
 cargo test --release --offline -p flexbench -q --test paper_pins
+cargo test --release --offline -p flexasm -q --test asm_digests
 cargo test --release --offline -p flexcheck -q generated_programs_fast_forward_exactly
 mission_sha=$(./target/release/flexi mission --trials 24 --ticks 6 --seed 17 |
     sha256sum | cut -d ' ' -f 1)

@@ -1,10 +1,10 @@
 //! Layout, symbol resolution and encoding.
 
-use std::collections::BTreeMap;
+use core::fmt::Write;
 
 use crate::error::{AsmError, AsmErrorKind};
 use crate::expand::expand;
-use crate::ir::{Item, MachineInsn};
+use crate::ir::{Item, MachineInsn, Symbols};
 use crate::parser::parse;
 use crate::target::Target;
 use flexicore::isa::Dialect;
@@ -14,7 +14,7 @@ use flexicore::program::Program;
 /// instructions for load-store (whose PC indexes halfwords).
 const PAGE_UNITS: u32 = 128;
 /// Number of MMU pages.
-const MAX_PAGES: u32 = 16;
+const MAX_PAGES: usize = 16;
 
 /// One line of the human-readable listing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,14 +29,24 @@ pub struct ListingLine {
     pub source_line: usize,
 }
 
+/// One emitted machine instruction, its branch target resolved.
+#[derive(Debug, Clone, Copy)]
+struct Emitted {
+    /// Full unit address (page × 128 + offset).
+    address: u32,
+    insn: MachineInsn,
+    source_line: usize,
+}
+
 /// The result of a successful assembly.
+///
+/// It keeps the emitted instructions; the listing is built from them
+/// only when asked for.
 #[derive(Debug, Clone)]
 pub struct Assembly {
     target: Target,
     program: Program,
-    symbols: BTreeMap<String, u32>,
-    listing: Vec<ListingLine>,
-    static_instructions: usize,
+    emitted: Vec<Emitted>,
     code_bytes: usize,
 }
 
@@ -59,17 +69,11 @@ impl Assembly {
         self.target
     }
 
-    /// Label addresses in layout units (page × 128 + offset).
-    #[must_use]
-    pub fn symbols(&self) -> &BTreeMap<String, u32> {
-        &self.symbols
-    }
-
     /// Number of machine instructions emitted — the paper's "static
     /// instructions" metric (Table 6).
     #[must_use]
     pub fn static_instructions(&self) -> usize {
-        self.static_instructions
+        self.emitted.len()
     }
 
     /// Code size in bytes (Figures 9, 10 and 12 use this, as bits).
@@ -84,22 +88,53 @@ impl Assembly {
         self.code_bytes * 8
     }
 
-    /// The per-instruction listing.
-    #[must_use]
-    pub fn listing(&self) -> &[ListingLine] {
-        &self.listing
+    /// The encoded bytes of `e`, read back from the image.
+    fn bytes_of(&self, e: &Emitted) -> &[u8] {
+        let at = (e.address * unit_bytes(self.target.dialect)) as usize;
+        &self.program.as_bytes()[at..at + e.insn.byte_len()]
     }
 
-    /// Render the listing as text.
+    /// The per-instruction listing.
+    #[must_use]
+    pub fn listing(&self) -> Vec<ListingLine> {
+        self.emitted
+            .iter()
+            .map(|e| ListingLine {
+                address: e.address,
+                bytes: self.bytes_of(e).to_vec(),
+                text: e.insn.to_string(),
+                source_line: e.source_line,
+            })
+            .collect()
+    }
+
+    /// Render the listing as text: per instruction its address, its bytes
+    /// and its disassembly.
     #[must_use]
     pub fn listing_text(&self) -> String {
-        use core::fmt::Write;
-        let mut out = String::new();
-        for l in &self.listing {
-            let bytes: Vec<String> = l.bytes.iter().map(|b| format!("{b:02x}")).collect();
-            let _ = writeln!(out, "{:04x}  {:<6} {}", l.address, bytes.join(" "), l.text);
+        let mut out = String::with_capacity(self.emitted.len() * 24);
+        for e in &self.emitted {
+            let _ = write!(out, "{:04x} ", e.address);
+            let bytes = self.bytes_of(e);
+            for b in bytes {
+                let _ = write!(out, " {b:02x}");
+            }
+            // the bytes column is six wide: "xx" or "xx xx", padded
+            let width = bytes.len() * 3 - 1;
+            for _ in width..6 {
+                out.push(' ');
+            }
+            let _ = writeln!(out, " {}", e.insn);
         }
         out
+    }
+}
+
+/// Bytes per addressable unit: the load-store PC indexes halfwords.
+fn unit_bytes(dialect: Dialect) -> u32 {
+    match dialect {
+        Dialect::LoadStore => 2,
+        _ => 1,
     }
 }
 
@@ -129,16 +164,9 @@ impl Assembler {
     /// Any lexing, parsing, expansion, layout or range error, tagged with
     /// its source line.
     pub fn assemble(&self, source: &str) -> Result<Assembly, AsmError> {
-        let stmts = parse(source)?;
-        let items = expand(self.target, &stmts)?;
-        self.layout(&items)
-    }
-
-    fn unit_bytes(&self) -> u32 {
-        match self.target.dialect {
-            Dialect::LoadStore => 2,
-            _ => 1,
-        }
+        let mut parsed = parse(source)?;
+        let items = expand(self.target, &mut parsed)?;
+        self.layout(&items, &parsed.symbols)
     }
 
     fn insn_units(&self, insn: &MachineInsn) -> u32 {
@@ -148,35 +176,36 @@ impl Assembler {
         }
     }
 
-    fn layout(&self, items: &[Item]) -> Result<Assembly, AsmError> {
+    fn layout(&self, items: &[Item], symbols: &Symbols<'_>) -> Result<Assembly, AsmError> {
+        let unit_bytes = unit_bytes(self.target.dialect);
         // pass 1: addresses
-        let mut symbols: BTreeMap<String, u32> = BTreeMap::new();
+        let mut addresses: Vec<Option<u32>> = vec![None; symbols.len()];
         let mut page: u32 = 0;
         let mut offset: u32 = 0;
         let mut max_unit: u32 = 0;
-        let mut pages_seen = [false; MAX_PAGES as usize];
+        let mut pages_seen = [false; MAX_PAGES];
         pages_seen[0] = true;
 
-        let mut addressed: Vec<(u32, &Item)> = Vec::new();
+        let mut emitted: Vec<Emitted> = Vec::with_capacity(items.len());
         for item in items {
-            match item {
-                Item::Label { name, line } => {
-                    let addr = page * PAGE_UNITS + offset;
-                    if symbols.insert(name.clone(), addr).is_some() {
+            match *item {
+                Item::Label { id, line } => {
+                    let slot = &mut addresses[id.index()];
+                    if slot.is_some() {
                         return Err(AsmError::new(
-                            *line,
-                            AsmErrorKind::DuplicateLabel { name: name.clone() },
+                            line,
+                            AsmErrorKind::DuplicateLabel {
+                                name: symbols.name(id).to_string(),
+                            },
                         ));
                     }
+                    *slot = Some(page * PAGE_UNITS + offset);
                 }
                 Item::PageBreak { page: p, line } => {
-                    let p = u32::from(*p);
-                    if p >= MAX_PAGES {
-                        return Err(AsmError::new(*line, AsmErrorKind::TooManyPages));
-                    }
+                    let p = u32::from(p);
                     if pages_seen[p as usize] && !(p == 0 && offset == 0) {
                         return Err(AsmError::new(
-                            *line,
+                            line,
                             AsmErrorKind::Syntax {
                                 message: format!("page {p} used more than once"),
                             },
@@ -187,80 +216,73 @@ impl Assembler {
                     offset = 0;
                 }
                 Item::Insn { insn, line, .. } => {
-                    let units = self.insn_units(insn);
+                    let units = self.insn_units(&insn);
                     if offset + units > PAGE_UNITS {
                         return Err(AsmError::new(
-                            *line,
+                            line,
                             AsmErrorKind::PageOverflow {
                                 page: page as u8,
-                                bytes: ((offset + units) * self.unit_bytes()) as usize,
+                                bytes: ((offset + units) * unit_bytes) as usize,
                             },
                         ));
                     }
-                    let addr = page * PAGE_UNITS + offset;
-                    addressed.push((addr, item));
+                    let address = page * PAGE_UNITS + offset;
+                    emitted.push(Emitted {
+                        address,
+                        insn,
+                        source_line: line,
+                    });
                     offset += units;
-                    max_unit = max_unit.max(addr + units);
+                    max_unit = max_unit.max(address + units);
                 }
             }
         }
 
-        // pass 2: patch + encode
-        let unit_bytes = self.unit_bytes();
+        // pass 2: resolve targets and encode straight into the image
         let mut image = vec![0u8; (max_unit * unit_bytes) as usize];
-        let mut listing = Vec::with_capacity(addressed.len());
-        let mut static_instructions = 0usize;
+        let mut encoded = Vec::with_capacity(2);
         let mut code_bytes = 0usize;
-
-        for (addr, item) in addressed {
-            let Item::Insn {
-                insn,
-                label,
-                cross_page,
-                line,
-            } = item
-            else {
-                unreachable!("only instructions carry addresses");
-            };
-            let mut resolved = *insn;
-            if let Some(name) = label {
-                let target_addr = *symbols.get(name).ok_or_else(|| {
-                    AsmError::new(*line, AsmErrorKind::UndefinedLabel { name: name.clone() })
+        let branches = items.iter().filter_map(|item| match *item {
+            Item::Insn {
+                label, cross_page, ..
+            } => Some((label, cross_page)),
+            _ => None,
+        });
+        for (e, (label, cross_page)) in emitted.iter_mut().zip(branches) {
+            if let Some(id) = label {
+                let target_addr = addresses[id.index()].ok_or_else(|| {
+                    AsmError::new(
+                        e.source_line,
+                        AsmErrorKind::UndefinedLabel {
+                            name: symbols.name(id).to_string(),
+                        },
+                    )
                 })?;
-                let from_page = addr / PAGE_UNITS;
+                let from_page = e.address / PAGE_UNITS;
                 let to_page = target_addr / PAGE_UNITS;
                 if from_page != to_page && !cross_page {
                     return Err(AsmError::new(
-                        *line,
+                        e.source_line,
                         AsmErrorKind::CrossPageBranch {
-                            name: name.clone(),
+                            name: symbols.name(id).to_string(),
                             from_page: from_page as u8,
                             to_page: to_page as u8,
                         },
                     ));
                 }
-                resolved = resolved.with_target((target_addr % PAGE_UNITS) as u8);
+                e.insn = e.insn.with_target((target_addr % PAGE_UNITS) as u8);
             }
-            let mut bytes = Vec::with_capacity(2);
-            resolved.encode_into(&mut bytes);
-            let at = (addr * unit_bytes) as usize;
-            image[at..at + bytes.len()].copy_from_slice(&bytes);
-            static_instructions += 1;
-            code_bytes += bytes.len();
-            listing.push(ListingLine {
-                address: addr,
-                bytes,
-                text: resolved.to_string(),
-                source_line: *line,
-            });
+            encoded.clear();
+            e.insn.encode_into(&mut encoded);
+            let at = (e.address * unit_bytes) as usize;
+            image[at..at + encoded.len()].copy_from_slice(&encoded);
+            code_bytes += encoded.len();
         }
 
         Ok(Assembly {
             target: self.target,
             program: Program::from_bytes(image),
-            symbols,
-            listing,
-            static_instructions,
+            emitted,
             code_bytes,
         })
     }
@@ -271,7 +293,7 @@ mod tests {
     use super::*;
     use flexicore::exec::Core;
     use flexicore::io::{ConstInput, RecordingOutput, ScriptedInput};
-    use flexicore::isa::features::FeatureSet;
+    use flexicore::isa::features::{Feature, FeatureSet};
     use flexicore::sim::fc4::Fc4Core;
     use flexicore::sim::xacc::XaccCore;
     use flexicore::sim::xls::XlsCore;
@@ -344,6 +366,48 @@ mod tests {
             .assemble("x: nop\nx: nop\n")
             .unwrap_err();
         assert!(matches!(err.kind(), AsmErrorKind::DuplicateLabel { .. }));
+    }
+
+    #[test]
+    fn label_definitions_fold_case_like_references() {
+        // a definition matches a reference spelled in any case
+        let out = Assembler::new(Target::fc4())
+            .assemble("Loop: jmp Loop\n")
+            .unwrap();
+        assert_eq!(out.static_instructions(), 2);
+        let out = Assembler::new(Target::fc4())
+            .assemble("LOOP: nop\n  jmp loop\n")
+            .unwrap();
+        assert_eq!(out.static_instructions(), 3);
+        // and two definitions that differ only in case are one label
+        let err = Assembler::new(Target::fc4())
+            .assemble("loop: nop\nLOOP: nop\n")
+            .unwrap_err();
+        assert_eq!(err.to_string(), "line 2: duplicate label `loop`");
+    }
+
+    #[test]
+    fn generated_labels_cannot_collide_with_source_labels() {
+        // `halt` expands through a label of its own; a source label
+        // spelled like it is a different label
+        for target in [Target::fc4(), Target::xacc_revised(), Target::xls_revised()] {
+            let src = if target.dialect == Dialect::LoadStore {
+                "mov r2, r0\n@halt_1:\nhalt\njmp @halt_1\n"
+            } else {
+                "load r0\n@halt_1:\nhalt\njmp @halt_1\n"
+            };
+            let out = Assembler::new(target).assemble(src).unwrap();
+            assert!(out.static_instructions() >= 3, "{target:?}");
+        }
+        let src = "lsr1\n@shared_lsr1:\nlsr1\nhalt\n";
+        Assembler::new(Target::xacc(FeatureSet::only(Feature::Subroutines)))
+            .assemble(src)
+            .unwrap();
+        // nor can a source reach a generated label
+        let err = Assembler::new(Target::fc4())
+            .assemble("halt\njmp @halt_1\n")
+            .unwrap_err();
+        assert_eq!(err.to_string(), "line 2: undefined label `@halt_1`");
     }
 
     #[test]

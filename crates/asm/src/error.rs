@@ -73,8 +73,6 @@ pub enum AsmErrorKind {
         /// Bytes the page's code actually needs.
         bytes: usize,
     },
-    /// The program needs more than the sixteen MMU pages.
-    TooManyPages,
 }
 
 impl AsmError {
@@ -134,12 +132,6 @@ impl fmt::Display for AsmError {
             ),
             AsmErrorKind::PageOverflow { page, bytes } => {
                 write!(f, "page {page} needs {bytes} bytes but pages are 128 bytes")
-            }
-            AsmErrorKind::TooManyPages => {
-                write!(
-                    f,
-                    "program exceeds the sixteen pages reachable through the MMU"
-                )
             }
         }
     }

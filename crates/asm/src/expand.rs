@@ -43,8 +43,8 @@
 //! data words — scratch-using pseudos error there).
 
 use crate::error::{AsmError, AsmErrorKind};
-use crate::ir::{Item, MachineInsn};
-use crate::parser::{Operand, Stmt};
+use crate::ir::{Item, LabelId, MachineInsn, Symbols};
+use crate::parser::{Operand, Parsed, Stmt};
 use crate::target::Target;
 use flexicore::isa::acc::{Cond, Instruction as A};
 use flexicore::isa::features::Feature;
@@ -52,8 +52,9 @@ use flexicore::isa::{xls, Dialect};
 
 /// A branch destination as written in source: symbolic, or an absolute
 /// page-local PC (what disassembly listings contain).
+#[derive(Clone, Copy)]
 enum BranchTarget {
-    Label(String),
+    Label(LabelId),
     Abs(u8),
 }
 
@@ -68,26 +69,33 @@ pub const SCRATCH_A: u8 = 7;
 /// Second scratch register used by two-temporary expansions.
 pub const SCRATCH_B: u8 = 6;
 
-/// Expand parsed statements into layout-ready items for `target`.
+/// Expand parsed statements into layout-ready items for `target`. The
+/// labels expansion makes are added to `parsed.symbols`.
 ///
 /// # Errors
 ///
 /// Returns [`AsmError`] for unknown/unsupported mnemonics, bad operand
 /// shapes and out-of-range values.
-pub fn expand(target: Target, stmts: &[Stmt]) -> Result<Vec<Item>, AsmError> {
+pub fn expand(target: Target, parsed: &mut Parsed<'_>) -> Result<Vec<Item>, AsmError> {
+    let Parsed {
+        stmts,
+        operands,
+        symbols,
+    } = parsed;
     let mut ctx = Ctx {
         target,
-        items: Vec::new(),
-        fresh: 0,
+        // most statements are instructions, and most of those expand 1:1
+        items: Vec::with_capacity(stmts.len() * 2),
+        symbols,
         line: 0,
         shared_lsr1: None,
         shared_asr1: None,
     };
-    for stmt in stmts {
+    for stmt in stmts.iter() {
         ctx.line = stmt.line();
         match stmt {
-            Stmt::Label { name, line } => ctx.items.push(Item::Label {
-                name: name.clone(),
+            Stmt::Label { id, line } => ctx.items.push(Item::Label {
+                id: *id,
                 line: *line,
             }),
             Stmt::Page { page, line } => ctx.items.push(Item::PageBreak {
@@ -97,10 +105,10 @@ pub fn expand(target: Target, stmts: &[Stmt]) -> Result<Vec<Item>, AsmError> {
             Stmt::Insn {
                 mnemonic,
                 cond,
-                operands,
-                line,
+                operands: range,
+                ..
             } => {
-                ctx.line = *line;
+                let operands = &operands[range.clone()];
                 match target.dialect {
                     Dialect::LoadStore => ctx.expand_ls(mnemonic, cond.as_deref(), operands)?,
                     _ => ctx.expand_acc(mnemonic, cond.as_deref(), operands)?,
@@ -112,20 +120,20 @@ pub fn expand(target: Target, stmts: &[Stmt]) -> Result<Vec<Item>, AsmError> {
     Ok(ctx.items)
 }
 
-struct Ctx {
+struct Ctx<'s, 'a> {
     target: Target,
     items: Vec<Item>,
-    fresh: usize,
+    symbols: &'s mut Symbols<'a>,
     line: usize,
     /// Shared software right-shift routines to append at the end of the
     /// program: with the Subroutines extension (and no barrel shifter)
     /// the ~29-instruction shift sequence is emitted once and `call`ed —
     /// the §6.1 "efficient subroutine calls" payoff.
-    shared_lsr1: Option<String>,
-    shared_asr1: Option<String>,
+    shared_lsr1: Option<LabelId>,
+    shared_asr1: Option<LabelId>,
 }
 
-impl Ctx {
+impl Ctx<'_, '_> {
     fn err(&self, kind: AsmErrorKind) -> AsmError {
         AsmError::new(self.line, kind)
     }
@@ -162,10 +170,10 @@ impl Ctx {
         });
     }
 
-    fn emit_branch(&mut self, insn: MachineInsn, label: &str) {
+    fn emit_branch(&mut self, insn: MachineInsn, label: LabelId) {
         self.items.push(Item::Insn {
             insn,
-            label: Some(label.to_string()),
+            label: Some(label),
             cross_page: false,
             line: self.line,
         });
@@ -173,7 +181,7 @@ impl Ctx {
 
     fn emit_branch_to(&mut self, insn: MachineInsn, target: BranchTarget) {
         match target {
-            BranchTarget::Label(label) => self.emit_branch(insn, &label),
+            BranchTarget::Label(label) => self.emit_branch(insn, label),
             BranchTarget::Abs(pc) => self.emit(insn.with_target(pc)),
         }
     }
@@ -184,16 +192,15 @@ impl Ctx {
         }
     }
 
-    fn emit_label(&mut self, name: String) {
+    fn emit_label(&mut self, id: LabelId) {
         self.items.push(Item::Label {
-            name,
+            id,
             line: self.line,
         });
     }
 
-    fn fresh_label(&mut self, tag: &str) -> String {
-        self.fresh += 1;
-        format!("@{tag}_{}", self.fresh)
+    fn fresh_label(&mut self, tag: &'static str) -> LabelId {
+        self.symbols.fresh(tag)
     }
 
     fn feature(&self, f: Feature) -> bool {
@@ -231,9 +238,9 @@ impl Ctx {
         }
     }
 
-    fn one_label<'a>(&self, mnemonic: &str, operands: &'a [Operand]) -> Result<&'a str, AsmError> {
+    fn one_label(&self, mnemonic: &str, operands: &[Operand]) -> Result<LabelId, AsmError> {
         match operands {
-            [Operand::Label(l)] => Ok(l),
+            [Operand::Label(l)] => Ok(*l),
             _ => Err(self.syntax(format!("`{mnemonic}` takes one label operand"))),
         }
     }
@@ -251,7 +258,7 @@ impl Ctx {
             127
         };
         match operands {
-            [Operand::Label(l)] => Ok(BranchTarget::Label(l.clone())),
+            [Operand::Label(l)] => Ok(BranchTarget::Label(*l)),
             [Operand::Imm(v)] if (0..=max).contains(v) => Ok(BranchTarget::Abs(*v as u8)),
             [Operand::Imm(v)] => Err(self.err(AsmErrorKind::OutOfRange {
                 what: format!("`{mnemonic}` absolute target"),
@@ -340,7 +347,7 @@ impl Ctx {
     }
 
     /// Unconditional jump, clobbering the accumulator (and flags).
-    fn emit_jmp(&mut self, label: &str) {
+    fn emit_jmp(&mut self, label: LabelId) {
         if self.feature(Feature::BranchFlags) {
             self.emit_branch(
                 self.acc(A::Br {
@@ -382,8 +389,8 @@ impl Ctx {
         self.emit_ldi(0)?; // acc = 0
         self.emit_acc(A::Store { m: t1 }); // r = 0
         self.emit_acc(A::Load { m: t0 });
-        self.emit_branch(self.acc(BR_N), &b3set); // bit3 set?
-        self.emit_jmp(&b3done);
+        self.emit_branch(self.acc(BR_N), b3set); // bit3 set?
+        self.emit_jmp(b3done);
         self.emit_label(b3set);
         self.emit_acc(A::Load { m: t0 });
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", -8)?; // clear bit 3
@@ -395,7 +402,7 @@ impl Ctx {
         self.emit_label(b3done);
         self.emit_acc(A::Load { m: t0 });
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", -4)?;
-        self.emit_branch(self.acc(BR_N), &b2clr);
+        self.emit_branch(self.acc(BR_N), b2clr);
         self.emit_acc(A::Store { m: t0 });
         self.emit_acc(A::Load { m: t1 });
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", 2)?;
@@ -403,7 +410,7 @@ impl Ctx {
         self.emit_label(b2clr);
         self.emit_acc(A::Load { m: t0 });
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", -2)?;
-        self.emit_branch(self.acc(BR_N), &b1clr);
+        self.emit_branch(self.acc(BR_N), b1clr);
         self.emit_acc(A::Store { m: t0 });
         self.emit_acc(A::Load { m: t1 });
         self.emit_acc_alu_imm(AccOp::Add, "lsr1", 1)?;
@@ -444,7 +451,7 @@ impl Ctx {
             // register instead of inlining ~29 instructions per shift
             let label = self.shared_shift_label(arithmetic);
             for _ in 0..amount {
-                self.emit_branch(self.acc(A::Call { target: 0 }), &label);
+                self.emit_branch(self.acc(A::Call { target: 0 }), label);
             }
             return Ok(());
         }
@@ -456,32 +463,20 @@ impl Ctx {
 
     /// The label of the shared shift-by-one routine, creating the demand
     /// marker on first use.
-    fn shared_shift_label(&mut self, arithmetic: bool) -> String {
-        let slot = if arithmetic {
-            &mut self.shared_asr1
+    fn shared_shift_label(&mut self, arithmetic: bool) -> LabelId {
+        let (slot, tag) = if arithmetic {
+            (&mut self.shared_asr1, "shared_asr1")
         } else {
-            &mut self.shared_lsr1
+            (&mut self.shared_lsr1, "shared_lsr1")
         };
-        if let Some(label) = slot {
-            return label.clone();
-        }
-        let label = if arithmetic {
-            "@shared_asr1".to_string()
-        } else {
-            "@shared_lsr1".to_string()
-        };
-        *slot = Some(label.clone());
-        label
+        *slot.get_or_insert_with(|| self.symbols.once(tag))
     }
 
     /// Append the shared routines demanded during expansion (after the
     /// program body, which always ends in a halt spin, so fall-through
     /// cannot reach them).
     fn emit_shared_routines(&mut self) -> Result<(), AsmError> {
-        for (label, arithmetic) in [
-            (self.shared_lsr1.clone(), false),
-            (self.shared_asr1.clone(), true),
-        ] {
+        for (label, arithmetic) in [(self.shared_lsr1, false), (self.shared_asr1, true)] {
             if let Some(label) = label {
                 self.emit_label(label);
                 self.emit_rshift1_soft(arithmetic)?;
@@ -501,7 +496,7 @@ impl Ctx {
     /// cannot order nibbles whose difference overflows, so the expansion
     /// splits on bit 3 first: ~20 instructions of exactly the §3.3
     /// code bloat.
-    fn emit_brgtu(&mut self, x: u8, m: u8, label: &str) -> Result<(), AsmError> {
+    fn emit_brgtu(&mut self, x: u8, m: u8, label: LabelId) -> Result<(), AsmError> {
         if self.feature(Feature::AddWithCarry) {
             // carry = (m >= x); acc = carry; acc - 1 is negative iff x > m
             self.emit_acc(A::Load { m });
@@ -522,13 +517,13 @@ impl Ctx {
         let tail = self.fresh_label("ugt_tail");
         let le = self.fresh_label("ugt_le");
         self.emit_acc(A::Load { m: x });
-        self.emit_branch(self.acc(BR_N), &xhi);
+        self.emit_branch(self.acc(BR_N), xhi);
         self.emit_acc(A::Load { m });
-        self.emit_branch(self.acc(BR_N), &le); // x < 8 <= m
-        self.emit_jmp(&tail); // both low
+        self.emit_branch(self.acc(BR_N), le); // x < 8 <= m
+        self.emit_jmp(tail); // both low
         self.emit_label(xhi);
         self.emit_acc(A::Load { m });
-        self.emit_branch(self.acc(BR_N), &tail); // both high
+        self.emit_branch(self.acc(BR_N), tail); // both high
         self.emit_jmp(label); // x >= 8 > m
         self.emit_label(tail);
         // x - m - 1 via the one's complement identity ~m = -m - 1: the
@@ -538,7 +533,7 @@ impl Ctx {
         self.emit_acc(A::Store { m: SCRATCH_A });
         self.emit_acc(A::Load { m: x });
         self.emit_acc(A::Add { m: SCRATCH_A });
-        self.emit_branch(self.acc(BR_N), &le);
+        self.emit_branch(self.acc(BR_N), le);
         self.emit_jmp(label);
         self.emit_label(le);
         Ok(())
@@ -558,7 +553,7 @@ impl Ctx {
         xh: u8,
         kl: i64,
         kh: i64,
-        label: &str,
+        label: LabelId,
     ) -> Result<(), AsmError> {
         if self.feature(Feature::AddWithCarry) {
             // constants first: `ldi` contains an ADD and would clobber the
@@ -585,7 +580,7 @@ impl Ctx {
         self.emit_ldi(kh)?;
         self.emit_acc(A::Store { m: SCRATCH_B });
         self.emit_brgtu(SCRATCH_B, xh, label)?; // kh > xh: less
-        self.emit_brgtu(xh, SCRATCH_B, &ge)?; // xh > kh: not less
+        self.emit_brgtu(xh, SCRATCH_B, ge)?; // xh > kh: not less
         self.emit_ldi(kl)?;
         self.emit_acc(A::Store { m: SCRATCH_B });
         self.emit_brgtu(SCRATCH_B, xl, label)?; // tie: kl > xl decides
@@ -838,8 +833,8 @@ impl Ctx {
                 self.emit_ldi(v)?;
             }
             "jmp" => {
-                let label = self.one_label(mnemonic, operands)?.to_string();
-                self.emit_jmp(&label);
+                let label = self.one_label(mnemonic, operands)?;
+                self.emit_jmp(label);
             }
             "halt" => {
                 if !operands.is_empty() {
@@ -847,19 +842,19 @@ impl Ctx {
                 }
                 let here = self.fresh_label("halt");
                 if self.feature(Feature::BranchFlags) {
-                    self.emit_label(here.clone());
+                    self.emit_label(here);
                     self.emit_branch(
                         self.acc(A::Br {
                             cond: Cond::ALWAYS,
                             target: 0,
                         }),
-                        &here,
+                        here,
                     );
                 } else {
                     // ACC must be negative for the spin branch to take
                     self.emit_acc(A::NandImm { imm: 0 });
-                    self.emit_label(here.clone());
-                    self.emit_branch(self.acc(BR_N), &here);
+                    self.emit_label(here);
+                    self.emit_branch(self.acc(BR_N), here);
                 }
             }
             "nop" => {
@@ -870,7 +865,7 @@ impl Ctx {
             }
             "pjmp" => {
                 let (page, label) = match operands {
-                    [Operand::Imm(p), Operand::Label(l)] if (0..16).contains(p) => (*p, l.clone()),
+                    [Operand::Imm(p), Operand::Label(l)] if (0..16).contains(p) => (*p, *l),
                     [Operand::Imm(p), Operand::Label(_)] => {
                         return Err(self.err(AsmErrorKind::OutOfRange {
                             what: "`pjmp` page".into(),
@@ -900,13 +895,13 @@ impl Ctx {
                 if self.feature(Feature::BranchFlags) {
                     self.emit_acc_alu_imm(AccOp::Add, "pjmp", 0)?;
                 }
-                self.emit_jmp(&label);
+                self.emit_jmp(label);
                 self.mark_last_cross_page();
             }
             "brltu8" => {
                 let (xl, xh, kl, kh, label) = match operands {
                     [Operand::Reg(xl), Operand::Reg(xh), Operand::Imm(kl), Operand::Imm(kh), Operand::Label(l)] => {
-                        (*xl, *xh, *kl, *kh, l.clone())
+                        (*xl, *xh, *kl, *kh, *l)
                     }
                     _ => {
                         return Err(self.syntax(
@@ -920,18 +915,17 @@ impl Ctx {
                         self.syntax("`brltu8` operands must avoid the scratch registers r6/r7")
                     );
                 }
-                self.emit_brltu8(xl, xh, kl, kh, &label)?;
+                self.emit_brltu8(xl, xh, kl, kh, label)?;
             }
             "brgtu" => {
-                let (x, m, label) = match operands {
-                    [Operand::Reg(x), Operand::Reg(m), Operand::Label(l)] => (*x, *m, l.clone()),
-                    _ => {
-                        return Err(self.syntax(
+                let (x, m, label) =
+                    match operands {
+                        [Operand::Reg(x), Operand::Reg(m), Operand::Label(l)] => (*x, *m, *l),
+                        _ => return Err(self.syntax(
                             "`brgtu` takes two memory operands and a label: `brgtu r2, r3, big`",
-                        ))
-                    }
-                };
-                self.emit_brgtu(x, m, &label)?;
+                        )),
+                    };
+                self.emit_brgtu(x, m, label)?;
             }
             other => {
                 return Err(self.syntax(format!(
@@ -1076,14 +1070,14 @@ impl Ctx {
                 self.emit(MachineInsn::Xls(xls::Instruction::Ret));
             }
             "jmp" => {
-                let label = self.one_label(mnemonic, operands)?.to_string();
+                let label = self.one_label(mnemonic, operands)?;
                 if self.ls_feature(Feature::BranchFlags) {
                     self.emit_branch(
                         MachineInsn::Xls(xls::Instruction::Br {
                             cond: Cond::ALWAYS,
                             target: 0,
                         }),
-                        &label,
+                        label,
                     );
                 } else {
                     // set N via r7 = -1, then branch on negative
@@ -1097,7 +1091,7 @@ impl Ctx {
                             cond: Cond::N,
                             target: 0,
                         }),
-                        &label,
+                        label,
                     );
                 }
             }
@@ -1111,13 +1105,13 @@ impl Ctx {
                         rd: SCRATCH_A,
                         operand: xls::Operand::Imm(0),
                     }));
-                    self.emit_label(here.clone());
+                    self.emit_label(here);
                     self.emit_branch(
                         MachineInsn::Xls(xls::Instruction::Br {
                             cond: Cond::ALWAYS,
                             target: 0,
                         }),
-                        &here,
+                        here,
                     );
                 } else {
                     self.emit(MachineInsn::Xls(xls::Instruction::Alu {
@@ -1125,13 +1119,13 @@ impl Ctx {
                         rd: SCRATCH_A,
                         operand: xls::Operand::Imm(0xF),
                     }));
-                    self.emit_label(here.clone());
+                    self.emit_label(here);
                     self.emit_branch(
                         MachineInsn::Xls(xls::Instruction::Br {
                             cond: Cond::N,
                             target: 0,
                         }),
-                        &here,
+                        here,
                     );
                 }
             }
@@ -1212,7 +1206,7 @@ mod tests {
     use flexicore::isa::features::FeatureSet;
 
     fn expand_src(target: Target, src: &str) -> Result<Vec<Item>, AsmError> {
-        expand(target, &parse(src).unwrap())
+        expand(target, &mut parse(src).unwrap())
     }
 
     fn insn_count(items: &[Item]) -> usize {

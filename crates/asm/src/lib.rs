@@ -38,6 +38,8 @@
 //!
 //! * one statement per line; `;` starts a comment
 //! * `label:` defines a label at the current address
+//! * mnemonics, labels and directives are case-insensitive: `Loop:`
+//!   defines the label `jmp loop` jumps to
 //! * `.page n` starts a new 128-byte program page (requires the off-chip
 //!   MMU at run time)
 //! * immediates: decimal (possibly negative), `0x…` hex or `0b…` binary

@@ -659,7 +659,7 @@ pub fn check_masked_sites(
         // its order are fixed before any run, so the campaign replays
         // bit-for-bit whatever the worker topology
         let observed = flexshard::map_indexed(faults.len(), 1, |i| {
-            let mut plane = FaultPlane::with_faults(vec![faults[i]]);
+            let mut plane = FaultPlane::one(faults[i]);
             observe(target, program, inputs, budget, *perturb, &mut plane)
         });
         stats.trials += observed.len();

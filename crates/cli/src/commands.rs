@@ -361,9 +361,6 @@ fn assemble_kernel(kernel: Kernel, target: Target) -> Result<Result<Assembly, St
         (None, AsmErrorKind::PageOverflow { page, bytes }) => Ok(Err(format!(
             "does not fit: page {page} needs {bytes} bytes"
         ))),
-        (None, AsmErrorKind::TooManyPages) => {
-            Ok(Err("does not fit in the sixteen pages".to_string()))
-        }
         _ => Err(e.into()),
     }
 }

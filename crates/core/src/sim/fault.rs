@@ -468,9 +468,59 @@ impl FaultHook for NoFaults {
 /// property test).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlane {
-    faults: Vec<ArchFault>,
+    faults: Faults,
     fired: Fired,
 }
+
+/// A plane's fault list: a single fault is held inline, so a
+/// single-fault plane ([`FaultPlane::one`]) allocates nothing; two or
+/// more all live in `more`.
+#[derive(Debug, Clone, Default)]
+struct Faults {
+    one: Option<ArchFault>,
+    more: Vec<ArchFault>,
+}
+
+impl Faults {
+    fn new(faults: Vec<ArchFault>) -> Self {
+        match faults[..] {
+            [] => Faults::default(),
+            [one] => Faults {
+                one: Some(one),
+                more: Vec::new(),
+            },
+            _ => Faults {
+                one: None,
+                more: faults,
+            },
+        }
+    }
+
+    fn push(&mut self, fault: ArchFault) {
+        match self.one.take() {
+            Some(first) => self.more = vec![first, fault],
+            None if self.more.is_empty() => self.one = Some(fault),
+            None => self.more.push(fault),
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[ArchFault] {
+        if self.more.is_empty() {
+            self.one.as_slice()
+        } else {
+            &self.more
+        }
+    }
+}
+
+impl PartialEq for Faults {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Faults {}
 
 /// Which of a plane's faults have fired, one bit per fault: the first
 /// [`INLINE`](Self::INLINE) held inline, so a plane of up to that many
@@ -532,25 +582,42 @@ impl FaultPlane {
     #[must_use]
     pub fn with_faults(faults: Vec<ArchFault>) -> Self {
         let fired = Fired::new(faults.len());
-        FaultPlane { faults, fired }
+        FaultPlane {
+            faults: Faults::new(faults),
+            fired,
+        }
+    }
+
+    /// A plane carrying the one fault `fault`, with no allocation: the
+    /// plane of a single-fault campaign trial.
+    #[must_use]
+    pub fn one(fault: ArchFault) -> Self {
+        FaultPlane {
+            faults: Faults {
+                one: Some(fault),
+                more: Vec::new(),
+            },
+            fired: Fired::new(1),
+        }
     }
 
     /// Add one fault.
     pub fn add(&mut self, fault: ArchFault) {
-        self.fired.push(self.faults.len());
+        self.fired.push(self.faults().len());
         self.faults.push(fault);
     }
 
     /// The faults carried.
+    #[inline]
     #[must_use]
     pub fn faults(&self) -> &[ArchFault] {
-        &self.faults
+        self.faults.as_slice()
     }
 
     /// `true` if the plane carries no faults.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
+        self.faults().is_empty()
     }
 
     /// Re-arm transient flips (for re-running the same plane).
@@ -561,7 +628,7 @@ impl FaultPlane {
     /// Apply every fault targeting `element` to `value` at `cycle`.
     #[inline]
     fn corrupt(&mut self, element: StateElement, cycle: u64, mut value: u8) -> u8 {
-        for (i, fault) in self.faults.iter().enumerate() {
+        for (i, fault) in self.faults.as_slice().iter().enumerate() {
             if fault.element != element {
                 continue;
             }
@@ -584,13 +651,13 @@ impl FaultPlane {
 impl FaultHook for FaultPlane {
     #[inline]
     fn corrupts_fetch(&self) -> bool {
-        self.faults
+        self.faults()
             .iter()
             .any(|f| f.element == StateElement::FetchBus)
     }
 
     fn is_steady(&self) -> bool {
-        self.faults
+        self.faults()
             .iter()
             .enumerate()
             .all(|(i, f)| !matches!(f.kind, FaultKind::FlipAtCycle(_)) || self.fired.get(i))
@@ -598,7 +665,7 @@ impl FaultHook for FaultPlane {
 
     fn quiet_until(&self) -> u64 {
         let mut until = u64::MAX;
-        for (i, fault) in self.faults.iter().enumerate() {
+        for (i, fault) in self.faults.as_slice().iter().enumerate() {
             match fault.kind {
                 FaultKind::FlipAtCycle(at) if !self.fired.get(i) => until = until.min(at),
                 FaultKind::FlipAtCycle(_) => {}
@@ -612,7 +679,7 @@ impl FaultHook for FaultPlane {
     /// unfired flip, or stuck-ats on two elements, keep the plane.
     fn compiled(&self) -> Option<StuckMask> {
         let mut compiled: Option<StuckMask> = None;
-        for (i, fault) in self.faults.iter().enumerate() {
+        for (i, fault) in self.faults.as_slice().iter().enumerate() {
             let mask = 1u8 << fault.bit;
             let (keep, set) = match fault.kind {
                 FaultKind::StuckAt0 => (!mask, 0),
@@ -650,7 +717,7 @@ impl FaultHook for FaultPlane {
     }
 
     fn on_state(&mut self, cycle: u64, state: &mut ArchState<'_>) {
-        for (i, fault) in self.faults.iter().enumerate() {
+        for (i, fault) in self.faults.as_slice().iter().enumerate() {
             let mask = 1u8 << fault.bit;
             let (slot, width_mask) = match fault.element {
                 StateElement::Pc => (Some(&mut *state.pc), 0x7Fu8),
@@ -798,6 +865,36 @@ mod tests {
         acc = 0x2;
         p.on_state(1, &mut state_of(&mut pc, &mut acc, &mut mem, &mut page));
         assert_eq!(acc, 0xA);
+    }
+
+    #[test]
+    fn a_single_fault_is_held_inline_and_spills_on_the_second() {
+        let fault = |bit| ArchFault {
+            element: StateElement::Acc,
+            bit,
+            kind: FaultKind::FlipAtCycle(0),
+        };
+        let one = FaultPlane::one(fault(1));
+        assert_eq!(one, FaultPlane::with_faults(vec![fault(1)]));
+        assert_eq!(one.faults(), &[fault(1)]);
+        assert_eq!(one.faults.more.capacity(), 0);
+        let mut grown = FaultPlane::new();
+        grown.add(fault(1));
+        assert_eq!(grown, one);
+        grown.add(fault(2));
+        grown.add(fault(3));
+        assert_eq!(grown.faults(), &[fault(1), fault(2), fault(3)]);
+        assert_eq!(
+            grown,
+            FaultPlane::with_faults(vec![fault(1), fault(2), fault(3)])
+        );
+        assert_ne!(grown, one);
+        // each of them fires once
+        let (mut pc, mut acc, mut mem, mut page) = (0u8, 0u8, [0u8; 4], 0u8);
+        grown.on_state(0, &mut state_of(&mut pc, &mut acc, &mut mem, &mut page));
+        assert_eq!(acc, 0b1110);
+        grown.on_state(1, &mut state_of(&mut pc, &mut acc, &mut mem, &mut page));
+        assert_eq!(acc, 0b1110);
     }
 
     #[test]

@@ -221,7 +221,7 @@ pub fn run_campaign_pruned(
     }
     let outcomes = flexshard::map_indexed(executed.len(), config.threads, |j| {
         let (i, inputs) = &executed[j];
-        let mut plane = FaultPlane::with_faults(vec![faults[*i]]);
+        let mut plane = FaultPlane::one(faults[*i]);
         Outcome::from(prepared.verdict(inputs, config.budget, &mut plane))
     });
     let mut trials: Vec<Trial> = faults

@@ -256,7 +256,7 @@ fn run_trial(
     expected: &[u8],
 ) -> ResilientTrial {
     let mut planes = vec![FaultPlane::new(); vote.lanes];
-    planes[lane] = FaultPlane::with_faults(vec![fault]);
+    planes[lane] = FaultPlane::one(fault);
     let spares = vec![FaultPlane::new(); config.spares];
 
     let (outputs, completed, retries) = match config.mode {
