@@ -141,6 +141,9 @@ echo "== hang fast-forward gate =="
 #   predecode         each core's predecoded table equals its decode,
 #                     fault-free runs equal the raw step loop, and a
 #                     stuck fetch-bus bit runs like a stuck image
+#   step_commit       on every one- and two-byte window of every
+#                     dialect, a step commits the PC advance, cycles and
+#                     fetched bytes of the decoded length
 #   stuck_compile     one-element stuck-at planes, which drain on their
 #                     compiled mask, equal the plain step loop on every
 #                     element, as do two-element and fired-flip planes
@@ -178,6 +181,7 @@ echo "== hang fast-forward gate =="
 #   the wave SHA-256  the `flexi wave` VCD of the fc4 parity kernel, which
 #                     reads every port net after a post-clock settle
 cargo test --release --offline -p flexicore -q --test predecode
+cargo test --release --offline -p flexicore -q --test step_commit
 cargo test --release --offline -p flexicore -q --test stuck_compile
 cargo test --release --offline -p flexicore -q --test hang_forward
 cargo test --release --offline -p flexicore -q --test fabricated_isa

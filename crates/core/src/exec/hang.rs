@@ -39,7 +39,7 @@ use crate::io::{InputPort, OutputPort};
 use crate::sim::fault::FaultHook;
 use crate::sim::RunResult;
 
-use super::{Core, Engine, Fetch, Snapshot};
+use super::{step, Core, Fetch, Progress, Snapshot};
 
 /// The first checkpoint, in budget units, of a drain whose hook can
 /// still act. Runs that halt before it pay nothing for detection; runs
@@ -57,8 +57,8 @@ const FIRST_CHECKPOINT: u64 = 1 << 6;
 /// about 105 units (DESIGN.md §16.2).
 const FAULT_FREE_CHECKPOINT: u64 = 1 << 10;
 
-/// Drive `engine` until the halt idiom or until `budget` is spent, each
-/// step taking its instruction as `fetch` says. Exactly
+/// Drive `core` under `faults` until the halt idiom or until `budget`
+/// is spent, each step taking its instruction as `fetch` says. Exactly
 /// equivalent to `while !halted && spent < budget { step()? }`.
 ///
 /// Inlined into [`Core::resume_with`], with the step inlined into its
@@ -70,8 +70,9 @@ const FAULT_FREE_CHECKPOINT: u64 = 1 << 10;
 ///
 /// The first error a step returns.
 #[inline(always)]
-pub(crate) fn drain<C, I, O, F>(
-    engine: &mut Engine<'_, C, F>,
+pub(crate) fn drain<C, F, I, O>(
+    core: &mut C,
+    faults: &mut F,
     input: &mut I,
     output: &mut O,
     budget: u64,
@@ -79,37 +80,35 @@ pub(crate) fn drain<C, I, O, F>(
 ) -> Result<(), SimError>
 where
     C: Core,
+    F: FaultHook,
     I: InputPort,
     O: OutputPort,
-    F: FaultHook,
 {
     let first = if F::ACTIVE {
         FIRST_CHECKPOINT
     } else {
         FAULT_FREE_CHECKPOINT
     };
-    let mut checkpoint = spent(engine.core)
+    let mut checkpoint = spent(core)
         .checked_add(1)
         .and_then(u64::checked_next_power_of_two)
         .unwrap_or(u64::MAX)
         .max(first);
     loop {
-        while runs(engine.core, checkpoint.min(budget)) {
-            engine.step_latched(input, output, fetch)?;
-        }
-        if !runs(engine.core, budget) {
+        steps(core, faults, input, output, checkpoint.min(budget), fetch)?;
+        if !runs(core, budget) {
             return Ok(());
         }
         checkpoint = checkpoint.saturating_mul(2);
-        if let (true, Some(position)) = (engine.faults.is_steady(), input.position()) {
+        if let (true, Some(position)) = (faults.is_steady(), input.position()) {
             let anchor = Anchor {
-                snap: engine.core.snapshot(),
+                snap: core.snapshot(),
                 position,
-                spent: spent(engine.core),
+                spent: spent(core),
             };
             let bound = checkpoint.min(budget);
-            if let Some(steps) = search(engine, input, output, bound, &anchor, fetch)? {
-                forward(engine, input, output, budget, &anchor, steps, fetch)?;
+            if let Some(steps) = search(core, faults, input, output, bound, &anchor, fetch)? {
+                forward(core, faults, input, output, budget, &anchor, steps, fetch)?;
                 // after a jump only the plain tail is left
                 checkpoint = u64::MAX;
             }
@@ -117,13 +116,45 @@ where
     }
 }
 
+/// The plain loop: step until the halt idiom or until `bound` is spent.
+/// The PC and the run accounting live in a local for the whole loop and
+/// are written back to the core on every exit, errors included.
+#[inline(always)]
+fn steps<C, F, I, O>(
+    core: &mut C,
+    faults: &mut F,
+    input: &mut I,
+    output: &mut O,
+    bound: u64,
+    fetch: Fetch<'_, C::Insn>,
+) -> Result<(), SimError>
+where
+    C: Core,
+    F: FaultHook,
+    I: InputPort,
+    O: OutputPort,
+{
+    let mut at = core.state().at;
+    let mut ended = Ok(());
+    while !at.halted && C::budget_spent(&at) < bound {
+        if let Err(error) = step(core, faults, &mut at, input, output, fetch) {
+            ended = Err(error);
+            break;
+        }
+    }
+    core.state_mut().at = at;
+    ended
+}
+
 /// Step until `bound`, comparing each step's state with `anchor`:
 /// the number of steps to the first repeat, if one comes. Kept out of
 /// line, like [`forward`], so that the plain loop holds the only copy
-/// of the step each [`drain`] call inlines.
+/// of the step each [`drain`] call inlines. It keeps the PC and the
+/// accounting in a local as the plain loop does.
 #[inline(never)]
-fn search<C, I, O, F>(
-    engine: &mut Engine<'_, C, F>,
+fn search<C, F, I, O>(
+    core: &mut C,
+    faults: &mut F,
     input: &mut I,
     output: &mut O,
     bound: u64,
@@ -132,29 +163,36 @@ fn search<C, I, O, F>(
 ) -> Result<Option<u64>, SimError>
 where
     C: Core,
+    F: FaultHook,
     I: InputPort,
     O: OutputPort,
-    F: FaultHook,
 {
+    let mut at = core.state().at;
     let mut steps = 0u64;
-    while runs(engine.core, bound) {
-        engine.step_latched(input, output, fetch)?;
-        steps += 1;
-        if anchor.matches(engine.core, input) {
-            return Ok(Some(steps));
+    let found = loop {
+        if at.halted || C::budget_spent(&at) >= bound {
+            break Ok(None);
         }
-    }
-    Ok(None)
+        if let Err(error) = step(core, faults, &mut at, input, output, fetch) {
+            break Err(error);
+        }
+        steps += 1;
+        if anchor.matches(core, &at, input) {
+            break Ok(Some(steps));
+        }
+    };
+    core.state_mut().at = at;
+    found
 }
 
 /// Watchdog budget spent so far (cycles or instructions, per dialect).
 pub(super) fn spent<C: Core>(core: &C) -> u64 {
-    C::budget_spent(core.state())
+    C::budget_spent(&core.state().at)
 }
 
 /// The plain loop's condition.
 pub(super) fn runs<C: Core>(core: &C, bound: u64) -> bool {
-    !core.state().halted && spent(core) < bound
+    !core.state().at.halted && spent(core) < bound
 }
 
 /// The state a checkpoint anchored: core plus input position, and the
@@ -166,13 +204,13 @@ struct Anchor {
 }
 
 impl Anchor {
-    /// Whether the core and port are back in the anchored state. The PC
-    /// goes first: it is the one compare most steps fail.
-    fn matches<C: Core, I: InputPort>(&self, core: &C, input: &I) -> bool {
-        let state = core.state();
-        state.pc == self.snap.pc
-            && state.mmu == self.snap.mmu
-            && state.halted == self.snap.halted
+    /// Whether the core, whose PC and accounting are `at`, and the port
+    /// are back in the anchored state. The PC goes first: it is the one
+    /// compare most steps fail.
+    fn matches<C: Core, I: InputPort>(&self, core: &C, at: &Progress, input: &I) -> bool {
+        at.pc == self.snap.pc
+            && core.state().mmu == self.snap.mmu
+            && at.halted == self.snap.halted
             && core.same_regs(&self.snap)
             && input.position() == Some(self.position)
     }
@@ -194,10 +232,14 @@ impl<O: OutputPort> OutputPort for Tee<'_, O> {
 /// The core has just returned to `anchor` after `steps` steps: run one
 /// more period with the output tee'd, then skip as many whole periods
 /// as the budget holds. A budget with room for fewer than two more
-/// periods is left to the caller's plain loop.
+/// periods is left to the caller's plain loop. The period steps keep
+/// the PC and the accounting in a local, written back before the skip
+/// and on an error.
 #[inline(never)]
-fn forward<C, I, O, F>(
-    engine: &mut Engine<'_, C, F>,
+#[allow(clippy::too_many_arguments)]
+fn forward<C, F, I, O>(
+    core: &mut C,
+    faults: &mut F,
     input: &mut I,
     output: &mut O,
     budget: u64,
@@ -207,38 +249,42 @@ fn forward<C, I, O, F>(
 ) -> Result<(), SimError>
 where
     C: Core,
+    F: FaultHook,
     I: InputPort,
     O: OutputPort,
-    F: FaultHook,
 {
-    let period = spent(engine.core) - anchor.spent;
-    if budget.saturating_sub(spent(engine.core)) / period < 2 {
+    let period = spent(core) - anchor.spent;
+    if budget.saturating_sub(spent(core)) / period < 2 {
         return Ok(());
     }
-    let before = engine.core.state().run_result();
+    let before = core.state().run_result();
     let mut tee = Tee {
         inner: output,
         writes: Vec::new(),
     };
+    let mut at = core.state().at;
+    let mut ended = Ok(());
     for _ in 0..steps {
-        engine.step_latched(input, &mut tee, fetch)?;
+        if let Err(error) = step(core, faults, &mut at, input, &mut tee, fetch) {
+            ended = Err(error);
+            break;
+        }
     }
-    let core = &mut *engine.core;
-    debug_assert!(anchor.matches(core, input), "a period repeats exactly");
+    core.state_mut().at = at;
+    ended?;
+    debug_assert!(anchor.matches(core, &at, input), "a period repeats exactly");
     let after = core.state().run_result();
     let writes = tee.writes;
     let k = (budget - spent(core)) / period;
     let skipped =
         |counter: fn(&RunResult) -> u64| (counter(&after) - counter(&before)).saturating_mul(k);
-    let state = core.state_mut();
-    state.cycle = state.cycle.saturating_add(skipped(|r| r.cycles));
-    state.instructions = state
-        .instructions
-        .saturating_add(skipped(|r| r.instructions));
-    state.taken_branches = state
+    let at = &mut core.state_mut().at;
+    at.cycle = at.cycle.saturating_add(skipped(|r| r.cycles));
+    at.instructions = at.instructions.saturating_add(skipped(|r| r.instructions));
+    at.taken_branches = at
         .taken_branches
         .saturating_add(skipped(|r| r.taken_branches));
-    state.fetched_bytes = state
+    at.fetched_bytes = at
         .fetched_bytes
         .saturating_add(skipped(|r| r.fetched_bytes));
     output.repeat(&writes, after.cycles - before.cycles, k);

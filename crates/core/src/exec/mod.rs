@@ -28,7 +28,7 @@
 //! Every run drains through one loop, [`Core::resume_with`]. Batch work
 //! — fault campaigns, salvage, N-modular voting — is a map of
 //! independent runs over `AnyCore::run_with`, spread across threads by
-//! the campaign crates; there is no batched driver. Five things keep
+//! the campaign crates; there is no batched driver. Six things keep
 //! that one loop fast:
 //!
 //! * **Predecoded programs.** Each core decodes its program once, when
@@ -38,6 +38,13 @@
 //!   that bus delivers it, built once per mask and shared the same
 //!   way. A hook that corrupts the fetch bus otherwise, an address past
 //!   the image and an undecodable entry take the raw fetch and decode.
+//! * **A short loop-carried chain.** Each drain takes the core and the
+//!   hook as its own arguments and keeps the PC and the run accounting
+//!   ([`Progress`]) in a local from its first step to its last, writing
+//!   them back on every exit, errors included. Each execute arm reports
+//!   its instruction's length as a constant ([`Flow`]), so the next PC
+//!   waits on the arm the step took, not on a length loaded with the
+//!   instruction (DESIGN.md §16.8).
 //! * **Quiet stretches.** A hook whose only faults are pending
 //!   transient flips does nothing until the first of them can fire
 //!   ([`FaultHook::quiet_until`]), and nothing at all once every flip
@@ -47,9 +54,12 @@
 //! * **Compiled stuck-at planes.** A steady hook whose faults that can
 //!   still act are all stuck-ats on one element hands the loop a
 //!   loop-free [`StuckMask`] ([`FaultHook::compiled`]), and the rest of
-//!   the run drains on that: one `match` on the element per visit
-//!   instead of a walk of the fault list. A plane with stuck-ats on two
-//!   or more elements stays hooked.
+//!   the run drains on that instead of a walk of the fault list. A mask
+//!   on the PC, the accumulator or a data word drains on a hook fixed to
+//!   that element's class at compile time, whose state visit is one
+//!   masked store and whose port visits fold away; the other elements
+//!   keep one `match` on the element per visit. A plane with stuck-ats
+//!   on two or more elements stays hooked.
 //! * **The fetch latch.** `resume_with` asks the hook once whether it
 //!   [`corrupts_fetch`](FaultHook::corrupts_fetch). A hook answering
 //!   `false` promises an identity [`FaultHook::on_fetch`] without side
@@ -72,7 +82,7 @@ use crate::error::SimError;
 use crate::io::{InputPort, OutputPort};
 use crate::mmu::Mmu;
 use crate::program::Program;
-use crate::sim::fault::{ArchState, FaultHook, NoFaults, StuckMask};
+use crate::sim::fault::{class, ArchState, FaultHook, NoFaults, StateElement, StuckMask};
 use crate::sim::{RunResult, StopReason};
 use crate::trace::StepEvent;
 
@@ -85,10 +95,11 @@ pub use any::AnyCore;
 /// bits on all FlexiCores).
 pub const PC_MASK: u8 = 0x7F;
 
-/// One decode table: entry `a` holds what [`Core::decode`] returns for
-/// the fetch window at byte address `a`, or `None` where that decode
-/// fails.
-pub type Predecoded<I> = Arc<[Option<(I, u8)>]>;
+/// One decode table: entry `a` holds the instruction [`Core::decode`]
+/// returns for the fetch window at byte address `a`, or `None` where that
+/// decode fails. The length is not kept: the executed arm reports it
+/// ([`Flow`]).
+pub type Predecoded<I> = Arc<[Option<I>]>;
 
 /// A program decoded once, when its core is built (`predecode`), and
 /// shared by every clone of the core through one `Arc`: the table of
@@ -96,7 +107,7 @@ pub type Predecoded<I> = Arc<[Option<(I, u8)>]>;
 /// it, each built the first time a run needs it (`stuck_image`).
 #[derive(Debug)]
 pub struct Decoded<I> {
-    table: Box<[Option<(I, u8)>]>,
+    table: Box<[Option<I>]>,
     stuck: Mutex<Vec<StuckImage<I>>>,
 }
 
@@ -115,9 +126,12 @@ impl<I> Default for Decoded<I> {
 
 /// Decode `program` at every byte address, through `core`'s own
 /// [`Core::decode`].
-fn decode_image<C: Core, T: FromIterator<Option<(C::Insn, u8)>>>(core: &C, program: &Program) -> T {
+fn decode_image<C: Core, T: FromIterator<Option<C::Insn>>>(core: &C, program: &Program) -> T {
     (0..program.len() as u32)
-        .map(|address| core.decode(program.window(address), address).ok())
+        .map(|address| {
+            let decoded = core.decode(program.window(address), address);
+            decoded.ok().map(|(insn, _)| insn)
+        })
         .collect()
 }
 
@@ -153,8 +167,10 @@ fn stuck_image<C: Core>(core: &C, keep: u8, set: u8) -> Predecoded<C::Insn> {
     table
 }
 
-/// The rest of a run on a compiled plane's mask (DESIGN.md §16.7), a
-/// stuck fetch bus on the stuck image's table. Out of line, so that the
+/// The rest of a run on a compiled plane's mask (DESIGN.md §16.7): on
+/// a hook fixed to the element's class for the PC, the accumulator and a
+/// data word (§16.8), on the mask itself for the other elements, a stuck
+/// fetch bus on the stuck image's table. Out of line, so that the
 /// `resume_with` of every hook holds only its own drains.
 #[inline(never)]
 fn drain_compiled<C: Core, I: InputPort, O: OutputPort>(
@@ -165,15 +181,27 @@ fn drain_compiled<C: Core, I: InputPort, O: OutputPort>(
     mut stuck: StuckMask,
     clean: Fetch<'_, C::Insn>,
 ) -> Result<(), SimError> {
-    let image = stuck
-        .fetch_bus()
-        .map(|(keep, set)| stuck_image(core, keep, set));
-    let fetch = image.as_deref().map_or(clean, Fetch::Table);
-    let engine = &mut Engine {
-        core,
-        faults: &mut stuck,
-    };
-    hang::drain(engine, input, output, budget, fetch)
+    match stuck.element() {
+        StateElement::Pc => {
+            let hook = &mut stuck.on(class::Pc);
+            hang::drain(core, hook, input, output, budget, clean)
+        }
+        StateElement::Acc => {
+            let hook = &mut stuck.on(class::Acc);
+            hang::drain(core, hook, input, output, budget, clean)
+        }
+        StateElement::Mem(word) => {
+            let hook = &mut stuck.on(class::Mem(word));
+            hang::drain(core, hook, input, output, budget, clean)
+        }
+        _ => {
+            let image = stuck
+                .fetch_bus()
+                .map(|(keep, set)| stuck_image(core, keep, set));
+            let fetch = image.as_deref().map_or(clean, Fetch::Table);
+            hang::drain(core, &mut stuck, input, output, budget, fetch)
+        }
+    }
 }
 
 /// Where a step takes its instruction from.
@@ -182,19 +210,28 @@ pub(crate) enum Fetch<'t, I> {
     /// The decode of the bytes the fetch bus delivers: the core's own
     /// table while the bus is fault-free, a stuck image's table while a
     /// compiled hook holds it stuck.
-    Table(&'t [Option<(I, u8)>]),
+    Table(&'t [Option<I>]),
     /// No table: every step passes the raw bytes through
     /// [`FaultHook::on_fetch`] and decodes what comes back.
     Raw,
 }
 
 /// The dialect-independent execution state every [`Core`] embeds: the
-/// program image, the off-chip MMU, the program counter, and the run
-/// accounting the engine commits after each step.
+/// program image, the off-chip MMU, and the [`Progress`] the engine
+/// commits after each step.
 #[derive(Debug, Clone)]
 pub struct ExecState {
     pub(crate) program: Program,
     pub(crate) mmu: Mmu,
+    pub(crate) at: Progress,
+}
+
+/// The program counter and the run accounting: the state every step
+/// commits. The drains of [`Core::resume_with`] keep it in a local for
+/// the length of the drain and write it back to the core on every exit,
+/// errors included.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Progress {
     pub(crate) pc: u8,
     pub(crate) cycle: u64,
     pub(crate) instructions: u64,
@@ -210,49 +247,44 @@ impl ExecState {
         ExecState {
             program,
             mmu: Mmu::new(),
-            pc: 0,
-            cycle: 0,
-            instructions: 0,
-            taken_branches: 0,
-            fetched_bytes: 0,
-            halted: false,
+            at: Progress::default(),
         }
     }
 
     /// Current program counter (7 bits, in-page).
     #[must_use]
     pub fn pc(&self) -> u8 {
-        self.pc
+        self.at.pc
     }
 
     /// Elapsed clock cycles.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.cycle
+        self.at.cycle
     }
 
     /// Retired instruction count.
     #[must_use]
     pub fn instructions(&self) -> u64 {
-        self.instructions
+        self.at.instructions
     }
 
     /// Taken control transfers retired.
     #[must_use]
     pub fn taken_branches(&self) -> u64 {
-        self.taken_branches
+        self.at.taken_branches
     }
 
     /// Program-memory bytes fetched.
     #[must_use]
     pub fn fetched_bytes(&self) -> u64 {
-        self.fetched_bytes
+        self.at.fetched_bytes
     }
 
     /// Whether the halt idiom has been reached.
     #[must_use]
     pub fn is_halted(&self) -> bool {
-        self.halted
+        self.at.halted
     }
 
     /// The currently selected MMU page.
@@ -270,12 +302,13 @@ impl ExecState {
     /// Snapshot the accounting as a [`RunResult`].
     #[must_use]
     pub fn run_result(&self) -> RunResult {
+        let at = &self.at;
         RunResult {
-            cycles: self.cycle,
-            instructions: self.instructions,
-            taken_branches: self.taken_branches,
-            fetched_bytes: self.fetched_bytes,
-            stop: if self.halted {
+            cycles: at.cycle,
+            instructions: at.instructions,
+            taken_branches: at.taken_branches,
+            fetched_bytes: at.fetched_bytes,
+            stop: if at.halted {
                 StopReason::Halted
             } else {
                 StopReason::CycleLimit
@@ -365,14 +398,26 @@ impl Snapshot {
     }
 }
 
-/// What an executed instruction did to control flow. The engine owns
-/// the PC commit and the halt-idiom check; execute bodies only report.
+/// What an executed instruction did to control flow, and its encoded
+/// length in bytes. The engine owns the PC commit, the accounting and the
+/// halt-idiom check; execute bodies only report.
+///
+/// Each execute arm names its instruction's length as a constant, so the
+/// next PC waits on the arm the step took, not on a length loaded with
+/// the instruction (DESIGN.md §16.8). It must equal the length
+/// [`Core::decode`] returns for the instruction: `crates/core/tests/
+/// step_commit.rs` holds the two equal on every one- and two-byte window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {
     /// Fall through to the next instruction.
-    Sequential,
+    Sequential {
+        /// Encoded length of the executed instruction.
+        len: u8,
+    },
     /// A taken control transfer.
     Jump {
+        /// Encoded length of the executed instruction.
+        len: u8,
         /// In-page target address (masked to [`PC_MASK`] by the engine).
         target: u8,
     },
@@ -422,15 +467,20 @@ pub trait Core: Sized {
     /// [`Core::resume_with`] read their instructions here while the
     /// fetch bus is fault-free, instead of decoding.
     #[inline]
-    fn predecoded(&self) -> &[Option<(Self::Insn, u8)>] {
+    fn predecoded(&self) -> &[Option<Self::Insn>] {
         &self.decoded().table
     }
 
-    /// Execute one decoded instruction: dialect semantics only. State
-    /// commit (PC, counters, halt detection) belongs to the engine.
+    /// Execute one decoded instruction, fetched at in-page `pc` in the
+    /// step that starts at `cycle` (the stamp of its port visits):
+    /// dialect semantics only. State commit (PC, counters, halt
+    /// detection) belongs to the engine, which keeps both in locals while
+    /// it drains.
     fn execute<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         insn: Self::Insn,
+        pc: u8,
+        cycle: u64,
         input: &mut I,
         output: &mut O,
         faults: &mut F,
@@ -456,13 +506,14 @@ pub trait Core: Sized {
 
     /// The quantity the watchdog budget is measured in: elapsed cycles
     /// on FlexiCore4/8, retired instructions on the extended dialects.
-    fn budget_spent(state: &ExecState) -> u64 {
-        state.cycle
+    fn budget_spent(at: &Progress) -> u64 {
+        at.cycle
     }
 
     /// The dialect's architectural state view for
-    /// [`FaultHook::on_state`].
-    fn arch_state(&mut self) -> ArchState<'_>;
+    /// [`FaultHook::on_state`], around the program counter `pc` (the
+    /// core's own, or the local a drain holds it in).
+    fn arch_state<'a>(&'a mut self, pc: &'a mut u8) -> ArchState<'a>;
 
     /// The accumulator value reported in [`StepEvent::acc`] (0 for
     /// accumulator-less dialects).
@@ -491,14 +542,15 @@ pub trait Core: Sized {
     #[must_use]
     fn snapshot(&self) -> Snapshot {
         let state = self.state();
+        let at = state.at;
         let mut snap = Snapshot::empty();
         snap.mmu = state.mmu;
-        snap.pc = state.pc;
-        snap.cycle = state.cycle;
-        snap.instructions = state.instructions;
-        snap.taken_branches = state.taken_branches;
-        snap.fetched_bytes = state.fetched_bytes;
-        snap.halted = state.halted;
+        snap.pc = at.pc;
+        snap.cycle = at.cycle;
+        snap.instructions = at.instructions;
+        snap.taken_branches = at.taken_branches;
+        snap.fetched_bytes = at.fetched_bytes;
+        snap.halted = at.halted;
         self.save_arch(&mut snap);
         snap
     }
@@ -509,12 +561,14 @@ pub trait Core: Sized {
     fn restore(&mut self, snap: &Snapshot) {
         let state = self.state_mut();
         state.mmu = snap.mmu;
-        state.pc = snap.pc;
-        state.cycle = snap.cycle;
-        state.instructions = snap.instructions;
-        state.taken_branches = snap.taken_branches;
-        state.fetched_bytes = snap.fetched_bytes;
-        state.halted = snap.halted;
+        state.at = Progress {
+            pc: snap.pc,
+            cycle: snap.cycle,
+            instructions: snap.instructions,
+            taken_branches: snap.taken_branches,
+            fetched_bytes: snap.fetched_bytes,
+            halted: snap.halted,
+        };
         self.load_arch(snap);
     }
 
@@ -554,7 +608,10 @@ pub trait Core: Sized {
         output: &mut O,
         faults: &mut F,
     ) -> Result<StepEvent, SimError> {
-        Engine { core: self, faults }.step_latched(input, output, Fetch::Raw)
+        let mut at = self.state().at;
+        let event = step(self, faults, &mut at, input, output, Fetch::Raw);
+        self.state_mut().at = at;
+        event
     }
 
     /// Run until the halt idiom or until the watchdog `budget` expires
@@ -623,13 +680,7 @@ pub trait Core: Sized {
         let decoded = Arc::clone(self.decoded());
         let clean = Fetch::Table(&decoded.table);
         if !F::ACTIVE {
-            hang::drain(
-                &mut Engine { core: self, faults },
-                input,
-                output,
-                budget,
-                clean,
-            )?;
+            hang::drain(self, faults, input, output, budget, clean)?;
             return Ok(self.state().run_result());
         }
         let fetch = if faults.corrupts_fetch() {
@@ -649,7 +700,7 @@ pub trait Core: Sized {
         let mut armed = 1u64;
         while hang::runs(self, budget) {
             let spent = hang::spent(self);
-            let cycle = self.state().cycle;
+            let cycle = self.state().at.cycle;
             // the quiet bound is in cycles, the watchdog in budget units
             debug_assert_eq!(spent, cycle, "every dialect's watchdog counts cycles");
             let at = faults.quiet_until();
@@ -659,11 +710,7 @@ pub trait Core: Sized {
                 at.saturating_sub(reach)
             };
             if cycle < quiet {
-                let quiet_engine = &mut Engine {
-                    core: &mut *self,
-                    faults: &mut NoFaults,
-                };
-                hang::drain(quiet_engine, input, output, quiet.min(budget), clean)?;
+                hang::drain(self, &mut NoFaults, input, output, quiet.min(budget), clean)?;
                 armed = 1;
             } else if let Some(stuck) = faults.is_steady().then(|| faults.compiled()).flatten() {
                 drain_compiled(self, input, output, budget, stuck, clean)?;
@@ -673,11 +720,7 @@ pub trait Core: Sized {
                 } else {
                     spent.saturating_add(armed).min(budget)
                 };
-                let engine = &mut Engine {
-                    core: &mut *self,
-                    faults: &mut *faults,
-                };
-                hang::drain(engine, input, output, bound, fetch)?;
+                hang::drain(self, faults, input, output, bound, fetch)?;
                 armed = armed.saturating_mul(2);
             }
         }
@@ -691,136 +734,131 @@ pub trait Core: Sized {
     /// once first, so their runs match `run_with` exactly.
     fn power_on_faults<F: FaultHook>(&mut self, faults: &mut F) {
         if F::ACTIVE {
-            let cycle = self.state().cycle;
-            faults.on_state(cycle, &mut self.arch_state());
+            let mut at = self.state().at;
+            faults.on_state(at.cycle, &mut self.arch_state(&mut at.pc));
+            self.state_mut().at = at;
         }
     }
 }
 
-/// The one step/run loop shared by every dialect: fetch (with fault
-/// corruption), decode, execute, commit, watchdog. Each provided
-/// driving method of [`Core`] borrows the core and its fault hook into
-/// one for the length of the call.
-pub(crate) struct Engine<'a, C, F> {
-    core: &'a mut C,
-    faults: &'a mut F,
-}
+/// The one step shared by every dialect: fetch (with fault
+/// corruption), decode, execute, commit. The PC and the run accounting
+/// are `at`, which the caller holds in a local and writes back to the
+/// core: [`Core::step_with`] around its one step, the drains of
+/// [`Core::resume_with`] once per drain (`hang`). Nothing the step calls
+/// reads them from the core.
+///
+/// The instruction comes from `fetch`'s table when it has an entry for
+/// the address. A step that finds it there skips
+/// [`FaultHook::on_fetch`], which is exact for a hook that answered
+/// `false` to [`corrupts_fetch`](FaultHook::corrupts_fetch) (its
+/// `on_fetch` is the identity, free of side effects) and for a compiled
+/// mask on the stuck image's table.
+#[inline(always)]
+pub(crate) fn step<C, F, I, O>(
+    core: &mut C,
+    faults: &mut F,
+    at: &mut Progress,
+    input: &mut I,
+    output: &mut O,
+    fetch: Fetch<'_, C::Insn>,
+) -> Result<StepEvent, SimError>
+where
+    C: Core,
+    F: FaultHook,
+    I: InputPort,
+    O: OutputPort,
+{
+    let state = core.state_mut();
+    state.mmu.tick();
+    let page = state.mmu.page();
+    let page_pc = state.mmu.extend(at.pc);
+    let start_cycle = at.cycle;
+    let address = core.fetch_address(page_pc);
 
-impl<C: Core, F: FaultHook> Engine<'_, C, F> {
-    /// [`Core::step_with`] with the table chosen by the caller. A step
-    /// that finds its instruction in the table skips
-    /// [`FaultHook::on_fetch`], which is exact for a hook that answered
-    /// `false` to [`corrupts_fetch`](FaultHook::corrupts_fetch) (its
-    /// `on_fetch` is the identity, free of side effects) and for a
-    /// compiled mask on the stuck image's table.
-    #[inline(always)]
-    pub(crate) fn step_latched<I, O>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        fetch: Fetch<'_, C::Insn>,
-    ) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        let state = self.core.state_mut();
-        state.mmu.tick();
-        let page = state.mmu.page();
-        let page_pc = state.mmu.extend(state.pc);
-        let start_cycle = state.cycle;
-        let address = self.core.fetch_address(page_pc);
+    // Corrupt-page guard: a page whose first byte lies beyond the image
+    // can only come from a corrupted page register or pending-commit
+    // latch (software cannot branch to code that was never programmed),
+    // so it surfaces as its own recoverable fault rather than a generic
+    // out-of-bounds fetch. Page 0 is exempt — running off the end of an
+    // unpaged program keeps its historical `FetchOutOfBounds`
+    // classification.
+    if page != 0 {
+        let base = core.fetch_address(u32::from(page) << 7) as usize;
+        if base >= core.state().program.len() {
+            return Err(SimError::PageOutOfRange {
+                page,
+                program_len: core.state().program.len(),
+            });
+        }
+    }
 
-        // Corrupt-page guard: a page whose first byte lies beyond the
-        // image can only come from a corrupted page register or
-        // pending-commit latch (software cannot branch to code that was
-        // never programmed), so it surfaces as its own recoverable
-        // fault rather than a generic out-of-bounds fetch. Page 0 is
-        // exempt — running off the end of an unpaged program keeps its
-        // historical `FetchOutOfBounds` classification.
-        if page != 0 {
-            let base = self.core.fetch_address(u32::from(page) << 7) as usize;
-            if base >= self.core.state().program.len() {
-                return Err(SimError::PageOutOfRange {
-                    page,
-                    program_len: self.core.state().program.len(),
+    // A fault-free fetch bus delivers the image's bytes and a stuck one
+    // the stuck image's, so the chosen table's entry is the decode. An
+    // address past the image or an entry whose decode failed takes the
+    // raw path, which builds the error.
+    let table = match fetch {
+        Fetch::Table(table) => table,
+        Fetch::Raw => &[],
+    };
+    let insn = match table.get(address as usize).copied().flatten() {
+        Some(insn) => insn,
+        None => {
+            let window = core.state().program.window(address);
+            if window.is_empty() {
+                return Err(SimError::FetchOutOfBounds {
+                    address,
+                    program_len: core.state().program.len(),
                 });
             }
-        }
-
-        // A fault-free fetch bus delivers the image's bytes and a stuck
-        // one the stuck image's, so the chosen table's entry is the
-        // decode. An address past the image or an entry whose decode
-        // failed takes the raw path, which builds the error.
-        let table = match fetch {
-            Fetch::Table(table) => table,
-            Fetch::Raw => &[],
-        };
-        let predecoded = table.get(address as usize).copied().flatten();
-        let (insn, len) = match predecoded {
-            Some(entry) => entry,
-            None => {
-                let window = self.core.state().program.window(address);
-                if window.is_empty() {
-                    return Err(SimError::FetchOutOfBounds {
-                        address,
-                        program_len: self.core.state().program.len(),
-                    });
+            let mut fetch_buf = [0u8; 2];
+            // only errors come here from a table, so visiting an
+            // identity `on_fetch` costs nothing that matters
+            let window: &[u8] = if F::ACTIVE {
+                let n = window.len().min(C::FETCH_WINDOW);
+                for (i, b) in window[..n].iter().enumerate() {
+                    fetch_buf[i] = faults.on_fetch(start_cycle + i as u64, *b);
                 }
-                let mut fetch_buf = [0u8; 2];
-                // only errors come here from a table, so visiting an
-                // identity `on_fetch` costs nothing that matters
-                let window: &[u8] = if F::ACTIVE {
-                    let n = window.len().min(C::FETCH_WINDOW);
-                    for (i, b) in window[..n].iter().enumerate() {
-                        fetch_buf[i] = self.faults.on_fetch(start_cycle + i as u64, *b);
-                    }
-                    &fetch_buf[..n]
-                } else {
-                    window
-                };
-                self.core.decode(window, address)?
-            }
-        };
-
-        let flow = self.core.execute(insn, input, output, self.faults);
-
-        let state = self.core.state_mut();
-        let mut taken = false;
-        let mut next_pc = state.pc.wrapping_add(C::pc_increment(len)) & PC_MASK;
-        if let Flow::Jump { target } = flow {
-            taken = true;
-            let target = target & PC_MASK;
-            if target == state.pc {
-                state.halted = true;
-            }
-            next_pc = target;
+                &fetch_buf[..n]
+            } else {
+                window
+            };
+            core.decode(window, address)?.0
         }
-        state.pc = next_pc;
-        // saturating: a fast-forwarded unbounded watchdog can carry the
-        // counters to their ceiling
-        state.cycle = state.cycle.saturating_add(C::insn_cycles(len));
-        state.instructions = state.instructions.saturating_add(1);
-        state.fetched_bytes = state.fetched_bytes.saturating_add(u64::from(len));
-        if taken {
-            state.taken_branches = state.taken_branches.saturating_add(1);
-        }
-        if F::ACTIVE {
-            let cycle = self.core.state().cycle;
-            self.faults.on_state(cycle, &mut self.core.arch_state());
-        }
+    };
 
-        let state = self.core.state();
-        Ok(StepEvent {
-            cycle: start_cycle,
-            address,
-            next_pc: state.pc,
-            acc: self.core.event_acc(),
-            cycles: C::insn_cycles(len),
-            taken_branch: taken,
-            halted: state.halted,
-        })
+    let (len, jump) = match core.execute(insn, at.pc, start_cycle, input, output, faults) {
+        Flow::Sequential { len } => (len, None),
+        Flow::Jump { len, target } => (len, Some(target & PC_MASK)),
+    };
+    let cycles = C::insn_cycles(len);
+    let mut next_pc = at.pc.wrapping_add(C::pc_increment(len)) & PC_MASK;
+    if let Some(target) = jump {
+        if target == at.pc {
+            at.halted = true;
+        }
+        next_pc = target;
+        at.taken_branches = at.taken_branches.saturating_add(1);
     }
+    at.pc = next_pc;
+    // saturating: a fast-forwarded unbounded watchdog can carry the
+    // counters to their ceiling
+    at.cycle = at.cycle.saturating_add(cycles);
+    at.instructions = at.instructions.saturating_add(1);
+    at.fetched_bytes = at.fetched_bytes.saturating_add(u64::from(len));
+    if F::ACTIVE {
+        faults.on_state(at.cycle, &mut core.arch_state(&mut at.pc));
+    }
+
+    Ok(StepEvent {
+        cycle: start_cycle,
+        address,
+        next_pc: at.pc,
+        acc: core.event_acc(),
+        cycles,
+        taken_branch: jump.is_some(),
+        halted: at.halted,
+    })
 }
 
 #[cfg(test)]

@@ -49,12 +49,12 @@ use core::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::error::{DecodeError, SimError};
-use crate::exec::{predecode, Core, Decoded, ExecState, Flow, Snapshot, PC_MASK};
+use crate::exec::{predecode, Core, Decoded, ExecState, Flow, Progress, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::acc::{Cond, DialectInsn, Instruction};
 use crate::isa::features::FeatureSet;
 use crate::isa::xls::Op;
-use crate::isa::{sign_extend, Dialect};
+use crate::isa::{fc4, sign_extend, Dialect};
 use crate::program::Program;
 use crate::sim::fault::{ArchState, FaultHook};
 use crate::sim::{read_cell, write_cell};
@@ -104,6 +104,11 @@ impl<D: AccDialect> AccCore<D> {
     const WORDS: usize = D::DIALECT.mem_words() as usize;
     /// The carry flag and the link register exist.
     const EXTENDED: bool = !D::DIALECT.is_fabricated();
+    /// The encoding has FlexiCore8's two-byte `LOAD BYTE`.
+    const LOAD_BYTE: bool = fc4::has_load_byte(Self::WIDTH) && !Self::EXTENDED;
+    /// A branch's encoded length: one byte on the fabricated cores, two
+    /// on the extended accumulator (`isa::fc4::len`, `isa::xacc::len`).
+    const BR_LEN: u8 = if Self::EXTENDED { 2 } else { 1 };
 
     /// A core with `features` enabled and `program` loaded, reset to
     /// power-on state.
@@ -166,8 +171,14 @@ impl<D: AccDialect> AccCore<D> {
     }
 
     #[inline]
-    fn read<I: InputPort, F: FaultHook>(&self, addr: u8, input: &mut I, faults: &mut F) -> u8 {
-        read_cell(&self.exec, self.words(), addr, Self::MASK, input, faults)
+    fn read<I: InputPort, F: FaultHook>(
+        &self,
+        addr: u8,
+        cycle: u64,
+        input: &mut I,
+        faults: &mut F,
+    ) -> u8 {
+        read_cell(self.words(), addr, Self::MASK, cycle, input, faults)
     }
 
     /// `ACC = ACC op b` on the datapath; the carry is kept only where it
@@ -182,9 +193,15 @@ impl<D: AccDialect> AccCore<D> {
     }
 
     #[inline(always)]
-    fn store<O: OutputPort, F: FaultHook>(&mut self, m: u8, output: &mut O, faults: &mut F) {
-        let (cells, acc) = (&mut self.mem[..Self::WORDS], self.acc);
-        write_cell(&mut self.exec, cells, m, acc, Self::MASK, output, faults);
+    fn store<O: OutputPort, F: FaultHook>(
+        &mut self,
+        m: u8,
+        cycle: u64,
+        output: &mut O,
+        faults: &mut F,
+    ) {
+        let (cells, acc, mmu) = (&mut self.mem[..Self::WORDS], self.acc, &mut self.exec.mmu);
+        write_cell(cells, m, acc, Self::MASK, cycle, mmu, output, faults);
     }
 
     /// The §6 extensions. The fabricated encodings decode none of
@@ -194,40 +211,48 @@ impl<D: AccDialect> AccCore<D> {
     fn execute_extension<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         insn: Instruction,
+        pc: u8,
+        cycle: u64,
         input: &mut I,
         output: &mut O,
         faults: &mut F,
     ) -> Flow {
         use Instruction as I;
         if !Self::EXTENDED {
-            return Flow::Sequential;
+            return Flow::Sequential { len: 1 };
         }
         match insn {
-            I::Adc { m } => self.alu(Op::Adc, self.read(m, input, faults)),
-            I::Sub { m } => self.alu(Op::Sub, self.read(m, input, faults)),
-            I::Swb { m } => self.alu(Op::Swb, self.read(m, input, faults)),
-            I::Or { m } => self.alu(Op::Or, self.read(m, input, faults)),
-            I::MulL { m } => self.alu(Op::MulL, self.read(m, input, faults)),
-            I::MulH { m } => self.alu(Op::MulH, self.read(m, input, faults)),
+            I::Adc { m } => self.alu(Op::Adc, self.read(m, cycle, input, faults)),
+            I::Sub { m } => self.alu(Op::Sub, self.read(m, cycle, input, faults)),
+            I::Swb { m } => self.alu(Op::Swb, self.read(m, cycle, input, faults)),
+            I::Or { m } => self.alu(Op::Or, self.read(m, cycle, input, faults)),
+            I::MulL { m } => self.alu(Op::MulL, self.read(m, cycle, input, faults)),
+            I::MulH { m } => self.alu(Op::MulH, self.read(m, cycle, input, faults)),
             I::AdcImm { imm } => self.alu(Op::Adc, sext4(imm)),
             I::OrImm { imm } => self.alu(Op::Or, sext4(imm)),
             I::AsrImm { amount } => self.alu(Op::Asr, amount),
             I::LsrImm { amount } => self.alu(Op::Lsr, amount),
             I::Neg => self.alu(Op::Neg, 0),
             I::Xch { m } => {
-                let loaded = self.read(m, input, faults);
-                self.store(m, output, faults);
+                let loaded = self.read(m, cycle, input, faults);
+                self.store(m, cycle, output, faults);
                 self.acc = loaded;
             }
             I::Call { target } => {
-                self.ra = (self.exec.pc + 2) & PC_MASK;
-                return Flow::Jump { target };
+                self.ra = (pc + 2) & PC_MASK;
+                return Flow::Jump { len: 2, target };
             }
-            I::Ret => return Flow::Jump { target: self.ra },
-            // the base ISA, executed by `execute`
+            I::Ret => {
+                return Flow::Jump {
+                    len: 1,
+                    target: self.ra,
+                }
+            }
+            // the base ISA, executed by `execute`, and FlexiCore8's
+            // `LOAD BYTE`, which this encoding does not decode
             _ => {}
         }
-        Flow::Sequential
+        Flow::Sequential { len: 1 }
     }
 }
 
@@ -283,33 +308,46 @@ impl<D: AccDialect> Core for AccCore<D> {
     fn execute<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         insn: DialectInsn,
+        pc: u8,
+        cycle: u64,
         input: &mut I,
         output: &mut O,
         faults: &mut F,
     ) -> Flow {
         use Instruction as I;
-        // one match, each arm with its ALU operation constant, so every
-        // arm folds to its own datapath
+        // one match, each arm with its ALU operation and its encoded
+        // length constant, so every arm folds to its own datapath and
+        // the next PC waits on the arm, not on a loaded length: on
+        // FlexiCore4 every arm is one byte long
         match insn.insn {
-            I::Add { m } => self.alu(Op::Add, self.read(m, input, faults)),
-            I::Nand { m } => self.alu(Op::Nand, self.read(m, input, faults)),
-            I::Xor { m } => self.alu(Op::Xor, self.read(m, input, faults)),
-            I::Load { m } => self.alu(Op::Mov, self.read(m, input, faults)),
+            I::Add { m } => self.alu(Op::Add, self.read(m, cycle, input, faults)),
+            I::Nand { m } => self.alu(Op::Nand, self.read(m, cycle, input, faults)),
+            I::Xor { m } => self.alu(Op::Xor, self.read(m, cycle, input, faults)),
+            I::Load { m } => self.alu(Op::Mov, self.read(m, cycle, input, faults)),
             I::AddImm { imm } => self.alu(Op::Add, sext4(imm)),
             I::NandImm { imm } => self.alu(Op::Nand, sext4(imm)),
             I::XorImm { imm } => self.alu(Op::Xor, sext4(imm)),
-            I::LoadByte { imm } => self.acc = imm & Self::MASK,
-            I::Store { m } => self.store(m, output, faults),
+            // only FlexiCore8's encoding decodes it
+            I::LoadByte { imm } if Self::LOAD_BYTE => {
+                self.acc = imm & Self::MASK;
+                return Flow::Sequential { len: 2 };
+            }
+            I::Store { m } => self.store(m, cycle, output, faults),
             I::Br { cond, target } => {
                 // the fabricated encoding's one branch is `br.n`
                 let cond = if Self::EXTENDED { cond } else { Cond::N };
-                if cond.taken(self.acc, Self::WIDTH) {
-                    return Flow::Jump { target };
-                }
+                let len = Self::BR_LEN;
+                return if cond.taken(self.acc, Self::WIDTH) {
+                    Flow::Jump { len, target }
+                } else {
+                    Flow::Sequential { len }
+                };
             }
-            extension => return self.execute_extension(extension, input, output, faults),
+            extension => {
+                return self.execute_extension(extension, pc, cycle, input, output, faults)
+            }
         }
-        Flow::Sequential
+        Flow::Sequential { len: 1 }
     }
 
     #[inline]
@@ -322,18 +360,19 @@ impl<D: AccDialect> Core for AccCore<D> {
     }
 
     #[inline]
-    fn budget_spent(state: &ExecState) -> u64 {
+    fn budget_spent(at: &Progress) -> u64 {
         if Self::EXTENDED {
-            state.instructions
+            at.instructions
         } else {
-            state.cycle
+            at.cycle
         }
     }
 
-    fn arch_state(&mut self) -> ArchState<'_> {
+    #[inline]
+    fn arch_state<'a>(&'a mut self, pc: &'a mut u8) -> ArchState<'a> {
         let (page, pending_page) = self.exec.mmu.fault_view();
         ArchState {
-            pc: &mut self.exec.pc,
+            pc,
             acc: Some(&mut self.acc),
             mem: &mut self.mem[..Self::WORDS],
             page,

@@ -755,7 +755,8 @@ impl FaultHook for FaultPlane {
 /// Built by [`FaultPlane`]'s [`compiled`](FaultHook::compiled), which
 /// composes the plane's stuck-ats in list order: a stuck-at-0 on bit
 /// `b` clears `b` in both `keep` and `set`, a stuck-at-1 sets it in
-/// `set`.
+/// `set`. The engine drains a mask on the PC, the accumulator or a data
+/// word on a hook fixed to that element's class instead (`StuckOn`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StuckMask {
     element: StateElement,
@@ -764,11 +765,27 @@ pub struct StuckMask {
 }
 
 impl StuckMask {
+    /// The element the mask holds.
+    #[must_use]
+    pub(crate) fn element(&self) -> StateElement {
+        self.element
+    }
+
     /// The `(keep, set)` masks every fetched byte passes through, or
     /// `None` when the mask leaves the fetch bus alone.
     #[must_use]
     pub(crate) fn fetch_bus(&self) -> Option<(u8, u8)> {
         (self.element == StateElement::FetchBus).then_some((self.keep, self.set))
+    }
+
+    /// The mask as a hook fixed to `class`, which must be the class of
+    /// the mask's element.
+    pub(crate) fn on<S: StateClass>(self, class: S) -> StuckOn<S> {
+        StuckOn {
+            class,
+            keep: self.keep,
+            set: self.set,
+        }
     }
 
     #[inline]
@@ -778,6 +795,16 @@ impl StuckMask {
         } else {
             value
         }
+    }
+}
+
+/// Hold the state slot `slot` (with its width mask) at `(keep, set)`,
+/// `set` masked to the width; a `None` slot is an element this state
+/// does not have.
+#[inline(always)]
+fn stick(slot: Option<(&mut u8, u8)>, keep: u8, set: u8) {
+    if let Some((slot, width)) = slot {
+        *slot = (*slot & keep) | (set & width);
     }
 }
 
@@ -804,17 +831,99 @@ impl FaultHook for StuckMask {
 
     #[inline]
     fn on_state(&mut self, _cycle: u64, state: &mut ArchState<'_>) {
-        let (slot, width_mask) = match self.element {
-            StateElement::Pc => (Some(&mut *state.pc), PC_MASK),
-            StateElement::Acc => (state.acc.as_deref_mut(), state.data_mask),
-            StateElement::Mem(i) => (state.mem.get_mut(usize::from(i)), state.data_mask),
-            StateElement::PageReg => (Some(&mut *state.page), PAGE_MASK),
-            StateElement::PagePending => (state.pending_page.as_deref_mut(), PAGE_MASK),
-            StateElement::FetchBus | StateElement::InputPort | StateElement::OutputPort => return,
+        let slot = match self.element {
+            StateElement::Pc => class::Pc.slot(state),
+            StateElement::Acc => class::Acc.slot(state),
+            StateElement::Mem(i) => class::Mem(i).slot(state),
+            StateElement::PageReg => Some((&mut *state.page, PAGE_MASK)),
+            StateElement::PagePending => state
+                .pending_page
+                .as_deref_mut()
+                .map(|page| (page, PAGE_MASK)),
+            StateElement::FetchBus | StateElement::InputPort | StateElement::OutputPort => None,
         };
-        if let Some(slot) = slot {
-            *slot = (*slot & self.keep) | (self.set & width_mask);
+        stick(slot, self.keep, self.set);
+    }
+}
+
+/// A class of state element fixed at compile time: where its elements
+/// sit in an [`ArchState`], and their width.
+pub(crate) trait StateClass: Copy {
+    /// The element's slot in `state` and its width mask, or `None` where
+    /// the state has no such element (a data word past the dialect's
+    /// memory, the load-store dialect's accumulator).
+    fn slot<'s>(self, state: &'s mut ArchState<'_>) -> Option<(&'s mut u8, u8)>;
+}
+
+/// The state classes a [`StuckOn`] hook is specialised to: the ones a
+/// steady single-fault trial holds for most of its steps.
+pub(crate) mod class {
+    use super::{ArchState, StateClass, PC_MASK};
+
+    /// The program counter.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct Pc;
+
+    /// The accumulator.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct Acc;
+
+    /// The data word (or register) of this index.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct Mem(pub(crate) u8);
+
+    impl StateClass for Pc {
+        #[inline(always)]
+        fn slot<'s>(self, state: &'s mut ArchState<'_>) -> Option<(&'s mut u8, u8)> {
+            Some((&mut *state.pc, PC_MASK))
         }
+    }
+
+    impl StateClass for Acc {
+        #[inline(always)]
+        fn slot<'s>(self, state: &'s mut ArchState<'_>) -> Option<(&'s mut u8, u8)> {
+            let width = state.data_mask;
+            state.acc.as_deref_mut().map(|acc| (acc, width))
+        }
+    }
+
+    impl StateClass for Mem {
+        #[inline(always)]
+        fn slot<'s>(self, state: &'s mut ArchState<'_>) -> Option<(&'s mut u8, u8)> {
+            let width = state.data_mask;
+            let word = state.mem.get_mut(usize::from(self.0));
+            word.map(|word| (word, width))
+        }
+    }
+}
+
+/// A [`StuckMask`] on an element whose class `S` is fixed at compile
+/// time (DESIGN.md §16.8): a state visit is one masked store to the
+/// class's slot, and the port and fetch-bus visits are the identity, so
+/// they fold away. The engine drains a steady mask on the PC, the
+/// accumulator or a data word on one of these; the other elements keep
+/// the [`StuckMask`] itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StuckOn<S> {
+    class: S,
+    keep: u8,
+    set: u8,
+}
+
+impl<S: StateClass> FaultHook for StuckOn<S> {
+    #[inline]
+    fn corrupts_fetch(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn is_steady(&self) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn on_state(&mut self, _cycle: u64, state: &mut ArchState<'_>) {
+        stick(self.class.slot(state), self.keep, self.set);
     }
 }
 
@@ -1288,6 +1397,79 @@ mod tests {
                             visit(&mut |state| plane.on_state(0, state)),
                             "{what}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// One value's visits: the fetch bus, the input and the output port,
+    /// then the PC, accumulator, page register and pending latch and the
+    /// data words after the state visit.
+    type Visit = (u8, u8, u8, [u8; 4], Vec<u8>);
+
+    /// What each of `hook`'s four visits returns on `dialect`: the fetch
+    /// bus and the ports at every byte, and the state from as many
+    /// values, each data word holding its own value so that a visit of
+    /// the wrong word shows.
+    fn visits<H: FaultHook>(hook: &mut H, dialect: Dialect) -> Vec<Visit> {
+        let data_mask = ((1u16 << dialect.datapath_bits()) - 1) as u8;
+        let words = usize::from(dialect.mem_words());
+        (0..=255u8)
+            .map(|value| {
+                let (mut pc, mut acc) = (value & PC_MASK, value & data_mask);
+                let mut mem: Vec<u8> = (0..words)
+                    .map(|word| value.wrapping_add(5 * word as u8) & data_mask)
+                    .collect();
+                let (mut page, mut pending) = (value & PAGE_MASK, value >> 4);
+                hook.on_state(
+                    0,
+                    &mut ArchState {
+                        pc: &mut pc,
+                        acc: dialect.has_accumulator().then_some(&mut acc),
+                        mem: &mut mem,
+                        page: &mut page,
+                        pending_page: Some(&mut pending),
+                        data_mask,
+                    },
+                );
+                (
+                    hook.on_fetch(0, value),
+                    hook.on_input(0, value),
+                    hook.on_output(0, value),
+                    [pc, acc, page, pending],
+                    mem,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn class_hooks_visit_like_their_mask() {
+        let dialects = [
+            Dialect::Fc4,
+            Dialect::Fc8,
+            Dialect::ExtendedAcc,
+            Dialect::LoadStore,
+        ];
+        for dialect in dialects {
+            for element in StateElement::all(dialect) {
+                for bit in 0..element.bits(dialect) {
+                    for kind in [FaultKind::StuckAt0, FaultKind::StuckAt1] {
+                        let fault = ArchFault { element, bit, kind };
+                        let mut plane = FaultPlane::one(fault);
+                        let mut mask = plane.compiled().expect("one stuck-at compiles");
+                        let hooked = match element {
+                            StateElement::Pc => visits(&mut mask.on(class::Pc), dialect),
+                            StateElement::Acc => visits(&mut mask.on(class::Acc), dialect),
+                            StateElement::Mem(i) => visits(&mut mask.on(class::Mem(i)), dialect),
+                            _ => continue,
+                        };
+                        let what = format!("{dialect:?} {fault}");
+                        assert_eq!(hooked, visits(&mut mask, dialect), "{what}: the mask");
+                        // and the plane itself, whose state walk shares
+                        // no code with the classes
+                        assert_eq!(hooked, visits(&mut plane, dialect), "{what}: the plane");
                     }
                 }
             }

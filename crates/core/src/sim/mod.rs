@@ -39,28 +39,29 @@ pub use fault::{
     StuckMask, WriteEffect,
 };
 
-use crate::exec::ExecState;
 use crate::io::{InputPort, OutputPort};
 use crate::isa::{IPORT_CELL, OPORT_CELL};
+use crate::mmu::Mmu;
 
 /// Read cell `addr` of a core's port-mapped cell file `cells` — the
-/// data memory, or the load-store register file. [`IPORT_CELL`] is the
-/// input bus, sampled this cycle through the hook's input tap when the hook is
-/// active; any other address reads its word, masked to the file's
-/// (power-of-two) size. `data_mask` is the datapath width.
+/// data memory, or the load-store register file — in the step that
+/// starts at `cycle`. [`IPORT_CELL`] is the input bus, sampled this
+/// cycle through the hook's input tap when the hook is active; any other
+/// address reads its word, masked to the file's (power-of-two) size.
+/// `data_mask` is the datapath width.
 #[inline]
 pub(crate) fn read_cell<I: InputPort, F: FaultHook>(
-    exec: &ExecState,
     cells: &[u8],
     addr: u8,
     data_mask: u8,
+    cycle: u64,
     input: &mut I,
     faults: &mut F,
 ) -> u8 {
     if addr == IPORT_CELL {
-        let v = input.read(exec.cycle) & data_mask;
+        let v = input.read(cycle) & data_mask;
         if F::ACTIVE {
-            faults.on_input(exec.cycle, v) & data_mask
+            faults.on_input(cycle, v) & data_mask
         } else {
             v
         }
@@ -69,18 +70,20 @@ pub(crate) fn read_cell<I: InputPort, F: FaultHook>(
     }
 }
 
-/// Write `value` to cell `addr` of `cells`, [`read_cell`]'s file. Writes
-/// to [`IPORT_CELL`] are dropped; [`OPORT_CELL`] also drives the output
-/// bus, through the
-/// hook's output tap when the hook is active, and the off-chip MMU
-/// snoops the driven value.
+/// Write `value` to cell `addr` of `cells`, [`read_cell`]'s file, in the
+/// step that starts at `cycle`. Writes to [`IPORT_CELL`] are dropped;
+/// [`OPORT_CELL`] also drives the output bus, through the hook's output
+/// tap when the hook is active, and the off-chip `mmu` snoops the driven
+/// value.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn write_cell<O: OutputPort, F: FaultHook>(
-    exec: &mut ExecState,
     cells: &mut [u8],
     addr: u8,
     value: u8,
     data_mask: u8,
+    cycle: u64,
+    mmu: &mut Mmu,
     output: &mut O,
     faults: &mut F,
 ) {
@@ -89,12 +92,12 @@ pub(crate) fn write_cell<O: OutputPort, F: FaultHook>(
     }
     if addr == OPORT_CELL {
         let driven = if F::ACTIVE {
-            faults.on_output(exec.cycle, value) & data_mask
+            faults.on_output(cycle, value) & data_mask
         } else {
             value
         };
-        output.write(exec.cycle, driven);
-        exec.mmu.observe(driven);
+        output.write(cycle, driven);
+        mmu.observe(driven);
     }
 }
 

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use crate::error::SimError;
-use crate::exec::{predecode, Core, Decoded, ExecState, Flow, Snapshot, PC_MASK};
+use crate::exec::{predecode, Core, Decoded, ExecState, Flow, Progress, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::features::FeatureSet;
 use crate::isa::sign_extend;
@@ -110,8 +110,14 @@ impl XlsCore {
     }
 
     #[inline]
-    fn read<I: InputPort, F: FaultHook>(&self, r: u8, input: &mut I, faults: &mut F) -> u8 {
-        read_cell(&self.exec, &self.regs, r, WIDTH_MASK, input, faults)
+    fn read<I: InputPort, F: FaultHook>(
+        &self,
+        r: u8,
+        cycle: u64,
+        input: &mut I,
+        faults: &mut F,
+    ) -> u8 {
+        read_cell(&self.regs, r, WIDTH_MASK, cycle, input, faults)
     }
 }
 
@@ -164,23 +170,28 @@ impl Core for XlsCore {
     fn execute<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         insn: Instruction,
+        pc: u8,
+        cycle: u64,
         input: &mut I,
         output: &mut O,
         faults: &mut F,
     ) -> Flow {
+        // every instruction is two bytes long, so the PC advance is the
+        // constant 1
+        const LEN: u8 = 2;
         match insn {
             Instruction::Alu { op, rd, operand } => {
                 let b = match operand {
-                    Operand::Reg(rs) => self.read(rs, input, faults),
+                    Operand::Reg(rs) => self.read(rs, cycle, input, faults),
                     Operand::Imm(imm) => sign_extend(imm, 4) as u8,
                 };
                 // the datapath reads rd even for MOV, consuming the input
-                let a = self.read(rd, input, faults);
+                let a = self.read(rd, cycle, input, faults);
                 let (result, carry) = op.apply(a, b, self.flags.c, 4);
                 self.flags.c = carry;
                 self.flags.set_nzp(result);
-                let regs = &mut self.regs;
-                write_cell(&mut self.exec, regs, rd, result, WIDTH_MASK, output, faults);
+                let (regs, mmu) = (&mut self.regs, &mut self.exec.mmu);
+                write_cell(regs, rd, result, WIDTH_MASK, cycle, mmu, output, faults);
             }
             Instruction::Br { cond, target } => {
                 let f = self.flags;
@@ -189,18 +200,21 @@ impl Core for XlsCore {
                     || (bits & 0b010 != 0 && f.z)
                     || (bits & 0b001 != 0 && f.p);
                 if go {
-                    return Flow::Jump { target };
+                    return Flow::Jump { len: LEN, target };
                 }
             }
             Instruction::Call { target } => {
-                self.ra = (self.exec.pc + 1) & PC_MASK;
-                return Flow::Jump { target };
+                self.ra = (pc + 1) & PC_MASK;
+                return Flow::Jump { len: LEN, target };
             }
             Instruction::Ret => {
-                return Flow::Jump { target: self.ra };
+                return Flow::Jump {
+                    len: LEN,
+                    target: self.ra,
+                };
             }
         }
-        Flow::Sequential
+        Flow::Sequential { len: LEN }
     }
 
     #[inline]
@@ -209,14 +223,15 @@ impl Core for XlsCore {
     }
 
     #[inline]
-    fn budget_spent(state: &ExecState) -> u64 {
-        state.instructions
+    fn budget_spent(at: &Progress) -> u64 {
+        at.instructions
     }
 
-    fn arch_state(&mut self) -> ArchState<'_> {
+    #[inline]
+    fn arch_state<'a>(&'a mut self, pc: &'a mut u8) -> ArchState<'a> {
         let (page, pending_page) = self.exec.mmu.fault_view();
         ArchState {
-            pc: &mut self.exec.pc,
+            pc,
             acc: None,
             mem: &mut self.regs,
             page,

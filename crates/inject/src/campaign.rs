@@ -208,12 +208,14 @@ pub fn run_campaign_pruned(
     // order, so the thread count cannot change a single bit of the
     // report. Pruning happens *after* the draws: a pruned trial still
     // consumes its RNG and sampler draws, it just never reaches the
-    // simulator, so pruned and unpruned reports stay comparable.
+    // simulator, so pruned and unpruned reports stay comparable. Each
+    // executed trial keeps its input case inline: the draws allocate
+    // nothing per trial.
     let mut faults = Vec::with_capacity(config.trials);
     let mut executed = Vec::with_capacity(config.trials);
     for i in 0..config.trials {
         let fault = sites::draw_fault(&mut rng, &site_list, config.model, clean_cycles);
-        let inputs = sampler.draw();
+        let inputs = sampler.case();
         faults.push(fault);
         if !prune.is_some_and(|report| report.is_masked_fault(&fault)) {
             executed.push((i, inputs));

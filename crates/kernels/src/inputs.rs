@@ -9,6 +9,41 @@ use crate::{Kernel, STREAM_LEN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The most values one input case holds: Thresholding's two
+/// [`STREAM_LEN`]-sample streams.
+pub const MAX_CASE: usize = 2 * STREAM_LEN;
+
+/// One input case held inline, at most [`MAX_CASE`] values, so drawing
+/// and keeping it allocates nothing. It derefs to the values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Case {
+    values: [u8; MAX_CASE],
+    len: u8,
+}
+
+impl core::ops::Deref for Case {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.values[..usize::from(self.len)]
+    }
+}
+
+/// Collects at most [`MAX_CASE`] values; a longer iterator panics.
+impl FromIterator<u8> for Case {
+    fn from_iter<T: IntoIterator<Item = u8>>(values: T) -> Self {
+        let mut case = Case {
+            values: [0; MAX_CASE],
+            len: 0,
+        };
+        for value in values {
+            case.values[usize::from(case.len)] = value;
+            case.len += 1;
+        }
+        case
+    }
+}
+
 /// Deterministic input-case generator for one kernel.
 #[derive(Debug)]
 pub struct Sampler {
@@ -26,8 +61,9 @@ impl Sampler {
         }
     }
 
-    /// Draw one input case (sized per [`Kernel::inputs_per_run`]).
-    pub fn draw(&mut self) -> Vec<u8> {
+    /// Draw one input case (sized per [`Kernel::inputs_per_run`]), held
+    /// inline.
+    pub fn case(&mut self) -> Case {
         let rng = &mut self.rng;
         match self.kernel {
             Kernel::Calculator => {
@@ -39,14 +75,17 @@ impl Sampler {
                 } else {
                     rng.gen_range(0..16u8)
                 };
-                vec![op, a, b]
+                [op, a, b].into_iter().collect()
             }
             Kernel::DecisionTree => (0..3).map(|_| rng.gen_range(0..8u8)).collect(),
-            Kernel::ParityCheck => vec![rng.gen_range(0..16u8), rng.gen_range(0..16u8)],
+            Kernel::ParityCheck => {
+                let low = rng.gen_range(0..16u8);
+                [low, rng.gen_range(0..16u8)].into_iter().collect()
+            }
             Kernel::XorShift8 => {
                 // any non-zero 8-bit state
                 let x = rng.gen_range(1..=255u8);
-                vec![x & 0xF, x >> 4]
+                [x & 0xF, x >> 4].into_iter().collect()
             }
             Kernel::FirFilter => (0..STREAM_LEN).map(|_| rng.gen_range(0..16u8)).collect(),
             Kernel::IntAvg => (0..STREAM_LEN).map(|_| rng.gen_range(0..8u8)).collect(),
@@ -54,6 +93,11 @@ impl Sampler {
                 .map(|_| rng.gen_range(0..16u8))
                 .collect(),
         }
+    }
+
+    /// Draw one input case as a vector: [`case`](Sampler::case)'s values.
+    pub fn draw(&mut self) -> Vec<u8> {
+        self.case().to_vec()
     }
 
     /// Draw `n` cases.
